@@ -346,7 +346,7 @@ def test_multiproc_worker_sweep(report, scale):
 
     rps = {}
     for workers in (1, 2, 4):
-        with WorkerSupervisor(factory, workers, port=0, mode=mode) as sup:
+        with WorkerSupervisor(factory, workers, port=0) as sup:
             # Warm every worker's byte/response caches before timing.
             for __ in range(workers * 3):
                 fetch_url(URL("127.0.0.1", sup.port, "/e.html"),

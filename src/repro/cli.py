@@ -142,9 +142,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         mode = choose_mode()
         if mode is None:
-            print("warning: neither SO_REUSEPORT nor unix fd passing is "
-                  "available on this platform; running a single process",
-                  file=sys.stderr)
+            print("warning: SO_REUSEPORT is not available on this "
+                  "platform; running a single process", file=sys.stderr)
             workers = 1
         else:
             def factory(index: int, location: Location) -> DCWSEngine:
@@ -153,7 +152,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             supervisor = WorkerSupervisor(
                 factory, workers, host=args.host, port=args.port,
-                mode=mode, stripes=config.lock_stripes,
+                stripes=config.lock_stripes,
                 server_options={"snapshot_path": args.state_file,
                                 "journal_path": getattr(args, "journal",
                                                         None)})

@@ -1,7 +1,7 @@
 """Per-peer circuit breakers for server-to-server channels.
 
-The pinger detects dead co-ops only after ``staleness_intervals ×
-pinger_interval`` plus ``ping_failure_limit`` failed probes; until then,
+The pinger detects dead co-ops only after one ``pinger_interval`` of
+staleness plus ``ping_failure_limit`` failed probes; until then,
 every lazy pull or validation toward a dead peer burned a full connect
 timeout *per request*.  A :class:`CircuitBreaker` moves failure detection
 onto the data path: consecutive transport failures *open* the breaker,
@@ -65,8 +65,6 @@ def build_breaker(config) -> "Optional[CircuitBreaker]":
     return CircuitBreaker(
         failure_threshold=config.breaker_failure_threshold,
         reset_timeout=config.breaker_reset_timeout,
-        max_reset_timeout=config.breaker_max_reset_timeout,
-        half_open_probes=config.breaker_half_open_probes,
         jitter=config.breaker_jitter)
 
 

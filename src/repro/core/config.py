@@ -65,28 +65,18 @@ class ServerConfig:
     drop_pressure_weight: float = 0.0
 
     # --- consistency (section 4.5) --------------------------------------
-    # Pinger probes a peer whose GLT entry is older than this many
-    # pinger intervals.
-    staleness_intervals: float = 1.0
     # Consecutive failed pings before a co-op is declared dead and its
     # documents are revoked.
     ping_failure_limit: int = 3
     # --- adaptive membership (repro.core.membership) ---------------------
     # Accrual failure detection: the φ suspicion score grows with silence
     # measured against the peer's learned success inter-arrival
-    # distribution.  φ >= suspect threshold degrades the peer to
-    # *suspect* (excluded from migration/repair targets, documents
-    # kept); a suspect peer at φ >= dead threshold is declared dead —
-    # the timing-based complement to ``ping_failure_limit``'s explicit
-    # consecutive-failure bound.
-    membership_suspect_phi: float = 2.0
-    membership_dead_phi: float = 8.0
-    # Sliding window of inter-arrival samples per peer, the bootstrap
-    # sample count below which silence is never evidence, and the
-    # minimum modelled inter-arrival (additionally floored at the pinger
+    # distribution (thresholds, window and bootstrap sample count are
+    # the defaults of ``MembershipTable`` / ``AccrualFailureDetector``)
+    # — the timing-based complement to ``ping_failure_limit``'s explicit
+    # consecutive-failure bound.  ``membership_floor`` is the minimum
+    # modelled inter-arrival (additionally floored at the pinger
     # interval — the cadence at which heartbeats are guaranteed).
-    membership_window: int = 32
-    membership_min_samples: int = 3
     membership_floor: float = 0.1
     # Rediscovery daemon: dead/forgotten peers from the static configured
     # peer list are re-probed every ``reprobe_interval`` seconds, backed
@@ -181,10 +171,10 @@ class ServerConfig:
     # number of serving processes sharing the listen port (1 = the
     # classic single-process front ends; >1 forks SO_REUSEPORT workers,
     # each running its own aio loop).  ``lock_stripes`` sizes the striped
-    # per-shard locks and seqlock version stamps the engine uses for its
-    # lock-free clean-read fast path (hash(name) % lock_stripes); it also
-    # partitions document *ownership* across workers — per-document
-    # mutating work executes on the worker owning the document's shard.
+    # regeneration guard and the byte/response cache stripes
+    # (crc32(name) % lock_stripes); it also partitions document
+    # *ownership* across workers — per-document mutating work executes
+    # on the worker owning the document's shard.
     # ``sendfile_min_bytes``: disk-backed bodies at least this large are
     # served via os.sendfile on the threaded front end instead of being
     # read into memory (and deliberately bypass the byte/response caches
@@ -196,23 +186,21 @@ class ServerConfig:
     # server-to-server channels.  After ``breaker_failure_threshold``
     # consecutive transport failures the peer's circuit opens and fetches
     # toward it fail instantly; after ``breaker_reset_timeout`` (doubled
-    # per consecutive open, capped at ``breaker_max_reset_timeout``,
-    # jittered by up to ``breaker_jitter``) it goes half-open and admits
-    # ``breaker_half_open_probes`` trial fetches.  ``circuit_breaker``
-    # False disables the whole mechanism (pre-hardening behaviour).
+    # per consecutive open up to ``CircuitBreaker``'s cap, jittered by
+    # up to ``breaker_jitter``) it goes half-open and admits one trial
+    # fetch.  ``circuit_breaker`` False disables the whole mechanism
+    # (pre-hardening behaviour).
     circuit_breaker: bool = True
     breaker_failure_threshold: int = 3
     breaker_reset_timeout: float = 0.5
-    breaker_max_reset_timeout: float = 30.0
-    breaker_half_open_probes: int = 1
     breaker_jitter: float = 0.1
     # HTTP content negotiation on the serve path.  ``gzip_enabled`` turns
     # on pre-compressed response variants: at cache-fill time compressible
-    # bodies at least ``gzip_min_bytes`` long get a deterministic gzip
-    # variant stored alongside the identity bytes, negotiated per request
-    # via ``Accept-Encoding`` (with ``Vary: Accept-Encoding``).
+    # bodies of at least ``http.content.GZIP_MIN_BYTES`` get a
+    # deterministic gzip variant stored alongside the identity bytes,
+    # negotiated per request via ``Accept-Encoding`` (with ``Vary:
+    # Accept-Encoding``).
     gzip_enabled: bool = True
-    gzip_min_bytes: int = 256
     # Tiered load shedding: when a front end reports queue/connection
     # pressure at or above ``shed_pressure`` (a fraction of its capacity),
     # the engine sheds *expensive* work — dirty-document regenerations and
@@ -253,7 +241,7 @@ class ServerConfig:
             "keep_alive_timeout", "keep_alive_max_requests",
             "listen_backlog", "max_connections", "write_buffer_limit",
             "breaker_failure_threshold", "breaker_reset_timeout",
-            "breaker_half_open_probes", "workers", "lock_stripes",
+            "workers", "lock_stripes",
             "sendfile_min_bytes",
         )
         for name in positive:
@@ -274,13 +262,8 @@ class ServerConfig:
             raise ConfigError("byte_cache_bytes must be non-negative")
         if self.response_cache_entries < 0:
             raise ConfigError("response_cache_entries must be non-negative")
-        if self.breaker_max_reset_timeout < self.breaker_reset_timeout:
-            raise ConfigError(
-                "breaker_max_reset_timeout must be >= breaker_reset_timeout")
         if self.breaker_jitter < 0:
             raise ConfigError("breaker_jitter must be non-negative")
-        if self.gzip_min_bytes < 0:
-            raise ConfigError("gzip_min_bytes must be non-negative")
         if not (0.0 < self.shed_pressure <= 1.0):
             raise ConfigError("shed_pressure must be in (0, 1]")
         if self.scrub_interval < 0:
@@ -303,14 +286,6 @@ class ServerConfig:
         if self.replication_repair_interval < 0:
             raise ConfigError(
                 "replication_repair_interval must be non-negative")
-        if not (0.0 < self.membership_suspect_phi
-                < self.membership_dead_phi):
-            raise ConfigError(
-                "need 0 < membership_suspect_phi < membership_dead_phi")
-        if self.membership_window < 2:
-            raise ConfigError("membership_window must be >= 2")
-        if self.membership_min_samples < 2:
-            raise ConfigError("membership_min_samples must be >= 2")
         if self.membership_floor <= 0:
             raise ConfigError("membership_floor must be positive")
         if self.reprobe_interval <= 0:

@@ -12,14 +12,15 @@ timer-driven:
    stale; several consecutive failures declare the peer dead and its
    documents are recalled.
 
-This module provides the small generic pieces: a :class:`DueTracker` that
-answers "which keys are due for periodic work at time *now*" and a
-:class:`PeerHealth` monitor implementing the failure-count rule.
+This module provides the small generic piece: a :class:`DueTracker` that
+answers "which keys are due for periodic work at time *now*".  Peer
+liveness (the failure-count rule, suspicion, RTT) lives in
+:mod:`repro.core.membership`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, TypeVar
+from typing import Dict, Hashable, List, Optional, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 
@@ -72,89 +73,3 @@ class DueTracker:
 
     def __contains__(self, key: object) -> bool:
         return key in self._last
-
-
-class PeerHealth:
-    """Consecutive-ping-failure accounting for dead co-op detection.
-
-    A peer is *suspect* after one failed ping and *dead* after
-    ``failure_limit`` consecutive failures; any success resets it.
-    Failures come from the pinger *and* (since the failure-domain
-    hardening) from data-path transfers — a pull or validation that hits
-    a dead peer counts just like a failed probe, so detection no longer
-    waits out the full staleness window.
-
-    Successes measured by the host (pings and pooled data-path
-    exchanges) also feed a per-peer round-trip-time EWMA, surfaced on
-    ``/~dcws/peers`` and available to delay-aware targeting.
-    """
-
-    #: EWMA weight of each new RTT sample.
-    RTT_ALPHA = 0.2
-
-    def __init__(self, failure_limit: int) -> None:
-        self.failure_limit = failure_limit
-        self._failures: Dict[str, int] = {}
-        self._last_success: Dict[str, float] = {}
-        self._rtt: Dict[str, float] = {}
-
-    def record_success(self, peer: str,
-                       now: Optional[float] = None,
-                       rtt: Optional[float] = None) -> None:
-        self._failures.pop(peer, None)
-        if now is not None:
-            self._last_success[peer] = now
-        if rtt is not None and rtt >= 0.0:
-            previous = self._rtt.get(peer)
-            if previous is None:
-                self._rtt[peer] = rtt
-            else:
-                self._rtt[peer] = (1.0 - self.RTT_ALPHA) * previous \
-                    + self.RTT_ALPHA * rtt
-
-    def record_failure(self, peer: str) -> int:
-        """Count a failure; returns the consecutive count."""
-        self._failures[peer] = self._failures.get(peer, 0) + 1
-        return self._failures[peer]
-
-    def failures(self, peer: str) -> int:
-        """Current consecutive-failure count for *peer* (0 = healthy)."""
-        return self._failures.get(peer, 0)
-
-    def last_success(self, peer: str) -> Optional[float]:
-        """When *peer* last succeeded, if a timestamp was recorded."""
-        return self._last_success.get(peer)
-
-    def rtt(self, peer: str) -> Optional[float]:
-        """Smoothed round-trip time toward *peer*, if ever measured."""
-        return self._rtt.get(peer)
-
-    def rtts(self) -> Dict[str, float]:
-        return dict(self._rtt)
-
-    def is_dead(self, peer: str) -> bool:
-        return self._failures.get(peer, 0) >= self.failure_limit
-
-    def dead_peers(self) -> List[str]:
-        return sorted(p for p, n in self._failures.items()
-                      if n >= self.failure_limit)
-
-    def suspects(self) -> List[str]:
-        return sorted(p for p, n in self._failures.items()
-                      if 0 < n < self.failure_limit)
-
-    def forget(self, peer: str) -> None:
-        self._failures.pop(peer, None)
-        self._last_success.pop(peer, None)
-        self._rtt.pop(peer, None)
-
-    def reset(self, peers: Iterable[str] = ()) -> None:
-        if not peers:
-            self._failures.clear()
-            self._last_success.clear()
-            self._rtt.clear()
-            return
-        for peer in peers:
-            self._failures.pop(peer, None)
-            self._last_success.pop(peer, None)
-            self._rtt.pop(peer, None)

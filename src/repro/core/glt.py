@@ -22,7 +22,6 @@ class GlobalLoadTable:
     def __init__(self, own: Location) -> None:
         self.own = own
         self._rows: Dict[str, LoadReport] = {}
-        self._ping_failures: Dict[str, int] = {}
 
     def update_own(self, metric: float, now: float) -> None:
         """Record this server's own measurement (always trusted)."""
@@ -39,7 +38,6 @@ class GlobalLoadTable:
         if current is not None and current.timestamp >= report.timestamp:
             return False
         self._rows[report.server] = report
-        self._ping_failures.pop(report.server, None)
         return True
 
     def merge(self, reports: Iterable[LoadReport]) -> int:
@@ -97,20 +95,9 @@ class GlobalLoadTable:
                  if key != own_key and now - row.timestamp > max_age]
         return [Location.parse(key) for key in sorted(stale)]
 
-    def record_ping_failure(self, server: Location) -> int:
-        """Count a failed ping; returns the consecutive-failure count."""
-        key = str(server)
-        self._ping_failures[key] = self._ping_failures.get(key, 0) + 1
-        return self._ping_failures[key]
-
-    def clear_ping_failures(self, server: Location) -> None:
-        self._ping_failures.pop(str(server), None)
-
     def remove(self, server: Location) -> None:
         """Drop a server declared dead."""
-        key = str(server)
-        self._rows.pop(key, None)
-        self._ping_failures.pop(key, None)
+        self._rows.pop(str(server), None)
 
     def __len__(self) -> int:
         return len(self._rows)

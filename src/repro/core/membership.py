@@ -45,6 +45,8 @@ DEAD = "dead"
 FORGOTTEN = "forgotten"
 
 _LN10 = math.log(10.0)
+#: EWMA weight of each new round-trip-time sample.
+RTT_ALPHA = 0.2
 
 
 class AccrualFailureDetector:
@@ -151,6 +153,7 @@ class _PeerEntry:
     next_probe_at: float = 0.0
     last_backoff: float = 0.0   # the period behind next_probe_at
     probe_pending: bool = False
+    rtt: Optional[float] = None  # smoothed round trip, host-measured
 
 
 class MembershipTable:
@@ -206,12 +209,8 @@ class MembershipTable:
         inter-arrival at the pinger interval — the cadence at which
         heartbeats are actually guaranteed."""
         detector = AccrualFailureDetector(
-            window=config.membership_window,
-            min_samples=config.membership_min_samples,
             floor=max(config.membership_floor, config.pinger_interval))
-        return cls(suspect_phi=config.membership_suspect_phi,
-                   dead_phi=config.membership_dead_phi,
-                   failure_limit=config.ping_failure_limit,
+        return cls(failure_limit=config.ping_failure_limit,
                    reprobe_interval=config.reprobe_interval,
                    reprobe_backoff=config.reprobe_backoff,
                    reprobe_max_interval=config.reprobe_max_interval,
@@ -254,17 +253,22 @@ class MembershipTable:
     # Evidence: successes and explicit failures
     # ------------------------------------------------------------------
 
-    def heartbeat(self, peer: str, now: float) -> Optional[Tuple[str, str]]:
+    def heartbeat(self, peer: str, now: float,
+                  rtt: Optional[float] = None) -> Optional[Tuple[str, str]]:
         """A success arrived from *peer*.
 
-        Feeds the detector, clears the failure count, and promotes the
-        peer back to ALIVE.  Returns the applied ``(old, new)``
-        transition when the state changed (``suspect -> alive`` recovery
-        or ``dead/forgotten -> alive`` rejoin), else ``None``.
+        Feeds the detector, clears the failure count, folds a
+        host-measured *rtt* into the peer's EWMA, and promotes the peer
+        back to ALIVE.  Returns the applied ``(old, new)`` transition
+        when the state changed (``suspect -> alive`` recovery or
+        ``dead/forgotten -> alive`` rejoin), else ``None``.
         """
         entry = self._entry(peer, now)
         self.detector.heartbeat(peer, now)
         entry.failures = 0
+        if rtt is not None and rtt >= 0.0:
+            entry.rtt = rtt if entry.rtt is None else \
+                (1.0 - RTT_ALPHA) * entry.rtt + RTT_ALPHA * rtt
         if entry.state == ALIVE:
             return None
         old = entry.state
@@ -317,6 +321,7 @@ class MembershipTable:
         entry.failures = 0
         entry.probe_attempts = 0
         entry.probe_pending = False
+        entry.rtt = None
         self._schedule_probe(peer, entry, now)
         self.detector.forget(peer)
         self.counters.deaths += 1
@@ -434,6 +439,7 @@ class MembershipTable:
             "state": entry.state,
             "since": entry.since,
             "failures": entry.failures,
+            "rtt": entry.rtt,
             "configured": entry.configured,
             "probe_attempts": entry.probe_attempts,
             "next_probe_at": entry.next_probe_at,

@@ -41,7 +41,7 @@ QUARANTINE_HEADER = "X-DCWS-Quarantined"
 DCWS_EPOCH = 915148800
 
 #: Entities smaller than this are never worth a gzip member's overhead.
-DEFAULT_GZIP_MIN_BYTES = 256
+GZIP_MIN_BYTES = 256
 
 #: Content types worth compressing (HTML-heavy datasets dominate; images
 #: and other already-compressed media are left alone).
@@ -190,14 +190,13 @@ def gunzip_bytes(data: bytes) -> bytes:
     return _gzip.decompress(data)
 
 
-def maybe_gzip(data: bytes, content_type: str,
-               min_bytes: int = DEFAULT_GZIP_MIN_BYTES) -> Optional[bytes]:
+def maybe_gzip(data: bytes, content_type: str) -> Optional[bytes]:
     """The compressed variant to store alongside an identity body.
 
     ``None`` when compression is not worthwhile: wrong content type, body
     below the size floor, or gzip failing to actually shrink it.
     """
-    if len(data) < min_bytes or not compressible(content_type):
+    if len(data) < GZIP_MIN_BYTES or not compressible(content_type):
         return None
     compressed = gzip_bytes(data)
     return compressed if len(compressed) < len(data) else None

@@ -112,8 +112,8 @@ def render_peers(engine) -> str:
     """The failure-domain view of every known peer.
 
     Combines the circuit breaker's per-peer snapshot (when the host wired
-    one up) with the health monitor's consecutive-failure counts and the
-    GLT row's age, so an operator sees detection state at a glance.
+    one up) with the membership table's consecutive-failure counts and
+    the GLT row's age, so an operator sees detection state at a glance.
     """
     now = getattr(engine, "_admin_now", 0.0)
     breaker = getattr(engine, "breaker", None)
@@ -125,13 +125,14 @@ def render_peers(engine) -> str:
     peers = {str(p) for p in engine.glt.peers()} | set(snapshot)
     for key in sorted(peers):
         state = snapshot.get(key, {})
+        member = engine.membership.describe(key)
         breaker_state = str(state.get("state", "closed"))
         trips = int(state.get("trips", 0) or 0)
         fails = max(int(state.get("consecutive_failures", 0) or 0),
-                    engine.health.failures(key))
+                    int(member.get("failures", 0) or 0))
         last = state.get("last_success")
         if last is None:
-            last = engine.health.last_success(key)
+            last = engine.membership.detector.last_arrival(key)
         last_text = "never" if last is None else f"{max(0.0, now - last):.1f}s"
         retry_at = float(state.get("retry_at", 0.0) or 0.0)
         retry_text = (f"{max(0.0, retry_at - now):.2f}s"
@@ -145,7 +146,7 @@ def render_peers(engine) -> str:
             age_text = "no-row"
         else:
             age_text = f"{max(0.0, now - row.timestamp):.1f}s"
-        rtt = engine.health.rtt(key)
+        rtt = member.get("rtt")
         rtt_text = "-" if rtt is None else f"{rtt * 1000.0:.1f}ms"
         lines.append(f"{key:<24} {breaker_state:>10} {trips:>6} {fails:>6} "
                      f"{last_text:>14} {retry_text:>9} {age_text:>10} "
@@ -153,7 +154,7 @@ def render_peers(engine) -> str:
     total = breaker.total_trips() if breaker is not None else 0
     lines.append("")
     lines.append(f"breaker trips (lifetime) {total}")
-    lines.append(f"suspects {' '.join(engine.health.suspects()) or '-'}")
+    lines.append(f"suspects {' '.join(engine.membership.suspects()) or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -419,7 +420,7 @@ def render_membership(engine) -> str:
     for key in sorted(states):
         info = table.describe(key)
         phi = table.phi(key, now)
-        rtt = engine.health.rtt(key)
+        rtt = info.get("rtt")
         rtt_text = "-" if rtt is None else f"{rtt * 1000.0:.1f}ms"
         since = float(info.get("since", 0.0) or 0.0)
         # since == 0.0 is the registration default, not a transition

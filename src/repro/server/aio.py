@@ -16,9 +16,10 @@ Structure:
   Requests are parsed incrementally by the sans-I/O
   :class:`repro.http.wire.RequestParser` — the identical protocol code
   the threaded front end uses.
-- **In-memory dispatches stay on the loop.**  ``engine.handle_request``
-  under the engine lock is a dictionary-and-string affair; the loop never
-  holds the lock longer than one such dispatch.
+- **In-memory dispatches stay on the loop.**  One request through the
+  engine under the engine lock (the cached-GET short-circuit, else
+  ``engine.handle_request``) is a dictionary-and-string affair; the loop
+  never holds the lock longer than one such dispatch.
 - **Blocking work leaves the loop.**  Directives — lazy-migration pulls,
   dirty-document splices — and periodic transfers (validations, pings)
   run on a small :class:`~concurrent.futures.ThreadPoolExecutor` via the
@@ -71,12 +72,7 @@ from repro.server.dispatch import (
     DurabilityMixin,
     close_quietly,
 )
-from repro.server.engine import (
-    DCWSEngine,
-    EngineReply,
-    OutboundAction,
-    RegenerateAndServe,
-)
+from repro.server.engine import DCWSEngine, EngineReply, OutboundAction
 
 if TYPE_CHECKING:
     from repro.faults import FaultPlan
@@ -211,15 +207,11 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def start(self, listener: Optional[socket.socket] = None, *,
-              accept_connections: bool = True) -> None:
+    def start(self, listener: Optional[socket.socket] = None) -> None:
         """Bind, listen, and launch the loop thread and executor.
 
         *listener* (already bound and listening) lets the multi-process
-        supervisor hand each worker its own ``SO_REUSEPORT`` listener;
-        ``accept_connections=False`` starts the loop with no accept path
-        at all — fd-handoff mode, where accepted client sockets arrive
-        through :meth:`adopt_connection` instead.
+        supervisor hand each worker its own ``SO_REUSEPORT`` listener.
         """
         if self._running:
             raise ReproError("server already started")
@@ -227,17 +219,16 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
             now = time.monotonic()
             self._recover_state(now)
             self._last_snapshot = now
-        if listener is None and accept_connections:
+        if listener is None:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self.bind_host, self.port))
             listener.listen(self.engine.config.listen_backlog)
-        if listener is not None:
-            listener.setblocking(False)
-            try:
-                self.port = listener.getsockname()[1]
-            except (OSError, IndexError):
-                pass
+        listener.setblocking(False)
+        try:
+            self.port = listener.getsockname()[1]
+        except (OSError, IndexError):
+            pass
         self._listener = listener
         self._executor = ThreadPoolExecutor(
             max_workers=self.engine.config.worker_threads,
@@ -246,9 +237,8 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         self._wakeup_recv.setblocking(False)
         self._wakeup_send.setblocking(False)
         self._selector = selectors.DefaultSelector()
-        if listener is not None and accept_connections:
-            self._selector.register(listener, selectors.EVENT_READ,
-                                    self._on_accept)
+        self._selector.register(listener, selectors.EVENT_READ,
+                                self._on_accept)
         self._selector.register(self._wakeup_recv, selectors.EVENT_READ,
                                 self._on_wakeup)
         self._stop.clear()
@@ -374,16 +364,6 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
                 return
             self._admit(sock)
 
-    def adopt_connection(self, sock: socket.socket) -> None:
-        """Adopt an already-accepted client connection (fd-handoff mode).
-
-        Thread-safe: the multi-process worker's channel thread calls this
-        with sockets received over ``recv_fds``; the socket enters the
-        loop through the self-pipe and then follows the exact same
-        admission rules as the accept path.
-        """
-        self._post(lambda: self._admit(sock))
-
     def _admit(self, sock: socket.socket) -> None:
         """Admission control for one new client socket (loop thread)."""
         self.connections_accepted += 1
@@ -506,27 +486,13 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
 
     # -- dispatch -------------------------------------------------------
 
+    def _pressure(self) -> float:
+        """Open connections against the admission cap, as a fraction."""
+        return len(self._connections) / self.engine.config.max_connections
+
     def _handle_request(self, conn: _Connection, request: Request,
                         now: float) -> None:
-        config = self.engine.config
-        # Lock-free fast path: a clean cached read resolves (rendering
-        # included) without the engine lock; only the seqlock re-check
-        # and the counters run under it.
-        hit = self.engine.fast_lookup(request, now)
-        # This front end's pressure signal is open-connection count
-        # against the admission cap: at or above shed_pressure the engine
-        # sheds its expensive tier (regenerations, first-use pulls) while
-        # cache hits and 304s keep flowing.
-        pressure = len(self._connections) / config.max_connections
-        with self._lock:
-            self.engine.overloaded = (config.tiered_shedding
-                                      and pressure >= config.shed_pressure)
-            if hit is not None:
-                reply = self.engine.fast_commit(hit, request, now)
-                if reply is not None:
-                    self._enqueue_response(conn, request, reply.response)
-                    return
-            result = self.engine.handle_request(request, now)
+        result = self._engine_dispatch(request, now)
         if isinstance(result, EngineReply):
             self._enqueue_response(conn, request, result.response)
             return
@@ -546,17 +512,6 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
                                                        response))
 
         self._executor.submit(run)
-
-    def _directive_work(self, directive: object) -> Response:
-        """Execute one blocking directive (executor thread).
-
-        Seam for the multi-process worker host, which overrides this to
-        forward directives touching shards owned by another worker over
-        the supervisor channel instead of executing them locally.
-        """
-        if isinstance(directive, RegenerateAndServe):
-            return self._execute_regeneration(directive)
-        return self._execute_pull(directive)
 
     def _complete_dispatch(self, conn: _Connection, request: Request,
                            response: Response) -> None:

@@ -1,4 +1,9 @@
-"""Blocking directive execution shared by both socket front ends.
+"""Request dispatch shared by both socket front ends.
+
+Every engine call runs under the host's one engine lock;
+:meth:`BlockingDirectiveMixin._engine_dispatch` is the serve path's
+single locked section — shedding signal, cached-read short-circuit,
+full :meth:`DCWSEngine.handle_request`.
 
 The engine answers a request either with a finished :class:`EngineReply`
 or with a *directive* naming blocking work — a lazy-migration pull over
@@ -10,8 +15,10 @@ the per-document regeneration guard, the double-checked commit — is
 identical.  :class:`BlockingDirectiveMixin` implements it once.
 
 Host requirements: ``engine`` (a :class:`DCWSEngine`), ``_lock`` (the
-engine guard), ``pool`` (a :class:`repro.client.pool.ConnectionPool`) and
-``request_timeout``; call :meth:`_init_dispatch` before use.  Every
+engine guard), ``_pressure()`` (load as a fraction of capacity),
+``pool`` (a :class:`repro.client.pool.ConnectionPool`) and
+``request_timeout``; call :meth:`_init_dispatch` before use.
+:meth:`_engine_dispatch` never blocks beyond the lock; every other
 method here may block (network or CPU) and must therefore run on a
 thread that is allowed to — never on the event loop.
 """
@@ -21,13 +28,17 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING, Union
 
 from repro.client.breaker import BreakerOpenError
 from repro.client.realclient import http_fetch
 from repro.errors import DigestMismatch, HTTPError
-from repro.http.messages import Response
-from repro.server.engine import PullFromHome, RegenerateAndServe
+from repro.http.messages import Request, Response
+from repro.server.engine import (
+    EngineReply,
+    PullFromHome,
+    RegenerateAndServe,
+)
 from repro.server.striping import StripedLock
 
 if TYPE_CHECKING:
@@ -36,7 +47,8 @@ if TYPE_CHECKING:
 
 
 class BlockingDirectiveMixin:
-    """Executes :class:`PullFromHome` / :class:`RegenerateAndServe`."""
+    """The locked engine dispatch, and execution of the directives
+    (:class:`PullFromHome` / :class:`RegenerateAndServe`) it returns."""
 
     def _init_dispatch(self) -> None:
         # Lock-scope reduction: dirty-document regeneration runs off the
@@ -52,6 +64,40 @@ class BlockingDirectiveMixin:
 
     def _regen_lock(self, name: str) -> threading.Lock:
         return self._regen_locks.lock_for(name)
+
+    def _engine_dispatch(self, request: Request, now: float
+                         ) -> Union[EngineReply, PullFromHome,
+                                    RegenerateAndServe]:
+        """One request through the engine, under the engine lock.
+
+        At or above ``shed_pressure`` the engine sheds its expensive
+        tier (regenerations, first-use pulls) while cache hits and 304s
+        keep flowing.  ``_pressure()`` is read before taking the lock —
+        an approximate reading is exactly what a pressure signal needs.
+        """
+        engine = self.engine
+        config = engine.config
+        overloaded = (config.tiered_shedding
+                      and self._pressure() >= config.shed_pressure)
+        with self._lock:
+            engine.overloaded = overloaded
+            hit = engine.fast_lookup(request, now)
+            if hit is not None:
+                return engine.fast_commit(hit, request, now)
+            return engine.handle_request(request, now)
+
+    def _directive_work(self, directive: Union[PullFromHome,
+                                               RegenerateAndServe]
+                        ) -> Response:
+        """Execute one blocking directive.
+
+        Seam for the multi-process worker host, which overrides this to
+        forward directives touching shards owned by another worker over
+        the supervisor channel instead of executing them locally.
+        """
+        if isinstance(directive, RegenerateAndServe):
+            return self._execute_regeneration(directive)
+        return self._execute_pull(directive)
 
     def _execute_regeneration(self, directive: RegenerateAndServe) -> Response:
         """Dirty-document regeneration with the splice off the engine lock.

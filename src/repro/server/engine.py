@@ -22,8 +22,10 @@ explicit ``now`` argument and all outbound communication is returned as
 This is what lets the benchmarks drive the identical policy code under
 virtual time.
 
-The engine is not itself thread-safe; hosts serialize access (the threaded
-server with a lock, the simulator by construction).
+The engine is not itself thread-safe, and its whole concurrency contract
+is one sentence: every engine call runs under the host's lock (one
+``threading.Lock`` in the socket front ends; the simulator is
+single-threaded by construction).
 
 A note on the naming convention's pull-through property: a co-op serves
 *any* ``/~migrate/h/p/path`` request by pulling from ``h:p``, whether or
@@ -35,11 +37,12 @@ turn the co-op into an accidental mirror of the whole site.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.core.config import ServerConfig
-from repro.core.consistency import DueTracker, PeerHealth
+from repro.core.consistency import DueTracker
 from repro.core.eventlog import EventLog
 from repro.core.document import DocumentRecord, Location
 from repro.core.glt import GlobalLoadTable
@@ -113,7 +116,6 @@ from repro.server.integrity import (
     REASON_SERVE,
 )
 from repro.server.replication import ReplicationManager
-from repro.server.striping import ShardVersions
 
 if TYPE_CHECKING:
     from repro.client.breaker import CircuitBreaker
@@ -156,18 +158,13 @@ class EngineReply:
 
 @dataclass
 class _FastHit:
-    """A validated lock-free cache read, pending commit.
+    """A clean cached read, rendered and pending its counters.
 
-    Produced by :meth:`DCWSEngine.fast_lookup` entirely outside the
-    host's engine lock; the host then calls
-    :meth:`DCWSEngine.fast_commit` *under* the lock, which re-checks the
-    shard stamp (definitive there: every mutation holds the lock) and
-    either books the counters and finishes the response, or returns
-    ``None`` so the host falls back to :meth:`DCWSEngine.handle_request`.
+    Produced by :meth:`DCWSEngine.fast_lookup` and booked by
+    :meth:`DCWSEngine.fast_commit`, both within one hold of the host's
+    engine lock.
     """
 
-    shard: int
-    stamp: int
     record: DocumentRecord
     cached: CachedResponse
     response: Response
@@ -290,7 +287,10 @@ class EngineStats:
     replications: int = 0
     replica_drops: int = 0   # dead holders shed from replication groups
     repairs: int = 0         # replacement holders added by the repair loop
-    decisions: List[MigrationDecision] = field(default_factory=list)
+    # The most recent decisions only (the EventLog's bound): a
+    # long-lived server books one per migration, revocation and repair.
+    decisions: deque[MigrationDecision] = field(
+        default_factory=lambda: deque(maxlen=1000))
 
 
 # Approximate wire overhead of a response head, counted into BPS the same
@@ -318,10 +318,6 @@ class DCWSEngine:
         # Rendered-response cache keyed by (name, version, method).
         self.response_cache = ResponseCache(config.response_cache_entries,
                                             stripes=config.lock_stripes)
-        # Seqlock shard stamps for the lock-free clean-read fast path:
-        # every mutation site below bumps the shards it touches, and
-        # fast_lookup/fast_commit validate against them.
-        self.shards = ShardVersions(config.lock_stripes)
         # Per-document link templates for splice reconstruction, synced at
         # every point the stored bytes change (initial parse, author
         # update, regeneration commit).  Keyed by name: migration events
@@ -348,10 +344,9 @@ class DCWSEngine:
         self.glt = GlobalLoadTable(location)
         self.policy = MigrationPolicy(config, self.graph, self.glt)
         self.policy.peer_available = self._peer_available
-        self.policy.on_decision = self._on_decision
+        self.policy.on_decision = self._journal_decision
         self.metrics = ServerMetrics(config.stats_interval)
         self.validation = DueTracker(config.validation_interval)
-        self.health = PeerHealth(config.ping_failure_limit)
         # Adaptive membership: the alive -> suspect -> dead -> forgotten
         # state machine driven by the accrual failure detector, plus the
         # rediscovery re-probe schedule for falsely-dead configured
@@ -362,7 +357,7 @@ class DCWSEngine:
         # Replication groups with autonomous repair (replication_k >= 2):
         # the manager owns group bookkeeping and the repair loop; its
         # decisions surface through the policy callback above, so they
-        # are journaled and seqlock-stamped like every other relocation.
+        # are journaled like every other relocation.
         # ``alive`` (suspects count as live) governs holder retention
         # and serving; ``targetable`` (strictly alive) governs where new
         # replicas may be placed — a suspect peer keeps its documents
@@ -430,28 +425,14 @@ class DCWSEngine:
         The migration policy's decision callback (wired at construction)
         already routes *every* decision site — periodic rounds, forced
         migrations, dead-peer revocations — through
-        :meth:`_on_decision`, which journals when a journal is attached.
+        :meth:`_journal_decision`, which journals once a journal is
+        attached.
         """
         self.journal = journal
-        self.policy.on_decision = self._on_decision
 
     def _journal(self, kind: str, **fields: object) -> None:
         if self.journal is not None:
             self.journal.append(kind, self._clock, **fields)
-
-    def _on_decision(self, decision: MigrationDecision) -> None:
-        """Publish one applied migration decision.
-
-        Journals it (when a journal is attached) and bumps the seqlock
-        stamps of every shard the decision touched, so decisions applied
-        outside the bracketed periodic paths — admin force-migrations,
-        for example — still invalidate in-flight lock-free reads.  (The
-        periodic paths additionally bracket whole decision *rounds* with
-        ``shards.write_all``.)
-        """
-        self._journal_decision(decision)
-        with self.shards.write(decision.name, *decision.dirtied):
-            pass
 
     def _journal_decision(self, decision: MigrationDecision) -> None:
         """Journal one applied migration decision as *resulting state*.
@@ -590,19 +571,18 @@ class DCWSEngine:
             return self._handle_coop(request, path, home, original, now)
         return self._handle_local(request, path, now)
 
-    # -- lock-free fast path for clean cached reads ----------------------
+    # -- short-circuit for clean cached reads ----------------------------
 
     def fast_lookup(self, request: Request, now: float) -> Optional[_FastHit]:
-        """Try to resolve *request* as a clean cached read, LOCK-FREE.
+        """Try to resolve *request* as a clean cached read (host holds
+        the engine lock).
 
-        Hosts call this before taking their engine lock.  Only the
-        plainest requests qualify — an unconditional client GET/HEAD of
-        a clean, local, unreplicated, cached document — and the result
-        is validated against the shard's seqlock stamp: any concurrent
-        mutation of the shard sends the caller to the locked slow path.
-        Nothing here mutates engine state; all accounting happens in
-        :meth:`fast_commit` under the host's lock, so every counter
-        stays exactly as accurate as the single-lock engine's.
+        Only the plainest requests qualify — an unconditional client
+        GET/HEAD of a clean, local, unreplicated, cached document —
+        and they skip :meth:`handle_request`'s routing, piggyback and
+        negotiation steps.  ``None`` sends the host there instead.
+        Nothing here mutates engine state; :meth:`fast_commit` books the
+        hit exactly as the slow path would have.
         """
         if request.method not in ("GET", "HEAD"):
             return None
@@ -623,10 +603,6 @@ class DCWSEngine:
         if path == HEALTH_PATH or path.startswith(ADMIN_PREFIX) \
                 or is_migrated_path(path):
             return None
-        shard = self.shards.shard_of(path)
-        stamp = self.shards.read(shard)
-        if stamp is None:
-            return None  # writer active in this shard right now
         record = self.graph.find(path)
         if record is None or record.dirty or record.replicas \
                 or record.location != self.location:
@@ -639,24 +615,13 @@ class DCWSEngine:
         if kind not in ("identity", "gzip"):
             return None  # unreachable without Range, but stay defensive
         response.headers.set(VERSION_HEADER, cached.version)
-        if self.shards.read(shard) != stamp:
-            # A writer completed (or started) between our first stamp
-            # read and here: everything read above may be torn.
-            return None
-        return _FastHit(shard=shard, stamp=stamp, record=record,
-                        cached=cached, response=response, kind=kind)
+        return _FastHit(record=record, cached=cached, response=response,
+                        kind=kind)
 
     def fast_commit(self, hit: _FastHit, request: Request,
-                    now: float) -> Optional[EngineReply]:
-        """Book a :meth:`fast_lookup` hit (host holds the engine lock).
-
-        The stamp re-check here is definitive — every mutation runs
-        under the same lock — so a ``None`` return (fall back to
-        :meth:`handle_request`) is the only alternative to a reply
-        counted exactly like the slow path would have counted it.
-        """
-        if self.shards.read(hit.shard) != hit.stamp:
-            return None
+                    now: float) -> EngineReply:
+        """Book a :meth:`fast_lookup` hit, within the same hold of the
+        engine lock, counted exactly like the slow path counts it."""
         self._clock = now
         self.stats.requests += 1
         hit.record.record_hit()
@@ -879,8 +844,7 @@ class DCWSEngine:
                                              body_digest(data), now)
             gzip_body = None
             if request.method == "GET" and self.config.gzip_enabled:
-                gzip_body = maybe_gzip(data, record.content_type,
-                                       self.config.gzip_min_bytes)
+                gzip_body = maybe_gzip(data, record.content_type)
             cached = CachedResponse(
                 body=b"" if request.method == "HEAD" else data,
                 content_length=len(data),
@@ -911,13 +875,11 @@ class DCWSEngine:
         representation) and ``Accept-Encoding: gzip`` (the pre-compressed
         variant stored at cache-fill time).  The validators ride on every
         flavor so a client can revalidate whatever it received.  No
-        counter is touched here: the lock-free fast path renders outside
-        the engine lock and books the outcome later (in
-        :meth:`fast_commit`); the slow path books it immediately in
-        :meth:`_entity_response`.  Returns the response plus its kind —
-        ``"identity"``, ``"gzip"``, ``"206"`` or ``"416"``.  The identity
-        and gzip bodies are the *shared* cached bytes objects, never a
-        copy.
+        counter is touched here: the fast path books the outcome in
+        :meth:`fast_commit`, the slow path in :meth:`_entity_response`.
+        Returns the response plus its kind — ``"identity"``, ``"gzip"``,
+        ``"206"`` or ``"416"``.  The identity and gzip bodies are the
+        *shared* cached bytes objects, never a copy.
         """
         response = Response(status=StatusCode.OK, body=cached.body)
         response.headers.set("Content-Type", cached.content_type)
@@ -1111,8 +1073,7 @@ class DCWSEngine:
                 return self._start_pull(request, key, home, original)
             gzip_body = None
             if request.method == "GET" and self.config.gzip_enabled:
-                gzip_body = maybe_gzip(data, hosted.content_type,
-                                       self.config.gzip_min_bytes)
+                gzip_body = maybe_gzip(data, hosted.content_type)
             cached = CachedResponse(
                 body=b"" if request.method == "HEAD" else data,
                 content_length=len(data),
@@ -1155,8 +1116,8 @@ class DCWSEngine:
         gracefully instead of erroring (302 back to the home — the client
         may well reach it even when we cannot — or, when *home_down* says
         the home's circuit is open, 503 + Retry-After so clients back
-        off).  Transport failures feed :attr:`health` exactly like failed
-        pings, so a dead home is declared from the data path.
+        off).  Transport failures feed :attr:`membership` exactly like
+        failed pings, so a dead home is declared from the data path.
 
         ``corrupt=True`` means the transport-layer digest check rejected
         the body (and the pool's one-shot retry failed too): the reply is
@@ -1178,12 +1139,11 @@ class DCWSEngine:
             # The home says we are not (or no longer) this document's
             # host: forward the redirect to the client, keep nothing.
             self._absorb_piggyback(response.headers)
-            with self.shards.write(pull.key):
-                self._journal("hosted_dropped", key=pull.key)
-                self.hosted.pop(pull.key, None)
-                self.validation.forget(pull.key)
-                self.response_cache.invalidate(pull.key)
-                self._clear_quarantine(pull.key)
+            self._journal("hosted_dropped", key=pull.key)
+            self.hosted.pop(pull.key, None)
+            self.validation.forget(pull.key)
+            self.response_cache.invalidate(pull.key)
+            self._clear_quarantine(pull.key)
             forwarded = redirect_response(
                 response.headers.get("Location", "") or "")
             self.stats.responses_301 += 1
@@ -1217,22 +1177,21 @@ class DCWSEngine:
         # Journal before the byte write: a crash in between recovers the
         # hosted entry as unfetched, and the next request re-pulls — lost
         # work, never lost state.
-        with self.shards.write(pull.key):
-            self._journal("pull", key=pull.key, home=str(pull.home),
-                          original=pull.original, size=len(response.body),
-                          version=response.headers.get(VERSION_HEADER, "")
-                          or "",
-                          content_type=content_type,
-                          digest=claimed or body_digest(response.body))
-            self.store.put(pull.key, response.body)
-            self.response_cache.invalidate(pull.key)
-            hosted.fetched = True
-            hosted.size = len(response.body)
-            hosted.version = response.headers.get(VERSION_HEADER, "") or ""
-            hosted.digest = claimed or body_digest(response.body)
-            if content_type:
-                hosted.content_type = content_type
-            self._clear_quarantine(pull.key)
+        self._journal("pull", key=pull.key, home=str(pull.home),
+                      original=pull.original, size=len(response.body),
+                      version=response.headers.get(VERSION_HEADER, "")
+                      or "",
+                      content_type=content_type,
+                      digest=claimed or body_digest(response.body))
+        self.store.put(pull.key, response.body)
+        self.response_cache.invalidate(pull.key)
+        hosted.fetched = True
+        hosted.size = len(response.body)
+        hosted.version = response.headers.get(VERSION_HEADER, "") or ""
+        hosted.digest = claimed or body_digest(response.body)
+        if content_type:
+            hosted.content_type = content_type
+        self._clear_quarantine(pull.key)
         # Jitter each document's first validation deadline so documents
         # pulled in a burst (e.g. right after a warm start) do not
         # re-validate in synchronized storms that flood the home server.
@@ -1359,24 +1318,23 @@ class DCWSEngine:
 
     def _commit_bytes(self, record: DocumentRecord, data: bytes) -> None:
         """Install regenerated bytes: store, record, response cache."""
-        with self.shards.write(record.name):
-            self.store.put(record.name, data)
-            record.size = len(data)
-            record.dirty = False
-            record.digest = body_digest(data)
-            # Journal *after* the byte write — the record asserts "this
-            # version's links are clean on disk", which is only true once
-            # the crash-atomic put returned.  A crash in between replays
-            # as still-dirty and simply regenerates again.
-            self._journal("regenerate", name=record.name,
-                          version=record.version, size=record.size,
-                          digest=record.digest)
-            # Regeneration changes bytes without bumping the version, so
-            # the rendered-response cache must be invalidated explicitly.
-            self.response_cache.invalidate(record.name)
-            # Freshly spliced from the canonical template: whatever was
-            # quarantined is repaired by construction.
-            self._clear_quarantine(record.name)
+        self.store.put(record.name, data)
+        record.size = len(data)
+        record.dirty = False
+        record.digest = body_digest(data)
+        # Journal *after* the byte write — the record asserts "this
+        # version's links are clean on disk", which is only true once
+        # the crash-atomic put returned.  A crash in between replays
+        # as still-dirty and simply regenerates again.
+        self._journal("regenerate", name=record.name,
+                      version=record.version, size=record.size,
+                      digest=record.digest)
+        # Regeneration changes bytes without bumping the version, so
+        # the rendered-response cache must be invalidated explicitly.
+        self.response_cache.invalidate(record.name)
+        # Freshly spliced from the canonical template: whatever was
+        # quarantined is repaired by construction.
+        self._clear_quarantine(record.name)
 
     # -- deferred regeneration (threaded host, off the engine lock) ------
 
@@ -1486,11 +1444,9 @@ class DCWSEngine:
         return actions
 
     def _repair_round(self, now: float) -> None:
-        """Replication repair daemon: one pass, bracketed like the
-        migration round (drops and repairs touch arbitrary shards)."""
+        """Replication repair daemon: one pass."""
         assert self.replication is not None
-        with self.shards.write_all():
-            decisions = self.replication.repair_round(now)
+        decisions = self.replication.repair_round(now)
         self._count_repair_decisions(decisions, now)
 
     def _count_repair_decisions(self, decisions: List[MigrationDecision],
@@ -1515,11 +1471,7 @@ class DCWSEngine:
         # free after a restart — journaling them would bloat the log with
         # a record per transfer for state that expires in seconds.
         self._journal("glt_row", metric=own_metric)
-        # One decision round can relocate documents and dirty their
-        # referrers across many shards: bracket the whole round so
-        # lock-free readers fall back for its (short) duration.
-        with self.shards.write_all():
-            decisions = self.policy.consider(now, own_metric)
+        decisions = self.policy.consider(now, own_metric)
         for decision in decisions:
             self.stats.decisions.append(decision)
             self.log.record(now, decision.kind, name=decision.name,
@@ -1558,10 +1510,10 @@ class DCWSEngine:
         return actions
 
     def _pings_due(self, now: float) -> List[OutboundAction]:
-        """Pinger: force a transfer to peers with stale load information."""
-        max_age = self.config.staleness_intervals * self.config.pinger_interval
+        """Pinger: force a transfer to peers whose load information is
+        older than one pinger interval."""
         actions: List[OutboundAction] = []
-        for peer in self.glt.stale_peers(now, max_age):
+        for peer in self.glt.stale_peers(now, self.config.pinger_interval):
             request = Request(method="HEAD", target="/")
             self._attach_piggyback(request.headers)
             request.headers.set(PURPOSE_HEADER, "ping")
@@ -1675,17 +1627,16 @@ class DCWSEngine:
             version = response.headers.get(VERSION_HEADER, "") \
                 or hosted.version
             digest = claimed or body_digest(response.body)
-            with self.shards.write(hosted.key):
-                self._journal("validate_refreshed", key=hosted.key,
-                              size=len(response.body), version=version,
-                              digest=digest)
-                self.store.put(hosted.key, response.body)
-                self.response_cache.invalidate(hosted.key)
-                hosted.size = len(response.body)
-                hosted.version = version
-                hosted.digest = digest
-                hosted.fetched = True
-                self._clear_quarantine(hosted.key)
+            self._journal("validate_refreshed", key=hosted.key,
+                          size=len(response.body), version=version,
+                          digest=digest)
+            self.store.put(hosted.key, response.body)
+            self.response_cache.invalidate(hosted.key)
+            hosted.size = len(response.body)
+            hosted.version = version
+            hosted.digest = digest
+            hosted.fetched = True
+            self._clear_quarantine(hosted.key)
             self.log.record(now, "validate_refreshed", key=hosted.key,
                             bytes=hosted.size)
             return
@@ -1696,13 +1647,12 @@ class DCWSEngine:
             # re-migrated or revoked it — we are no longer its host.
             # Either way, drop our copy; future requests for the old URL
             # pull again and are answered with the home's redirect.
-            with self.shards.write(hosted.key):
-                self._journal("hosted_dropped", key=hosted.key)
-                self.store.delete(hosted.key)
-                self.response_cache.invalidate(hosted.key)
-                self.validation.forget(hosted.key)
-                self.hosted.pop(hosted.key, None)
-                self._clear_quarantine(hosted.key)
+            self._journal("hosted_dropped", key=hosted.key)
+            self.store.delete(hosted.key)
+            self.response_cache.invalidate(hosted.key)
+            self.validation.forget(hosted.key)
+            self.hosted.pop(hosted.key, None)
+            self._clear_quarantine(hosted.key)
             return
         # Transient statuses (503 overload, 5xx) keep the copy; the next
         # validation interval retries.
@@ -1770,20 +1720,19 @@ class DCWSEngine:
         corrupt copy from any cache, and arm regeneration when the
         in-memory link template (pre-corruption canonical source) can
         rebuild it."""
-        with self.shards.write(record.name):
-            self.integrity.quarantine(record.name, KIND_HOME, reason,
-                                      record.digest, actual, now)
-            self._journal("quarantine", key=record.name, copy=KIND_HOME,
-                          reason=reason, expected=record.digest,
-                          actual=actual)
-            self.response_cache.invalidate(record.name)
-            if isinstance(self.store, CachingStore):
-                self.store.cache.invalidate(record.name)
-            if record.is_html and record.name in self._templates:
-                # The next serve regenerates from the template; the
-                # commit replaces the corrupt bytes and clears this
-                # quarantine.
-                record.dirty = True
+        self.integrity.quarantine(record.name, KIND_HOME, reason,
+                                  record.digest, actual, now)
+        self._journal("quarantine", key=record.name, copy=KIND_HOME,
+                      reason=reason, expected=record.digest,
+                      actual=actual)
+        self.response_cache.invalidate(record.name)
+        if isinstance(self.store, CachingStore):
+            self.store.cache.invalidate(record.name)
+        if record.is_html and record.name in self._templates:
+            # The next serve regenerates from the template; the
+            # commit replaces the corrupt bytes and clears this
+            # quarantine.
+            record.dirty = True
         self.log.record(now, "quarantine", key=record.name, copy=KIND_HOME,
                         reason=reason)
 
@@ -1806,20 +1755,19 @@ class DCWSEngine:
         reverts to unfetched, so the copy stops being served immediately
         (the next request re-pulls, carrying the quarantine flag so the
         home repairs the replication group from a verified copy)."""
-        with self.shards.write(hosted.key):
-            self.integrity.quarantine(hosted.key, KIND_HOSTED, reason,
-                                      hosted.digest, actual, now)
-            self._journal("quarantine", key=hosted.key, copy=KIND_HOSTED,
-                          reason=reason, expected=hosted.digest,
-                          actual=actual)
-            self.store.delete(hosted.key)
-            self.response_cache.invalidate(hosted.key)
-            if isinstance(self.store, CachingStore):
-                self.store.cache.invalidate(hosted.key)
-            hosted.fetched = False
-            hosted.version = ""
-            hosted.digest = ""
-            hosted.size = 0
+        self.integrity.quarantine(hosted.key, KIND_HOSTED, reason,
+                                  hosted.digest, actual, now)
+        self._journal("quarantine", key=hosted.key, copy=KIND_HOSTED,
+                      reason=reason, expected=hosted.digest,
+                      actual=actual)
+        self.store.delete(hosted.key)
+        self.response_cache.invalidate(hosted.key)
+        if isinstance(self.store, CachingStore):
+            self.store.cache.invalidate(hosted.key)
+        hosted.fetched = False
+        hosted.version = ""
+        hosted.digest = ""
+        hosted.size = 0
         self.log.record(now, "quarantine", key=hosted.key, copy=KIND_HOSTED,
                         reason=reason)
 
@@ -1871,12 +1819,11 @@ class DCWSEngine:
                 and self.integrity.report_bad_holder(path, holder):
             self.log.record(now, "holder_quarantined", name=path,
                             holder=sender)
-            with self.shards.write_all():
-                decision = self.policy.drop_holder(path, holder)
-                if decision is None:
-                    # Not droppable (no live copy would survive beyond
-                    # home): full revocation — the document comes home.
-                    decision = self.policy.revoke(path)
+            decision = self.policy.drop_holder(path, holder)
+            if decision is None:
+                # Not droppable (no live copy would survive beyond
+                # home): full revocation — the document comes home.
+                decision = self.policy.revoke(path)
             self.stats.decisions.append(decision)
             if decision.kind == "replica_drop":
                 self.stats.replica_drops += 1
@@ -1931,10 +1878,9 @@ class DCWSEngine:
     def _peer_success(self, peer_key: str, now: float,
                       rtt: Optional[float] = None) -> None:
         """One success observed from *peer_key* (ping, pull, validation,
-        probe, or piggybacked gossip): feed health/RTT and the accrual
-        detector; apply and journal any membership recovery."""
-        self.health.record_success(peer_key, now, rtt=rtt)
-        transition = self.membership.heartbeat(peer_key, now)
+        probe, or piggybacked gossip): feed the accrual detector and
+        the RTT estimate; apply and journal any membership recovery."""
+        transition = self.membership.heartbeat(peer_key, now, rtt=rtt)
         if transition is None:
             return
         old, _new = transition
@@ -1950,7 +1896,6 @@ class DCWSEngine:
         once the consecutive-failure bound is hit; the declaration
         itself runs through the single :meth:`_declare_dead` site."""
         key = str(peer)
-        self.health.record_failure(key)
         verdict = self.membership.failure(key, now)
         if verdict == SUSPECT:
             self._journal("membership", peer=key, state=SUSPECT)
@@ -1992,13 +1937,10 @@ class DCWSEngine:
             return
         self._journal("membership", peer=key, state=DEAD)
         self.log.record(now, "peer_dead", peer=key)
-        # Revoking every document hosted on the dead peer mutates
-        # records across arbitrary shards; bracket the sweep.  Documents
-        # with surviving replica holders are *dropped* from the dead
-        # peer (kind ``replica_drop``) rather than revoked — they keep
-        # serving from the survivors with no redirect churn.
-        with self.shards.write_all():
-            decisions = self.policy.revoke_all_from(peer)
+        # Documents with surviving replica holders are *dropped* from
+        # the dead peer (kind ``replica_drop``) rather than revoked —
+        # they keep serving from the survivors with no redirect churn.
+        decisions = self.policy.revoke_all_from(peer)
         for decision in decisions:
             self.stats.decisions.append(decision)
             if decision.kind == "replica_drop":
@@ -2006,7 +1948,6 @@ class DCWSEngine:
             else:
                 self.stats.revocations += 1
         self.glt.remove(peer)
-        self.health.forget(key)
         if self.breaker is not None:
             # Force the circuit open: traffic toward the dead peer
             # fast-fails instead of burning timeouts, and a revived peer
@@ -2044,14 +1985,13 @@ class DCWSEngine:
                                 version=str(version),
                                 content_type=guess_content_type(original),
                                 digest=body_digest(data))
-        with self.shards.write(key):
-            self.hosted[key] = hosted
-            self._journal("pull", key=key, home=str(home), original=original,
-                          size=len(data), version=str(version),
-                          content_type=hosted.content_type,
-                          digest=hosted.digest)
-            self.store.put(key, data)
-            self.response_cache.invalidate(key)
+        self.hosted[key] = hosted
+        self._journal("pull", key=key, home=str(home), original=original,
+                      size=len(data), version=str(version),
+                      content_type=hosted.content_type,
+                      digest=hosted.digest)
+        self.store.put(key, data)
+        self.response_cache.invalidate(key)
         jitter = (hash(key) % 997) / 997.0
         self.validation.register(
             key, now - jitter * self.config.validation_interval)
@@ -2065,28 +2005,27 @@ class DCWSEngine:
         refresh its outgoing edges.  Co-op copies catch up at their next
         validation."""
         record = self.graph.get(name)
-        with self.shards.write(name):
-            # Journal before the byte write: replay bumps the version even
-            # if the crash ate the bytes, so co-ops revalidate instead of
-            # holding a stale copy that compares equal by version.
-            self._journal("content_update", name=name,
-                          version=record.version + 1, size=len(data),
-                          dirty=record.is_html,
-                          digest=body_digest(data))
-            self.store.put(name, data)
-            self.response_cache.invalidate(name)
-            record.size = len(data)
-            record.version += 1
-            record.digest = body_digest(data)
-            if record.is_html:
-                self.stats.parses += 1
-                self.graph.set_links(name, self._index_html(name, data))
-                record.dirty = True
-            else:
-                self._templates.pop(name, None)
-            # Authored bytes replace the copy wholesale: any quarantine
-            # on the old bytes is moot.
-            self._clear_quarantine(name)
+        # Journal before the byte write: replay bumps the version even
+        # if the crash ate the bytes, so co-ops revalidate instead of
+        # holding a stale copy that compares equal by version.
+        self._journal("content_update", name=name,
+                      version=record.version + 1, size=len(data),
+                      dirty=record.is_html,
+                      digest=body_digest(data))
+        self.store.put(name, data)
+        self.response_cache.invalidate(name)
+        record.size = len(data)
+        record.version += 1
+        record.digest = body_digest(data)
+        if record.is_html:
+            self.stats.parses += 1
+            self.graph.set_links(name, self._index_html(name, data))
+            record.dirty = True
+        else:
+            self._templates.pop(name, None)
+        # Authored bytes replace the copy wholesale: any quarantine
+        # on the old bytes is moot.
+        self._clear_quarantine(name)
         self.log.record(0.0, "content_update", name=name,
                         version=record.version)
 

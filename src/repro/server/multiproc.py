@@ -4,15 +4,11 @@ One :class:`AsyncDCWSServer` loop saturates a single core long before a
 multi-core machine does.  This module scales the same engine across
 cores the way classic pre-fork servers do, adapted to DCWS semantics:
 
-- **Accept distribution.**  Preferred mode (``reuseport``): the parent
-  binds one ``SO_REUSEPORT`` listener *per worker* on the same port and
-  hands each forked worker its own; the kernel then load-balances accepts
-  across workers with no user-space hand-off at all.  Fallback mode
-  (``fd-handoff``) for platforms without ``SO_REUSEPORT``: the parent
-  owns the single listener, accepts on a thread, and round-robins each
-  accepted fd to a worker over a unix socketpair with
-  ``socket.send_fds`` (SCM_RIGHTS); the worker adopts it into its loop
-  via :meth:`AsyncDCWSServer.adopt_connection`.
+- **Accept distribution.**  The parent binds one ``SO_REUSEPORT``
+  listener *per worker* on the same port and hands each forked worker
+  its own; the kernel then load-balances accepts across workers with no
+  user-space hand-off at all.  Platforms without ``SO_REUSEPORT`` run a
+  single process (:func:`choose_mode` returns ``None``).
 
 - **Shard ownership.**  Every document maps to a stripe
   (``shard_of(name, lock_stripes)`` — CRC-32, so all processes agree)
@@ -63,11 +59,8 @@ from repro.http.messages import (
     parse_response,
 )
 from repro.server.aio import AsyncDCWSServer
-from repro.server.engine import DCWSEngine, RegenerateAndServe
+from repro.server.engine import DCWSEngine, EngineReply, RegenerateAndServe
 from repro.server.striping import shard_of
-
-#: Environment override: "reuseport", "fd-handoff", or "none".
-MODE_ENV = "REPRO_MULTIPROC_MODE"
 
 _READY_TIMEOUT = 10.0
 _MONITOR_PERIOD = 0.2
@@ -75,22 +68,9 @@ _VIEW_PERIOD = 0.5
 
 
 def choose_mode() -> Optional[str]:
-    """The accept-distribution mode this platform supports (or ``None``).
-
-    ``REPRO_MULTIPROC_MODE`` forces a mode — CI uses it to exercise the
-    fd-handoff fallback on platforms that would otherwise always take
-    SO_REUSEPORT.
-    """
-    override = os.environ.get(MODE_ENV, "").strip().lower()
-    if override in ("reuseport", "fd-handoff"):
-        return override
-    if override in ("none", "off", "disabled"):
-        return None
-    if hasattr(socket, "SO_REUSEPORT"):
-        return "reuseport"
-    if hasattr(socket, "send_fds"):
-        return "fd-handoff"
-    return None
+    """``"reuseport"`` where the platform can share one port between
+    worker processes, else ``None`` (callers run a single process)."""
+    return "reuseport" if hasattr(socket, "SO_REUSEPORT") else None
 
 
 def _b64(data: bytes) -> str:
@@ -237,15 +217,12 @@ class _WorkerHost(AsyncDCWSServer):
                 waiter.event.set()
 
     def _apply_invalidations(self, names: List[str]) -> None:
-        """A sibling mutated these documents: drop our renderings and
-        bump the shard stamps so in-flight fast reads fall back.
+        """A sibling mutated these documents: drop our renderings.
         ``broadcast=False`` keeps the relay from echoing forever."""
         with self._lock:
             for name in names:
                 self.engine.response_cache.invalidate(str(name),
                                                       broadcast=False)
-                with self.engine.shards.write(str(name)):
-                    pass
 
     # -- directive forwarding --------------------------------------------
 
@@ -314,15 +291,10 @@ class _WorkerHost(AsyncDCWSServer):
 
     def _dispatch_local(self, request: Request) -> Response:
         """Threaded-style blocking dispatch, directives executed here."""
-        from repro.server.engine import EngineReply
-
-        with self._lock:
-            result = self.engine.handle_request(request, time.monotonic())
+        result = self._engine_dispatch(request, time.monotonic())
         if isinstance(result, EngineReply):
             return result.response
-        if isinstance(result, RegenerateAndServe):
-            return self._execute_regeneration(result)
-        return self._execute_pull(result)
+        return super()._directive_work(result)
 
     # -- admin view -------------------------------------------------------
 
@@ -338,9 +310,8 @@ class _WorkerHost(AsyncDCWSServer):
 
 def _worker_main(index: int,
                  factory: Callable[[int, Location], DCWSEngine],
-                 listener: Optional[socket.socket],
+                 listener: socket.socket,
                  channel_sock: socket.socket,
-                 fd_sock: Optional[socket.socket],
                  location: Location,
                  server_options: Dict[str, Any]) -> None:
     """Entry point of one forked worker process."""
@@ -354,7 +325,7 @@ def _worker_main(index: int,
             options[path_key] = f"{options[path_key]}.w{index}"
     host = _WorkerHost(engine, channel=channel, worker_index=index,
                        **options)
-    host.start(listener=listener, accept_connections=listener is not None)
+    host.start(listener=listener)
 
     stopping = threading.Event()
 
@@ -369,25 +340,9 @@ def _worker_main(index: int,
             except Exception:
                 pass  # a malformed control message must not kill serving
 
-    def read_fds() -> None:
-        assert fd_sock is not None
-        while not stopping.is_set():
-            try:
-                __, fds, __, __ = socket.recv_fds(fd_sock, 16, 8)
-            except OSError:
-                return
-            if not fds:
-                return  # EOF: supervisor closed the hand-off channel
-            for fd in fds:
-                host.adopt_connection(socket.socket(fileno=fd))
-
     reader = threading.Thread(target=read_channel, daemon=True,
                               name=f"dcws-mp-ctl-{index}")
     reader.start()
-    if fd_sock is not None:
-        fd_reader = threading.Thread(target=read_fds, daemon=True,
-                                     name=f"dcws-mp-fds-{index}")
-        fd_reader.start()
     channel.send({"kind": "ready", "worker": index, "pid": os.getpid()})
     try:
         stopping.wait()
@@ -405,15 +360,13 @@ def _worker_main(index: int,
 class _WorkerProc:
     """Supervisor-side record of one worker process."""
 
-    __slots__ = ("index", "process", "channel", "fd_sock", "listener",
-                 "ready", "stats", "last_requests", "last_sample", "rps")
+    __slots__ = ("index", "process", "channel", "ready", "stats",
+                 "last_requests", "last_sample", "rps")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.channel: Optional[_Channel] = None
-        self.fd_sock: Optional[socket.socket] = None
-        self.listener: Optional[socket.socket] = None
         self.ready = threading.Event()
         self.stats: Dict[str, Any] = {}
         self.last_requests = 0
@@ -437,7 +390,6 @@ class WorkerSupervisor:
                  workers: int, *,
                  host: str = "127.0.0.1",
                  port: int = 0,
-                 mode: Optional[str] = None,
                  stripes: int = 16,
                  server_options: Optional[Dict[str, Any]] = None) -> None:
         if workers < 1:
@@ -446,20 +398,17 @@ class WorkerSupervisor:
         self.workers = workers
         self.host = host
         self.port = port
-        self.mode = mode or choose_mode()
-        if self.mode not in ("reuseport", "fd-handoff"):
+        if choose_mode() is None:
             raise ReproError(
-                "no multi-process accept mode available on this platform")
+                "SO_REUSEPORT is not available on this platform")
         self.stripes = stripes
         self.server_options = dict(server_options or {})
         self._procs: List[_WorkerProc] = [
             _WorkerProc(i) for i in range(workers)]
         self._ctx = multiprocessing.get_context("fork")
-        self._listener: Optional[socket.socket] = None  # fd-handoff mode
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._started = False
-        self._accept_rr = 0
         self.respawns = 0
 
     # -- listener plumbing ------------------------------------------------
@@ -480,14 +429,6 @@ class WorkerSupervisor:
         if self._started:
             raise ReproError("supervisor already started")
         self._started = True
-        if self.mode == "fd-handoff":
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(128)
-            listener.settimeout(0.2)
-            self.port = listener.getsockname()[1]
-            self._listener = listener
         for proc in self._procs:
             self._spawn(proc)
         for proc in self._procs:
@@ -500,38 +441,25 @@ class WorkerSupervisor:
                                    name="dcws-mp-monitor")
         self._threads.append(monitor)
         monitor.start()
-        if self.mode == "fd-handoff":
-            acceptor = threading.Thread(target=self._accept_loop,
-                                        daemon=True, name="dcws-mp-accept")
-            self._threads.append(acceptor)
-            acceptor.start()
 
     def _spawn(self, proc: _WorkerProc) -> None:
-        """Fork one worker (fresh listener + channels); used for both
+        """Fork one worker (fresh listener + channel); used for both
         initial start and respawn after a worker death."""
-        listener = self._bind_reuseport() if self.mode == "reuseport" \
-            else None
+        listener = self._bind_reuseport()
         parent_ctl, child_ctl = socket.socketpair()
-        parent_fd = child_fd = None
-        if self.mode == "fd-handoff":
-            parent_fd, child_fd = socket.socketpair()
         location = Location(self.host, self.port)
         process = self._ctx.Process(
             target=_worker_main,
             args=(proc.index, self.engine_factory, listener, child_ctl,
-                  child_fd, location, self.server_options),
+                  location, self.server_options),
             daemon=True,
             name=f"dcws-worker-{proc.index}")
         process.start()
         # Parent keeps only its ends; the child inherited duplicates.
         child_ctl.close()
-        if child_fd is not None:
-            child_fd.close()
-        if listener is not None:
-            listener.close()
+        listener.close()
         proc.process = process
         proc.channel = _Channel(parent_ctl)
-        proc.fd_sock = parent_fd
         proc.ready = threading.Event()
         reader = threading.Thread(target=self._read_worker, args=(proc,),
                                   daemon=True,
@@ -551,19 +479,8 @@ class WorkerSupervisor:
                 if proc.process.is_alive():
                     proc.process.terminate()
                     proc.process.join(timeout=1.0)
-            for sock in (proc.fd_sock,):
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
             if proc.channel is not None:
                 proc.channel.close()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads = []
@@ -575,30 +492,6 @@ class WorkerSupervisor:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-    # -- fd-handoff accept loop ------------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                sock, __ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            targets = [p for p in self._procs
-                       if p.alive and p.fd_sock is not None]
-            if not targets:
-                sock.close()
-                continue
-            self._accept_rr += 1
-            target = targets[self._accept_rr % len(targets)]
-            try:
-                socket.send_fds(target.fd_sock, [b"c"], [sock.fileno()])
-            except OSError:
-                pass  # worker died mid-handoff; client will retry
-            sock.close()  # the worker holds its own duplicate now
 
     # -- channel fan-in / fan-out ----------------------------------------
 
@@ -722,7 +615,7 @@ class WorkerSupervisor:
                 "replica_drops": proc.stats.get("replica_drops", 0),
                 "shards": shards,
             }
-        return {"mode": self.mode, "port": self.port, "stripes": stripes,
+        return {"mode": "reuseport", "port": self.port, "stripes": stripes,
                 "respawns": self.respawns, "roster": roster,
                 "workers": workers}
 

@@ -21,11 +21,13 @@ server-to-server transfers (lazy pulls, validations, pings) ride pooled
 keep-alive channels (:class:`repro.client.pool.ConnectionPool`) instead
 of opening one TCP connection per transfer.
 
-The engine is guarded by one lock; blocking network I/O (reading requests,
-sending responses, server-to-server transfers) happens outside the lock,
-and so does dirty-document regeneration (the link-template splice runs on
-the worker under a per-document guard with a double-checked dirty flag),
-so the lock only covers in-memory graph/table operations.
+The engine is guarded by one lock, and every engine call — the cached-GET
+short-circuit included — runs under it; blocking network I/O (reading
+requests, sending responses, server-to-server transfers) happens outside
+the lock, and so does dirty-document regeneration (the link-template
+splice runs on the worker under a per-document guard with a
+double-checked dirty flag), so the lock only covers in-memory
+graph/table operations.
 """
 
 from __future__ import annotations
@@ -54,11 +56,7 @@ from repro.server.dispatch import (
     DurabilityMixin,
     close_quietly,
 )
-from repro.server.engine import (
-    DCWSEngine,
-    EngineReply,
-    RegenerateAndServe,
-)
+from repro.server.engine import DCWSEngine, EngineReply
 
 if TYPE_CHECKING:
     from repro.faults import FaultPlan
@@ -301,33 +299,16 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
             if not keep:
                 return
 
+    def _pressure(self) -> float:
+        """Depth of the bounded hand-off queue, as a fraction."""
+        return self._connections.qsize() / \
+            self.engine.config.socket_queue_length
+
     def _dispatch(self, request: Request) -> Response:
-        now = time.monotonic()
-        config = self.engine.config
-        # Lock-free fast path: a clean cached read resolves entirely off
-        # the engine lock (rendering included); only the stamp re-check
-        # and the counters happen under it.  Any contention or mutation
-        # falls through to the full locked path below.
-        hit = self.engine.fast_lookup(request, now)
-        # Queue depth is this front end's pressure signal: at or above
-        # shed_pressure of the bounded hand-off queue, the engine sheds
-        # its expensive tier (regenerations, first-use pulls) while cache
-        # hits and 304s keep flowing.  qsize() is read without the lock —
-        # an approximate reading is exactly what a pressure signal needs.
-        pressure = self._connections.qsize() / config.socket_queue_length
-        with self._lock:
-            self.engine.overloaded = (config.tiered_shedding
-                                      and pressure >= config.shed_pressure)
-            if hit is not None:
-                reply = self.engine.fast_commit(hit, request, now)
-                if reply is not None:
-                    return reply.response
-            result = self.engine.handle_request(request, now)
+        result = self._engine_dispatch(request, time.monotonic())
         if isinstance(result, EngineReply):
             return result.response
-        if isinstance(result, RegenerateAndServe):
-            return self._execute_regeneration(result)
-        return self._execute_pull(result)
+        return self._directive_work(result)
 
     # ------------------------------------------------------------------
     # Periodic thread: statistics, migration decisions, validation, pinger

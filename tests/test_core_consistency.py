@@ -1,6 +1,6 @@
-"""Unit tests for consistency timers (DueTracker, PeerHealth)."""
+"""Unit tests for consistency timers (DueTracker)."""
 
-from repro.core.consistency import DueTracker, PeerHealth
+from repro.core.consistency import DueTracker
 
 
 class TestDueTracker:
@@ -48,80 +48,3 @@ class TestDueTracker:
         assert tracker.keys() == ["x", "y"]
         assert tracker.last_serviced("x") == 0.0
         assert tracker.last_serviced("absent") is None
-
-
-class TestPeerHealth:
-    def test_dead_after_limit(self):
-        health = PeerHealth(failure_limit=3)
-        assert health.record_failure("p") == 1
-        assert not health.is_dead("p")
-        health.record_failure("p")
-        assert health.record_failure("p") == 3
-        assert health.is_dead("p")
-        assert health.dead_peers() == ["p"]
-
-    def test_success_resets(self):
-        health = PeerHealth(failure_limit=2)
-        health.record_failure("p")
-        health.record_success("p")
-        health.record_failure("p")
-        assert not health.is_dead("p")
-
-    def test_suspects_are_partial_failures(self):
-        health = PeerHealth(failure_limit=3)
-        health.record_failure("p")
-        assert health.suspects() == ["p"]
-        health.record_failure("p")
-        health.record_failure("p")
-        assert health.suspects() == []
-
-    def test_forget_and_reset(self):
-        health = PeerHealth(failure_limit=1)
-        health.record_failure("a")
-        health.record_failure("b")
-        health.forget("a")
-        assert health.dead_peers() == ["b"]
-        health.reset()
-        assert health.dead_peers() == []
-
-    def test_reset_specific_peers(self):
-        health = PeerHealth(failure_limit=1)
-        health.record_failure("a")
-        health.record_failure("b")
-        health.reset(["a"])
-        assert health.dead_peers() == ["b"]
-
-
-class TestPeerRtt:
-    def test_no_samples_means_none(self):
-        health = PeerHealth(failure_limit=3)
-        assert health.rtt("p") is None
-        assert health.rtts() == {}
-
-    def test_first_sample_installs_directly(self):
-        health = PeerHealth(failure_limit=3)
-        health.record_success("p", now=1.0, rtt=0.050)
-        assert health.rtt("p") == 0.050
-
-    def test_ewma_smooths_toward_new_samples(self):
-        health = PeerHealth(failure_limit=3)
-        health.record_success("p", now=1.0, rtt=0.100)
-        health.record_success("p", now=2.0, rtt=0.200)
-        # (1 - 0.2) * 0.100 + 0.2 * 0.200 = 0.120
-        assert abs(health.rtt("p") - 0.120) < 1e-9
-
-    def test_success_without_rtt_keeps_estimate(self):
-        health = PeerHealth(failure_limit=3)
-        health.record_success("p", now=1.0, rtt=0.080)
-        health.record_success("p", now=2.0)  # ping path: no timing
-        assert health.rtt("p") == 0.080
-
-    def test_forget_and_reset_drop_rtt(self):
-        health = PeerHealth(failure_limit=3)
-        health.record_success("a", now=1.0, rtt=0.010)
-        health.record_success("b", now=1.0, rtt=0.020)
-        health.forget("a")
-        assert health.rtt("a") is None
-        assert health.rtt("b") == 0.020
-        health.reset()
-        assert health.rtts() == {}

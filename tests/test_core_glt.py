@@ -112,20 +112,10 @@ class TestStalenessAndHealth:
         table.update_own(1.0, 0.0)
         assert table.stale_peers(now=100.0, max_age=1.0) == []
 
-    def test_ping_failures_and_removal(self):
+    def test_removal(self):
         table = table_with(LoadReport("a:80", 1.0, 1.0))
-        assert table.record_ping_failure(A) == 1
-        assert table.record_ping_failure(A) == 2
-        table.clear_ping_failures(A)
-        assert table.record_ping_failure(A) == 1
         table.remove(A)
         assert A not in table
-
-    def test_observe_clears_failures(self):
-        table = table_with(LoadReport("a:80", 1.0, 1.0))
-        table.record_ping_failure(A)
-        table.observe(LoadReport("a:80", 1.0, 2.0))
-        assert table.record_ping_failure(A) == 1
 
 
 class TestMergeAlgebra:

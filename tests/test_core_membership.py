@@ -181,6 +181,43 @@ class TestMembershipStateMachine:
         assert t.counters.rediscoveries == 1
 
 
+class TestPeerRtt:
+    def rtt(self, t: MembershipTable, peer: str):
+        return t.describe(peer).get("rtt")
+
+    def test_no_samples_means_none(self):
+        t = table()
+        assert self.rtt(t, "stranger") is None
+        t.heartbeat("p", 1.0)
+        assert self.rtt(t, "p") is None
+
+    def test_first_sample_installs_directly(self):
+        t = table()
+        t.heartbeat("p", 1.0, rtt=0.050)
+        assert self.rtt(t, "p") == 0.050
+
+    def test_ewma_smooths_toward_new_samples(self):
+        t = table()
+        t.heartbeat("p", 1.0, rtt=0.100)
+        t.heartbeat("p", 2.0, rtt=0.200)
+        # (1 - 0.2) * 0.100 + 0.2 * 0.200 = 0.120
+        assert abs(self.rtt(t, "p") - 0.120) < 1e-9
+
+    def test_success_without_rtt_keeps_estimate(self):
+        t = table()
+        t.heartbeat("p", 1.0, rtt=0.080)
+        t.heartbeat("p", 2.0)  # gossip path: no timing
+        assert self.rtt(t, "p") == 0.080
+
+    def test_death_drops_rtt(self):
+        t = table()
+        t.heartbeat("a", 1.0, rtt=0.010)
+        t.heartbeat("b", 1.0, rtt=0.020)
+        t.mark_dead("a", 2.0)
+        assert self.rtt(t, "a") is None
+        assert self.rtt(t, "b") == 0.020
+
+
 class TestRediscoverySchedule:
     def test_only_configured_peers_are_probed(self):
         t = table()

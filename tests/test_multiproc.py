@@ -16,7 +16,6 @@ from repro.http.messages import Request, Response, parse_response
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.multiproc import (
-    MODE_ENV,
     WorkerSupervisor,
     _Channel,
     _WorkerHost,
@@ -55,21 +54,15 @@ def status_of(wire):
 
 
 class TestChooseMode:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, "fd-handoff")
-        assert choose_mode() == "fd-handoff"
-        monkeypatch.setenv(MODE_ENV, "reuseport")
-        assert choose_mode() == "reuseport"
-        monkeypatch.setenv(MODE_ENV, "none")
-        assert choose_mode() is None
-
-    def test_platform_default(self, monkeypatch):
-        monkeypatch.delenv(MODE_ENV, raising=False)
-        mode = choose_mode()
+    def test_platform_default(self):
         if hasattr(socket, "SO_REUSEPORT"):
-            assert mode == "reuseport"
+            assert choose_mode() == "reuseport"
         else:
-            assert mode in ("fd-handoff", None)
+            assert choose_mode() is None
+
+    def test_none_without_reuseport(self, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        assert choose_mode() is None
 
 
 class TestSupervisorValidation:
@@ -77,8 +70,8 @@ class TestSupervisorValidation:
         with pytest.raises(ReproError):
             WorkerSupervisor(engine_factory, 0)
 
-    def test_rejects_unavailable_mode(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, "none")
+    def test_rejects_platform_without_reuseport(self, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
         with pytest.raises(ReproError):
             WorkerSupervisor(engine_factory, 2)
 
@@ -87,9 +80,7 @@ class TestSupervisorValidation:
                     reason="no SO_REUSEPORT on this platform")
 class TestReuseportCluster:
     def test_two_workers_serve_and_report(self):
-        with WorkerSupervisor(engine_factory, 2, port=0,
-                              mode="reuseport") as sup:
-            assert sup.mode == "reuseport"
+        with WorkerSupervisor(engine_factory, 2, port=0) as sup:
             for i in range(10):
                 wire = fetch(sup.port, f"/doc{i}.html")
                 assert status_of(wire) == 200
@@ -102,14 +93,14 @@ class TestReuseportCluster:
                 time.sleep(0.1)
             assert sup.aggregate_stats()["requests"] >= 10
             view = sup.cluster_view()
+            assert view["mode"] == "reuseport"
             assert sorted(view["workers"]) == ["0", "1"]
             owned = [s for row in view["workers"].values()
                      for s in row["shards"]]
             assert sorted(owned) == list(range(view["stripes"]))
 
     def test_workers_admin_endpoint(self):
-        with WorkerSupervisor(engine_factory, 2, port=0,
-                              mode="reuseport") as sup:
+        with WorkerSupervisor(engine_factory, 2, port=0) as sup:
             fetch(sup.port, "/index.html")
             deadline = time.monotonic() + 5
             body = b""
@@ -125,8 +116,7 @@ class TestReuseportCluster:
             assert "Shards" in text
 
     def test_sigkill_worker_respawns(self):
-        with WorkerSupervisor(engine_factory, 2, port=0,
-                              mode="reuseport") as sup:
+        with WorkerSupervisor(engine_factory, 2, port=0) as sup:
             victim = sup._procs[0].process.pid
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 10
@@ -139,25 +129,6 @@ class TestReuseportCluster:
             assert sup._procs[0].process.pid != victim
             for i in range(10):
                 assert status_of(fetch(sup.port, f"/doc{i}.html")) == 200
-
-
-@pytest.mark.skipif(not hasattr(socket, "send_fds"),
-                    reason="no fd passing on this platform")
-class TestFdHandoffCluster:
-    def test_fd_handoff_serves(self):
-        with WorkerSupervisor(engine_factory, 2, port=0,
-                              mode="fd-handoff") as sup:
-            assert sup.mode == "fd-handoff"
-            for i in range(10):
-                wire = fetch(sup.port, f"/doc{i}.html")
-                assert status_of(wire) == 200
-                assert SITE[f"/doc{i}.html"] in wire
-
-    def test_env_override_selects_fd_handoff(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, "fd-handoff")
-        with WorkerSupervisor(engine_factory, 2, port=0) as sup:
-            assert sup.mode == "fd-handoff"
-            assert status_of(fetch(sup.port, "/index.html")) == 200
 
 
 class TestWorkerHostUnits:
@@ -244,16 +215,13 @@ class TestWorkerHostUnits:
         threading.Thread(target=relay, daemon=True).start()
         assert host._forward_request("/doc1.html", request) is None
 
-    def test_invalidation_applies_and_bumps_shard(self):
+    def test_invalidation_applies(self):
         host, peer = self._host()
         engine = host.engine
         request = Request(method="GET", target="/doc2.html")
         engine.handle_request(request, 1.0)  # populate response cache
-        shard = shard_of("/doc2.html", engine.config.lock_stripes)
-        before = engine.shards.read(shard)
+        assert engine.fast_lookup(request, 1.5) is not None
         host._apply_invalidations(["/doc2.html"])
-        after = engine.shards.read(shard)
-        assert after is not None and after > before
         # A fast lookup right after an invalidation misses (cache empty).
         assert engine.fast_lookup(request, 2.0) is None
 

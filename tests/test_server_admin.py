@@ -101,13 +101,13 @@ class TestPeers:
         key = str(COOP)
         engine.breaker.check(key)
         engine.breaker.record_failure(key)
-        engine.health.record_failure(key)
+        engine.membership.failure(key, 0.5)
         body = fetch(engine, "/~dcws/peers").body.decode()
         assert "open" in body
         assert "breaker trips (lifetime) 1" in body
 
     def test_peers_endpoint_shows_last_success_age(self, engine):
-        engine.health.record_success(str(COOP), 0.5)
+        engine.membership.heartbeat(str(COOP), 0.5)
         body = fetch(engine, "/~dcws/peers").body.decode()
         assert "0.5s" in body  # handled at t=1.0, success at t=0.5
 

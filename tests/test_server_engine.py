@@ -9,6 +9,7 @@ from repro.http.piggyback import LoadReport, extract_load_reports
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
+    OutboundAction,
     PullFromHome,
     PURPOSE_HEADER,
     VERSION_HEADER,
@@ -458,3 +459,20 @@ class TestReplicationServing:
             reply = get(engine, f"/d.html?r={index}")
             locations.add(reply.response.headers.get("Location"))
         assert len(locations) == 2  # both replicas are used
+
+
+class TestDecisionHistoryBound:
+    def test_decisions_keep_only_the_last_thousand(self):
+        # A long-lived server must not keep one object per migration,
+        # revocation and repair for ever: 1,001 documents on a co-op
+        # that dies are 1,001 booked revocations.
+        site = {f"/f{i}.txt": b"x" for i in range(1001)}
+        engine = make_engine(site=site)
+        for name in site:
+            engine.policy.force_migrate(name, COOP, 1.0)
+        ping = OutboundAction(kind="ping", peer=COOP,
+                              request=Request(method="HEAD", target="/"))
+        for attempt in range(engine.config.ping_failure_limit):
+            engine.complete_action(ping, None, 2.0 + attempt)
+        assert engine.stats.revocations == 1001
+        assert len(engine.stats.decisions) == 1000

@@ -189,7 +189,7 @@ class TestPullVerification:
         assert not coop.hosted[MIGRATED_D].fetched
         # A corruption is not a peer failure: the home answered, so the
         # breaker/pinger must not count it toward declaring it dead.
-        assert coop.health.failures(str(HOME)) == 0
+        assert not coop.membership.describe(str(HOME)).get("failures")
 
 
 class TestScrubHome:

@@ -1,10 +1,9 @@
-"""Striped locks and seqlock shard versions (repro.server.striping)."""
+"""Striped locks and the shard map (repro.server.striping)."""
 
 import threading
 
 from repro.server.striping import (
     DEFAULT_STRIPES,
-    ShardVersions,
     StripedLock,
     shard_of,
 )
@@ -69,61 +68,3 @@ class TestStripedLock:
             worker.start()
             assert entered.wait(2.0)
             worker.join(2.0)
-
-
-class TestShardVersions:
-    def test_read_even_and_stable_when_idle(self):
-        shards = ShardVersions(4)
-        stamp = shards.read(shard_of("/x", 4))
-        assert stamp is not None and stamp % 2 == 0
-        assert shards.read(shard_of("/x", 4)) == stamp
-
-    def test_write_bumps_by_two(self):
-        shards = ShardVersions(4)
-        shard = shard_of("/x", 4)
-        before = shards.read(shard)
-        with shards.write("/x"):
-            pass
-        after = shards.read(shard)
-        assert after == before + 2
-
-    def test_read_during_write_returns_none(self):
-        shards = ShardVersions(4)
-        with shards.write("/x"):
-            assert shards.read(shard_of("/x", 4)) is None
-
-    def test_other_shards_untouched(self):
-        shards = ShardVersions(64)
-        other = shard_of("/other", 64)
-        assert other != shard_of("/x", 64)
-        before = shards.read(other)
-        with shards.write("/x"):
-            assert shards.read(other) == before
-
-    def test_nested_write_keeps_odd_until_outermost_exit(self):
-        # A policy decision callback fires shards.write(name) inside a
-        # write_all() bracket; naive counting would flip the stamp even
-        # mid-mutation and let a lock-free reader validate a torn read.
-        shards = ShardVersions(4)
-        shard = shard_of("/x", 4)
-        before = shards.read(shard)
-        with shards.write_all():
-            assert shards.read(shard) is None
-            with shards.write("/x"):
-                assert shards.read(shard) is None
-            # still inside the outer bracket: must stay odd
-            assert shards.read(shard) is None
-        after = shards.read(shard)
-        assert after is not None and after % 2 == 0
-        assert after > before
-
-    def test_stamp_matches_read(self):
-        shards = ShardVersions(8)
-        assert shards.stamp("/x") == shards.read(shard_of("/x", 8))
-
-    def test_write_multiple_names_dedupes_shards(self):
-        shards = ShardVersions(1)  # every name collides on shard 0
-        before = shards.read(0)
-        with shards.write("/a", "/b", "/c"):
-            assert shards.read(0) is None
-        assert shards.read(0) == before + 2

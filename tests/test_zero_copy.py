@@ -67,7 +67,6 @@ class TestEngineBodyIdentity:
         hit = engine.fast_lookup(request, 2.0)
         assert hit is not None
         reply = engine.fast_commit(hit, request, 2.0)
-        assert reply is not None
         assert reply.response.body is first.response.body
 
 
