@@ -170,11 +170,11 @@ class ServerConfig:
     # Multi-core scale-out (repro.server.multiproc).  ``workers`` is the
     # number of serving processes sharing the listen port (1 = the
     # classic single-process front ends; >1 forks SO_REUSEPORT workers,
-    # each running its own aio loop).  ``lock_stripes`` sizes the striped
-    # regeneration guard and the byte/response cache stripes
-    # (crc32(name) % lock_stripes); it also partitions document
-    # *ownership* across workers — per-document mutating work executes
-    # on the worker owning the document's shard.
+    # each running its own aio loop).  ``lock_stripes`` is the number of
+    # byte/response cache stripes (crc32(name) % lock_stripes), each
+    # with its own LRU order and share of the budget; it also partitions
+    # document *ownership* across workers — a first-use pull executes on
+    # the worker owning the document's shard.  No lock is sized by it.
     # ``sendfile_min_bytes``: disk-backed bodies at least this large are
     # served via os.sendfile on the threaded front end instead of being
     # read into memory (and deliberately bypass the byte/response caches

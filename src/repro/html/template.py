@@ -85,9 +85,8 @@ class LinkTemplate:
                    ) -> Tuple[str, "LinkTemplate"]:
         """Splice precomputed per-span *replacements* (``None`` = keep).
 
-        Splitting replacement computation from splicing lets a host
-        evaluate the rewrite mapping under its engine lock (cheap graph
-        lookups) and run the string work outside it.
+        The string half of :meth:`splice`: every rewrite lookup has been
+        made by the time it runs.
         """
         source = self.source
         if not any(replacement is not None and replacement != span.value

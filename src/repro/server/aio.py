@@ -20,13 +20,15 @@ Structure:
   engine under the engine lock (the cached-GET short-circuit, else
   ``engine.handle_request``) is a dictionary-and-string affair; the loop
   never holds the lock longer than one such dispatch.
-- **Blocking work leaves the loop.**  Directives — lazy-migration pulls,
-  dirty-document splices — and periodic transfers (validations, pings)
-  run on a small :class:`~concurrent.futures.ThreadPoolExecutor` via the
-  shared :class:`repro.server.dispatch.BlockingDirectiveMixin`.
-  Completions re-enter the loop through a *self-pipe*: the executor
-  thread appends a callback to a queue and writes one byte to a
-  ``socketpair`` the selector watches, waking the loop.
+- **Blocking work leaves the loop.**  Network transfers — lazy-migration
+  pulls and the periodic validations and pings — plus the journal's
+  fsync and checkpoints run on a small
+  :class:`~concurrent.futures.ThreadPoolExecutor`; the work itself is
+  :class:`repro.server.dispatch.SocketHost`'s, shared with the threaded
+  front end.  A pull's completion re-enters the loop through a
+  *self-pipe*: the executor thread appends a callback to a queue and
+  writes one byte to a ``socketpair`` the selector watches, waking the
+  loop.
 - **Admission control lives at the accept edge** (where the paper's
   section 5.2 overload rule belongs): beyond ``config.max_connections``
   open connections, new arrivals are shed immediately with
@@ -38,8 +40,8 @@ Structure:
   connection whose responses are not draining (backpressure), resuming
   below half the limit.
 
-Responses on one connection are strictly ordered: while a blocking
-directive is in flight for a connection (``busy``), further pipelined
+Responses on one connection are strictly ordered: while a pull is in
+flight for a connection (``busy``), further pipelined
 requests stay buffered in its parser and are dispatched only after the
 completion posts back — one in-flight blocking job per connection.
 """
@@ -52,30 +54,14 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, Optional
 
-from repro.client.breaker import build_breaker
-from repro.client.pool import ConnectionPool
-from repro.client.realclient import http_fetch
 from repro.errors import HTTPError, RecoverableProtocolError, ReproError
-from repro.http.messages import (
-    Request,
-    Response,
-    error_response,
-    request_wants_keep_alive,
-    response_allows_keep_alive,
-)
+from repro.http.messages import Request, Response, error_response
 from repro.http.status import StatusCode
 from repro.http.wire import RequestParser
-from repro.server.dispatch import (
-    BlockingDirectiveMixin,
-    DurabilityMixin,
-    close_quietly,
-)
-from repro.server.engine import DCWSEngine, EngineReply, OutboundAction
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan
+from repro.server.dispatch import SocketHost, close_quietly
+from repro.server.engine import DCWSEngine, EngineReply
 
 _RECV_CHUNK = 65536
 _MAX_REQUEST = 1024 * 1024
@@ -157,42 +143,18 @@ class _Connection:
         self.events = 0
 
 
-class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
-    """Host a :class:`DCWSEngine` behind a single-threaded event loop."""
+class AsyncDCWSServer(SocketHost):
+    """Host a :class:`DCWSEngine` behind a single-threaded event loop.
 
-    def __init__(self, engine: DCWSEngine, *,
-                 bind_host: str = "",
-                 request_timeout: float = 10.0,
-                 tick_period: float = 0.25,
-                 snapshot_path: Optional[str] = None,
-                 snapshot_interval: float = 30.0,
-                 journal_path: Optional[str] = None,
-                 faults: Optional["FaultPlan"] = None) -> None:
-        self.engine = engine
-        self.bind_host = bind_host or engine.location.host
-        self.port = engine.location.port
-        self.request_timeout = request_timeout
-        self.tick_period = tick_period
-        self.snapshot_path = snapshot_path
-        self.snapshot_interval = snapshot_interval
-        self._last_snapshot = 0.0
-        self._init_durability(journal_path, faults)
-        # Engine guard, shared between the loop and executor threads.
-        self._lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
+    Keyword arguments are :class:`SocketHost`'s.
+    """
+
+    def __init__(self, engine: DCWSEngine, **options: Any) -> None:
+        super().__init__(engine, **options)
         self._selector: Optional[selectors.BaseSelector] = None
         self._thread: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._stop = threading.Event()
-        self._started = threading.Event()
-        self.pool = ConnectionPool(timeout=request_timeout,
-                                   breaker=build_breaker(engine.config),
-                                   faults=faults)
-        engine.breaker = self.pool.breaker
-        self.connections_accepted = 0
         self.connections_shed = 0
-        self._drops_recorded = 0
-        self._drops_drained = 0
         self._connections: Dict[socket.socket, _Connection] = {}
         # Self-pipe: executor threads append completions and write one
         # byte to wake the selector; the loop drains both.
@@ -201,7 +163,6 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         self._wakeup_send: Optional[socket.socket] = None
         self._next_tick = 0.0
         self._running = False
-        self._init_dispatch()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -254,8 +215,7 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         """Stop the loop, drain the executor, close everything."""
         if not self._running:
             return
-        with self._lock:
-            self._checkpoint_state(time.monotonic())
+        self._locked_checkpoint()
         self._stop.set()
         self._wake()
         if self._thread is not None:
@@ -269,17 +229,6 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         self._executor = None
         self._running = False
         self._started.clear()
-
-    def wait_ready(self, timeout: float = 5.0) -> bool:
-        """Block until the loop thread is running."""
-        return self._started.wait(timeout)
-
-    def __enter__(self) -> "AsyncDCWSServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # The event loop
@@ -394,18 +343,12 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         drained into the engine metrics by the next tick, so drop
         pressure still feeds the advertised load metric.
         """
-        self._drops_recorded += 1
         self.connections_shed += 1
-        response = error_response(StatusCode.SERVICE_UNAVAILABLE,
-                                  "server overloaded")
-        response.headers.set("Connection", "close")
-        response.headers.set("Retry-After", "1")
         conn = _Connection(sock, time.monotonic() + self.request_timeout)
         conn.close_after_flush = True
         conn.reads_paused = True
         self._connections[sock] = conn
-        conn.out.append(response.serialize_head())
-        conn.out.append(response.body)
+        self._queue_response(conn, self._refuse())
         self._flush(conn)
 
     # -- per-connection reads -------------------------------------------
@@ -460,9 +403,7 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
                 # the next pipelined request parses normally.
                 response = error_response(StatusCode.BAD_REQUEST, str(exc))
                 response.headers.set("Connection", "keep-alive")
-                placeholder = Request(method="GET", target="/",
-                                      version="HTTP/1.1")
-                self._enqueue_response(conn, placeholder, response)
+                self._enqueue_response(conn, None, response)
                 continue
             except HTTPError:
                 self._fail(conn, StatusCode.BAD_REQUEST)
@@ -496,14 +437,14 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         if isinstance(result, EngineReply):
             self._enqueue_response(conn, request, result.response)
             return
-        # Blocking directive: hand off to the executor; the completion
-        # re-enters the loop via the self-pipe.  One in-flight job per
-        # connection keeps pipelined responses ordered.
+        # A pull blocks on the network: hand off to the executor; the
+        # completion re-enters the loop via the self-pipe.  One in-flight
+        # job per connection keeps pipelined responses ordered.
         conn.busy = True
 
-        def run(directive=result):
+        def run(pull=result):
             try:
-                response = self._directive_work(directive)
+                response = self._execute_pull(pull)
             except Exception:
                 response = error_response(StatusCode.INTERNAL_SERVER_ERROR,
                                           "directive execution failed")
@@ -523,16 +464,12 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         if conn.sock in self._connections:
             self._pump(conn, time.monotonic())
 
-    def _enqueue_response(self, conn: _Connection, request: Request,
+    def _enqueue_response(self, conn: _Connection,
+                          request: Optional[Request],
                           response: Response) -> None:
         config = self.engine.config
         conn.served += 1
-        keep = (config.keep_alive
-                and conn.served < config.keep_alive_max_requests
-                and request_wants_keep_alive(request)
-                and response_allows_keep_alive(response))
-        if not keep:
-            response.headers.set("Connection", "close")
+        if not self._settle_keep_alive(conn.served, request, response):
             conn.close_after_flush = True
         self._queue_response(conn, response)
         # Idle keep-alive clock; doubles as the write deadman — a client
@@ -643,38 +580,6 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
     # ------------------------------------------------------------------
 
     def _tick(self, now: float) -> None:
-        pending_drops = self._drops_recorded - self._drops_drained
-        with self._lock:
-            for __ in range(pending_drops):
-                self.engine.metrics.record_drop(now)
-            actions = self.engine.tick(now)
-        self._drops_drained += pending_drops
-        for action in actions:
-            self._executor.submit(self._run_action, action)
-        if self.journal is not None:
-            # Interval-policy fsync off the loop: the fsync blocks on
-            # disk, which is exactly what the loop thread must not do.
-            self._executor.submit(self._durability_tick, now)
-        if self.snapshot_path and \
-                now - self._last_snapshot >= self.snapshot_interval:
-            self._last_snapshot = now
-            self._executor.submit(self._locked_checkpoint)
-
-    def _run_action(self, action: OutboundAction) -> None:
-        """One periodic server-to-server transfer (executor thread)."""
-        started = time.monotonic()
-        try:
-            response = http_fetch(action.peer, action.request,
-                                  timeout=self.request_timeout,
-                                  pool=self.pool)
-        except (OSError, HTTPError):
-            response = None
-        finished = time.monotonic()
-        rtt = finished - started if response is not None else None
-        with self._lock:
-            self.engine.complete_action(action, response, finished, rtt=rtt)
-
-    def _locked_checkpoint(self) -> None:
-        """Periodic checkpoint (executor thread, off the loop)."""
-        with self._lock:
-            self._checkpoint_state(time.monotonic())
+        """The periodic pass; its blocking steps go to the executor —
+        transfers and fsyncs are exactly what the loop must not wait on."""
+        self._periodic_pass(now, self._executor.submit)

@@ -15,14 +15,15 @@ serve hot path:
   updates, migration/revocation dirtying) change the key, and
   regeneration explicitly invalidates, so a stale body is never served.
 
-Both caches keep their own locking: the threaded server touches them
-from worker threads outside the engine lock (lock-scope reduction), and
-the counters feed the admin endpoint and benchmarks.  With ``stripes >
-1`` the lock (and the LRU structure) is partitioned by
-``hash(name) % stripes`` — per-shard locks, so concurrent readers of
-unrelated documents never serialize on one cache mutex; capacity is
-split evenly across stripes.  The default of one stripe preserves the
-original global-LRU semantics exactly.
+Both caches keep their own locking, and the counters feed the admin
+endpoint and benchmarks.  With ``stripes > 1`` the lock and the LRU
+structure are partitioned by ``shard_of(name, stripes)`` and capacity is
+split evenly across stripes.  Every engine call now runs under the
+host's one lock, so on the serve path the per-shard locks are never
+contended; what the partition buys is isolation — a few large bodies
+can only evict within their own stripes (DESIGN.md section 4 has the
+measurement).  The default of one stripe preserves the original
+global-LRU semantics exactly.
 """
 
 from __future__ import annotations

@@ -187,39 +187,6 @@ class PullFromHome:
 
 
 @dataclass
-class RegenerateAndServe:
-    """Directive: a dirty document must be regenerated before serving.
-
-    Only emitted when the host opted in (``engine.defer_regeneration``,
-    set by the threaded server): the host runs
-    :meth:`DCWSEngine.regeneration_plan` under its engine lock, performs
-    the splice *outside* the lock (guarded per document so two workers
-    never regenerate the same name concurrently), commits via
-    :meth:`DCWSEngine.commit_regeneration`, and finishes the request with
-    :meth:`DCWSEngine.serve_after_regeneration`.
-    """
-
-    name: str
-    version: int
-    request: Request
-
-
-@dataclass
-class RegenerationPlan:
-    """Everything an off-lock splice needs, captured under the lock."""
-
-    name: str
-    version: int
-    template: LinkTemplate
-    replacements: List[Optional[str]]
-
-    def apply(self) -> "Tuple[str, LinkTemplate]":
-        """The CPU-heavy string work; safe to run outside the engine
-        lock — it touches only this plan's immutable captures."""
-        return self.template.splice_all(self.replacements)
-
-
-@dataclass
 class OutboundAction:
     """Directive: a periodic server-to-server transfer.
 
@@ -324,9 +291,6 @@ class DCWSEngine:
         # bump a document's *version* without touching its bytes, so the
         # template stays valid across them.
         self._templates: Dict[str, LinkTemplate] = {}
-        # Host capability: the threaded server sets this so dirty-document
-        # regeneration runs outside its engine lock (RegenerateAndServe).
-        self.defer_regeneration = False
         # Host capability: front ends that can deliver a FileBody with
         # os.sendfile set this; large clean disk-backed GETs then skip
         # the byte read entirely (see _respond_home).
@@ -538,14 +502,11 @@ class DCWSEngine:
     # ------------------------------------------------------------------
 
     def handle_request(self, request: Request, now: float
-                       ) -> Union[EngineReply, PullFromHome,
-                                  RegenerateAndServe]:
+                       ) -> Union[EngineReply, PullFromHome]:
         """Process one client or peer request.
 
-        Returns a finished :class:`EngineReply`; a :class:`PullFromHome`
-        directive when a migrated document must first be fetched lazily;
-        or a :class:`RegenerateAndServe` directive when the host asked to
-        run dirty-document regeneration itself (off its engine lock).
+        Returns a finished :class:`EngineReply`, or a :class:`PullFromHome`
+        directive when a migrated document must first be fetched lazily.
         """
         self._clock = now
         path = normalize_path(request.path)
@@ -678,8 +639,8 @@ class DCWSEngine:
 
     # -- local (home-server) documents ---------------------------------
 
-    def _handle_local(self, request: Request, path: str, now: float
-                      ) -> Union[EngineReply, RegenerateAndServe]:
+    def _handle_local(self, request: Request, path: str,
+                      now: float) -> EngineReply:
         record = self.graph.find(path)
         if record is None:
             self.stats.responses_404 += 1
@@ -724,8 +685,7 @@ class DCWSEngine:
         return self._serve_home_document(request, record, now)
 
     def _serve_home_document(self, request: Request, record: DocumentRecord,
-                             now: float
-                             ) -> Union[EngineReply, RegenerateAndServe]:
+                             now: float) -> EngineReply:
         # A validating co-op reports the hits its hosted copy absorbed;
         # credit them so selection/re-migration/replication see real
         # demand for documents that no longer generate local hits.
@@ -754,12 +714,6 @@ class DCWSEngine:
                 # documents (the cheap tier) keep serving below.
                 return self._shed(request, now, doc_name=record.name,
                                   kind="regeneration")
-            if self.defer_regeneration:
-                # Lock-scope reduction: hand the splice to the host so the
-                # string work runs outside the engine lock.
-                return RegenerateAndServe(name=record.name,
-                                          version=record.version,
-                                          request=request)
             spliced = self._regenerate(record)
             reconstructed = True
             self.metrics.record_reconstruction(now)
@@ -1335,64 +1289,6 @@ class DCWSEngine:
         # Freshly spliced from the canonical template: whatever was
         # quarantined is repaired by construction.
         self._clear_quarantine(record.name)
-
-    # -- deferred regeneration (threaded host, off the engine lock) ------
-
-    def regeneration_plan(self, name: str) -> Optional[RegenerationPlan]:
-        """Capture an off-lock splice plan for *name* (host holds the
-        engine lock).  Returns ``None`` when there is nothing to do —
-        the double-checked dirty flag: another worker may have already
-        regenerated — or no template exists to splice from."""
-        record = self.graph.find(name)
-        if record is None or not record.dirty or not record.is_html:
-            return None
-        template = self._template_for(record)
-        if template is None:
-            return None
-        replacements = template.compute_replacements(
-            lambda raw: self._rewrite_value(name, raw))
-        return RegenerationPlan(name=name, version=record.version,
-                                template=template, replacements=replacements)
-
-    def commit_regeneration(self, plan: RegenerationPlan, output: str,
-                            next_template: LinkTemplate, now: float) -> bool:
-        """Install an off-lock splice result (host holds the engine lock).
-
-        Discarded — returns False — when the document changed while the
-        splice ran unlocked (version bump or concurrent regeneration).
-        """
-        record = self.graph.find(plan.name)
-        if record is None or record.version != plan.version \
-                or not record.dirty:
-            return False
-        self._templates[plan.name] = next_template
-        self._commit_bytes(record, output.encode("latin-1"))
-        self.metrics.record_reconstruction(now)
-        self.stats.reconstructions += 1
-        self.stats.splices += 1
-        return True
-
-    def serve_after_regeneration(self, directive: RegenerateAndServe,
-                                 now: float) -> EngineReply:
-        """Finish the request a :class:`RegenerateAndServe` deferred
-        (host holds the engine lock again)."""
-        record = self.graph.find(directive.name)
-        if record is not None and record.location == self.location \
-                and not record.dirty:
-            return self._respond_home(directive.request, record, now,
-                                      reconstructed=True, spliced=True)
-        # Rare races: the document vanished, migrated away, or was
-        # re-dirtied while the splice ran unlocked (the commit was then
-        # discarded).  Retake the full path inline; the extra hit this
-        # recounts is negligible against the event's rarity.
-        deferred = self.defer_regeneration
-        self.defer_regeneration = False
-        try:
-            result = self._handle_local(directive.request, directive.name, now)
-        finally:
-            self.defer_regeneration = deferred
-        assert isinstance(result, EngineReply)
-        return result
 
     def _rewrite_value(self, base_name: str, raw: str) -> Optional[str]:
         """Rewrite one hyperlink to the target's *current* location.

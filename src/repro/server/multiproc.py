@@ -14,18 +14,19 @@ cores the way classic pre-fork servers do, adapted to DCWS semantics:
   (``shard_of(name, lock_stripes)`` — CRC-32, so all processes agree)
   and every stripe to the *owning* worker (``roster[shard % len(roster)]``
   over the sorted alive workers).  Clean cached reads serve from any
-  worker; per-document **mutating** directives (dirty regeneration,
-  first-use pull) execute only on the owner — a non-owner forwards the
-  client request over its supervisor channel and relays the owner's
-  response.  If the owner is dead or slow the requester degrades to
-  executing locally (every engine mutation is idempotent and
-  crash-atomic), trading momentary single-writer discipline for zero
-  client-visible failures.
+  worker, and so do dirty regenerations — in memory, under that
+  worker's own engine lock, like every other engine call.  A first-use
+  **pull** executes only on the owner, so one worker fetches a hosted
+  document from its home — a non-owner forwards the client request over
+  its supervisor channel and relays the owner's response.  If the owner
+  is dead or slow the requester degrades to pulling locally (every
+  engine mutation is idempotent and crash-atomic), trading momentary
+  single-writer discipline for zero client-visible failures.
 
 - **Invalidation broadcast.**  Each worker's response cache reports
   invalidations (``ResponseCache.on_invalidate``); the worker batches
   them per tick and the supervisor fans them out, so a regeneration or
-  author update on the owner evicts the stale rendering from every
+  author update on one worker evicts the stale rendering from every
   sibling within one tick period (bounded staleness, no shared memory).
 
 - **Supervision.**  The parent monitors workers and respawns any that
@@ -59,7 +60,7 @@ from repro.http.messages import (
     parse_response,
 )
 from repro.server.aio import AsyncDCWSServer
-from repro.server.engine import DCWSEngine, EngineReply, RegenerateAndServe
+from repro.server.engine import DCWSEngine, PullFromHome
 from repro.server.striping import shard_of
 
 _READY_TIMEOUT = 10.0
@@ -146,8 +147,8 @@ class _WorkerHost(AsyncDCWSServer):
     """One worker process's event loop plus its supervisor channel.
 
     Extends the single-process loop with: invalidation batching (pushed
-    each tick), per-tick stats reports, and directive forwarding to the
-    shard owner via :meth:`_directive_work`.
+    each tick), per-tick stats reports, and pull forwarding to the
+    shard owner via :meth:`_execute_pull`.
     """
 
     def __init__(self, engine: DCWSEngine, *, channel: _Channel,
@@ -224,28 +225,23 @@ class _WorkerHost(AsyncDCWSServer):
                 self.engine.response_cache.invalidate(str(name),
                                                       broadcast=False)
 
-    # -- directive forwarding --------------------------------------------
+    # -- pull forwarding ---------------------------------------------------
 
     def _owner_of(self, name: str) -> int:
         roster = self._roster or [self.worker_index]
         shard = shard_of(name, self.engine.config.lock_stripes)
         return roster[shard % len(roster)]
 
-    def _directive_work(self, directive: object) -> Response:
-        if isinstance(directive, RegenerateAndServe):
-            name, request = directive.name, directive.request
-        else:
-            name, request = directive.key, directive.client_request
-        owner = self._owner_of(name)
-        if owner != self.worker_index:
-            response = self._forward_request(name, request)
+    def _execute_pull(self, pull: PullFromHome) -> Response:
+        if self._owner_of(pull.key) != self.worker_index:
+            response = self._forward_request(pull.key, pull.client_request)
             if response is not None:
                 return response
-            # Owner dead, roster mid-heal, or reply timed out: execute
-            # locally.  Every mutation behind a directive is idempotent
-            # and crash-atomic, so relaxing single-writer ownership for
-            # one request is strictly better than failing the client.
-        return super()._directive_work(directive)
+            # Owner dead, roster mid-heal, or reply timed out: pull
+            # locally.  Every mutation behind a pull is idempotent and
+            # crash-atomic, so relaxing single-writer ownership for one
+            # request is strictly better than failing the client.
+        return super()._execute_pull(pull)
 
     def _forward_request(self, name: str,
                          request: Request) -> Optional[Response]:
@@ -277,24 +273,18 @@ class _WorkerHost(AsyncDCWSServer):
 
     def _serve_forward(self, message: Dict[str, Any]) -> None:
         """Execute a request forwarded from a non-owner (executor
-        thread) and relay the response.  Dispatch is forced local —
-        this worker *is* the owner — so forwards can never ping-pong."""
+        thread) and relay the response.  ``_dispatch_blocking`` pulls
+        locally — this worker *is* the owner — so forwards can never
+        ping-pong."""
         try:
             request = parse_request(_unb64(str(message.get("request"))))
-            response = self._dispatch_local(request)
+            response = self._dispatch_blocking(request)
             payload: Optional[str] = _b64(response.serialize())
         except Exception:
             payload = None
         self.channel.send({"kind": "forward-reply",
                            "id": str(message.get("id")),
                            "response": payload})
-
-    def _dispatch_local(self, request: Request) -> Response:
-        """Threaded-style blocking dispatch, directives executed here."""
-        result = self._engine_dispatch(request, time.monotonic())
-        if isinstance(result, EngineReply):
-            return result.response
-        return super()._directive_work(result)
 
     # -- admin view -------------------------------------------------------
 
@@ -589,10 +579,6 @@ class WorkerSupervisor:
                 proc.rps = delta / elapsed
             proc.last_requests = requests
             proc.last_sample = now
-
-    def per_worker_rps(self) -> Dict[str, float]:
-        """Latest per-worker requests/second, keyed by worker index."""
-        return {str(p.index): round(p.rps, 3) for p in self._procs}
 
     def cluster_view(self) -> Dict[str, Any]:
         """The aggregated per-worker roster any worker serves from

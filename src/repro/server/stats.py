@@ -18,7 +18,11 @@ from repro.server.engine import DCWSEngine
 
 @dataclass(frozen=True)
 class ClusterSample:
-    """Aggregate cluster performance at one instant."""
+    """Aggregate cluster performance at one instant.
+
+    Only what a figure or a test reads rides here; every other counter
+    stays with its owner's ``describe()`` and ``/~dcws/...`` page.
+    """
 
     time: float
     cps: float                  # aggregate connections per second
@@ -26,69 +30,23 @@ class ClusterSample:
     drops_per_second: float
     per_server_cps: Dict[str, float] = field(default_factory=dict)
     reconstructions_per_second: float = 0.0
-    # Cumulative serve-path cache effectiveness across the cluster at
-    # sample time (hits / lookups of the rendered-response caches).
-    response_cache_hit_rate: float = 0.0
-    # Lifetime circuit-breaker trips (closed→open transitions) summed
-    # across every engine whose host wired a breaker up.
-    breaker_trips: int = 0
-    # HTTP serve-path realism, summed across engines: share of requests
-    # answered 304 off client validators, gzip responses sent, identity
-    # bytes saved by compression, and expensive requests shed under the
-    # tiered-overload rule.
-    conditional_304_rate: float = 0.0
-    gzip_responses: int = 0
-    gzip_bytes_saved: int = 0
-    shed_requests: int = 0
     # Durability posture at sample time, summed across engines whose
     # host attached a write-ahead journal: un-checkpointed journal bytes
-    # and records (recovery replay cost), the highest LSN in the
-    # cluster, the age of the *stalest* checkpoint, and what the last
-    # recoveries replayed (records + torn tails truncated).
+    # and records (recovery replay cost) and the highest LSN in the
+    # cluster.
     wal_bytes: int = 0
     wal_records_since_checkpoint: int = 0
     wal_last_lsn: int = 0
-    wal_checkpoint_age: float = 0.0
-    recovery_records_replayed: int = 0
-    recovery_torn_tails: int = 0
     # Replication groups with autonomous repair, summed across engines
     # whose config enables the subsystem (replication_k >= 2): group
-    # census at sample time, lifetime repair-loop activity, and how the
-    # two-choices replica picker behaved.  ``replication_copies`` is a
-    # histogram of live-holder count -> number of groups (keys are
-    # strings for JSON friendliness).
+    # census at sample time, lifetime repairs, and two-choices picks.
+    # ``replication_copies`` is a histogram of live-holder count ->
+    # number of groups (keys are strings for JSON friendliness).
     replication_groups: int = 0
     replication_groups_below_target: int = 0
     replication_repairs: int = 0
-    replication_replica_drops: int = 0
     replication_two_choices_picks: int = 0
-    replication_two_choices_alternates: int = 0
     replication_copies: Dict[str, int] = field(default_factory=dict)
-    # Adaptive membership, summed across engines: peers currently held
-    # suspect, lifetime false-death rediscoveries (dead -> alive), the
-    # rediscovery backlog (configured peers awaiting a successful
-    # re-probe), and what rejoin reconciliation did with returning
-    # copies (stale ones dropped, viable ones re-registered as
-    # replicas).
-    membership_suspects: int = 0
-    membership_rediscoveries: int = 0
-    membership_reprobe_backlog: int = 0
-    reconciliation_drops: int = 0
-    reconciliation_reregistrations: int = 0
-    # Content integrity, summed across engines: scrub-loop progress
-    # (rounds run and documents re-hashed so far), lifetime corruption
-    # detections, quarantines currently in force, replica repairs made
-    # from a verified copy after a quarantine, and inter-server pulls
-    # rejected because the body failed its X-DCWS-Digest check.
-    integrity_scrub_rounds: int = 0
-    integrity_scrub_checked: int = 0
-    integrity_corruptions_detected: int = 0
-    integrity_quarantines_active: int = 0
-    integrity_repairs_from_verified: int = 0
-    integrity_pulls_rejected: int = 0
-    # Multi-process front end: requests/second per worker process, keyed
-    # by worker index ("0", "1", ...).  Empty in single-process runs.
-    per_worker_rps: Dict[str, float] = field(default_factory=dict)
 
     @property
     def imbalance(self) -> float:
@@ -102,50 +60,21 @@ class ClusterSample:
         return max(values) / mean
 
 
-def sample_cluster(now: float, engines: Iterable[DCWSEngine], *,
-                   worker_rps: "Dict[str, float] | None" = None,
-                   ) -> ClusterSample:
-    """Read every engine's sliding-window rates at *now*.
-
-    ``worker_rps`` (from ``WorkerSupervisor.per_worker_rps()``) attaches
-    the per-worker-process gauges when the harness runs multi-process.
-    """
+def sample_cluster(now: float,
+                   engines: Iterable[DCWSEngine]) -> ClusterSample:
+    """Read every engine's sliding-window rates at *now*."""
     total_cps = 0.0
     total_bps = 0.0
     total_drops = 0.0
     total_reconstructions = 0.0
-    cache_hits = 0
-    cache_lookups = 0
-    breaker_trips = 0
-    requests = 0
-    conditional_304s = 0
-    gzip_responses = 0
-    gzip_bytes_saved = 0
-    shed_requests = 0
     wal_bytes = 0
     wal_records = 0
     wal_last_lsn = 0
-    wal_checkpoint_age = 0.0
-    recovery_replayed = 0
-    recovery_torn = 0
     replication_groups = 0
     replication_below = 0
     replication_repairs = 0
-    replication_drops = 0
     two_choices_picks = 0
-    two_choices_alternates = 0
     replication_copies: Dict[str, int] = {}
-    membership_suspects = 0
-    membership_rediscoveries = 0
-    membership_backlog = 0
-    reconciliation_drops = 0
-    reconciliation_reregs = 0
-    scrub_rounds = 0
-    scrub_checked = 0
-    corruptions_detected = 0
-    quarantines_active = 0
-    repairs_from_verified = 0
-    pulls_rejected = 0
     per_server: Dict[str, float] = {}
     for engine in engines:
         cps = engine.metrics.cps(now)
@@ -153,98 +82,34 @@ def sample_cluster(now: float, engines: Iterable[DCWSEngine], *,
         total_bps += engine.metrics.bps(now)
         total_drops += engine.metrics.drops.rate(now)
         total_reconstructions += engine.metrics.reconstructions.rate(now)
-        cache_hits += engine.response_cache.stats.hits
-        cache_lookups += engine.response_cache.stats.lookups
-        if engine.breaker is not None:
-            breaker_trips += engine.breaker.total_trips()
-        requests += engine.stats.requests
-        conditional_304s += engine.stats.conditional_304s
-        gzip_responses += engine.stats.gzip_responses
-        gzip_bytes_saved += engine.stats.gzip_bytes_saved
-        shed_requests += (engine.stats.regenerations_shed
-                          + engine.stats.pulls_shed)
         journal = engine.journal
         if journal is not None:
             wal_bytes += journal.size_bytes
             wal_records += journal.records_since_checkpoint
             wal_last_lsn = max(wal_last_lsn, journal.last_lsn)
-            if journal.last_checkpoint_at is not None:
-                wal_checkpoint_age = max(
-                    wal_checkpoint_age, now - journal.last_checkpoint_at)
-        recovery = engine.recovery
-        if recovery is not None:
-            recovery_replayed += recovery.records_replayed
-            recovery_torn += 1 if recovery.torn_tail_truncated else 0
         manager = engine.replication
         if manager is not None:
             replication_groups += len(manager.groups)
             replication_below += manager.groups_below_target()
             replication_repairs += manager.counters.repairs
-            replication_drops += manager.counters.replica_drops
             two_choices_picks += manager.counters.two_choices_picks
-            two_choices_alternates += manager.counters.two_choices_alternates
             for live, count in manager.copies_histogram().items():
                 key = str(live)
                 replication_copies[key] = \
                     replication_copies.get(key, 0) + count
-        membership = getattr(engine, "membership", None)
-        if membership is not None:
-            membership_suspects += len(membership.suspects())
-            membership_rediscoveries += membership.counters.rediscoveries
-            membership_backlog += membership.reprobe_backlog()
-            reconciliation_drops += membership.counters.reconcile_drops
-            reconciliation_reregs += \
-                membership.counters.reconcile_reregistrations
-        integrity = getattr(engine, "integrity", None)
-        if integrity is not None:
-            scrub_rounds += integrity.counters.scrub_rounds
-            scrub_checked += integrity.counters.scrub_checked
-            corruptions_detected += integrity.counters.corruptions_detected
-            quarantines_active += len(integrity.active())
-            repairs_from_verified += \
-                integrity.counters.repairs_from_verified
-            pulls_rejected += integrity.counters.pulls_rejected
         per_server[str(engine.location)] = cps
     return ClusterSample(time=now, cps=total_cps, bps=total_bps,
                          drops_per_second=total_drops,
                          per_server_cps=per_server,
                          reconstructions_per_second=total_reconstructions,
-                         response_cache_hit_rate=(
-                             cache_hits / cache_lookups if cache_lookups
-                             else 0.0),
-                         breaker_trips=breaker_trips,
-                         conditional_304_rate=(
-                             conditional_304s / requests if requests
-                             else 0.0),
-                         gzip_responses=gzip_responses,
-                         gzip_bytes_saved=gzip_bytes_saved,
-                         shed_requests=shed_requests,
                          wal_bytes=wal_bytes,
                          wal_records_since_checkpoint=wal_records,
                          wal_last_lsn=wal_last_lsn,
-                         wal_checkpoint_age=wal_checkpoint_age,
-                         recovery_records_replayed=recovery_replayed,
-                         recovery_torn_tails=recovery_torn,
                          replication_groups=replication_groups,
                          replication_groups_below_target=replication_below,
                          replication_repairs=replication_repairs,
-                         replication_replica_drops=replication_drops,
                          replication_two_choices_picks=two_choices_picks,
-                         replication_two_choices_alternates=(
-                             two_choices_alternates),
-                         replication_copies=replication_copies,
-                         membership_suspects=membership_suspects,
-                         membership_rediscoveries=membership_rediscoveries,
-                         membership_reprobe_backlog=membership_backlog,
-                         reconciliation_drops=reconciliation_drops,
-                         reconciliation_reregistrations=reconciliation_reregs,
-                         integrity_scrub_rounds=scrub_rounds,
-                         integrity_scrub_checked=scrub_checked,
-                         integrity_corruptions_detected=corruptions_detected,
-                         integrity_quarantines_active=quarantines_active,
-                         integrity_repairs_from_verified=repairs_from_verified,
-                         integrity_pulls_rejected=pulls_rejected,
-                         per_worker_rps=dict(worker_rps or {}))
+                         replication_copies=replication_copies)
 
 
 @dataclass

@@ -22,12 +22,10 @@ keep-alive channels (:class:`repro.client.pool.ConnectionPool`) instead
 of opening one TCP connection per transfer.
 
 The engine is guarded by one lock, and every engine call — the cached-GET
-short-circuit included — runs under it; blocking network I/O (reading
-requests, sending responses, server-to-server transfers) happens outside
-the lock, and so does dirty-document regeneration (the link-template
-splice runs on the worker under a per-document guard with a
-double-checked dirty flag), so the lock only covers in-memory
-graph/table operations.
+short-circuit and dirty-document regeneration included — runs under it;
+only network I/O (reading requests, sending responses, server-to-server
+transfers) happens outside the lock.  What this front end shares with the
+event-loop one lives in :class:`repro.server.dispatch.SocketHost`.
 """
 
 from __future__ import annotations
@@ -36,83 +34,36 @@ import queue
 import socket
 import threading
 import time
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, Set
 
-from repro.client.breaker import build_breaker
-from repro.client.pool import ConnectionPool
-from repro.client.realclient import http_fetch
 from repro.errors import HTTPError, RecoverableProtocolError, ReproError
-from repro.http.messages import (
-    Request,
-    Response,
-    error_response,
-    request_wants_keep_alive,
-    response_allows_keep_alive,
-)
+from repro.http.messages import Request, Response, error_response
 from repro.http.status import StatusCode
 from repro.http.wire import RequestParser
-from repro.server.dispatch import (
-    BlockingDirectiveMixin,
-    DurabilityMixin,
-    close_quietly,
-)
-from repro.server.engine import DCWSEngine, EngineReply
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan
+from repro.server.dispatch import SocketHost, close_quietly
+from repro.server.engine import DCWSEngine
 
 _RECV_CHUNK = 65536
 _MAX_REQUEST = 1024 * 1024
 
 
-class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
-    """Host a :class:`DCWSEngine` on real sockets with real threads."""
+class ThreadedDCWSServer(SocketHost):
+    """Host a :class:`DCWSEngine` on real sockets with real threads.
 
-    def __init__(self, engine: DCWSEngine, *,
-                 bind_host: str = "",
-                 request_timeout: float = 10.0,
-                 tick_period: float = 0.25,
-                 snapshot_path: Optional[str] = None,
-                 snapshot_interval: float = 30.0,
-                 journal_path: Optional[str] = None,
-                 faults: Optional["FaultPlan"] = None) -> None:
-        self.engine = engine
+    Keyword arguments are :class:`SocketHost`'s.
+    """
+
+    def __init__(self, engine: DCWSEngine, **options: Any) -> None:
+        super().__init__(engine, **options)
         # Blocking sockets can drive os.sendfile: let the engine defer
         # large disk-backed bodies to the transport (FileBody responses).
         engine.sendfile_enabled = True
-        self.bind_host = bind_host or engine.location.host
-        self.port = engine.location.port
-        self.request_timeout = request_timeout
-        self.tick_period = tick_period
-        # Optional restart recovery: restore (or journal-replay recover)
-        # on start, checkpoint periodically and on stop
-        # (repro.server.persistence / repro.server.wal).
-        self.snapshot_path = snapshot_path
-        self.snapshot_interval = snapshot_interval
-        self._last_snapshot = 0.0
-        self._init_durability(journal_path, faults)
-        self._lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._connections: "queue.Queue[socket.socket]" = queue.Queue(
             maxsize=engine.config.socket_queue_length)
-        self._stop = threading.Event()
-        self._started = threading.Event()
-        # Persistent channels for server-to-server transfers, with the
-        # per-peer circuit breaker and (chaos runs) fault injection.
-        self.pool = ConnectionPool(timeout=request_timeout,
-                                   breaker=build_breaker(engine.config),
-                                   faults=faults)
-        engine.breaker = self.pool.breaker
-        # Accepted-connection counter (front-end thread only); tests use it
-        # to prove keep-alive (requests served >> connections accepted).
-        self.connections_accepted = 0
-        # Drop accounting without the engine lock: the front-end is the
-        # sole writer of _drops_recorded, the periodic thread the sole
-        # writer of _drops_drained, so neither needs synchronization.
-        self._drops_recorded = 0
-        self._drops_drained = 0
-        self._init_dispatch()
+        # Client sockets in the hands of a worker; stop() shuts them down
+        # so no worker sits out keep_alive_timeout in recv.
+        self._serving: Set[socket.socket] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -153,12 +104,18 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
     def stop(self) -> None:
         """Stop accepting, drain threads, close the listener."""
         if self._listener is not None:
-            with self._lock:
-                self._checkpoint_state(time.monotonic())
+            self._locked_checkpoint()
         self._stop.set()
         if self._listener is not None:
             try:
                 self._listener.close()
+            except OSError:
+                pass
+        for connection in list(self._serving):
+            # A worker parked in recv on an idle keep-alive peer sees
+            # EOF at once and leaves through its clean-close path.
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
         for thread in self._threads:
@@ -167,13 +124,6 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         self._close_durability()
         self._listener = None
         self._threads = []
-
-    def __enter__(self) -> "ThreadedDCWSServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # Front-end thread: accept + enqueue, 503 on overflow
@@ -203,19 +153,9 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
                 self._drop_connection(connection)
 
     def _drop_connection(self, connection: socket.socket) -> None:
-        """Graceful 503 drop (section 5.2) when the queue overflows.
-
-        Runs on the front-end thread, which must keep accepting while the
-        workers are saturated: the drop is only tallied here and reaches
-        the engine metrics when the periodic thread drains the counter.
-        """
-        self._drops_recorded += 1
-        response = error_response(StatusCode.SERVICE_UNAVAILABLE,
-                                  "server overloaded")
-        response.headers.set("Connection", "close")
-        response.headers.set("Retry-After", "1")
+        """Graceful 503 drop (section 5.2) when the queue overflows."""
         try:
-            send_response(connection, response)
+            send_response(connection, self._refuse())
         except OSError:
             pass
         finally:
@@ -231,12 +171,16 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
                 connection = self._connections.get(timeout=0.2)
             except queue.Empty:
                 continue
+            # Registered before _serve_connection reads the stop flag, so
+            # stop() either finds the socket or the worker sees the flag.
+            self._serving.add(connection)
             try:
                 self._serve_connection(connection)
             except Exception:
                 # A broken connection must never kill a worker.
                 pass
             finally:
+                self._serving.discard(connection)
                 _close_quietly(connection)
 
     def _serve_connection(self, connection: socket.socket) -> None:
@@ -264,11 +208,9 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
                 # still correctly delimited: answer 400 and keep serving —
                 # the next pipelined request parses normally.
                 served += 1
-                keep = (config.keep_alive
-                        and served < config.keep_alive_max_requests)
                 response = error_response(StatusCode.BAD_REQUEST, str(exc))
-                response.headers.set(
-                    "Connection", "keep-alive" if keep else "close")
+                response.headers.set("Connection", "keep-alive")
+                keep = self._settle_keep_alive(served, None, response)
                 try:
                     send_response(connection, response)
                 except OSError:
@@ -285,13 +227,8 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
             if served:
                 connection.settimeout(self.request_timeout)
             served += 1
-            response = self._dispatch(request)
-            keep = (config.keep_alive
-                    and served < config.keep_alive_max_requests
-                    and request_wants_keep_alive(request)
-                    and response_allows_keep_alive(response))
-            if not keep:
-                response.headers.set("Connection", "close")
+            response = self._dispatch_blocking(request)
+            keep = self._settle_keep_alive(served, request, response)
             try:
                 send_response(connection, response)
             except OSError:
@@ -304,53 +241,15 @@ class ThreadedDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         return self._connections.qsize() / \
             self.engine.config.socket_queue_length
 
-    def _dispatch(self, request: Request) -> Response:
-        result = self._engine_dispatch(request, time.monotonic())
-        if isinstance(result, EngineReply):
-            return result.response
-        return self._directive_work(result)
-
     # ------------------------------------------------------------------
     # Periodic thread: statistics, migration decisions, validation, pinger
     # ------------------------------------------------------------------
 
     def _periodic_loop(self) -> None:
         while not self._stop.is_set():
-            now = time.monotonic()
-            pending_drops = self._drops_recorded - self._drops_drained
-            with self._lock:
-                for __ in range(pending_drops):
-                    self.engine.metrics.record_drop(now)
-                actions = self.engine.tick(now)
-            self._drops_drained += pending_drops
-            for action in actions:
-                if self._stop.is_set():
-                    return
-                started = time.monotonic()
-                try:
-                    response = http_fetch(action.peer, action.request,
-                                          timeout=self.request_timeout,
-                                          pool=self.pool)
-                except (OSError, HTTPError):
-                    response = None
-                finished = time.monotonic()
-                rtt = finished - started if response is not None else None
-                with self._lock:
-                    self.engine.complete_action(action, response, finished,
-                                                rtt=rtt)
-            self._durability_tick(now)
-            if self.snapshot_path and \
-                    now - self._last_snapshot >= self.snapshot_interval:
-                with self._lock:
-                    self._checkpoint_state(now)
-                    self._last_snapshot = now
+            self._periodic_pass(time.monotonic(),
+                                lambda step, *args: step(*args))
             self._stop.wait(self.tick_period)
-
-    # ------------------------------------------------------------------
-
-    def wait_ready(self, timeout: float = 5.0) -> bool:
-        """Block until the server threads are running."""
-        return self._started.wait(timeout)
 
 
 class _RequestReader:

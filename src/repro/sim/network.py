@@ -103,8 +103,10 @@ class CostModel:
     # Link-template splice reconstruction: replacement URLs are spliced
     # into the document's canonical bytes without re-parsing, so a dirty
     # document costs a memory copy instead of the full 20 ms round trip.
-    # Calibrated from benchmarks/test_reconstruction_fastpath.py (>= 5x
-    # cheaper; ablations toggle ServerConfig.link_templates to compare).
+    # Calibrated from two BENCHMARK.json layer metrics,
+    # html.template.splice_us against html.parser.index_us (68 vs
+    # 1,056 us on browse_mix pages; ablations toggle
+    # ServerConfig.link_templates to compare).
     splice_cpu: float = 0.002
 
     # Network.

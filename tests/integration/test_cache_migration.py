@@ -236,8 +236,8 @@ class TestMigrationCycleOverSockets:
         assert b"EDITED" in body
 
     def test_deferred_regeneration_serves_spliced_content(self, pair):
-        """Dirty documents regenerate off the engine lock (splice path) and
-        still serve the rewritten hyperlinks."""
+        """Dirty documents regenerate by splice inside the socket host's
+        dispatch and still serve the rewritten hyperlinks."""
         home, coop = pair
         with home._lock:
             home.engine.policy.force_migrate(

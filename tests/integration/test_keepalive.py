@@ -6,6 +6,7 @@ request-read hardening, the lock-free drop counter, and pooled
 server-to-server channels.
 """
 
+import http.client
 import socket
 import time
 
@@ -18,6 +19,7 @@ from repro.http.urls import URL
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
+from tests.integration.test_real_servers import FRONT_ENDS
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a></html>',
@@ -32,13 +34,13 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
-def start_server(**config_kwargs) -> ThreadedDCWSServer:
+def start_server(server_cls=ThreadedDCWSServer, **config_kwargs):
     loc = Location("127.0.0.1", free_port())
     config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
                           **config_kwargs)
     engine = DCWSEngine(loc, config, MemoryStore(dict(SITE)),
                         entry_points=["/index.html"])
-    server = ThreadedDCWSServer(engine)
+    server = server_cls(engine)
     server.start()
     return server
 
@@ -145,6 +147,42 @@ class TestKeepAliveFrontEnd:
                 assert first.headers.has_token("Connection", "keep-alive")
                 second = roundtrip(sock, buffer, "/e.html")
                 assert second.headers.has_token("Connection", "close")
+                assert sock.recv(1) == b""
+        finally:
+            srv.stop()
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_capped_response_carries_no_keep_alive_header(self, front_end):
+        # ``Keep-Alive: timeout=..`` beside ``Connection: close`` makes
+        # http.client hold on to an HTTP/1.0 channel the server closed.
+        srv = start_server(FRONT_ENDS[front_end], keep_alive_max_requests=2)
+        client = http.client.HTTPConnection("127.0.0.1", srv.port,
+                                            timeout=5.0)
+        try:
+            heads = []
+            for __ in range(3):
+                client.request("GET", "/e.html")
+                response = client.getresponse()
+                assert response.read() == SITE["/e.html"]
+                heads.append((response.getheader("Connection"),
+                              response.getheader("Keep-Alive")))
+            assert heads[0] == ("keep-alive", "timeout=5, max=2")
+            assert heads[1] == ("close", None)
+            assert heads[2] == heads[0]  # the client reconnected unasked
+            assert srv.connections_accepted == 2
+        finally:
+            client.close()
+            srv.stop()
+
+    def test_stop_does_not_wait_out_an_idle_peer(self):
+        srv = start_server()
+        try:
+            with socket.create_connection(("127.0.0.1", srv.port),
+                                          timeout=5.0) as sock:
+                assert roundtrip(sock, bytearray(), "/e.html").status == 200
+                began = time.monotonic()
+                srv.stop()  # a worker is parked in recv on this socket
+                assert time.monotonic() - began < 1.0
                 assert sock.recv(1) == b""
         finally:
             srv.stop()
