@@ -224,13 +224,22 @@ class LocalDocumentGraph:
         return self._dirty_referrers(self.get(name))
 
     def _dirty_referrers(self, record: DocumentRecord) -> List[str]:
+        """Dirty every referrer, with a version bump for the clean ones.
+
+        A referrer that is dirty already keeps its version: a dirty
+        document is regenerated before any response carries its version,
+        so nobody holds the one it has, and an author who has just saved
+        the page reads it back under the version the save gave it
+        whatever migrated in between.
+        """
         dirtied: List[str] = []
         for referrer_name in sorted(record.link_from):
             referrer = self._records.get(referrer_name)
             if referrer is None:
                 continue
-            referrer.dirty = True
-            referrer.version += 1
+            if not referrer.dirty:
+                referrer.dirty = True
+                referrer.version += 1
             dirtied.append(referrer_name)
         return dirtied
 

@@ -18,24 +18,34 @@ _SEPARATORS = set('()<>@,;:\\"/[]?={} \t')
 
 
 # Header names repeat constantly (Content-Type, Content-Length, X-DCWS-*),
-# so validation results are memoized; the cache is bounded to keep a
-# hostile stream of unique names from growing it without limit.
+# so each name is validated and lower-cased once: the cache maps a name
+# to its folded key, or to "" when it is not a token.  It is bounded to
+# keep a hostile stream of unique names from growing it without limit.
 _TOKEN_CACHE: dict = {}
 _TOKEN_CACHE_LIMIT = 4096
 
 
-def _is_token(name: str) -> bool:
-    cached = _TOKEN_CACHE.get(name)
-    if cached is not None:
-        return cached
-    valid = bool(name)
+def _fold(name: str) -> str:
+    """The lower-cased lookup key of *name*; ``""`` when *name* is not a
+    token (no stored key is empty, so a lookup by it matches nothing)."""
+    folded = _TOKEN_CACHE.get(name)
+    if folded is not None:
+        return folded
+    folded = name.lower() if name else ""
     for ch in name:
         if ord(ch) < 32 or ord(ch) > 126 or ch in _SEPARATORS:
-            valid = False
+            folded = ""
             break
     if len(_TOKEN_CACHE) < _TOKEN_CACHE_LIMIT:
-        _TOKEN_CACHE[name] = valid
-    return valid
+        _TOKEN_CACHE[name] = folded
+    return folded
+
+
+def _unbroken(value: str) -> str:
+    """*value*, refused when it would break out of its header line."""
+    if "\r" in value or "\n" in value:
+        raise HTTPError(f"header value contains line break: {value!r}")
+    return value
 
 
 class Headers:
@@ -45,24 +55,34 @@ class Headers:
     >>> h.add("Content-Type", "text/html")
     >>> h.get("content-type")
     'text/html'
+
+    Each field is stored ``(folded, name, value)``: ``folded`` is the
+    lower-cased token every lookup compares, ``name`` the casing that is
+    serialized.  The invariant — ``folded`` is a valid token's folding
+    and ``value`` holds no CR or LF — is established where a field
+    enters (:meth:`add`, and the continuation arm of
+    :meth:`parse_lines`) and nowhere else, so :meth:`copy` shares the
+    tuples instead of validating them again.  :meth:`serialize_bytes`
+    keeps the latin-1 block it rendered until the next mutation, and a
+    copy starts with its original's block.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_wire")
 
     def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None) -> None:
-        self._items: List[Tuple[str, str]] = []
+        self._items: List[Tuple[str, str, str]] = []
+        self._wire: Optional[bytes] = None
         if items is not None:
             for name, value in items:
                 self.add(name, value)
 
     def add(self, name: str, value: str) -> None:
         """Append a header field, keeping any existing fields of that name."""
-        if not _is_token(name):
+        folded = _fold(name)
+        if not folded:
             raise HTTPError(f"invalid header field name: {name!r}")
-        value = str(value).strip()
-        if "\r" in value or "\n" in value:
-            raise HTTPError(f"header value contains line break: {value!r}")
-        self._items.append((name, value))
+        self._items.append((folded, name, _unbroken(str(value).strip())))
+        self._wire = None
 
     def set(self, name: str, value: str) -> None:
         """Replace every field named *name* with a single field."""
@@ -71,16 +91,16 @@ class Headers:
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """Return the first value for *name*, or *default* if absent."""
-        key = name.lower()
-        for item_name, item_value in self._items:
-            if item_name.lower() == key:
-                return item_value
+        key = _fold(name)
+        for folded, __, value in self._items:
+            if folded == key:
+                return value
         return default
 
     def get_all(self, name: str) -> List[str]:
         """Return every value for *name* in insertion order."""
-        key = name.lower()
-        return [v for n, v in self._items if n.lower() == key]
+        key = _fold(name)
+        return [value for folded, __, value in self._items if folded == key]
 
     def get_int(self, name: str, default: Optional[int] = None) -> Optional[int]:
         """Return the first value for *name* parsed as an integer.
@@ -110,20 +130,33 @@ class Headers:
 
     def remove(self, name: str) -> int:
         """Delete every field named *name*; return how many were removed."""
-        key = name.lower()
-        before = len(self._items)
-        self._items = [(n, v) for n, v in self._items if n.lower() != key]
-        return before - len(self._items)
+        key = _fold(name)
+        kept = [item for item in self._items if item[0] != key]
+        removed = len(self._items) - len(kept)
+        if removed:
+            self._items = kept
+            self._wire = None
+        return removed
 
     def items(self) -> Iterator[Tuple[str, str]]:
-        return iter(self._items)
+        return ((name, value) for __, name, value in self._items)
 
     def copy(self) -> "Headers":
-        return Headers(self._items)
+        clone = Headers()
+        clone._items = self._items.copy()
+        clone._wire = self._wire
+        return clone
 
     def serialize(self) -> str:
         """Render the fields as CRLF-terminated lines (no trailing blank)."""
-        return "".join(f"{name}: {value}\r\n" for name, value in self._items)
+        return "".join(f"{name}: {value}\r\n" for __, name, value in self._items)
+
+    def serialize_bytes(self) -> bytes:
+        """:meth:`serialize` in latin-1, rendered once per mutation."""
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = self.serialize().encode("latin-1")
+        return wire
 
     @classmethod
     def parse_lines(cls, lines: Iterable[str]) -> "Headers":
@@ -140,8 +173,9 @@ class Headers:
             if line[0] in " \t":
                 if not headers._items:
                     raise HTTPError("continuation line before any header field")
-                name, value = headers._items[-1]
-                headers._items[-1] = (name, value + " " + line.strip())
+                folded, name, value = headers._items[-1]
+                headers._items[-1] = (
+                    folded, name, _unbroken(value + " " + line.strip()))
                 continue
             name, sep, value = line.partition(":")
             if not sep:
@@ -164,9 +198,9 @@ class Headers:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Headers):
             return NotImplemented
-        mine = [(n.lower(), v) for n, v in self._items]
-        theirs = [(n.lower(), v) for n, v in other._items]
+        mine = [(folded, value) for folded, __, value in self._items]
+        theirs = [(folded, value) for folded, __, value in other._items]
         return mine == theirs
 
     def __repr__(self) -> str:
-        return f"Headers({self._items!r})"
+        return f"Headers({list(self.items())!r})"

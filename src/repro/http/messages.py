@@ -49,11 +49,13 @@ class Request:
 
     def serialize(self) -> bytes:
         """Render the request in wire form."""
-        headers = self.headers.copy()
+        headers = self.headers
         if self.body and "content-length" not in headers:
+            headers = headers.copy()
             headers.set("Content-Length", str(len(self.body)))
-        head = f"{self.method} {self.target} {self.version}\r\n{headers.serialize()}\r\n"
-        return head.encode("latin-1") + self.body
+        start = f"{self.method} {self.target} {self.version}\r\n"
+        return b"".join((start.encode("latin-1"), headers.serialize_bytes(),
+                         b"\r\n", self.body))
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,17 @@ class Response:
 
         Byte-identical prefix of :meth:`serialize`: front ends writev
         ``[serialize_head(), body]`` so the (possibly large, shared,
-        cached) body is never concatenated per request.
+        cached) body is never concatenated per request.  The field
+        block is the headers' own memoised rendering; they are copied
+        only when a ``Content-Length`` has to be synthesised.
         """
-        headers = self.headers.copy()
+        headers = self.headers
         if "content-length" not in headers:
+            headers = headers.copy()
             headers.set("Content-Length", str(self.body_length()))
-        head = f"{self.version} {self.status} {self.reason}\r\n{headers.serialize()}\r\n"
-        return head.encode("latin-1")
+        start = f"{self.version} {self.status} {self.reason}\r\n"
+        return b"".join((start.encode("latin-1"), headers.serialize_bytes(),
+                         b"\r\n"))
 
     def serialize(self) -> bytes:
         """Render the response in wire form (always with Content-Length)."""
@@ -132,11 +138,15 @@ def wants_keep_alive(version: str, headers: Headers) -> bool:
     HTTP/1.0 defaults to one-shot unless ``Connection: keep-alive``
     (the de-facto extension the 1998 prototype's era browsers spoke).
     """
-    if headers.has_token("Connection", "close"):
-        return False
-    if headers.has_token("Connection", "keep-alive"):
-        return True
-    return version == "HTTP/1.1"
+    keep = version == "HTTP/1.1"
+    for value in headers.get_all("Connection"):
+        for part in value.split(","):
+            token = part.strip().lower()
+            if token == "close":
+                return False
+            if token == "keep-alive":
+                keep = True
+    return keep
 
 
 def request_wants_keep_alive(request: Request) -> bool:
@@ -179,9 +189,15 @@ def validated_content_length(headers: Headers) -> int:
     return int(raw)
 
 
-def parse_request(data: bytes) -> Request:
-    """Parse a serialized request (head and body must be complete)."""
-    head, body = _split_head(data)
+def parse_request_head(head: str) -> Tuple[Request, int]:
+    """Parse a request head — request line and fields, the blank line
+    already cut off — into a body-less :class:`Request` and the body
+    length its ``Content-Length`` frames.
+
+    The one head parser under :func:`parse_request` and
+    :meth:`repro.http.wire.RequestParser.next_request`, so both raise
+    the same exceptions from the same bytes.
+    """
     lines = head.split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) != 3:
@@ -190,7 +206,15 @@ def parse_request(data: bytes) -> Request:
     headers = Headers.parse_lines(lines[1:])
     length = validated_content_length(headers)
     return Request(method=method, target=target, headers=headers,
-                   version=version, body=body[:length])
+                   version=version), length
+
+
+def parse_request(data: bytes) -> Request:
+    """Parse a serialized request (head and body must be complete)."""
+    head, body = _split_head(data)
+    request, length = parse_request_head(head)
+    request.body = body[:length]
+    return request
 
 
 def parse_response(data: bytes) -> Response:

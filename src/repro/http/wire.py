@@ -34,7 +34,7 @@ from repro.errors import (
     InvalidContentLength,
     RecoverableProtocolError,
 )
-from repro.http.messages import Request, parse_request, validated_content_length
+from repro.http.messages import Request, parse_request_head
 
 #: Default bound on one buffered request (head + body), matching the
 #: limit both front ends enforced historically.
@@ -111,11 +111,11 @@ class RequestParser:
                 raise HTTPError("connection closed before request completed")
             return None
         try:
-            request = parse_request(bytes(self._buffer[:head_end + 4]))
+            request, expected = parse_request_head(
+                self._buffer[:head_end].decode("latin-1"))
         except InvalidContentLength as exc:
             self._consume(head_end + 4)
             raise RecoverableProtocolError(str(exc)) from exc
-        expected = validated_content_length(request.headers)
         needed = head_end + 4 + expected
         if needed > self.max_request:
             raise HTTPError("request exceeds size limit")

@@ -11,7 +11,9 @@ serve hot path:
   through and invalidate.
 - :class:`ResponseCache` — rendered 200 responses keyed by
   ``(name, version, method)``, so a repeat hit skips the store entirely
-  and reuses the same immutable body bytes.  Version bumps (author
+  and reuses the same immutable body bytes — and, on the engine's
+  short-circuit, the header block framed for them
+  (:attr:`CachedResponse.framed`).  Version bumps (author
   updates, migration/revocation dirtying) change the key, and
   regeneration explicitly invalidates, so a stale body is never served.
 
@@ -30,9 +32,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.http.headers import Headers
 from repro.server.filestore import DocumentStore
 from repro.server.striping import shard_of
 
@@ -212,6 +215,15 @@ class CachedResponse:
     stored alongside the identity body (``None`` when compression is not
     worthwhile), so gzip negotiation on a cache hit costs a header check,
     never a compression pass.
+
+    ``framed`` is the one mutable part: the finished header block of
+    this entry's plain 200, one per ``(gzip variant, connection
+    persists)`` — four at most; HEAD is a cache entry of its own.  The
+    engine's cached-read short-circuit fills it on a flavour's first hit
+    with the headers it rendered (their serialized form included) and
+    copies it on every later one, never handing out the stored block
+    itself.  It is reachable only through this entry, so whatever
+    invalidates or evicts the entry drops its blocks with it.
     """
 
     body: bytes
@@ -225,6 +237,8 @@ class CachedResponse:
     # the document record at fill time and stamped as ``X-DCWS-Digest``
     # on full responses; "" when the record had none.
     digest: str = ""
+    framed: Dict[Tuple[bool, bool], Headers] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 class _ResponseShard:

@@ -542,8 +542,12 @@ class DCWSEngine:
         GET/HEAD of a clean, local, unreplicated, cached document —
         and they skip :meth:`handle_request`'s routing, piggyback and
         negotiation steps.  ``None`` sends the host there instead.
-        Nothing here mutates engine state; :meth:`fast_commit` books the
-        hit exactly as the slow path would have.
+        Nothing here mutates engine state but the cache entry's
+        ``framed`` memo: a flavour's first hit is rendered and framed
+        the way the slow path does it and its headers are kept on the
+        entry; every later hit gets a copy of that block around the
+        same shared body.  :meth:`fast_commit` books the hit exactly as
+        the slow path would have.
         """
         if request.method not in ("GET", "HEAD"):
             return None
@@ -572,17 +576,32 @@ class DCWSEngine:
                                          request.method)
         if cached is None:
             return None
-        response, kind = self._render_entity(request, cached)
-        if kind not in ("identity", "gzip"):
-            return None  # unreachable without Range, but stay defensive
-        response.headers.set(VERSION_HEADER, cached.version)
+        gzip = self._wants_gzip(request, cached)
+        flavour = (gzip, self._persists(request))
+        framed = cached.framed.get(flavour)
+        if framed is not None:
+            response = Response(
+                status=StatusCode.OK, headers=framed.copy(),
+                body=cached.gzip_body if gzip else cached.body)
+        else:
+            response, kind = self._render_entity(request, cached)
+            if kind not in ("identity", "gzip"):
+                return None  # unreachable without Range, but stay defensive
+            response.headers.set(VERSION_HEADER, cached.version)
+            self._frame(request, response)
+            # Render the field block now, so the kept copy — and every
+            # copy of it — carries the bytes serialize_head() joins.
+            response.headers.serialize_bytes()
+            cached.framed[flavour] = response.headers.copy()
         return _FastHit(record=record, cached=cached, response=response,
-                        kind=kind)
+                        kind="gzip" if gzip else "identity")
 
     def fast_commit(self, hit: _FastHit, request: Request,
                     now: float) -> EngineReply:
         """Book a :meth:`fast_lookup` hit, within the same hold of the
-        engine lock, counted exactly like the slow path counts it."""
+        engine lock, counted exactly like the slow path counts it.  The
+        response left :meth:`fast_lookup` framed; only the accounting
+        half of :meth:`_finish` is left to do."""
         self._clock = now
         self.stats.requests += 1
         hit.record.record_hit()
@@ -591,8 +610,7 @@ class DCWSEngine:
             self.stats.gzip_bytes_saved += \
                 hit.cached.content_length - len(hit.cached.gzip_body)
         self.stats.responses_200 += 1
-        return self._finish(request, hit.response, now,
-                            doc_name=hit.record.name)
+        return self._account(hit.response, now, doc_name=hit.record.name)
 
     # -- administrative endpoints (/~dcws/...) ---------------------------
 
@@ -867,8 +885,7 @@ class DCWSEngine:
                                                    cached.content_length))
                 response.headers.set("Content-Length", str(end - start + 1))
                 return response, "206"
-        if cached.gzip_body is not None and request.method == "GET" \
-                and accepts_gzip(request.headers):
+        if self._wants_gzip(request, cached):
             response.body = cached.gzip_body
             response.headers.set("Content-Encoding", "gzip")
             response.headers.set("Content-Length",
@@ -882,6 +899,12 @@ class DCWSEngine:
         if cached.digest:
             response.headers.set(DIGEST_HEADER, cached.digest)
         return response, "identity"
+
+    @staticmethod
+    def _wants_gzip(request: Request, cached: CachedResponse) -> bool:
+        """Does a full 200 for *request* carry the compressed variant?"""
+        return cached.gzip_body is not None and request.method == "GET" \
+            and accepts_gzip(request.headers)
 
     def _entity_response(self, request: Request,
                          cached: CachedResponse) -> Response:
@@ -1618,17 +1641,21 @@ class DCWSEngine:
         rebuild it."""
         self.integrity.quarantine(record.name, KIND_HOME, reason,
                                   record.digest, actual, now)
+        if record.is_html and record.name in self._templates \
+                and not record.dirty:
+            # The next serve regenerates from the template; the
+            # commit replaces the corrupt bytes and clears this
+            # quarantine.  Dirtied with a bump like everywhere else: a
+            # dirty document's version is one nobody was served, which
+            # is what lets a later migration event leave it alone.
+            record.dirty = True
+            record.version += 1
         self._journal("quarantine", key=record.name, copy=KIND_HOME,
                       reason=reason, expected=record.digest,
-                      actual=actual)
+                      actual=actual, version=record.version)
         self.response_cache.invalidate(record.name)
         if isinstance(self.store, CachingStore):
             self.store.cache.invalidate(record.name)
-        if record.is_html and record.name in self._templates:
-            # The next serve regenerates from the template; the
-            # commit replaces the corrupt bytes and clears this
-            # quarantine.
-            record.dirty = True
         self.log.record(now, "quarantine", key=record.name, copy=KIND_HOME,
                         reason=reason)
 
@@ -2011,7 +2038,23 @@ class DCWSEngine:
     def _finish(self, request: Request, response: Response, now: float, *,
                 doc_name: str = "", reconstructed: bool = False,
                 spliced: bool = False) -> EngineReply:
-        """Common bookkeeping for every response leaving this server."""
+        """Common bookkeeping for every response leaving this server:
+        :meth:`_frame` makes the message complete on the wire,
+        :meth:`_account` books it.  The cached-read short-circuit runs
+        the halves apart — a framed header block is kept per cache
+        entry, the accounting happens per request."""
+        self._frame(request, response)
+        return self._account(response, now, doc_name=doc_name,
+                             reconstructed=reconstructed, spliced=spliced)
+
+    def _persists(self, request: Request) -> bool:
+        """Will the response to *request* offer to keep the connection?"""
+        return self.config.keep_alive and request_wants_keep_alive(request)
+
+    def _frame(self, request: Request, response: Response) -> None:
+        """Piggyback, ``Content-Length``, HEAD body strip and the
+        connection headers — what depends on the request, not on when
+        it arrived."""
         sender = extract_sender(request.headers)
         if sender:
             # Peer transfer: piggyback our current table on the response.
@@ -2033,7 +2076,7 @@ class DCWSEngine:
             # must not put body bytes on the wire, or a keep-alive peer
             # reading by the head alone finds the channel dirty.
             response.body = b""
-        if self.config.keep_alive and request_wants_keep_alive(request):
+        if self._persists(request):
             response.headers.set("Connection", "keep-alive")
             response.headers.set(
                 "Keep-Alive",
@@ -2041,6 +2084,11 @@ class DCWSEngine:
                 f"max={self.config.keep_alive_max_requests}")
         else:
             response.headers.set("Connection", "close")
+
+    def _account(self, response: Response, now: float, *,
+                 doc_name: str = "", reconstructed: bool = False,
+                 spliced: bool = False) -> EngineReply:
+        """Count a framed response into the load metrics and wrap it."""
         body_bytes = response.body_length()
         self.metrics.record_connection(now, body_bytes + RESPONSE_HEAD_OVERHEAD)
         self.stats.bytes_sent += body_bytes

@@ -477,6 +477,10 @@ def apply_record(engine: DCWSEngine, record: JournalRecord) -> None:
             # Never regenerate from a template built out of the corrupt
             # disk bytes at initialize time.
             engine._templates.pop(key, None)
+            document = engine.graph.find(key)
+            if document is not None:
+                document.version = max(document.version,
+                                       int(fields.get("version", 0)))
         engine.response_cache.invalidate(key)
         return
     if record.kind == "quarantine_cleared":

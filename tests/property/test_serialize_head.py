@@ -57,3 +57,57 @@ def test_serialize_head_is_idempotent(response):
     # First call may synthesize Content-Length into the header map;
     # the second call must produce the identical bytes.
     assert response.serialize_head() == response.serialize_head()
+
+
+# -- the field block is memoised: no stale bytes, no shared state -------
+
+_mutation = st.one_of(
+    st.tuples(st.just("add"), _token.map(str.title), _value),
+    st.tuples(st.just("set"), _token.map(str.title), _value),
+    st.tuples(st.just("set"), st.just("Connection"),
+              st.sampled_from(["close", "keep-alive"])),
+    st.tuples(st.just("remove"), _token.map(str.title)),
+    st.tuples(st.just("remove"), st.sampled_from(["Content-Length",
+                                                  "content-length"])),
+)
+
+
+def rebuilt(response):
+    """*response* built again from nothing but its visible fields."""
+    return Response(status=response.status,
+                    headers=Headers(response.headers.items()),
+                    body=response.body, version=response.version)
+
+
+def mutate(headers, mutation):
+    kind, *args = mutation
+    getattr(headers, kind)(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(responses(), st.lists(_mutation, max_size=5))
+def test_serialize_mutate_serialize_equals_a_fresh_response(response,
+                                                            mutations):
+    assert response.serialize_head() == rebuilt(response).serialize_head()
+    for mutation in mutations:
+        mutate(response.headers, mutation)
+        assert response.serialize_head() == \
+            rebuilt(response).serialize_head(), mutation
+    assert response.serialize_head() + response.body == response.serialize()
+
+
+@settings(max_examples=200, deadline=None)
+@given(responses(), st.lists(st.tuples(st.booleans(), _mutation),
+                             max_size=5))
+def test_a_copy_serializes_like_its_original_until_one_changes(response,
+                                                               steps):
+    response.serialize_head()       # the copy starts with a warm block
+    twin = Response(status=response.status, headers=response.headers.copy(),
+                    body=response.body, version=response.version)
+    assert twin.serialize_head() == response.serialize_head()
+    for on_twin, mutation in steps:
+        changed, kept = (twin, response) if on_twin else (response, twin)
+        before = kept.serialize_head()
+        mutate(changed.headers, mutation)
+        assert kept.serialize_head() == before, mutation
+        assert changed.serialize_head() == rebuilt(changed).serialize_head()

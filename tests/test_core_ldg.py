@@ -105,6 +105,19 @@ class TestMigration:
         assert graph.get("/D").location == HOME
         assert "/B" in dirtied and graph.get("/B").dirty
 
+    def test_a_dirty_referrer_keeps_its_version(self):
+        # Nobody has been served a dirty document's version, so a second
+        # event before it regenerates needs no second bump; a clean one
+        # (regenerated, so possibly served) is bumped again.
+        graph = small_graph()
+        assert graph.mark_migrated("/D", COOP) == ["/B", "/E"]
+        assert graph.get("/B").version == 1
+        assert graph.mark_migrated("/E", COOP) == ["/B"]
+        assert graph.get("/B").dirty and graph.get("/B").version == 1
+        graph.get("/B").dirty = False    # regenerated and served
+        assert graph.mark_revoked("/E") == ["/B"]
+        assert graph.get("/B").dirty and graph.get("/B").version == 2
+
     def test_revoking_unmigrated_rejected(self):
         with pytest.raises(MigrationError):
             small_graph().mark_revoked("/D")

@@ -93,3 +93,74 @@ class TestCannedResponses:
         assert b"Service Unavailable" in response.body
         assert b"overload" in response.body
         assert not response.ok
+
+
+# -- one head parser under both entry points ----------------------------
+
+def _framing_corpus():
+    from tests.integration.test_framing_corpus import CORPUS, PIPELINED_GET
+
+    hostile = [(entry.id, entry.values[0]) for entry in CORPUS]
+    return hostile + [(f"{name}+pipelined", raw + PIPELINED_GET)
+                      for name, raw in hostile]
+
+
+AGREEMENT_CASES = _framing_corpus() + [
+    ("plain-get", b"GET /a.html HTTP/1.1\r\nHost: h\r\n\r\n"),
+    ("post-with-body", b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"),
+    ("repeated-equal-lengths", b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n"
+                               b"content-length: 2\r\n\r\nok"),
+    ("folded-header", b"GET /a HTTP/1.0\r\nX-A: one\r\n\ttwo\r\n\r\n"),
+    ("orphan-continuation", b"GET /a HTTP/1.0\r\n folded\r\n\r\n"),
+    ("no-colon", b"GET /a HTTP/1.0\r\nnot a header\r\n\r\n"),
+    ("bad-field-name", b"GET /a HTTP/1.0\r\nBad(Name): 1\r\n\r\n"),
+    ("bare-cr-in-value", b"GET /a HTTP/1.0\r\nX-A: one\rtwo\r\n\r\n"),
+    ("unknown-method", b"BREW /pot HTTP/1.1\r\n\r\n"),
+    ("unknown-version", b"GET /a HTTP/2.0\r\n\r\n"),
+    ("absolute-target", b"GET http://h/a HTTP/1.1\r\n\r\n"),
+    ("four-part-request-line", b"GET /a b HTTP/1.1\r\n\r\n"),
+]
+
+
+def _parsed(parse):
+    """A request as comparable fields, or the type of exception the
+    parse raised (the incremental parser's recoverable wrapper counts
+    as the error it wraps)."""
+    from repro.errors import RecoverableProtocolError
+
+    try:
+        request = parse()
+    except RecoverableProtocolError as exc:
+        return type(exc.__cause__)
+    except HTTPError as exc:
+        return type(exc)
+    return (request.method, request.target, request.version,
+            list(request.headers.items()), request.body)
+
+
+@pytest.mark.parametrize("raw", [pytest.param(raw, id=name)
+                                 for name, raw in AGREEMENT_CASES])
+def test_parse_request_and_request_parser_agree(raw):
+    from repro.http.wire import RequestParser
+
+    def incremental():
+        parser = RequestParser()
+        parser.feed(raw)
+        parser.feed_eof()
+        return parser.next_request()
+
+    whole = _parsed(lambda: parse_request(raw))
+    assert _parsed(incremental) == whole
+    # And fed a byte at a time, which walks the head-scan cache.
+    dribbled = RequestParser()
+
+    def byte_by_byte():
+        for index in range(len(raw)):
+            dribbled.feed(raw[index:index + 1])
+            request = dribbled.next_request()
+            if request is not None:
+                return request
+        dribbled.feed_eof()
+        return dribbled.next_request()
+
+    assert _parsed(byte_by_byte) == whole

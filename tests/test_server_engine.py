@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.http.content import digest_matches
 from repro.http.messages import Request
 from repro.http.piggyback import LoadReport, extract_load_reports
 from repro.server.engine import (
@@ -433,6 +434,30 @@ class TestContentAdministration:
         assert record.version == 1
         assert record.link_to == {"/i.gif"}
         assert record.dirty
+
+    def test_author_reads_back_the_version_the_update_gave(self):
+        # A link target migrating (or coming home) between the save and
+        # the first read dirties the page again; it is still the version
+        # nobody has seen, so the read carries it — with the marker, the
+        # rewritten link and a digest of exactly those bytes.
+        engine = make_engine()
+        get(engine, "/d.html")                  # clean, cached, served
+        engine.update_document(
+            "/d.html", b'<html><a href="e.html">E</a><!-- rev 1 --></html>')
+        saved = engine.graph.get("/d.html").version
+        engine.policy.force_migrate("/e.html", COOP, now=1.5)
+        engine.policy.revoke("/e.html")
+        engine.policy.force_migrate("/e.html", COOP, now=1.7)
+        reply = get(engine, "/d.html", now=2.0)
+        assert reply.response.headers.get("X-DCWS-Version") == str(saved)
+        assert b"<!-- rev 1 -->" in reply.response.body
+        assert b"http://coop:8002/~migrate/home/8001/e.html" in \
+            reply.response.body
+        assert digest_matches(reply.response.body,
+                              reply.response.headers.get("X-DCWS-Digest"))
+        # Served now, so the next event is a new version again.
+        engine.policy.revoke("/e.html")
+        assert engine.graph.get("/d.html").version == saved + 1
 
     def test_update_unknown_document_raises(self):
         from repro.errors import DocumentNotFound

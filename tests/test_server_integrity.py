@@ -207,13 +207,20 @@ class TestScrubHome:
 
     def test_quarantined_html_regenerates_from_template(self):
         engine = make_engine(scrub_interval=1.0, scrub_budget=16)
+        version = engine.graph.get("/d.html").version
         corrupt_store(engine, "/d.html")
         engine.tick(2.0)
         assert engine.integrity.is_quarantined("/d.html")
+        # Armed for regeneration the way every other event arms it: dirty
+        # under a version nobody has been served.
+        assert engine.graph.get("/d.html").dirty
+        assert engine.graph.get("/d.html").version == version + 1
         # The in-memory link template is the pre-corruption canonical
         # source: the next serve regenerates, replacing the bad bytes.
         reply = get(engine, "/d.html", now=2.1)
         assert reply.response.status == 200
+        assert reply.response.headers.get("X-DCWS-Version") == \
+            str(version + 1)
         assert digest_matches(reply.response.body,
                               engine.graph.get("/d.html").digest)
         assert not engine.integrity.is_quarantined("/d.html")
@@ -409,6 +416,8 @@ class TestDurability:
             apply_record(replayed, record)
             apply_record(replayed, record)     # idempotent
         assert not replayed.integrity.active()
+        assert replayed.graph.get("/d.html").version == \
+            engine.graph.get("/d.html").version == 1
 
         # Replaying only the prefix up to the quarantine leaves the
         # document quarantined — and, because the on-disk bytes may be
@@ -419,6 +428,7 @@ class TestDurability:
             if record.kind == "quarantine":
                 break
         assert partial.integrity.is_quarantined("/d.html")
+        assert partial.graph.get("/d.html").version == 1
         assert get(partial, "/d.html", 9.0).response.status == 503
         assert not check_engine(partial)
 
