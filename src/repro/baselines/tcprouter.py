@@ -105,10 +105,9 @@ class TCPRouterCluster:
         cached = self._parse_cache.get(body)
         if cached is not None:
             return cached
-        document = parse_html(body.decode("latin-1", "replace"))
-        links = [l.value for l in extract_links(document) if not l.embedded]
-        images = [l.value for l in extract_links(document) if l.embedded]
-        result = (links, images)
+        found = extract_links(parse_html(body.decode("latin-1", "replace")))
+        result = ([l.value for l in found if not l.embedded],
+                  [l.value for l in found if l.embedded])
         self._parse_cache[body] = result
         return result
 

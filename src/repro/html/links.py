@@ -9,10 +9,10 @@ frame pages via ``<frame src>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from repro.html.parser import Document, Element
+from repro.html.serializer import walk_html
 
 # (tag name -> attribute holding the reference).  Covers every reference
 # kind the DCWS prototype migrates or follows.
@@ -38,14 +38,14 @@ _IGNORED_SCHEMES: Tuple[str, ...] = ("mailto:", "ftp:", "news:", "javascript:",
                                      "gopher:", "telnet:", "https:")
 
 
-@dataclass(frozen=True)
-class LinkRef:
+class LinkRef(NamedTuple):
     """One outgoing reference found in a document.
 
     ``embedded`` distinguishes automatically-fetched resources (images,
     frames) from navigational hyperlinks; the custom client benchmark
     (Algorithm 2) fetches embedded references in parallel and navigates
-    only hyperlinks.
+    only hyperlinks.  (A NamedTuple, like ``LinkSpan``: every page a
+    server, walker or checker parses builds one per link.)
     """
 
     tag: str
@@ -76,18 +76,10 @@ def extract_links(document: Document) -> List[LinkRef]:
     >>> [(l.tag, l.value, l.embedded) for l in extract_links(doc)]
     [('a', 'b.html', False), ('img', 'i.gif', True)]
     """
-    links: List[LinkRef] = []
-    for element in document.iter_elements():
-        attribute = HREF_ATTRIBUTES.get(element.name)
-        if attribute is None:
-            continue
-        value = element.get_attr(attribute)
-        if value is None or not is_followable(value):
-            continue
-        links.append(LinkRef(tag=element.name, attribute=attribute,
-                             value=value.strip(),
-                             embedded=element.name in EMBEDDED_TAGS))
-    return links
+    return [LinkRef(tag, attribute, value.strip(), tag in EMBEDDED_TAGS)
+            for _, value, tag, attribute, first
+            in walk_html(document, HREF_ATTRIBUTES)[1]
+            if first and is_followable(value)]
 
 
 def link_elements(document: Document) -> List[Element]:

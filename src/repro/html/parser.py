@@ -131,35 +131,30 @@ def parse_html(source: str) -> Document:
     # Stack of open elements; index 0 is a virtual root.
     stack: List[List[Node]] = [document.children]
     open_names: List[str] = []
-
-    def append(node: Node) -> None:
-        stack[-1].append(node)
-
     for token in iter_tokens(source):
-        if isinstance(token, TextToken):
-            append(Text(token.data))
-        elif isinstance(token, Comment):
-            append(CommentNode(token.data))
-        elif isinstance(token, Doctype):
-            append(DoctypeNode(token.data))
-        elif isinstance(token, StartTag):
-            if token.name in _SELF_NESTING_CLOSERS and open_names \
-                    and open_names[-1] == token.name:
+        kind = type(token)
+        if kind is StartTag:
+            name = token.name
+            if name in _SELF_NESTING_CLOSERS and open_names \
+                    and open_names[-1] == name:
                 stack.pop()
                 open_names.pop()
-            element = Element(tag=token)
-            append(element)
-            if token.name not in VOID_ELEMENTS and not token.self_closing:
+            nests = name not in VOID_ELEMENTS and not token.self_closing
+            element = Element(token, [], nests)
+            stack[-1].append(element)
+            if nests:
                 stack.append(element.children)
-                open_names.append(token.name)
-            else:
-                element.explicit_end = False
-        elif isinstance(token, EndTag):
+                open_names.append(name)
+        elif kind is TextToken:
+            stack[-1].append(Text(token.data))
+        elif kind is EndTag:
             if token.name not in open_names:
                 continue  # stray end tag: drop
-            while open_names and open_names[-1] != token.name:
+            while open_names.pop() != token.name:
                 stack.pop()
-                open_names.pop()
             stack.pop()
-            open_names.pop()
+        elif kind is Comment:
+            stack[-1].append(CommentNode(token.data))
+        else:
+            stack[-1].append(DoctypeNode(token.data))
     return document

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.html.links import HREF_ATTRIBUTES, is_followable
+from repro.html.links import HREF_ATTRIBUTES, link_elements
 from repro.html.parser import Document
 
 RewriteFn = Callable[[str], Optional[str]]
@@ -35,13 +35,9 @@ def rewrite_links(document: Document, rewrite: RewriteFn) -> int:
     '<a href="http://coop:81/~migrate/home/80/d.html">D</a>'
     """
     changed = 0
-    for element in document.iter_elements():
-        attribute = HREF_ATTRIBUTES.get(element.name)
-        if attribute is None:
-            continue
+    for element in link_elements(document):
+        attribute = HREF_ATTRIBUTES[element.name]
         value = element.get_attr(attribute)
-        if value is None or not is_followable(value):
-            continue
         replacement = rewrite(value.strip())
         if replacement is not None and replacement != value:
             element.set_attr(attribute, replacement)
@@ -51,15 +47,7 @@ def rewrite_links(document: Document, rewrite: RewriteFn) -> int:
 
 def count_rewritable_links(document: Document) -> int:
     """How many references :func:`rewrite_links` would visit."""
-    count = 0
-    for element in document.iter_elements():
-        attribute = HREF_ATTRIBUTES.get(element.name)
-        if attribute is None:
-            continue
-        value = element.get_attr(attribute)
-        if value is not None and is_followable(value):
-            count += 1
-    return count
+    return len(link_elements(document))
 
 
 def rewrite_html(source: str, rewrite: RewriteFn) -> str:

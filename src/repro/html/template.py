@@ -10,25 +10,31 @@ followable href/src attribute value.  Regeneration then becomes a splice
 — copy the unchanged stretches, drop in the replacement URLs — which is
 orders of magnitude cheaper than the full round trip.
 
-Correctness by construction: the template is built by the real serializer
-(:func:`repro.html.serializer.serialize_html` with a capture hook), so the
-template source and the span offsets come from the same code path that the
-full parse-tree rewriter would use.  :meth:`LinkTemplate.splice` therefore
+Correctness by construction: the template comes out of the serializer's
+own walk (:func:`repro.html.serializer.walk_html`), so the template source
+and the span offsets come from the same pass that the full parse-tree
+rewriter would serialize with.  :meth:`LinkTemplate.splice` therefore
 produces byte-identical output to ``serialize_html`` after
 :func:`repro.html.rewriter.rewrite_links` on the same tree — the property
 tests assert exactly that.  Splicing also returns a *new* template for the
 regenerated source, so successive reconstructions keep using the fast
 path without ever re-parsing.
+
+:func:`index_document` is what a server calls on a page it has just
+parsed: the same walk also yields the page's followable link values —
+what :func:`repro.html.links.extract_links` reports — so the local
+document graph's edges and the template cost one pass between them.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Set, Tuple
+from itertools import accumulate
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.html.links import HREF_ATTRIBUTES, is_followable
-from repro.html.parser import Document, Element
+from repro.html.parser import Document
 from repro.html.rewriter import RewriteFn
-from repro.html.serializer import serialize_html
+from repro.html.serializer import walk_html
 from repro.html.tokenizer import escape_attribute
 
 
@@ -117,27 +123,28 @@ class LinkTemplate:
         return output, LinkTemplate(output, new_spans)
 
 
-def build_link_template(document: Document) -> LinkTemplate:
-    """Serialize *document* and capture the spans of its followable links.
+def index_document(document: Document) -> Tuple[LinkTemplate, List[str]]:
+    """Serialize *document* once; return its link template and the values
+    of its followable links (stripped, document order).
 
-    Only the attribute occurrence that ``Element.get_attr`` would return —
-    the first with the matching name — becomes a span, so splicing touches
-    exactly the values ``rewrite_links`` would touch.
+    Per element, the first valued occurrence of its reference attribute
+    becomes a span; it is also a link when it is the occurrence
+    ``Element.get_attr`` returns, so splicing touches the values
+    ``rewrite_links`` would touch.
     """
+    pieces, references = walk_html(document, HREF_ATTRIBUTES)
+    ends = list(accumulate(map(len, pieces)))
     spans: List[LinkSpan] = []
-    seen: Set[Tuple[int, str]] = set()
+    links: List[str] = []
+    for piece, value, tag, attribute, first in references:
+        if is_followable(value):
+            spans.append(LinkSpan(ends[piece - 1], ends[piece], value,
+                                  tag, attribute))
+            if first:
+                links.append(value.strip())
+    return LinkTemplate("".join(pieces), spans), links
 
-    def capture(element: Element, index: int, name: str, value: str,
-                start: int, end: int) -> None:
-        if HREF_ATTRIBUTES.get(element.name) != name:
-            return
-        key = (id(element), name)
-        if key in seen:
-            return
-        seen.add(key)
-        if not is_followable(value):
-            return
-        spans.append(LinkSpan(start, end, value, element.name, name))
 
-    source = serialize_html(document, capture=capture)
-    return LinkTemplate(source, spans)
+def build_link_template(document: Document) -> LinkTemplate:
+    """The template half of :func:`index_document`."""
+    return index_document(document)[0]

@@ -6,6 +6,17 @@ tokenizer never raises on malformed markup — real 1998-era pages contain
 unquoted attributes, missing quotes, bare ampersands and stray ``<`` — it
 instead degrades gracefully by treating unparseable ``<`` as literal text,
 the same recovery strategy browsers of the period used.
+
+Two layers produce one token stream.  :func:`iter_tokens` finds text runs
+with ``str.find`` and matches each well-formed construct — a start tag
+whose attributes are whitespace-separated and bare, quoted or unquoted; a
+terminated end tag, comment or doctype — with one compiled pattern.
+Whatever a pattern declines (a value with no closing quote, ``"x"c="y"``,
+``<a/ b>``, ``</>``, markup cut off by end of input) is handed, from the
+same ``<``, to the character scanner below, which is the definition of
+the stream: the patterns accept only input on which both agree
+(``tests/property/test_html_index_model.py`` holds the scanner-only
+tokenizer as the reference).
 """
 
 from __future__ import annotations
@@ -24,16 +35,33 @@ VOID_ELEMENTS = frozenset({
 RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CHARS = _NAME_START | set("0123456789-_:.")
-_SPACE = set(" \t\r\n\f")
 
-# Precompiled fast paths for the scanner's inner loops.  Each regex
-# matches exactly the character class of the set it replaces, so the
-# token stream is byte-identical to the char-by-char scan (guarded by
-# the round-trip property tests).
-_SPACE_RE = re.compile(r"[ \t\r\n\f]+")
-_NAME_RE = re.compile(r"[a-zA-Z0-9\-_:.]+")
-_UNQUOTED_VALUE_RE = re.compile(r"[^ \t\r\n\f>]+")
+# The scanner's character classes.
+_WS = r"[ \t\r\n\f]"
+_NAME = r"[a-zA-Z0-9\-_:.]"
+_UNQUOTED = r"[^ \t\r\n\f>]"
+_SPACE_RE = re.compile(_WS + "+")
+_NAME_RE = re.compile(_NAME + "+")
+_UNQUOTED_VALUE_RE = re.compile(_UNQUOTED + "+")
+
+# One pattern per well-formed construct.  An attribute needs whitespace
+# before it (so a name has one reading and a failed match backtracks in
+# linear time) and a value is quoted-and-closed or starts with neither
+# quote; anything else fails the match and goes to the scanner.  The
+# attribute grammar is compiled twice from one text: with its groups
+# non-capturing inside the start tag, which takes the whole list as
+# group 2, and with them capturing for ``findall`` over that list —
+# (name, "=" or "", then the value in the group its quoting selects).
+_ATTRIBUTE = (rf"{_WS}+(%s{_NAME}+)(?:{_WS}*(%s=){_WS}*"
+              rf"""(?:"(%s[^"]*)"|'(%s[^']*)'|(%s(?!["']){_UNQUOTED}+)))?""")
+_START_TAG_RE = re.compile(
+    rf"<([a-zA-Z]{_NAME}*)((?:{_ATTRIBUTE % (('?:',) * 5)})*){_WS}*(/?)>")
+_ATTRIBUTE_RE = re.compile(_ATTRIBUTE % (("",) * 5))
+# A terminated end tag (group 1), comment (2) or doctype (3).
+_CLOSED_MARKUP_RE = re.compile(
+    rf"</({_NAME}+)[^>]*>|<!--(.*?)-->|<!(?!--)([^>]*)>", re.DOTALL)
+_RAW_TEXT_END = {name: re.compile("</" + name, re.IGNORECASE | re.ASCII)
+                 for name in RAW_TEXT_ELEMENTS}
 
 
 @dataclass
@@ -145,45 +173,53 @@ TextToken(data='go'), EndTag(name='a')]
 
 def iter_tokens(source: str) -> Iterator[Token]:
     """Yield tokens lazily; see :func:`tokenize_html`."""
-    scanner = _Scanner(source)
-    raw_until: Optional[str] = None  # inside <script>/<style>: name to close on
-    while not scanner.eof():
-        if raw_until is not None:
-            token = _scan_raw_text(scanner, raw_until)
-            raw_until = None
-            if token is not None:
-                yield token
-            continue
-        if scanner.peek() != "<":
-            text = scanner.take_until("<")
-            if text:
-                yield TextToken(text)
-            continue
-        token = _scan_markup(scanner)
-        if token is None:
-            continue
+    scanner = _Scanner(source)  # recovery cursor, parked until a pattern declines
+    find = source.find
+    pos, length = 0, len(source)
+    while pos < length:
+        start = find("<", pos)
+        if start != pos:
+            if start < 0:
+                yield TextToken(source[pos:])
+                return
+            yield TextToken(source[pos:start])
+        match = _START_TAG_RE.match(source, start)
+        if match is not None:
+            name, attributes, slash = match.groups()
+            attrs: List[Tuple[str, Optional[str]]] = [
+                (key.lower(), (double or single or bare) if equals else None)
+                for key, equals, double, single, bare
+                in _ATTRIBUTE_RE.findall(attributes)] if attributes else []
+            if "&" in attributes:
+                attrs = [(key, value and unescape_entities(value))
+                         for key, value in attrs]
+            token: Token = StartTag(name.lower(), attrs, slash == "/")
+            pos = match.end()
+        else:
+            match = _CLOSED_MARKUP_RE.match(source, start)
+            if match is None:
+                scanner.pos = start
+                token = _scan_markup(scanner)
+                pos = scanner.pos
+            else:
+                end_tag, comment, doctype = match.groups()
+                token = EndTag(end_tag.lower()) if end_tag is not None \
+                    else Doctype(doctype) if comment is None \
+                    else Comment(comment)
+                pos = match.end()
         yield token
-        if isinstance(token, StartTag) and token.name in RAW_TEXT_ELEMENTS \
+        if type(token) is StartTag and token.name in RAW_TEXT_ELEMENTS \
                 and not token.self_closing:
-            raw_until = token.name
+            # Raw content runs to ``</name`` in any letter case; the
+            # end tag itself is the next ordinary token.
+            closer = _RAW_TEXT_END[token.name].search(source, pos)
+            end = closer.start() if closer is not None else length
+            if end > pos:
+                yield TextToken(source[pos:end])
+            pos = end
 
 
-def _scan_raw_text(scanner: _Scanner, name: str) -> Optional[Token]:
-    """Consume raw content up to ``</name``; yields the text then lets the
-    normal path consume the end tag."""
-    closer = f"</{name}"
-    lower = scanner.text.lower()
-    index = lower.find(closer, scanner.pos)
-    if index < 0:
-        data = scanner.text[scanner.pos:]
-        scanner.pos = scanner.length
-    else:
-        data = scanner.text[scanner.pos:index]
-        scanner.pos = index
-    return TextToken(data) if data else None
-
-
-def _scan_markup(scanner: _Scanner) -> Optional[Token]:
+def _scan_markup(scanner: _Scanner) -> Token:
     start = scanner.pos
     scanner.advance()  # consume '<'
     ch = scanner.peek()
@@ -198,7 +234,7 @@ def _scan_markup(scanner: _Scanner) -> Optional[Token]:
     return TextToken("<")
 
 
-def _scan_declaration(scanner: _Scanner) -> Optional[Token]:
+def _scan_declaration(scanner: _Scanner) -> Token:
     scanner.advance()  # consume '!'
     if scanner.text.startswith("--", scanner.pos):
         scanner.pos += 2

@@ -174,8 +174,11 @@ class Headers:
                 if not headers._items:
                     raise HTTPError("continuation line before any header field")
                 folded, name, value = headers._items[-1]
+                # Stripped like every value ``add`` stores: a blank fold
+                # must not leave outer whitespace for ``copy`` to share.
                 headers._items[-1] = (
-                    folded, name, _unbroken(value + " " + line.strip()))
+                    folded, name,
+                    _unbroken((value + " " + line.strip()).strip()))
                 continue
             name, sep, value = line.partition(":")
             if not sep:

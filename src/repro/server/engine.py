@@ -79,11 +79,10 @@ from repro.http.content import (
     not_modified,
     parse_range,
 )
-from repro.html.links import extract_links
 from repro.html.parser import parse_html
 from repro.html.rewriter import rewrite_links
 from repro.html.serializer import serialize_html
-from repro.html.template import LinkTemplate, build_link_template
+from repro.html.template import LinkTemplate, index_document
 from repro.http.headers import Headers
 from repro.http.messages import (
     FileBody,
@@ -103,7 +102,13 @@ from repro.http.cookies import (
     build_set_cookie,
     parse_cookie_header,
 )
-from repro.http.urls import URL, join_url, normalize_path, strip_fragment
+from repro.http.urls import (
+    DEFAULT_HTTP_PORT,
+    URL,
+    join_url,
+    normalize_path,
+    strip_fragment,
+)
 from repro.server.admin import ADMIN_PREFIX, HEALTH_PATH
 from repro.server.cache import CachedResponse, CachingStore, ResponseCache
 from repro.server.entrygate import COOKIE_NAME, EntryGate
@@ -273,6 +278,11 @@ class DCWSEngine:
                  entry_points: Iterable[str] = (),
                  peers: Iterable[Location] = ()) -> None:
         self.location = location
+        # ``http://host[:port]`` as ``URL`` prints it (a home URL is this
+        # plus the document name), spelled out because a unit-test engine
+        # on port 0 has no valid URL.
+        self._home_prefix = f"http://{location.host.lower()}" + (
+            "" if location.port == DEFAULT_HTTP_PORT else f":{location.port}")
         self.config = config
         # Byte cache (DistCache-style) in front of disk-backed stores;
         # memory stores are already memory-resident, and a store the
@@ -458,15 +468,15 @@ class DCWSEngine:
         self._initialized = True
 
     def _index_html(self, base_name: str, data: bytes) -> List[str]:
-        """One parse, two products: the document's link names for the LDG
-        and a fresh link template for splice reconstruction."""
-        document = parse_html(data.decode("latin-1"))
+        """One parse and one walk, two products: the document's link names
+        for the LDG and a fresh link template for splice reconstruction."""
+        template, links = index_document(parse_html(data.decode("latin-1")))
         if self.config.link_templates:
-            self._templates[base_name] = build_link_template(document)
+            self._templates[base_name] = template
             self.stats.template_builds += 1
         names: List[str] = []
-        for link in extract_links(document):
-            resolved = self._resolve_to_name(base_name, link.value)
+        for value in links:
+            resolved = self._resolve_to_name(base_name, value)
             if resolved is not None:
                 names.append(resolved)
         return names
@@ -478,6 +488,16 @@ class DCWSEngine:
         previously rewritten into migrated form pointing back at us.
         Returns ``None`` for off-site references.
         """
+        # Nearly every link has one of two shapes: a root-relative path,
+        # or this server's own absolute URL as ``_rewrite_value`` writes
+        # it.  When the path needs no normalising it is the name.
+        path = raw[len(self._home_prefix):] \
+            if raw.startswith(self._home_prefix) else raw
+        if path.startswith("/") and not path[-1].isspace() \
+                and "/." not in path and "//" not in path \
+                and "?" not in path and "#" not in path \
+                and not is_migrated_path(path):
+            return path
         raw = strip_fragment(raw).strip()
         if not raw:
             return None
@@ -493,9 +513,7 @@ class DCWSEngine:
             except NamingError:
                 return None
             return original if home == self.location else None
-        if resolved.host == self.location.host and resolved.port == self.location.port:
-            return path
-        return None
+        return path if resolved.same_server(base) else None
 
     # ------------------------------------------------------------------
     # Request handling
@@ -1288,7 +1306,7 @@ class DCWSEngine:
                 source = self.store.get(record.name).decode("latin-1")
             except DocumentNotFound:
                 return None
-            template = build_link_template(parse_html(source))
+            template = index_document(parse_html(source))[0]
             self._templates[record.name] = template
             self.stats.template_builds += 1
         return template
@@ -1327,10 +1345,10 @@ class DCWSEngine:
         if record is None:
             return None
         if record.location == self.location and not record.replicas:
-            return str(home_url(self.location, name))
+            return self._home_prefix + name
         target = self._pick_location(record, salt=base_name)
         if target == self.location:
-            return str(home_url(self.location, name))
+            return self._home_prefix + name
         return str(migrated_url(target, self.location, name))
 
     # ------------------------------------------------------------------
@@ -1928,18 +1946,18 @@ class DCWSEngine:
         refresh its outgoing edges.  Co-op copies catch up at their next
         validation."""
         record = self.graph.get(name)
+        digest = body_digest(data)
         # Journal before the byte write: replay bumps the version even
         # if the crash ate the bytes, so co-ops revalidate instead of
         # holding a stale copy that compares equal by version.
         self._journal("content_update", name=name,
                       version=record.version + 1, size=len(data),
-                      dirty=record.is_html,
-                      digest=body_digest(data))
+                      dirty=record.is_html, digest=digest)
         self.store.put(name, data)
         self.response_cache.invalidate(name)
         record.size = len(data)
         record.version += 1
-        record.digest = body_digest(data)
+        record.digest = digest
         if record.is_html:
             self.stats.parses += 1
             self.graph.set_links(name, self._index_html(name, data))

@@ -104,9 +104,9 @@ class CostModel:
     # into the document's canonical bytes without re-parsing, so a dirty
     # document costs a memory copy instead of the full 20 ms round trip.
     # Calibrated from two BENCHMARK.json layer metrics,
-    # html.template.splice_us against html.parser.index_us (68 vs
-    # 1,056 us on browse_mix pages; ablations toggle
-    # ServerConfig.link_templates to compare).
+    # html.template.splice_us against html.parser.index_us (80 vs
+    # 608 us on browse_mix pages, 318 vs 1,993 us on SBLog's; ablations
+    # toggle ServerConfig.link_templates to compare).
     splice_cpu: float = 0.002
 
     # Network.

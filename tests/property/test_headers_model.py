@@ -101,7 +101,12 @@ class ReferenceHeaders:
                 if not headers._items:
                     raise HTTPError("continuation line before any header field")
                 name, value = headers._items[-1]
-                headers._items[-1] = (name, value + " " + line.strip())
+                # The one line that is not verbatim: 4d42ce6 kept the
+                # outer blank a whitespace-only fold leaves ("5 ", " x")
+                # until the next copy() re-added and stripped it; both
+                # sides now strip at the fold.
+                headers._items[-1] = (
+                    name, (value + " " + line.strip()).strip())
                 continue
             name, sep, value = line.partition(":")
             if not sep:
