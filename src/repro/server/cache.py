@@ -17,6 +17,11 @@ serve hot path:
   updates, migration/revocation dirtying) change the key, and
   regeneration explicitly invalidates, so a stale body is never served.
 
+:class:`Rendition` is the record beside them that is *not* a cache: what
+a home document's ``(version, digest)`` determines — validators, framed
+304 blocks, the gzip variant — kept by the engine per document, so an
+eviction above never costs a second deflate pass.
+
 Both caches keep their own locking, and the counters feed the admin
 endpoint and benchmarks.  With ``stripes > 1`` the lock and the LRU
 structure are partitioned by ``shard_of(name, stripes)`` and capacity is
@@ -239,6 +244,35 @@ class CachedResponse:
     digest: str = ""
     framed: Dict[Tuple[bool, bool], Headers] = field(
         default_factory=dict, compare=False, repr=False)
+
+
+@dataclass
+class Rendition:
+    """What one home document's ``(version, digest)`` stamp determines.
+
+    The engine keeps one per home document, beside its link template,
+    and *replaces* it when the record's version or digest moves — no
+    field here is ever corrected in place, so nothing derived from an
+    older stamp can survive it.  ``etag``/``last_modified`` are set at
+    construction.  The other two fill lazily and only ever from
+    ``None``/absent to their one value: ``gzip_body`` is the variant of
+    the bytes that hash to ``digest``, made by the first GET cache fill
+    from bytes it has hashed to that digest (a later fill may pair it
+    only with bytes it has hashed the same way); ``not_modified`` holds
+    the framed 304 header block per "connection persists" flavour.
+
+    Unlike :class:`CachedResponse` this is not inside any cache's
+    budget: it is O(home documents), like the LDG — the point is that a
+    response-cache eviction loses the identity bytes, which the byte
+    cache or the disk give back, and not the deflate pass.
+    """
+
+    version: int
+    digest: str
+    etag: str
+    last_modified: str
+    gzip_body: Optional[bytes] = None
+    not_modified: Dict[bool, Headers] = field(default_factory=dict)
 
 
 class _ResponseShard:

@@ -64,13 +64,14 @@ from repro.core.naming import (
     is_migrated_path,
     migrated_url,
 )
-from repro.errors import DocumentNotFound, NamingError
+from repro.errors import DocumentNotFound, HTTPError, NamingError
 from repro.http.content import (
     DIGEST_HEADER,
     QUARANTINE_HEADER,
     RANGE_UNSATISFIABLE,
     accepts_gzip,
     body_digest,
+    compressible,
     content_range,
     digest_matches,
     etag_for,
@@ -110,7 +111,12 @@ from repro.http.urls import (
     strip_fragment,
 )
 from repro.server.admin import ADMIN_PREFIX, HEALTH_PATH
-from repro.server.cache import CachedResponse, CachingStore, ResponseCache
+from repro.server.cache import (
+    CachedResponse,
+    CachingStore,
+    Rendition,
+    ResponseCache,
+)
 from repro.server.entrygate import COOKIE_NAME, EntryGate
 from repro.server.filestore import DocumentStore, MemoryStore, guess_content_type
 from repro.server.integrity import (
@@ -163,7 +169,8 @@ class EngineReply:
 
 @dataclass
 class _FastHit:
-    """A clean cached read, rendered and pending its counters.
+    """A clean read answered from memory, framed and pending its
+    counters: a cached 200, or a 304 off the document's rendition.
 
     Produced by :meth:`DCWSEngine.fast_lookup` and booked by
     :meth:`DCWSEngine.fast_commit`, both within one hold of the host's
@@ -171,9 +178,9 @@ class _FastHit:
     """
 
     record: DocumentRecord
-    cached: CachedResponse
+    cached: Optional[CachedResponse]   # None for a 304: all head
     response: Response
-    kind: str              # "identity" or "gzip"
+    kind: str              # "identity", "gzip" or "304"
 
 
 @dataclass
@@ -232,6 +239,7 @@ class EngineStats:
     """Cumulative counters surfaced to benchmarks and tests."""
 
     requests: int = 0
+    fast_hits: int = 0         # requests answered by the short-circuit
     responses_200: int = 0
     responses_301: int = 0
     responses_304: int = 0
@@ -301,6 +309,10 @@ class DCWSEngine:
         # bump a document's *version* without touching its bytes, so the
         # template stays valid across them.
         self._templates: Dict[str, LinkTemplate] = {}
+        # Per-document renditions: validators, the gzip variant and the
+        # framed 304 blocks of the record's current (version, digest),
+        # replaced by _rendition() whenever that stamp has moved.
+        self._renditions: Dict[str, Rendition] = {}
         # Host capability: front ends that can deliver a FileBody with
         # os.sendfile set this; large clean disk-backed GETs then skip
         # the byte read entirely (see _respond_home).
@@ -553,19 +565,24 @@ class DCWSEngine:
     # -- short-circuit for clean cached reads ----------------------------
 
     def fast_lookup(self, request: Request, now: float) -> Optional[_FastHit]:
-        """Try to resolve *request* as a clean cached read (host holds
-        the engine lock).
+        """Try to resolve *request* as a clean read from memory (host
+        holds the engine lock).
 
-        Only the plainest requests qualify — an unconditional client
-        GET/HEAD of a clean, local, unreplicated, cached document —
-        and they skip :meth:`handle_request`'s routing, piggyback and
-        negotiation steps.  ``None`` sends the host there instead.
-        Nothing here mutates engine state but the cache entry's
-        ``framed`` memo: a flavour's first hit is rendered and framed
-        the way the slow path does it and its headers are kept on the
-        entry; every later hit gets a copy of that block around the
-        same shared body.  :meth:`fast_commit` books the hit exactly as
-        the slow path would have.
+        Only the plainest requests qualify — a client GET/HEAD, without
+        ``Range``, of a clean, local, unreplicated document — and they
+        skip :meth:`handle_request`'s routing, piggyback and negotiation
+        steps.  ``None`` sends the host there instead.  A revalidation
+        whose validators name the document's current rendition is
+        answered 304 from that rendition alone: no cache lookup, no
+        store read.  Anything else needs the cached 200; a conditional
+        that does not match is served exactly like an unconditional
+        request.  Nothing here mutates engine state but the two memos
+        of framed header blocks (on the rendition for 304s, on the cache
+        entry's ``framed`` for 200s): a flavour's first hit is rendered
+        and framed the way the slow path does it and its headers are
+        kept; every later hit gets a copy of that block.
+        :meth:`fast_commit` books the hit exactly as the slow path
+        would have.
         """
         if request.method not in ("GET", "HEAD"):
             return None
@@ -578,10 +595,8 @@ class DCWSEngine:
                 or headers.get(VERSION_HEADER) is not None \
                 or extract_sender(headers):
             return None  # peer traffic: piggyback/validation semantics
-        if headers.get("Range") is not None \
-                or headers.get("If-None-Match") is not None \
-                or headers.get("If-Modified-Since") is not None:
-            return None  # conditional/partial: slow-path negotiation
+        if headers.get("Range") is not None:
+            return None  # partial: slow-path negotiation
         path = normalize_path(request.path)
         if path == HEALTH_PATH or path.startswith(ADMIN_PREFIX) \
                 or is_migrated_path(path):
@@ -590,6 +605,17 @@ class DCWSEngine:
         if record is None or record.dirty or record.replicas \
                 or record.location != self.location:
             return None
+        if headers.get("If-None-Match") is not None \
+                or headers.get("If-Modified-Since") is not None:
+            # A 304 is all head and never meets the response cache, so
+            # the quarantine that empties the cache must be asked here.
+            if self.integrity.is_quarantined(path):
+                return None
+            rendition = self._rendition(record)
+            if not_modified(headers, rendition.etag, rendition.last_modified):
+                return _FastHit(
+                    record=record, cached=None, kind="304",
+                    response=self._not_modified_response(request, rendition))
         cached = self.response_cache.get(path, record.version,
                                          request.method)
         if cached is None:
@@ -622,13 +648,63 @@ class DCWSEngine:
         half of :meth:`_finish` is left to do."""
         self._clock = now
         self.stats.requests += 1
+        self.stats.fast_hits += 1
         hit.record.record_hit()
-        if hit.kind == "gzip" and hit.cached.gzip_body is not None:
-            self.stats.gzip_responses += 1
-            self.stats.gzip_bytes_saved += \
-                hit.cached.content_length - len(hit.cached.gzip_body)
-        self.stats.responses_200 += 1
+        if hit.kind == "304":
+            self.stats.responses_304 += 1
+            self.stats.conditional_304s += 1
+        else:
+            cached = hit.cached
+            if hit.kind == "gzip" and cached.gzip_body is not None:
+                self.stats.gzip_responses += 1
+                self.stats.gzip_bytes_saved += \
+                    cached.content_length - len(cached.gzip_body)
+            self.stats.responses_200 += 1
         return self._account(hit.response, now, doc_name=hit.record.name)
+
+    # -- renditions: what (version, digest) determines -------------------
+
+    def _rendition(self, record: DocumentRecord) -> Rendition:
+        """The rendition of *record*'s current ``(version, digest)``,
+        made — and the one of any older stamp dropped — on demand."""
+        rendition = self._renditions.get(record.name)
+        if rendition is None or rendition.version != record.version \
+                or rendition.digest != record.digest:
+            rendition = Rendition(
+                version=record.version, digest=record.digest,
+                etag=etag_for(record.name, record.version),
+                last_modified=last_modified_for(record.version))
+            self._renditions[record.name] = rendition
+        return rendition
+
+    def _build_not_modified(self, request: Request,
+                            rendition: Rendition) -> Response:
+        """Build and frame the 304 for a client validator naming
+        *rendition* — the one builder of that head."""
+        response = Response(status=StatusCode.NOT_MODIFIED)
+        response.headers.set("ETag", rendition.etag)
+        response.headers.set("Last-Modified", rendition.last_modified)
+        response.headers.set(VERSION_HEADER, str(rendition.version))
+        self._frame(request, response)
+        return response
+
+    def _not_modified_response(self, request: Request,
+                               rendition: Rendition) -> Response:
+        """The 304 for a plain client, off *rendition*'s memo.  A 304 is
+        all head and a client's head depends on the request only through
+        "does the connection persist", so the block is built once per
+        flavour and copied after that."""
+        persists = self._persists(request)
+        framed = rendition.not_modified.get(persists)
+        if framed is not None:
+            return Response(status=StatusCode.NOT_MODIFIED,
+                            headers=framed.copy())
+        response = self._build_not_modified(request, rendition)
+        # Render the field block now, as for a framed 200: the kept copy
+        # and every copy of it then carry the rendered bytes.
+        response.headers.serialize_bytes()
+        rendition.not_modified[persists] = response.headers.copy()
+        return response
 
     # -- administrative endpoints (/~dcws/...) ---------------------------
 
@@ -688,6 +764,18 @@ class DCWSEngine:
         sender = extract_sender(request.headers)
         privileged = (purpose in ("migration-pull", "validation")
                       and self._sender_is_assigned(sender, record))
+        if privileged and purpose == "validation":
+            # A validating co-op reports the hits its hosted copy
+            # absorbed; credit them so selection/re-migration/replication
+            # see real demand for documents that no longer generate local
+            # hits.  Only the assigned co-op's word counts — the figure
+            # steers Algorithm 1 — and a value that is not a count is
+            # malformed gossip, which never breaks serving.
+            try:
+                record.record_hit(
+                    request.headers.get_int(HOSTED_HITS_HEADER, 0))
+            except HTTPError:
+                pass
         if sender and request.headers.get(QUARANTINE_HEADER):
             # A peer reports its copy of this document as corrupt (and,
             # for a re-pull, must not be served its own bad copy back):
@@ -722,12 +810,6 @@ class DCWSEngine:
 
     def _serve_home_document(self, request: Request, record: DocumentRecord,
                              now: float) -> EngineReply:
-        # A validating co-op reports the hits its hosted copy absorbed;
-        # credit them so selection/re-migration/replication see real
-        # demand for documents that no longer generate local hits.
-        reported = request.headers.get_int(HOSTED_HITS_HEADER, 0) or 0
-        if reported > 0:
-            record.record_hit(reported)
         if self.integrity.is_quarantined(record.name) \
                 and not (record.dirty and record.is_html
                          and record.name in self._templates):
@@ -778,17 +860,19 @@ class DCWSEngine:
         # Safe because every byte change bumps the version (author updates
         # directly; migration events dirty referrers with a bump, and
         # dirty documents regenerate before reaching this point).
-        etag = etag_for(record.name, record.version)
-        last_modified = last_modified_for(record.version)
+        rendition = self._rendition(record)
+        etag, last_modified = rendition.etag, rendition.last_modified
         if not_modified(request.headers, etag, last_modified):
-            response = Response(status=StatusCode.NOT_MODIFIED)
-            response.headers.set("ETag", etag)
-            response.headers.set("Last-Modified", last_modified)
-            response.headers.set(VERSION_HEADER, str(record.version))
+            if extract_sender(request.headers):
+                # A peer's head carries the load table of the moment:
+                # built afresh, never kept.
+                response = self._build_not_modified(request, rendition)
+            else:
+                response = self._not_modified_response(request, rendition)
             self.stats.responses_304 += 1
             self.stats.conditional_304s += 1
-            return self._finish(request, response, now, doc_name=record.name,
-                                reconstructed=reconstructed, spliced=spliced)
+            return self._account(response, now, doc_name=record.name,
+                                 reconstructed=reconstructed, spliced=spliced)
         if self.sendfile_enabled and request.method == "GET" \
                 and request.headers.get("Range") is None \
                 and (self.entry_gate is None or not record.entry_point):
@@ -824,17 +908,30 @@ class DCWSEngine:
                                          request.method)
         if cached is None:
             data = self.store.get(record.name)
-            # Sampled serve-path integrity check: every Nth cache miss
-            # re-hashes the bytes just read against the recorded digest,
-            # so bit-rot on a document the scrubber has not reached yet
-            # is still caught before the body leaves the server.
-            if record.digest and self.integrity.sample_serve() \
+            wants_variant = request.method == "GET" \
+                and self.config.gzip_enabled
+            # The rendition's variant is the deflate of the bytes that
+            # hash to its digest, so a fill that would make it, or pair
+            # the kept one with the bytes just read, first shows those
+            # bytes to be the ones: a hash beside the one deflate pass,
+            # then a hash instead of a deflate pass ever after.
+            keeps_variant = wants_variant and bool(record.digest) \
+                and compressible(record.content_type)
+            # Serve-path integrity check: on every such fill, and
+            # otherwise on every Nth cache miss, re-hash the bytes just
+            # read against the recorded digest, so bit-rot on a document
+            # the scrubber has not reached yet is still caught before
+            # the body leaves the server.
+            if record.digest \
+                    and (self.integrity.sample_serve() or keeps_variant) \
                     and not digest_matches(data, record.digest):
                 return self._quarantine_home(request, record,
                                              body_digest(data), now)
-            gzip_body = None
-            if request.method == "GET" and self.config.gzip_enabled:
+            gzip_body = rendition.gzip_body if keeps_variant else None
+            if wants_variant and gzip_body is None:
                 gzip_body = maybe_gzip(data, record.content_type)
+                if keeps_variant:
+                    rendition.gzip_body = gzip_body
             cached = CachedResponse(
                 body=b"" if request.method == "HEAD" else data,
                 content_length=len(data),
@@ -2128,6 +2225,19 @@ class DCWSEngine:
         response = self.response_cache.stats.as_dict()
         response["entries"] = len(self.response_cache)
         counters: Dict[str, Dict[str, float]] = {
+            "short_circuit": {
+                "fast_hits": self.stats.fast_hits,
+                "requests": self.stats.requests,
+                "share": round(self.stats.fast_hits
+                               / max(1, self.stats.requests), 4),
+            },
+            "renditions": {
+                "entries": len(self._renditions),
+                "variant_bytes": sum(
+                    len(rendition.gzip_body)
+                    for rendition in self._renditions.values()
+                    if rendition.gzip_body is not None),
+            },
             "templates": {
                 "entries": len(self._templates),
                 "builds": self.stats.template_builds,

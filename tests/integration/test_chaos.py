@@ -18,6 +18,7 @@ Failures are injected with seeded plans or real signals; the driving
 seed is printed so a failing run can be replayed (`REPRO_FAULT_SEED`).
 """
 
+import dataclasses
 import os
 import socket
 import subprocess
@@ -107,13 +108,48 @@ def crawl(port: int, *, walkers: int = 3, sequences: int = 8):
     return threads, stats
 
 
-def wait_until(predicate, deadline: float, message: str) -> None:
+def wait_until(predicate, deadline: float, message: str,
+               diagnose=None) -> None:
+    """Poll *predicate* until it holds or *deadline* seconds pass.  A
+    timeout fails the test with *message*, the fault seed and — when
+    given — what ``diagnose()`` says the servers were doing instead."""
     end = time.time() + deadline
     while time.time() < end:
         if predicate():
             return
         time.sleep(0.05)
-    pytest.fail(f"{message} (seed={SEED})")
+    state = f"\n{diagnose()}" if diagnose is not None else ""
+    pytest.fail(f"{message} (seed={SEED}){state}")
+
+
+def rejoin_diagnosis(home, victim, key: str) -> str:
+    """Both halves of rejoin reconciliation, as a timed-out wait found
+    them: the home's membership counters and view of the peer, the
+    victim's hosted entry for *key*, and the tail of both event logs."""
+    lines = []
+    with home._lock:
+        membership = home.engine.membership
+        peer = str(victim.engine.location)
+        lines.append(f"home membership counters: "
+                     f"{dataclasses.asdict(membership.counters)}")
+        lines.append(f"home sees {peer} as {membership.state(peer)}")
+        home_tail = home.engine.log.tail(20)
+    with victim._lock:
+        lines.append(f"victim hosted[{key}]: "
+                     f"{victim.engine.hosted.get(key)}")
+        victim_tail = victim.engine.log.tail(20)
+    for owner, tail in (("home", home_tail), ("victim", victim_tail)):
+        lines.append(f"last {len(tail)} {owner} events:")
+        lines.extend(f"  {event.render()}" for event in tail)
+    return "\n".join(lines)
+
+
+def test_a_timed_out_wait_reports_what_the_servers_were_doing():
+    with pytest.raises(pytest.fail.Exception) as failure:
+        wait_until(lambda: False, 0.0, "never settled",
+                   diagnose=lambda: "home membership counters: {...}")
+    assert str(failure.value) == \
+        f"never settled (seed={SEED})\nhome membership counters: {{...}}"
 
 
 class TestCoopCrash:
@@ -563,6 +599,7 @@ class TestFalseDeathRediscovery:
                 lambda: len(home.engine.graph.get("/d.html").replicas) == 1,
                 10.0, "repair daemon never topped the group up to k=2")
             key_d = f"/~migrate/127.0.0.1/{home_port}/d.html"
+            diagnose = lambda: rejoin_diagnosis(home, coops[0], key_d)
             replica = next(iter(home.engine.graph.get("/d.html").replicas))
             for holder in (victim, replica):
                 assert http_fetch(holder,
@@ -600,14 +637,16 @@ class TestFalseDeathRediscovery:
 
             wait_until(
                 lambda: home.engine.membership.is_dead(victim_key),
-                10.0, "home never declared the partitioned co-op dead")
+                10.0, "home never declared the partitioned co-op dead",
+                diagnose)
             # Repair re-homed the group onto the survivors: two live
             # holders, neither of them the victim, nothing revoked home.
             wait_until(
                 lambda: victim not in
                 home.engine.graph.get("/d.html").locations()
                 and len(home.engine.graph.get("/d.html").locations()) == 2,
-                10.0, "group never repaired away from the dead holder")
+                10.0, "group never repaired away from the dead holder",
+                diagnose)
 
             # Heal.  The gate: rediscovered within two re-probe periods —
             # asserted as "at most two probes emitted after healing", the
@@ -618,7 +657,8 @@ class TestFalseDeathRediscovery:
             victim_plan.unblock(home_key)
             wait_until(
                 lambda: home.engine.membership.state(victim_key) == "alive",
-                10.0, "healed co-op was never rediscovered")
+                10.0, "healed co-op was never rediscovered",
+                diagnose)
             probes_after_heal = \
                 home.engine.membership.counters.probes_sent - probes_before
             with home._lock:
@@ -633,7 +673,8 @@ class TestFalseDeathRediscovery:
             wait_until(
                 lambda: home.engine.membership.counters.reconcile_drops >= 1
                 or key_d not in coops[0].engine.hosted,
-                10.0, "rejoin reconciliation never settled the stale copy")
+                10.0, "rejoin reconciliation never settled the stale copy",
+                diagnose)
 
             for thread in threads:
                 thread.join(timeout=30)

@@ -14,7 +14,8 @@ the read that follows it, which is the race the benchmark's
 checked: status, ``Content-Length`` framing, sha256 of the identity
 body against ``X-DCWS-Digest``, every 16th gzip body gunzipped and
 hashed, a revalidation every 10th request, and after each update the
-new version and marker on the very next read.
+new version and marker on the very next read, again on a revalidation
+carrying the ETag from before the update, and a 304 for the new ETag.
 """
 
 import gzip
@@ -164,6 +165,7 @@ def test_twenty_thousand_operations_none_failed(front_end):
                 # returned, the new marker, and a body that hashes.
                 revision += 1
                 with server._lock:
+                    outdated = etag_for(name, engine.graph.get(name).version)
                     engine.update_document(name, page(number, revision))
                     version = engine.graph.get(name).version
                     if migrating:
@@ -183,7 +185,27 @@ def test_twenty_thousand_operations_none_failed(front_end):
                             f" of {name} answered {status}, version "
                             f"{served.group(1) if served else None} for "
                             f"{version}")
-                    index += 1
+                    # A browser that cached the page before the save
+                    # revalidates into the new version, one that has it
+                    # into a 304 — neither into what a rendition of the
+                    # old version kept.
+                    status, head, body = request(
+                        index + 1, name, f"If-None-Match: {outdated}")
+                    served = VERSION.search(head)
+                    if status != 200 or served is None \
+                            or served.group(1) != str(version).encode() \
+                            or b"<!-- rev %d -->" % revision not in body:
+                        failures.append(
+                            f"request {index + 1}: {outdated} revalidated "
+                            f"{name} at version {version} into {status}")
+                    status, head, body = request(
+                        index + 2, name,
+                        f"If-None-Match: {etag_for(name, version)}")
+                    if status != 304:
+                        failures.append(
+                            f"request {index + 2}: the current ETag of "
+                            f"{name} answered {status}")
+                    index += 3
                     continue
             fields = []
             if index % 10 == 9 and name in etags:

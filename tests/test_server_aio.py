@@ -171,6 +171,19 @@ class TestServePathRealism:
         # A 304 ends at its blank line — no body follows.
         assert data.endswith(b"\r\n\r\n")
 
+    def test_hosted_hits_from_a_plain_client_is_just_a_header(self, server):
+        """Neither a number nor garbage in ``X-DCWS-Hosted-Hits`` moves
+        the document's heat or costs the client its connection."""
+        with connect(server) as sock:
+            for value in (b"100000", b"abc"):
+                sock.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n"
+                             b"X-DCWS-Hosted-Hits: " + value + b"\r\n\r\n")
+                data = sock.recv(65536)
+                assert re.match(rb"HTTP/1\.\d 200 ", data)
+                assert data.endswith(SITE["/d.html"])
+        with server._lock:
+            assert server.engine.graph.get("/d.html").hits == 2
+
     def test_gzip_negotiated_through_loop(self, server):
         import gzip
 

@@ -5,7 +5,13 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request
-from repro.server.engine import DCWSEngine, EngineReply, PullFromHome
+from repro.http.piggyback import SENDER_HEADER
+from repro.server.engine import (
+    DCWSEngine,
+    EngineReply,
+    PURPOSE_HEADER,
+    PullFromHome,
+)
 from repro.server.filestore import DiskStore, MemoryStore
 
 HOME = Location("home", 8001)
@@ -110,6 +116,63 @@ class TestAccounting:
         coop.validation.mark(first[0].key, 30.0)
         second = [a for a in coop.tick(60.0) if a.kind == "validate"]
         assert second[0].request.headers.get("X-DCWS-Hosted-Hits") is None
+
+
+class TestHostedHitsCredit:
+    """``X-DCWS-Hosted-Hits`` steers Algorithm 1: only a validation from
+    the document's assigned co-op may move ``hits`` by more than one."""
+
+    NAME = "/sub/e.html"
+
+    def validation(self, sender, reported):
+        request = Request("GET", self.NAME)
+        request.headers.set(PURPOSE_HEADER, "validation")
+        request.headers.set(SENDER_HEADER, str(sender))
+        request.headers.set("X-DCWS-Hosted-Hits", reported)
+        return request
+
+    @pytest.mark.parametrize("value", ["100000", "abc", "-5", ""])
+    def test_a_plain_client_cannot_move_hits(self, value):
+        engine = make_engine()
+        request = Request("GET", self.NAME)
+        request.headers.set("X-DCWS-Hosted-Hits", value)
+        reply = engine.handle_request(request, 1.0)
+        assert reply.response.status == 200
+        assert engine.graph.get(self.NAME).hits == 1    # the request itself
+
+    def test_the_assigned_coop_is_credited(self):
+        engine = make_engine()
+        engine.policy.force_migrate(self.NAME, COOP, 0.5)
+        reply = engine.handle_request(self.validation(COOP, "41"), 1.0)
+        assert reply.response.status == 200     # the home keeps serving it
+        record = engine.graph.get(self.NAME)
+        assert (record.hits, record.window_hits) == (42, 42)
+
+    @pytest.mark.parametrize("value", ["abc", "+7", "1_0", "\u0663"])
+    def test_a_malformed_count_from_the_coop_is_ignored(self, value):
+        engine = make_engine()
+        engine.policy.force_migrate(self.NAME, COOP, 0.5)
+        reply = engine.handle_request(self.validation(COOP, value), 1.0)
+        assert reply.response.status == 200
+        assert engine.graph.get(self.NAME).hits == 1
+
+    def test_a_peer_that_does_not_hold_the_document_is_ignored(self):
+        engine = make_engine()
+        stranger = Location("other", 8003)
+        reply = engine.handle_request(self.validation(stranger, "500"), 1.0)
+        assert reply.response.status == 200     # not migrated: served
+        engine.policy.force_migrate(self.NAME, COOP, 1.5)
+        reply = engine.handle_request(self.validation(stranger, "500"), 2.0)
+        assert reply.response.status == 301     # as for any non-holder
+        assert engine.graph.get(self.NAME).hits == 2
+
+    def test_only_a_validation_carries_the_count(self):
+        engine = make_engine()
+        engine.policy.force_migrate(self.NAME, COOP, 0.5)
+        pull = self.validation(COOP, "9")
+        pull.headers.set(PURPOSE_HEADER, "migration-pull")
+        assert engine.handle_request(pull, 1.0).response.status == 200
+        assert engine.graph.get(self.NAME).hits == 1
 
 
 class TestPathEdgeCases:

@@ -23,7 +23,13 @@ import socket
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
-from repro.http.content import DIGEST_HEADER, body_digest, etag_for
+from repro.http.content import (
+    DCWS_EPOCH,
+    DIGEST_HEADER,
+    body_digest,
+    etag_for,
+    http_date,
+)
 from repro.http.messages import Request, Response, parse_request
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
@@ -75,6 +81,14 @@ def fast(engine, request, now):
     return engine.fast_commit(hit, request, now)
 
 
+def counters(engine):
+    """Every ``EngineStats`` counter both routes must agree on —
+    ``fast_hits`` is the one that says which route a request took."""
+    stats = dataclasses.asdict(engine.stats)
+    del stats["fast_hits"], stats["decisions"]
+    return stats
+
+
 def run(engine, route):
     """Warm the caches through the slow path, then replay the script
     through *route*; returns (warm replies, replayed replies)."""
@@ -98,8 +112,7 @@ def test_fast_path_matches_slow_path():
         assert quick.response.body is quick_warm.response.body, step
         assert full.response.body is full_warm.response.body, step
         assert quick.doc_name == full.doc_name, step
-    assert dataclasses.asdict(by_fast.stats) == \
-        dataclasses.asdict(by_slow.stats)
+    assert counters(by_fast) == counters(by_slow)
     for name in SITE:
         assert by_fast.graph.get(name).hits == by_slow.graph.get(name).hits
 
@@ -182,8 +195,7 @@ def test_memoised_heads_match_the_slow_route_on_first_use_and_reuse():
         assert again.response.body is first.response.body, step
         assert first.response.body == full.response.body, step
         assert first.response.headers is not again.response.headers
-    assert dataclasses.asdict(by_fast.stats) == \
-        dataclasses.asdict(by_slow.stats)
+    assert counters(by_fast) == counters(by_slow)
     entries = cache_entries(by_fast)
     assert any(entry.framed for entry in entries)
     for entry in entries:
@@ -201,9 +213,8 @@ def test_memoised_heads_match_the_slow_route_on_first_use_and_reuse():
     assert not any(entry.framed for entry in cache_entries(by_slow))
 
 
-def test_a_reply_cannot_reach_the_next_one():
+def replies_stay_apart(request):
     engine = make_engine()
-    request = lambda: flavoured("HTTP/1.1", None, "GET", "gzip", "/big.html")
     slow(engine, request(), 1.0)
     untouched = fast(engine, request(), 2.0).response.serialize_head()
     for turn in range(3):       # what a front end does when it closes
@@ -214,6 +225,22 @@ def test_a_reply_cannot_reach_the_next_one():
         assert b"X-Test: 1" in reply.response.serialize_head()
         assert fast(engine, request(), 3.5 + turn) \
             .response.serialize_head() == untouched
+    return untouched
+
+
+def test_a_reply_cannot_reach_the_next_one():
+    head = replies_stay_apart(
+        lambda: flavoured("HTTP/1.1", None, "GET", "gzip", "/big.html"))
+    assert head.split()[1] == b"200"
+
+
+def test_a_304_cannot_reach_the_next_one():
+    def revalidation():
+        request = flavoured("HTTP/1.1", None, "GET", "gzip", "/big.html")
+        request.headers.set("If-None-Match", etag_for("/big.html", 0))
+        return request
+
+    assert replies_stay_apart(revalidation).split()[1] == b"304"
 
 
 def validators(reply):
@@ -334,6 +361,202 @@ def test_hosted_copies_have_no_memo_to_go_stale():
     assert not any(entry.framed for entry in cache_entries(coop))
 
 
+# -- conditional requests: the 304 short-circuit ---------------------------
+
+COOP_2 = Location("127.0.0.1", 2)
+
+
+def dispatch(engine, request, now):
+    """``SocketHost._engine_dispatch`` without the lock: the
+    short-circuit where it applies, the slow path where it does not."""
+    hit = engine.fast_lookup(request, now)
+    if hit is not None:
+        return engine.fast_commit(hit, request, now)
+    return engine.handle_request(request, now)
+
+
+def observed(engine):
+    """Everything a request may move, whichever route served it."""
+    return (counters(engine),
+            {record.name: record.hits for record in engine.graph.documents()},
+            engine.metrics.connections.lifetime_count,
+            engine.metrics.bytes.lifetime_total,
+            engine.stats.bytes_sent)
+
+
+LATER, EARLIER = http_date(DCWS_EPOCH + 3600), http_date(DCWS_EPOCH - 3600)
+
+
+def conditionals(path, version=0):
+    """name -> (request headers, status of a GET, takes the
+    short-circuit) for a document at *version*."""
+    current, stale = etag_for(path, version), etag_for(path, version + 7)
+    return {
+        "matching": ({"If-None-Match": current}, 304, True),
+        "stale": ({"If-None-Match": stale}, 200, True),
+        "star": ({"If-None-Match": "*"}, 304, True),
+        "weak": ({"If-None-Match": "W/" + current}, 304, True),
+        "list": ({"If-None-Match": f"{stale}, {current}"}, 304, True),
+        "since-later": ({"If-Modified-Since": LATER}, 304, True),
+        "since-earlier": ({"If-Modified-Since": EARLIER}, 200, True),
+        "since-malformed": ({"If-Modified-Since": "yesterday"}, 200, True),
+        "none-match-wins-200": ({"If-None-Match": stale,
+                                 "If-Modified-Since": LATER}, 200, True),
+        "none-match-wins-304": ({"If-None-Match": current,
+                                 "If-Modified-Since": EARLIER}, 304, True),
+        "range-and-match": ({"Range": "bytes=0-9",
+                             "If-None-Match": current}, 304, False),
+        "range-and-stale": ({"Range": "bytes=0-9",
+                             "If-None-Match": stale}, 206, False),
+    }
+
+
+def conditional(path, headers, version="HTTP/1.1", connection=None,
+                method="GET", encoding=None) -> Request:
+    request = flavoured(version, connection, method, encoding, path)
+    for name, value in headers.items():
+        request.headers.set(name, value)
+    return request
+
+
+def twin_step(by_fast, by_slow, make_request, now):
+    """One request through each twin; same wire bytes, same books.
+    Returns the reply and whether it took the short-circuit."""
+    before = by_fast.stats.fast_hits
+    quick = dispatch(by_fast, make_request(), now)
+    full = slow(by_slow, make_request(), now)
+    assert quick.response.serialize() == full.response.serialize()
+    assert quick.doc_name == full.doc_name
+    assert observed(by_fast) == observed(by_slow)
+    assert by_slow.stats.fast_hits == 0
+    return quick, by_fast.stats.fast_hits - before == 1
+
+
+def test_conditional_matrix_is_byte_identical_on_both_routes():
+    by_fast, by_slow = make_engine(), make_engine()
+    for engine in (by_fast, by_slow):       # fill the 200s the misses need
+        for step in SCRIPT:
+            slow(engine, build(*step), 1.0)
+    statuses = set()
+    for turn in range(2):       # first use frames the 304, second copies
+        for path in ("/big.html", "/i.gif"):
+            for name, (headers, status, short) in conditionals(path).items():
+                for (version, connection), method, encoding in \
+                        itertools.product(CONNECTIONS, ("GET", "HEAD"),
+                                          ("gzip", None)):
+                    step = (turn, path, name, version, connection, method,
+                            encoding)
+                    reply, took_it = twin_step(
+                        by_fast, by_slow,
+                        lambda: conditional(path, headers, version,
+                                            connection, method, encoding),
+                        2.0 + turn)
+                    # Range is a GET matter: a HEAD ignores it.
+                    expected = 200 if (method, status) == ("HEAD", 206) \
+                        else status
+                    assert reply.response.status == expected, step
+                    assert took_it == short, step
+                    assert reply.response.body == b"" or expected != 304, step
+                    statuses.add(reply.response.status)
+    assert statuses == {200, 206, 304}
+    assert by_fast.stats.conditional_304s == by_fast.stats.responses_304 > 0
+    # One framed block per "connection persists" flavour, however the
+    # request spelled its validators, method or encoding.
+    for path in ("/big.html", "/i.gif"):
+        assert set(by_fast._renditions[path].not_modified) == {True, False}
+    # The slow route frames 304s through the same builder and memo.
+    assert set(by_slow._renditions["/big.html"].not_modified) == {True, False}
+
+
+def test_a_304_needs_no_cached_200_and_no_store_read():
+    engine = make_engine()
+    reads = []
+    get = engine.store.get
+    engine.store.get = lambda name: reads.append(name) or get(name)
+    request = lambda: conditional("/big.html", conditionals("/big.html")
+                                  ["matching"][0])
+    for turn in range(3):
+        assert fast(engine, request(), 1.0 + turn).response.status == 304
+    assert not reads and len(engine.response_cache) == 0
+    assert engine.response_cache.stats.lookups == 0
+    # A validator that does not match needs the 200, which is not cached.
+    assert engine.fast_lookup(conditional(
+        "/big.html", conditionals("/big.html")["stale"][0]), 5.0) is None
+
+
+def gated_engine():
+    config = ServerConfig(entry_gate_secret="s3cret")
+    engine = DCWSEngine(HOME, config, MemoryStore(dict(HOSTED)),
+                        entry_points=["/index.html"], peers=[COOP])
+    engine.initialize(0.0)
+    return engine
+
+
+def scrubbed_engine():
+    config = ServerConfig(scrub_interval=1.0, scrub_budget=16)
+    engine = DCWSEngine(HOME, config, MemoryStore(dict(HOSTED)),
+                        entry_points=["/index.html"], peers=[COOP, COOP_2])
+    engine.initialize(0.0)
+    return engine
+
+
+def test_conditionals_on_documents_that_must_still_go_slow():
+    by_fast, by_slow = scrubbed_engine(), scrubbed_engine()
+    twins = (by_fast, by_slow)
+
+    def revalidate(path, now, status, short=False,
+                   names=("matching", "stale", "since-later")):
+        version = by_fast.graph.get(path).version
+        assert version == by_slow.graph.get(path).version
+        for name in names:
+            headers = conditionals(path, version)[name][0]
+            reply, took_it = twin_step(
+                by_fast, by_slow, lambda: conditional(path, headers), now)
+            assert reply.response.status == status[name], (path, name)
+            assert took_it == short, (path, name)
+
+    everywhere = lambda code: dict.fromkeys(
+        ("matching", "stale", "since-later"), code)
+    clean = {"matching": 304, "stale": 200, "since-later": 304}
+    for engine in twins:
+        for path in HOSTED:
+            slow(engine, build("GET", None, path), 1.0)
+    for path in HOSTED:         # all clean: every one takes the short-circuit
+        revalidate(path, 2.0, clean, short=True)
+    # Dirty: the referrer of a document that migrated regenerates first.
+    for engine in twins:
+        migrate_d(engine)
+    assert by_fast.graph.get("/index.html").dirty
+    revalidate("/index.html", 3.0, clean, names=("matching",))
+    assert by_fast.stats.reconstructions == 1
+    assert not by_fast.graph.get("/index.html").dirty
+    # Clean again: 304s at once, 200s once the new version's is cached.
+    revalidate("/index.html", 3.2, clean, short=True,
+               names=("matching", "since-later"))
+    revalidate("/index.html", 3.4, clean, names=("stale",))
+    revalidate("/index.html", 3.6, clean, short=True)
+    # Migrated, then replicated: the name answers 301 whatever it carries.
+    revalidate("/d.html", 4.0, everywhere(301))
+    for engine in twins:
+        engine.policy.repair_replica("/d.html", COOP_2, 4.5)
+    assert by_fast.graph.get("/d.html").replicas
+    revalidate("/d.html", 5.0, everywhere(301))
+    # Quarantined with nothing to regenerate from: 503 — its rendition,
+    # 304 blocks included, is still there and must not answer.
+    for engine in twins:
+        engine.store.put("/i.gif", SITE["/i.gif"].replace(b"x", b"y", 1))
+        engine.tick(6.0)
+        assert engine.integrity.is_quarantined("/i.gif")
+        assert engine._renditions["/i.gif"].not_modified
+    revalidate("/i.gif", 6.5, everywhere(503))
+    # Entry-gated: every request takes the slow path; an entry point
+    # revalidates, a deep link without the cookie is sent to the door.
+    by_fast, by_slow = gated_engine(), gated_engine()
+    revalidate("/index.html", 7.0, clean)
+    revalidate("/big.html", 7.5, everywhere(302))
+    assert by_fast.stats.fast_hits == 0
+
+
 # (what happens first under the host's lock, method, path, headers)
 HOST_SCRIPT = [
     # Every cached read three times: the cache fill, the short-circuit
@@ -373,9 +596,7 @@ def drive(engine, lock, exchange):
         wires.append(exchange(request))
         with lock:
             cleaned += dirty and not engine.graph.get(path).dirty
-    counters = dataclasses.asdict(engine.stats)
-    del counters["decisions"]
-    return wires, counters, cleaned
+    return wires, counters(engine), cleaned
 
 
 def through_bare_engine(location):
@@ -430,6 +651,6 @@ def test_three_hosts_one_script():
         assert by_aio == expected, step
     assert {int(wire[9:12]) for wire in bare[0]} == {200, 206, 301, 304}
     assert any(b"Content-Encoding: gzip" in wire for wire in bare[0])
-    for __, counters, cleaned in (bare, threaded, aio):
-        assert counters == bare[1]
-        assert counters["reconstructions"] == cleaned == 2
+    for __, booked, cleaned in (bare, threaded, aio):
+        assert booked == bare[1]
+        assert booked["reconstructions"] == cleaned == 2
