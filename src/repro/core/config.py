@@ -143,14 +143,11 @@ class ServerConfig:
     keep_alive_timeout: float = 5.0
     keep_alive_max_requests: int = 100
     # Serve-path cache hierarchy (template cache -> byte cache -> response
-    # cache; see DESIGN.md).  ``link_templates`` enables splice-based
-    # dirty-document reconstruction instead of the full parse/serialize
-    # round trip (False is the ablation knob quantifying the ~20 ms cost
-    # of section 5.3).  ``byte_cache_bytes`` bounds the LRU byte cache in
-    # front of a disk-backed store (0 disables; memory stores never need
-    # one).  ``response_cache_entries`` bounds the rendered-response cache
-    # keyed by (name, version, method) (0 disables).
-    link_templates: bool = True
+    # cache; see DESIGN.md).  ``byte_cache_bytes`` bounds the LRU byte
+    # cache in front of a disk-backed store (0 disables; memory stores
+    # never need one).  ``response_cache_entries`` bounds the
+    # rendered-response cache keyed by (name, version, method) (0
+    # disables).
     byte_cache_bytes: int = 8 * 1024 * 1024
     response_cache_entries: int = 512
     # Socket tuning and event-loop admission control.  ``listen_backlog``

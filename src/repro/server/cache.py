@@ -18,9 +18,10 @@ serve hot path:
   regeneration explicitly invalidates, so a stale body is never served.
 
 :class:`Rendition` is the record beside them that is *not* a cache: what
-a home document's ``(version, digest)`` determines — validators, framed
-304 blocks, the gzip variant — kept by the engine per document, so an
-eviction above never costs a second deflate pass.
+a stored copy's ``(version, digest)`` determines — validators, framed
+304 blocks, the gzip variant — kept by the engine per store key, for
+home documents and fetched hosted copies alike, so an eviction above
+never costs a second deflate pass.
 
 Both caches keep their own locking, and the counters feed the admin
 endpoint and benchmarks.  With ``stripes > 1`` the lock and the LRU
@@ -40,6 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.http.content import etag_for, last_modified_for
 from repro.http.headers import Headers
 from repro.server.filestore import DocumentStore
 from repro.server.striping import shard_of
@@ -215,11 +217,12 @@ class CachingStore(DocumentStore):
 class CachedResponse:
     """One rendered 200: shared immutable body plus the header facts.
 
-    ``etag``/``last_modified`` are the HTTP validators derived from
-    ``(name, version)``; ``gzip_body`` is the pre-compressed variant
-    stored alongside the identity body (``None`` when compression is not
-    worthwhile), so gzip negotiation on a cache hit costs a header check,
-    never a compression pass.
+    Filled at one site, ``DCWSEngine._serve_copy``, for a home document
+    or a hosted copy alike.  ``etag``/``last_modified`` and ``gzip_body``
+    are the copy's :class:`Rendition`'s (the validators empty for a
+    versionless hosted copy, which is never cached; the variant ``None``
+    when compression is not worthwhile), so gzip negotiation on a cache
+    hit costs a header check, never a compression pass.
 
     ``framed`` is the one mutable part: the finished header block of
     this entry's plain 200, one per ``(gzip variant, connection
@@ -248,13 +251,15 @@ class CachedResponse:
 
 @dataclass
 class Rendition:
-    """What one home document's ``(version, digest)`` stamp determines.
+    """What one stored copy's ``(version, digest)`` stamp determines.
 
-    The engine keeps one per home document, beside its link template,
-    and *replaces* it when the record's version or digest moves — no
-    field here is ever corrected in place, so nothing derived from an
-    older stamp can survive it.  ``etag``/``last_modified`` are set at
-    construction.  The other two fill lazily and only ever from
+    The engine keeps one per store key — a home document's name or a
+    fetched hosted copy's ``/~migrate/...`` key — *replaces* it when the
+    copy's version or digest moves, and drops it with a hosted copy's
+    bytes; no field here is ever corrected in place, so nothing derived
+    from an older stamp can survive it.  ``etag``/``last_modified`` are
+    set at construction (:meth:`of`; empty for a versionless legacy
+    pull).  The other two fill lazily and only ever from
     ``None``/absent to their one value: ``gzip_body`` is the variant of
     the bytes that hash to ``digest``, made by the first GET cache fill
     from bytes it has hashed to that digest (a later fill may pair it
@@ -262,17 +267,26 @@ class Rendition:
     the framed 304 header block per "connection persists" flavour.
 
     Unlike :class:`CachedResponse` this is not inside any cache's
-    budget: it is O(home documents), like the LDG — the point is that a
-    response-cache eviction loses the identity bytes, which the byte
-    cache or the disk give back, and not the deflate pass.
+    budget: it is O(stored copies), like the LDG and the hosted table —
+    the point is that a response-cache eviction loses the identity
+    bytes, which the byte cache or the disk give back, and not the
+    deflate pass.
     """
 
-    version: int
+    version: object        # a home's int, or the str a co-op was handed
     digest: str
     etag: str
     last_modified: str
     gzip_body: Optional[bytes] = None
     not_modified: Dict[bool, Headers] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, key: str, version: object, digest: str) -> "Rendition":
+        """The empty rendition of *key* at ``(version, digest)``."""
+        versioned = version != ""
+        return cls(version, digest,
+                   etag_for(key, version) if versioned else "",
+                   last_modified_for(version) if versioned else "")
 
 
 class _ResponseShard:

@@ -74,15 +74,11 @@ from repro.http.content import (
     compressible,
     content_range,
     digest_matches,
-    etag_for,
-    last_modified_for,
     maybe_gzip,
     not_modified,
     parse_range,
 )
 from repro.html.parser import parse_html
-from repro.html.rewriter import rewrite_links
-from repro.html.serializer import serialize_html
 from repro.html.template import LinkTemplate, index_document
 from repro.http.headers import Headers
 from repro.http.messages import (
@@ -127,6 +123,7 @@ from repro.server.integrity import (
     REASON_SERVE,
 )
 from repro.server.replication import ReplicationManager
+from repro.server.striping import shard_of
 
 if TYPE_CHECKING:
     from repro.client.breaker import CircuitBreaker
@@ -154,16 +151,14 @@ class EngineReply:
     """A finished response plus accounting the host may need.
 
     ``reconstructed`` flags that serving this request required a
-    dirty-document regeneration; ``spliced`` qualifies it as the cheap
-    link-template splice rather than the full parse-and-regenerate pass
-    (the ~20 ms cost of section 5.3).  ``parsed_only`` flags a parse
-    without regeneration (~3 ms).
+    dirty-document regeneration; ``spliced`` says it was the cheap
+    link-template splice — the only kind there is, so the two are equal
+    (the simulator's cost model reads ``spliced``).
     """
 
     response: Response
     doc_name: str = ""
     reconstructed: bool = False
-    parsed_only: bool = False
     spliced: bool = False
 
 
@@ -309,13 +304,13 @@ class DCWSEngine:
         # bump a document's *version* without touching its bytes, so the
         # template stays valid across them.
         self._templates: Dict[str, LinkTemplate] = {}
-        # Per-document renditions: validators, the gzip variant and the
-        # framed 304 blocks of the record's current (version, digest),
-        # replaced by _rendition() whenever that stamp has moved.
+        # Renditions by store key — home documents and fetched hosted
+        # copies: validators, the gzip variant and the framed 304 blocks
+        # of a copy's (version, digest); _rendition() replaces a stale one.
         self._renditions: Dict[str, Rendition] = {}
         # Host capability: front ends that can deliver a FileBody with
         # os.sendfile set this; large clean disk-backed GETs then skip
-        # the byte read entirely (see _respond_home).
+        # the byte read entirely (see _serve_copy).
         self.sendfile_enabled = False
         # Multi-process hosts install a callable here returning the
         # supervisor's per-worker roster for /~dcws/workers.
@@ -483,9 +478,8 @@ class DCWSEngine:
         """One parse and one walk, two products: the document's link names
         for the LDG and a fresh link template for splice reconstruction."""
         template, links = index_document(parse_html(data.decode("latin-1")))
-        if self.config.link_templates:
-            self._templates[base_name] = template
-            self.stats.template_builds += 1
+        self._templates[base_name] = template
+        self.stats.template_builds += 1
         names: List[str] = []
         for value in links:
             resolved = self._resolve_to_name(base_name, value)
@@ -578,11 +572,11 @@ class DCWSEngine:
         that does not match is served exactly like an unconditional
         request.  Nothing here mutates engine state but the two memos
         of framed header blocks (on the rendition for 304s, on the cache
-        entry's ``framed`` for 200s): a flavour's first hit is rendered
-        and framed the way the slow path does it and its headers are
-        kept; every later hit gets a copy of that block.
-        :meth:`fast_commit` books the hit exactly as the slow path
-        would have.
+        entry's ``framed`` for 200s): a flavour's first hit goes through
+        :meth:`_render_entity`, the renderer :meth:`_serve_copy` uses,
+        and its headers are kept; every later hit gets a copy of that
+        block.  :meth:`fast_commit` books the hit through the same
+        :meth:`_book`.
         """
         if request.method not in ("GET", "HEAD"):
             return None
@@ -611,11 +605,12 @@ class DCWSEngine:
             # the quarantine that empties the cache must be asked here.
             if self.integrity.is_quarantined(path):
                 return None
-            rendition = self._rendition(record)
+            rendition = self._rendition(path, record.version, record.digest)
             if not_modified(headers, rendition.etag, rendition.last_modified):
                 return _FastHit(
                     record=record, cached=None, kind="304",
-                    response=self._not_modified_response(request, rendition))
+                    response=self._not_modified_response(
+                        request, rendition, home=True))
         cached = self.response_cache.get(path, record.version,
                                          request.method)
         if cached is None:
@@ -628,11 +623,7 @@ class DCWSEngine:
                 status=StatusCode.OK, headers=framed.copy(),
                 body=cached.gzip_body if gzip else cached.body)
         else:
-            response, kind = self._render_entity(request, cached)
-            if kind not in ("identity", "gzip"):
-                return None  # unreachable without Range, but stay defensive
-            response.headers.set(VERSION_HEADER, cached.version)
-            self._frame(request, response)
+            response, __ = self._render_entity(request, cached, home=True)
             # Render the field block now, so the kept copy — and every
             # copy of it — carries the bytes serialize_head() joins.
             response.headers.serialize_bytes()
@@ -650,61 +641,8 @@ class DCWSEngine:
         self.stats.requests += 1
         self.stats.fast_hits += 1
         hit.record.record_hit()
-        if hit.kind == "304":
-            self.stats.responses_304 += 1
-            self.stats.conditional_304s += 1
-        else:
-            cached = hit.cached
-            if hit.kind == "gzip" and cached.gzip_body is not None:
-                self.stats.gzip_responses += 1
-                self.stats.gzip_bytes_saved += \
-                    cached.content_length - len(cached.gzip_body)
-            self.stats.responses_200 += 1
+        self._book(hit.kind, hit.cached)
         return self._account(hit.response, now, doc_name=hit.record.name)
-
-    # -- renditions: what (version, digest) determines -------------------
-
-    def _rendition(self, record: DocumentRecord) -> Rendition:
-        """The rendition of *record*'s current ``(version, digest)``,
-        made — and the one of any older stamp dropped — on demand."""
-        rendition = self._renditions.get(record.name)
-        if rendition is None or rendition.version != record.version \
-                or rendition.digest != record.digest:
-            rendition = Rendition(
-                version=record.version, digest=record.digest,
-                etag=etag_for(record.name, record.version),
-                last_modified=last_modified_for(record.version))
-            self._renditions[record.name] = rendition
-        return rendition
-
-    def _build_not_modified(self, request: Request,
-                            rendition: Rendition) -> Response:
-        """Build and frame the 304 for a client validator naming
-        *rendition* — the one builder of that head."""
-        response = Response(status=StatusCode.NOT_MODIFIED)
-        response.headers.set("ETag", rendition.etag)
-        response.headers.set("Last-Modified", rendition.last_modified)
-        response.headers.set(VERSION_HEADER, str(rendition.version))
-        self._frame(request, response)
-        return response
-
-    def _not_modified_response(self, request: Request,
-                               rendition: Rendition) -> Response:
-        """The 304 for a plain client, off *rendition*'s memo.  A 304 is
-        all head and a client's head depends on the request only through
-        "does the connection persist", so the block is built once per
-        flavour and copied after that."""
-        persists = self._persists(request)
-        framed = rendition.not_modified.get(persists)
-        if framed is not None:
-            return Response(status=StatusCode.NOT_MODIFIED,
-                            headers=framed.copy())
-        response = self._build_not_modified(request, rendition)
-        # Render the field block now, as for a framed 200: the kept copy
-        # and every copy of it then carry the rendered bytes.
-        response.headers.serialize_bytes()
-        rendition.not_modified[persists] = response.headers.copy()
-        return response
 
     # -- administrative endpoints (/~dcws/...) ---------------------------
 
@@ -722,12 +660,17 @@ class DCWSEngine:
         # Renderers are pure functions of the engine; age computations
         # (e.g. /~dcws/peers GLT row age) read the request's clock here.
         self._admin_now = now
-        body = renderer(self).encode("latin-1", "replace")
+        return self._finish(request, self._text_page(request, renderer(self)),
+                            now, doc_name=path)
+
+    @staticmethod
+    def _text_page(request: Request, text: str) -> Response:
+        body = text.encode("latin-1", "replace")
         response = Response(status=StatusCode.OK,
                             body=b"" if request.method == "HEAD" else body)
         response.headers.set("Content-Type", "text/plain")
         response.headers.set("Content-Length", str(len(body)))
-        return self._finish(request, response, now, doc_name=path)
+        return response
 
     def _handle_health(self, request: Request) -> EngineReply:
         """The accounting-free ``/~dcws/health`` probe.
@@ -738,15 +681,9 @@ class DCWSEngine:
         """
         from repro.server import admin
 
-        body = admin.render_health(self).encode("latin-1", "replace")
-        response = Response(status=StatusCode.OK,
-                            body=b"" if request.method == "HEAD" else body)
-        response.headers.set("Content-Type", "text/plain")
-        response.headers.set("Content-Length", str(len(body)))
-        if self.config.keep_alive and request_wants_keep_alive(request):
-            response.headers.set("Connection", "keep-alive")
-        else:
-            response.headers.set("Connection", "close")
+        response = self._text_page(request, admin.render_health(self))
+        response.headers.set(
+            "Connection", "keep-alive" if self._persists(request) else "close")
         return EngineReply(response=response, doc_name=HEALTH_PATH)
 
     # -- local (home-server) documents ---------------------------------
@@ -781,8 +718,7 @@ class DCWSEngine:
             # for a re-pull, must not be served its own bad copy back):
             # drop the holder, repair the group, and point it home.
             return self._holder_quarantined(request, record, sender, now)
-        if self.entry_gate is not None and not record.entry_point \
-                and not sender and not self._gate_passes(request, now):
+        if not record.entry_point and not self._gate_passes(request, now):
             return self._gate_bounce(request, now, doc_name=record.name)
         if record.location != self.location and not privileged:
             # Migrated away: 301 to the current location (section 4.4).
@@ -804,12 +740,14 @@ class DCWSEngine:
                     response.headers.set(
                         REPLICAS_HEADER,
                         ",".join(str(loc) for loc in live))
-            reply = self._finish(request, response, now, doc_name=path)
-            return reply
+            return self._finish(request, response, now, doc_name=path)
         return self._serve_home_document(request, record, now)
 
     def _serve_home_document(self, request: Request, record: DocumentRecord,
                              now: float) -> EngineReply:
+        """What only a home does before :meth:`_serve_copy`: refuse a
+        quarantined copy it cannot repair, regenerate a dirty page,
+        answer a co-op's version check, and mint the gate cookie."""
         if self.integrity.is_quarantined(record.name) \
                 and not (record.dirty and record.is_html
                          and record.name in self._templates):
@@ -817,13 +755,10 @@ class DCWSEngine:
             # dirty HTML document regenerates from the in-memory link
             # template, replacing the corrupt bytes): refuse to serve the
             # bad copy rather than hand out a body that fails its digest.
-            response = error_response(StatusCode.SERVICE_UNAVAILABLE,
-                                      "content integrity failure")
-            response.headers.set("Retry-After", "5")
-            self.stats.responses_503 += 1
-            return self._finish(request, response, now, doc_name=record.name)
+            return self._unavailable(request, now, "content integrity failure",
+                                     doc_name=record.name, retry_after="5",
+                                     drop=False)
         reconstructed = False
-        spliced = False
         if record.dirty and record.is_html:
             if self.overloaded and self.config.tiered_shedding:
                 # Tier 2 of overload handling: a dirty document needs a
@@ -832,20 +767,11 @@ class DCWSEngine:
                 # documents (the cheap tier) keep serving below.
                 return self._shed(request, now, doc_name=record.name,
                                   kind="regeneration")
-            spliced = self._regenerate(record)
-            reconstructed = True
-            self.metrics.record_reconstruction(now)
-            self.stats.reconstructions += 1
-            if spliced:
+            reconstructed = self._regenerate(record)
+            if reconstructed:
+                self.metrics.record_reconstruction(now)
+                self.stats.reconstructions += 1
                 self.stats.splices += 1
-        return self._respond_home(request, record, now,
-                                  reconstructed=reconstructed,
-                                  spliced=spliced)
-
-    def _respond_home(self, request: Request, record: DocumentRecord,
-                      now: float, *, reconstructed: bool = False,
-                      spliced: bool = False) -> EngineReply:
-        """Render (or reuse) the response for a clean home document."""
         # Conditional validation support (section 4.5): a co-op re-request
         # carrying our current version gets a cheap 304 — no store read.
         peer_version = request.headers.get(VERSION_HEADER)
@@ -854,60 +780,106 @@ class DCWSEngine:
             response.headers.set(VERSION_HEADER, str(record.version))
             self.stats.responses_304 += 1
             return self._finish(request, response, now, doc_name=record.name,
-                                reconstructed=reconstructed, spliced=spliced)
-        # Client conditional GET: validators derive from (name, version),
+                                reconstructed=reconstructed)
+        cookie = None
+        if self.entry_gate is not None and record.entry_point:
+            # Gate cookies are time-dependent, so they are applied per
+            # request on top of the cached rendering.
+            cookie = build_set_cookie(
+                COOKIE_NAME, self.entry_gate.issue(now),
+                max_age=int(self.config.entry_gate_ttl))
+        return self._serve_copy(request, record, now, cookie=cookie,
+                                reconstructed=reconstructed)
+
+    # -- one way to serve a stored copy ------------------------------------
+
+    def _rendition(self, key: str, version: object, digest: str) -> Rendition:
+        """The rendition of the copy stored under *key* at its current
+        ``(version, digest)``, made — and the one of any older stamp
+        dropped — on demand.  No validators for a versionless hosted
+        copy, which switches the 304 and the response cache off for it."""
+        rendition = self._renditions.get(key)
+        if rendition is None or rendition.version != version \
+                or rendition.digest != digest:
+            rendition = self._renditions[key] = Rendition.of(
+                key, version, digest)
+        return rendition
+
+    def _serve_copy(self, request: Request,
+                    copy: Union[DocumentRecord, HostedDocument], now: float,
+                    *, cookie: Optional[str] = None,
+                    reconstructed: bool = False
+                    ) -> Union[EngineReply, PullFromHome]:
+        """Answer *request* from the bytes stored for *copy* — a clean
+        home document or a fetched hosted copy — with the 200, 206, 304
+        or 416 its headers negotiate.
+
+        Everything derived from the copy's ``(version, digest)`` is read
+        off its rendition; the identity bytes come from the response
+        cache, else the store.  Two things differ by whose copy it is.
+        A home stamps ``X-DCWS-Version`` (and, on a gated entry point,
+        *cookie*) and may hand a large body to ``sendfile``; a co-op
+        does neither.  And bytes that are missing, or that fail the
+        digest on a fill, make a home quarantine the document and answer
+        503, a co-op drop the copy and pull it again.
+        """
+        home = isinstance(copy, DocumentRecord)
+        key = copy.name if home else copy.key
+        flags = {"doc_name": key, "reconstructed": reconstructed}
+        # Client conditional GET: validators derive from (key, version),
         # so both the 304 check and the 304 itself need no store read.
         # Safe because every byte change bumps the version (author updates
         # directly; migration events dirty referrers with a bump, and
-        # dirty documents regenerate before reaching this point).
-        rendition = self._rendition(record)
-        etag, last_modified = rendition.etag, rendition.last_modified
-        if not_modified(request.headers, etag, last_modified):
-            if extract_sender(request.headers):
-                # A peer's head carries the load table of the moment:
-                # built afresh, never kept.
-                response = self._build_not_modified(request, rendition)
-            else:
-                response = self._not_modified_response(request, rendition)
-            self.stats.responses_304 += 1
-            self.stats.conditional_304s += 1
-            return self._account(response, now, doc_name=record.name,
-                                 reconstructed=reconstructed, spliced=spliced)
-        if self.sendfile_enabled and request.method == "GET" \
-                and request.headers.get("Range") is None \
-                and (self.entry_gate is None or not record.entry_point):
+        # dirty documents regenerate before reaching this point; a co-op
+        # takes the home's version with the bytes).
+        rendition = self._rendition(key, copy.version, copy.digest)
+        if rendition.etag and not_modified(request.headers, rendition.etag,
+                                           rendition.last_modified):
+            self._book("304")
+            return self._account(
+                self._not_modified_response(request, rendition, home=home),
+                now, **flags)
+        if home and cookie is None and self.sendfile_enabled \
+                and request.method == "GET" \
+                and request.headers.get("Range") is None:
             # Zero-copy delivery of large disk-backed bodies: hand the
             # transport a FileBody for os.sendfile instead of reading the
             # bytes.  Deliberately bypasses the byte/response caches so
             # one big file cannot flush the hot set; small documents (or
             # ones already byte-cached) keep the cached path below.
-            source = self.store.sendfile_source(record.name)
+            source = self.store.sendfile_source(key)
             if source is not None \
                     and source[1] >= self.config.sendfile_min_bytes:
-                disk_path, size = source
-                response = Response(
-                    status=StatusCode.OK,
-                    body_file=FileBody(path=disk_path, size=size))
-                response.headers.set("Content-Type", record.content_type)
-                response.headers.set("Content-Length", str(size))
-                response.headers.set("Accept-Ranges", "bytes")
-                response.headers.set("ETag", etag)
-                response.headers.set("Last-Modified", last_modified)
-                response.headers.set(VERSION_HEADER, str(record.version))
-                if record.digest:
+                response = self._entity_head(copy.content_type, source[1],
+                                             rendition, varies=False)
+                response.body_file = FileBody(path=source[0], size=source[1])
+                response.headers.set(VERSION_HEADER, str(copy.version))
+                if copy.digest:
                     # Stamped from the record, not from re-hashing the
                     # file: in-transit verification must not cost the
                     # zero-copy path a body read.
-                    response.headers.set(DIGEST_HEADER, record.digest)
-                self.stats.responses_200 += 1
-                return self._finish(request, response, now,
-                                    doc_name=record.name,
-                                    reconstructed=reconstructed,
-                                    spliced=spliced)
-        cached = self.response_cache.get(record.name, record.version,
-                                         request.method)
+                    response.headers.set(DIGEST_HEADER, copy.digest)
+                self._book("identity")
+                return self._finish(request, response, now, **flags)
+        # Never cache versionless copies: two pulls of the same key
+        # could then collide across re-migrations.
+        cached = self.response_cache.get(key, copy.version, request.method) \
+            if rendition.etag else None
         if cached is None:
-            data = self.store.get(record.name)
+            try:
+                data = self.store.get(key)
+            except DocumentNotFound:
+                if home:
+                    raise
+                # The entry says fetched but the bytes are gone — a
+                # restart recovered the registration without the copy, or
+                # the file was lost.  Degrade to a fresh pull instead of
+                # 404ing a document the home migrated here.
+                copy.fetched = False
+                copy.version = ""
+                self.response_cache.invalidate(key)
+                self.log.record(now, "pull", key=key, reason="missing-bytes")
+                return self._start_pull(request, copy)
             wants_variant = request.method == "GET" \
                 and self.config.gzip_enabled
             # The rendition's variant is the deflate of the bytes that
@@ -915,105 +887,152 @@ class DCWSEngine:
             # the kept one with the bytes just read, first shows those
             # bytes to be the ones: a hash beside the one deflate pass,
             # then a hash instead of a deflate pass ever after.
-            keeps_variant = wants_variant and bool(record.digest) \
-                and compressible(record.content_type)
+            keeps_variant = wants_variant and bool(copy.digest) \
+                and compressible(copy.content_type)
             # Serve-path integrity check: on every such fill, and
             # otherwise on every Nth cache miss, re-hash the bytes just
-            # read against the recorded digest, so bit-rot on a document
+            # read against the recorded digest, so bit-rot on a copy
             # the scrubber has not reached yet is still caught before
             # the body leaves the server.
-            if record.digest \
+            if copy.digest \
                     and (self.integrity.sample_serve() or keeps_variant) \
-                    and not digest_matches(data, record.digest):
-                return self._quarantine_home(request, record,
-                                             body_digest(data), now)
+                    and not digest_matches(data, copy.digest):
+                self._quarantine(copy, REASON_SERVE, data, now)
+                if home:
+                    # Never the corrupt body.  (A repairable document
+                    # regenerates on the retry the Retry-After invites.)
+                    return self._unavailable(
+                        request, now, "content integrity failure",
+                        doc_name=key)
+                # The pull carries the quarantine flag, so the home
+                # repairs the group from a verified copy.
+                return self._start_pull(request, copy)
             gzip_body = rendition.gzip_body if keeps_variant else None
             if wants_variant and gzip_body is None:
-                gzip_body = maybe_gzip(data, record.content_type)
+                gzip_body = maybe_gzip(data, copy.content_type)
                 if keeps_variant:
                     rendition.gzip_body = gzip_body
             cached = CachedResponse(
                 body=b"" if request.method == "HEAD" else data,
                 content_length=len(data),
-                content_type=record.content_type,
-                version=str(record.version),
-                etag=etag,
-                last_modified=last_modified,
+                content_type=copy.content_type,
+                version=str(copy.version),
+                etag=rendition.etag,
+                last_modified=rendition.last_modified,
                 gzip_body=gzip_body,
-                digest=record.digest)
-            self.response_cache.put(record.name, record.version,
-                                    request.method, cached)
-        response = self._entity_response(request, cached)
-        response.headers.set(VERSION_HEADER, cached.version)
-        if self.entry_gate is not None and record.entry_point:
-            # Gate cookies are time-dependent, so they are applied per
-            # request on top of the cached rendering.
-            response.headers.set("Set-Cookie", build_set_cookie(
-                COOKIE_NAME, self.entry_gate.issue(now),
-                max_age=int(self.config.entry_gate_ttl)))
-        return self._finish(request, response, now, doc_name=record.name,
-                            reconstructed=reconstructed, spliced=spliced)
+                digest=copy.digest)
+            if rendition.etag:
+                self.response_cache.put(key, copy.version, request.method,
+                                        cached)
+        response, kind = self._render_entity(request, cached, home=home,
+                                             cookie=cookie)
+        self._book(kind, cached)
+        return self._account(response, now, **flags)
 
-    def _render_entity(self, request: Request, cached: CachedResponse
+    def _not_modified_response(self, request: Request, rendition: Rendition,
+                               *, home: bool) -> Response:
+        """The framed 304 for a client validator naming *rendition*: the
+        one builder of that head, and its memo.  A 304 is all head and a
+        client's head depends on the request only through "does the
+        connection persist", so the block is built once per flavour and
+        copied after that.  A peer's head carries the load table of the
+        moment: built afresh, never kept."""
+        persists = self._persists(request)
+        peer = bool(extract_sender(request.headers))
+        framed = None if peer else rendition.not_modified.get(persists)
+        if framed is not None:
+            return Response(status=StatusCode.NOT_MODIFIED,
+                            headers=framed.copy())
+        response = Response(status=StatusCode.NOT_MODIFIED)
+        response.headers.set("ETag", rendition.etag)
+        response.headers.set("Last-Modified", rendition.last_modified)
+        if home:
+            response.headers.set(VERSION_HEADER, str(rendition.version))
+        self._frame(request, response)
+        if not peer:
+            # Render the field block now, as for a framed 200: the kept
+            # copy and every copy of it then carry the rendered bytes.
+            response.headers.serialize_bytes()
+            rendition.not_modified[persists] = response.headers.copy()
+        return response
+
+    @staticmethod
+    def _entity_head(content_type: str, length: int, validators: object,
+                     *, varies: bool) -> Response:
+        """A 200 carrying the fields every full response for a stored
+        copy starts with; *validators* is the copy's rendition or its
+        cache entry (both carry ``etag``/``last_modified``, empty for a
+        versionless copy)."""
+        response = Response(status=StatusCode.OK)
+        response.headers.set("Content-Type", content_type)
+        response.headers.set("Content-Length", str(length))
+        response.headers.set("Accept-Ranges", "bytes")
+        if validators.etag:
+            response.headers.set("ETag", validators.etag)
+        if validators.last_modified:
+            response.headers.set("Last-Modified", validators.last_modified)
+        if varies:
+            # The representation depends on Accept-Encoding whenever a
+            # compressed variant exists — even when this response is the
+            # identity one — or a shared cache would serve gzip to all.
+            response.headers.set("Vary", "Accept-Encoding")
+        return response
+
+    def _render_entity(self, request: Request, cached: CachedResponse, *,
+                       home: bool, cookie: Optional[str] = None
                        ) -> Tuple[Response, str]:
-        """Build the 200/206/416 for one cached rendering — PURE.
+        """Build and frame the 200/206/416 for one cached rendering.
 
         Negotiates ``Range`` (single byte range against the identity
         representation) and ``Accept-Encoding: gzip`` (the pre-compressed
         variant stored at cache-fill time).  The validators ride on every
         flavor so a client can revalidate whatever it received.  No
-        counter is touched here: the fast path books the outcome in
-        :meth:`fast_commit`, the slow path in :meth:`_entity_response`.
-        Returns the response plus its kind — ``"identity"``, ``"gzip"``,
-        ``"206"`` or ``"416"``.  The identity and gzip bodies are the
-        *shared* cached bytes objects, never a copy.
+        counter is touched here: the caller books the returned kind —
+        ``"identity"``, ``"gzip"``, ``"206"`` or ``"416"`` — through
+        :meth:`_book`.  The identity and gzip bodies are the *shared*
+        cached bytes objects, never a copy.
         """
-        response = Response(status=StatusCode.OK, body=cached.body)
-        response.headers.set("Content-Type", cached.content_type)
-        response.headers.set("Content-Length", str(cached.content_length))
-        response.headers.set("Accept-Ranges", "bytes")
-        if cached.etag:
-            response.headers.set("ETag", cached.etag)
-        if cached.last_modified:
-            response.headers.set("Last-Modified", cached.last_modified)
-        if cached.gzip_body is not None:
-            # The representation depends on Accept-Encoding whenever a
-            # compressed variant exists — even when this response is the
-            # identity one — or a shared cache would serve gzip to all.
-            response.headers.set("Vary", "Accept-Encoding")
+        response = self._entity_head(
+            cached.content_type, cached.content_length, cached,
+            varies=cached.gzip_body is not None)
+        response.body = cached.body
+        kind = "identity"
         range_header = request.headers.get("Range")
-        if range_header and request.method == "GET":
-            span = parse_range(range_header, cached.content_length)
-            if span is RANGE_UNSATISFIABLE:
-                response.status = StatusCode.RANGE_NOT_SATISFIABLE
-                response.body = b""
-                response.headers.set("Content-Length", "0")
-                response.headers.set(
-                    "Content-Range", f"bytes */{cached.content_length}")
-                return response, "416"
-            if span is not None:
-                start, end = span
-                response.status = StatusCode.PARTIAL_CONTENT
-                response.body = cached.body[start:end + 1]
-                response.headers.set("Content-Range",
-                                     content_range(span,
-                                                   cached.content_length))
-                response.headers.set("Content-Length", str(end - start + 1))
-                return response, "206"
-        if self._wants_gzip(request, cached):
-            response.body = cached.gzip_body
-            response.headers.set("Content-Encoding", "gzip")
-            response.headers.set("Content-Length",
-                                 str(len(cached.gzip_body)))
+        span = parse_range(range_header, cached.content_length) \
+            if range_header and request.method == "GET" else None
+        if span is RANGE_UNSATISFIABLE:
+            kind = "416"
+            response.status = StatusCode.RANGE_NOT_SATISFIABLE
+            response.body = b""
+            response.headers.set("Content-Length", "0")
+            response.headers.set(
+                "Content-Range", f"bytes */{cached.content_length}")
+        elif span is not None:
+            kind = "206"
+            start, end = span
+            response.status = StatusCode.PARTIAL_CONTENT
+            response.body = cached.body[start:end + 1]
+            response.headers.set("Content-Range",
+                                 content_range(span, cached.content_length))
+            response.headers.set("Content-Length", str(end - start + 1))
+        else:
+            if self._wants_gzip(request, cached):
+                kind = "gzip"
+                response.body = cached.gzip_body
+                response.headers.set("Content-Encoding", "gzip")
+                response.headers.set("Content-Length",
+                                     str(len(cached.gzip_body)))
             if cached.digest:
                 # The digest always covers the identity entity; a gzip
                 # recipient verifies after decoding (the pool skips
                 # encoded bodies, the real client gunzips first).
                 response.headers.set(DIGEST_HEADER, cached.digest)
-            return response, "gzip"
-        if cached.digest:
-            response.headers.set(DIGEST_HEADER, cached.digest)
-        return response, "identity"
+        if home:
+            response.headers.set(VERSION_HEADER, cached.version)
+        if cookie is not None:
+            response.headers.set("Set-Cookie", cookie)
+        self._frame(request, response)
+        return response, kind
 
     @staticmethod
     def _wants_gzip(request: Request, cached: CachedResponse) -> bool:
@@ -1021,43 +1040,56 @@ class DCWSEngine:
         return cached.gzip_body is not None and request.method == "GET" \
             and accepts_gzip(request.headers)
 
-    def _entity_response(self, request: Request,
-                         cached: CachedResponse) -> Response:
-        """Render one cached entity and book the outcome counters
-        (slow path; the host's engine lock is held)."""
-        response, kind = self._render_entity(request, cached)
-        if kind == "416":
+    def _book(self, kind: str,
+              cached: Optional[CachedResponse] = None) -> None:
+        """Count one answer for a stored copy by the kind its renderer
+        returned — the one place these counters move, whichever route
+        served the request."""
+        if kind == "304":
+            self.stats.responses_304 += 1
+            self.stats.conditional_304s += 1
+        elif kind == "416":
             self.stats.responses_416 += 1
         elif kind == "206":
             self.stats.responses_206 += 1
         else:
-            if kind == "gzip" and cached.gzip_body is not None:
+            if kind == "gzip":
                 self.stats.gzip_responses += 1
                 self.stats.gzip_bytes_saved += \
                     cached.content_length - len(cached.gzip_body)
             self.stats.responses_200 += 1
-        return response
 
     def _shed(self, request: Request, now: float, *, doc_name: str,
               kind: str) -> EngineReply:
         """Refuse one expensive request under overload (tier 2 shedding):
         503 + Retry-After, counted as a drop so advertised load rises."""
-        reply = error_response(StatusCode.SERVICE_UNAVAILABLE,
-                               "server overloaded; retry shortly")
-        reply.headers.set("Retry-After", "1")
-        self.stats.responses_503 += 1
         if kind == "regeneration":
             self.stats.regenerations_shed += 1
         else:
             self.stats.pulls_shed += 1
-        self.metrics.record_drop(now)
         self.log.record(now, "shed", name=doc_name, what=kind)
-        return self._finish(request, reply, now, doc_name=doc_name)
+        return self._unavailable(request, now,
+                                 "server overloaded; retry shortly",
+                                 doc_name=doc_name)
+
+    def _unavailable(self, request: Request, now: float, message: str, *,
+                     doc_name: str, retry_after: str = "1",
+                     drop: bool = True) -> EngineReply:
+        """503 + ``Retry-After``; *drop* counts it into the advertised
+        load the way a front-end drop is."""
+        response = error_response(StatusCode.SERVICE_UNAVAILABLE, message)
+        response.headers.set("Retry-After", retry_after)
+        self.stats.responses_503 += 1
+        if drop:
+            self.metrics.record_drop(now)
+        return self._finish(request, response, now, doc_name=doc_name)
 
     def _gate_passes(self, request: Request, now: float) -> bool:
+        """No gate here, a peer asking, or a valid session cookie."""
+        if self.entry_gate is None or extract_sender(request.headers):
+            return True
         cookie_header = request.headers.get("Cookie", "") or ""
         token = parse_cookie_header(cookie_header).get(COOKIE_NAME)
-        assert self.entry_gate is not None
         return self.entry_gate.validate(token, now)
 
     def _gate_bounce(self, request: Request, now: float, *,
@@ -1098,25 +1130,16 @@ class DCWSEngine:
             # holders, weighted by last-known GLT load.
             return self.replication.pick(record, salt)
         locations = sorted(record.locations(), key=str)
-        if len(locations) == 1:
-            return locations[0]
-        index = hash((record.name, salt)) % len(locations)
-        return locations[index]
+        # shard_of, not hash(): a str's hash is salted per process.
+        return locations[shard_of(f"{record.name}|{salt}", len(locations))]
 
     # -- co-op (migrated) documents -------------------------------------
 
     def _handle_coop(self, request: Request, key: str, home: Location,
                      original: str, now: float) -> Union[EngineReply, PullFromHome]:
-        if self.entry_gate is not None \
-                and not extract_sender(request.headers) \
-                and not self._gate_passes(request, now):
-            return self._gate_bounce(request, now, doc_name=key,
-                                     home=home)
-        hosted = self.hosted.get(key)
-        if hosted is None:
-            hosted = HostedDocument(key=key, home=home, original=original,
-                                    content_type=guess_content_type(original))
-            self.hosted[key] = hosted
+        if not self._gate_passes(request, now):
+            return self._gate_bounce(request, now, doc_name=key, home=home)
+        hosted = self._hosted_entry(key, home, original)
         hosted.hits += 1
         if not hosted.fetched:
             if self.overloaded and self.config.tiered_shedding:
@@ -1125,78 +1148,33 @@ class DCWSEngine:
                 return self._shed(request, now, doc_name=key, kind="pull")
             # Lazy migration, sub-condition 1 (section 4.2): no local copy
             # yet — pull from the home server, then serve and cache.
-            return self._start_pull(request, key, home, original)
-        # Hosted copies carry the home's version, so client conditional
-        # GETs validate here without touching the store — a versionless
-        # copy (legacy pull) simply skips the validator machinery.
-        etag = etag_for(key, hosted.version) if hosted.version else ""
-        last_modified = last_modified_for(hosted.version) \
-            if hosted.version else ""
-        if etag and not_modified(request.headers, etag, last_modified):
-            response = Response(status=StatusCode.NOT_MODIFIED)
-            response.headers.set("ETag", etag)
-            response.headers.set("Last-Modified", last_modified)
-            self.stats.responses_304 += 1
-            self.stats.conditional_304s += 1
-            return self._finish(request, response, now, doc_name=key)
-        cached = self.response_cache.get(key, hosted.version, request.method) \
-            if hosted.version else None
-        if cached is None:
-            try:
-                data = self.store.get(key)
-            except DocumentNotFound:
-                # The entry says fetched but the bytes are gone — a
-                # restart recovered the registration without the copy, or
-                # the file was lost.  Degrade to a fresh pull instead of
-                # 404ing a document the home migrated here.
-                hosted.fetched = False
-                hosted.version = ""
-                self.response_cache.invalidate(key)
-                self.log.record(now, "pull", key=key, reason="missing-bytes")
-                return self._start_pull(request, key, home, original)
-            # Sampled serve-path integrity check, co-op flavor: a hosted
-            # copy that fails its digest is dropped and re-pulled (the
-            # pull carries the quarantine flag so the home repairs the
-            # group), never served corrupt.
-            if hosted.digest and self.integrity.sample_serve() \
-                    and not digest_matches(data, hosted.digest):
-                self._quarantine_hosted(hosted, REASON_SERVE,
-                                        body_digest(data), now)
-                return self._start_pull(request, key, home, original)
-            gzip_body = None
-            if request.method == "GET" and self.config.gzip_enabled:
-                gzip_body = maybe_gzip(data, hosted.content_type)
-            cached = CachedResponse(
-                body=b"" if request.method == "HEAD" else data,
-                content_length=len(data),
-                content_type=hosted.content_type,
-                version=hosted.version,
-                etag=etag,
-                last_modified=last_modified,
-                gzip_body=gzip_body,
-                digest=hosted.digest)
-            if hosted.version:
-                # Never cache versionless copies: two pulls of the same
-                # key could then collide across re-migrations.
-                self.response_cache.put(key, hosted.version, request.method,
-                                        cached)
-        response = self._entity_response(request, cached)
-        return self._finish(request, response, now, doc_name=key)
+            return self._start_pull(request, hosted)
+        return self._serve_copy(request, hosted, now)
 
-    def _start_pull(self, request: Request, key: str, home: Location,
-                    original: str) -> PullFromHome:
+    def _hosted_entry(self, key: str, home: Location,
+                      original: str) -> HostedDocument:
+        """The entry for *key*, registered unfetched on first sight."""
+        hosted = self.hosted.get(key)
+        if hosted is None:
+            hosted = self.hosted[key] = HostedDocument(
+                key=key, home=home, original=original,
+                content_type=guess_content_type(original))
+        return hosted
+
+    def _start_pull(self, request: Request,
+                    hosted: HostedDocument) -> PullFromHome:
         """Directive to fetch a hosted document's bytes from its home."""
         self.stats.pulls_started += 1
-        pull_request = Request(method="GET", target=original)
-        self._attach_piggyback(pull_request.headers)
-        pull_request.headers.set(PURPOSE_HEADER, "migration-pull")
-        if self.integrity.is_quarantined(key):
+        pull_request = self._peer_request("GET", hosted.original,
+                                          "migration-pull")
+        if self.integrity.is_quarantined(hosted.key):
             # Tell the home this pull replaces a quarantined copy, so it
             # drops us as a holder and repairs the replication group from
             # a verified copy — never from ours.
             pull_request.headers.set(QUARANTINE_HEADER, "1")
-        return PullFromHome(key=key, home=home, original=original,
-                            request=pull_request, client_request=request)
+        return PullFromHome(key=hosted.key, home=hosted.home,
+                            original=hosted.original, request=pull_request,
+                            client_request=request)
 
     def complete_pull(self, pull: PullFromHome, response: Optional[Response],
                       now: float, *, home_down: bool = False,
@@ -1218,24 +1196,15 @@ class DCWSEngine:
         self._clock = now
         if corrupt:
             return self._reject_corrupt_pull(pull, now)
-        hosted = self.hosted.get(pull.key)
-        if hosted is None:
-            # The entry was discarded while the pull was in flight (e.g.
-            # a validation learned the home dropped the document).
-            hosted = HostedDocument(key=pull.key, home=pull.home,
-                                    original=pull.original,
-                                    content_type=guess_content_type(pull.original))
-            self.hosted[pull.key] = hosted
+        # (Anew, if the entry was discarded while the pull was in flight:
+        # a validation learned the home dropped the document.)
+        hosted = self._hosted_entry(pull.key, pull.home, pull.original)
         if response is not None and response.status in (
                 StatusCode.MOVED_PERMANENTLY, StatusCode.FOUND):
             # The home says we are not (or no longer) this document's
             # host: forward the redirect to the client, keep nothing.
             self._absorb_piggyback(response.headers)
-            self._journal("hosted_dropped", key=pull.key)
-            self.hosted.pop(pull.key, None)
-            self.validation.forget(pull.key)
-            self.response_cache.invalidate(pull.key)
-            self._clear_quarantine(pull.key)
+            self._drop_hosted(pull.key)
             forwarded = redirect_response(
                 response.headers.get("Location", "") or "")
             self.stats.responses_301 += 1
@@ -1264,43 +1233,51 @@ class DCWSEngine:
         claimed = response.headers.get(DIGEST_HEADER, "") or ""
         if claimed and not digest_matches(response.body, claimed):
             return self._reject_corrupt_pull(pull, now)
-        content_type = response.headers.get("Content-Type") \
+        hosted.content_type = response.headers.get("Content-Type") \
             or hosted.content_type
-        # Journal before the byte write: a crash in between recovers the
-        # hosted entry as unfetched, and the next request re-pulls — lost
-        # work, never lost state.
-        self._journal("pull", key=pull.key, home=str(pull.home),
-                      original=pull.original, size=len(response.body),
-                      version=response.headers.get(VERSION_HEADER, "")
-                      or "",
-                      content_type=content_type,
-                      digest=claimed or body_digest(response.body))
-        self.store.put(pull.key, response.body)
-        self.response_cache.invalidate(pull.key)
-        hosted.fetched = True
-        hosted.size = len(response.body)
-        hosted.version = response.headers.get(VERSION_HEADER, "") or ""
-        hosted.digest = claimed or body_digest(response.body)
-        if content_type:
-            hosted.content_type = content_type
-        self._clear_quarantine(pull.key)
-        # Jitter each document's first validation deadline so documents
-        # pulled in a burst (e.g. right after a warm start) do not
-        # re-validate in synchronized storms that flood the home server.
-        jitter = (hash(pull.key) % 997) / 997.0
-        self.validation.register(
-            pull.key, now - jitter * self.config.validation_interval)
+        self._install_pulled(
+            hosted, response.body,
+            response.headers.get(VERSION_HEADER, "") or "",
+            claimed or body_digest(response.body), now)
         self.log.record(now, "pull", key=pull.key, home=str(pull.home),
                         bytes=hosted.size)
         self.stats.pulls_completed += 1
-        client_response = Response(status=StatusCode.OK, body=response.body)
-        client_response.headers.set("Content-Type", hosted.content_type)
-        client_response.headers.set("Content-Length", str(len(response.body)))
-        if hosted.digest:
-            client_response.headers.set(DIGEST_HEADER, hosted.digest)
-        self.stats.responses_200 += 1
-        return self._finish(pull.client_request, client_response, now,
-                            doc_name=pull.key)
+        reply = self._serve_copy(pull.client_request, hosted, now)
+        if isinstance(reply, PullFromHome):
+            # The bytes just installed did not read back as themselves.
+            return self._reject_corrupt_pull(pull, now)
+        return reply
+
+    def _install_copy(self, hosted: HostedDocument, data: bytes,
+                      version: str, digest: str) -> None:
+        """Store verified bytes as *hosted*'s copy.  The new stamp is
+        what retires the old rendition; the cache entries are dropped
+        by hand because a refresh may keep the version."""
+        self.store.put(hosted.key, data)
+        self.response_cache.invalidate(hosted.key)
+        hosted.fetched = True
+        hosted.size = len(data)
+        hosted.version = version
+        hosted.digest = digest
+        self._clear_quarantine(hosted.key)
+
+    def _install_pulled(self, hosted: HostedDocument, data: bytes,
+                        version: str, digest: str, now: float) -> None:
+        """A first copy, pulled or seeded: journal, store, schedule."""
+        # Journal before the byte write: a crash in between recovers the
+        # hosted entry as unfetched, and the next request re-pulls — lost
+        # work, never lost state.
+        self._journal("pull", key=hosted.key, home=str(hosted.home),
+                      original=hosted.original, size=len(data),
+                      version=version, content_type=hosted.content_type,
+                      digest=digest)
+        self._install_copy(hosted, data, version, digest)
+        # Jitter each copy's first validation deadline so documents
+        # pulled in a burst (e.g. right after a warm start) do not
+        # re-validate in synchronized storms that flood the home server.
+        jitter = shard_of(hosted.key, 997) / 997.0  # same in every process
+        self.validation.register(
+            hosted.key, now - jitter * self.config.validation_interval)
 
     def _reject_corrupt_pull(self, pull: PullFromHome,
                              now: float) -> EngineReply:
@@ -1340,14 +1317,10 @@ class DCWSEngine:
             # complete_action from double-declaring within one tick.
             self._peer_failure(pull.home, now)
         if not corrupt and (home_down or response is not None):
-            reply = error_response(StatusCode.SERVICE_UNAVAILABLE,
-                                   "document temporarily unavailable")
-            reply.headers.set("Retry-After", "1")
-            self.stats.responses_503 += 1
-            self.metrics.record_drop(now)
             self.log.record(now, "pull_degraded", key=pull.key, mode="shed")
-            return self._finish(pull.client_request, reply, now,
-                                doc_name=pull.key)
+            return self._unavailable(pull.client_request, now,
+                                     "document temporarily unavailable",
+                                     doc_name=pull.key)
         target = str(home_url(pull.home, pull.original))
         reply = redirect_response(target, status=StatusCode.FOUND)
         self.stats.responses_301 += 1
@@ -1362,39 +1335,31 @@ class DCWSEngine:
     # ------------------------------------------------------------------
 
     def _regenerate(self, record: DocumentRecord) -> bool:
-        """Rewrite hyperlinks to current locations and write back.
-
-        Uses the link-template splice when a template is available —
-        replacement URLs are spliced into the canonical source without
-        re-parsing — and falls back to the full parse → rewrite →
-        serialize round trip otherwise.  Returns True when the fast path
-        was used.
-        """
+        """Splice the current locations into the document's link template
+        — replacement URLs go into the canonical source, nothing is
+        re-parsed — and write the result back.  ``False``, with nothing
+        touched, when there is no template and no clean source to build
+        one from: a quarantined document whose template is gone stays
+        quarantined until it is re-authored."""
         template = self._template_for(record)
-        if template is not None:
-            regenerated, next_template = template.splice(
-                lambda raw: self._rewrite_value(record.name, raw))
-            self._templates[record.name] = next_template
-            self._commit_bytes(record, regenerated.encode("latin-1"))
-            return True
-        source = self.store.get(record.name).decode("latin-1")
-        document = parse_html(source)
-        rewrite_links(document, lambda raw: self._rewrite_value(record.name, raw))
-        self._commit_bytes(record, serialize_html(document).encode("latin-1"))
-        return False
+        if template is None:
+            return False
+        regenerated, next_template = template.splice(
+            lambda raw: self._rewrite_value(record.name, raw))
+        self._templates[record.name] = next_template
+        self._commit_bytes(record, regenerated.encode("latin-1"))
+        return True
 
-    def _template_for(self, record: DocumentRecord, *,
-                      build: bool = True) -> Optional[LinkTemplate]:
+    def _template_for(self, record: DocumentRecord
+                      ) -> Optional[LinkTemplate]:
         """The document's current link template, built on demand.
 
         Templates exist for every home HTML document parsed at
         initialization or update; building here (one parse, no serialize
         round trip) covers documents that appeared by other means.
         """
-        if not self.config.link_templates:
-            return None
         template = self._templates.get(record.name)
-        if template is None and build:
+        if template is None:
             if self.integrity.is_quarantined(record.name):
                 # Never build a template (the regeneration source) from
                 # bytes known to be corrupt.
@@ -1478,45 +1443,37 @@ class DCWSEngine:
         return actions
 
     def _repair_round(self, now: float) -> None:
-        """Replication repair daemon: one pass."""
-        assert self.replication is not None
-        decisions = self.replication.repair_round(now)
-        self._count_repair_decisions(decisions, now)
+        """Replication repair daemon: one pass (when there is one)."""
+        if self.replication is not None:
+            self._book_decisions(self.replication.repair_round(now), now)
 
-    def _count_repair_decisions(self, decisions: List[MigrationDecision],
-                                now: float) -> None:
+    # What each kind of applied decision counts as in EngineStats.
+    _DECISION_COUNTERS = {
+        "migrate": "migrations", "remigrate": "migrations",
+        "revoke": "revocations", "replicate": "replications",
+        "repair": "repairs", "replica_drop": "replica_drops"}
+
+    def _book_decisions(self, decisions: Iterable[MigrationDecision],
+                        now: float) -> None:
+        """Keep, log and count applied decisions — whatever applied
+        them: a policy round, a repair, a death, a quarantine report."""
         for decision in decisions:
             self.stats.decisions.append(decision)
             self.log.record(now, decision.kind, name=decision.name,
                             target=str(decision.target),
                             dirtied=len(decision.dirtied))
-            if decision.kind == "repair":
-                self.stats.repairs += 1
-            elif decision.kind == "replica_drop":
-                self.stats.replica_drops += 1
+            counter = self._DECISION_COUNTERS[decision.kind]
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def _recalculate_statistics(self, now: float) -> None:
         """T_st boundary: refresh own GLT row, run migration decisions."""
-        own_metric = self.metrics.load_metric(
-            now, self.config.load_metric,
-            drop_pressure_weight=self.config.drop_pressure_weight)
+        own_metric = self.current_load(now)
         self.glt.update_own(own_metric, now)
         # Own GLT row only: piggybacked peer rows are gossip, rebuilt for
         # free after a restart — journaling them would bloat the log with
         # a record per transfer for state that expires in seconds.
         self._journal("glt_row", metric=own_metric)
-        decisions = self.policy.consider(now, own_metric)
-        for decision in decisions:
-            self.stats.decisions.append(decision)
-            self.log.record(now, decision.kind, name=decision.name,
-                            target=str(decision.target),
-                            dirtied=len(decision.dirtied))
-            if decision.kind in ("migrate", "remigrate"):
-                self.stats.migrations += 1
-            elif decision.kind == "revoke":
-                self.stats.revocations += 1
-            elif decision.kind == "replicate":
-                self.stats.replications += 1
+        self._book_decisions(self.policy.consider(now, own_metric), now)
         self.graph.reset_windows()
 
     def _validations_due(self, now: float) -> List[OutboundAction]:
@@ -1527,9 +1484,8 @@ class DCWSEngine:
             if hosted is None or not hosted.fetched:
                 self.validation.forget(key)
                 continue
-            request = Request(method="GET", target=hosted.original)
-            self._attach_piggyback(request.headers)
-            request.headers.set(PURPOSE_HEADER, "validation")
+            request = self._peer_request("GET", hosted.original,
+                                         "validation")
             if hosted.version:
                 request.headers.set(VERSION_HEADER, hosted.version)
             fresh_hits = hosted.hits - hosted.hits_reported
@@ -1548,11 +1504,9 @@ class DCWSEngine:
         older than one pinger interval."""
         actions: List[OutboundAction] = []
         for peer in self.glt.stale_peers(now, self.config.pinger_interval):
-            request = Request(method="HEAD", target="/")
-            self._attach_piggyback(request.headers)
-            request.headers.set(PURPOSE_HEADER, "ping")
-            actions.append(OutboundAction(kind="ping", peer=peer,
-                                          request=request))
+            actions.append(OutboundAction(
+                kind="ping", peer=peer,
+                request=self._peer_request("HEAD", "/", "ping")))
             self.log.record(now, "ping", peer=str(peer))
             self.stats.pings += 1
         return actions
@@ -1584,11 +1538,9 @@ class DCWSEngine:
                 continue
             if self.breaker is not None:
                 self.breaker.allow_probe(peer_key, now)
-            request = Request(method="HEAD", target="/")
-            self._attach_piggyback(request.headers)
-            request.headers.set(PURPOSE_HEADER, "probe")
-            actions.append(OutboundAction(kind="probe", peer=location,
-                                          request=request))
+            actions.append(OutboundAction(
+                kind="probe", peer=location,
+                request=self._peer_request("HEAD", "/", "probe")))
             self.membership.probe_sent(peer_key, now)
             self.log.record(now, "reprobe", peer=peer_key)
         return actions
@@ -1644,10 +1596,8 @@ class DCWSEngine:
     def _finish_validation(self, action: OutboundAction, response: Response,
                            now: float) -> None:
         hosted = self.hosted.get(action.key)
-        if hosted is None:
-            return
-        if response.status == StatusCode.NOT_MODIFIED:
-            return  # copy is current
+        if hosted is None or response.status == StatusCode.NOT_MODIFIED:
+            return  # nothing to refresh, or the copy is current
         if response.status == StatusCode.OK:
             claimed = response.headers.get(DIGEST_HEADER, "") or ""
             if claimed and not digest_matches(response.body, claimed):
@@ -1664,33 +1614,20 @@ class DCWSEngine:
             self._journal("validate_refreshed", key=hosted.key,
                           size=len(response.body), version=version,
                           digest=digest)
-            self.store.put(hosted.key, response.body)
-            self.response_cache.invalidate(hosted.key)
-            hosted.size = len(response.body)
-            hosted.version = version
-            hosted.digest = digest
-            hosted.fetched = True
-            self._clear_quarantine(hosted.key)
+            self._install_copy(hosted, response.body, version, digest)
             self.log.record(now, "validate_refreshed", key=hosted.key,
                             bytes=hosted.size)
-            return
-        if response.status in (StatusCode.NOT_FOUND,
-                               StatusCode.MOVED_PERMANENTLY,
-                               StatusCode.FOUND):
+        elif response.status in (StatusCode.NOT_FOUND,
+                                 StatusCode.MOVED_PERMANENTLY,
+                                 StatusCode.FOUND):
             # 404: the home deleted the document.  301/302: the home
             # re-migrated or revoked it — we are no longer its host.
             # Either way, drop our copy; future requests for the old URL
             # pull again and are answered with the home's redirect.
-            self._journal("hosted_dropped", key=hosted.key)
-            self.store.delete(hosted.key)
-            self.response_cache.invalidate(hosted.key)
-            self.validation.forget(hosted.key)
-            self.hosted.pop(hosted.key, None)
-            self._clear_quarantine(hosted.key)
-            return
-        # Transient statuses (503 overload, 5xx) keep the copy; the next
-        # validation interval retries.
-        if response.status >= 500:
+            self._drop_hosted(hosted.key)
+        elif response.status >= 500:
+            # Transient statuses (503 overload, 5xx) keep the copy; the
+            # next validation interval retries.
             self.log.record(now, "validate_stale", key=hosted.key,
                             status=int(response.status))
 
@@ -1708,15 +1645,12 @@ class DCWSEngine:
         ``scrub_budget`` of them; each is re-read from the *underlying*
         store and re-hashed.
         """
-        population: List[str] = []
-        for record in self.graph.documents():
-            if record.digest and not self.integrity.is_quarantined(
-                    record.name):
-                population.append(record.name)
-        for hosted in self.hosted.values():
-            if hosted.fetched and hosted.digest \
-                    and not self.integrity.is_quarantined(hosted.key):
-                population.append(hosted.key)
+        quarantined = self.integrity.is_quarantined
+        population = [record.name for record in self.graph.documents()
+                      if record.digest and not quarantined(record.name)]
+        population += [hosted.key for hosted in self.hosted.values()
+                       if hosted.fetched and hosted.digest
+                       and not quarantined(hosted.key)]
         for name in self.integrity.scrub_batch(population, now):
             self._scrub_one(name, now)
 
@@ -1733,81 +1667,64 @@ class DCWSEngine:
             data = store.get(name)
         except DocumentNotFound:
             return  # vanished between population capture and read
-        if is_migrated_path(name):
-            hosted = self.hosted.get(name)
-            if hosted is None or not hosted.digest:
-                return
-            if not digest_matches(data, hosted.digest):
-                self._quarantine_hosted(hosted, REASON_SCRUB,
-                                        body_digest(data), now)
-            return
-        record = self.graph.find(name)
-        if record is None or not record.digest:
-            return
-        if not digest_matches(data, record.digest):
-            self._quarantine_home_record(record, REASON_SCRUB,
-                                         body_digest(data), now)
+        copy = self.hosted.get(name) if is_migrated_path(name) \
+            else self.graph.find(name)
+        if copy is not None and copy.digest \
+                and not digest_matches(data, copy.digest):
+            self._quarantine(copy, REASON_SCRUB, data, now)
 
-    def _quarantine_home_record(self, record: DocumentRecord, reason: str,
-                                actual: str, now: float) -> None:
-        """Quarantine a home document's bytes: journal, stop serving the
-        corrupt copy from any cache, and arm regeneration when the
-        in-memory link template (pre-corruption canonical source) can
-        rebuild it."""
-        self.integrity.quarantine(record.name, KIND_HOME, reason,
-                                  record.digest, actual, now)
-        if record.is_html and record.name in self._templates \
-                and not record.dirty:
-            # The next serve regenerates from the template; the
-            # commit replaces the corrupt bytes and clears this
-            # quarantine.  Dirtied with a bump like everywhere else: a
-            # dirty document's version is one nobody was served, which
-            # is what lets a later migration event leave it alone.
-            record.dirty = True
-            record.version += 1
-        self._journal("quarantine", key=record.name, copy=KIND_HOME,
-                      reason=reason, expected=record.digest,
-                      actual=actual, version=record.version)
-        self.response_cache.invalidate(record.name)
-        if isinstance(self.store, CachingStore):
-            self.store.cache.invalidate(record.name)
-        self.log.record(now, "quarantine", key=record.name, copy=KIND_HOME,
-                        reason=reason)
+    def _quarantine(self, copy: Union[DocumentRecord, HostedDocument],
+                    reason: str, data: bytes, now: float) -> None:
+        """*data*, just read for *copy*, is not what its digest names:
+        journal that and stop serving the copy.  A home document leaves
+        every cache and is armed for regeneration when the in-memory
+        link template (pre-corruption canonical source) can rebuild it.
+        A hosted copy's bytes are deleted and its entry reverts to
+        unfetched: the next request re-pulls, carrying the quarantine
+        flag so the home repairs the group from a verified copy."""
+        home = isinstance(copy, DocumentRecord)
+        key, kind = (copy.name, KIND_HOME) if home else (copy.key, KIND_HOSTED)
+        fields = {"key": key, "copy": kind, "reason": reason,
+                  "expected": copy.digest, "actual": body_digest(data)}
+        self.integrity.quarantine(key, kind, reason, copy.digest,
+                                  fields["actual"], now)
+        if home:
+            if copy.is_html and key in self._templates and not copy.dirty:
+                # The next serve regenerates from the template; the
+                # commit replaces the corrupt bytes and clears this
+                # quarantine.  Dirtied with a bump like everywhere else: a
+                # dirty document's version is one nobody was served, which
+                # is what lets a later migration event leave it alone.
+                copy.dirty = True
+                copy.version += 1
+            self._journal("quarantine", version=copy.version, **fields)
+            self.response_cache.invalidate(key)
+            if isinstance(self.store, CachingStore):
+                self.store.cache.invalidate(key)
+        else:
+            self._journal("quarantine", **fields)
+            self._discard_copy(key)
+            copy.fetched = False
+            copy.version = ""
+            copy.digest = ""
+            copy.size = 0
+        self.log.record(now, "quarantine", key=key, copy=kind, reason=reason)
 
-    def _quarantine_home(self, request: Request, record: DocumentRecord,
-                         actual: str, now: float) -> EngineReply:
-        """Serve-path detection on a home document: quarantine and answer
-        503 — never the corrupt body.  (A repairable document regenerates
-        on the retry the Retry-After invites.)"""
-        self._quarantine_home_record(record, REASON_SERVE, actual, now)
-        response = error_response(StatusCode.SERVICE_UNAVAILABLE,
-                                  "content integrity failure")
-        response.headers.set("Retry-After", "1")
-        self.stats.responses_503 += 1
-        self.metrics.record_drop(now)
-        return self._finish(request, response, now, doc_name=record.name)
+    def _discard_copy(self, key: str) -> None:
+        """Forget a hosted copy's bytes and everything made from them —
+        the one place a rendition goes, so none outlives its copy."""
+        self.store.delete(key)
+        self.response_cache.invalidate(key)
+        self._renditions.pop(key, None)
 
-    def _quarantine_hosted(self, hosted: HostedDocument, reason: str,
-                           actual: str, now: float) -> None:
-        """Quarantine a hosted copy: the bytes are deleted and the entry
-        reverts to unfetched, so the copy stops being served immediately
-        (the next request re-pulls, carrying the quarantine flag so the
-        home repairs the replication group from a verified copy)."""
-        self.integrity.quarantine(hosted.key, KIND_HOSTED, reason,
-                                  hosted.digest, actual, now)
-        self._journal("quarantine", key=hosted.key, copy=KIND_HOSTED,
-                      reason=reason, expected=hosted.digest,
-                      actual=actual)
-        self.store.delete(hosted.key)
-        self.response_cache.invalidate(hosted.key)
-        if isinstance(self.store, CachingStore):
-            self.store.cache.invalidate(hosted.key)
-        hosted.fetched = False
-        hosted.version = ""
-        hosted.digest = ""
-        hosted.size = 0
-        self.log.record(now, "quarantine", key=hosted.key, copy=KIND_HOSTED,
-                        reason=reason)
+    def _drop_hosted(self, key: str) -> None:
+        """We are no longer (or never were) *key*'s host: journal it,
+        discard the copy and the entry, and lift any quarantine on it."""
+        self._journal("hosted_dropped", key=key)
+        self._discard_copy(key)
+        self.validation.forget(key)
+        self.hosted.pop(key, None)
+        self._clear_quarantine(key)
 
     def _clear_quarantine(self, key: str) -> None:
         """Lift a quarantine after verified bytes replaced the copy (or
@@ -1832,9 +1749,8 @@ class DCWSEngine:
             if hosted is None:
                 qrec.notified = True  # entry already gone; nothing to say
                 continue
-            request = Request(method="GET", target=hosted.original)
-            self._attach_piggyback(request.headers)
-            request.headers.set(PURPOSE_HEADER, "validation")
+            request = self._peer_request("GET", hosted.original,
+                                         "validation")
             request.headers.set(QUARANTINE_HEADER, "1")
             actions.append(OutboundAction(kind="validate", peer=hosted.home,
                                           request=request, key=hosted.key))
@@ -1862,21 +1778,16 @@ class DCWSEngine:
                 # Not droppable (no live copy would survive beyond
                 # home): full revocation — the document comes home.
                 decision = self.policy.revoke(path)
-            self.stats.decisions.append(decision)
-            if decision.kind == "replica_drop":
-                self.stats.replica_drops += 1
-            else:
-                self.stats.revocations += 1
+            self._book_decisions([decision], now)
             self.integrity.clear_bad_holder(path, holder)
-            if self.replication is not None:
-                # Repair immediately, critical-first; the replacement
-                # holder lazily pulls from copies that passed (or will
-                # pass) digest verification — never from the corrupt one,
-                # which no longer holds the document.
-                repairs_before = self.stats.repairs
-                self._repair_round(now)
-                self.integrity.counters.repairs_from_verified += \
-                    self.stats.repairs - repairs_before
+            # Repair immediately, critical-first; the replacement
+            # holder lazily pulls from copies that passed (or will
+            # pass) digest verification — never from the corrupt one,
+            # which no longer holds the document.
+            repairs_before = self.stats.repairs
+            self._repair_round(now)
+            self.integrity.counters.repairs_from_verified += \
+                self.stats.repairs - repairs_before
         target = str(home_url(self.location, path))
         response = redirect_response(target)
         self.stats.responses_301 += 1
@@ -1978,24 +1889,17 @@ class DCWSEngine:
         # Documents with surviving replica holders are *dropped* from
         # the dead peer (kind ``replica_drop``) rather than revoked —
         # they keep serving from the survivors with no redirect churn.
-        decisions = self.policy.revoke_all_from(peer)
-        for decision in decisions:
-            self.stats.decisions.append(decision)
-            if decision.kind == "replica_drop":
-                self.stats.replica_drops += 1
-            else:
-                self.stats.revocations += 1
+        self._book_decisions(self.policy.revoke_all_from(peer), now)
         self.glt.remove(peer)
         if self.breaker is not None:
             # Force the circuit open: traffic toward the dead peer
             # fast-fails instead of burning timeouts, and a revived peer
             # heals through the normal half-open probe.
             self.breaker.trip(key)
-        if self.replication is not None:
-            # Autonomous repair, immediately: re-replicate the degraded
-            # groups instead of waiting for the next scheduled round.
-            # Purely logical — replacement holders pull bytes lazily.
-            self._repair_round(now)
+        # Autonomous repair, immediately: re-replicate the degraded
+        # groups instead of waiting for the next scheduled round.
+        # Purely logical — replacement holders pull bytes lazily.
+        self._repair_round(now)
 
     # ------------------------------------------------------------------
     # Warm-state helpers (operator tooling and benchmark pre-warming)
@@ -2007,8 +1911,7 @@ class DCWSEngine:
         count = 0
         for record in self.graph.documents():
             if record.dirty and record.is_html:
-                self._regenerate(record)
-                count += 1
+                count += self._regenerate(record)
         return count
 
     def seed_hosted(self, home: Location, original: str, data: bytes,
@@ -2018,21 +1921,8 @@ class DCWSEngine:
         the usual per-document jitter."""
         self._clock = now
         key = encode_migrated_path(home, original)
-        hosted = HostedDocument(key=key, home=home, original=original,
-                                fetched=True, size=len(data),
-                                version=str(version),
-                                content_type=guess_content_type(original),
-                                digest=body_digest(data))
-        self.hosted[key] = hosted
-        self._journal("pull", key=key, home=str(home), original=original,
-                      size=len(data), version=str(version),
-                      content_type=hosted.content_type,
-                      digest=hosted.digest)
-        self.store.put(key, data)
-        self.response_cache.invalidate(key)
-        jitter = (hash(key) % 997) / 997.0
-        self.validation.register(
-            key, now - jitter * self.config.validation_interval)
+        self._install_pulled(self._hosted_entry(key, home, original), data,
+                             str(version), body_digest(data), now)
 
     # ------------------------------------------------------------------
     # Content administration (section 4.5, case 1)
@@ -2064,7 +1954,7 @@ class DCWSEngine:
         # Authored bytes replace the copy wholesale: any quarantine
         # on the old bytes is moot.
         self._clear_quarantine(name)
-        self.log.record(0.0, "content_update", name=name,
+        self.log.record(self._clock, "content_update", name=name,
                         version=record.version)
 
     # ------------------------------------------------------------------
@@ -2073,6 +1963,15 @@ class DCWSEngine:
 
     def _attach_piggyback(self, headers: Headers) -> None:
         attach_load_reports(headers, str(self.location), self.glt.snapshot())
+
+    def _peer_request(self, method: str, target: str,
+                      purpose: str) -> Request:
+        """A server-to-server request: our load table piggybacked and
+        the purpose the receiving engine routes on."""
+        request = Request(method=method, target=target)
+        self._attach_piggyback(request.headers)
+        request.headers.set(PURPOSE_HEADER, purpose)
+        return request
 
     def _hosted_manifest_for(self, home_key: str) -> str:
         """The ``original@version`` manifest of fetched documents we host
@@ -2129,7 +2028,7 @@ class DCWSEngine:
                 drops += 1          # group already whole (or unmanaged)
                 continue
             decision = self.policy.repair_replica(record.name, peer, now)
-            self._count_repair_decisions([decision], now)
+            self._book_decisions([decision], now)
             reregistered += 1
         counters = self.membership.counters
         counters.reconcile_drops += drops
@@ -2151,8 +2050,8 @@ class DCWSEngine:
         self._peer_success(sender, self._clock)
 
     def _finish(self, request: Request, response: Response, now: float, *,
-                doc_name: str = "", reconstructed: bool = False,
-                spliced: bool = False) -> EngineReply:
+                doc_name: str = "", reconstructed: bool = False
+                ) -> EngineReply:
         """Common bookkeeping for every response leaving this server:
         :meth:`_frame` makes the message complete on the wire,
         :meth:`_account` books it.  The cached-read short-circuit runs
@@ -2160,7 +2059,7 @@ class DCWSEngine:
         entry, the accounting happens per request."""
         self._frame(request, response)
         return self._account(response, now, doc_name=doc_name,
-                             reconstructed=reconstructed, spliced=spliced)
+                             reconstructed=reconstructed)
 
     def _persists(self, request: Request) -> bool:
         """Will the response to *request* offer to keep the connection?"""
@@ -2201,14 +2100,16 @@ class DCWSEngine:
             response.headers.set("Connection", "close")
 
     def _account(self, response: Response, now: float, *,
-                 doc_name: str = "", reconstructed: bool = False,
-                 spliced: bool = False) -> EngineReply:
-        """Count a framed response into the load metrics and wrap it."""
+                 doc_name: str = "", reconstructed: bool = False
+                 ) -> EngineReply:
+        """Count a framed response into the load metrics and wrap it
+        (every reconstruction is a template splice)."""
         body_bytes = response.body_length()
         self.metrics.record_connection(now, body_bytes + RESPONSE_HEAD_OVERHEAD)
         self.stats.bytes_sent += body_bytes
         return EngineReply(response=response, doc_name=doc_name,
-                           reconstructed=reconstructed, spliced=spliced)
+                           reconstructed=reconstructed,
+                           spliced=reconstructed)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -2234,9 +2135,8 @@ class DCWSEngine:
             "renditions": {
                 "entries": len(self._renditions),
                 "variant_bytes": sum(
-                    len(rendition.gzip_body)
-                    for rendition in self._renditions.values()
-                    if rendition.gzip_body is not None),
+                    len(rendition.gzip_body or b"")
+                    for rendition in self._renditions.values()),
             },
             "templates": {
                 "entries": len(self._templates),

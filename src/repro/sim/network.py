@@ -105,8 +105,7 @@ class CostModel:
     # document costs a memory copy instead of the full 20 ms round trip.
     # Calibrated from two BENCHMARK.json layer metrics,
     # html.template.splice_us against html.parser.index_us (80 vs
-    # 608 us on browse_mix pages, 318 vs 1,993 us on SBLog's; ablations
-    # toggle ServerConfig.link_templates to compare).
+    # 608 us on browse_mix pages, 318 vs 1,993 us on SBLog's).
     splice_cpu: float = 0.002
 
     # Network.

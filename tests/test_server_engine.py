@@ -1,5 +1,9 @@
 """Unit tests for the DCWS request engine."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.config import ServerConfig
@@ -365,6 +369,11 @@ class TestTick:
                     engine.complete_action(action, None, 5.1)
         assert engine.graph.get("/d.html").location == HOME
         assert COOP not in engine.glt
+        # Booked like a policy round's decision: kept, counted, logged.
+        assert engine.stats.revocations == 1
+        assert [d.kind for d in engine.stats.decisions] == ["revoke"]
+        revoked = engine.log.events("revoke")
+        assert [event.fields["name"] for event in revoked] == ["/d.html"]
 
 
 class TestValidation:
@@ -459,6 +468,20 @@ class TestContentAdministration:
         engine.policy.revoke("/e.html")
         assert engine.graph.get("/d.html").version == saved + 1
 
+    def test_update_is_logged_at_the_engine_clock_not_the_epoch(self):
+        engine = make_engine()
+        get(engine, "/d.html", now=40.0)
+        engine.update_document("/d.html", b"<html>first</html>")
+        engine.tick(50.0)
+        engine.update_document("/d.html", b"<html>second</html>")
+        updates = engine.log.events("content_update")
+        assert [event.time for event in updates] == [40.0, 50.0]
+        assert [event.fields["version"] for event in updates] == [1, 2]
+        # Filed in order among everything else, and found by ``since``.
+        times = [event.time for event in engine.log.events()]
+        assert times == sorted(times)
+        assert engine.log.events("content_update", since=45.0) == updates[1:]
+
     def test_update_unknown_document_raises(self):
         from repro.errors import DocumentNotFound
 
@@ -501,3 +524,60 @@ class TestDecisionHistoryBound:
             engine.complete_action(ping, None, 2.0 + attempt)
         assert engine.stats.revocations == 1001
         assert len(engine.stats.decisions) == 1000
+
+
+# Replica choice in rewritten links and a hosted copy's first validation
+# deadline are hashes of strings; printed by a fresh interpreter so the
+# per-process salt of the builtin ``hash`` would show.
+SALT_SCRIPT = """
+from repro.core.config import ServerConfig
+from repro.core.document import Location
+from repro.http.messages import Request, Response
+from repro.server.engine import DCWSEngine
+from repro.server.filestore import MemoryStore
+
+HOME, COOP, COOP_2 = (Location(name, 8000 + n) for n, name in
+                      enumerate(("home", "coop", "coop2"), start=1))
+site = {f"/p{n}.html": b'<html><a href="d.html">D</a></html>'
+        for n in range(12)}
+site["/d.html"] = b"<html>leaf</html>"
+home = DCWSEngine(HOME, ServerConfig(max_replicas=3), MemoryStore(site),
+                  peers=[COOP, COOP_2])
+home.initialize(0.0)
+home.graph.add_replica("/d.html", COOP)
+home.graph.add_replica("/d.html", COOP_2)
+for name in sorted(site)[1:]:
+    reply = home.handle_request(Request(method="GET", target=name), 1.0)
+    print(name, reply.response.body.decode("latin-1"))
+
+coop = DCWSEngine(COOP, ServerConfig(), MemoryStore({}), peers=[HOME])
+coop.initialize(0.0)
+coop.seed_hosted(HOME, "/d.html", site["/d.html"], 0, 5.0)
+print(coop.validation.last_serviced("/~migrate/home/8001/d.html"))
+
+key = "/~migrate/home/8001/p0.html"
+pull = coop.handle_request(Request(method="GET", target=key), 6.0)
+coop.complete_pull(pull, Response(status=200, body=site["/p0.html"]), 6.0)
+print(coop.validation.last_serviced(key))
+"""
+
+
+class TestProcessIndependence:
+    def test_same_links_and_deadlines_under_any_hash_seed(self):
+        import repro
+
+        outputs = []
+        for seed in ("1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(
+                           os.path.abspath(repro.__file__))))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", SALT_SCRIPT], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert len(lines) == 14
+        # Both replicas are linked to, and the deadlines are jittered.
+        assert any("coop:8002/~migrate" in line for line in lines[:12])
+        assert any("coop2:8003/~migrate" in line for line in lines[:12])
+        assert {float(lines[12]), float(lines[13])} != {5.0, 6.0}

@@ -654,3 +654,55 @@ def test_three_hosts_one_script():
     for __, booked, cleaned in (bare, threaded, aio):
         assert booked == bare[1]
         assert booked["reconstructions"] == cleaned == 2
+
+
+# -- a copy's home and a co-op, one script --------------------------------
+
+def without(head: bytes, *names: bytes) -> bytes:
+    return b"\r\n".join(line for line in head.split(b"\r\n")
+                        if not line.startswith(names))
+
+
+def test_a_coop_serves_a_copy_as_its_home_would():
+    """Section 4.2: the co-op pulls once, then serves "as the home
+    would".  The same bytes under the same version, asked for in every
+    way the matrix knows, get the same answer from both — but for the
+    ``ETag`` (the key is part of it) and ``X-DCWS-Version`` (a home's
+    to stamp)."""
+    home = make_engine()
+    coop = DCWSEngine(Location("coop", 8002), ServerConfig(), MemoryStore({}),
+                      peers=[HOME])
+    coop.initialize(0.0)
+    for name, data in SITE.items():
+        coop.seed_hosted(HOME, name, data, home.graph.get(name).version, 0.0)
+    statuses = set()
+    for turn in range(2):       # a fill, then whatever each side memoised
+        for name in sorted(SITE):
+            key = f"/~migrate/home/8001{name}"
+            for case in conditionals(name):
+                for (version, connection), method, encoding in \
+                        itertools.product(CONNECTIONS, ("GET", "HEAD"),
+                                          ("gzip", None)):
+                    step = (turn, name, case, version, connection, method,
+                            encoding)
+                    at_home = dispatch(home, conditional(
+                        name, conditionals(name)[case][0], version,
+                        connection, method, encoding), 1.0 + turn).response
+                    at_coop = dispatch(coop, conditional(
+                        key, conditionals(key)[case][0], version,
+                        connection, method, encoding), 1.0 + turn).response
+                    assert at_coop.body == at_home.body, step
+                    assert VERSION_HEADER not in at_coop.headers, step
+                    assert without(at_coop.serialize_head(), b"ETag:") == \
+                        without(at_home.serialize_head(), b"ETag:",
+                                VERSION_HEADER.encode()), step
+                    assert at_coop.headers.get("ETag") == \
+                        etag_for(key, 0), step
+                    statuses.add(at_home.status)
+    assert statuses == {200, 206, 304}
+    shared = ("responses_200", "responses_206", "responses_304",
+              "conditional_304s", "gzip_responses", "gzip_bytes_saved",
+              "bytes_sent", "requests")
+    assert {name: counters(coop)[name] for name in shared} == \
+        {name: counters(home)[name] for name in shared}
+    assert coop.stats.fast_hits == 0 < home.stats.fast_hits

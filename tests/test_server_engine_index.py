@@ -46,14 +46,13 @@ COOP = Location("coop", 8002)
 
 
 class ReferenceIndexEngine(DCWSEngine):
-    """The index path of commit f3279a0, verbatim."""
+    """The index path of commit f3279a0, verbatim but for the
+    ``link_templates`` knob it consulted, which is gone."""
 
     def _index_html(self, base_name, data):
         document = reference_parse_html(data.decode("latin-1"))
-        if self.config.link_templates:
-            self._templates[base_name] = \
-                reference_build_link_template(document)
-            self.stats.template_builds += 1
+        self._templates[base_name] = reference_build_link_template(document)
+        self.stats.template_builds += 1
         names = []
         for link in reference_extract_links(document):
             resolved = self._resolve_to_name(base_name, link.value)
@@ -96,11 +95,9 @@ class ReferenceIndexEngine(DCWSEngine):
             return str(home_url(self.location, name))
         return str(migrated_url(target, self.location, name))
 
-    def _template_for(self, record, *, build=True):
-        if not self.config.link_templates:
-            return None
+    def _template_for(self, record):
         template = self._templates.get(record.name)
-        if template is None and build:
+        if template is None:
             if self.integrity.is_quarantined(record.name):
                 return None
             try:

@@ -227,6 +227,39 @@ class TestScrubHome:
         assert engine.integrity.counters.quarantines_cleared == 1
         assert not check_engine(engine)
 
+    def test_no_template_and_no_clean_source_means_no_regeneration(self):
+        """A restored home quarantine comes back without its template
+        ("the quarantine then holds until re-authored").  The operator's
+        ``regenerate_dirty`` must hold it too: rewriting the rotten
+        bytes would re-digest them and clear the quarantine, and the
+        next GET would be a 200 whose digest matches the corruption."""
+        engine = make_engine(scrub_interval=1.0, scrub_budget=16)
+        engine.policy.force_migrate("/d.html", COOP, now=0.5)
+        assert engine.graph.get("/index.html").dirty
+        rotten = corrupt_store(engine, "/index.html")
+        engine.tick(2.0)
+        assert engine.integrity.is_quarantined("/index.html")
+        engine._templates.pop("/index.html")    # as persistence restores it
+        assert get(engine, "/index.html", now=2.1).response.status == 503
+        assert not check_engine(engine)
+        # The migrated page itself is dirty too and does regenerate.
+        assert engine.regenerate_dirty() == 1
+        assert engine.graph.get("/index.html").dirty
+        assert not engine.graph.get("/d.html").dirty
+        assert engine.integrity.is_quarantined("/index.html")
+        assert engine.store.get("/index.html") == rotten    # untouched
+        assert engine.graph.get("/index.html").digest != body_digest(rotten)
+        assert get(engine, "/index.html", now=2.2).response.status == 503
+        assert not check_engine(engine)
+        # Re-authoring is what lifts it.
+        engine.update_document("/index.html", SITE["/index.html"])
+        reply = get(engine, "/index.html", now=2.3)
+        assert reply.response.status == 200
+        assert b"~migrate/home/8001/d.html" in reply.response.body
+        assert digest_matches(reply.response.body,
+                              reply.response.headers.get(DIGEST_HEADER))
+        assert not check_engine(engine)
+
     def test_author_update_clears_quarantine(self):
         engine = make_engine(scrub_interval=1.0, scrub_budget=16)
         corrupt_store(engine, "/i.gif")

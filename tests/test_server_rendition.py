@@ -1,7 +1,8 @@
 """The per-document rendition: what outlives a response-cache entry.
 
-A home document's validators, framed 304 blocks and gzip variant hang
-off one record stamped ``(version, digest)``.  These tests pin what that
+A stored copy's validators, framed 304 blocks and gzip variant — a home
+document's or a fetched hosted copy's — hang off one record stamped
+``(version, digest)``.  These tests pin what that
 buys (a refill does not deflate again; revalidations stay on the
 short-circuit, and the server can say so), what replaces the record, and
 what it must never do: vouch for bytes that have rotted underneath it.
@@ -22,16 +23,22 @@ from repro.faults import FaultPlan, FaultRule
 from repro.http import content
 from repro.http.content import (
     DIGEST_HEADER,
+    QUARANTINE_HEADER,
     body_digest,
     etag_for,
     gunzip_bytes,
     last_modified_for,
 )
-from repro.http.messages import Request
+from repro.http.messages import Request, Response
 from repro.http.piggyback import SENDER_HEADER
 from repro.server import engine as engine_module
 from repro.server.admin import render_caches
-from repro.server.engine import DCWSEngine, VERSION_HEADER
+from repro.server.engine import (
+    DCWSEngine,
+    OutboundAction,
+    PullFromHome,
+    VERSION_HEADER,
+)
 from repro.server.filestore import DiskStore, MemoryStore
 from tests.test_server_engine_fastpath import dispatch as engine_dispatch
 
@@ -81,22 +88,26 @@ def evict(engine):
     engine.response_cache.clear()
 
 
+def rendition_of(engine, record):
+    return engine._rendition(record.name, record.version, record.digest)
+
+
 # -- what replaces a rendition -------------------------------------------
 
 
 def test_a_rendition_is_replaced_when_either_half_of_its_stamp_moves():
     engine = make_engine()
     record = engine.graph.get(PAGE)
-    first = engine._rendition(record)
-    assert engine._rendition(record) is first
+    first = rendition_of(engine, record)
+    assert rendition_of(engine, record) is first
     assert (first.version, first.digest) == (record.version, record.digest)
     assert first.etag == etag_for(PAGE, record.version)
     assert first.last_modified == last_modified_for(record.version)
     record.version += 1
-    second = engine._rendition(record)
+    second = rendition_of(engine, record)
     assert second is not first and second.etag != first.etag
     record.digest = body_digest(b"other bytes, same version")
-    third = engine._rendition(record)
+    third = rendition_of(engine, record)
     assert third is not second and third.etag == second.etag
     assert third.gzip_body is None and not third.not_modified
     assert len(engine._renditions) == 1     # replaced, not accumulated
@@ -296,7 +307,7 @@ def test_no_304_for_a_quarantined_name(tmp_path):
     # still there — and must not answer for bytes known to be bad.
     record = engine.graph.get(NOTES)
     assert not record.dirty
-    assert engine._rendition(record).not_modified
+    assert rendition_of(engine, record).not_modified
     for method in ("GET", "HEAD"):
         refused = dispatch(engine, get(NOTES, etag=etag, method=method))
         assert refused.status == 503
@@ -308,6 +319,185 @@ def test_no_304_for_a_quarantined_name(tmp_path):
     assert dispatch(engine, get(NOTES, etag=etag)).status == 200
     fresh = etag_for(NOTES, engine.graph.get(NOTES).version)
     assert dispatch(engine, get(NOTES, etag=fresh)).status == 304
+
+
+# -- a hosted copy has a rendition too --------------------------------------
+
+KEY = f"/~migrate/{HOME.host}/{HOME.port}{PAGE}"
+REVISED = SITE[PAGE].replace(b"lorem", b"LOREM")
+
+
+def make_coop(store=None, **config_kwargs) -> DCWSEngine:
+    """A co-op warmed with the home's copy of PAGE at version 3."""
+    config_kwargs.setdefault("scrub_interval", 0.0)
+    coop = DCWSEngine(COOP, ServerConfig(**config_kwargs),
+                      store if store is not None else MemoryStore({}),
+                      peers=[HOME])
+    coop.initialize(0.0)
+    coop.seed_hosted(HOME, PAGE, SITE[PAGE], 3, 0.0)
+    return coop
+
+
+def validated(coop, response):
+    coop.complete_action(OutboundAction(
+        kind="validate", peer=HOME, key=KEY,
+        request=Request(method="GET", target=PAGE)), response, 50.0)
+
+
+def test_a_refresh_by_validation_replaces_the_hosted_rendition():
+    coop = make_coop()
+    served = dispatch(coop, get(KEY, gzip=True))
+    etag = served.headers.get("ETag")
+    assert etag == etag_for(KEY, "3")
+    assert dispatch(coop, get(KEY, etag=etag)).status == 304
+    kept = coop._renditions[KEY]
+    assert kept.gzip_body is served.body and kept.not_modified
+    assert (kept.version, kept.digest) == ("3", body_digest(SITE[PAGE]))
+    # 304 from the home: the copy, and so the rendition, stand.
+    validated(coop, Response(status=304))
+    assert dispatch(coop, get(KEY, gzip=True)).body is served.body
+    assert coop._renditions[KEY] is kept
+    # 200 with new bytes under a new version: a new stamp, a new record.
+    fresh = Response(status=200, body=REVISED)
+    fresh.headers.set(VERSION_HEADER, "4")
+    fresh.headers.set(DIGEST_HEADER, body_digest(REVISED))
+    validated(coop, fresh)
+    assert dispatch(coop, get(KEY, etag=etag)).status == 200
+    again = dispatch(coop, get(KEY, gzip=True))
+    assert gunzip_bytes(again.body) == REVISED
+    assert again.headers.get("ETag") == etag_for(KEY, "4")
+    replaced = coop._renditions[KEY]
+    assert replaced is not kept and not replaced.not_modified
+    assert replaced.gzip_body is again.body
+    # A home that keeps the version but not the bytes (a regeneration):
+    # the digest half of the stamp moves, and that is enough.
+    regenerated = Response(status=200, body=SITE[PAGE])
+    regenerated.headers.set(VERSION_HEADER, "4")
+    validated(coop, regenerated)
+    assert gunzip_bytes(dispatch(coop, get(KEY, gzip=True)).body) == \
+        SITE[PAGE]
+    assert coop._renditions[KEY] is not replaced
+
+
+@pytest.mark.parametrize("status", [301, 404])
+def test_dropping_a_hosted_copy_drops_its_rendition(status):
+    coop = make_coop()
+    dispatch(coop, get(KEY, gzip=True))
+    assert KEY in coop._renditions
+    validated(coop, Response(status=status))
+    assert KEY not in coop.hosted and KEY not in coop.store
+    assert KEY not in coop._renditions
+    assert len(coop.response_cache) == 0
+    assert coop.cache_counters()["renditions"] == {
+        "entries": 0, "variant_bytes": 0}
+
+
+def test_a_pull_answered_with_a_redirect_leaves_no_rendition():
+    coop = make_coop()
+    dispatch(coop, get(KEY, gzip=True))
+    coop.store.delete(KEY)              # the bytes are lost ...
+    evict(coop)
+    pull = coop.handle_request(get(KEY), 60.0)
+    assert isinstance(pull, PullFromHome)       # ... so it pulls again
+    moved = Response(status=301)
+    moved.headers.set("Location", "http://elsewhere:1/~migrate/x")
+    assert coop.complete_pull(pull, moved, 60.0).response.status == 301
+    assert KEY not in coop.hosted and KEY not in coop._renditions
+
+
+def test_refilling_an_evicted_hosted_entry_does_not_compress_again(
+        monkeypatch):
+    calls = []
+    real = content.gzip_bytes
+    monkeypatch.setattr(content, "gzip_bytes",
+                        lambda data: calls.append(len(data)) or real(data))
+    coop = make_coop()
+    first = dispatch(coop, get(KEY, gzip=True))
+    assert calls == [len(SITE[PAGE])]
+    for __ in range(3):
+        evict(coop)
+        again = dispatch(coop, get(KEY, gzip=True))
+        assert again.body is first.body
+        assert again.serialize_head() == first.serialize_head()
+    evict(coop)
+    assert dispatch(coop, get(KEY)).headers.get("Vary") == "Accept-Encoding"
+    assert calls == [len(SITE[PAGE])]
+    assert coop.cache_counters()["renditions"]["variant_bytes"] == \
+        len(first.body)
+
+
+@pytest.mark.parametrize("gzip", [True, False])
+def test_a_rotten_hosted_refill_is_pulled_again_never_paired(tmp_path, gzip):
+    """The co-op's half of the one integrity rule: whatever fill would
+    make or reuse the variant hashes the bytes first, sampler or no
+    sampler, and rotten bytes mean the copy is dropped and re-pulled."""
+    plan = FaultPlan.from_env([FaultRule(kind="corrupt", site="disk",
+                                         name=KEY)])
+    plan.enabled = False
+    coop = make_coop(DiskStore(str(tmp_path), faults=plan),
+                     byte_cache_bytes=0, integrity_serve_sample=0)
+    good = dispatch(coop, get(KEY, gzip=True))
+    assert coop._renditions[KEY].gzip_body is good.body
+    plan.enabled = True
+    evict(coop)
+    pull = coop.handle_request(get(KEY, gzip=gzip), 70.0)
+    assert isinstance(pull, PullFromHome)
+    assert pull.request.headers.get(QUARANTINE_HEADER) == "1"
+    assert [event.kind for event in plan.injected] == ["corrupt"]
+    assert coop.integrity.counters.corruptions_detected == 1
+    assert coop.integrity.counters.serve_checks == 0    # not the sampler
+    assert KEY not in coop._renditions and KEY not in coop.store
+    assert len(coop.response_cache) == 0
+    # The home's answer is installed and served — negotiated like any
+    # request, which the reply after a pull once was not.
+    plan.enabled = False
+    upstream = Response(status=200, body=SITE[PAGE])
+    upstream.headers.set(VERSION_HEADER, "3")
+    upstream.headers.set(DIGEST_HEADER, body_digest(SITE[PAGE]))
+    healed = coop.complete_pull(pull, upstream, 70.5).response
+    assert healed.status == 200 and not coop.integrity.is_quarantined(KEY)
+    assert healed.headers.get("ETag") == etag_for(KEY, "3")
+    assert (healed.headers.get("Content-Encoding") == "gzip") == gzip
+    body = gunzip_bytes(healed.body) if gzip else healed.body
+    assert body == SITE[PAGE]
+    assert healed.body is not good.body
+
+
+def test_a_rotten_first_hosted_read_never_becomes_the_variant(tmp_path):
+    plan = FaultPlan.from_env([FaultRule(kind="corrupt", site="disk",
+                                         name=KEY)])
+    coop = make_coop(DiskStore(str(tmp_path), faults=plan),
+                     byte_cache_bytes=0, integrity_serve_sample=0)
+    pull = coop.handle_request(get(KEY, gzip=True), 70.0)
+    assert isinstance(pull, PullFromHome)
+    assert KEY not in coop._renditions
+    assert len(coop.response_cache) == 0
+
+
+def test_the_reply_after_a_pull_is_negotiated_like_any_other():
+    coop = DCWSEngine(COOP, ServerConfig(), MemoryStore({}), peers=[HOME])
+    coop.initialize(0.0)
+
+    def pulled(request):
+        pull = coop.handle_request(request, 80.0)
+        assert isinstance(pull, PullFromHome)
+        upstream = Response(status=200, body=SITE[PAGE])
+        upstream.headers.set(VERSION_HEADER, "3")
+        upstream.headers.set(DIGEST_HEADER, body_digest(SITE[PAGE]))
+        reply = coop.complete_pull(pull, upstream, 80.5).response
+        later = dispatch(coop, request)
+        assert reply.serialize() == later.serialize()
+        del coop.hosted[KEY]            # forgotten: the next one pulls
+        return reply
+
+    assert pulled(get(KEY, gzip=True)).headers.get(
+        "Content-Encoding") == "gzip"
+    assert pulled(get(KEY, etag=etag_for(KEY, "3"))).status == 304
+    ranged = get(KEY)
+    ranged.headers.set("Range", "bytes=0-9")
+    assert pulled(ranged).status == 206
+    assert coop.stats.gzip_responses == 2 and coop.stats.responses_206 == 2
+    assert coop.stats.conditional_304s == 2
 
 
 # -- the server can say how often it leaves the short-circuit -------------
