@@ -13,9 +13,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Tuple
+from typing import Deque, List
 
 from repro.errors import ConfigError
+
+
+#: Time buckets per :class:`WindowCounter` window.
+_BUCKETS = 64
 
 
 class LoadMetricKind(str, Enum):
@@ -28,41 +32,51 @@ class LoadMetricKind(str, Enum):
 class WindowCounter:
     """Events-per-second over a fixed sliding time window.
 
-    Events are recorded with a (timestamp, weight) pair; queries prune
-    entries older than the window.  Timestamps must be non-decreasing per
-    counter, which both the simulator (single virtual clock) and the real
-    server (monotonic clock under a lock) guarantee.
+    Kept as at most ``_BUCKETS`` + 1 time buckets of ``window /
+    _BUCKETS`` seconds, each a running ``[index, weight, count]``, so
+    memory is fixed whatever the event rate.  A query drops every bucket
+    the window's old edge has reached: ``rate`` and ``count_in_window``
+    never count an event older than the window and may miss those of at
+    most one bucket width just inside it; the ``lifetime_*`` figures are
+    exact.  Timestamps must be non-decreasing per counter, which both
+    the simulator (single virtual clock) and the real server (monotonic
+    clock under a lock) guarantee.
     """
 
-    __slots__ = ("window", "_events", "_total_weight", "_lifetime_weight",
+    __slots__ = ("window", "_width", "_buckets", "_lifetime_weight",
                  "_lifetime_count")
 
     def __init__(self, window: float) -> None:
         if window <= 0:
             raise ConfigError(f"window must be positive, got {window!r}")
         self.window = window
-        self._events: Deque[Tuple[float, float]] = deque()
-        self._total_weight = 0.0
+        self._width = window / _BUCKETS
+        self._buckets: Deque[List[float]] = deque()
         self._lifetime_weight = 0.0
         self._lifetime_count = 0
 
     def record(self, now: float, weight: float = 1.0) -> None:
         """Record an event of *weight* at time *now*."""
-        self._events.append((now, weight))
-        self._total_weight += weight
+        index = int(now / self._width)
+        buckets = self._buckets
+        if not buckets or buckets[-1][0] != index:
+            self._prune(now)
+            buckets.append([index, 0.0, 0])
+        head = buckets[-1]
+        head[1] += weight
+        head[2] += 1
         self._lifetime_weight += weight
         self._lifetime_count += 1
-        self._prune(now)
 
     def rate(self, now: float) -> float:
         """Weighted events per second over the window ending at *now*."""
         self._prune(now)
-        return self._total_weight / self.window
+        return sum(bucket[1] for bucket in self._buckets) / self.window
 
     def count_in_window(self, now: float) -> int:
         """Number of events still inside the window."""
         self._prune(now)
-        return len(self._events)
+        return sum(bucket[2] for bucket in self._buckets)
 
     @property
     def lifetime_total(self) -> float:
@@ -75,13 +89,10 @@ class WindowCounter:
         return self._lifetime_count
 
     def _prune(self, now: float) -> None:
-        cutoff = now - self.window
-        events = self._events
-        while events and events[0][0] <= cutoff:
-            __, weight = events.popleft()
-            self._total_weight -= weight
-        if not events:
-            self._total_weight = 0.0  # absorb float drift
+        edge = int((now - self.window) / self._width)
+        buckets = self._buckets
+        while buckets and buckets[0][0] <= edge:
+            buckets.popleft()
 
 
 @dataclass

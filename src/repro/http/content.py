@@ -203,23 +203,9 @@ def maybe_gzip(data: bytes, content_type: str) -> Optional[bytes]:
 
 
 def accepts_gzip(headers: Headers) -> bool:
-    """Does ``Accept-Encoding`` admit a gzip response (q > 0)?"""
-    value = headers.get("Accept-Encoding")
-    if not value:
-        return False
-    for part in value.split(","):
-        token, __, params = part.partition(";")
-        if token.strip().lower() not in ("gzip", "x-gzip"):
-            continue
-        quality = 1.0
-        params = params.strip().lower()
-        if params.startswith("q="):
-            try:
-                quality = float(params[2:])
-            except ValueError:
-                quality = 0.0
-        return quality > 0.0
-    return False
+    """Does ``Accept-Encoding`` admit a gzip response (q > 0)?  Read off
+    the headers' memoised facts."""
+    return headers.facts().gzip
 
 
 # ----------------------------------------------------------------------

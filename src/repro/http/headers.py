@@ -48,6 +48,79 @@ def _unbroken(value: str) -> str:
     return value
 
 
+def _admits_gzip(value: str) -> bool:
+    """Does an ``Accept-Encoding`` value admit gzip?  Its first ``gzip``
+    or ``x-gzip`` token decides: q > 0, a malformed q counting as 0."""
+    for part in value.split(","):
+        token, __, params = part.partition(";")
+        if token.strip().lower() not in ("gzip", "x-gzip"):
+            continue
+        quality = 1.0
+        params = params.strip().lower()
+        if params.startswith("q="):
+            try:
+                quality = float(params[2:])
+            except ValueError:
+                quality = 0.0
+        return quality > 0.0
+    return False
+
+
+#: The fields the serve path asks about, by folded name (``X-DCWS-*``:
+#: see :mod:`repro.http.piggyback`, :mod:`repro.server.engine`), and the
+#: fact each feeds.
+_ASKED = {
+    "connection": "tokens", "accept-encoding": "gzip",
+    "x-dcws-sender": "sender", "x-dcws-purpose": "peer",
+    "x-dcws-version": "peer", "range": "ranged",
+    "if-none-match": "conditional", "if-modified-since": "conditional",
+    "content-length": "framed"}
+
+
+class _Facts:
+    """What the serve path asks of one field list, answered in one pass
+    over it — the one place ``Connection`` tokens and the
+    ``Accept-Encoding`` list are interpreted.
+
+    ``close``/``keep_alive``: any ``Connection`` field lists the token.
+    ``gzip``: the *first* ``Accept-Encoding`` field admits it.
+    ``sender``: the first ``X-DCWS-Sender`` value, else ``""``; ``peer``:
+    it is not empty, or an ``X-DCWS-Purpose``/``-Version`` field exists.
+    ``ranged``, ``conditional`` (``If-None-Match``/``If-Modified-Since``),
+    ``framed`` (``Content-Length``): such a field is present, even empty.
+    """
+
+    __slots__ = ("close", "keep_alive", "gzip", "sender", "peer", "ranged",
+                 "conditional", "framed")
+
+    def __init__(self, items: List[Tuple[str, str, str]]) -> None:
+        self.close = self.keep_alive = self.peer = False
+        self.ranged = self.conditional = self.framed = False
+        sender = encodings = None
+        for folded, __, value in items:
+            fact = _ASKED.get(folded)
+            if fact is None:
+                continue
+            if fact == "tokens":
+                for part in value.split(","):
+                    token = part.strip().lower()
+                    if token == "close":
+                        self.close = True
+                    elif token == "keep-alive":
+                        self.keep_alive = True
+            elif fact == "gzip":
+                if encodings is None:
+                    encodings = value
+            elif fact == "sender":
+                if sender is None:
+                    sender = value
+            else:
+                setattr(self, fact, True)
+        self.gzip = bool(encodings) and _admits_gzip(encodings)
+        self.sender = sender or ""
+        self.peer = self.peer or bool(sender)
+
+
 class Headers:
     """An ordered, case-insensitive multimap of HTTP header fields.
 
@@ -62,16 +135,18 @@ class Headers:
     and ``value`` holds no CR or LF — is established where a field
     enters (:meth:`add`, and the continuation arm of
     :meth:`parse_lines`) and nowhere else, so :meth:`copy` shares the
-    tuples instead of validating them again.  :meth:`serialize_bytes`
-    keeps the latin-1 block it rendered until the next mutation, and a
-    copy starts with its original's block.
+    tuples instead of validating them again.  Two things are derived
+    from the fields at most once per mutation, and a copy starts with
+    its original's: the latin-1 block (:meth:`serialize_bytes`) and the
+    answers the serve path wants of a message (:meth:`facts`).
     """
 
-    __slots__ = ("_items", "_wire")
+    __slots__ = ("_items", "_wire", "_facts")
 
     def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None) -> None:
         self._items: List[Tuple[str, str, str]] = []
         self._wire: Optional[bytes] = None
+        self._facts: Optional[_Facts] = None
         if items is not None:
             for name, value in items:
                 self.add(name, value)
@@ -82,7 +157,7 @@ class Headers:
         if not folded:
             raise HTTPError(f"invalid header field name: {name!r}")
         self._items.append((folded, name, _unbroken(str(value).strip())))
-        self._wire = None
+        self._wire = self._facts = None
 
     def set(self, name: str, value: str) -> None:
         """Replace every field named *name* with a single field."""
@@ -135,7 +210,7 @@ class Headers:
         removed = len(self._items) - len(kept)
         if removed:
             self._items = kept
-            self._wire = None
+            self._wire = self._facts = None
         return removed
 
     def items(self) -> Iterator[Tuple[str, str]]:
@@ -145,7 +220,15 @@ class Headers:
         clone = Headers()
         clone._items = self._items.copy()
         clone._wire = self._wire
+        clone._facts = self._facts
         return clone
+
+    def memoised_copy(self) -> "Headers":
+        """A copy to keep and copy again: block and facts are filled
+        first, so this collection and every such copy start with both."""
+        self.serialize_bytes()
+        self.facts()
+        return self.copy()
 
     def serialize(self) -> str:
         """Render the fields as CRLF-terminated lines (no trailing blank)."""
@@ -157,6 +240,13 @@ class Headers:
         if wire is None:
             wire = self._wire = self.serialize().encode("latin-1")
         return wire
+
+    def facts(self) -> _Facts:
+        """These fields' :class:`_Facts`, worked out once per mutation."""
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = _Facts(self._items)
+        return facts
 
     @classmethod
     def parse_lines(cls, lines: Iterable[str]) -> "Headers":

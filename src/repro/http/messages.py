@@ -10,11 +10,13 @@ cannot tell which transport it is running on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.errors import HTTPError, InvalidContentLength
 from repro.http.headers import Headers
 from repro.http.status import StatusCode, reason_phrase
+from repro.http.urls import normalize_path
 
 SUPPORTED_METHODS = ("GET", "HEAD", "POST")
 SUPPORTED_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
@@ -33,6 +35,8 @@ class Request:
     headers: Headers = field(default_factory=Headers)
     version: str = "HTTP/1.0"
     body: bytes = b""
+    #: ``(target, its normalised path)`` — :attr:`route`'s memo, no field.
+    _route = ("", "")
 
     def __post_init__(self) -> None:
         if self.method not in SUPPORTED_METHODS:
@@ -47,6 +51,16 @@ class Request:
         """The target without its query string."""
         return self.target.split("?", 1)[0]
 
+    @property
+    def route(self) -> str:
+        """:attr:`path` with ``.`` and ``..`` resolved — what the engine
+        looks a document up by — worked out once per ``target``."""
+        target, route = self._route
+        if target is not self.target:
+            route = normalize_path(self.path)
+            self._route = (self.target, route)
+        return route
+
     def serialize(self) -> bytes:
         """Render the request in wire form."""
         headers = self.headers
@@ -56,6 +70,12 @@ class Request:
         start = f"{self.method} {self.target} {self.version}\r\n"
         return b"".join((start.encode("latin-1"), headers.serialize_bytes(),
                          b"\r\n", self.body))
+
+
+@lru_cache(maxsize=64)
+def _status_line(version: str, status: int) -> bytes:
+    """The status line, rendered once per ``(version, status)``."""
+    return f"{version} {status} {reason_phrase(status)}\r\n".encode("latin-1")
 
 
 @dataclass(frozen=True)
@@ -115,12 +135,11 @@ class Response:
         only when a ``Content-Length`` has to be synthesised.
         """
         headers = self.headers
-        if "content-length" not in headers:
+        if not headers.facts().framed:
             headers = headers.copy()
             headers.set("Content-Length", str(self.body_length()))
-        start = f"{self.version} {self.status} {self.reason}\r\n"
-        return b"".join((start.encode("latin-1"), headers.serialize_bytes(),
-                         b"\r\n"))
+        return b"".join((_status_line(self.version, self.status),
+                         headers.serialize_bytes(), b"\r\n"))
 
     def serialize(self) -> bytes:
         """Render the response in wire form (always with Content-Length)."""
@@ -137,16 +156,10 @@ def wants_keep_alive(version: str, headers: Headers) -> bool:
     HTTP/1.1 defaults to persistent unless ``Connection: close``;
     HTTP/1.0 defaults to one-shot unless ``Connection: keep-alive``
     (the de-facto extension the 1998 prototype's era browsers spoke).
+    Any ``close`` wins over any ``keep-alive`` (read off the memoised facts).
     """
-    keep = version == "HTTP/1.1"
-    for value in headers.get_all("Connection"):
-        for part in value.split(","):
-            token = part.strip().lower()
-            if token == "close":
-                return False
-            if token == "keep-alive":
-                keep = True
-    return keep
+    facts = headers.facts()
+    return not facts.close and (facts.keep_alive or version == "HTTP/1.1")
 
 
 def request_wants_keep_alive(request: Request) -> bool:

@@ -75,4 +75,4 @@ def extract_load_reports(headers: Headers) -> List[LoadReport]:
 
 def extract_sender(headers: Headers) -> str:
     """Return the ``X-DCWS-Sender`` value, or ``""`` when not a DCWS peer."""
-    return headers.get(SENDER_HEADER, "") or ""
+    return headers.facts().sender

@@ -127,6 +127,8 @@ def normalize_path(path: str) -> str:
     """
     if not path.startswith("/"):
         raise URLError(f"normalize_path requires an absolute path: {path!r}")
+    if "/." not in path and "//" not in path:
+        return path  # no empty, "." or ".." segment: nothing to resolve
     stack: List[str] = []
     for segment in path.split("/"):
         if segment in ("", "."):

@@ -124,13 +124,17 @@ class RequestParser:
                 raise HTTPError("connection closed before request body "
                                 "completed")
             return None
-        request.body = bytes(self._buffer[head_end + 4:needed])
+        if expected:
+            request.body = bytes(self._buffer[head_end + 4:needed])
         self._consume(needed)
         return request
 
     def _consume(self, count: int) -> None:
         """Drop *count* leading buffer bytes and reset the head-scan cache."""
-        del self._buffer[:count]
+        if count == len(self._buffer):
+            self._buffer.clear()  # the usual case: one request, all of it
+        else:
+            del self._buffer[:count]
         self._head_end = -1
         self._scanned = 0
 

@@ -65,6 +65,9 @@ from repro.server.engine import DCWSEngine, EngineReply
 
 _RECV_CHUNK = 65536
 _MAX_REQUEST = 1024 * 1024
+#: Seconds between deadline checks, and the longest sleep in ``select``.
+_REAP_PERIOD = 0.1
+_HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 
 
 class _OutQueue:
@@ -117,13 +120,15 @@ class _OutQueue:
 
 
 class _Connection:
-    """Per-connection state machine: parser in, segment queue out.
+    """Per-connection state machine: parser in, segment queue out
+    (``out`` holds only what a direct write left behind).
 
     ``deadline`` is the read deadman: armed at accept, re-armed when a
     request's *first* byte arrives (not on every byte — that is what
-    defeats slowloris) and when a response is queued (idle keep-alive
-    clock).  ``busy`` marks a blocking dispatch in the executor; the
-    connection is never reaped nor further dispatched while set.
+    defeats slowloris) and when a response is sent (idle keep-alive
+    clock); :meth:`AsyncDCWSServer._reap` checks it every
+    ``_REAP_PERIOD``.  ``busy`` marks a blocking dispatch in the executor;
+    the connection is never reaped nor further dispatched while set.
     ``events`` mirrors the selector registration so interest updates are
     cheap and idempotent.
     """
@@ -236,17 +241,23 @@ class AsyncDCWSServer(SocketHost):
 
     def _run_loop(self) -> None:
         assert self._selector is not None
+        next_reap = 0.0
         try:
             while not self._stop.is_set():
                 timeout = min(max(self._next_tick - time.monotonic(), 0.0),
-                              0.1)
+                              _REAP_PERIOD)
                 for key, mask in self._selector.select(timeout):
                     data = key.data
                     try:
-                        if isinstance(data, _Connection):
-                            self._on_connection_event(data, mask)
-                        else:
+                        if not isinstance(data, _Connection):
                             data()  # accept burst or wakeup drain
+                            continue
+                        if mask & selectors.EVENT_WRITE:
+                            self._flush(data)
+                            if data.sock not in self._connections:
+                                continue  # flushed its last and closed
+                        if mask & selectors.EVENT_READ:
+                            self._read(data)
                     except Exception:
                         # A broken connection must never kill the loop.
                         if isinstance(data, _Connection):
@@ -255,7 +266,9 @@ class AsyncDCWSServer(SocketHost):
                 if now >= self._next_tick:
                     self._tick(now)
                     self._next_tick = now + self.tick_period
-                self._reap(now)
+                if now >= next_reap:
+                    self._reap(now)
+                    next_reap = now + _REAP_PERIOD
         finally:
             self._shutdown_loop()
 
@@ -348,16 +361,9 @@ class AsyncDCWSServer(SocketHost):
         conn.close_after_flush = True
         conn.reads_paused = True
         self._connections[sock] = conn
-        self._queue_response(conn, self._refuse())
-        self._flush(conn)
+        self._send_response(conn, self._refuse())
 
     # -- per-connection reads -------------------------------------------
-
-    def _on_connection_event(self, conn: _Connection, mask: int) -> None:
-        if mask & selectors.EVENT_WRITE:
-            self._flush(conn)
-        if conn.sock in self._connections and mask & selectors.EVENT_READ:
-            self._read(conn)
 
     def _read(self, conn: _Connection) -> None:
         try:
@@ -392,7 +398,8 @@ class AsyncDCWSServer(SocketHost):
         Stops when a blocking dispatch enters the executor (``busy``) —
         keeping responses ordered — or when the connection is closing.
         """
-        while not conn.busy and not conn.close_after_flush \
+        while conn.parser.buffered and not conn.busy \
+                and not conn.close_after_flush \
                 and conn.sock in self._connections:
             try:
                 request = conn.parser.next_request()
@@ -467,21 +474,28 @@ class AsyncDCWSServer(SocketHost):
     def _enqueue_response(self, conn: _Connection,
                           request: Optional[Request],
                           response: Response) -> None:
-        config = self.engine.config
+        """Settle keep-alive for *response*, re-arm the deadline, send it
+        — straight to the socket when nothing is queued ahead of it."""
         conn.served += 1
         if not self._settle_keep_alive(conn.served, request, response):
             conn.close_after_flush = True
-        self._queue_response(conn, response)
         # Idle keep-alive clock; doubles as the write deadman — a client
         # that never drains its responses is reaped at the same deadline.
-        conn.deadline = time.monotonic() + config.keep_alive_timeout
-        self._flush(conn)
+        conn.deadline = time.monotonic() \
+            + self.engine.config.keep_alive_timeout
+        self._send_response(conn, response)
 
-    @staticmethod
-    def _queue_response(conn: _Connection, response: Response) -> None:
-        """Append head and body as separate segments — the (possibly
-        cached, shared) body bytes are never concatenated per response."""
-        conn.out.append(response.serialize_head())
+    def _send_response(self, conn: _Connection, response: Response) -> None:
+        """Put head and body on the wire, behind whatever is queued.
+
+        With nothing queued — the usual turn — one ``sendmsg`` hands the
+        kernel the head and the (possibly cached, shared) body object
+        itself.  Only what it did not take, or what must wait behind an
+        earlier remainder, becomes :class:`_OutQueue` segments, and
+        :meth:`_flush` stays the one drain of those (backpressure,
+        ``close_after_flush`` and the write deadman hang on it).
+        """
+        head = response.serialize_head()
         body = response.body
         if response.body_file is not None and not body:
             # No sendfile on a nonblocking loop socket (the engine leaves
@@ -489,16 +503,31 @@ class AsyncDCWSServer(SocketHost):
             # case a FileBody response arrives by another route.
             with open(response.body_file.path, "rb") as handle:
                 body = handle.read()
+        sent = 0
+        if not conn.out and _HAS_SENDMSG:
+            try:
+                sent = conn.sock.sendmsg((head, body))
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                self._close(conn)
+                return
+            if sent == len(head) + len(body):
+                if conn.close_after_flush:
+                    self._close(conn)
+                return
+        conn.out.append(head)
         conn.out.append(body)
+        conn.out.advance(sent)
+        self._flush(conn)
 
     def _fail(self, conn: _Connection, status: int) -> None:
         """Protocol violation: answer once, stop reading, close."""
         response = error_response(status)
         response.headers.set("Connection", "close")
-        self._queue_response(conn, response)
         conn.close_after_flush = True
         conn.reads_paused = True
-        self._flush(conn)
+        self._send_response(conn, response)
 
     # -- writes ---------------------------------------------------------
 
@@ -507,7 +536,7 @@ class AsyncDCWSServer(SocketHost):
             return
         if conn.out:
             try:
-                if hasattr(conn.sock, "sendmsg"):
+                if _HAS_SENDMSG:
                     # Gather write straight from the segment queue: one
                     # syscall covers head + body (+ pipelined followers)
                     # with zero user-space concatenation.
@@ -567,6 +596,8 @@ class AsyncDCWSServer(SocketHost):
         Kills idle keep-alive holders, stalled half-requests (slowloris)
         and clients that stopped draining responses.  Connections with a
         dispatch in the executor are exempt until the completion posts.
+        Walks every open connection, so it runs once per ``_REAP_PERIOD``,
+        not once per loop pass: a deadline fires at most that much late.
         """
         if not self._connections:
             return

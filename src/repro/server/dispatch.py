@@ -35,8 +35,7 @@ from repro.http.messages import (
     Request,
     Response,
     error_response,
-    request_wants_keep_alive,
-    response_allows_keep_alive,
+    wants_keep_alive,
 )
 from repro.http.status import StatusCode
 from repro.server.engine import (
@@ -251,8 +250,9 @@ class SocketHost:
         config = self.engine.config
         keep = (config.keep_alive
                 and served < config.keep_alive_max_requests
-                and (request is None or request_wants_keep_alive(request))
-                and response_allows_keep_alive(response))
+                and (request is None
+                     or wants_keep_alive(request.version, request.headers))
+                and wants_keep_alive(response.version, response.headers))
         if not keep:
             response.headers.set("Connection", "close")
             response.headers.remove("Keep-Alive")

@@ -87,7 +87,7 @@ from repro.http.messages import (
     Response,
     error_response,
     redirect_response,
-    request_wants_keep_alive,
+    wants_keep_alive,
 )
 from repro.http.piggyback import (
     attach_load_reports,
@@ -533,7 +533,7 @@ class DCWSEngine:
         directive when a migrated document must first be fetched lazily.
         """
         self._clock = now
-        path = normalize_path(request.path)
+        path = request.route
         if path == HEALTH_PATH:
             # Monitoring traffic: answered before any accounting so
             # probes never inflate hit counters or the CPS/BPS metrics,
@@ -584,14 +584,10 @@ class DCWSEngine:
             # Gate checks and cookie issuance are time-dependent per
             # request; gated sites always take the slow path.
             return None
-        headers = request.headers
-        if headers.get(PURPOSE_HEADER) is not None \
-                or headers.get(VERSION_HEADER) is not None \
-                or extract_sender(headers):
-            return None  # peer traffic: piggyback/validation semantics
-        if headers.get("Range") is not None:
-            return None  # partial: slow-path negotiation
-        path = normalize_path(request.path)
+        facts = request.headers.facts()
+        if facts.peer or facts.ranged:
+            return None  # peer semantics, Range negotiation: slow path
+        path = request.route
         if path == HEALTH_PATH or path.startswith(ADMIN_PREFIX) \
                 or is_migrated_path(path):
             return None
@@ -599,14 +595,14 @@ class DCWSEngine:
         if record is None or record.dirty or record.replicas \
                 or record.location != self.location:
             return None
-        if headers.get("If-None-Match") is not None \
-                or headers.get("If-Modified-Since") is not None:
+        if facts.conditional:
             # A 304 is all head and never meets the response cache, so
             # the quarantine that empties the cache must be asked here.
             if self.integrity.is_quarantined(path):
                 return None
             rendition = self._rendition(path, record.version, record.digest)
-            if not_modified(headers, rendition.etag, rendition.last_modified):
+            if not_modified(request.headers, rendition.etag,
+                            rendition.last_modified):
                 return _FastHit(
                     record=record, cached=None, kind="304",
                     response=self._not_modified_response(
@@ -624,10 +620,7 @@ class DCWSEngine:
                 body=cached.gzip_body if gzip else cached.body)
         else:
             response, __ = self._render_entity(request, cached, home=True)
-            # Render the field block now, so the kept copy — and every
-            # copy of it — carries the bytes serialize_head() joins.
-            response.headers.serialize_bytes()
-            cached.framed[flavour] = response.headers.copy()
+            cached.framed[flavour] = response.headers.memoised_copy()
         return _FastHit(record=record, cached=cached, response=response,
                         kind="gzip" if gzip else "identity")
 
@@ -950,10 +943,8 @@ class DCWSEngine:
             response.headers.set(VERSION_HEADER, str(rendition.version))
         self._frame(request, response)
         if not peer:
-            # Render the field block now, as for a framed 200: the kept
-            # copy and every copy of it then carry the rendered bytes.
-            response.headers.serialize_bytes()
-            rendition.not_modified[persists] = response.headers.copy()
+            rendition.not_modified[persists] = \
+                response.headers.memoised_copy()
         return response
 
     @staticmethod
@@ -2063,7 +2054,8 @@ class DCWSEngine:
 
     def _persists(self, request: Request) -> bool:
         """Will the response to *request* offer to keep the connection?"""
-        return self.config.keep_alive and request_wants_keep_alive(request)
+        return self.config.keep_alive \
+            and wants_keep_alive(request.version, request.headers)
 
     def _frame(self, request: Request, response: Response) -> None:
         """Piggyback, ``Content-Length``, HEAD body strip and the

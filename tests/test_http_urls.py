@@ -126,6 +126,20 @@ class TestPathHelpers:
         assert normalize_path("/a/b/") == "/a/b/"
         assert normalize_path("/") == "/"
 
+    @pytest.mark.parametrize("path, expected", [
+        # Nothing to resolve: returned as it came.
+        ("/a/b.html", "/a/b.html"), ("/a/b..", "/a/b.."),
+        ("/a.b/c..d/", "/a.b/c..d/"), ("/~migrate/h/80/x", "/~migrate/h/80/x"),
+        # Anything that might hold an empty or dot segment: resolved.
+        ("/a//b", "/a/b"), ("//", "/"), ("/a/.", "/a"), ("/a/..", "/"),
+        ("/.hidden", "/.hidden"), ("/a/..b", "/a/..b"), ("/a/./", "/a/"),
+        ("/a/b/../", "/a/"), ("/./a", "/a"),
+    ])
+    def test_normalize_path_shortcut_agrees_with_the_walk(self, path,
+                                                          expected):
+        assert normalize_path(path) == expected
+        assert normalize_path(expected) == expected
+
     def test_strip_fragment(self):
         assert strip_fragment("a.html#top") == "a.html"
         assert strip_fragment("a.html") == "a.html"

@@ -60,6 +60,25 @@ class TestPipelining:
         assert not parser.buffered
         assert parser.next_request() is None
 
+    def test_exact_consume_keeps_the_tail_of_the_next_request(self):
+        """One whole request clears the buffer; one request and half of
+        the next must leave exactly that half."""
+        parser = RequestParser()
+        parser.feed(b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n")
+        assert parser.next_request().target == "/a"
+        assert not parser.buffered
+        parser.feed(b"POST /b HTTP/1.1\r\nContent-Length: 3\r\n\r\nxyz"
+                    b"GET /c HTTP/1.1\r\nHo")
+        posted = parser.next_request()
+        assert (posted.target, posted.body) == ("/b", b"xyz")
+        assert parser.buffered
+        assert parser.next_request() is None
+        parser.feed(b"st: h\r\n\r\n")
+        follower = parser.next_request()
+        assert (follower.target, follower.body) == ("/c", b"")
+        assert follower.headers.get("Host") == "h"
+        assert not parser.buffered
+
     def test_dribbled_byte_at_a_time(self):
         parser = RequestParser()
         wire = b"GET /slow HTTP/1.0\r\nHost: h\r\n\r\n"

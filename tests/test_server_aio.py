@@ -9,6 +9,7 @@ shed with 503 + Retry-After).
 
 import re
 import socket
+import struct
 import time
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.client.realclient import fetch_url
 from repro.core.config import ServerConfig
 from repro.core.document import Location
-from repro.server.aio import AsyncDCWSServer
+from repro.server.aio import _REAP_PERIOD, AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.http.urls import URL
@@ -51,6 +52,29 @@ def server():
 
 def connect(server: AsyncDCWSServer) -> socket.socket:
     return socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+
+
+def start_small_buffered(server: AsyncDCWSServer) -> None:
+    """Start *server* on a listener whose accepted sockets inherit a
+    send buffer far smaller than ``/big.html`` (loopback autotunes the
+    default one to megabytes, and nothing would ever be queued)."""
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+    listener.bind(("127.0.0.1", server.port))
+    listener.listen(16)
+    server.start(listener)
+    assert server.wait_ready()
+
+
+def small_window_connect(server: AsyncDCWSServer) -> socket.socket:
+    """A client whose receive buffer (set before the handshake, so the
+    window is small from the start) cannot hold ``/big.html`` either."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(5.0)
+    sock.connect(("127.0.0.1", server.port))
+    return sock
 
 
 def recv_until_close(sock: socket.socket) -> bytes:
@@ -121,7 +145,98 @@ class TestServing:
         assert elapsed < 0.5
 
 
+    def test_request_split_across_two_recvs(self, server):
+        with connect(server) as sock:
+            sock.sendall(b"GET /d.html HTTP/1.1\r\nHo")
+            time.sleep(0.1)
+            sock.sendall(b"st: h\r\n\r\n")
+            data = sock.recv(65536)
+        assert data.split(b"\r\n")[0].endswith(b"200 OK")
+        assert data.endswith(SITE["/d.html"])
+
+    def test_request_followed_by_half_of_the_next(self, server):
+        """The parser's exact-consume branch must not eat the tail."""
+        with connect(server) as sock:
+            sock.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n"
+                         b"GET /index.html HTTP/1.1\r\nHo")
+            first = sock.recv(65536)
+            assert first.endswith(SITE["/d.html"])
+            time.sleep(0.1)
+            sock.sendall(b"st: h\r\nConnection: close\r\n\r\n")
+            second = recv_until_close(sock)
+        assert second.split(b"\r\n")[0].endswith(b"200 OK")
+        assert second.endswith(SITE["/index.html"])
+
+
+def wait_for(condition, timeout=3.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.01)
+    return condition()
+
+
+def open_connections(server):
+    return len(list(server._connections))
+
+
 class TestDeadlines:
+    def test_idle_connection_reaped_on_schedule_among_64_others(self):
+        """Deadlines are checked every ``_REAP_PERIOD``, not every loop
+        pass: an idle connection still goes within its timeout plus one
+        period, and nobody else goes with it."""
+        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
+                              keep_alive_timeout=0.4)
+        with make_server(config, request_timeout=5.0) as server:
+            assert server.wait_ready()
+            others = [connect(server) for __ in range(64)]
+            try:
+                assert wait_for(lambda: open_connections(server) == 64)
+                with connect(server) as sock:
+                    sock.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n")
+                    assert sock.recv(65536)
+                    served = time.monotonic()
+                    sock.settimeout(3.0)
+                    assert recv_until_close(sock) == b""
+                    waited = time.monotonic() - served
+                assert 0.3 < waited < 0.4 + _REAP_PERIOD + 0.3
+                assert wait_for(lambda: open_connections(server) == 64)
+            finally:
+                for other in others:
+                    other.close()
+
+    def test_slowloris_reaped_on_schedule_among_64_others(self):
+        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
+                              keep_alive_timeout=5.0)
+        with make_server(config, request_timeout=0.6) as server:
+            assert server.wait_ready()
+            others = [connect(server) for __ in range(64)]
+            try:
+                for other in others:   # idle keep-alive peers, 5 s each
+                    other.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n")
+                    assert other.recv(65536)
+                with connect(server) as sock:
+                    sock.settimeout(5.0)
+                    started = time.monotonic()
+                    closed_after = None
+                    for byte in b"GET /never-finishes.html HTTP/1.0" * 4:
+                        try:
+                            sock.sendall(bytes([byte]))
+                            if _readable(sock) and sock.recv(65536) == b"":
+                                closed_after = time.monotonic() - started
+                                break
+                        except OSError:
+                            closed_after = time.monotonic() - started
+                            break
+                        time.sleep(0.05)
+                assert closed_after is not None, "the dribble was kept"
+                assert closed_after < 0.6 + _REAP_PERIOD + 0.3
+                assert open_connections(server) == 64
+            finally:
+                for other in others:
+                    other.close()
+
     def test_idle_keep_alive_connection_reaped(self, server):
         with connect(server) as sock:
             sock.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n")
@@ -156,6 +271,27 @@ class TestDeadlines:
         # The loop must shrug it off and keep serving others.
         outcome = fetch_url(URL("127.0.0.1", server.port, "/d.html"))
         assert outcome.status == 200
+
+
+    def test_reset_mid_write_survived(self):
+        """A peer that resets while its reply is only partly written
+        loses its connection; the loop and its other clients do not."""
+        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0)
+        server = make_server(config)
+        start_small_buffered(server)
+        try:
+            sock = small_window_connect(server)
+            sock.sendall(b"GET /big.html HTTP/1.1\r\nHost: h\r\n\r\n")
+            assert wait_for(lambda: any(
+                conn.out for conn in list(server._connections.values())))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()    # RST: the queued remainder has nowhere to go
+            assert wait_for(lambda: open_connections(server) == 0)
+            outcome = fetch_url(URL("127.0.0.1", server.port, "/d.html"))
+            assert outcome.status == 200
+        finally:
+            server.stop()
 
 
 class TestServePathRealism:
@@ -313,6 +449,47 @@ class TestBackpressure:
         head, __, body = data.partition(b"\r\n\r\n")
         assert head.split(b"\r\n")[0].endswith(b"200 OK")
         assert body == SITE["/big.html"]
+
+
+    def test_stalled_reader_gets_every_byte_in_order(self):
+        """A body larger than the socket buffers against a reader that
+        stalls: the direct write takes a part, the queue the rest, reads
+        pause at ``write_buffer_limit`` — and three pipelined requests
+        behind the remainder are answered in order once it drains."""
+        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
+                              write_buffer_limit=16 * 1024)
+        server = make_server(config)
+        start_small_buffered(server)
+        try:
+            with small_window_connect(server) as sock:
+                sock.sendall(b"GET /big.html HTTP/1.1\r\nHost: h\r\n\r\n")
+
+                def stalled():
+                    conns = list(server._connections.values())
+                    return bool(conns) and bool(conns[0].out) \
+                        and conns[0].reads_paused
+                assert wait_for(stalled)
+                (conn,) = server._connections.values()
+                queued = len(conn.out)
+                # The kernel took the front of the reply directly; only
+                # the rest was queued.
+                assert 16 * 1024 <= queued < len(SITE["/big.html"])
+                sock.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n"
+                             b"GET /big.html HTTP/1.1\r\nHost: h\r\n\r\n"
+                             b"GET /index.html HTTP/1.1\r\nHost: h\r\n"
+                             b"Connection: close\r\n\r\n")
+                data = recv_until_close(sock)
+        finally:
+            server.stop()
+        expected = [SITE["/big.html"], SITE["/d.html"], SITE["/big.html"],
+                    SITE["/index.html"]]
+        for body in expected:
+            head, __, data = data.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].endswith(b"200 OK")
+            assert f"Content-Length: {len(body)}".encode() in head
+            assert data[:len(body)] == body
+            data = data[len(body):]
+        assert data == b""
 
 
 class TestHealthAndLifecycle:

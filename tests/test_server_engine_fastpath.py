@@ -30,7 +30,9 @@ from repro.http.content import (
     etag_for,
     http_date,
 )
+from repro.http.headers import Headers, _Facts
 from repro.http.messages import Request, Response, parse_request
+from repro.http.wire import RequestParser
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
     DCWSEngine,
@@ -706,3 +708,73 @@ def test_a_coop_serves_a_copy_as_its_home_would():
     assert {name: counters(coop)[name] for name in shared} == \
         {name: counters(home)[name] for name in shared}
     assert coop.stats.fast_hits == 0 < home.stats.fast_hits
+
+
+# -- what one warm cached GET asks of its messages --------------------------
+
+def counted(monkeypatch, owner, name, calls):
+    """Count calls of ``owner.name`` (the wrapper style of
+    ``tests/test_zero_copy.py``), keyed by the name."""
+    original = getattr(owner, name)
+
+    def counting(self, *args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_one_warm_cached_get_asks_its_fields_once(monkeypatch):
+    """Parse, ``_engine_dispatch``, ``_settle_keep_alive`` and
+    ``serialize_head`` for one warm cached GET: before the facts record
+    this was 8 ``Headers.get``, 4 ``get_all`` and ``Connection``
+    interpreted three times.  Now the request's facts are worked out
+    once, and the response's not at all — its block was stored with
+    them, and a copy starts with its original's."""
+    engine = make_engine()
+    host = AsyncDCWSServer(engine)      # never started: no sockets
+    raw = (b"GET /big.html HTTP/1.1\r\nHost: h\r\n"
+           b"Accept-Encoding: gzip\r\nConnection: keep-alive\r\n\r\n")
+    parser = RequestParser()
+
+    def turn(now):
+        parser.feed(raw)
+        request = parser.next_request()
+        reply = host._engine_dispatch(request, now)
+        assert host._settle_keep_alive(3, request, reply.response)
+        return request, reply, reply.response.serialize_head()
+
+    turn(1.0)                           # the cache fill, by the slow route
+    turn(2.0)                           # the flavour's first short-circuit
+    calls = {}
+    counted(monkeypatch, Headers, "get", calls)
+    counted(monkeypatch, Headers, "get_all", calls)
+    counted(monkeypatch, _Facts, "__init__", calls)
+    fast_hits = engine.stats.fast_hits
+    request, reply, head = turn(3.0)
+    assert engine.stats.fast_hits == fast_hits + 1
+    assert calls.get("get", 0) <= 2, calls
+    assert calls.get("get_all", 0) <= 1, calls    # Content-Length, strictly
+    assert calls.get("__init__", 0) == 1, calls   # the request's, once
+    assert b"Content-Encoding: gzip" in head
+    assert b"Connection: keep-alive" in head
+    # A copy of a stored block arrives with its facts filled in.
+    (cached,) = [entry for entry in cache_entries(engine)
+                 if entry.gzip_body is not None and entry.framed]
+    for block in cached.framed.values():
+        calls.clear()
+        copy = block.copy()
+        assert copy.facts() is block.facts() and copy.facts().framed
+        assert "__init__" not in calls
+    # The same holds for a 304 off the rendition.
+    conditional_raw = raw[:-2] + b"If-None-Match: " + \
+        reply.response.headers.get("ETag").encode() + b"\r\n\r\n"
+    for now in (4.0, 5.0):
+        parser.feed(conditional_raw)
+        request = parser.next_request()
+        calls.clear()
+        not_modified = host._engine_dispatch(request, now).response
+        assert not_modified.status == 304
+        host._settle_keep_alive(3, request, not_modified)
+        not_modified.serialize_head()
+    assert calls.get("__init__", 0) == 1, calls

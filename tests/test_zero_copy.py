@@ -9,6 +9,8 @@ Three layers are covered:
   ever calling the monolithic ``Response.serialize()``;
 - the event-loop out-queue advances through partial writes by slicing
   memoryviews, never rebuilding byte strings;
+- the event loop's direct write hands ``sendmsg`` the head and the cached
+  body object itself, and queues only what the kernel did not take;
 - disk-backed bodies above ``sendfile_min_bytes`` ride ``os.sendfile``
   (``socket.sendfile``) instead of being read into Python at all.
 """
@@ -22,7 +24,7 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request, Response
-from repro.server.aio import _OutQueue
+from repro.server.aio import AsyncDCWSServer, _Connection, _OutQueue
 from repro.server.engine import DCWSEngine, EngineReply
 from repro.server.filestore import DiskStore, MemoryStore
 from repro.server.threaded import ThreadedDCWSServer, send_response
@@ -71,23 +73,41 @@ class TestEngineBodyIdentity:
 
 
 class _RecordingConnection:
-    """A fake socket capturing exactly what the gather write was given."""
+    """A fake socket capturing exactly what the gather write was given.
+
+    ``wire`` is what a peer would have received: of every ``sendmsg``,
+    the bytes the call reported as taken.  ``fail_with`` makes the next
+    ``sendmsg`` raise instead (a reset peer, a full socket buffer).
+    """
 
     def __init__(self, sendmsg_limit=None):
         self.sendmsg_calls = []
         self.sendall_data = b""
         self.sendmsg_limit = sendmsg_limit
+        self.wire = b""
+        self.fail_with = None
+        self.closed = False
 
     def sendmsg(self, buffers):
+        if self.fail_with is not None:
+            error, self.fail_with = self.fail_with, None
+            raise error
         buffers = list(buffers)
         self.sendmsg_calls.append(buffers)
         total = sum(len(b) for b in buffers)
         if self.sendmsg_limit is not None:
             total = min(total, self.sendmsg_limit)
+        self.wire += b"".join(bytes(b) for b in buffers)[:total]
         return total
 
     def sendall(self, data):
         self.sendall_data += bytes(data)
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        self.closed = True
 
 
 class TestThreadedGatherWrite:
@@ -161,6 +181,115 @@ class TestOutQueue:
         queue = _OutQueue()
         queue.append(b"")
         assert not queue
+
+
+class TestLoopDirectWrite:
+    """``AsyncDCWSServer._enqueue_response`` against a recording socket
+    (the server is never started: no loop, no selector)."""
+
+    def _host(self, sendmsg_limit=None, **config_kwargs):
+        server = AsyncDCWSServer(make_engine(**config_kwargs))
+        sock = _RecordingConnection(sendmsg_limit)
+        conn = _Connection(sock, deadline=time.monotonic() + 60.0)
+        server._connections[sock] = conn
+        return server, sock, conn
+
+    @staticmethod
+    def _request(path="/big.html", method="GET", version="HTTP/1.1",
+                 **headers):
+        request = Request(method=method, target=path, version=version)
+        for name, value in headers.items():
+            request.headers.set(name.replace("_", "-"), value)
+        return request
+
+    def _serve(self, server, conn, request, now=1.0):
+        reply = server._engine_dispatch(request, now)
+        server._enqueue_response(conn, request, reply.response)
+        return reply.response
+
+    def test_sendmsg_receives_the_cached_body_object_itself(self):
+        server, sock, conn = self._host()
+        first = self._serve(server, conn, self._request())
+        second = self._serve(server, conn, self._request(), now=2.0)
+        assert second.body is first.body    # the response cache's bytes
+        for head, body in sock.sendmsg_calls:
+            assert isinstance(head, bytes) and body is first.body
+        assert len(sock.sendmsg_calls) == 2   # one gather write a turn
+        assert not conn.out and sock in server._connections
+        assert sock.wire == first.serialize_head() + first.body \
+            + second.serialize_head() + second.body
+
+    def test_head_and_304_leave_in_one_sendmsg(self):
+        server, sock, conn = self._host()
+        full = self._serve(server, conn, self._request())
+        head = self._serve(server, conn, self._request(method="HEAD"))
+        etag = full.headers.get("ETag")
+        unchanged = self._serve(
+            server, conn, self._request(If_None_Match=etag))
+        assert unchanged.status == 304 and head.body == b""
+        assert len(sock.sendmsg_calls) == 3 and not conn.out
+        assert sock.wire.endswith(
+            head.serialize_head() + unchanged.serialize_head())
+
+    def test_the_queue_gets_only_what_the_kernel_did_not_take(self):
+        server, sock, conn = self._host(sendmsg_limit=1000)
+        response = self._serve(server, conn, self._request())
+        total = len(response.serialize_head()) + len(response.body)
+        # The direct write took 1000, the flush behind it 1000 more.
+        assert len(conn.out) == total - 2000
+        assert len(sock.sendmsg_calls[0]) == 2
+        assert sock.sendmsg_calls[0][1] is response.body
+        # Two more replies while a remainder is queued go behind it.
+        behind = [self._serve(server, conn, self._request(path))
+                  for path in ("/index.html", "/big.html")]
+        assert all(isinstance(view, memoryview)
+                   for call in sock.sendmsg_calls[1:] for view in call)
+        while conn.out:
+            server._flush(conn)
+        assert sock.wire == b"".join(
+            each.serialize_head() + each.body
+            for each in [response] + behind)
+        assert sock in server._connections
+
+    def test_a_full_socket_buffer_queues_the_whole_reply(self):
+        server, sock, conn = self._host()
+        sock.fail_with = BlockingIOError()
+        response = self._serve(server, conn, self._request())
+        # (The flush behind the refused direct write already took it.)
+        assert not conn.out
+        assert sock.wire == response.serialize_head() + response.body
+
+    def test_reads_pause_at_the_limit_and_resume_below_half(self):
+        server, sock, conn = self._host(sendmsg_limit=1000,
+                                        write_buffer_limit=2048)
+        request = self._request()
+        conn.parser.feed(request.serialize())
+        server._pump(conn, 1.0)
+        assert len(conn.out) >= 2048 and conn.reads_paused
+        while len(conn.out) > 1024:
+            assert conn.reads_paused
+            server._flush(conn)
+        assert not conn.reads_paused
+        while conn.out:
+            server._flush(conn)
+        assert sock.wire.endswith(SITE["/big.html"])
+
+    def test_a_capped_reply_written_directly_still_closes(self):
+        server, sock, conn = self._host(keep_alive_max_requests=2)
+        self._serve(server, conn, self._request())
+        assert sock in server._connections and not sock.closed
+        last = self._serve(server, conn, self._request())
+        assert last.headers.get("Connection") == "close"
+        assert "Keep-Alive" not in last.headers
+        assert sock.closed and sock not in server._connections
+        assert sock.wire.endswith(last.serialize_head() + last.body)
+
+    def test_a_peer_that_resets_mid_write_only_loses_its_connection(self):
+        server, sock, conn = self._host()
+        sock.fail_with = ConnectionResetError()
+        self._serve(server, conn, self._request())   # must not raise
+        assert sock.closed and sock not in server._connections
+        assert sock.wire == b""
 
 
 class TestSendfilePath:
