@@ -19,9 +19,9 @@ methods (GET/HEAD): a non-idempotent request whose exchange failed is
 *not* silently replayed — the peer may have executed it before the
 channel died — and raises instead.
 
-Failure-domain hardening rides here too: an optional per-peer
-:class:`repro.client.breaker.CircuitBreaker` fails fetches toward an
-open peer instantly (no timeout burned per request), and an optional
+Whether a fetch should be attempted at all is the caller's question:
+the engine asks its peer ledger (:meth:`repro.core.membership.
+MembershipTable.admit`) before it emits a transfer.  An optional
 :class:`repro.faults.FaultPlan` injects deterministic connect/exchange
 faults for the chaos suite.
 """
@@ -37,7 +37,6 @@ from repro.errors import DigestMismatch, HTTPError
 from repro.faults import apply_corruption
 from repro.http.content import DIGEST_HEADER, body_digest, digest_matches
 from repro.http.messages import Request, Response, response_allows_keep_alive
-from repro.client.breaker import CircuitBreaker
 from repro.client.realclient import read_framed_response
 
 if TYPE_CHECKING:
@@ -80,14 +79,11 @@ class ConnectionPool:
 
     def __init__(self, *, max_per_peer: int = 4,
                  timeout: float = 10.0,
-                 breaker: Optional[CircuitBreaker] = None,
                  faults: "Optional[FaultPlan]" = None) -> None:
         if max_per_peer < 1:
             raise ValueError(f"max_per_peer must be >= 1: {max_per_peer}")
         self.max_per_peer = max_per_peer
         self.timeout = timeout
-        # Per-peer circuit breaker; None = always attempt (legacy mode).
-        self.breaker = breaker
         # Deterministic fault injection (chaos suite); None in production.
         self.faults = faults
         self._idle: Dict[str, List[_Channel]] = {}
@@ -97,7 +93,6 @@ class ConnectionPool:
         self.reuses = 0
         self.evictions = 0
         self.requests = 0
-        self.breaker_fastfails = 0  # fetches short-circuited while open
         self.digest_rejects = 0     # bodies failing X-DCWS-Digest checks
 
     # ------------------------------------------------------------------
@@ -112,26 +107,6 @@ class ConnectionPool:
             timeout = self.timeout
         request.headers.set("Connection", "keep-alive")
         key = f"{peer.host}:{peer.port}"
-        if self.breaker is not None:
-            try:
-                self.breaker.check(key)
-            except ConnectionError:
-                with self._lock:
-                    self.requests += 1
-                    self.breaker_fastfails += 1
-                raise
-        try:
-            response = self._fetch_attempts(peer, key, request, timeout)
-        except (OSError, HTTPError):
-            if self.breaker is not None:
-                self.breaker.record_failure(key)
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success(key)
-        return response
-
-    def _fetch_attempts(self, peer: Location, key: str, request: Request,
-                        timeout: float) -> Response:
         channel = self._take(key)
         reused = channel is not None
         if channel is None:

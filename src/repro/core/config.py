@@ -65,8 +65,9 @@ class ServerConfig:
     drop_pressure_weight: float = 0.0
 
     # --- consistency (section 4.5) --------------------------------------
-    # Consecutive failed pings before a co-op is declared dead and its
-    # documents are revoked.
+    # Consecutive failed transfers (pings, pulls, validations) before a
+    # co-op is declared dead and its documents are revoked; as many
+    # consecutive unanswered ones also open the peer's circuit (below).
     ping_failure_limit: int = 3
     # --- adaptive membership (repro.core.membership) ---------------------
     # Accrual failure detection: the φ suspicion score grows with silence
@@ -78,11 +79,14 @@ class ServerConfig:
     # modelled inter-arrival (additionally floored at the pinger
     # interval — the cadence at which heartbeats are guaranteed).
     membership_floor: float = 0.1
-    # Rediscovery daemon: dead/forgotten peers from the static configured
-    # peer list are re-probed every ``reprobe_interval`` seconds, backed
-    # off by ``reprobe_backoff`` per failed probe up to
-    # ``reprobe_max_interval``, with deterministic per-(peer, attempt)
-    # jitter up to ``reprobe_jitter`` (a fraction of the period).
+    # The circuit (repro.core.membership): a peer declared dead, or whose
+    # last ``ping_failure_limit`` transfers went unanswered, is sent one
+    # transfer per period until one is answered — first after
+    # ``reprobe_interval`` seconds, then backed off by ``reprobe_backoff``
+    # per admission up to ``reprobe_max_interval``, with deterministic
+    # per-(peer, attempt) jitter up to ``reprobe_jitter`` (a fraction of
+    # the period).  For a dead peer from the static configured peer list
+    # each admission is a rediscovery probe.
     reprobe_interval: float = 5.0
     reprobe_backoff: float = 2.0
     reprobe_max_interval: float = 60.0
@@ -106,9 +110,9 @@ class ServerConfig:
     # replication group (the k of k-copy placement).  1 disables the
     # subsystem entirely; with k >= 2 every hot migrated document gets a
     # group that the repair loop proactively tops up to k holders and
-    # autonomously re-replicates when the circuit breaker or the pinger
-    # declares a holder dead — a single co-op crash then costs zero
-    # availability and no revoke/re-home cycle.
+    # autonomously re-replicates when a holder is declared dead or its
+    # circuit opens — a single co-op crash then costs zero availability
+    # and no revoke/re-home cycle.
     replication_k: int = 1
     # Groups with at least ``replication_sufficient`` live holders (but
     # fewer than k) are *degraded*; below that they are *critical* and
@@ -179,18 +183,6 @@ class ServerConfig:
     workers: int = 1
     lock_stripes: int = 16
     sendfile_min_bytes: int = 256 * 1024
-    # Failure-domain hardening: per-peer circuit breakers on the pooled
-    # server-to-server channels.  After ``breaker_failure_threshold``
-    # consecutive transport failures the peer's circuit opens and fetches
-    # toward it fail instantly; after ``breaker_reset_timeout`` (doubled
-    # per consecutive open up to ``CircuitBreaker``'s cap, jittered by
-    # up to ``breaker_jitter``) it goes half-open and admits one trial
-    # fetch.  ``circuit_breaker`` False disables the whole mechanism
-    # (pre-hardening behaviour).
-    circuit_breaker: bool = True
-    breaker_failure_threshold: int = 3
-    breaker_reset_timeout: float = 0.5
-    breaker_jitter: float = 0.1
     # HTTP content negotiation on the serve path.  ``gzip_enabled`` turns
     # on pre-compressed response variants: at cache-fill time compressible
     # bodies of at least ``http.content.GZIP_MIN_BYTES`` get a
@@ -237,7 +229,6 @@ class ServerConfig:
             "replication_sufficient",
             "keep_alive_timeout", "keep_alive_max_requests",
             "listen_backlog", "max_connections", "write_buffer_limit",
-            "breaker_failure_threshold", "breaker_reset_timeout",
             "workers", "lock_stripes",
             "sendfile_min_bytes",
         )
@@ -259,8 +250,6 @@ class ServerConfig:
             raise ConfigError("byte_cache_bytes must be non-negative")
         if self.response_cache_entries < 0:
             raise ConfigError("response_cache_entries must be non-negative")
-        if self.breaker_jitter < 0:
-            raise ConfigError("breaker_jitter must be non-negative")
         if not (0.0 < self.shed_pressure <= 1.0):
             raise ConfigError("shed_pressure must be in (0, 1]")
         if self.scrub_interval < 0:

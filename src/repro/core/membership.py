@@ -23,9 +23,14 @@ so the real hosts and the simulator share it:
   journaled ``_declare_dead`` path, which makes the historical
   double-declaration (ping path and pull path racing in one tick)
   structurally impossible.
-- A rediscovery schedule: dead/forgotten peers from the static
-  configured peer list are re-probed at a jittered, exponentially
-  backed-off low rate, so a false death heals without external gossip.
+- The circuit: each peer's record also says whether our transfers reach
+  it.  It opens after ``failure_limit`` consecutive unanswered outbound
+  transfers or on death, and from then on :meth:`MembershipTable.admit`
+  lets one transfer through per jittered, exponentially backed-off
+  period until one is answered.  A dead configured peer's next
+  admission is its rediscovery probe, so a false death heals without
+  external gossip; a live peer's is a retry, so one that rejoined by
+  gossip is reachable again within a period.
 
 All timestamps are the caller's explicit ``now`` (monotonic in the real
 hosts, virtual in the simulator); nothing here reads a wall clock.
@@ -145,27 +150,42 @@ class MembershipCounters:
 
 @dataclass
 class _PeerEntry:
+    """One peer's record: two facts, kept apart.
+
+    *Heard from* — ``state``, φ (in the detector) and ``failures`` —
+    is reset by any proof of life, incoming gossip included.
+    *Reachable* — the circuit — opens after ``failure_limit``
+    consecutive unanswered outbound transfers (``misses``) or on death,
+    and only an outbound answer of any status closes it: a peer whose
+    gossip reaches us while our transfers to it do not stays alive with
+    its circuit open.  While open, ``attempts`` is the backoff exponent
+    and ``next_admit_at`` the next admission.
+    """
+
     state: str = ALIVE
     since: float = 0.0
-    failures: int = 0           # consecutive explicit transport failures
+    failures: int = 0           # consecutive failures since last heard from
     configured: bool = False    # on the static peer list (re-probe-able)
-    probe_attempts: int = 0
-    next_probe_at: float = 0.0
-    last_backoff: float = 0.0   # the period behind next_probe_at
-    probe_pending: bool = False
     rtt: Optional[float] = None  # smoothed round trip, host-measured
+    misses: int = 0             # consecutive outbound transfers unanswered
+    open: bool = False
+    attempts: int = 0
+    next_admit_at: float = 0.0
+    trips: int = 0              # closed -> open transitions
 
 
 class MembershipTable:
-    """The per-peer membership state machine and re-probe scheduler.
+    """The per-peer ledger: membership state machine and circuit.
 
     Pure policy: transitions into SUSPECT/ALIVE/FORGOTTEN are applied
     here and *returned*; transitions into DEAD are only ever
     **recommended** (by :meth:`failure` and :meth:`sweep`) and applied by
     the caller via :meth:`mark_dead` — the engine's single journaled
     ``_declare_dead`` site — so death side effects (revocation, GLT
-    removal, breaker trip, repair) run exactly once however many
-    observation paths noticed the failure.
+    removal, repair) run exactly once however many observation paths
+    noticed the failure.  The circuit needs no caller: :meth:`failure`
+    and :meth:`mark_dead` open it, an answered :meth:`heartbeat` closes
+    it, and hosts ask :meth:`admit` before a transfer leaves.
     """
 
     def __init__(self, *, suspect_phi: float = 2.0, dead_phi: float = 8.0,
@@ -246,6 +266,21 @@ class MembershipTable:
     def is_suspect(self, peer: str) -> bool:
         return self.state(peer) == SUSPECT
 
+    def placeable(self, peer: object) -> bool:
+        """May *peer* (a key or a ``Location``) receive new migrations,
+        re-migrations or replicas?  Only while strictly alive — not even
+        suspect — with its circuit closed."""
+        entry = self._peers.get(str(peer))
+        return entry is None or (entry.state == ALIVE and not entry.open)
+
+    def holds(self, peer: object) -> bool:
+        """May *peer* keep, and serve, what it holds?  Anything not
+        declared dead whose circuit is closed: suspicion throttles
+        placement, never custody."""
+        entry = self._peers.get(str(peer))
+        return entry is None or (entry.state in (ALIVE, SUSPECT)
+                                 and not entry.open)
+
     def phi(self, peer: str, now: float) -> float:
         return self.detector.phi(peer, now)
 
@@ -253,9 +288,11 @@ class MembershipTable:
     # Evidence: successes and explicit failures
     # ------------------------------------------------------------------
 
-    def heartbeat(self, peer: str, now: float,
-                  rtt: Optional[float] = None) -> Optional[Tuple[str, str]]:
-        """A success arrived from *peer*.
+    def heartbeat(self, peer: str, now: float, rtt: Optional[float] = None,
+                  *, answered: bool = False) -> Optional[Tuple[str, str]]:
+        """A success arrived from *peer*; *answered* says it was the
+        answer to one of our transfers, which also closes its circuit
+        (gossip proves the peer alive, not that we can reach it).
 
         Feeds the detector, clears the failure count, folds a
         host-measured *rtt* into the peer's EWMA, and promotes the peer
@@ -266,6 +303,8 @@ class MembershipTable:
         entry = self._entry(peer, now)
         self.detector.heartbeat(peer, now)
         entry.failures = 0
+        if answered:
+            self._close(entry)
         if rtt is not None and rtt >= 0.0:
             entry.rtt = rtt if entry.rtt is None else \
                 (1.0 - RTT_ALPHA) * entry.rtt + RTT_ALPHA * rtt
@@ -274,26 +313,25 @@ class MembershipTable:
         old = entry.state
         entry.state = ALIVE
         entry.since = now
-        entry.probe_attempts = 0
-        entry.next_probe_at = 0.0
-        entry.last_backoff = 0.0
-        entry.probe_pending = False
         if old in (DEAD, FORGOTTEN):
             self.counters.rediscoveries += 1
         return (old, ALIVE)
 
     def failure(self, peer: str, now: float) -> Optional[str]:
-        """An explicit transport failure toward *peer*.
+        """One of our transfers toward *peer* went unanswered.
 
-        Escalates ``alive -> suspect`` immediately (applied here, the
-        returned value is ``SUSPECT``); once ``failure_limit``
-        consecutive failures accumulate, returns ``DEAD`` *without*
-        applying it — the caller must route through its single declared-
-        dead path.  Failures against already-dead peers (in-flight work
-        completing after the declaration, missed rediscovery probes) are
-        absorbed silently.
+        Counts toward opening the circuit, then escalates ``alive ->
+        suspect`` immediately (applied here, the returned value is
+        ``SUSPECT``); once ``failure_limit`` consecutive failures
+        accumulate, returns ``DEAD`` *without* applying it — the caller
+        must route through its single declared-dead path.  Against an
+        already-dead peer (in-flight work completing after the
+        declaration, a missed admission) only the circuit's count moves.
         """
         entry = self._entry(peer, now)
+        entry.misses += 1
+        if entry.misses >= self.failure_limit:
+            self._trip(peer, entry, now)
         if entry.state in (DEAD, FORGOTTEN):
             return None
         entry.failures += 1
@@ -319,10 +357,8 @@ class MembershipTable:
         entry.state = DEAD
         entry.since = now
         entry.failures = 0
-        entry.probe_attempts = 0
-        entry.probe_pending = False
         entry.rtt = None
-        self._schedule_probe(peer, entry, now)
+        self._trip(peer, entry, now)
         self.detector.forget(peer)
         self.counters.deaths += 1
         return True
@@ -362,13 +398,14 @@ class MembershipTable:
         return transitions, deaths
 
     # ------------------------------------------------------------------
-    # Rediscovery: jittered exponential re-probing of dead peers
+    # The circuit: one jittered exponential schedule of admissions
     # ------------------------------------------------------------------
 
     def _backoff(self, peer: str, attempts: int) -> float:
-        """The re-probe period after *attempts* probes, deterministically
-        jittered per (peer, attempt) so replays reproduce exactly and
-        co-located daemons do not probe in lockstep."""
+        """The admission period after *attempts* admissions,
+        deterministically jittered per (peer, attempt) so replays
+        reproduce exactly and co-located daemons do not probe in
+        lockstep."""
         period = min(
             self.reprobe_interval * (self.reprobe_backoff ** attempts),
             self.reprobe_max_interval)
@@ -376,40 +413,65 @@ class MembershipTable:
         fraction = (zlib.crc32(token) % 1000) / 999.0
         return period * (1.0 + self.reprobe_jitter * fraction)
 
-    def _schedule_probe(self, peer: str, entry: _PeerEntry,
-                        now: float) -> None:
-        entry.last_backoff = self._backoff(peer, entry.probe_attempts)
-        entry.next_probe_at = now + entry.last_backoff
+    def _trip(self, peer: str, entry: _PeerEntry, now: float) -> None:
+        """Open *peer*'s circuit (a no-op when it is open already)."""
+        if entry.open:
+            return
+        entry.open = True
+        entry.trips += 1
+        entry.attempts = 0
+        entry.next_admit_at = now + self._backoff(peer, 0)
+
+    @staticmethod
+    def _close(entry: _PeerEntry) -> None:
+        entry.open = False
+        entry.misses = 0
+        entry.attempts = 0
+        entry.next_admit_at = 0.0
+
+    def admit(self, peer: str, now: float) -> bool:
+        """May a transfer leave for *peer* at *now*?
+
+        Always while its circuit is closed.  Toward an open circuit at
+        most one per backoff period: granting advances the schedule, so
+        nothing waits on the transfer's outcome — an answer closes the
+        circuit, silence leaves the next admission one (longer) period
+        away.  A transfer refused here is never sent, so it is never
+        evidence of anything.
+        """
+        entry = self._peers.get(peer)
+        if entry is None or not entry.open:
+            return True
+        if now < entry.next_admit_at:
+            return False
+        entry.attempts += 1
+        entry.next_admit_at = now + self._backoff(peer, entry.attempts)
+        return True
 
     def due_probes(self, now: float) -> List[str]:
-        """Configured dead/forgotten peers whose re-probe is due, sorted
-        for determinism.  Only statically configured peers are probed —
-        gossip-discovered strangers are somebody else's to rediscover."""
-        due = [peer for peer, entry in self._peers.items()
+        """Configured dead/forgotten peers admitted a rediscovery probe
+        at *now*, sorted for determinism; each one's admission is taken.
+        Only statically configured peers are probed — gossip-discovered
+        strangers are somebody else's to rediscover."""
+        due = [peer for peer, entry in sorted(self._peers.items())
                if entry.configured and entry.state in (DEAD, FORGOTTEN)
-               and not entry.probe_pending and now >= entry.next_probe_at]
-        return sorted(due)
+               and self.admit(peer, now)]
+        self.counters.probes_sent += len(due)
+        return due
 
-    def probe_sent(self, peer: str, now: float) -> None:
-        """One rediscovery probe left for *peer*: back off the next one.
-        The slot stays closed until :meth:`probe_failed` or a heartbeat
-        reopens it, so a slow in-flight probe is never duplicated."""
-        entry = self._entry(peer, now)
-        entry.probe_attempts += 1
-        entry.probe_pending = True
-        self._schedule_probe(peer, entry, now)
-        self.counters.probes_sent += 1
+    def due_retries(self, now: float) -> List[str]:
+        """Heard-from (alive or suspect) peers whose open circuit admits
+        a transfer at *now*, sorted; each one's admission is taken.  A
+        peer that rejoined by gossip keeps its load row fresh, so no
+        stale-row ping would ever carry the answer that closes its
+        circuit: hosts retry it as soon as it is admitted."""
+        return [peer for peer, entry in sorted(self._peers.items())
+                if entry.open and entry.state in (ALIVE, SUSPECT)
+                and self.admit(peer, now)]
 
-    def probe_failed(self, peer: str, now: float) -> None:
-        entry = self._peers.get(peer)
-        if entry is not None:
-            entry.probe_pending = False
-
-    def reprobe_period(self, peer: str) -> float:
-        """The current re-probe period (for "rediscovered within N
-        re-probe periods" guarantees); 0 for peers not being probed."""
-        entry = self._peers.get(peer)
-        return entry.last_backoff if entry is not None else 0.0
+    def trips(self) -> int:
+        """Circuit openings, summed over every peer."""
+        return sum(entry.trips for entry in self._peers.values())
 
     def reprobe_backlog(self) -> int:
         """How many configured peers await rediscovery."""
@@ -432,23 +494,24 @@ class MembershipTable:
         return {peer: entry.state for peer, entry in self._peers.items()}
 
     def describe(self, peer: str) -> Dict[str, object]:
-        entry = self._peers.get(peer)
-        if entry is None:
-            return {"state": ALIVE}
+        entry = self._peers.get(peer) or _PeerEntry()
         return {
             "state": entry.state,
             "since": entry.since,
             "failures": entry.failures,
             "rtt": entry.rtt,
             "configured": entry.configured,
-            "probe_attempts": entry.probe_attempts,
-            "next_probe_at": entry.next_probe_at,
+            "circuit": "open" if entry.open else "closed",
+            "misses": entry.misses,
+            "trips": entry.trips,
+            "next_admit_at": entry.next_admit_at,
         }
 
     def install(self, peer: str, state: str, now: float) -> None:
         """Install *state* outright — journal replay and snapshot
         restore.  Idempotent, no counters, no recommendations: replaying
-        a transition twice equals once."""
+        a transition twice equals once.  The circuit is runtime-only: a
+        dead peer's opens afresh, anyone else's starts closed."""
         if state not in (ALIVE, SUSPECT, DEAD, FORGOTTEN):
             return
         entry = self._entry(peer, now)
@@ -457,13 +520,10 @@ class MembershipTable:
         entry.state = state
         entry.since = now
         entry.failures = 0
-        entry.probe_attempts = 0
-        entry.probe_pending = False
         if state in (DEAD, FORGOTTEN):
-            self._schedule_probe(peer, entry, now)
+            self._trip(peer, entry, now)
         else:
-            entry.next_probe_at = 0.0
-            entry.last_backoff = 0.0
+            self._close(entry)
 
     def snapshot(self) -> List[Dict[str, object]]:
         """Non-alive peers only (an absent row means alive), for the

@@ -71,9 +71,10 @@ class MigrationPolicy:
         self.glt = glt
         self._coop_last_accept: Dict[str, float] = {}
         self._migrations: Dict[str, _MigrationRecord] = {}
-        # Optional availability predicate (set by the engine): peers whose
-        # circuit breaker is open or that the health monitor holds dead
-        # never receive new migrations, re-migrations, or replicas.
+        # Optional availability predicate (the engine sets its peer
+        # ledger's ``placeable``): peers not strictly alive, or whose
+        # circuit is open, receive no new migrations, re-migrations, or
+        # replicas.
         self.peer_available: Optional[Callable[[Location], bool]] = None
         # Fired for every applied decision, from every decision site — the
         # engine hangs its write-ahead journal here so no migration can be

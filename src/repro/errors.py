@@ -49,10 +49,11 @@ class DigestMismatch(HTTPError):
 
     The bytes were corrupted in transit or at the sender (bit-rot served
     before the scrubber caught it).  An HTTPError subclass so every
-    transport-failure handler (pool retry, circuit accounting, pull
-    degradation) treats it as a failed exchange — the one divergence is
-    that callers who *know* the distinction count it separately and may
-    retry another holder immediately.
+    transport-failure handler (pool retry, pull degradation) treats it as
+    a failed exchange — the one divergence is that callers who *know*
+    the distinction count it separately (a corrupt answer is still an
+    answer: the peer is reachable) and may retry another holder
+    immediately.
     """
 
     def __init__(self, target: str, expected: str, actual: str) -> None:

@@ -7,8 +7,8 @@ A DCWS server answers four plain-text administrative endpoints:
 - ``/~dcws/graph``  — the Local Document Graph, one tuple per line
   (the paper's Figure 2, live);
 - ``/~dcws/load``   — the Global Load Table as this server sees it;
-- ``/~dcws/peers``  — the failure-domain view: per-peer circuit-breaker
-  state, consecutive failures, last success, and GLT row age;
+- ``/~dcws/peers``  — the failure-domain view: per-peer circuit state,
+  trips, consecutive unanswered transfers, last success, GLT row age;
 - ``/~dcws/events`` — the tail of the structured event log;
 - ``/~dcws/caches`` — hit/miss/eviction counters of the serve-path cache
   hierarchy (link templates, byte cache, response cache);
@@ -109,34 +109,24 @@ def render_load_table(engine) -> str:
 
 
 def render_peers(engine) -> str:
-    """The failure-domain view of every known peer.
-
-    Combines the circuit breaker's per-peer snapshot (when the host wired
-    one up) with the membership table's consecutive-failure counts and
-    the GLT row's age, so an operator sees detection state at a glance.
-    """
+    """The failure-domain view of every known peer, one membership
+    record per line: its circuit, lifetime trips, consecutive
+    unanswered transfers, last proof of life, next admission while the
+    circuit is open, and the GLT row's age."""
     now = getattr(engine, "_admin_now", 0.0)
-    breaker = getattr(engine, "breaker", None)
-    snapshot = breaker.snapshot() if breaker is not None else {}
-    header = (f"{'Peer':<24} {'Breaker':>10} {'Trips':>6} {'Fails':>6} "
+    table = engine.membership
+    header = (f"{'Peer':<24} {'Circuit':>10} {'Trips':>6} {'Misses':>6} "
               f"{'LastSuccess':>14} {'RetryIn':>9} {'RowAge':>10} "
               f"{'RTT':>9}")
     lines = [header, "-" * len(header)]
-    peers = {str(p) for p in engine.glt.peers()} | set(snapshot)
+    peers = {str(p) for p in engine.glt.peers()} | set(table.states())
     for key in sorted(peers):
-        state = snapshot.get(key, {})
-        member = engine.membership.describe(key)
-        breaker_state = str(state.get("state", "closed"))
-        trips = int(state.get("trips", 0) or 0)
-        fails = max(int(state.get("consecutive_failures", 0) or 0),
-                    int(member.get("failures", 0) or 0))
-        last = state.get("last_success")
-        if last is None:
-            last = engine.membership.detector.last_arrival(key)
+        member = table.describe(key)
+        circuit = member["circuit"]
+        last = table.detector.last_arrival(key)
         last_text = "never" if last is None else f"{max(0.0, now - last):.1f}s"
-        retry_at = float(state.get("retry_at", 0.0) or 0.0)
-        retry_text = (f"{max(0.0, retry_at - now):.2f}s"
-                      if breaker_state == "open" else "-")
+        retry_text = (f"{max(0.0, member['next_admit_at'] - now):.2f}s"
+                      if circuit == "open" else "-")
         row = None
         try:
             row = engine.glt.get(Location.parse(key))
@@ -148,13 +138,12 @@ def render_peers(engine) -> str:
             age_text = f"{max(0.0, now - row.timestamp):.1f}s"
         rtt = member.get("rtt")
         rtt_text = "-" if rtt is None else f"{rtt * 1000.0:.1f}ms"
-        lines.append(f"{key:<24} {breaker_state:>10} {trips:>6} {fails:>6} "
-                     f"{last_text:>14} {retry_text:>9} {age_text:>10} "
-                     f"{rtt_text:>9}")
-    total = breaker.total_trips() if breaker is not None else 0
+        lines.append(f"{key:<24} {circuit:>10} {member['trips']:>6} "
+                     f"{member['misses']:>6} {last_text:>14} "
+                     f"{retry_text:>9} {age_text:>10} {rtt_text:>9}")
     lines.append("")
-    lines.append(f"breaker trips (lifetime) {total}")
-    lines.append(f"suspects {' '.join(engine.membership.suspects()) or '-'}")
+    lines.append(f"breaker trips (lifetime) {table.trips()}")
+    lines.append(f"suspects {' '.join(table.suspects()) or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -427,7 +416,7 @@ def render_membership(engine) -> str:
         # timestamp — against a monotonic clock it would render as hours.
         since_text = "-" if since == 0.0 else f"{max(0.0, now - since):.1f}s"
         if states[key] in ("dead", "forgotten") and info.get("configured"):
-            next_at = float(info.get("next_probe_at", 0.0) or 0.0)
+            next_at = float(info.get("next_admit_at", 0.0) or 0.0)
             probe_text = f"{max(0.0, next_at - now):.1f}s"
         else:
             probe_text = "-"

@@ -27,7 +27,6 @@ import threading
 import time
 from typing import Callable, Optional, TYPE_CHECKING, Union
 
-from repro.client.breaker import BreakerOpenError, build_breaker
 from repro.client.pool import ConnectionPool
 from repro.client.realclient import http_fetch
 from repro.errors import DigestMismatch, HTTPError
@@ -84,12 +83,9 @@ class SocketHost:
         self._listener: Optional[socket.socket] = None
         self._stop = threading.Event()
         self._started = threading.Event()
-        # Persistent channels for server-to-server transfers, with the
-        # per-peer circuit breaker and (chaos runs) fault injection.
-        self.pool = ConnectionPool(timeout=request_timeout,
-                                   breaker=build_breaker(engine.config),
-                                   faults=faults)
-        engine.breaker = self.pool.breaker
+        # Persistent channels for server-to-server transfers, with (chaos
+        # runs) fault injection.
+        self.pool = ConnectionPool(timeout=request_timeout, faults=faults)
         # Accepted-connection counter (accepting thread only); tests use
         # it to prove keep-alive (requests served >> connections accepted).
         self.connections_accepted = 0
@@ -206,21 +202,14 @@ class SocketHost:
         return SocketHost._execute_pull(self, result)
 
     def _execute_pull(self, pull: PullFromHome) -> Response:
-        """Lazy migration: blocking fetch from home, outside the lock.
-
-        ``home_down`` distinguishes a breaker fast-fail (the home's
-        circuit is open — degrade to 503 + Retry-After) from a fresh
-        transport failure (degrade to 302 back to home)."""
+        """Lazy migration: blocking fetch from home, outside the lock."""
         upstream = None
-        home_down = False
         corrupt = False
         started = time.monotonic()
         try:
             upstream = http_fetch(pull.home, pull.request,
                                   timeout=self.request_timeout,
                                   pool=self.pool)
-        except BreakerOpenError:
-            home_down = True
         except DigestMismatch:
             # The pull body failed its X-DCWS-Digest (and the pool's own
             # one-shot retry failed too): the home answered, so this is
@@ -233,8 +222,7 @@ class SocketHost:
         rtt = finished - started if upstream is not None else None
         with self._lock:
             reply = self.engine.complete_pull(pull, upstream, finished,
-                                              home_down=home_down, rtt=rtt,
-                                              corrupt=corrupt)
+                                              rtt=rtt, corrupt=corrupt)
         return reply.response
 
     def _settle_keep_alive(self, served: int, request: Optional[Request],

@@ -126,7 +126,6 @@ from repro.server.replication import ReplicationManager
 from repro.server.striping import shard_of
 
 if TYPE_CHECKING:
-    from repro.client.breaker import CircuitBreaker
     from repro.server.persistence import RecoveryStats
     from repro.server.wal import WriteAheadJournal
 
@@ -323,26 +322,25 @@ class DCWSEngine:
         self.graph = LocalDocumentGraph(
             location, enforce_entry_home=config.protect_entry_points)
         self.glt = GlobalLoadTable(location)
+        # The peer ledger: one record per peer — the alive -> suspect ->
+        # dead -> forgotten state machine driven by the accrual failure
+        # detector, and the circuit every outbound transfer asks admit()
+        # at emission, whose schedule is also the rediscovery re-probe of
+        # a falsely-dead configured peer.  Every success/failure
+        # observation below feeds it via _peer_success/_peer_failure;
+        # all DEAD declarations it recommends flow through the single
+        # journaled _declare_dead.  Its ``placeable`` predicate gates
+        # migration and replica targets, ``holds`` who keeps serving.
+        self.membership = MembershipTable.from_config(config)
         self.policy = MigrationPolicy(config, self.graph, self.glt)
-        self.policy.peer_available = self._peer_available
+        self.policy.peer_available = self.membership.placeable
         self.policy.on_decision = self._journal_decision
         self.metrics = ServerMetrics(config.stats_interval)
         self.validation = DueTracker(config.validation_interval)
-        # Adaptive membership: the alive -> suspect -> dead -> forgotten
-        # state machine driven by the accrual failure detector, plus the
-        # rediscovery re-probe schedule for falsely-dead configured
-        # peers.  Every success/failure observation below feeds it via
-        # _peer_success/_peer_failure; all DEAD declarations it
-        # recommends flow through the single journaled _declare_dead.
-        self.membership = MembershipTable.from_config(config)
         # Replication groups with autonomous repair (replication_k >= 2):
         # the manager owns group bookkeeping and the repair loop; its
         # decisions surface through the policy callback above, so they
         # are journaled like every other relocation.
-        # ``alive`` (suspects count as live) governs holder retention
-        # and serving; ``targetable`` (strictly alive) governs where new
-        # replicas may be placed — a suspect peer keeps its documents
-        # but receives no new ones.
         # End-to-end content integrity: digests, the scrub daemon's
         # schedule/cursor, and the quarantine table (see
         # repro.server.integrity).  Wired into replication below so a
@@ -352,15 +350,10 @@ class DCWSEngine:
         if config.replication_k > 1:
             self.replication = ReplicationManager(
                 config, self.graph, self.glt, self.policy,
-                alive=self._peer_live,
-                targetable=self._peer_available,
+                peers=self.membership,
                 quarantined=self.integrity.holder_quarantined,
                 log=lambda msg: self.log.record(self._clock, "replication",
                                                 detail=msg))
-        # Set by hosts that own a pooled transport: per-peer circuit
-        # breaker consulted for migration-target availability and
-        # surfaced by the /~dcws/peers endpoint.
-        self.breaker: Optional["CircuitBreaker"] = None
         self.hosted: Dict[str, HostedDocument] = {}
         self.stats = EngineStats()
         self.log = EventLog()
@@ -872,7 +865,7 @@ class DCWSEngine:
                 copy.version = ""
                 self.response_cache.invalidate(key)
                 self.log.record(now, "pull", key=key, reason="missing-bytes")
-                return self._start_pull(request, copy)
+                return self._start_pull(request, copy, now)
             wants_variant = request.method == "GET" \
                 and self.config.gzip_enabled
             # The rendition's variant is the deflate of the bytes that
@@ -899,7 +892,7 @@ class DCWSEngine:
                         doc_name=key)
                 # The pull carries the quarantine flag, so the home
                 # repairs the group from a verified copy.
-                return self._start_pull(request, copy)
+                return self._start_pull(request, copy, now)
             gzip_body = rendition.gzip_body if keeps_variant else None
             if wants_variant and gzip_body is None:
                 gzip_body = maybe_gzip(data, copy.content_type)
@@ -1139,7 +1132,7 @@ class DCWSEngine:
                 return self._shed(request, now, doc_name=key, kind="pull")
             # Lazy migration, sub-condition 1 (section 4.2): no local copy
             # yet — pull from the home server, then serve and cache.
-            return self._start_pull(request, hosted)
+            return self._start_pull(request, hosted, now)
         return self._serve_copy(request, hosted, now)
 
     def _hosted_entry(self, key: str, home: Location,
@@ -1152,9 +1145,11 @@ class DCWSEngine:
                 content_type=guess_content_type(original))
         return hosted
 
-    def _start_pull(self, request: Request,
-                    hosted: HostedDocument) -> PullFromHome:
-        """Directive to fetch a hosted document's bytes from its home."""
+    def _start_pull(self, request: Request, hosted: HostedDocument,
+                    now: float) -> Union[EngineReply, PullFromHome]:
+        """Directive to fetch a hosted document's bytes from its home —
+        or, while the home's circuit admits nothing, the 503 a failed
+        pull would have earned, without sending one."""
         self.stats.pulls_started += 1
         pull_request = self._peer_request("GET", hosted.original,
                                           "migration-pull")
@@ -1163,28 +1158,32 @@ class DCWSEngine:
             # drops us as a holder and repairs the replication group from
             # a verified copy — never from ours.
             pull_request.headers.set(QUARANTINE_HEADER, "1")
-        return PullFromHome(key=hosted.key, home=hosted.home,
+        pull = PullFromHome(key=hosted.key, home=hosted.home,
                             original=hosted.original, request=pull_request,
                             client_request=request)
+        if not self.membership.admit(str(hosted.home), now):
+            return self._degrade_pull(pull, None, now, sent=False)
+        return pull
 
     def complete_pull(self, pull: PullFromHome, response: Optional[Response],
-                      now: float, *, home_down: bool = False,
-                      rtt: Optional[float] = None,
+                      now: float, *, rtt: Optional[float] = None,
                       corrupt: bool = False) -> EngineReply:
         """Finish a lazy-migration pull: cache the bytes and serve them.
 
         ``response=None`` means the transfer failed; the reply degrades
         gracefully instead of erroring (302 back to the home — the client
-        may well reach it even when we cannot — or, when *home_down* says
-        the home's circuit is open, 503 + Retry-After so clients back
-        off).  Transport failures feed :attr:`membership` exactly like
-        failed pings, so a dead home is declared from the data path.
+        may well reach it even when we cannot).  Transport failures feed
+        :attr:`membership` exactly like failed pings, so a dead home is
+        declared from the data path; any answer at all closes the home's
+        circuit.
 
         ``corrupt=True`` means the transport-layer digest check rejected
         the body (and the pool's one-shot retry failed too): the reply is
         a 302 to the home, and nothing corrupt is installed or served.
         """
         self._clock = now
+        if response is not None or corrupt:
+            self._peer_success(str(pull.home), now, rtt=rtt, answered=True)
         if corrupt:
             return self._reject_corrupt_pull(pull, now)
         # (Anew, if the entry was discarded while the pull was in flight:
@@ -1202,10 +1201,9 @@ class DCWSEngine:
             return self._finish(pull.client_request, forwarded, now,
                                 doc_name=pull.key)
         if response is None or response.status >= 500:
-            # Home unreachable, circuit open, or home erroring: degrade.
-            # The hosted entry stays so a later request retries the pull.
-            return self._degrade_pull(pull, response, now,
-                                      home_down=home_down)
+            # Home unreachable or erroring: degrade.  The hosted entry
+            # stays so a later request retries the pull.
+            return self._degrade_pull(pull, response, now)
         if response.status != StatusCode.OK:
             # The home answered with something unexpected (4xx): shed the
             # request; keep the entry so a later request retries the pull.
@@ -1217,7 +1215,6 @@ class DCWSEngine:
                                                "pull from home failed"),
                                 now, doc_name=pull.key)
         self._absorb_piggyback(response.headers)
-        self._peer_success(str(pull.home), now, rtt=rtt)
         # Belt-and-braces digest verification at install time: the pool
         # already rejected mismatching bodies in transit, but fault-free
         # transports (the simulator, a future HTTP client) land here too.
@@ -1279,39 +1276,38 @@ class DCWSEngine:
         self.integrity.counters.pulls_rejected += 1
         self.log.record(now, "pull_rejected", key=pull.key,
                         home=str(pull.home), reason="digest")
-        return self._degrade_pull(pull, None, now, home_down=False,
-                                  corrupt=True)
+        return self._degrade_pull(pull, None, now, corrupt=True)
 
     def _degrade_pull(self, pull: PullFromHome,
                       response: Optional[Response], now: float, *,
-                      home_down: bool, corrupt: bool = False) -> EngineReply:
-        """Answer a failed pull without a 5xx of our own making.
+                      sent: bool = True, corrupt: bool = False
+                      ) -> EngineReply:
+        """Answer a pull that brought no copy, without a 5xx of our own
+        making.
 
-        Transport failure with the circuit still closed → 302 back to the
-        home (the client may reach it even when we cannot).  Circuit open
-        or home answering 5xx → 503 + Retry-After, the paper's overload
-        rule: clients back off instead of hammering a known-bad path.
-        A digest-rejected pull (*corrupt*) always takes the redirect arm:
-        the home is alive and holds the canonical copy.
+        Transport failure, or a body that failed its digest (*corrupt*:
+        the home is alive and holds the canonical copy) → 302 back to the
+        home, which the client may reach even when we cannot.  The home's
+        circuit admitted no pull (not *sent*), or the home answered 5xx →
+        503 + Retry-After, the paper's overload rule: clients back off
+        instead of hammering a known-bad path.
         """
         home_key = str(pull.home)
         status = 0 if response is None else int(response.status)
         self.stats.pulls_degraded += 1
         self.log.record(now, "pull_failed", key=pull.key, status=status,
                         home=home_key)
-        if response is None and not home_down and not corrupt:
-            # A real transport failure we just observed (a breaker-open
-            # fast-fail never reached the wire, so it is not evidence —
-            # and neither is a digest rejection: the home *answered*):
-            # count it toward dead-peer declaration like a failed ping.
-            # The membership table keeps this path and the ping path in
-            # complete_action from double-declaring within one tick.
-            self._peer_failure(pull.home, now)
-        if not corrupt and (home_down or response is not None):
+        if not sent or response is not None:
             self.log.record(now, "pull_degraded", key=pull.key, mode="shed")
             return self._unavailable(pull.client_request, now,
                                      "document temporarily unavailable",
                                      doc_name=pull.key)
+        if not corrupt:
+            # A transport failure on the wire: evidence toward declaring
+            # the home dead, like a failed ping.  The membership table
+            # keeps this path and the ping path in complete_action from
+            # double-declaring within one tick.
+            self._peer_failure(pull.home, now)
         target = str(home_url(pull.home, pull.original))
         reply = redirect_response(target, status=StatusCode.FOUND)
         self.stats.responses_301 += 1
@@ -1475,6 +1471,8 @@ class DCWSEngine:
             if hosted is None or not hosted.fetched:
                 self.validation.forget(key)
                 continue
+            if not self.membership.admit(str(hosted.home), now):
+                continue  # stays due for the home's next admission
             request = self._peer_request("GET", hosted.original,
                                          "validation")
             if hosted.version:
@@ -1493,26 +1491,25 @@ class DCWSEngine:
     def _pings_due(self, now: float) -> List[OutboundAction]:
         """Pinger: force a transfer to peers whose load information is
         older than one pinger interval."""
-        actions: List[OutboundAction] = []
-        for peer in self.glt.stale_peers(now, self.config.pinger_interval):
-            actions.append(OutboundAction(
-                kind="ping", peer=peer,
-                request=self._peer_request("HEAD", "/", "ping")))
-            self.log.record(now, "ping", peer=str(peer))
-            self.stats.pings += 1
-        return actions
+        return [self._ping(peer, now) for peer in
+                self.glt.stale_peers(now, self.config.pinger_interval)
+                if self.membership.admit(str(peer), now)]
+
+    def _ping(self, peer: Location, now: float) -> OutboundAction:
+        self.log.record(now, "ping", peer=str(peer))
+        self.stats.pings += 1
+        return OutboundAction(kind="ping", peer=peer,
+                              request=self._peer_request("HEAD", "/", "ping"))
 
     def _membership_due(self, now: float) -> List[OutboundAction]:
         """Membership upkeep off the engine tick.
 
         Applies the accrual sweep (silence-driven ``alive -> suspect``,
         ``suspect -> dead`` through the single declared-dead site,
-        ``dead -> forgotten`` ageing) and emits rediscovery probes for
-        configured dead/forgotten peers whose jittered exponential
-        re-probe period has elapsed.  Each probe first collapses the
-        tripped breaker's backoff (:meth:`CircuitBreaker.allow_probe`)
-        so it reaches the wire as the half-open trial rather than
-        fast-failing locally.
+        ``dead -> forgotten`` ageing), emits a rediscovery probe to each
+        configured dead/forgotten peer whose circuit admits one, and a
+        ping to each heard-from peer whose open circuit does — whatever
+        the pinger's schedule, so an admission is never left unspent.
         """
         transitions, deaths = self.membership.sweep(now)
         for peer_key, _old, new in transitions:
@@ -1527,13 +1524,14 @@ class DCWSEngine:
             location = self._location_of(peer_key)
             if location is None:
                 continue
-            if self.breaker is not None:
-                self.breaker.allow_probe(peer_key, now)
             actions.append(OutboundAction(
                 kind="probe", peer=location,
                 request=self._peer_request("HEAD", "/", "probe")))
-            self.membership.probe_sent(peer_key, now)
             self.log.record(now, "reprobe", peer=peer_key)
+        for peer_key in self.membership.due_retries(now):
+            location = self._location_of(peer_key)
+            if location is not None:
+                actions.append(self._ping(location, now))
         return actions
 
     def complete_action(self, action: OutboundAction,
@@ -1552,9 +1550,8 @@ class DCWSEngine:
         if response is None:
             if action.kind == "probe":
                 # A rediscovery probe missed: the peer is already dead,
-                # so this is not new evidence — just reopen the probe
-                # slot (the backoff was advanced at send time).
-                self.membership.probe_failed(peer_key, now)
+                # so this is not new evidence (its admission already
+                # scheduled the next probe, one period further out).
                 self.log.record(now, "reprobe_failed", peer=peer_key)
                 return
             if action.kind == "validate" and action.key in self.hosted:
@@ -1570,7 +1567,7 @@ class DCWSEngine:
                     qrec.notified = False
             self._peer_failure(action.peer, now)
             return
-        self._peer_success(peer_key, now, rtt=rtt)
+        self._peer_success(peer_key, now, rtt=rtt, answered=True)
         self._absorb_piggyback(response.headers)
         has_manifest = bool(response.headers.get(HOSTED_MANIFEST_HEADER, ""))
         if action.kind == "probe" or (has_manifest
@@ -1740,6 +1737,8 @@ class DCWSEngine:
             if hosted is None:
                 qrec.notified = True  # entry already gone; nothing to say
                 continue
+            if not self.membership.admit(str(hosted.home), now):
+                continue
             request = self._peer_request("GET", hosted.original,
                                          "validation")
             request.headers.set(QUARANTINE_HEADER, "1")
@@ -1785,25 +1784,6 @@ class DCWSEngine:
         self.metrics.record_redirect(now)
         return self._finish(request, response, now, doc_name=path)
 
-    def _peer_available(self, peer: Location) -> bool:
-        """Target-selection predicate: only strictly-ALIVE peers behind a
-        closed circuit receive new migrations, re-migrations, or
-        replicas.  A *suspect* peer — slow, or under early suspicion —
-        is excluded here while :meth:`_peer_live` keeps its documents."""
-        key = str(peer)
-        if self.membership.state(key) != ALIVE:
-            return False
-        return self.breaker is None or not self.breaker.is_open(key)
-
-    def _peer_live(self, peer: Location) -> bool:
-        """Holder-retention/serving predicate: anything not declared
-        dead.  Suspect peers keep their hosted documents and keep
-        serving — suspicion throttles *placement*, not custody."""
-        key = str(peer)
-        if self.membership.is_dead(key):
-            return False
-        return self.breaker is None or not self.breaker.is_open(key)
-
     def _location_of(self, key: str) -> Optional[Location]:
         """Resolve a peer key back to a Location (configured list first,
         parse fallback for gossip-discovered peers)."""
@@ -1816,11 +1796,14 @@ class DCWSEngine:
             return None
 
     def _peer_success(self, peer_key: str, now: float,
-                      rtt: Optional[float] = None) -> None:
+                      rtt: Optional[float] = None, *,
+                      answered: bool = False) -> None:
         """One success observed from *peer_key* (ping, pull, validation,
-        probe, or piggybacked gossip): feed the accrual detector and
-        the RTT estimate; apply and journal any membership recovery."""
-        transition = self.membership.heartbeat(peer_key, now, rtt=rtt)
+        probe, or piggybacked gossip; *answered* when it answered one of
+        our transfers): feed the accrual detector, the RTT estimate and
+        the circuit; apply and journal any membership recovery."""
+        transition = self.membership.heartbeat(peer_key, now, rtt=rtt,
+                                               answered=answered)
         if transition is None:
             return
         old, _new = transition
@@ -1882,11 +1865,6 @@ class DCWSEngine:
         # they keep serving from the survivors with no redirect churn.
         self._book_decisions(self.policy.revoke_all_from(peer), now)
         self.glt.remove(peer)
-        if self.breaker is not None:
-            # Force the circuit open: traffic toward the dead peer
-            # fast-fails instead of burning timeouts, and a revived peer
-            # heals through the normal half-open probe.
-            self.breaker.trip(key)
         # Autonomous repair, immediately: re-replicate the degraded
         # groups instead of waiting for the next scheduled round.
         # Purely logical — replacement holders pull bytes lazily.

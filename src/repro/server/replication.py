@@ -8,12 +8,13 @@ this subsystem makes the vestigial hooks (``LDG.add_replica``, the
   holder count k (``ServerConfig.replication_k``) and a sufficiency
   threshold (``replication_sufficient``);
 - a *repair loop*, driven off the engine tick like the migration round,
-  proactively tops groups up to k holders and — when the circuit breaker
-  or the pinger rules a holder dead — drops the dead holder (promoting a
-  surviving replica when the primary died) and re-replicates onto the
-  least-loaded live peer.  Because migration is logical and co-ops pull
-  bytes lazily from home, repair is pure bookkeeping: no bulk copy, no
-  302-storm, no availability gap;
+  proactively tops groups up to k holders and — when the peer ledger
+  (:class:`~repro.core.membership.MembershipTable`) says a holder no
+  longer ``holds``: declared dead, or its circuit open — drops the holder
+  (promoting a surviving replica when the primary died) and re-replicates
+  onto the least-loaded ``placeable`` peer.  Because migration is logical
+  and co-ops pull bytes lazily from home, repair is pure bookkeeping: no
+  bulk copy, no 302-storm, no availability gap;
 - serving becomes replica-aware: requesters are spread over the live
   holders with *power of two choices* (DistCache, arXiv:1901.08200) —
   two candidates chosen by a deterministic digest of (name, salt), the
@@ -43,6 +44,7 @@ from repro.core.config import ServerConfig
 from repro.core.document import DocumentRecord, Location
 from repro.core.glt import GlobalLoadTable
 from repro.core.ldg import LocalDocumentGraph
+from repro.core.membership import MembershipTable
 from repro.core.migration import MigrationDecision, MigrationPolicy
 
 STATE_HEALTHY = "healthy"
@@ -86,15 +88,16 @@ class ReplicationCounters:
 class ReplicationManager:
     """Per-home replication groups, their repair loop, and replica choice.
 
-    Constructed by the engine when ``config.replication_k > 1``; the
-    ``alive`` predicate is the engine's peer-availability check (pinger
-    verdict AND circuit breaker), injected to avoid a dependency cycle.
+    Constructed by the engine when ``config.replication_k > 1`` with its
+    peer ledger as *peers*.  Placement is stricter than custody:
+    ``peers.holds`` (not declared dead, circuit closed) keeps holders
+    serving, ``peers.placeable`` (strictly alive — not even *suspect*)
+    gates where the repair loop may place new replicas.
     """
 
     def __init__(self, config: ServerConfig, graph: LocalDocumentGraph,
                  glt: GlobalLoadTable, policy: MigrationPolicy, *,
-                 alive: Optional[Callable[[Location], bool]] = None,
-                 targetable: Optional[Callable[[Location], bool]] = None,
+                 peers: MembershipTable,
                  quarantined: Optional[
                      Callable[[str, Location], bool]] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
@@ -102,18 +105,12 @@ class ReplicationManager:
         self.graph = graph
         self.glt = glt
         self.policy = policy
-        self._alive = alive or (lambda _loc: True)
+        self.peers = peers
         # A holder whose copy of a document is quarantined (reported
         # corrupt) is treated exactly like a dead one: dropped by the
         # repair loop, never picked for serving, and the group repaired
         # critical-first from a verified copy.
         self._quarantined = quarantined or (lambda _name, _loc: False)
-        # Placement is stricter than custody: ``alive`` (not declared
-        # dead) keeps holders serving, ``targetable`` (strictly alive in
-        # membership terms — not even *suspect*) gates where the repair
-        # loop may place new replicas.  Defaults to ``alive`` for hosts
-        # without an adaptive membership table.
-        self._targetable = targetable or self._alive
         self._log = log or (lambda _msg: None)
         self.groups: Dict[str, ReplicationGroup] = {}
         self.counters = ReplicationCounters()
@@ -197,7 +194,7 @@ class ReplicationManager:
             # logical: home always keeps the permanent copy, so no bytes
             # need to move for the survivors to keep serving.
             for dead in sorted(document.locations(), key=str):
-                if self._alive(dead) and \
+                if self.peers.holds(dead) and \
                         not self._quarantined(name, dead):
                     continue
                 dropped = self.policy.drop_holder(name, dead)
@@ -226,13 +223,13 @@ class ReplicationManager:
 
     def _live_holders(self, document: DocumentRecord) -> List[Location]:
         return [loc for loc in sorted(document.locations(), key=str)
-                if loc != self.graph.home and self._alive(loc)
+                if loc != self.graph.home and self.peers.holds(loc)
                 and not self._quarantined(document.name, loc)]
 
     def _unavailable_peers(self) -> List[Location]:
         """Peers excluded from repair *placement* — the stricter
-        targetable predicate, so suspects never receive new replicas."""
-        return [p for p in self.glt.peers() if not self._targetable(p)]
+        ``placeable`` predicate, so suspects never receive new replicas."""
+        return [p for p in self.glt.peers() if not self.peers.placeable(p)]
 
     def _classify(self, live: List[Location]) -> str:
         if len(live) >= self.config.replication_k:
@@ -258,13 +255,13 @@ class ReplicationManager:
 
         Two candidates are drawn from a deterministic digest of
         ``(name, salt)``; the one with the lower last-known GLT load
-        wins (breaker-open and dead peers were already filtered out by
-        the ``alive`` predicate).  Falls back to every holder when the
+        wins (dead and open-circuit peers were already filtered out by
+        ``peers.holds``).  Falls back to every holder when the
         whole group looks dead — the requester's own retry-at-home
         fallback handles the rest.
         """
         holders = sorted(record.locations(), key=str)
-        live = [loc for loc in holders if self._alive(loc)
+        live = [loc for loc in holders if self.peers.holds(loc)
                 and not self._quarantined(record.name, loc)]
         candidates = live or holders
         if len(candidates) == 1:

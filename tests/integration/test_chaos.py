@@ -8,9 +8,9 @@ Three scenarios from the failure model (DESIGN.md):
    served again with zero 5xx and zero lost documents.
 2. The home is partitioned away from a co-op (deterministic blackhole
    via a FaultPlan).  The co-op keeps serving its stale copies, degrades
-   failed new pulls to 302-back-to-home while its breaker is closed and
-   to 503 + Retry-After once it opens, and heals through a half-open
-   probe when the partition lifts.
+   failed new pulls to 302-back-to-home until the home's circuit opens
+   and to 503 + Retry-After after, and heals through the circuit's next
+   admission when the partition lifts.
 3. The home restarts from its snapshot while walkers keep crawling; no
    migration state is lost across the restart.
 
@@ -157,8 +157,7 @@ class TestCoopCrash:
         home_port, coop_port = free_port(), free_port()
         coop_loc = Location("127.0.0.1", coop_port)
         config = ServerConfig(stats_interval=60.0, pinger_interval=0.3,
-                              ping_failure_limit=2,
-                              breaker_reset_timeout=0.2)
+                              ping_failure_limit=2, reprobe_interval=0.2)
         engine = DCWSEngine(Location("127.0.0.1", home_port), config,
                             MemoryStore(SITE), entry_points=["/index.html"],
                             peers=[coop_loc])
@@ -219,10 +218,8 @@ class TestPartition:
         coop_loc = Location("127.0.0.1", coop_port)
         config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
                               validation_interval=60.0,
-                              ping_failure_limit=5,
-                              breaker_failure_threshold=2,
-                              breaker_reset_timeout=0.2,
-                              breaker_jitter=0.0)
+                              ping_failure_limit=2,
+                              reprobe_interval=0.2, reprobe_jitter=0.0)
         home_engine = DCWSEngine(home_loc, config, MemoryStore(SITE),
                                  entry_points=["/index.html"],
                                  peers=[coop_loc])
@@ -251,13 +248,13 @@ class TestPartition:
             # Stale copy: still served from the hosted cache.
             assert http_fetch(coop_loc,
                               Request("GET", key_d)).status == 200
-            # New pull fails; breaker still closed -> bounce to home.
+            # New pull fails; circuit still closed -> bounce to home.
             for __ in range(2):
                 reply = http_fetch(coop_loc, Request("GET", key_e))
                 assert reply.status == 302, f"seed={SEED}"
                 assert reply.headers.get("Location") == \
                     f"http://127.0.0.1:{home_port}/e.html"
-            # Threshold reached: the breaker is open, shed with a hint.
+            # Limit reached: the circuit is open, shed with a hint.
             reply = http_fetch(coop_loc, Request("GET", key_e))
             assert reply.status == 503
             assert reply.headers.get("Retry-After") == "1"
@@ -265,9 +262,12 @@ class TestPartition:
             assert coop.engine.stats.responses_503 == 1
 
             plan.unblock(home_key)
-            time.sleep(0.25)  # past the breaker's backoff window
-            # Half-open probe admits the pull; the circuit closes.
-            assert http_fetch(coop_loc, Request("GET", key_e)).status == 200
+            # The circuit's first admission after the heal (the co-op's
+            # re-probe of its dead home, or the pull itself) is answered
+            # and closes it: at most two re-probe periods, 0.2 s + 0.4 s.
+            wait_until(lambda: http_fetch(
+                coop_loc, Request("GET", key_e)).status == 200,
+                0.2 + 0.4, "the healed home's circuit never closed")
             assert coop.engine.hosted[key_e].fetched
         finally:
             coop.stop()
@@ -427,8 +427,7 @@ class TestReplicaHolderCrash:
         home_port = free_port()
         coop_ports = [free_port() for __ in range(3)]
         config = ServerConfig(stats_interval=0.3, pinger_interval=0.3,
-                              ping_failure_limit=2,
-                              breaker_reset_timeout=0.2,
+                              ping_failure_limit=2, reprobe_interval=0.2,
                               replication_k=2, max_replicas=2)
         engine = DCWSEngine(
             Location("127.0.0.1", home_port), config, MemoryStore(SITE),
@@ -565,7 +564,6 @@ class TestFalseDeathRediscovery:
         config = ServerConfig(stats_interval=0.3, pinger_interval=0.3,
                               ping_failure_limit=2,
                               validation_interval=60.0,
-                              breaker_reset_timeout=0.2,
                               replication_k=2, max_replicas=2,
                               reprobe_interval=0.3, reprobe_backoff=2.0,
                               reprobe_max_interval=0.6, reprobe_jitter=0.0)
@@ -735,7 +733,7 @@ class TestCorruptionQuarantine:
         config = ServerConfig(stats_interval=0.3, pinger_interval=0.3,
                               ping_failure_limit=6,
                               validation_interval=60.0,
-                              breaker_reset_timeout=0.2,
+                              reprobe_interval=0.2,
                               replication_k=2, max_replicas=2,
                               scrub_interval=0.3, scrub_budget=16,
                               integrity_serve_sample=1)

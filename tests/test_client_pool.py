@@ -1,16 +1,9 @@
 """ConnectionPool: persistent per-peer channels for server-to-server HTTP."""
 
 import socket
-import time
 
 import pytest
 
-from repro.client.breaker import (
-    BreakerOpenError,
-    CLOSED,
-    CircuitBreaker,
-    OPEN,
-)
 from repro.client.pool import ConnectionPool, _Channel
 from repro.errors import HTTPError
 from repro.faults import FaultPlan, FaultRule
@@ -166,39 +159,6 @@ def test_non_idempotent_request_not_replayed_on_stale_channel(server):
             pool.fetch(peer, Request(method="POST", target="/a.html"))
         assert pool.evictions == 1
         assert pool.opens == 1  # no second connection was attempted
-
-
-def test_breaker_opens_and_fastfails_toward_dead_peer():
-    dead = Location("127.0.0.1", free_port())
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout=60.0,
-                             max_reset_timeout=60.0, jitter=0.0)
-    with ConnectionPool(timeout=0.5, breaker=breaker) as pool:
-        for __ in range(2):
-            with pytest.raises(OSError):
-                pool.fetch(dead, Request(method="GET", target="/a.html"))
-        assert breaker.state(str(dead)) == OPEN
-        # The third fetch never touches the network.
-        with pytest.raises(BreakerOpenError):
-            pool.fetch(dead, Request(method="GET", target="/a.html"))
-        assert pool.breaker_fastfails == 1
-        assert pool.opens == 0  # create_connection always failed/skipped
-
-
-def test_breaker_recovers_through_half_open_probe(server):
-    plan = FaultPlan([FaultRule(kind="connect_refused", max_injections=2)])
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout=0.05,
-                             jitter=0.0)
-    peer = Location("127.0.0.1", server.port)
-    with ConnectionPool(breaker=breaker, faults=plan) as pool:
-        for __ in range(2):
-            with pytest.raises(ConnectionRefusedError):
-                get(pool, server)
-        assert breaker.is_open(str(peer))
-        time.sleep(0.06)
-        # Past the backoff window the probe is admitted, succeeds (the
-        # fault rule is exhausted), and closes the breaker.
-        assert get(pool, server).status == 200
-        assert breaker.state(str(peer)) == CLOSED
 
 
 def test_injected_connect_refused_surfaces_then_clears(server):

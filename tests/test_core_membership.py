@@ -252,20 +252,184 @@ class TestRediscoverySchedule:
         t = table(reprobe_interval=5.0, reprobe_jitter=0.0)
         t.register("p", configured=True)
         t.mark_dead("p", 0.0)
-        t.probe_sent("p", 5.0)
-        assert t.due_probes(1000.0) == []       # slot closed while in flight
-        t.probe_failed("p", 15.0)
-        assert t.due_probes(15.0) == ["p"]      # backed-off slot reopened
+        assert t.due_probes(5.0) == ["p"]       # the probe takes the admission
+        assert t.due_probes(14.9) == []         # none again within its period
+        assert t.due_probes(15.0) == ["p"]      # backed off: 5 s, then 10 s
+        assert t.counters.probes_sent == 2
 
     def test_heartbeat_clears_probe_state(self):
         t = table()
         t.register("p", configured=True)
         t.mark_dead("p", 0.0)
-        t.probe_sent("p", 5.0)
-        t.heartbeat("p", 6.0)
+        assert t.due_probes(5.5) == ["p"]
+        t.heartbeat("p", 6.0, answered=True)    # the probe's answer
         assert t.reprobe_backlog() == 0
         assert t.due_probes(1000.0) == []
-        assert t.reprobe_period("p") == 0.0
+        assert t.describe("p")["circuit"] == "closed"
+        assert t.admit("p", 6.0)
+
+    def test_gossip_rejoin_keeps_the_schedule(self):
+        """A peer heard from again is alive, but only an answer to one of
+        our own transfers says we can reach it."""
+        t = table(reprobe_interval=5.0, reprobe_jitter=0.0)
+        t.register("p", configured=True)
+        t.mark_dead("p", 0.0)
+        assert t.heartbeat("p", 1.0) == (DEAD, ALIVE)
+        assert t.describe("p")["circuit"] == "open"
+        assert not t.admit("p", 4.9)
+        assert not t.holds("p") and not t.placeable("p")
+        assert t.admit("p", 5.0)
+
+    def test_a_live_peer_with_an_open_circuit_is_retried(self):
+        """Heard from again but not yet answered: the probe schedule
+        passes it over, so the retry schedule offers its admissions —
+        configured or not."""
+        t = table(reprobe_interval=5.0, reprobe_jitter=0.0)
+        t.register("cfg", configured=True)
+        t.mark_dead("cfg", 0.0)
+        t.mark_dead("gossip", 0.0)
+        assert t.due_retries(100.0) == []       # the dead are probed instead
+        t.heartbeat("cfg", 1.0)
+        t.heartbeat("gossip", 1.0)
+        assert t.due_probes(5.0) == []
+        assert t.due_retries(4.9) == []
+        assert t.due_retries(5.0) == ["cfg", "gossip"]
+        assert t.due_retries(14.9) == []        # one admission per period
+        t.heartbeat("cfg", 15.0, answered=True)
+        assert t.due_retries(15.0) == ["gossip"]
+        assert t.placeable("cfg") and not t.placeable("gossip")
+
+
+class TestCircuit:
+    """The circuit half of a peer's record (what was once a separate
+    per-peer breaker): it opens on unanswered transfers or death,
+    admits one transfer per backoff period, and closes on an answer."""
+
+    def test_unknown_peer_is_closed(self):
+        t = table()
+        assert t.describe("p")["circuit"] == "closed"
+        assert t.admit("p", 0.0)
+
+    def test_opens_after_limit_consecutive_misses(self):
+        t = table(failure_limit=3)
+        t.failure("p", 1.0)
+        t.failure("p", 1.1)
+        assert t.describe("p")["circuit"] == "closed"
+        assert t.admit("p", 1.2)
+        t.failure("p", 1.2)
+        assert t.describe("p")["circuit"] == "open"
+        assert not t.admit("p", 1.3)
+
+    def test_an_answer_resets_the_count(self):
+        t = table(failure_limit=3)
+        t.failure("p", 1.0)
+        t.failure("p", 1.1)
+        t.heartbeat("p", 1.2, answered=True)
+        t.failure("p", 1.3)
+        t.failure("p", 1.4)
+        assert t.describe("p")["circuit"] == "closed"
+
+    def test_gossip_does_not_reset_the_count(self):
+        """Heard from is not reachable: incoming gossip clears the
+        failure streak toward death, never the circuit's."""
+        t = table(failure_limit=3)
+        t.failure("p", 1.0)
+        t.failure("p", 1.1)
+        t.heartbeat("p", 1.2)
+        assert t.failure("p", 1.3) == SUSPECT  # death streak restarted
+        assert t.describe("p")["circuit"] == "open"
+        assert t.state("p") == SUSPECT          # alive enough to keep custody
+        assert not t.holds("p")
+
+    def test_one_admission_per_period_then_closes_on_answer(self):
+        t = table(reprobe_interval=1.0, reprobe_jitter=0.0)
+        t.mark_dead("p", 0.0)
+        assert not t.admit("p", 0.99)
+        assert t.admit("p", 1.0)                # the trial transfer
+        assert not t.admit("p", 1.0)            # one per period
+        t.heartbeat("p", 1.1, answered=True)
+        assert t.describe("p")["circuit"] == "closed"
+        assert t.admit("p", 1.1) and t.admit("p", 1.1)
+
+    def test_a_second_admission_inside_one_period_is_refused(self):
+        t = table(failure_limit=3, reprobe_interval=1.0, reprobe_jitter=0.0)
+        for now in (0.0, 0.1, 0.2):
+            t.failure("p", now)
+        assert t.admit("p", 1.2)                # the period's one transfer
+        assert not t.admit("p", 1.3)            # refused until it resolves
+        assert not t.admit("p", 2.1)
+        t.heartbeat("p", 2.15, answered=True)
+        assert t.admit("p", 2.2)                # closed again
+
+    def test_death_opens_the_circuit_and_an_answer_heals_it(self):
+        t = table(reprobe_interval=1.0, reprobe_jitter=0.0)
+        t.mark_dead("p", 0.0)                   # out-of-band declaration
+        assert t.describe("p")["circuit"] == "open"
+        assert t.trips() == 1
+        assert not t.admit("p", 0.5)
+        assert t.admit("p", 1.01)               # the trial transfer
+        t.heartbeat("p", 1.05, answered=True)
+        assert t.describe("p")["circuit"] == "closed"
+
+    def test_unanswered_admissions_double_the_backoff(self):
+        t = table(reprobe_interval=1.0, reprobe_backoff=2.0,
+                  reprobe_max_interval=100.0, reprobe_jitter=0.0)
+        t.mark_dead("p", 0.0)
+        assert t.admit("p", 1.0)
+        t.failure("p", 1.0)                     # the trial went unanswered
+        assert t.describe("p")["circuit"] == "open"
+        assert not t.admit("p", 2.5)            # second period: 2 s
+        assert t.admit("p", 3.0)
+        t.failure("p", 3.0)
+        assert not t.admit("p", 6.5)            # third period: 4 s
+        assert t.admit("p", 7.0)
+
+    def test_backoff_caps_at_the_reprobe_maximum(self):
+        t = table(reprobe_interval=1.0, reprobe_backoff=2.0,
+                  reprobe_max_interval=8.0, reprobe_jitter=0.0)
+        t.mark_dead("p", 0.0)
+        now, granted = 0.0, []
+        while now < 40.0:
+            if t.admit("p", now):
+                granted.append(now)
+                t.failure("p", now)             # the transfer went unanswered
+            now = round(now + 0.5, 3)
+        gaps = [b - a for a, b in zip(granted, granted[1:])]
+        assert granted[0] == 1.0
+        assert gaps[:4] == [2.0, 4.0, 8.0, 8.0]
+        assert set(gaps[3:]) == {8.0}
+
+    def test_peers_are_independent(self):
+        t = table()
+        t.mark_dead("a", 0.0)
+        assert not t.admit("a", 1.0)
+        assert t.admit("b", 1.0)
+        assert t.placeable("b") and t.holds("b")
+
+    def test_jitter_stays_within_bounds(self):
+        t = table(reprobe_interval=1.0, reprobe_jitter=0.5, seed=7)
+        for index in range(20):
+            peer = f"p{index}:80"
+            t.mark_dead(peer, 0.0)
+            assert 1.0 <= t.describe(peer)["next_admit_at"] <= 1.5 + 1e-9
+
+    def test_trips_count_closed_to_open_transitions(self):
+        t = table(failure_limit=1, reprobe_interval=1.0, reprobe_jitter=0.0)
+        t.failure("p", 0.0)
+        assert t.trips() == 1
+        t.mark_dead("p", 0.1)                   # already open: no new trip
+        assert t.admit("p", 1.0)
+        t.failure("p", 1.0)                     # the trial missed: still open
+        assert t.trips() == 1
+        t.heartbeat("p", 2.0, answered=True)
+        t.failure("p", 3.0)
+        assert t.trips() == 2
+
+    def test_suspect_holds_but_is_not_placeable(self):
+        t = table(failure_limit=3)
+        assert t.failure("p", 1.0) == SUSPECT
+        assert t.holds("p")
+        assert not t.placeable("p")
 
 
 class TestInstallAndSnapshot:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.core.membership import MembershipTable
 from repro.core.naming import REPLICAS_HEADER
 from repro.errors import ConfigError, MigrationError
 from repro.http.messages import Request
@@ -237,13 +238,13 @@ class TestManager:
         assert repaired == ["/d.html"]
 
     def test_dead_holder_dropped_then_replaced(self):
-        alive = {str(COOP): True, str(COOP2): True}
+        peers = MembershipTable()
         engine = migrated_engine()
         manager = ReplicationManager(
             engine.config, engine.graph, engine.glt, engine.policy,
-            alive=lambda loc: alive.get(str(loc), True))
+            peers=peers)
         manager.repair_round(1.0)     # tops up onto COOP2
-        alive[str(COOP)] = False
+        peers.mark_dead(str(COOP), 1.5)
         decisions = manager.repair_round(2.0)
         kinds = sorted(d.kind for d in decisions)
         assert kinds == ["replica_drop"]
@@ -290,9 +291,11 @@ class TestTwoChoices:
 
     def test_dead_holders_filtered(self):
         engine = migrated_engine()
+        peers = MembershipTable()
+        peers.mark_dead(str(COOP), 0.5)
         manager = ReplicationManager(
             engine.config, engine.graph, engine.glt, engine.policy,
-            alive=lambda loc: loc != COOP)
+            peers=peers)
         engine.policy.repair_replica("/d.html", COOP2, now=1.0)
         record = engine.graph.get("/d.html")
         picks = {str(manager.pick(record, salt=f"/r{i}"))
@@ -301,9 +304,12 @@ class TestTwoChoices:
 
     def test_all_dead_falls_back_to_every_holder(self):
         engine = migrated_engine()
+        peers = MembershipTable()
+        for holder in (COOP, COOP2):
+            peers.mark_dead(str(holder), 0.5)
         manager = ReplicationManager(
             engine.config, engine.graph, engine.glt, engine.policy,
-            alive=lambda loc: False)
+            peers=peers)
         record = engine.graph.get("/d.html")
         assert manager.pick(record, salt="/x") == COOP
 

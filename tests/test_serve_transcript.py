@@ -272,6 +272,19 @@ def refresh(name: str, body: bytes, version: str):
     return run
 
 
+def open_circuit(peer: Location):
+    """Fail transfers toward *peer* until its circuit opens, timed so
+    the next request finds it open and the one after that is admitted
+    (and its answer closes it again)."""
+    def run(engine: DCWSEngine) -> None:
+        table, key = engine.membership, str(peer)
+        # Requests come one clock second apart; engine._clock is the last.
+        at = engine._clock + 1.5 - table._backoff(key, 0)
+        for __ in range(table.failure_limit):
+            table.failure(key, at)
+    return run
+
+
 def lose_bytes(name: str):
     def run(engine: DCWSEngine) -> None:
         engine.store.delete(key_of(name))
@@ -388,8 +401,7 @@ def coop_cases():
                 _redirect("http://127.0.0.1:8003/~migrate/127.0.0.1/8001"
                           "/moved.html"), {})),
             plain(key_of("/down.html"), upstream=lambda pull: (None, {})),
-            plain(key_of("/open.html"),
-                  upstream=lambda pull: (None, {"home_down": True})),
+            plain(key_of("/open.html"), prepare=open_circuit(HOME)),
             plain(key_of("/gone.html"),
                   upstream=lambda pull: (Response(status=404), {})),
             plain(key_of("/sick.html"),

@@ -95,13 +95,9 @@ class TestPeers:
         assert "no-row" in body  # peer registered, no load report yet
 
     def test_peers_endpoint_shows_breaker_and_health_state(self, engine):
-        from repro.client.breaker import CircuitBreaker
-
-        engine.breaker = CircuitBreaker(failure_threshold=1, jitter=0.0)
         key = str(COOP)
-        engine.breaker.check(key)
-        engine.breaker.record_failure(key)
-        engine.membership.failure(key, 0.5)
+        for __ in range(engine.config.ping_failure_limit):
+            engine.membership.failure(key, 0.5)
         body = fetch(engine, "/~dcws/peers").body.decode()
         assert "open" in body
         assert "breaker trips (lifetime) 1" in body

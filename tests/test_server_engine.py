@@ -239,11 +239,29 @@ class TestCoopBehaviour:
 
     def test_failed_pull_with_home_down_sheds_with_retry_after(self):
         coop = self.coop_engine()
-        pull = get(coop, "/~migrate/home/8001/d.html")
-        reply = coop.complete_pull(pull, None, now=1.2, home_down=True)
+        coop.membership.mark_dead(str(HOME), 1.0)  # its circuit opens
+        reply = get(coop, "/~migrate/home/8001/d.html", now=1.2)
+        # No pull is sent: the client is told to back off instead.
+        assert isinstance(reply, EngineReply)
         assert reply.response.status == 503
         assert reply.response.headers.get("Retry-After") is not None
         assert coop.stats.responses_503 == 1
+        assert coop.stats.pulls_degraded == 1
+
+    def test_a_healed_home_closes_its_circuit_on_the_admitted_pull(self):
+        coop = make_engine(location=COOP, site={}, peers=(HOME,),
+                           reprobe_interval=1.0, reprobe_jitter=0.0)
+        home = make_engine()
+        coop.membership.mark_dead(str(HOME), 1.0)
+        refused = get(coop, "/~migrate/home/8001/d.html", now=1.5)
+        assert refused.response.status == 503   # inside the backoff period
+        pull = get(coop, "/~migrate/home/8001/d.html", now=2.1)
+        assert isinstance(pull, PullFromHome)   # the period's one admission
+        upstream = get(home, pull.request.target, now=2.1,
+                       headers={PURPOSE_HEADER: "migration-pull"})
+        reply = coop.complete_pull(pull, upstream.response, now=2.2)
+        assert reply.response.status == 200
+        assert coop.membership.describe(str(HOME))["circuit"] == "closed"
 
     def test_failed_pulls_feed_health_and_declare_home_dead(self):
         coop = self.coop_engine()
@@ -254,22 +272,45 @@ class TestCoopBehaviour:
             coop.complete_pull(pull, None, now=1.1 + i)
         assert coop.log.count("peer_dead") == 1
 
-    def test_dead_declaration_forces_the_breaker_open(self):
-        """Regression: declaring a peer dead used to *forget* its breaker
-        state, so data-path failures reset the trip counter every
-        ``ping_failure_limit`` failures and the circuit never opened."""
-        from repro.client.breaker import CircuitBreaker
+    def test_a_gossip_rejoin_is_not_undone(self):
+        """Regression: a home declared dead rejoined when its ping reached
+        us, the rejoin forced every hosted copy due, and the next tick's
+        transfers — refused by a circuit still open from the death, never
+        sent — counted as failures and declared it dead a second time."""
+        coop, home = self.coop_engine(), make_engine()
+        key = str(HOME)
+        for name in ("/d.html", "/e.html", "/index.html", "/i.gif"):
+            coop.seed_hosted(HOME, name, SITE[name], version=0, now=0.5)
 
-        coop = self.coop_engine()
-        coop.breaker = CircuitBreaker(failure_threshold=100, jitter=0.0,
-                                      clock=lambda: 1.0)
-        limit = coop.config.ping_failure_limit
-        for i in range(limit):
-            pull = get(coop, "/~migrate/home/8001/d.html", now=1.0 + i)
-            coop.complete_pull(pull, None, now=1.1 + i)
-        # The breaker itself never reached its own threshold, but death
-        # trips it: subsequent traffic toward home fast-fails.
-        assert coop.breaker.is_open("home:8001")
+        def home_pings(now):
+            for action in home.tick(now):
+                if action.kind == "ping" and action.peer == COOP:
+                    coop.handle_request(action.request, now)
+
+        for now in (20.0, 40.0, 60.0, 80.0):    # the cadence coop learns
+            home_pings(now)
+        coop.tick(200.0)                        # silence: suspect
+        coop.tick(500.0)                        # longer silence: dead
+        assert coop.log.count("peer_dead") == 1
+        # Death alone opens the circuit: no transfer to it went unanswered.
+        assert coop.membership.describe(key)["circuit"] == "open"
+        assert not coop.membership.holds(key)
+
+        home_pings(501.0)                       # the home's ping gets through
+        assert coop.membership.state(key) == "alive"
+        toward_home = [a for a in coop.tick(502.0) if a.peer == HOME]
+        for action in toward_home:              # still unreachable from here
+            coop.complete_action(action, None, 502.5)
+        assert toward_home == []
+        assert coop.log.count("peer_dead") == 1
+
+        admitted_at = coop.membership.describe(key)["next_admit_at"]
+        toward_home = [a for a in coop.tick(admitted_at) if a.peer == HOME]
+        assert len(toward_home) == 1
+        answer = home.handle_request(toward_home[0].request, admitted_at)
+        coop.complete_action(toward_home[0], answer.response, admitted_at)
+        assert coop.membership.describe(key)["circuit"] == "closed"
+        assert coop.membership.holds(key)
 
     def test_pull_propagates_home_404(self):
         coop = self.coop_engine()
@@ -374,6 +415,40 @@ class TestTick:
         assert [d.kind for d in engine.stats.decisions] == ["revoke"]
         revoked = engine.log.events("revoke")
         assert [event.fields["name"] for event in revoked] == ["/d.html"]
+
+    def test_a_coop_rejoined_by_gossip_is_pinged_at_its_admission(self):
+        """Regression: a co-op declared dead rejoins when its own ping
+        reaches the home.  That ping refreshed its load row, so the
+        pinger finds nothing stale, and only an answer to a transfer of
+        the home's closes the circuit the death opened: the circuit's
+        first admission must be spent, or the co-op is never placeable
+        again."""
+        home = make_engine(ping_failure_limit=2, reprobe_interval=5.0,
+                           reprobe_jitter=0.0)
+        coop = make_engine(location=COOP, site={}, peers=(HOME,))
+        key = str(COOP)
+        for now in (20.0, 40.0):                # two pings go unanswered
+            for action in home.tick(now):
+                if action.peer == COOP:
+                    home.complete_action(action, None, now)
+        assert home.log.count("peer_dead") == 1
+        assert home.membership.describe(key)["next_admit_at"] == 45.0
+
+        ping = next(a for a in coop.tick(41.0) if a.peer == HOME)
+        home.handle_request(ping.request, 41.0)  # the co-op's ping arrives
+        assert home.membership.state(key) == "alive"
+        assert not home.membership.placeable(key)
+        for now in (42.0, 44.9):                # inside the backoff period
+            assert [a for a in home.tick(now) if a.peer == COOP] == []
+
+        toward_coop = [a for a in home.tick(45.0) if a.peer == COOP]
+        assert [a.kind for a in toward_coop] == ["ping"]
+        answer = coop.handle_request(toward_coop[0].request, 45.0)
+        home.complete_action(toward_coop[0], answer.response, 45.0)
+        assert home.membership.describe(key)["circuit"] == "closed"
+        assert home.membership.placeable(key)
+        assert home.membership.holds(key)
+        assert home.log.count("peer_dead") == 1
 
 
 class TestValidation:

@@ -24,6 +24,7 @@ from repro.http.content import (
     digest_matches,
     gunzip_bytes,
 )
+from repro.client.realclient import http_fetch
 from repro.http.messages import Request
 from repro.server.engine import (
     DCWSEngine,
@@ -38,7 +39,9 @@ from repro.server.persistence import (
     restore_engine,
     snapshot_engine,
 )
+from repro.server.threaded import ThreadedDCWSServer
 from repro.server.wal import WriteAheadJournal, scan_journal
+from tests.integration.test_real_servers import free_port
 
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)
@@ -190,6 +193,43 @@ class TestPullVerification:
         # A corruption is not a peer failure: the home answered, so the
         # breaker/pinger must not count it toward declaring it dead.
         assert not coop.membership.describe(str(HOME)).get("failures")
+
+
+class TestCorruptHomeStaysReachable:
+    def test_corrupt_pulls_bounce_to_the_home_and_never_open_its_circuit(
+            self):
+        """Regression: a digest-rejected pull is an answer, not silence.
+        The pool used to count each one as a failed fetch, so after three
+        the home's circuit opened and clients got 503s — no pull
+        attempted — while membership still listed the home alive."""
+        home_loc = Location("127.0.0.1", free_port())
+        coop_loc = Location("127.0.0.1", free_port())
+        home_key = str(home_loc)
+        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
+                              validation_interval=60.0)
+        plan = FaultPlan.from_env([FaultRule("corrupt", peer=home_key)])
+        home = ThreadedDCWSServer(
+            DCWSEngine(home_loc, config, MemoryStore(dict(SITE)),
+                       entry_points=["/index.html"], peers=[coop_loc]),
+            tick_period=0.1)
+        coop = ThreadedDCWSServer(
+            DCWSEngine(coop_loc, config, MemoryStore(), peers=[home_loc]),
+            tick_period=0.1, faults=plan)
+        key = f"/~migrate/127.0.0.1/{home_loc.port}/d.html"
+        with home, coop:
+            with home._lock:
+                home.engine.policy.force_migrate("/d.html", coop_loc, 0.0)
+            for attempt in range(5):
+                reply = http_fetch(coop_loc, Request("GET", key))
+                assert reply.status == 302, (attempt, plan.seed)
+                assert reply.headers.get("Location") == \
+                    f"http://{home_key}/d.html"
+            with coop._lock:
+                membership = coop.engine.membership
+                assert coop.engine.integrity.counters.pulls_rejected == 5
+                assert membership.state(home_key) == "alive"
+                assert membership.describe(home_key)["circuit"] == "closed"
+                assert not coop.engine.hosted[key].fetched
 
 
 class TestScrubHome:

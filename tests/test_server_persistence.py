@@ -175,20 +175,18 @@ class TestInFlightState:
         assert restarted.graph.get("/index.html").dirty
 
     def test_snapshot_with_open_breaker_round_trips(self, tmp_path):
-        from repro.client.breaker import CircuitBreaker
-
         engine = busy_engine()
-        engine.breaker = CircuitBreaker(failure_threshold=1, jitter=0.0)
-        engine.breaker.check(str(COOP))
-        engine.breaker.record_failure(str(COOP))
-        assert engine.breaker.is_open(str(COOP))
+        for __ in range(engine.config.ping_failure_limit):
+            engine.membership.failure(str(COOP), 5.0)  # death unapplied
+        assert engine.membership.describe(str(COOP))["circuit"] == "open"
         path = str(tmp_path / "home.snapshot")
         save_snapshot(engine, path, now=10.0)
         restarted = make_engine()
         restore_from_file(restarted, path, now=20.0)
-        # Breaker state is runtime-only: a restarted server probes its
-        # peers afresh rather than inheriting a stale open circuit.
-        assert restarted.breaker is None
+        # The circuit is runtime-only: a restarted server reaches for its
+        # live peers afresh rather than inheriting a stale open circuit.
+        assert restarted.membership.describe(str(COOP))["circuit"] == \
+            "closed"
         assert restarted.policy.migrated_names() == ["/d.html"]
 
 

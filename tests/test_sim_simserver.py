@@ -2,6 +2,7 @@
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.core.naming import encode_migrated_path
 from repro.http.messages import Request
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
@@ -164,3 +165,46 @@ class TestSimServerEngine:
         loop.run_until(10.0)
         assert server.dropped >= 1
         assert engine.metrics.drops.lifetime_count == server.dropped
+
+
+class TestCoopCircuit:
+    def test_crashed_home_gets_at_most_one_pull_per_backoff_period(self):
+        """Five clients keep asking a co-op for a copy it never fetched
+        from a home that crashed.  The first pulls time out and open the
+        home's circuit; from then on one pull leaves per backoff period
+        and every other request is answered 503 without sending one."""
+        loop = EventLoop()
+        costs = CostModel()
+        config = ServerConfig(reprobe_interval=1.0, reprobe_max_interval=8.0,
+                              reprobe_jitter=0.0)
+        engine = DCWSEngine(Location("coop", 80), config, MemoryStore(),
+                            peers=[HOME])
+        engine.initialize(0.0)
+        pulls = []
+
+        def crashed_home(source, destination, request, respond):
+            pulls.append(loop.now)
+            loop.schedule_after(costs.request_timeout, lambda: respond(None))
+
+        server = SimServer(engine, loop, costs, send=crashed_home)
+        key = encode_migrated_path(HOME, "/d.html")
+        statuses = []
+
+        def client():
+            if loop.now < 60.0:
+                server.deliver(Request("GET", key), answered)
+
+        def answered(response):
+            statuses.append(response.status)
+            loop.schedule_after(0.1, client)
+
+        for __ in range(5):
+            client()
+        loop.run_until(80.0)
+        # Everything sent after the first pulls timed out was admitted
+        # by the open circuit: at least a backoff period apart.
+        later = [t for t in pulls if t > costs.request_timeout]
+        assert later
+        assert all(b - a >= config.reprobe_interval
+                   for a, b in zip(later, later[1:]))
+        assert statuses.count(503) > 10 * len(pulls)
