@@ -528,6 +528,7 @@ class ReplicationAblation:
     cps_without: float
     cps_with: float
     replications: int
+    max_replicas: int
 
     @property
     def gain(self) -> float:
@@ -539,8 +540,8 @@ class ReplicationAblation:
         return format_table(
             ("variant", "CPS"),
             [("single location (prototype)", self.cps_without),
-             (f"replication x3 ({self.replications} replications)",
-              self.cps_with)],
+             (f"max_replicas={self.max_replicas} "
+              f"({self.replications} replications)", self.cps_with)],
             title=f"Ablation — hot-spot replication, {self.dataset.upper()},"
                   f" {self.servers} servers")
 
@@ -561,18 +562,18 @@ def ablation_replication(scale: Optional[ExperimentScale] = None, *,
     # hosted on co-ops only pick up rewritten links at their next
     # validation, so the run must span several validation intervals.
     duration = max(scale.duration * 2, base.validation_interval * 3)
+    replicated = replace(base, max_replicas=4, imbalance_tolerance=1.05)
     without = run_dcws(site, servers=servers, clients=clients, scale=scale,
                        prewarm=True, server_config=base, duration=duration)
     with_replicas = run_dcws(
         site, servers=servers, clients=clients, scale=scale, prewarm=True,
-        duration=duration,
-        server_config=replace(base, max_replicas=4,
-                              imbalance_tolerance=1.05))
+        duration=duration, server_config=replicated)
     return ReplicationAblation(
         dataset=dataset, servers=servers,
         cps_without=without.steady_cps(),
         cps_with=with_replicas.steady_cps(),
-        replications=with_replicas.replications)
+        replications=with_replicas.replications,
+        max_replicas=replicated.max_replicas)
 
 
 @dataclass

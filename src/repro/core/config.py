@@ -107,8 +107,9 @@ class ServerConfig:
     max_replications_per_interval: int = 1
     # --- replication groups with autonomous repair ----------------------
     # ``replication_k`` is the target number of live holders per
-    # replication group (the k of k-copy placement).  1 disables the
-    # subsystem entirely; with k >= 2 every hot migrated document gets a
+    # replication group (the k of k-copy placement).  1 keeps no groups
+    # (replica choice still goes through the manager's pick); with
+    # k >= 2 every hot migrated document gets a
     # group that the repair loop proactively tops up to k holders and
     # autonomously re-replicates when a holder is declared dead or its
     # circuit opens — a single co-op crash then costs zero availability

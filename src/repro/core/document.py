@@ -14,7 +14,7 @@ is maintained as the exact transpose of ``LinkTo`` by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Set
+from typing import Optional, Set
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class DocumentRecord:
     Algorithm 1 must never migrate well-known entry points), ``embedded_in``
     (names of documents embedding this one as an image/frame, a subset of
     ``link_from``), a ``version`` counter driving validation (section 4.5),
-    and ``replicas`` for the replication extension.
+    ``replicas`` for the replication extension, and ``migrated_at``, the
+    time the document last left home (``None`` while it is at home).
     """
 
     name: str
@@ -70,6 +71,9 @@ class DocumentRecord:
     window_hits: int = 0
     # Extra locations when replication (future work) is enabled.
     replicas: Set[Location] = field(default_factory=set)
+    # Set by the LDG when the document leaves home, kept across a holder
+    # promotion, reset by a re-migration (T_home counts from it).
+    migrated_at: Optional[float] = None
 
     @property
     def is_html(self) -> bool:

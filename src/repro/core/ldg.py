@@ -13,7 +13,8 @@ Maintained invariants (property-tested in ``tests/property``):
   in the graph;
 - migrating a document sets ``Dirty`` on precisely its ``LinkFrom``
   documents and nothing else;
-- entry points always have ``Location == home``.
+- entry points always have ``Location == home``;
+- ``migrated_at`` is set exactly while ``Location != home``.
 """
 
 from __future__ import annotations
@@ -143,13 +144,15 @@ class LocalDocumentGraph:
     # Migration bookkeeping (paper section 4.2)
     # ------------------------------------------------------------------
 
-    def mark_migrated(self, name: str, coop: Location) -> List[str]:
-        """Logically migrate *name* to *coop*.
+    def mark_migrated(self, name: str, coop: Location,
+                      now: float) -> List[str]:
+        """Logically migrate *name* to *coop* at time *now*.
 
-        Updates ``Location``, sets ``Dirty`` on every ``LinkFrom`` document
-        so referrers are regenerated with rewritten hyperlinks on their
-        next request, and bumps referrer versions so co-op-hosted referrers
-        are refreshed by validation.  Returns the dirtied names.
+        Updates ``Location`` and ``migrated_at``, sets ``Dirty`` on every
+        ``LinkFrom`` document so referrers are regenerated with rewritten
+        hyperlinks on their next request, and bumps referrer versions so
+        co-op-hosted referrers are refreshed by validation.  Returns the
+        dirtied names.
         """
         record = self.get(name)
         if record.entry_point and self.enforce_entry_home:
@@ -157,6 +160,7 @@ class LocalDocumentGraph:
         if coop == self.home:
             raise MigrationError(f"cannot migrate {name!r} to its own home")
         record.location = coop
+        record.migrated_at = now
         self._dirty_self(record)
         return self._dirty_referrers(record)
 
@@ -167,10 +171,12 @@ class LocalDocumentGraph:
             raise MigrationError(f"document is not migrated: {name!r}")
         record.location = self.home
         record.replicas.clear()
+        record.migrated_at = None
         self._dirty_self(record)
         return self._dirty_referrers(record)
 
-    def add_replica(self, name: str, coop: Location) -> List[str]:
+    def add_replica(self, name: str, coop: Location,
+                    now: float) -> List[str]:
         """Replication extension: host *name* on an additional co-op."""
         record = self.get(name)
         if record.entry_point:
@@ -180,6 +186,7 @@ class LocalDocumentGraph:
         if record.location == self.home:
             # First replica: treat like a primary migration.
             record.location = coop
+            record.migrated_at = now
         else:
             record.replicas.add(coop)
         self._dirty_self(record)
@@ -189,9 +196,10 @@ class LocalDocumentGraph:
         """Replication groups: remove *dead* from *name*'s holder set.
 
         When the primary died the lowest-sorted surviving replica is
-        promoted to primary, so the document stays migrated instead of
-        bouncing home.  Raises :class:`MigrationError` when *dead* is not
-        a holder or no live holder would survive (callers revoke then).
+        promoted to primary, so the document stays migrated (keeping its
+        ``migrated_at``) instead of bouncing home.  Raises
+        :class:`MigrationError` when *dead* is not a holder or no live
+        holder would survive (callers revoke then).
         Returns the dirtied referrer names; the version bump from
         ``_dirty_self`` invalidates cached responses whose rewritten
         links may still point at the dead holder.
@@ -275,3 +283,7 @@ class LocalDocumentGraph:
             if record.entry_point and self.enforce_entry_home:
                 assert record.location == self.home, (
                     f"entry point {record.name} migrated to {record.location}")
+            assert (record.migrated_at is None) == \
+                (record.location == self.home), (
+                    f"{record.name} at {record.location} has migrated_at "
+                    f"{record.migrated_at}")

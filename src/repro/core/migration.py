@@ -22,17 +22,18 @@ across the replica set by the engine's rewriter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import ServerConfig
-from repro.core.document import Location
+from repro.core.document import DocumentRecord, Location
 from repro.core.glt import GlobalLoadTable
 from repro.core.ldg import LocalDocumentGraph
 from repro.core.selection import (
     eligible_candidates,
     select_documents_for_migration,
 )
+from repro.errors import DocumentNotFound, MigrationError
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,13 @@ class MigrationDecision:
     dirtied: Sequence[str] = ()
 
 
-@dataclass
-class _MigrationRecord:
-    """Home-side bookkeeping for one migrated document."""
-
-    coop: Location
-    migrated_at: float
-    replicas: Dict[str, float] = field(default_factory=dict)
-
-
 class MigrationPolicy:
-    """Stateful migration decision-maker for one home server."""
+    """Stateful migration decision-maker for one home server.
+
+    Who holds a document, and since when, is the LDG record's
+    (``location``, ``replicas``, ``migrated_at``); the policy keeps only
+    its rate-limit bookkeeping and walks the graph for everything else.
+    """
 
     def __init__(self, config: ServerConfig, graph: LocalDocumentGraph,
                  glt: GlobalLoadTable) -> None:
@@ -70,7 +67,6 @@ class MigrationPolicy:
         self.graph = graph
         self.glt = glt
         self._coop_last_accept: Dict[str, float] = {}
-        self._migrations: Dict[str, _MigrationRecord] = {}
         # Optional availability predicate (the engine sets its peer
         # ledger's ``placeable``): peers not strictly alive, or whose
         # circuit is open, receive no new migrations, re-migrations, or
@@ -90,12 +86,11 @@ class MigrationPolicy:
     # Queries
     # ------------------------------------------------------------------
 
-    def migrated_names(self) -> List[str]:
-        return sorted(self._migrations)
-
-    def migration_of(self, name: str) -> Optional[Location]:
-        record = self._migrations.get(name)
-        return record.coop if record else None
+    def _by_demand(self) -> List[DocumentRecord]:
+        """Migrated documents hottest first (co-ops report hosted hits
+        back on validations), so the one heating a co-op goes first."""
+        return sorted(self.graph.migrated_documents(),
+                      key=lambda r: (-r.hits, r.name))
 
     def force_migrate(self, name: str, target: Location,
                       now: float) -> MigrationDecision:
@@ -105,50 +100,9 @@ class MigrationPolicy:
         cluster that has already balanced itself); all bookkeeping matches
         a policy-driven migration, so revocation and re-migration work.
         """
-        dirtied = self.graph.mark_migrated(name, target)
-        self._migrations[name] = _MigrationRecord(coop=target, migrated_at=now)
+        dirtied = self.graph.mark_migrated(name, target, now)
         return self._note(MigrationDecision(
             name=name, target=target, kind="migrate", dirtied=tuple(dirtied)))
-
-    # ------------------------------------------------------------------
-    # Recovery (snapshot restore and journal replay)
-    # ------------------------------------------------------------------
-
-    def restore(self, name: str, coop: Location, migrated_at: float,
-                replicas: Optional[Dict[str, float]] = None) -> None:
-        """Re-install home-side bookkeeping for one migrated document.
-
-        Pure state restoration: the LDG is untouched (the caller restores
-        it separately), no decision fires, no rate-limit bookkeeping
-        changes.  This is the supported way for persistence/recovery code
-        to rebuild the migration table — never write ``_migrations``
-        directly.
-        """
-        self._migrations[name] = _MigrationRecord(
-            coop=coop, migrated_at=migrated_at,
-            replicas=dict(replicas or {}))
-
-    def discard(self, name: str) -> None:
-        """Forget *name*'s migration record without touching the LDG.
-
-        The replay-side complement of :meth:`restore`: journal replay of a
-        revocation sets graph state directly (for idempotency) and uses
-        this to keep the migration table consistent with it.
-        """
-        self._migrations.pop(name, None)
-
-    def restored(self, name: str) -> Optional[Tuple[Location, float]]:
-        """(coop, migrated_at) for *name*, if migrated — used by snapshot
-        writers so they need no private-attribute access either."""
-        record = self._migrations.get(name)
-        if record is None:
-            return None
-        return record.coop, record.migrated_at
-
-    def restored_replicas(self, name: str) -> Dict[str, float]:
-        """Replica-addition times for *name* (snapshot writers)."""
-        record = self._migrations.get(name)
-        return dict(record.replicas) if record else {}
 
     # ------------------------------------------------------------------
     # Periodic decisions (driven by the statistics interval)
@@ -223,10 +177,8 @@ class MigrationPolicy:
         document = self._choose_document(now)
         if document is None:
             return None
-        dirtied = self.graph.mark_migrated(document.name, target)
+        dirtied = self.graph.mark_migrated(document.name, target, now)
         self._coop_last_accept[str(target)] = now
-        self._migrations[document.name] = _MigrationRecord(
-            coop=target, migrated_at=now)
         return self._note(MigrationDecision(
             name=document.name, target=target, kind="migrate",
             dirtied=tuple(dirtied)))
@@ -273,31 +225,26 @@ class MigrationPolicy:
         mean = self.glt.mean_metric()
         if mean <= 0.0:
             return decisions
-        # Hottest first (co-ops report hosted hits back on validations):
-        # abandoning the migration of a document nobody requests would
-        # not relieve the overloaded co-op.
-        by_demand = sorted(
-            self._migrations,
-            key=lambda n: (-(self.graph.find(n).hits
-                             if self.graph.find(n) else 0), n))
-        for name in by_demand:
-            record = self._migrations[name]
-            if now - record.migrated_at < self.config.home_remigration_interval:
+        # Hottest first: abandoning the migration of a document nobody
+        # requests would not relieve the overloaded co-op.
+        for document in self._by_demand():
+            if now - document.migrated_at < \
+                    self.config.home_remigration_interval:
                 continue
-            coop_row = self.glt.get(record.coop)
+            coop_row = self.glt.get(document.location)
             if coop_row is None:
                 continue
             if coop_row.metric <= self.config.imbalance_tolerance * mean:
                 continue
             target = self.glt.least_loaded(
-                exclude=[record.coop] + self._unavailable_peers())
+                exclude=[document.location] + self._unavailable_peers())
             target_row = self.glt.get(target) if target else None
             if target is None or target_row is None or target_row.metric >= mean:
                 continue
+            name = document.name
             dirtied = self.graph.mark_revoked(name)
-            dirtied_again = self.graph.mark_migrated(name, target)
+            dirtied_again = self.graph.mark_migrated(name, target, now)
             self._coop_last_accept[str(target)] = now
-            self._migrations[name] = _MigrationRecord(coop=target, migrated_at=now)
             decisions.append(self._note(MigrationDecision(
                 name=name, target=target, kind="remigrate",
                 dirtied=tuple(sorted(set(dirtied) | set(dirtied_again))))))
@@ -315,26 +262,17 @@ class MigrationPolicy:
                               own_metric: float) -> List[MigrationDecision]:
         """Give an over-hot migrated document an additional replica.
 
-        Candidates are ordered by accumulated hits (co-ops report hosted
-        hits back on validations), so the document actually responsible
-        for the co-op's heat replicates first.
+        Candidates are ordered by accumulated hits, so the document
+        actually responsible for the co-op's heat replicates first.
         """
         decisions: List[MigrationDecision] = []
         mean = self.glt.mean_metric()
         if mean <= 0.0:
             return decisions
-        by_demand = sorted(
-            self._migrations,
-            key=lambda n: (-(self.graph.find(n).hits
-                             if self.graph.find(n) else 0), n))
-        for name in by_demand:
-            record = self._migrations[name]
-            document = self.graph.find(name)
-            if document is None:
-                continue
+        for document in self._by_demand():
             if len(document.locations()) >= self.config.max_replicas:
                 continue
-            coop_row = self.glt.get(record.coop)
+            coop_row = self.glt.get(document.location)
             if coop_row is None or \
                     coop_row.metric <= self.config.imbalance_tolerance * mean:
                 continue
@@ -345,11 +283,10 @@ class MigrationPolicy:
             last = self._coop_last_accept.get(str(target))
             if last is not None and now - last < self.config.coop_migration_spacing:
                 continue
-            dirtied = self.graph.add_replica(name, target)
+            dirtied = self.graph.add_replica(document.name, target, now)
             self._coop_last_accept[str(target)] = now
-            record.replicas[str(target)] = now
             decisions.append(self._note(MigrationDecision(
-                name=name, target=target, kind="replicate",
+                name=document.name, target=target, kind="replicate",
                 dirtied=tuple(dirtied))))
             if len(decisions) >= self.config.max_replications_per_interval:
                 break  # per-round replication budget exhausted
@@ -369,23 +306,13 @@ class MigrationPolicy:
         when *dead* is not a holder or no live holder would survive (the
         caller then falls back to :meth:`revoke`).
         """
-        record = self._migrations.get(name)
-        document = self.graph.find(name)
-        if record is None or document is None:
+        try:
+            dirtied = self.graph.drop_holder(name, dead)
+        except (DocumentNotFound, MigrationError):
             return None
-        if dead != record.coop and dead not in document.replicas:
-            return None
-        survivors = [loc for loc in document.locations() if loc != dead]
-        if not survivors or survivors == [self.graph.home]:
-            return None
-        dirtied = self.graph.drop_holder(name, dead)
-        if record.coop == dead:
-            record.coop = document.location  # the promoted survivor
-            record.replicas.pop(str(record.coop), None)
-        record.replicas.pop(str(dead), None)
         return self._note(MigrationDecision(
-            name=name, target=record.coop, kind="replica_drop",
-            dirtied=tuple(dirtied)))
+            name=name, target=self.graph.get(name).location,
+            kind="replica_drop", dirtied=tuple(dirtied)))
 
     def repair_replica(self, name: str, target: Location,
                        now: float) -> MigrationDecision:
@@ -394,14 +321,7 @@ class MigrationPolicy:
         Issued by the repair loop; like :meth:`force_migrate` it bypasses
         the T_coop rate limit — restoring availability beats pacing.
         """
-        dirtied = self.graph.add_replica(name, target)
-        record = self._migrations.get(name)
-        if record is None:
-            # First holder: add_replica promoted target to primary.
-            self._migrations[name] = _MigrationRecord(coop=target,
-                                                      migrated_at=now)
-        else:
-            record.replicas[str(target)] = now
+        dirtied = self.graph.add_replica(name, target, now)
         return self._note(MigrationDecision(
             name=name, target=target, kind="repair",
             dirtied=tuple(dirtied)))
@@ -413,7 +333,6 @@ class MigrationPolicy:
     def revoke(self, name: str) -> MigrationDecision:
         """Return one document to home (content change or operator action)."""
         dirtied = self.graph.mark_revoked(name)
-        self._migrations.pop(name, None)
         return self._note(MigrationDecision(
             name=name, target=self.graph.home, kind="revoke",
             dirtied=tuple(dirtied)))
@@ -428,16 +347,13 @@ class MigrationPolicy:
         sole-holder documents take the classic full revocation.
         """
         decisions: List[MigrationDecision] = []
-        for name in list(self._migrations):
-            record = self._migrations[name]
-            document = self.graph.find(name)
-            hosted_there = record.coop == coop or (
-                document is not None and coop in document.replicas)
-            if not hosted_there:
+        for document in sorted(self.graph.migrated_documents(),
+                               key=lambda r: r.name):
+            if coop not in document.locations():
                 continue
-            dropped = self.drop_holder(name, coop)
+            dropped = self.drop_holder(document.name, coop)
             if dropped is not None:
                 decisions.append(dropped)
                 continue
-            decisions.append(self.revoke(name))
+            decisions.append(self.revoke(document.name))
         return decisions

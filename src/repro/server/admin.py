@@ -278,23 +278,25 @@ def render_replication(engine) -> str:
 
     Group roster with live-holder counts and states, the copies
     histogram, and the repair/two-choices counters — the operator's view
-    of how far the cluster is from its k-copy target.
+    of how far the cluster is from its k-copy target.  Repairs and
+    replica drops are the engine's own counts (``EngineStats``), so
+    rejoin re-registrations and drops at a peer's death are in them.
     """
-    manager = getattr(engine, "replication", None)
-    if manager is None:
-        return ("replication: disabled (replication_k <= 1)\n"
-                f"replicated documents "
-                f"{sum(1 for r in engine.graph.documents() if r.replicas)}\n")
+    manager = engine.replication
     now = getattr(engine, "_admin_now", 0.0)
     counters = manager.counters
+    k = manager.config.replication_k
     lines: List[str] = [
-        f"replication groups      {len(manager.groups)}",
-        f"  target k              {manager.config.replication_k}",
+        f"replication groups      {len(manager.groups)}"
+        + ("" if k > 1 else " (disabled: replication_k <= 1)"),
+        f"replicated documents    "
+        f"{sum(1 for r in engine.graph.documents() if r.replicas)}",
+        f"  target k              {k}",
         f"  sufficient            {manager.config.replication_sufficient}",
         f"  below target          {manager.groups_below_target()}",
         f"  repair interval       {manager.repair_interval:g}s",
-        f"repairs                 {counters.repairs}",
-        f"replica drops           {counters.replica_drops}",
+        f"repairs                 {engine.stats.repairs}",
+        f"replica drops           {engine.stats.replica_drops}",
         f"state changes           {counters.state_changes}",
         f"two-choices picks       {counters.two_choices_picks}",
         f"  took the alternate    {counters.two_choices_alternates}",
@@ -308,7 +310,7 @@ def render_replication(engine) -> str:
     else:
         lines.append("  (no groups)")
     lines.append("")
-    header = (f"{'Document':<40} {'State':>9} {'Live':>5} {'Target':>7} "
+    header = (f"{'Document':<40} {'State':>9} {'Live':>5} "
               f"{'Repairs':>8} {'LastRepair':>11}")
     lines.append(header)
     lines.append("-" * len(header))
@@ -318,7 +320,7 @@ def render_replication(engine) -> str:
         repaired = ("never" if not group.repaired_at
                     else f"{max(0.0, now - group.repaired_at):.1f}s")
         lines.append(f"{name:<40} {group.state:>9} {live:>5} "
-                     f"{group.target:>7} {group.repairs:>8} {repaired:>11}")
+                     f"{group.repairs:>8} {repaired:>11}")
     return "\n".join(lines) + "\n"
 
 

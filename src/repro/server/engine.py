@@ -337,23 +337,19 @@ class DCWSEngine:
         self.policy.on_decision = self._journal_decision
         self.metrics = ServerMetrics(config.stats_interval)
         self.validation = DueTracker(config.validation_interval)
-        # Replication groups with autonomous repair (replication_k >= 2):
-        # the manager owns group bookkeeping and the repair loop; its
-        # decisions surface through the policy callback above, so they
-        # are journaled like every other relocation.
         # End-to-end content integrity: digests, the scrub daemon's
         # schedule/cursor, and the quarantine table (see
-        # repro.server.integrity).  Wired into replication below so a
-        # quarantined holder is treated exactly like a dead one.
+        # repro.server.integrity).
         self.integrity = IntegrityManager(config)
-        self.replication: Optional[ReplicationManager] = None
-        if config.replication_k > 1:
-            self.replication = ReplicationManager(
-                config, self.graph, self.glt, self.policy,
-                peers=self.membership,
-                quarantined=self.integrity.holder_quarantined,
-                log=lambda msg: self.log.record(self._clock, "replication",
-                                                detail=msg))
+        # The one replica pick for every migrated document, and (with
+        # replication_k >= 2) the groups with autonomous repair; its
+        # decisions surface through the policy callback above, so they
+        # are journaled like every other relocation.
+        self.replication = ReplicationManager(
+            config, self.graph, self.glt, self.policy,
+            peers=self.membership,
+            log=lambda msg: self.log.record(self._clock, "replication",
+                                            detail=msg))
         self.hosted: Dict[str, HostedDocument] = {}
         self.stats = EngineStats()
         self.log = EventLog()
@@ -420,7 +416,6 @@ class DCWSEngine:
         if self.journal is None:
             return
         record = self.graph.find(decision.name)
-        restored = self.policy.restored(decision.name)
         dirtied = []
         for name in decision.dirtied:
             touched = self.graph.find(name)
@@ -433,7 +428,7 @@ class DCWSEngine:
             replicas=sorted(str(r) for r in record.replicas) if record else [],
             version=record.version if record else 0,
             dirtied=dirtied,
-            migrated_at=restored[1] if restored else None)
+            migrated_at=record.migrated_at if record else None)
 
     # ------------------------------------------------------------------
     # Initialization: scan the store, parse documents, build the LDG
@@ -703,7 +698,7 @@ class DCWSEngine:
             # A peer reports its copy of this document as corrupt (and,
             # for a re-pull, must not be served its own bad copy back):
             # drop the holder, repair the group, and point it home.
-            return self._holder_quarantined(request, record, sender, now)
+            return self._drop_corrupt_holder(request, record, sender, now)
         if not record.entry_point and not self._gate_passes(request, now):
             return self._gate_bounce(request, now, doc_name=record.name)
         if record.location != self.location and not privileged:
@@ -713,12 +708,12 @@ class DCWSEngine:
             # serve it.  A co-op that is no longer the document's host
             # (the home re-migrated it) gets the same 301 — that is how
             # it learns to stop serving its stale copy.
-            target = self._pick_location(record, salt=request.target)
+            target = self.replication.pick(record, salt=request.target)
             location_url = migrated_url(target, self.location, path)
             self.metrics.record_redirect(now)
             self.stats.responses_301 += 1
             response = redirect_response(str(location_url))
-            if self.replication is not None:
+            if record.replicas:
                 # Stamp the live replica set so requesters can apply
                 # two-choices — and fail over — without asking again.
                 live = self.replication.live_holders(path)
@@ -1102,21 +1097,6 @@ class DCWSEngine:
         return any(sender == str(location)
                    for location in record.locations())
 
-    def _pick_location(self, record: DocumentRecord, salt: str) -> Location:
-        """Choose among a migrated document's locations.
-
-        With the prototype's single-location rule this is just the primary;
-        with replication enabled the choice is a deterministic hash so load
-        spreads without per-request state.
-        """
-        if self.replication is not None:
-            # Replication groups: power-of-two-choices over the live
-            # holders, weighted by last-known GLT load.
-            return self.replication.pick(record, salt)
-        locations = sorted(record.locations(), key=str)
-        # shard_of, not hash(): a str's hash is salted per process.
-        return locations[shard_of(f"{record.name}|{salt}", len(locations))]
-
     # -- co-op (migrated) documents -------------------------------------
 
     def _handle_coop(self, request: Request, key: str, home: Location,
@@ -1395,7 +1375,7 @@ class DCWSEngine:
             return None
         if record.location == self.location and not record.replicas:
             return self._home_prefix + name
-        target = self._pick_location(record, salt=base_name)
+        target = self.replication.pick(record, salt=base_name)
         if target == self.location:
             return self._home_prefix + name
         return str(migrated_url(target, self.location, name))
@@ -1416,7 +1396,7 @@ class DCWSEngine:
                 now - self._last_stats_at >= self.config.stats_interval:
             self._recalculate_statistics(now)
             self._last_stats_at = now
-        if self.replication is not None and self.replication.due(now):
+        if self.replication.due(now):
             self._repair_round(now)
         if self.integrity.scrub_due(now):
             self._scrub_round(now)
@@ -1430,9 +1410,8 @@ class DCWSEngine:
         return actions
 
     def _repair_round(self, now: float) -> None:
-        """Replication repair daemon: one pass (when there is one)."""
-        if self.replication is not None:
-            self._book_decisions(self.replication.repair_round(now), now)
+        """Replication repair daemon: one pass."""
+        self._book_decisions(self.replication.repair_round(now), now)
 
     # What each kind of applied decision counts as in EngineStats.
     _DECISION_COUNTERS = {
@@ -1749,8 +1728,8 @@ class DCWSEngine:
                             home=str(hosted.home))
         return actions
 
-    def _holder_quarantined(self, request: Request, record: DocumentRecord,
-                            sender: str, now: float) -> EngineReply:
+    def _drop_corrupt_holder(self, request: Request, record: DocumentRecord,
+                             sender: str, now: float) -> EngineReply:
         """Home-side handling of ``X-DCWS-Quarantined``: the sender's copy
         of *record* is corrupt.  Treat the holder like a dead one — drop
         it from the replication group (falling back to full revocation
@@ -1759,8 +1738,10 @@ class DCWSEngine:
         holder = self._location_of(sender)
         path = record.name
         if holder is not None and holder != self.location \
-                and any(holder == loc for loc in record.locations()) \
-                and self.integrity.report_bad_holder(path, holder):
+                and holder in record.locations():
+            # Once dropped the sender is no holder, so a repeated
+            # report changes nothing.
+            self.integrity.counters.holder_quarantines_reported += 1
             self.log.record(now, "holder_quarantined", name=path,
                             holder=sender)
             decision = self.policy.drop_holder(path, holder)
@@ -1769,7 +1750,6 @@ class DCWSEngine:
                 # home): full revocation — the document comes home.
                 decision = self.policy.revoke(path)
             self._book_decisions([decision], now)
-            self.integrity.clear_bad_holder(path, holder)
             # Repair immediately, critical-first; the replacement
             # holder lazily pulls from copies that passed (or will
             # pass) digest verification — never from the corrupt one,
@@ -1989,11 +1969,9 @@ class DCWSEngine:
             if str(record.version) != version:
                 drops += 1          # outdated copy loses
                 continue
-            group = (self.replication.groups.get(record.name)
-                     if self.replication is not None else None)
-            if group is None or \
+            if record.name not in self.replication.groups or \
                     len(self.replication.live_holders(record.name)) \
-                    >= group.target:
+                    >= self.config.replication_k:
                 drops += 1          # group already whole (or unmanaged)
                 continue
             decision = self.policy.repair_replica(record.name, peer, now)

@@ -2,39 +2,34 @@
 
 Crash recovery (:func:`repro.server.persistence.recover`) promises a
 *prefix-consistent* engine: some acknowledged tail of work may be lost,
-but what remains must be coherent — no migration table entry without its
-graph record, no hyperlink pointing at a co-op the home has forgotten, no
-hosted entry claiming bytes that are not there.  :func:`check_engine`
+but what remains must be coherent — no hyperlink pointing at a co-op the
+home has forgotten, no hosted entry claiming bytes that are not there.  :func:`check_engine`
 verifies exactly that, and the crash/chaos suites run it after every
 recovery so "the server came back up" is never mistaken for "the server
 came back up *right*".
 
 Checked invariants:
 
-1.  migration table ↔ graph agreement, both directions: every policy
-    record's document exists and is located at (or replicated on) that
-    co-op; every document located away from home has a policy record;
-2.  entry points are at home whenever the config protects them;
-3.  every *fetched* hosted entry is backed by store bytes; unfetched
+1.  entry points are at home whenever the config protects them;
+2.  every *fetched* hosted entry is backed by store bytes; unfetched
     entries carry no size/version (they re-pull on demand — never 404);
-4.  every document record's bytes exist in the store (a home must be
+3.  every document record's bytes exist in the store (a home must be
     able to serve or re-serve everything it owns);
-5.  *clean* (not dirty) HTML home documents contain no stale
+4.  *clean* (not dirty) HTML home documents contain no stale
     migrated-form links: a link rewritten toward a co-op must point at a
     current location of its target — otherwise a crash forgot a
     revocation that the on-disk hyperlinks still remember;
-6.  validation deadlines track exactly the fetched hosted entries;
-7.  replica sets are well-formed: no replica equals the home location
+5.  validation deadlines track exactly the fetched hosted entries;
+6.  replica sets are well-formed: no replica equals the home location
     or duplicates the primary, every holder of a replicated document is
     a server the GLT still knows, every replicated hosted entry has
-    bytes present or is registered unfetched, and (when the replication
-    manager is active) every group tracks a currently migrated
-    document;
-8.  membership agreement: no peer the membership table considers dead
+    bytes present or is registered unfetched, and every replication
+    group tracks a currently migrated document;
+7.  membership agreement: no peer the membership table considers dead
     (or forgotten) still holds any document — a dead holder lingering
     in a serving set means repair forgot to drop it, which is exactly
     the "two primaries" hazard the rejoin reconciliation must prevent;
-9.  quarantine agreement: no copy the integrity manager has quarantined
+8.  quarantine agreement: no copy the integrity manager has quarantined
     is still in any serve table — a quarantined hosted entry must be
     unfetched (digestless, versionless) and a quarantined home document
     must have no rendered response cached, or a known-corrupt body
@@ -65,36 +60,13 @@ def check_engine(engine: DCWSEngine, *,
     """Every invariant violation found in *engine* (empty = clean).
 
     ``check_links=False`` skips the parse-every-clean-document pass
-    (invariant 5) for callers that only need the cheap structural
+    (invariant 4) for callers that only need the cheap structural
     checks.
     """
     violations: List[str] = []
     home = engine.location
 
-    # 1. migration table ↔ graph, both directions
-    for name in engine.policy.migrated_names():
-        restored = engine.policy.restored(name)
-        assert restored is not None
-        coop = restored[0]
-        record = engine.graph.find(name)
-        if record is None:
-            violations.append(
-                f"migration table entry for missing document: {name} "
-                f"-> {coop}")
-            continue
-        if record.location != coop and coop not in record.replicas:
-            violations.append(
-                f"migration table says {name} is on {coop}, graph says "
-                f"{record.location} (replicas {sorted(map(str, record.replicas))})")
-    migrated = set(engine.policy.migrated_names())
-    for record in engine.graph.migrated_documents():
-        if record.name not in migrated:
-            violations.append(
-                f"document {record.name} located on {record.location} "
-                f"but absent from the migration table (forgotten "
-                f"migration)")
-
-    # 2. entry points at home
+    # 1. entry points at home
     if engine.config.protect_entry_points:
         for record in engine.graph.entry_points():
             if record.location != home:
@@ -102,7 +74,7 @@ def check_engine(engine: DCWSEngine, *,
                     f"entry point {record.name} migrated to "
                     f"{record.location}")
 
-    # 3. hosted entries: fetched ↔ bytes
+    # 2. hosted entries: fetched ↔ bytes
     for key, entry in engine.hosted.items():
         if entry.fetched:
             if key not in engine.store:
@@ -115,37 +87,37 @@ def check_engine(engine: DCWSEngine, *,
                     f"unfetched hosted entry {key} carries version "
                     f"{entry.version!r}")
 
-    # 4. every home document's bytes are in the store
+    # 3. every home document's bytes are in the store
     for record in engine.graph.documents():
         if record.name not in engine.store:
             violations.append(
                 f"document {record.name} in the graph but its bytes "
                 f"are missing from the store")
 
-    # 6. validation deadlines ↔ fetched hosted entries
+    # 5. validation deadlines ↔ fetched hosted entries
     for key in engine.validation.keys():
         entry = engine.hosted.get(str(key))
         if entry is None:
             violations.append(
                 f"validation deadline for unknown hosted entry {key}")
 
-    # 7. replica invariants
+    # 6. replica invariants
     violations.extend(_check_replicas(engine))
 
-    # 8. membership agreement: dead peers hold nothing
+    # 7. membership agreement: dead peers hold nothing
     violations.extend(_check_membership(engine))
 
-    # 9. quarantined copies are out of every serve table
+    # 8. quarantined copies are out of every serve table
     violations.extend(_check_quarantine(engine))
 
-    # 5. clean documents carry no stale migrated-form links
+    # 4. clean documents carry no stale migrated-form links
     if check_links:
         violations.extend(_check_clean_links(engine))
     return violations
 
 
 def _check_clean_links(engine: DCWSEngine) -> List[str]:
-    """Invariant 5: parse each clean HTML home document and verify every
+    """Invariant 4: parse each clean HTML home document and verify every
     migrated-form hyperlink points at a current location of its target."""
     violations: List[str] = []
     home = engine.location
@@ -155,7 +127,7 @@ def _check_clean_links(engine: DCWSEngine) -> List[str]:
         try:
             source = engine.store.get(record.name).decode("latin-1")
         except DocumentNotFound:
-            continue  # already reported by invariant 4
+            continue  # already reported by invariant 3
         for link in extract_links(parse_html(source)):
             raw = strip_fragment(link.value).strip()
             if not raw:
@@ -190,7 +162,7 @@ def _check_clean_links(engine: DCWSEngine) -> List[str]:
 
 
 def _check_replicas(engine: DCWSEngine) -> List[str]:
-    """Invariant 7: replica sets and replication groups are well-formed."""
+    """Invariant 6: replica sets and replication groups are well-formed."""
     violations: List[str] = []
     home = engine.location
     for record in engine.graph.documents():
@@ -211,38 +183,32 @@ def _check_replicas(engine: DCWSEngine) -> List[str]:
     # A hosted (co-op side) copy of a replicated document must either be
     # backed by bytes or registered unfetched (it then re-pulls from the
     # home on demand); an unfetched entry claiming a size would serve a
-    # phantom.  Complements invariant 3's fetched-without-bytes check.
+    # phantom.  Complements invariant 2's fetched-without-bytes check.
     for key, entry in engine.hosted.items():
         if not entry.fetched and entry.size:
             violations.append(
                 f"unfetched hosted entry {key} claims size {entry.size}")
-    if engine.replication is not None:
-        # Active manager: every holder of a group-managed document must
-        # still be a server the GLT knows (a dead holder must have been
-        # dropped by repair, not linger in the serving set), and every
-        # group must track a currently migrated document.
-        migrated = set(engine.policy.migrated_names())
-        for name, group in engine.replication.groups.items():
-            record = engine.graph.find(name)
-            if record is None or name not in migrated:
+    # Every holder of a group-managed document must still be a server
+    # the GLT knows (a dead holder must have been dropped by repair, not
+    # linger in the serving set), and every group must track a
+    # currently migrated document.
+    for name in engine.replication.groups:
+        record = engine.graph.find(name)
+        if record is None or record.location == home:
+            violations.append(
+                f"replication group for {name} but the document is "
+                f"not migrated")
+            continue
+        for holder in sorted(record.locations(), key=str):
+            if holder != home and holder not in engine.glt:
                 violations.append(
-                    f"replication group for {name} but the document is "
-                    f"not migrated")
-                continue
-            for holder in sorted(record.locations(), key=str):
-                if holder != home and holder not in engine.glt:
-                    violations.append(
-                        f"document {name} held by {holder}, which the "
-                        f"GLT no longer knows")
-            if group.target < 1:
-                violations.append(
-                    f"replication group for {name} has target "
-                    f"{group.target}")
+                    f"document {name} held by {holder}, which the "
+                    f"GLT no longer knows")
     return violations
 
 
 def _check_membership(engine: DCWSEngine) -> List[str]:
-    """Invariant 8: no document is held by a peer the membership table
+    """Invariant 7: no document is held by a peer the membership table
     has declared dead or forgotten.
 
     ``_declare_dead`` revokes every document from the dying peer in the
@@ -269,7 +235,7 @@ def _check_membership(engine: DCWSEngine) -> List[str]:
 
 
 def _check_quarantine(engine: DCWSEngine) -> List[str]:
-    """Invariant 9: nothing quarantined is servable.
+    """Invariant 8: nothing quarantined is servable.
 
     A quarantined hosted copy must have reverted to unfetched (its bytes
     deleted, version and digest blanked) and a quarantined home document

@@ -26,10 +26,10 @@ it.  This module closes that gap with one primitive and two loops:
   being served.  A home document regenerates from its in-memory link
   template (pre-corruption canonical source); a hosted copy is dropped,
   the requester 302'd home, and the home notified via
-  ``X-DCWS-Quarantined`` so the replication manager treats the holder
-  exactly like a dead one — drop + critical-first re-replication from a
+  ``X-DCWS-Quarantined`` so it drops the holder from the LDG record
+  like a dead one — drop + critical-first re-replication from a
   verified copy (the home's scrub-checked store), never from the corrupt
-  one.  fsck invariant 9 asserts no quarantined entry is in any serve
+  one.  fsck invariant 8 asserts no quarantined entry is in any serve
   table.
 
 The manager owns scheduling, cursor, counters, and the quarantine table;
@@ -41,10 +41,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import ServerConfig
-from repro.core.document import Location
 from repro.http.content import (  # noqa: F401  (re-exported for callers)
     DIGEST_HEADER,
     QUARANTINE_HEADER,
@@ -116,9 +115,6 @@ class IntegrityManager:
         self.config = config
         self.counters = IntegrityCounters()
         self._quarantine: Dict[str, QuarantineRecord] = {}
-        # Home-side: holders a co-op reported as quarantined, treated
-        # like dead by the replication manager until dropped.
-        self._bad_holders: Dict[str, Set[Location]] = {}
         self._last_scrub_at: Optional[float] = None
         # Resumable scrub cursor: the last name checked; the next round
         # continues strictly after it in sorted order, wrapping.
@@ -226,34 +222,6 @@ class IntegrityManager:
         """Hosted quarantines whose home has not been told yet."""
         return [r for r in self.active()
                 if r.kind == KIND_HOSTED and not r.notified]
-
-    # ------------------------------------------------------------------
-    # Home-side holder quarantines (reported by co-ops)
-    # ------------------------------------------------------------------
-
-    def report_bad_holder(self, name: str, holder: Location) -> bool:
-        """A co-op told us its copy of *name* is corrupt.  Returns True
-        the first time for this (name, holder) pair."""
-        holders = self._bad_holders.setdefault(name, set())
-        if holder in holders:
-            return False
-        holders.add(holder)
-        self.counters.holder_quarantines_reported += 1
-        return True
-
-    def holder_quarantined(self, name: str, holder: Location) -> bool:
-        return holder in self._bad_holders.get(name, ())
-
-    def clear_bad_holder(self, name: str,
-                         holder: Optional[Location] = None) -> None:
-        if holder is None:
-            self._bad_holders.pop(name, None)
-            return
-        holders = self._bad_holders.get(name)
-        if holders is not None:
-            holders.discard(holder)
-            if not holders:
-                del self._bad_holders[name]
 
     # ------------------------------------------------------------------
     # Introspection and durability

@@ -180,7 +180,6 @@ class _WorkerHost(AsyncDCWSServer):
         if names:
             self.channel.send({"kind": "invalidate", "names": names})
         stats = self.engine.stats
-        manager = self.engine.replication
         self.channel.send({
             "kind": "stats",
             "worker": self.worker_index,
@@ -192,7 +191,7 @@ class _WorkerHost(AsyncDCWSServer):
             "repairs": stats.repairs,
             "replica_drops": stats.replica_drops,
             "two_choices_picks":
-                manager.counters.two_choices_picks if manager else 0,
+                self.engine.replication.counters.two_choices_picks,
         })
 
     # -- inbound: supervisor messages ------------------------------------

@@ -6,8 +6,8 @@ documents live on which co-ops — and every hyperlink already rewritten on
 disk would point at co-ops the restarted server no longer knows about.
 This module saves and restores the mutable half of an engine's state:
 
-- per-document location, replicas, version, hits and dirty bit;
-- the migration policy's bookkeeping (who hosts what, since when);
+- per-document location, replicas, migration time, version, hits and
+  dirty bit — the LDG record is the one holder ledger;
 - hosted foreign documents (the co-op role), with validation deadlines;
 - the last known global load table.
 
@@ -51,7 +51,9 @@ from repro.server.engine import DCWSEngine, HostedDocument
 from repro.server.filestore import fsync_directory, guess_content_type
 from repro.server.wal import JournalRecord, WALError, scan_journal
 
-SNAPSHOT_VERSION = 2
+# Version 3 keeps ``migrated_at`` on each document entry; versions 1 and
+# 2 kept it in a separate ``migrations`` section, still read on restore.
+SNAPSHOT_VERSION = 3
 _CHECKSUM_KEY = "checksum"
 
 
@@ -84,6 +86,8 @@ def snapshot_engine(engine: DCWSEngine, now: float, *,
             "dirty": record.dirty,
             "digest": record.digest,
         }
+        if record.migrated_at is not None:
+            documents[record.name]["migrated_at"] = record.migrated_at
     hosted = {}
     for key, entry in engine.hosted.items():
         if not entry.fetched and not engine.integrity.is_quarantined(key):
@@ -101,15 +105,6 @@ def snapshot_engine(engine: DCWSEngine, now: float, *,
             "digest": entry.digest,
             "last_validated": engine.validation.last_serviced(key),
         }
-    migrations = {}
-    for name in engine.policy.migrated_names():
-        restored = engine.policy.restored(name)
-        if restored is not None:
-            entry = {"coop": str(restored[0]), "migrated_at": restored[1]}
-            replicas = engine.policy.restored_replicas(name)
-            if replicas:  # absent key == no replicas (seed-format compatible)
-                entry["replicas"] = replicas
-            migrations[name] = entry
     glt = [{"server": row.server, "metric": row.metric,
             "ts": row.timestamp}
            for row in engine.glt.snapshot()
@@ -122,9 +117,7 @@ def snapshot_engine(engine: DCWSEngine, now: float, *,
         "last_lsn": last_lsn,
         "documents": documents,
         "hosted": hosted,
-        "migrations": migrations,
-        "replication": engine.replication.snapshot()
-        if engine.replication is not None else [],
+        "replication": engine.replication.snapshot(),
         "glt": glt,
         # Non-alive membership rows only; absent peers restore as alive.
         "membership": engine.membership.snapshot(),
@@ -177,7 +170,7 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     if not isinstance(data, dict):
         raise SnapshotError(f"unsupported snapshot format in {path}")
     version = data.get("snapshot_version")
-    if version not in (1, SNAPSHOT_VERSION):
+    if version not in (1, 2, SNAPSHOT_VERSION):
         raise SnapshotError(f"unsupported snapshot format in {path}")
     if version >= 2:
         stored = data.get(_CHECKSUM_KEY)
@@ -206,12 +199,21 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
             f"snapshot belongs to {snapshot.get('location')}, "
             f"not {engine.location}")
     restored = 0
+    # Versions 1 and 2 kept the migration time apart: {name: {"coop",
+    # "migrated_at", ...}} in version 2, {name: "host:port"} in version 1
+    # (time unknown: the restart's).
+    migrations = snapshot.get("migrations", {})
     for name, saved in snapshot.get("documents", {}).items():
         record = engine.graph.find(name)
         if record is None:
             continue
         record.location = Location.parse(saved["location"])
         record.replicas = {Location.parse(r) for r in saved["replicas"]}
+        migrated_at = saved.get("migrated_at")
+        if migrated_at is None and isinstance(migrations.get(name), dict):
+            migrated_at = migrations[name].get("migrated_at")
+        record.migrated_at = None if record.location == engine.location \
+            else float(now if migrated_at is None else migrated_at)
         record.version = int(saved["version"])
         record.hits = int(saved["hits"])
         record.dirty = bool(saved["dirty"])
@@ -223,18 +225,6 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
         if saved_digest:
             record.digest = saved_digest
         restored += 1
-    for name, saved in snapshot.get("migrations", {}).items():
-        if name not in engine.graph:
-            continue
-        if isinstance(saved, str):  # version-1 snapshots: target only
-            coop, migrated_at = Location.parse(saved), now
-            replicas: Dict[str, float] = {}
-        else:
-            coop = Location.parse(saved["coop"])
-            migrated_at = float(saved.get("migrated_at", now))
-            replicas = {str(k): float(v)
-                        for k, v in saved.get("replicas", {}).items()}
-        engine.policy.restore(name, coop, migrated_at, replicas=replicas)
     for key, saved in snapshot.get("hosted", {}).items():
         fetched = key in engine.store
         entry = HostedDocument(
@@ -261,8 +251,7 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
                                 metric=float(row["metric"]),
                                 timestamp=float(row["ts"]))
                      for row in snapshot.get("glt", []))
-    if engine.replication is not None:
-        engine.replication.restore(snapshot.get("replication", []))
+    engine.replication.restore(snapshot.get("replication", []))
     for row in snapshot.get("membership", []):
         _install_membership(engine, str(row.get("peer", "")),
                             str(row.get("state", "")), now)
@@ -363,6 +352,10 @@ def apply_record(engine: DCWSEngine, record: JournalRecord) -> None:
         if document is not None:
             document.location = location
             document.replicas = {Location.parse(r) for r in replicas}
+            migrated_at = fields.get("migrated_at")
+            document.migrated_at = None if location == engine.location \
+                else float(record.time if migrated_at is None
+                           else migrated_at)
             document.version = max(document.version,
                                    int(fields.get("version", 0)))
             for touched_name, touched_version in fields.get("dirtied", []):
@@ -371,15 +364,6 @@ def apply_record(engine: DCWSEngine, record: JournalRecord) -> None:
                     touched.version = max(touched.version,
                                           int(touched_version))
                     touched.dirty = True
-        if location == engine.location and not replicas:
-            engine.policy.discard(name)
-        else:
-            migrated_at = fields.get("migrated_at")
-            engine.policy.restore(
-                name, location,
-                float(migrated_at) if migrated_at is not None
-                else record.time,
-                replicas={r: record.time for r in replicas})
         return
     if record.kind == "pull":
         key = str(fields["key"])

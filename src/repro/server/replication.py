@@ -4,9 +4,11 @@ The paper defers hot-document replication to future work (section 6);
 this subsystem makes the vestigial hooks (``LDG.add_replica``, the
 ``replicate`` decision kind) a first-class availability mechanism:
 
-- every hot migrated document gets a *replication group* with a target
-  holder count k (``ServerConfig.replication_k``) and a sufficiency
-  threshold (``replication_sufficient``);
+- with ``ServerConfig.replication_k`` above 1, every hot migrated
+  document gets a *replication group* with target holder count k and a
+  sufficiency threshold (``replication_sufficient``).  The group set is
+  derived from the LDG: a group exists while its document is away from
+  home, and k is read from the config, never stored per group;
 - a *repair loop*, driven off the engine tick like the migration round,
   proactively tops groups up to k holders and — when the peer ledger
   (:class:`~repro.core.membership.MembershipTable`) says a holder no
@@ -15,11 +17,12 @@ this subsystem makes the vestigial hooks (``LDG.add_replica``, the
   onto the least-loaded ``placeable`` peer.  Because migration is logical
   and co-ops pull bytes lazily from home, repair is pure bookkeeping: no
   bulk copy, no 302-storm, no availability gap;
-- serving becomes replica-aware: requesters are spread over the live
-  holders with *power of two choices* (DistCache, arXiv:1901.08200) —
-  two candidates chosen by a deterministic digest of (name, salt), the
-  less-loaded one (by GLT row) wins — replacing the single deterministic
-  hash pick.
+- serving is replica-aware, whatever k is: requesters are spread over
+  the live holders with *power of two choices* (DistCache,
+  arXiv:1901.08200) — two candidates chosen by a deterministic digest of
+  (name, salt), the less-loaded one (by GLT row) wins.  This is the one
+  pick rule for every migrated document, so the engine always has a
+  manager, and one with k = 1 simply keeps no groups.
 
 Group state machine::
 
@@ -67,7 +70,6 @@ class ReplicationGroup:
     """Home-side bookkeeping for one replicated document."""
 
     name: str
-    target: int
     created_at: float
     state: str = STATE_HEALTHY
     repaired_at: float = 0.0
@@ -76,10 +78,9 @@ class ReplicationGroup:
 
 @dataclass
 class ReplicationCounters:
-    """Monotonic counters the admin endpoint and stats sampling read."""
+    """Monotonic counters the admin endpoint and stats sampling read
+    (repairs and replica drops are counted once, in ``EngineStats``)."""
 
-    repairs: int = 0
-    replica_drops: int = 0
     two_choices_picks: int = 0
     two_choices_alternates: int = 0
     state_changes: int = 0
@@ -88,8 +89,8 @@ class ReplicationCounters:
 class ReplicationManager:
     """Per-home replication groups, their repair loop, and replica choice.
 
-    Constructed by the engine when ``config.replication_k > 1`` with its
-    peer ledger as *peers*.  Placement is stricter than custody:
+    Constructed by every engine with its peer ledger as *peers*.
+    Placement is stricter than custody:
     ``peers.holds`` (not declared dead, circuit closed) keeps holders
     serving, ``peers.placeable`` (strictly alive — not even *suspect*)
     gates where the repair loop may place new replicas.
@@ -98,19 +99,12 @@ class ReplicationManager:
     def __init__(self, config: ServerConfig, graph: LocalDocumentGraph,
                  glt: GlobalLoadTable, policy: MigrationPolicy, *,
                  peers: MembershipTable,
-                 quarantined: Optional[
-                     Callable[[str, Location], bool]] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
         self.config = config
         self.graph = graph
         self.glt = glt
         self.policy = policy
         self.peers = peers
-        # A holder whose copy of a document is quarantined (reported
-        # corrupt) is treated exactly like a dead one: dropped by the
-        # repair loop, never picked for serving, and the group repaired
-        # critical-first from a verified copy.
-        self._quarantined = quarantined or (lambda _name, _loc: False)
         self._log = log or (lambda _msg: None)
         self.groups: Dict[str, ReplicationGroup] = {}
         self.counters = ReplicationCounters()
@@ -137,32 +131,25 @@ class ReplicationManager:
     # ------------------------------------------------------------------
 
     def sync(self, now: float) -> None:
-        """Reconcile groups with the migration table.
+        """Derive the group set from the LDG.
 
-        Migrated documents at or above the heat threshold gain a group;
-        documents revoked back home (or deleted) lose theirs.  Idempotent
-        and cheap — called at the top of every repair round.
+        With k above 1, migrated documents at or above the heat
+        threshold gain a group; documents revoked back home (or deleted)
+        lose theirs.  With k = 1 there are none.  Idempotent and cheap —
+        called at the top of every repair round.
         """
-        migrated = set(self.policy.migrated_names())
-        for name in sorted(migrated):
-            if name in self.groups:
-                continue
-            document = self.graph.find(name)
-            if document is None or document.location == self.graph.home:
-                continue
-            if document.hits < self.config.replication_heat_threshold:
-                continue
-            group = ReplicationGroup(name=name,
-                                     target=self.config.replication_k,
-                                     created_at=now)
-            group.state = self._classify(self._live_holders(document))
-            self.groups[name] = group
+        migrated = {r.name: r for r in self.graph.migrated_documents()} \
+            if self.config.replication_k > 1 else {}
         for name in [g for g in self.groups if g not in migrated]:
             del self.groups[name]
-        for name in list(self.groups):
-            document = self.graph.find(name)
-            if document is None or document.location == self.graph.home:
-                del self.groups[name]
+        for name in sorted(migrated):
+            document = migrated[name]
+            if name in self.groups or \
+                    document.hits < self.config.replication_heat_threshold:
+                continue
+            group = ReplicationGroup(name=name, created_at=now)
+            group.state = self._classify(self._live_holders(document))
+            self.groups[name] = group
 
     # ------------------------------------------------------------------
     # Repair loop
@@ -194,17 +181,15 @@ class ReplicationManager:
             # logical: home always keeps the permanent copy, so no bytes
             # need to move for the survivors to keep serving.
             for dead in sorted(document.locations(), key=str):
-                if self.peers.holds(dead) and \
-                        not self._quarantined(name, dead):
+                if self.peers.holds(dead):
                     continue
                 dropped = self.policy.drop_holder(name, dead)
                 if dropped is not None:
                     decisions.append(dropped)
-                    self.counters.replica_drops += 1
             # 2. Top the group back up to k live holders.
             while budget > 0:
                 live = self._live_holders(document)
-                if len(live) >= group.target:
+                if len(live) >= self.config.replication_k:
                     break
                 target = self.glt.least_loaded(
                     exclude=list(document.locations()) +
@@ -215,7 +200,6 @@ class ReplicationManager:
                     self.policy.repair_replica(name, target, now))
                 group.repairs += 1
                 group.repaired_at = now
-                self.counters.repairs += 1
                 budget -= 1
             self._transition(group, self._classify(
                 self._live_holders(document)))
@@ -223,8 +207,7 @@ class ReplicationManager:
 
     def _live_holders(self, document: DocumentRecord) -> List[Location]:
         return [loc for loc in sorted(document.locations(), key=str)
-                if loc != self.graph.home and self.peers.holds(loc)
-                and not self._quarantined(document.name, loc)]
+                if loc != self.graph.home and self.peers.holds(loc)]
 
     def _unavailable_peers(self) -> List[Location]:
         """Peers excluded from repair *placement* — the stricter
@@ -256,14 +239,14 @@ class ReplicationManager:
         Two candidates are drawn from a deterministic digest of
         ``(name, salt)``; the one with the lower last-known GLT load
         wins (dead and open-circuit peers were already filtered out by
-        ``peers.holds``).  Falls back to every holder when the
-        whole group looks dead — the requester's own retry-at-home
-        fallback handles the rest.
+        ``peers.holds``).  A single holder is the pick; falls back to
+        every holder when the whole group looks dead — the requester's
+        own retry-at-home fallback handles the rest.
         """
+        if not record.replicas:
+            return record.location
         holders = sorted(record.locations(), key=str)
-        live = [loc for loc in holders if self.peers.holds(loc)
-                and not self._quarantined(record.name, loc)]
-        candidates = live or holders
+        candidates = self._live_holders(record) or holders
         if len(candidates) == 1:
             return candidates[0]
         digest = _digest(record.name, salt)
@@ -313,19 +296,22 @@ class ReplicationManager:
 
     def snapshot(self) -> List[Dict[str, object]]:
         return [
-            {"name": g.name, "target": g.target,
-             "created_at": g.created_at, "repaired_at": g.repaired_at,
-             "repairs": g.repairs, "state": g.state}
+            {"name": g.name, "created_at": g.created_at,
+             "repaired_at": g.repaired_at, "repairs": g.repairs,
+             "state": g.state}
             for _, g in sorted(self.groups.items())
         ]
 
     def restore(self, groups: List[Dict[str, object]]) -> None:
+        """Install snapshot groups (an older snapshot's per-group
+        ``target`` is ignored: k is the config's); none when k = 1."""
         self.groups.clear()
+        if self.config.replication_k <= 1:
+            return
         for entry in groups:
             name = str(entry["name"])
             self.groups[name] = ReplicationGroup(
                 name=name,
-                target=int(entry.get("target", self.config.replication_k)),
                 created_at=float(entry.get("created_at", 0.0)),
                 state=str(entry.get("state", STATE_HEALTHY)),
                 repaired_at=float(entry.get("repaired_at", 0.0)),

@@ -38,8 +38,8 @@ class ClusterSample:
     wal_records_since_checkpoint: int = 0
     wal_last_lsn: int = 0
     # Replication groups with autonomous repair, summed across engines
-    # whose config enables the subsystem (replication_k >= 2): group
-    # census at sample time, lifetime repairs, and two-choices picks.
+    # (none unless replication_k >= 2): group census at sample time,
+    # lifetime repairs (``EngineStats.repairs``), and two-choices picks.
     # ``replication_copies`` is a histogram of live-holder count ->
     # number of groups (keys are strings for JSON friendliness).
     replication_groups: int = 0
@@ -88,15 +88,13 @@ def sample_cluster(now: float,
             wal_records += journal.records_since_checkpoint
             wal_last_lsn = max(wal_last_lsn, journal.last_lsn)
         manager = engine.replication
-        if manager is not None:
-            replication_groups += len(manager.groups)
-            replication_below += manager.groups_below_target()
-            replication_repairs += manager.counters.repairs
-            two_choices_picks += manager.counters.two_choices_picks
-            for live, count in manager.copies_histogram().items():
-                key = str(live)
-                replication_copies[key] = \
-                    replication_copies.get(key, 0) + count
+        replication_groups += len(manager.groups)
+        replication_below += manager.groups_below_target()
+        replication_repairs += engine.stats.repairs
+        two_choices_picks += manager.counters.two_choices_picks
+        for live, count in manager.copies_histogram().items():
+            key = str(live)
+            replication_copies[key] = replication_copies.get(key, 0) + count
         per_server[str(engine.location)] = cps
     return ClusterSample(time=now, cps=total_cps, bps=total_bps,
                          drops_per_second=total_drops,

@@ -81,6 +81,11 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
+def migrated(engine):
+    """Names of the documents *engine*'s LDG has away from home."""
+    return sorted(r.name for r in engine.graph.migrated_documents())
+
+
 def capped_sleep(seconds: float) -> None:
     """Walker backoff with real (but bounded) waiting."""
     time.sleep(min(seconds, 0.05))
@@ -189,7 +194,7 @@ class TestCoopCrash:
             wait_until(lambda: home.engine.log.count("peer_dead") >= 1,
                        10.0, "home never declared the killed co-op dead")
             wait_until(
-                lambda: not home.engine.policy.migrated_names(),
+                lambda: not migrated(home.engine),
                 10.0, "migrations to the dead co-op were never revoked")
             for thread in threads:
                 thread.join(timeout=30)
@@ -312,7 +317,7 @@ class TestRestartUnderLoad:
                 thread.join(timeout=30)
 
             with second._lock:
-                assert second.engine.policy.migrated_names() == ["/d.html"]
+                assert migrated(second.engine) == ["/d.html"]
             reply = fetch_url(URL("127.0.0.1", home_port, "/d.html"),
                               max_redirects=0)
             assert reply.status == 301  # migration survived the restart
@@ -518,7 +523,7 @@ class TestReplicaHolderCrash:
                 assert home.engine.stats.revocations == 0, f"seed={SEED}"
                 # /d.html stayed out (never revoked home); the engine may
                 # have migrated other hot documents under the crawl load.
-                assert "/d.html" in home.engine.policy.migrated_names()
+                assert "/d.html" in migrated(home.engine)
 
             # Zero 404s across the whole storm: no request ever saw a
             # missing document, crash or no crash.
@@ -686,7 +691,7 @@ class TestFalseDeathRediscovery:
                 record = home.engine.graph.get("/d.html")
                 assert victim not in record.locations()
                 # No document with two primaries, no dead holder left in
-                # any serving set (fsck invariant 8).
+                # any serving set (fsck invariant 7).
                 assert_clean(home.engine)
 
             # Zero 404s across partition, death, repair, and rejoin.
@@ -851,7 +856,7 @@ class TestCorruptionQuarantine:
                     f"saw a 404 (seed={SEED})"
 
             # Post-recovery: every document serves verified bytes and
-            # fsck invariant 9 holds on every engine (no quarantined
+            # fsck invariant 8 holds on every engine (no quarantined
             # entry in any serve table).
             for __ in range(3):
                 for name in SITE:

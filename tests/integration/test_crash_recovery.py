@@ -109,9 +109,8 @@ def durable_state(engine):
     def loc(value):
         return "@home" if str(value) == home else str(value)
 
-    migrations = {}
-    for name in engine.policy.migrated_names():
-        migrations[name] = loc(engine.policy.restored(name)[0])
+    migrations = {record.name: loc(record.location)
+                  for record in engine.graph.migrated_documents()}
     documents = {record.name: [loc(record.location), record.version]
                  for record in engine.graph.documents()}
     return {"migrations": migrations, "documents": documents}
@@ -158,8 +157,8 @@ if mode == "dump":
     home = str(engine.location)
     loc = lambda value: "@home" if str(value) == home else str(value)
     with server._lock:
-        migrations = {n: loc(engine.policy.restored(n)[0])
-                      for n in engine.policy.migrated_names()}
+        migrations = {r.name: loc(r.location)
+                      for r in engine.graph.migrated_documents()}
         documents = {r.name: [loc(r.location), r.version]
                      for r in engine.graph.documents()}
         state = {"migrations": migrations, "documents": documents,

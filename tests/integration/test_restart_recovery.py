@@ -67,7 +67,8 @@ def test_restart_preserves_redirects(tmp_path, server_class):
                              max_redirects=0)
         assert response.status == 301
         with second._lock:
-            assert second.engine.policy.migrated_names() == ["/d.html"]
+            assert [r.name for r in
+                    second.engine.graph.migrated_documents()] == ["/d.html"]
     finally:
         second.stop()
 

@@ -1,4 +1,5 @@
-"""Property tests: the LDG's transpose/dirty/entry invariants survive any
+"""Property tests: the LDG's transpose/dirty/entry invariants, and its
+holder ledger (``location``/``replicas``/``migrated_at``), survive any
 sequence of graph operations (stateful hypothesis test)."""
 
 from hypothesis import settings
@@ -26,6 +27,13 @@ class LDGMachine(RuleBasedStateMachine):
     def setup(self):
         self.graph = LocalDocumentGraph(HOME)
         self.names = []
+        self.clock = 0.0
+        # name -> when it last left home, kept beside the graph.
+        self.left_home = {}
+
+    def _tick(self):
+        self.clock += 1.0
+        return self.clock
 
     def _name(self, index):
         return f"/doc{index}.html"
@@ -56,7 +64,42 @@ class LDGMachine(RuleBasedStateMachine):
         record = self.graph.get(name)
         if record.entry_point or record.location != HOME:
             return
-        self.graph.mark_migrated(name, coop)
+        self.graph.mark_migrated(name, coop, self._tick())
+        self.left_home[name] = self.clock
+
+    @rule(index=_doc_index, coop=st.sampled_from(COOPS))
+    def remigrate(self, index, coop):
+        name = self._name(index)
+        if name not in self.graph:
+            return
+        record = self.graph.get(name)
+        if record.location == HOME or coop in record.locations():
+            return
+        self.graph.mark_revoked(name)
+        self.graph.mark_migrated(name, coop, self._tick())
+        self.left_home[name] = self.clock
+
+    @rule(index=_doc_index, coop=st.sampled_from(COOPS))
+    def replicate(self, index, coop):
+        name = self._name(index)
+        if name not in self.graph:
+            return
+        record = self.graph.get(name)
+        if record.entry_point or coop in record.locations():
+            return
+        if record.location == HOME:
+            self.left_home[name] = self._tick()
+        self.graph.add_replica(name, coop, self.clock)
+
+    @rule(index=_doc_index, dead=st.sampled_from(COOPS))
+    def drop_holder(self, index, dead):
+        name = self._name(index)
+        if name not in self.graph:
+            return
+        try:
+            self.graph.drop_holder(name, dead)
+        except MigrationError:
+            pass  # not a holder, or the last one
 
     @rule(index=_doc_index)
     def revoke(self, index):
@@ -67,6 +110,7 @@ class LDGMachine(RuleBasedStateMachine):
             self.graph.mark_revoked(name)
         except MigrationError:
             pass  # wasn't migrated; fine
+        self.left_home.pop(name, None)
 
     @rule(index=_doc_index)
     def remove(self, index):
@@ -75,6 +119,7 @@ class LDGMachine(RuleBasedStateMachine):
             return
         self.graph.remove_document(name)
         self.names.remove(name)
+        self.left_home.pop(name, None)
 
     @rule(index=_doc_index, count=st.integers(1, 5))
     def hit(self, index, count):
@@ -91,6 +136,19 @@ class LDGMachine(RuleBasedStateMachine):
         if not hasattr(self, "graph"):
             return
         self.graph.check_invariants()
+
+    @invariant()
+    def migrated_at_is_when_it_left_home(self):
+        # Set exactly while away from home; a promotion keeps it and a
+        # re-migration resets it.
+        if not hasattr(self, "graph"):
+            return
+        for record in self.graph.documents():
+            if record.location == HOME:
+                assert record.migrated_at is None
+                assert not record.replicas
+            else:
+                assert record.migrated_at == self.left_home[record.name]
 
     @invariant()
     def window_never_exceeds_lifetime(self):

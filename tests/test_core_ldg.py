@@ -79,7 +79,7 @@ class TestSetLinks:
 class TestMigration:
     def test_mark_migrated_sets_location_and_dirty(self):
         graph = small_graph()
-        dirtied = graph.mark_migrated("/D", COOP)
+        dirtied = graph.mark_migrated("/D", COOP, now=1.0)
         assert graph.get("/D").location == COOP
         assert sorted(dirtied) == ["/B", "/E"]
         assert graph.get("/B").dirty and graph.get("/E").dirty
@@ -91,15 +91,15 @@ class TestMigration:
 
     def test_entry_point_never_migrates(self):
         with pytest.raises(MigrationError):
-            small_graph().mark_migrated("/A", COOP)
+            small_graph().mark_migrated("/A", COOP, now=1.0)
 
     def test_migrate_to_home_rejected(self):
         with pytest.raises(MigrationError):
-            small_graph().mark_migrated("/D", HOME)
+            small_graph().mark_migrated("/D", HOME, now=1.0)
 
     def test_revocation_restores_home(self):
         graph = small_graph()
-        graph.mark_migrated("/D", COOP)
+        graph.mark_migrated("/D", COOP, now=1.0)
         graph.get("/B").dirty = False
         dirtied = graph.mark_revoked("/D")
         assert graph.get("/D").location == HOME
@@ -110,9 +110,9 @@ class TestMigration:
         # event before it regenerates needs no second bump; a clean one
         # (regenerated, so possibly served) is bumped again.
         graph = small_graph()
-        assert graph.mark_migrated("/D", COOP) == ["/B", "/E"]
+        assert graph.mark_migrated("/D", COOP, now=1.0) == ["/B", "/E"]
         assert graph.get("/B").version == 1
-        assert graph.mark_migrated("/E", COOP) == ["/B"]
+        assert graph.mark_migrated("/E", COOP, now=1.0) == ["/B"]
         assert graph.get("/B").dirty and graph.get("/B").version == 1
         graph.get("/B").dirty = False    # regenerated and served
         assert graph.mark_revoked("/E") == ["/B"]
@@ -124,46 +124,46 @@ class TestMigration:
 
     def test_migrated_documents_listing(self):
         graph = small_graph()
-        graph.mark_migrated("/D", COOP)
+        graph.mark_migrated("/D", COOP, now=1.0)
         assert [r.name for r in graph.migrated_documents()] == ["/D"]
 
     def test_remote_linkfrom_count(self):
         graph = small_graph()
         assert graph.remote_linkfrom_count("/D") == 0
-        graph.mark_migrated("/E", COOP)
+        graph.mark_migrated("/E", COOP, now=1.0)
         assert graph.remote_linkfrom_count("/D") == 1
 
     def test_entry_ablation_allows_migration(self):
         graph = LocalDocumentGraph(HOME, enforce_entry_home=False)
         graph.add_document("/A", 10, entry_point=True)
-        graph.mark_migrated("/A", COOP)  # must not raise
+        graph.mark_migrated("/A", COOP, now=1.0)  # must not raise
         graph.check_invariants()
 
 
 class TestReplication:
     def test_first_replica_acts_as_migration(self):
         graph = small_graph()
-        graph.add_replica("/D", COOP)
+        graph.add_replica("/D", COOP, now=1.0)
         assert graph.get("/D").location == COOP
         assert graph.get("/D").replicas == set()
 
     def test_second_replica_recorded(self):
         graph = small_graph()
-        graph.add_replica("/D", COOP)
-        graph.add_replica("/D", COOP2)
+        graph.add_replica("/D", COOP, now=1.0)
+        graph.add_replica("/D", COOP2, now=1.0)
         record = graph.get("/D")
         assert record.locations() == {COOP, COOP2}
 
     def test_duplicate_replica_rejected(self):
         graph = small_graph()
-        graph.add_replica("/D", COOP)
+        graph.add_replica("/D", COOP, now=1.0)
         with pytest.raises(MigrationError):
-            graph.add_replica("/D", COOP)
+            graph.add_replica("/D", COOP, now=1.0)
 
     def test_revocation_clears_replicas(self):
         graph = small_graph()
-        graph.add_replica("/D", COOP)
-        graph.add_replica("/D", COOP2)
+        graph.add_replica("/D", COOP, now=1.0)
+        graph.add_replica("/D", COOP2, now=1.0)
         graph.mark_revoked("/D")
         assert graph.get("/D").locations() == {HOME}
 

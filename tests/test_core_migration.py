@@ -76,11 +76,12 @@ class TestRateLimits:
         assert len(policy.consider(now=80.0, own_metric=100.0)) == 1
 
     def test_migrated_names_tracked(self):
-        policy, __, __ = build_policy()
+        policy, graph, __ = build_policy()
         decisions = policy.consider(now=10.0, own_metric=100.0)
         name = decisions[0].name
-        assert policy.migrated_names() == [name]
-        assert policy.migration_of(name) == decisions[0].target
+        assert [r.name for r in graph.migrated_documents()] == [name]
+        assert graph.get(name).location == decisions[0].target
+        assert graph.get(name).migrated_at == 10.0
 
 
 class TestRevocation:
@@ -90,7 +91,7 @@ class TestRevocation:
         revoke = policy.revoke(decision.name)
         assert revoke.kind == "revoke"
         assert graph.get(decision.name).location == HOME
-        assert policy.migrated_names() == []
+        assert [r.name for r in graph.migrated_documents()] == []
 
     def test_revoke_all_from_dead_coop(self):
         config = ServerConfig(migration_hit_threshold=1.0,

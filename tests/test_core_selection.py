@@ -61,7 +61,7 @@ class TestStep3Threshold:
 
     def test_already_migrated_not_candidates(self):
         graph = graph_with_hits({"/a": 50, "/b": 40})
-        graph.mark_migrated("/a", COOP)
+        graph.mark_migrated("/a", COOP, now=1.0)
         chosen = select_documents_for_migration(graph, threshold=10)
         assert [r.name for r in chosen] == ["/b"]
 
@@ -76,7 +76,7 @@ class TestSteps4And5:
         graph.add_document("/y", 10)
         graph.record_hit("/x", 50)
         graph.record_hit("/y", 50)
-        graph.mark_migrated("/remote_ref", COOP)  # /x now has a remote referrer
+        graph.mark_migrated("/remote_ref", COOP, now=1.0)  # /x now has a remote referrer
         chosen = select_documents_for_migration(graph, threshold=10)
         assert chosen[0].name == "/y"
 

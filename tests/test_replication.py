@@ -6,7 +6,7 @@ promotion), the :class:`ReplicationManager` state machine and repair
 loop, two-choices replica serving, engine integration (holder death
 means ``replica_drop`` + repair, never a revocation storm), durability
 (journal replay idempotence and snapshot round-trip for the new decision
-kinds), fsck invariant 7, the admin endpoint, and the cluster-sample
+kinds), fsck invariant 6, the admin endpoint, and the cluster-sample
 gauges.
 """
 
@@ -40,6 +40,8 @@ from repro.server.wal import WriteAheadJournal, scan_journal
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)
 COOP2 = Location("coop2", 8003)
+COOP3 = Location("coop3", 8004)
+COOP4 = Location("coop4", 8005)
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a><a href="e.html">E</a>'
@@ -88,7 +90,9 @@ class TestConfig:
         assert config.replication_k == 1
         assert config.max_replications_per_interval == 1
         engine = make_engine(replication_k=1)
-        assert engine.replication is None
+        engine.policy.force_migrate("/d.html", COOP, now=0.5)
+        assert engine.replication.repair_round(1.0) == []
+        assert engine.replication.groups == {}
 
     def test_k_above_one_enables_the_subsystem(self):
         engine = make_engine()
@@ -123,7 +127,7 @@ class TestConfig:
 class TestDropHolder:
     def test_replica_dropped_keeps_primary(self):
         engine = migrated_engine()
-        engine.graph.add_replica("/d.html", COOP2)
+        engine.graph.add_replica("/d.html", COOP2, now=1.0)
         engine.graph.drop_holder("/d.html", COOP2)
         record = engine.graph.get("/d.html")
         assert record.location == COOP
@@ -131,7 +135,7 @@ class TestDropHolder:
 
     def test_primary_death_promotes_a_survivor(self):
         engine = migrated_engine()
-        engine.graph.add_replica("/d.html", COOP2)
+        engine.graph.add_replica("/d.html", COOP2, now=1.0)
         engine.graph.drop_holder("/d.html", COOP)
         record = engine.graph.get("/d.html")
         assert record.location == COOP2
@@ -149,7 +153,7 @@ class TestDropHolder:
 
     def test_drop_dirties_referrers(self):
         engine = migrated_engine()
-        engine.graph.add_replica("/d.html", COOP2)
+        engine.graph.add_replica("/d.html", COOP2, now=1.0)
         engine.regenerate_dirty()
         dirtied = engine.graph.drop_holder("/d.html", COOP)
         assert "/index.html" in dirtied
@@ -161,8 +165,9 @@ class TestDropHolder:
         decision = engine.policy.drop_holder("/d.html", COOP)
         assert decision is not None
         assert decision.kind == "replica_drop"
-        assert engine.policy.migration_of("/d.html") == COOP2
-        assert engine.policy.restored_replicas("/d.html") == {}
+        record = engine.graph.get("/d.html")
+        assert (record.location, record.replicas) == (COOP2, set())
+        assert record.migrated_at == 0.5  # a promotion keeps it
 
     def test_policy_drop_without_survivor_is_none(self):
         engine = migrated_engine()
@@ -333,7 +338,7 @@ class TestEngineIntegration:
         assert engine.stats.revocations == 0
         record = engine.graph.get("/d.html")
         assert record.location == COOP2
-        assert engine.policy.migration_of("/d.html") == COOP2
+        assert record.migrated_at == 0.5
         assert engine.replication.groups["/d.html"].state == STATE_DEGRADED
 
     def test_unreplicated_documents_still_revoke(self):
@@ -358,6 +363,23 @@ class TestEngineIntegration:
         assert reply.response.status == 301
         assert reply.response.headers.get(REPLICAS_HEADER) is None
 
+    def test_reactive_replicas_share_the_one_pick_rule(self):
+        # k = 1 keeps no groups, but a document reactive replication
+        # spread over two holders is picked and redirected like any
+        # other: two choices by load, the live set on the 301.
+        engine = migrated_engine(replication_k=1)
+        engine.graph.add_replica("/d.html", COOP2, now=1.0)
+        engine.glt.observe(LoadReport(str(COOP), 1000.0, 1.0))
+        engine.glt.observe(LoadReport(str(COOP2), 1.0, 1.0))
+        for index in range(16):
+            reply = engine.handle_request(
+                Request("GET", f"/d.html?r={index}"), 2.0)
+            assert reply.response.status == 301
+            assert str(COOP2) in reply.response.headers.get("Location")
+            replicas = reply.response.headers.get(REPLICAS_HEADER)
+            assert set(replicas.split(",")) == {str(COOP), str(COOP2)}
+        assert engine.replication.groups == {}
+
 
 # ======================================================================
 # Durability: journal replay idempotence and snapshot round-trip
@@ -367,7 +389,8 @@ def replication_state(engine):
     """The durable facts the new decision kinds must round-trip."""
     return {
         record.name: (str(record.location),
-                      tuple(sorted(str(r) for r in record.replicas)))
+                      tuple(sorted(str(r) for r in record.replicas)),
+                      record.migrated_at)
         for record in engine.graph.documents()}
 
 
@@ -390,7 +413,7 @@ class TestDurability:
         for record in records:
             apply_record(replayed, record)
         assert replication_state(replayed) == replication_state(live)
-        assert replayed.policy.migration_of("/d.html") == COOP2
+        assert replayed.graph.get("/d.html").location == COOP2
 
     def test_replay_is_idempotent(self, tmp_path):
         __, journal_path = self.run_workload(tmp_path)
@@ -415,16 +438,60 @@ class TestDurability:
         group = fresh.replication.groups["/d.html"]
         assert group.repairs == 1
         assert group.state == STATE_HEALTHY
-        assert fresh.policy.restored_replicas("/d.html").keys() == {
-            str(COOP2)}
+        assert fresh.graph.get("/d.html").replicas == {COOP2}
 
     def test_disabled_subsystem_snapshot_is_empty(self):
         engine = migrated_engine(replication_k=1)
         assert snapshot_engine(engine, 1.0)["replication"] == []
 
+    def test_groups_restored_under_k_1_are_dropped(self):
+        engine = migrated_engine()
+        engine.tick(5.0)
+        fresh = make_engine(replication_k=1)
+        restore_engine(fresh, snapshot_engine(engine, 6.0), 7.0)
+        assert fresh.replication.groups == {}
+        assert fresh.graph.get("/d.html").replicas == {COOP2}
+
+    @staticmethod
+    def snapshot_under_k(k, rounds):
+        """A snapshot of /d.html's group at *k* holders, with the
+        per-group ``target`` an older snapshot carried."""
+        engine = migrated_engine(peers=(COOP, COOP2, COOP3, COOP4),
+                                 replication_k=k)
+        for round_number in range(rounds):
+            engine.tick(5.0 + round_number)
+        assert len(engine.graph.get("/d.html").locations()) == k
+        snapshot = snapshot_engine(engine, 9.0)
+        for entry in snapshot["replication"]:
+            entry["target"] = k
+        return snapshot
+
+    def test_restart_under_a_higher_k_tops_groups_up(self):
+        restarted = make_engine(peers=(COOP, COOP2, COOP3, COOP4),
+                                replication_k=3)
+        restore_engine(restarted, self.snapshot_under_k(2, 1), 10.0)
+        decisions = restarted.replication.repair_round(11.0)
+        assert [d.kind for d in decisions] == ["repair"]
+        assert len(restarted.graph.get("/d.html").locations()) == 3
+        assert restarted.replication.groups["/d.html"].state == \
+            STATE_HEALTHY
+
+    def test_restart_under_a_lower_k_repairs_to_the_new_k(self):
+        restarted = make_engine(peers=(COOP, COOP2, COOP3, COOP4),
+                                replication_k=2)
+        restore_engine(restarted, self.snapshot_under_k(3, 2), 10.0)
+        holders = sorted(restarted.graph.get("/d.html").locations(), key=str)
+        restarted.membership.mark_dead(str(holders[-1]), 10.5)
+        decisions = restarted.replication.repair_round(11.0)
+        assert [d.kind for d in decisions] == ["replica_drop"]
+        assert restarted.graph.get("/d.html").locations() == \
+            set(holders[:-1])
+        assert restarted.replication.groups["/d.html"].state == \
+            STATE_HEALTHY
+
 
 # ======================================================================
-# fsck invariant 7
+# fsck invariant 6
 # ======================================================================
 
 class TestFsck:
@@ -453,7 +520,7 @@ class TestFsck:
         # Simulate a missed sync: the group lingers after revocation.
         engine.replication.groups["/d.html"] = \
             engine.replication.groups.get("/d.html") or None
-        engine.replication.restore([{"name": "/d.html", "target": 2}])
+        engine.replication.restore([{"name": "/d.html"}])
         assert any("not migrated" in v for v in
                    check_engine(engine, check_links=False))
 

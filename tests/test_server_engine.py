@@ -575,8 +575,8 @@ class TestReplicationServing:
         engine = make_engine(max_replicas=3)
         coop2 = Location("coop2", 8003)
         engine.glt.register(coop2)
-        engine.graph.add_replica("/d.html", COOP)
-        engine.graph.add_replica("/d.html", coop2)
+        engine.graph.add_replica("/d.html", COOP, now=1.0)
+        engine.graph.add_replica("/d.html", coop2, now=1.0)
         locations = set()
         for index in range(40):
             reply = get(engine, f"/d.html?r={index}")
@@ -619,8 +619,8 @@ site["/d.html"] = b"<html>leaf</html>"
 home = DCWSEngine(HOME, ServerConfig(max_replicas=3), MemoryStore(site),
                   peers=[COOP, COOP_2])
 home.initialize(0.0)
-home.graph.add_replica("/d.html", COOP)
-home.graph.add_replica("/d.html", COOP_2)
+home.graph.add_replica("/d.html", COOP, now=1.0)
+home.graph.add_replica("/d.html", COOP_2, now=1.0)
 for name in sorted(site)[1:]:
     reply = home.handle_request(Request(method="GET", target=name), 1.0)
     print(name, reply.response.body.decode("latin-1"))

@@ -90,7 +90,7 @@ class ReferenceIndexEngine(DCWSEngine):
             return None
         if record.location == self.location and not record.replicas:
             return str(home_url(self.location, name))
-        target = self._pick_location(record, salt=base_name)
+        target = self.replication.pick(record, salt=base_name)
         if target == self.location:
             return str(home_url(self.location, name))
         return str(migrated_url(target, self.location, name))

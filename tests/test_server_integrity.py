@@ -343,7 +343,7 @@ class TestScrubHosted:
         assert not hosted.fetched
         assert hosted.version == "" and hosted.digest == ""
         assert MIGRATED_D not in coop.store
-        assert not check_engine(coop)  # fsck invariant 9 holds
+        assert not check_engine(coop)  # fsck invariant 8 holds
 
     def test_quarantine_notification_rides_validation(self):
         coop = pulled_coop(scrub_interval=1.0)

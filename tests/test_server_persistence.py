@@ -13,6 +13,7 @@ from repro.server.engine import DCWSEngine, PURPOSE_HEADER, PullFromHome
 from repro.server.filestore import MemoryStore
 from repro.server.persistence import (
     SnapshotError,
+    _payload_checksum,
     load_snapshot,
     restore_engine,
     restore_from_file,
@@ -22,12 +23,18 @@ from repro.server.persistence import (
 
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)
+COOP2 = Location("coop2", 8003)
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a></html>',
     "/d.html": b'<html><a href="e.html">E</a></html>',
     "/e.html": b"<html>leaf</html>",
 }
+
+
+def migrated(engine):
+    """Names of the documents *engine*'s LDG has away from home."""
+    return sorted(r.name for r in engine.graph.migrated_documents())
 
 
 def make_engine(location=HOME, site=None):
@@ -53,8 +60,9 @@ class TestSnapshotRoundTrip:
     def test_snapshot_captures_migration_state(self):
         snapshot = snapshot_engine(busy_engine(), now=10.0)
         assert snapshot["documents"]["/d.html"]["location"] == "coop:8002"
-        assert snapshot["migrations"] == {
-            "/d.html": {"coop": "coop:8002", "migrated_at": 5.0}}
+        assert snapshot["documents"]["/d.html"]["migrated_at"] == 5.0
+        assert "migrated_at" not in snapshot["documents"]["/e.html"]
+        assert "migrations" not in snapshot
         assert any(row["server"] == "home:8001" and row["metric"] == 17.0
                    for row in snapshot["glt"])
 
@@ -69,7 +77,7 @@ class TestSnapshotRoundTrip:
         assert reply.response.status == 301
         assert "coop:8002" in reply.response.headers.get("Location")
         # And its policy can still revoke it.
-        assert restarted.policy.migrated_names() == ["/d.html"]
+        assert migrated(restarted) == ["/d.html"]
 
     def test_restore_preserves_hits_and_versions(self):
         original = busy_engine()
@@ -94,6 +102,54 @@ class TestSnapshotRoundTrip:
         restarted.initialize(0.0)
         restored = restore_engine(restarted, snapshot, now=20.0)
         assert restored == len(smaller)
+
+
+def parent_format_snapshot(version, migrations):
+    """A snapshot as versions 1 and 2 wrote it: holders on the document
+    entries, the migration time in a separate ``migrations`` section."""
+    def entry(location, replicas=()):
+        return {"location": location, "replicas": list(replicas),
+                "version": 3, "hits": 42, "dirty": False, "digest": ""}
+    data = {
+        "snapshot_version": version, "location": "home:8001",
+        "taken_at": 9.0, "epoch": 0, "last_lsn": 0,
+        "documents": {"/index.html": entry("home:8001"),
+                      "/d.html": entry("coop:8002", ["coop2:8003"]),
+                      "/e.html": entry("home:8001")},
+        "hosted": {}, "migrations": migrations, "glt": [],
+    }
+    if version >= 2:
+        data.update(replication=[], membership=[], integrity=[])
+        data["checksum"] = _payload_checksum(data)
+    return data
+
+
+class TestParentFormats:
+    def restore(self, tmp_path, data):
+        path = tmp_path / "old.snapshot"
+        path.write_text(json.dumps(data))
+        restarted = make_engine()
+        restore_from_file(restarted, str(path), now=20.0)
+        return restarted
+
+    def test_version_2_migrations_section_restores(self, tmp_path):
+        restarted = self.restore(tmp_path, parent_format_snapshot(2, {
+            "/d.html": {"coop": "coop:8002", "migrated_at": 5.0,
+                        "replicas": {"coop2:8003": 6.0}},
+            # A stale entry for a document the graph has at home.
+            "/e.html": {"coop": "coop:8002", "migrated_at": 4.0}}))
+        assert migrated(restarted) == ["/d.html"]
+        record = restarted.graph.get("/d.html")
+        assert (record.location, record.replicas) == (COOP, {COOP2})
+        assert record.migrated_at == 5.0
+        assert restarted.graph.get("/e.html").migrated_at is None
+
+    def test_version_1_string_form_restores(self, tmp_path):
+        restarted = self.restore(tmp_path, parent_format_snapshot(1, {
+            "/d.html": "coop:8002"}))
+        assert migrated(restarted) == ["/d.html"]
+        # Version 1 kept no time: the document left home at the restart.
+        assert restarted.graph.get("/d.html").migrated_at == 20.0
 
 
 class TestHostedState:
@@ -187,7 +243,7 @@ class TestInFlightState:
         # live peers afresh rather than inheriting a stale open circuit.
         assert restarted.membership.describe(str(COOP))["circuit"] == \
             "closed"
-        assert restarted.policy.migrated_names() == ["/d.html"]
+        assert migrated(restarted) == ["/d.html"]
 
 
 class TestFileHandling:

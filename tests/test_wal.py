@@ -93,10 +93,11 @@ def engine_state(engine):
                       tuple(sorted(str(r) for r in record.replicas)),
                       record.version, record.dirty)
         for record in engine.graph.documents()}
-    migrations = {}
-    for name in engine.policy.migrated_names():
-        coop, migrated_at = engine.policy.restored(name)
-        migrations[name] = (str(coop), migrated_at)
+    migrations = {
+        record.name: (str(record.location),
+                      tuple(sorted(str(r) for r in record.replicas)),
+                      record.migrated_at)
+        for record in engine.graph.migrated_documents()}
     hosted = {
         key: (entry.fetched, entry.size, entry.version,
               str(entry.home), entry.original)
@@ -299,7 +300,8 @@ class TestRecoveryRefusals:
         assert "checksum" in stats.snapshot_error
         assert stats.records_replayed == len(scan_journal(journal_path).records)
         # Journal-only replay still lands the durable facts.
-        assert fresh.policy.migrated_names() == ["/d.html"]
+        assert [r.name for r in fresh.graph.migrated_documents()] \
+            == ["/d.html"]
         assert_clean(fresh)
 
     def test_snapshot_checksum_detects_corruption(self, tmp_path):
@@ -496,20 +498,6 @@ class TestFsck:
         busy.policy.force_migrate("/d.html", COOP, now=1.0)
         assert check_engine(busy) == []
 
-    def test_forgotten_migration_detected(self):
-        engine = make_engine()
-        engine.policy.force_migrate("/d.html", COOP, now=1.0)
-        engine.policy.discard("/d.html")  # table forgets, graph remembers
-        violations = check_engine(engine)
-        assert any("forgotten" in v for v in violations)
-        with pytest.raises(FsckError):
-            assert_clean(engine)
-
-    def test_orphan_migration_entry_detected(self):
-        engine = make_engine()
-        engine.policy.restore("/ghost.html", COOP, migrated_at=1.0)
-        assert any("missing document" in v for v in check_engine(engine))
-
     def test_fetched_hosted_entry_without_bytes_detected(self):
         coop = self.coop_with_copy()
         key = "/~migrate/home/8001/d.html"
@@ -533,6 +521,8 @@ class TestFsck:
         engine.graph.get("/index.html").dirty = False
         violations = check_engine(engine)
         assert any("stale rewritten link" in v for v in violations)
+        with pytest.raises(FsckError):
+            assert_clean(engine)
 
     def test_entry_point_migrated_detected(self):
         engine = make_engine()
