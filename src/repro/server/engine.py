@@ -164,14 +164,16 @@ class EngineReply:
 @dataclass
 class _FastHit:
     """A clean read answered from memory, framed and pending its
-    counters: a cached 200, or a 304 off the document's rendition.
+    counters: a cached 200, or a 304 off the copy's rendition.
 
-    Produced by :meth:`DCWSEngine.fast_lookup` and booked by
+    ``copy`` is what :meth:`DCWSEngine._serve_copy` would have been
+    handed: the LDG record of a home document, or the entry of a hosted
+    copy.  Produced by :meth:`DCWSEngine.fast_lookup` and booked by
     :meth:`DCWSEngine.fast_commit`, both within one hold of the host's
     engine lock.
     """
 
-    record: DocumentRecord
+    copy: Union[DocumentRecord, "HostedDocument"]
     cached: Optional[CachedResponse]   # None for a 304: all head
     response: Response
     kind: str              # "identity", "gzip" or "304"
@@ -529,6 +531,11 @@ class DCWSEngine:
             return self._handle_health(request)
         self.stats.requests += 1
         self._absorb_piggyback(request.headers)
+        if request.headers.get(PURPOSE_HEADER) in ("ping", "probe") \
+                and extract_sender(request.headers):
+            # Liveness traffic names no document: an empty 200, framed
+            # (piggyback, hosted manifest) like any answer to a peer.
+            return self._finish(request, Response(status=StatusCode.OK), now)
         if path.startswith(ADMIN_PREFIX):
             return self._handle_admin(request, path, now)
         if is_migrated_path(path):
@@ -550,21 +557,27 @@ class DCWSEngine:
         """Try to resolve *request* as a clean read from memory (host
         holds the engine lock).
 
-        Only the plainest requests qualify — a client GET/HEAD, without
-        ``Range``, of a clean, local, unreplicated document — and they
-        skip :meth:`handle_request`'s routing, piggyback and negotiation
-        steps.  ``None`` sends the host there instead.  A revalidation
-        whose validators name the document's current rendition is
-        answered 304 from that rendition alone: no cache lookup, no
-        store read.  Anything else needs the cached 200; a conditional
-        that does not match is served exactly like an unconditional
-        request.  Nothing here mutates engine state but the two memos
-        of framed header blocks (on the rendition for 304s, on the cache
-        entry's ``framed`` for 200s): a flavour's first hit goes through
-        :meth:`_render_entity`, the renderer :meth:`_serve_copy` uses,
-        and its headers are kept; every later hit gets a copy of that
-        block.  :meth:`fast_commit` books the hit through the same
-        :meth:`_book`.
+        The route resolves to a stored copy the way
+        :meth:`handle_request` resolves it — the LDG record for a home
+        name, ``self.hosted[key]`` for a ``~migrate`` key — and one
+        precondition list applies to either kind: a client GET/HEAD
+        without ``Range``, no entry gate; a home record clean and
+        located here; a hosted entry fetched and versioned.  Such a
+        request skips :meth:`handle_request`'s routing, piggyback and
+        pre-steps; ``None`` sends the host there instead.  A
+        revalidation whose validators name the copy's current rendition
+        is answered 304 from that rendition alone — unless the copy is
+        quarantined — with no cache lookup and no store read.  Anything
+        else needs the cached 200; a conditional that does not match is
+        served exactly like an unconditional request.  Nothing here
+        mutates engine state but the two memos of framed header blocks
+        (on the rendition for 304s, on the cache entry's ``framed`` for
+        200s): a flavour's first hit goes through :meth:`_render_entity`,
+        the renderer :meth:`_serve_copy` uses, and its headers are kept;
+        every later hit gets a copy of that block.  A hosted copy's memo
+        lives and dies with its cache entry, which every re-install,
+        quarantine and drop of the copy invalidates.
+        :meth:`fast_commit` books the hit through the same :meth:`_book`.
         """
         if request.method not in ("GET", "HEAD"):
             return None
@@ -576,27 +589,30 @@ class DCWSEngine:
         if facts.peer or facts.ranged:
             return None  # peer semantics, Range negotiation: slow path
         path = request.route
-        if path == HEALTH_PATH or path.startswith(ADMIN_PREFIX) \
-                or is_migrated_path(path):
+        if path.startswith(ADMIN_PREFIX):   # health probe included
             return None
-        record = self.graph.find(path)
-        if record is None or record.dirty or record.replicas \
-                or record.location != self.location:
-            return None
+        if is_migrated_path(path):
+            copy = self.hosted.get(path)
+            if copy is None or not copy.fetched or not copy.version:
+                return None
+        else:
+            copy = self.graph.find(path)
+            if copy is None or copy.dirty or copy.location != self.location:
+                return None
+        home = isinstance(copy, DocumentRecord)
         if facts.conditional:
             # A 304 is all head and never meets the response cache, so
             # the quarantine that empties the cache must be asked here.
             if self.integrity.is_quarantined(path):
                 return None
-            rendition = self._rendition(path, record.version, record.digest)
+            rendition = self._rendition(path, copy.version, copy.digest)
             if not_modified(request.headers, rendition.etag,
                             rendition.last_modified):
                 return _FastHit(
-                    record=record, cached=None, kind="304",
+                    copy=copy, cached=None, kind="304",
                     response=self._not_modified_response(
-                        request, rendition, home=True))
-        cached = self.response_cache.get(path, record.version,
-                                         request.method)
+                        request, rendition, home=home))
+        cached = self.response_cache.get(path, copy.version, request.method)
         if cached is None:
             return None
         gzip = self._wants_gzip(request, cached)
@@ -607,23 +623,31 @@ class DCWSEngine:
                 status=StatusCode.OK, headers=framed.copy(),
                 body=cached.gzip_body if gzip else cached.body)
         else:
-            response, __ = self._render_entity(request, cached, home=True)
+            response, __ = self._render_entity(request, cached, home=home)
             cached.framed[flavour] = response.headers.memoised_copy()
-        return _FastHit(record=record, cached=cached, response=response,
+        return _FastHit(copy=copy, cached=cached, response=response,
                         kind="gzip" if gzip else "identity")
 
     def fast_commit(self, hit: _FastHit, request: Request,
                     now: float) -> EngineReply:
         """Book a :meth:`fast_lookup` hit, within the same hold of the
-        engine lock, counted exactly like the slow path counts it.  The
-        response left :meth:`fast_lookup` framed; only the accounting
-        half of :meth:`_finish` is left to do."""
+        engine lock, counted exactly like the slow path counts it — a
+        home document's hit on its record, a hosted copy's on its entry,
+        as :meth:`_handle_coop` does.  The response left
+        :meth:`fast_lookup` framed; only the accounting half of
+        :meth:`_finish` is left to do."""
         self._clock = now
         self.stats.requests += 1
         self.stats.fast_hits += 1
-        hit.record.record_hit()
+        copy = hit.copy
+        if isinstance(copy, DocumentRecord):
+            copy.record_hit()
+            key = copy.name
+        else:
+            copy.hits += 1
+            key = copy.key
         self._book(hit.kind, hit.cached)
-        return self._account(hit.response, now, doc_name=hit.record.name)
+        return self._account(hit.response, now, doc_name=key)
 
     # -- administrative endpoints (/~dcws/...) ---------------------------
 

@@ -9,11 +9,12 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.content import digest_matches
-from repro.http.messages import Request
+from repro.http.messages import Request, parse_request
 from repro.http.piggyback import LoadReport, extract_load_reports
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
+    HOSTED_MANIFEST_HEADER,
     OutboundAction,
     PullFromHome,
     PURPOSE_HEADER,
@@ -449,6 +450,39 @@ class TestTick:
         assert home.membership.placeable(key)
         assert home.membership.holds(key)
         assert home.log.count("peer_dead") == 1
+
+
+    def test_pings_and_probes_are_answered_not_404d(self):
+        """Liveness traffic names no document: a ping or a probe gets an
+        empty 200 carrying the answerer's load table (and, to a home,
+        the manifest of what is hosted for it), and books no 404."""
+        home = make_engine(pinger_interval=2.0)
+        coop = make_engine(location=COOP, site={}, peers=(HOME,),
+                           pinger_interval=2.0)
+        coop.seed_hosted(HOME, "/d.html", SITE["/d.html"], 0, 0.0)
+        pings = [(sender, receiver, action)
+                 for sender, receiver in ((home, coop), (coop, home))
+                 for action in sender.tick(10.0) if action.kind == "ping"]
+        assert len(pings) == 2
+        for sender, receiver, ping in pings:
+            answer = receiver.handle_request(
+                parse_request(ping.request.serialize()), 10.0)
+            assert answer.response.status == 200
+            assert answer.response.body == b""
+            assert extract_load_reports(answer.response.headers)
+            sender.complete_action(ping, answer.response, 10.0)
+        probe = OutboundAction(kind="probe", peer=COOP, request=home.
+                               _peer_request("HEAD", "/", "probe"))
+        answer = coop.handle_request(
+            parse_request(probe.request.serialize()), 11.0)
+        assert answer.response.status == 200
+        assert answer.response.headers.get(HOSTED_MANIFEST_HEADER) == \
+            "/d.html@0"
+        home.complete_action(probe, answer.response, 11.0)
+        # The home kept /d.html: the co-op's copy loses reconciliation.
+        assert home.membership.counters.reconcile_drops == 1
+        assert home.stats.responses_404 == coop.stats.responses_404 == 0
+        assert home.stats.requests == 1 and coop.stats.requests == 2
 
 
 class TestValidation:

@@ -17,6 +17,7 @@ it and through both socket front ends; bytes and counters must agree.
 
 import contextlib
 import dataclasses
+import gzip
 import itertools
 import re
 import socket
@@ -37,6 +38,7 @@ from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
+    OutboundAction,
     PURPOSE_HEADER,
     PullFromHome,
     VERSION_HEADER,
@@ -329,8 +331,9 @@ def test_no_stale_head_after_a_quarantine_clears():
 
 
 def test_hosted_copies_have_no_memo_to_go_stale():
-    """A co-op's ``~migrate`` keys never take the fast route, so a pull
-    that re-installs a hosted copy has only the cache entry to drop."""
+    """A pull that re-installs a hosted copy drops the cache entry that
+    holds its framed blocks, so the next head — on the fast route — is
+    the new copy's, even when the home kept the version."""
     coop = DCWSEngine(Location("coop", 8002), ServerConfig(), MemoryStore({}),
                       peers=[HOME])
     coop.initialize(0.0)
@@ -347,20 +350,25 @@ def test_hosted_copies_have_no_memo_to_go_stale():
         return coop.complete_pull(pull, upstream, now + 0.1)
 
     heads = []
-    for turn, body in enumerate((b"<html>one</html>", b"<html>two!</html>")):
-        install(body, str(turn + 4), 1.0 + turn)
-        assert coop.fast_lookup(build("GET", None, key), 1.5 + turn) is None
-        served = [slow(coop, build("GET", None, key), 1.5 + turn)
-                  for __ in range(2)]
-        assert served[0].response.serialize_head() == \
-            served[1].response.serialize_head()
-        assert served[1].response.body == body
-        assert validators(served[1])["ETag"] == etag_for(key, str(turn + 4))
-        assert validators(served[1])[DIGEST_HEADER] == body_digest(body)
-        assert validators(served[1])["Content-Length"] == str(len(body))
-        heads.append(served[1].response.serialize_head())
-    assert heads[0] != heads[1]
-    assert not any(entry.framed for entry in cache_entries(coop))
+    copies = ((b"<html>one</html>", "4"), (b"<html>two!</html>", "4"),
+              (b"<html>three</html>", "5"))
+    for turn, (body, version) in enumerate(copies):
+        pulled = install(body, version, 1.0 + turn)
+        # The memo's fill, then its first copy.
+        served = fast_twice(coop, lambda: build("GET", None, key), 1.5 + turn)
+        assert served.response.serialize_head() == \
+            pulled.response.serialize_head()
+        assert served.response.body is pulled.response.body == body
+        assert validators(served) == {
+            "ETag": etag_for(key, version), DIGEST_HEADER: body_digest(body),
+            VERSION_HEADER: None, "Content-Length": str(len(body)),
+            "Last-Modified": pulled.response.headers.get("Last-Modified")}
+        heads.append(served.response.serialize_head())
+    assert len(set(heads)) == len(copies)
+    assert coop.stats.fast_hits == 2 * len(copies)
+    # Only the last copy's entry is left, holding the block just copied.
+    (entry,) = cache_entries(coop)
+    assert entry.body == copies[-1][0] and entry.framed
 
 
 # -- conditional requests: the 304 short-circuit ---------------------------
@@ -707,7 +715,187 @@ def test_a_coop_serves_a_copy_as_its_home_would():
               "bytes_sent", "requests")
     assert {name: counters(coop)[name] for name in shared} == \
         {name: counters(home)[name] for name in shared}
-    assert coop.stats.fast_hits == 0 < home.stats.fast_hits
+    assert coop.stats.fast_hits == home.stats.fast_hits > 0
+
+
+def test_replicas_on_a_home_record_change_no_answer():
+    """The LDG never leaves replicas on a record located at home (fsck
+    invariant 6), and ``_handle_local`` reads them only for a 301: a
+    home copy carrying a replica set is answered byte for byte like one
+    without, on either route, so the short-circuit need not ask."""
+    unreplicated, replicated, by_fast = [make_engine() for __ in range(3)]
+    for engine in (replicated, by_fast):
+        for name in SITE:
+            engine.graph.get(name).replicas.add(COOP_2)
+    for engine in (unreplicated, replicated, by_fast):
+        for step in SCRIPT:
+            slow(engine, build(*step), 1.0)
+    for path in ("/big.html", "/i.gif"):
+        for name, (headers, status, short) in conditionals(path).items():
+            for (version, connection), method, encoding in \
+                    itertools.product(CONNECTIONS, ("GET", "HEAD"),
+                                      ("gzip", None)):
+                request = lambda: conditional(path, headers, version,
+                                              connection, method, encoding)
+                reply, took_it = twin_step(by_fast, replicated, request, 2.0)
+                plain = slow(unreplicated, request(), 2.0)
+                assert reply.response.serialize() == \
+                    plain.response.serialize(), (path, name, method)
+                assert took_it == short, (path, name, method)
+    assert observed(replicated) == observed(unreplicated)
+
+
+# -- a co-op's copies on the short-circuit --------------------------------
+
+def key_of(name):
+    return f"/~migrate/home/8001{name}"
+
+
+PULLED, LEGACY = key_of("/p.html"), key_of("/legacy.html")
+COOP_KEYS = [key_of(name) for name in sorted(SITE)] + [PULLED, LEGACY]
+
+
+def coop_engine():
+    """A co-op holding seeded copies of the whole site; its pulled
+    copies arrive on first request."""
+    config = ServerConfig(scrub_interval=1.0, scrub_budget=16,
+                          stats_interval=1e6, pinger_interval=1e6,
+                          validation_interval=1e9)
+    coop = DCWSEngine(Location("coop", 8002), config, MemoryStore({}),
+                      peers=[HOME])
+    coop.initialize(0.0)
+    for name, data in SITE.items():
+        coop.seed_hosted(HOME, name, data, 3, 0.0)
+    return coop
+
+
+def home_answer(status, body=b"", version=None):
+    """What the home sends back to a pull or a validation."""
+    response = Response(status=status, body=body)
+    if version is not None:
+        response.headers.set(VERSION_HEADER, version)
+        response.headers.set(DIGEST_HEADER, body_digest(body))
+    if status == 301:
+        response.headers.set("Location", "http://127.0.0.1:2/~migrate/x")
+    return response
+
+
+def coop_observed(engine):
+    return (counters(engine),
+            {key: (hosted.hits, hosted.fetched, hosted.version)
+             for key, hosted in engine.hosted.items()},
+            engine.metrics.connections.lifetime_count,
+            engine.metrics.bytes.lifetime_total)
+
+
+def test_a_coops_copies_take_the_short_circuit_byte_for_byte():
+    """Twin co-ops take one script, one by the short-circuit where it
+    applies and one always by ``handle_request``: seeded, pulled and
+    versionless copies, every conditional in every flavour, between a
+    validation that refreshes a copy under its old version, one that
+    bumps it, a scrub quarantine, a validation answered 301, and the
+    re-pulls that follow.  Heads, bodies and books agree, and once a
+    copy has changed no response carries one of its old heads."""
+    by_fast, by_slow = coop_engine(), coop_engine()
+    upstream = {PULLED: (200, b"<html>pulled</html>" * 20, "6"),
+                LEGACY: (200, b"<html>legacy</html>" * 20, None)}
+    clock = itertools.count(1)
+    seen, retired = {}, {}      # key -> heads served / never to be again
+
+    def through(engine, route, request, now):
+        reply = route(engine, request, now)
+        if isinstance(reply, PullFromHome):
+            reply = engine.complete_pull(
+                reply, home_answer(*upstream[reply.key]), now)
+        return reply
+
+    def step(make_request, key):
+        now = float(next(clock))
+        before = by_fast.stats.fast_hits
+        quick = through(by_fast, dispatch, make_request(), now)
+        full = through(by_slow, slow, make_request(), now)
+        head, response = quick.response.serialize_head(), quick.response
+        assert head == full.response.serialize_head(), key
+        assert response.body == full.response.body, key
+        assert quick.doc_name == full.doc_name == key
+        assert coop_observed(by_fast) == coop_observed(by_slow), key
+        assert by_slow.stats.fast_hits == 0
+        assert head not in retired.get(key, ()), key
+        assert VERSION_HEADER.encode() not in head
+        if response.status == 200 and make_request().method == "GET":
+            body = response.body
+            if response.headers.get("Content-Encoding") == "gzip":
+                body = gzip.decompress(body)
+            assert body == by_fast.store.get(key), key   # the current bytes
+        seen.setdefault(key, set()).add((response.status, head))
+        return quick, by_fast.stats.fast_hits - before == 1
+
+    def sweep(turn):
+        for key in COOP_KEYS:
+            for method in ("GET", "HEAD"):      # fill, or pull, what misses
+                step(lambda: build(method, None, key), key)
+            version = by_fast.hosted[key].version
+            for case, (headers, status, short) in conditionals(
+                    key, int(version or 0)).items():
+                for (http, connection), method, encoding in \
+                        itertools.product(CONNECTIONS[2:], ("GET", "HEAD"),
+                                          ("gzip", None)):
+                    where = (turn, key, case, http, connection, method,
+                             encoding)
+                    reply, took_it = step(lambda: conditional(
+                        key, headers, http, connection, method, encoding),
+                        key)
+                    assert took_it == (short and version != ""), where
+                    if version:
+                        assert reply.response.status == (
+                            200 if (method, status) == ("HEAD", 206)
+                            else status), where
+                    else:
+                        assert reply.response.status != 304, where
+
+    def retire(key, *, version_kept):
+        """A copy changed: its old heads may not come back — but for its
+        304s, which name nothing but the version."""
+        retired[key] = retired.get(key, set()) | {
+            head for status, head in seen.pop(key, ())
+            if not (version_kept and status == 304)}
+
+    def validated(key, answer):
+        now = float(next(clock))
+        for engine in (by_fast, by_slow):
+            engine.complete_action(OutboundAction(
+                kind="validate", peer=HOME, key=key, request=Request(
+                    method="GET", target=engine.hosted[key].original)),
+                answer, now)
+
+    big, image = key_of("/big.html"), key_of("/i.gif")
+    sweep(0)
+    assert by_fast.stats.fast_hits > 0
+    revised = SITE["/big.html"].replace(b"lorem", b"LOREM ")
+    validated(big, home_answer(200, revised, "3"))      # version kept
+    retire(big, version_kept=True)
+    sweep(1)
+    validated(big, home_answer(200, revised + b"<p>again</p>", "4"))
+    retire(big, version_kept=False)
+    sweep(2)
+    now = float(next(clock))
+    for engine in (by_fast, by_slow):                   # bit rot, scrubbed
+        engine.store.put(image, SITE["/i.gif"].replace(b"x", b"y", 1))
+        engine.tick(now)
+        assert engine.integrity.is_quarantined(image)
+        assert not engine.hosted[image].fetched
+    retire(image, version_kept=False)
+    upstream[image] = (200, b"GIF89a" + b"z" * 400, "5")
+    sweep(3)                                            # re-pulled
+    assert not by_fast.integrity.is_quarantined(image)
+    validated(PULLED, home_answer(301))                 # no longer ours
+    assert PULLED not in by_fast.hosted and PULLED not in by_slow.hosted
+    retire(PULLED, version_kept=False)
+    upstream[PULLED] = (200, b"<html>pulled again</html>" * 20, "8")
+    sweep(4)                                            # re-pulled
+    assert {key: by_fast.hosted[key].version for key in (big, image, PULLED)} \
+        == {big: "4", image: "5", PULLED: "8"}
+    assert by_fast.stats.pulls_completed == 4 and by_fast.stats.fast_hits > 0
 
 
 # -- what one warm cached GET asks of its messages --------------------------
@@ -778,3 +966,41 @@ def test_one_warm_cached_get_asks_its_fields_once(monkeypatch):
         host._settle_keep_alive(3, request, not_modified)
         not_modified.serialize_head()
     assert calls.get("__init__", 0) == 1, calls
+
+
+def test_one_warm_hosted_get_asks_its_fields_once(monkeypatch):
+    """A co-op's warm GET of a hosted copy costs what a home's does: it
+    never reaches ``handle_request`` or ``_serve_copy``, asks the
+    request's fields once, and books its hit on the hosted entry."""
+    coop = coop_engine()
+    host = AsyncDCWSServer(coop)        # never started: no sockets
+    key = key_of("/big.html")
+    raw = (f"GET {key} HTTP/1.1\r\nHost: h\r\nAccept-Encoding: gzip\r\n"
+           f"Connection: keep-alive\r\n\r\n").encode()
+    parser = RequestParser()
+
+    def turn(now):
+        parser.feed(raw)
+        request = parser.next_request()
+        reply = host._engine_dispatch(request, now)
+        assert host._settle_keep_alive(3, request, reply.response)
+        return reply, reply.response.serialize_head()
+
+    turn(1.0)                           # the cache fill, by the slow route
+    turn(2.0)                           # the flavour's first short-circuit
+    calls = {}
+    for owner, name in ((Headers, "get"), (Headers, "get_all"),
+                        (_Facts, "__init__"), (DCWSEngine, "handle_request"),
+                        (DCWSEngine, "_serve_copy")):
+        counted(monkeypatch, owner, name, calls)
+    fast_hits, hits = coop.stats.fast_hits, coop.hosted[key].hits
+    reply, head = turn(3.0)
+    assert coop.stats.fast_hits == fast_hits + 1
+    assert coop.hosted[key].hits == hits + 1 and reply.doc_name == key
+    assert "handle_request" not in calls and "_serve_copy" not in calls
+    assert calls.get("get", 0) <= 2, calls
+    assert calls.get("get_all", 0) <= 1, calls    # Content-Length, strictly
+    assert calls.get("__init__", 0) == 1, calls   # the request's, once
+    assert b"Content-Encoding: gzip" in head
+    assert b"Connection: keep-alive" in head
+    assert VERSION_HEADER.encode() not in head
