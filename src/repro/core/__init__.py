@@ -12,8 +12,9 @@ hyperlink rewriting:
 - :mod:`~repro.core.selection` — Algorithm 1, document selection;
 - :class:`~repro.core.migration.MigrationPolicy` — when/where to migrate,
   rate limits, revocation, optional hot-spot replication (future work §6);
-- :mod:`~repro.core.consistency` — validation, re-migration and pinger
-  timeouts (section 4.5).
+- :class:`~repro.core.membership.MembershipTable` — peer liveness and the
+  pinger's dead-peer rule (section 4.5).  The section's timers are rounds
+  of the engine's tick (:meth:`repro.server.engine.DCWSEngine.tick`).
 """
 
 from repro.core.config import ServerConfig

@@ -109,11 +109,12 @@ class ServerConfig:
     # ``replication_k`` is the target number of live holders per
     # replication group (the k of k-copy placement).  1 keeps no groups
     # (replica choice still goes through the manager's pick); with
-    # k >= 2 every hot migrated document gets a
-    # group that the repair loop proactively tops up to k holders and
-    # autonomously re-replicates when a holder is declared dead or its
-    # circuit opens — a single co-op crash then costs zero availability
-    # and no revoke/re-home cycle.
+    # k >= 2 every hot migrated document gets a group that the repair
+    # loop (a round of the engine tick, every stats interval T_st)
+    # proactively tops up to k holders and autonomously re-replicates
+    # when a holder is declared dead or its circuit opens — a single
+    # co-op crash then costs zero availability and no revoke/re-home
+    # cycle.
     replication_k: int = 1
     # Groups with at least ``replication_sufficient`` live holders (but
     # fewer than k) are *degraded*; below that they are *critical* and
@@ -122,9 +123,6 @@ class ServerConfig:
     # Accumulated hits below which a migrated document does not get a
     # replication group (0 = every migrated document is group-managed).
     replication_heat_threshold: float = 0.0
-    # How often the repair loop runs off the engine tick.  0 means
-    # "every statistics interval" (T_st), the migration round's cadence.
-    replication_repair_interval: float = 0.0
     # Document-selection policy.  "paper" is Algorithm 1; "hottest" takes
     # the highest-hit candidate ignoring link locality (ablating steps
     # 4-5); "random" picks uniformly among threshold survivors.
@@ -200,7 +198,7 @@ class ServerConfig:
     tiered_shedding: bool = True
     shed_pressure: float = 0.9
     # End-to-end content integrity (repro.server.integrity).  The scrub
-    # daemon runs off the engine tick every ``scrub_interval`` seconds
+    # round runs off the engine tick every ``scrub_interval`` seconds
     # (0 disables scrubbing), re-hashing at most ``scrub_budget`` hosted
     # or owned copies per round against their recorded digests — a
     # resumable cursor walk, so the whole corpus is revisited every
@@ -270,9 +268,6 @@ class ServerConfig:
         if self.replication_heat_threshold < 0:
             raise ConfigError(
                 "replication_heat_threshold must be non-negative")
-        if self.replication_repair_interval < 0:
-            raise ConfigError(
-                "replication_repair_interval must be non-negative")
         if self.membership_floor <= 0:
             raise ConfigError("membership_floor must be positive")
         if self.reprobe_interval <= 0:
@@ -300,8 +295,6 @@ class ServerConfig:
             validation_interval=self.validation_interval * time_factor,
             home_remigration_interval=self.home_remigration_interval * time_factor,
             coop_migration_spacing=self.coop_migration_spacing * time_factor,
-            replication_repair_interval=(
-                self.replication_repair_interval * time_factor),
             scrub_interval=self.scrub_interval * time_factor,
             membership_floor=self.membership_floor * time_factor,
             reprobe_interval=self.reprobe_interval * time_factor,

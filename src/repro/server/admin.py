@@ -294,7 +294,7 @@ def render_replication(engine) -> str:
         f"  target k              {k}",
         f"  sufficient            {manager.config.replication_sufficient}",
         f"  below target          {manager.groups_below_target()}",
-        f"  repair interval       {manager.repair_interval:g}s",
+        f"  repair interval       {manager.config.stats_interval:g}s",
         f"repairs                 {engine.stats.repairs}",
         f"replica drops           {engine.stats.replica_drops}",
         f"state changes           {counters.state_changes}",

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.core.config import ServerConfig
-from repro.core.consistency import DueTracker
 from repro.core.eventlog import EventLog
 from repro.core.document import DocumentRecord, Location
 from repro.core.glt import GlobalLoadTable
@@ -131,8 +130,8 @@ if TYPE_CHECKING:
 
 VERSION_HEADER = "X-DCWS-Version"
 PURPOSE_HEADER = "X-DCWS-Purpose"
-# A co-op piggybacks the hits a hosted document received since its last
-# validation; the home credits them to the document's LDG tuple, so
+# A co-op piggybacks the hits a hosted document received since the last
+# report its home answered; the home credits them to the document's LDG tuple, so
 # selection/re-migration/replication see demand that lands on co-ops.
 HOSTED_HITS_HEADER = "X-DCWS-Hosted-Hits"
 # Rejoin reconciliation: a server answering a ping/probe from a peer
@@ -223,11 +222,19 @@ class HostedDocument:
     hits: int = 0
     version: str = ""      # home's version, echoed for 304 validation
     content_type: str = "text/html"
-    hits_reported: int = 0  # hits already piggybacked back to the home
+    hits_reported: int = 0  # hits the home has answered a report of
     # Home's content digest of the identity body, claimed on the pull /
     # validation response and verified before install; "" for legacy
     # copies pulled from digestless homes.
     digest: str = ""
+    validated_at: float = 0.0  # last validated; due again T_val later
+
+    def schedule_first_validation(self, now: float,
+                                  config: ServerConfig) -> None:
+        """A fresh copy's first validation comes a CRC-of-key share of
+        T_val early, so a burst of pulls does not validate in one storm."""
+        jitter = shard_of(self.key, 997) / 997.0
+        self.validated_at = now - jitter * config.validation_interval
 
 
 @dataclass
@@ -338,9 +345,8 @@ class DCWSEngine:
         self.policy.peer_available = self.membership.placeable
         self.policy.on_decision = self._journal_decision
         self.metrics = ServerMetrics(config.stats_interval)
-        self.validation = DueTracker(config.validation_interval)
         # End-to-end content integrity: digests, the scrub daemon's
-        # schedule/cursor, and the quarantine table (see
+        # cursor, and the quarantine table (see
         # repro.server.integrity).
         self.integrity = IntegrityManager(config)
         # The one replica pick for every migrated document, and (with
@@ -372,8 +378,20 @@ class DCWSEngine:
             self.entry_gate = EntryGate(config.entry_gate_secret,
                                         config.entry_gate_ttl)
         self._entry_points = {normalize_path(p) for p in entry_points}
-        self._last_stats_at: Optional[float] = None
-        self._last_ping_at: Optional[float] = None
+        # The periodic rounds in tick() order: (name, interval, round).
+        # Interval 0 runs every tick, scrub_interval 0 never scrubs; the
+        # stats and ping clocks start at initialize(), the rest at once.
+        self._rounds = [
+            ("stats", config.stats_interval, self._recalculate_statistics),
+            ("repair", config.stats_interval, self._repair_round),
+            ("scrub", config.scrub_interval, self._scrub_round),
+            ("quarantine", 0.0, self._quarantine_notifications),
+            ("validate", 0.0, self._validations_due),
+            ("ping", config.pinger_interval, self._pings_due),
+            ("membership", 0.0, self._membership_due)]
+        if config.scrub_interval <= 0:
+            self._rounds = [row for row in self._rounds if row[0] != "scrub"]
+        self._last_run: Dict[str, float] = {}
         self._initialized = False
         # The static configured peer list is retained (the GLT alone
         # forgets dead peers): it is the rediscovery daemon's probe
@@ -460,8 +478,7 @@ class DCWSEngine:
             self.stats.parses += 1
             link_names = self._index_html(name, data)
             self.graph.set_links(name, link_names)
-        self._last_stats_at = now
-        self._last_ping_at = now
+        self._last_run.update(stats=now, ping=now)
         self._initialized = True
 
     def _index_html(self, base_name: str, data: bytes) -> List[str]:
@@ -1263,13 +1280,9 @@ class DCWSEngine:
                       original=hosted.original, size=len(data),
                       version=version, content_type=hosted.content_type,
                       digest=digest)
+        if not hosted.fetched:  # a re-install keeps its deadline
+            hosted.schedule_first_validation(now, self.config)
         self._install_copy(hosted, data, version, digest)
-        # Jitter each copy's first validation deadline so documents
-        # pulled in a burst (e.g. right after a warm start) do not
-        # re-validate in synchronized storms that flood the home server.
-        jitter = shard_of(hosted.key, 997) / 997.0  # same in every process
-        self.validation.register(
-            hosted.key, now - jitter * self.config.validation_interval)
 
     def _reject_corrupt_pull(self, pull: PullFromHome,
                              now: float) -> EngineReply:
@@ -1409,28 +1422,15 @@ class DCWSEngine:
     # ------------------------------------------------------------------
 
     def tick(self, now: float) -> List[OutboundAction]:
-        """Run any periodic work due at *now*; return transfer directives.
-
-        Hosts call this regularly (the threaded server from its pinger and
-        statistics threads, the simulator from scheduled events).
-        """
+        """Run each round of :attr:`_rounds` due at *now*; return transfer
+        directives.  Hosts call this regularly (the threaded server from
+        its pinger and statistics threads, the simulator from events)."""
         self._clock = now
         actions: List[OutboundAction] = []
-        if self._last_stats_at is None or \
-                now - self._last_stats_at >= self.config.stats_interval:
-            self._recalculate_statistics(now)
-            self._last_stats_at = now
-        if self.replication.due(now):
-            self._repair_round(now)
-        if self.integrity.scrub_due(now):
-            self._scrub_round(now)
-        actions.extend(self._quarantine_notifications(now))
-        actions.extend(self._validations_due(now))
-        if self._last_ping_at is None or \
-                now - self._last_ping_at >= self.config.pinger_interval:
-            actions.extend(self._pings_due(now))
-            self._last_ping_at = now
-        actions.extend(self._membership_due(now))
+        for name, interval, round_ in self._rounds:
+            if now - self._last_run.get(name, float("-inf")) >= interval:
+                self._last_run[name] = now
+                actions.extend(round_(now) or ())
         return actions
 
     def _repair_round(self, now: float) -> None:
@@ -1467,13 +1467,14 @@ class DCWSEngine:
         self.graph.reset_windows()
 
     def _validations_due(self, now: float) -> List[OutboundAction]:
-        """Co-op consistency: re-request hosted documents every T_val."""
+        """Co-op consistency: re-request each fetched hosted copy T_val
+        after its last validation, in key order."""
         actions: List[OutboundAction] = []
-        for key in self.validation.due(now):
-            hosted = self.hosted.get(str(key))
-            if hosted is None or not hosted.fetched:
-                self.validation.forget(key)
-                continue
+        interval = self.config.validation_interval
+        for key in sorted(key for key, hosted in self.hosted.items()
+                          if hosted.fetched
+                          and now - hosted.validated_at >= interval):
+            hosted = self.hosted[key]
             if not self.membership.admit(str(hosted.home), now):
                 continue  # stays due for the home's next admission
             request = self._peer_request("GET", hosted.original,
@@ -1483,10 +1484,9 @@ class DCWSEngine:
             fresh_hits = hosted.hits - hosted.hits_reported
             if fresh_hits > 0:
                 request.headers.set(HOSTED_HITS_HEADER, str(fresh_hits))
-                hosted.hits_reported = hosted.hits
             actions.append(OutboundAction(kind="validate", peer=hosted.home,
                                           request=request, key=hosted.key))
-            self.validation.mark(key, now)
+            hosted.validated_at = now
             self.log.record(now, "validate", key=hosted.key)
             self.stats.validations += 1
         return actions
@@ -1587,8 +1587,13 @@ class DCWSEngine:
     def _finish_validation(self, action: OutboundAction, response: Response,
                            now: float) -> None:
         hosted = self.hosted.get(action.key)
-        if hosted is None or response.status == StatusCode.NOT_MODIFIED:
-            return  # nothing to refresh, or the copy is current
+        if hosted is None:
+            return  # nothing to refresh
+        # The home answered, so it credited the hits the request carried.
+        hosted.hits_reported += action.request.headers.get_int(
+            HOSTED_HITS_HEADER, 0)
+        if response.status == StatusCode.NOT_MODIFIED:
+            return  # the copy is current
         if response.status == StatusCode.OK:
             claimed = response.headers.get(DIGEST_HEADER, "") or ""
             if claimed and not digest_matches(response.body, claimed):
@@ -1713,7 +1718,6 @@ class DCWSEngine:
         discard the copy and the entry, and lift any quarantine on it."""
         self._journal("hosted_dropped", key=key)
         self._discard_copy(key)
-        self.validation.forget(key)
         self.hosted.pop(key, None)
         self._clear_quarantine(key)
 
@@ -1846,8 +1850,8 @@ class DCWSEngine:
             self.glt.register(location)
         overdue = now - self.config.validation_interval
         for hosted in self.hosted.values():
-            if str(hosted.home) == peer_key and hosted.fetched:
-                self.validation.mark(hosted.key, overdue)
+            if str(hosted.home) == peer_key:
+                hosted.validated_at = overdue
 
     def _declare_dead(self, peer: Location, now: float) -> None:
         """The single peer-death site, idempotent by construction.

@@ -8,7 +8,7 @@ verifies exactly that, and the crash/chaos suites run it after every
 recovery so "the server came back up" is never mistaken for "the server
 came back up *right*".
 
-Checked invariants:
+The seven checked invariants:
 
 1.  entry points are at home whenever the config protects them;
 2.  every *fetched* hosted entry is backed by store bytes; unfetched
@@ -19,7 +19,6 @@ Checked invariants:
     migrated-form links: a link rewritten toward a co-op must point at a
     current location of its target — otherwise a crash forgot a
     revocation that the on-disk hyperlinks still remember;
-5.  validation deadlines track exactly the fetched hosted entries;
 6.  replica sets are well-formed: no replica equals the home location
     or duplicates the primary, every holder of a replicated document is
     a server the GLT still knows, every replicated hosted entry has
@@ -34,6 +33,10 @@ Checked invariants:
     unfetched (digestless, versionless) and a quarantined home document
     must have no rendered response cached, or a known-corrupt body
     could reach a client.
+
+There is no invariant 5 (validation deadlines now live on the hosted
+entries, leaving no second ledger to agree with them); the other
+numbers are kept because tests and DESIGN.md cite them.
 
 Violations are strings (path + what is wrong), so test failures read as
 a diagnosis rather than a boolean.
@@ -93,13 +96,6 @@ def check_engine(engine: DCWSEngine, *,
             violations.append(
                 f"document {record.name} in the graph but its bytes "
                 f"are missing from the store")
-
-    # 5. validation deadlines ↔ fetched hosted entries
-    for key in engine.validation.keys():
-        entry = engine.hosted.get(str(key))
-        if entry is None:
-            violations.append(
-                f"validation deadline for unknown hosted entry {key}")
 
     # 6. replica invariants
     violations.extend(_check_replicas(engine))

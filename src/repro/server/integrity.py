@@ -14,7 +14,8 @@ it.  This module closes that gap with one primitive and two loops:
   receivers (the connection pool, the engine's pull completion, the real
   client) verify the identity bytes against it.
 
-- **Scrub daemon**: off the engine tick, like the repair daemon.  Walks
+- **Scrub daemon**: a round of the engine tick's schedule, like the
+  repair daemon, every ``scrub_interval`` (0 disables it).  Walks
   the hosted + owned documents under a throttled docs-per-round budget
   (a resumable cursor over the sorted name space), re-reads bytes from
   the *underlying* store (bypassing the byte cache, so disk rot cannot
@@ -32,7 +33,7 @@ it.  This module closes that gap with one primitive and two loops:
   one.  fsck invariant 8 asserts no quarantined entry is in any serve
   table.
 
-The manager owns scheduling, cursor, counters, and the quarantine table;
+The manager owns the scrub cursor, counters, and the quarantine table;
 it performs no I/O and takes no locks — the engine calls it under its
 own shard brackets, mirroring :class:`ReplicationManager`.
 """
@@ -109,32 +110,20 @@ class IntegrityCounters:
 
 
 class IntegrityManager:
-    """Scrub scheduling, sampled serve checks, and the quarantine table."""
+    """The scrub cursor, sampled serve checks, and the quarantine table."""
 
     def __init__(self, config: ServerConfig) -> None:
         self.config = config
         self.counters = IntegrityCounters()
         self._quarantine: Dict[str, QuarantineRecord] = {}
-        self._last_scrub_at: Optional[float] = None
         # Resumable scrub cursor: the last name checked; the next round
         # continues strictly after it in sorted order, wrapping.
         self._cursor: str = ""
         self._serve_tick: int = 0
 
     # ------------------------------------------------------------------
-    # Scrub scheduling and cursor
+    # Scrub cursor
     # ------------------------------------------------------------------
-
-    @property
-    def scrub_enabled(self) -> bool:
-        return self.config.scrub_interval > 0
-
-    def scrub_due(self, now: float) -> bool:
-        if not self.scrub_enabled:
-            return False
-        if self._last_scrub_at is None:
-            return True
-        return now - self._last_scrub_at >= self.config.scrub_interval
 
     def scrub_batch(self, names: Sequence[str], now: float) -> List[str]:
         """The next (at most) ``scrub_budget`` names to verify.
@@ -142,9 +131,9 @@ class IntegrityManager:
         *names* is the scrubbable population this round (sorted or not);
         the cursor walks the sorted order and wraps, so every copy is
         revisited within ``ceil(len(names) / budget)`` rounds no matter
-        how the population churns between rounds.
+        how the population churns between rounds.  *now* is the round's
+        time; when rounds run is the engine tick's to decide.
         """
-        self._last_scrub_at = now
         self.counters.scrub_rounds += 1
         ordered = sorted(names)
         if not ordered:
@@ -230,7 +219,7 @@ class IntegrityManager:
     def describe(self) -> Dict[str, object]:
         counters = self.counters
         return {
-            "scrub_enabled": self.scrub_enabled,
+            "scrub_enabled": self.config.scrub_interval > 0,
             "scrub_interval": self.config.scrub_interval,
             "scrub_budget": self.config.scrub_budget,
             "scrub_cursor": self._cursor,

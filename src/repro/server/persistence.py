@@ -8,7 +8,8 @@ This module saves and restores the mutable half of an engine's state:
 
 - per-document location, replicas, migration time, version, hits and
   dirty bit — the LDG record is the one holder ledger;
-- hosted foreign documents (the co-op role), with validation deadlines;
+- hosted foreign documents (the co-op role), with validation deadlines
+  and how many of their hits the home has credited;
 - the last known global load table.
 
 The snapshot format is a single JSON document with an embedded CRC32
@@ -100,10 +101,11 @@ def snapshot_engine(engine: DCWSEngine, now: float, *,
             "original": entry.original,
             "size": entry.size,
             "hits": entry.hits,
+            "hits_reported": entry.hits_reported,
             "version": entry.version,
             "content_type": entry.content_type,
             "digest": entry.digest,
-            "last_validated": engine.validation.last_serviced(key),
+            "last_validated": entry.validated_at,
         }
     glt = [{"server": row.server, "metric": row.metric,
             "ts": row.timestamp}
@@ -234,19 +236,18 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
             fetched=fetched,
             size=int(saved["size"]) if fetched else 0,
             hits=int(saved["hits"]),
+            # Older snapshots did not keep it: count every hit reported
+            # rather than report a credited one twice.
+            hits_reported=int(saved.get("hits_reported", saved["hits"])),
             version=str(saved["version"]) if fetched else "",
             digest=str(saved.get("digest", "")) if fetched else "",
             content_type=saved.get("content_type")
             or guess_content_type(saved["original"]))
+        # Keep the real deadline: a document overdue at crash time
+        # validates immediately, not one interval late.
+        last = saved.get("last_validated")
+        entry.validated_at = now if last is None else float(last)
         engine.hosted[key] = entry
-        if fetched:
-            last = saved.get("last_validated")
-            if last is not None:
-                # Keep the real deadline: a document overdue at crash
-                # time validates immediately, not one interval late.
-                engine.validation.restore(key, float(last))
-            else:
-                engine.validation.register(key, now)
     engine.glt.merge(LoadReport(server=row["server"],
                                 metric=float(row["metric"]),
                                 timestamp=float(row["ts"]))
@@ -389,14 +390,16 @@ def apply_record(engine: DCWSEngine, record: JournalRecord) -> None:
         if existing is not None:
             entry.hits = existing.hits
             entry.hits_reported = existing.hits_reported
+        if existing is not None and existing.fetched:
+            # A re-install keeps its deadline, as the live one did.
+            entry.validated_at = existing.validated_at
+        else:
+            entry.schedule_first_validation(record.time, engine.config)
         engine.hosted[key] = entry
-        if fetched:
-            engine.validation.restore(key, record.time)
         return
     if record.kind == "hosted_dropped":
         key = str(fields["key"])
         engine.hosted.pop(key, None)
-        engine.validation.forget(key)
         engine.response_cache.invalidate(key)
         engine.store.delete(key)
         engine.integrity.clear(key)
@@ -414,7 +417,7 @@ def apply_record(engine: DCWSEngine, record: JournalRecord) -> None:
                 entry.version = ""
                 entry.digest = ""
                 entry.size = 0
-            engine.validation.restore(key, record.time)
+            entry.validated_at = record.time
         return
     if record.kind == "content_update":
         document = engine.graph.find(str(fields["name"]))

@@ -9,7 +9,8 @@ this subsystem makes the vestigial hooks (``LDG.add_replica``, the
   sufficiency threshold (``replication_sufficient``).  The group set is
   derived from the LDG: a group exists while its document is away from
   home, and k is read from the config, never stored per group;
-- a *repair loop*, driven off the engine tick like the migration round,
+- a *repair loop*, a round of the engine tick's schedule at the
+  migration round's cadence (T_st), run at once when a holder is lost,
   proactively tops groups up to k holders and — when the peer ledger
   (:class:`~repro.core.membership.MembershipTable`) says a holder no
   longer ``holds``: declared dead, or its circuit open — drops the holder
@@ -108,23 +109,6 @@ class ReplicationManager:
         self._log = log or (lambda _msg: None)
         self.groups: Dict[str, ReplicationGroup] = {}
         self.counters = ReplicationCounters()
-        self._last_round_at: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-
-    @property
-    def repair_interval(self) -> float:
-        """Repair cadence; 0 in config means "every statistics interval"
-        (the migration round's own pace)."""
-        return self.config.replication_repair_interval or \
-            self.config.stats_interval
-
-    def due(self, now: float) -> bool:
-        if self._last_round_at is None:
-            return True
-        return now - self._last_round_at >= self.repair_interval
 
     # ------------------------------------------------------------------
     # Group membership
@@ -165,7 +149,6 @@ class ReplicationManager:
         decisions (kinds ``replica_drop`` and ``repair``) — the caller
         journals and counts them exactly like migration-round output.
         """
-        self._last_round_at = now
         self.sync(now)
         decisions: List[MigrationDecision] = []
         budget = self.config.max_replications_per_interval

@@ -103,21 +103,10 @@ class TestConfig:
         {"max_replications_per_interval": 0},
         {"replication_k": 2, "replication_sufficient": 3},
         {"replication_heat_threshold": -1.0},
-        {"replication_repair_interval": -0.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ServerConfig(**kwargs)
-
-    def test_scaled_compresses_repair_interval(self):
-        config = ServerConfig(replication_repair_interval=3.0)
-        assert config.scaled(0.5).replication_repair_interval == 1.5
-
-    def test_repair_interval_defaults_to_stats_interval(self):
-        engine = make_engine(stats_interval=7.0)
-        assert engine.replication.repair_interval == 7.0
-        engine = make_engine(replication_repair_interval=2.5)
-        assert engine.replication.repair_interval == 2.5
 
 
 # ======================================================================

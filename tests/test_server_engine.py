@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.content import digest_matches
-from repro.http.messages import Request, parse_request
+from repro.http.messages import Request, Response, parse_request
 from repro.http.piggyback import LoadReport, extract_load_reports
 from repro.server.engine import (
     DCWSEngine,
@@ -451,6 +451,38 @@ class TestTick:
         assert home.membership.holds(key)
         assert home.log.count("peer_dead") == 1
 
+    def test_rounds_run_on_their_own_cadence(self):
+        """Stats every T_st and pings every T_pi from initialize(),
+        repair every T_st and scrub every scrub_interval from the first
+        tick — each against its own last run, at irregular tick times."""
+        site = {f"/p{n}.html": b"<html>page</html>" for n in range(20)}
+        engine = make_engine(site=site, stats_interval=10.0,
+                             pinger_interval=20.0, scrub_interval=30.0,
+                             replication_k=2)
+        expected = [  # (now, stats, repair, scrub, ping)
+            (3.0, 0, 1, 1, 0), (9.5, 0, 0, 0, 0), (10.0, 1, 0, 0, 0),
+            (14.0, 0, 1, 0, 0), (20.5, 1, 0, 0, 1), (29.9, 0, 1, 0, 0),
+            (30.0, 0, 0, 0, 0), (31.0, 1, 0, 0, 0), (41.0, 1, 1, 1, 1),
+            (45.0, 0, 0, 0, 0), (59.0, 1, 1, 0, 0), (61.0, 0, 0, 0, 1),
+            (75.0, 1, 1, 1, 0), (90.5, 1, 1, 0, 1), (91.0, 0, 0, 0, 0)]
+        ran = []
+        for index, (now, *__) in enumerate(expected):
+            # A document migrated just before the tick gains its
+            # replication group only if the repair round runs.
+            name = f"/p{index}.html"
+            engine.policy.force_migrate(name, COOP, now=now)
+            scrubs = engine.integrity.counters.scrub_rounds
+            pings = engine.stats.pings
+            for action in engine.tick(now):
+                if action.kind == "ping":
+                    engine.complete_action(action, Response(status=200), now)
+            own = engine.glt.get(HOME)
+            ran.append((now, int(own is not None and own.timestamp == now),
+                        int(name in engine.replication.groups),
+                        engine.integrity.counters.scrub_rounds - scrubs,
+                        engine.stats.pings - pings))
+        assert ran == expected
+        assert engine.membership.state(str(COOP)) == "alive"
 
     def test_pings_and_probes_are_answered_not_404d(self):
         """Liveness traffic names no document: a ping or a probe gets an
@@ -541,6 +573,90 @@ class TestValidation:
         actions = [a for a in coop.tick(30.0) if a.kind == "validate"]
         coop.complete_action(actions[0], error_response(503), 30.1)
         assert "/~migrate/home/8001/d.html" in coop.hosted
+
+
+def hosted_key(name):
+    return f"/~migrate/home/8001{name}"
+
+
+class TestValidationSchedule:
+    """A hosted copy carries its own validation deadline: it is
+    validated T_val after ``validated_at`` (section 4.5)."""
+
+    T_VAL = 120.0
+
+    def coop(self, *names):
+        coop = make_engine(location=COOP, site={}, peers=(HOME,),
+                           validation_interval=self.T_VAL)
+        for name in names:
+            coop.seed_hosted(HOME, name, SITE[name], 0, 0.0)
+        return coop
+
+    @staticmethod
+    def validated(coop, now):
+        return [a.key for a in coop.tick(now) if a.kind == "validate"]
+
+    def test_not_due_before_t_val(self):
+        coop = self.coop("/d.html")
+        last = coop.hosted[hosted_key("/d.html")].validated_at
+        assert -self.T_VAL < last <= 0.0  # the install's jittered share
+        assert self.validated(coop, last + self.T_VAL - 0.01) == []
+
+    def test_due_at_t_val(self):
+        coop = self.coop("/d.html")
+        last = coop.hosted[hosted_key("/d.html")].validated_at
+        assert self.validated(coop, last + self.T_VAL) == \
+            [hosted_key("/d.html")]
+
+    def test_next_validation_comes_t_val_after_an_emission(self):
+        coop = self.coop("/d.html")
+        hosted = coop.hosted[hosted_key("/d.html")]
+        emitted = hosted.validated_at + self.T_VAL + 3.0
+        assert self.validated(coop, emitted) == [hosted.key]
+        assert hosted.validated_at == emitted
+        assert self.validated(coop, emitted + self.T_VAL - 0.01) == []
+        assert self.validated(coop, emitted + self.T_VAL) == [hosted.key]
+
+    def test_a_second_install_keeps_the_deadline(self):
+        coop = self.coop("/d.html")
+        hosted = coop.hosted[hosted_key("/d.html")]
+        last = hosted.validated_at
+        coop.seed_hosted(HOME, "/d.html", SITE["/d.html"], 0, 9.0)
+        assert hosted.validated_at == last
+        assert self.validated(coop, last + self.T_VAL) == [hosted.key]
+
+    def test_dropped_and_unfetched_entries_never_validate(self):
+        coop = self.coop("/d.html", "/e.html")
+        pull = get(coop, hosted_key("/i.gif"))  # its pull never completes
+        assert isinstance(pull, PullFromHome)
+        due = {a.key: a for a in coop.tick(self.T_VAL)
+               if a.kind == "validate"}
+        assert sorted(due) == [hosted_key("/d.html"), hosted_key("/e.html")]
+        coop.complete_action(due[hosted_key("/e.html")],
+                             Response(status=404), self.T_VAL)
+        assert hosted_key("/e.html") not in coop.hosted
+        assert not coop.hosted[hosted_key("/i.gif")].fetched
+        assert self.validated(coop, 3 * self.T_VAL) == [hosted_key("/d.html")]
+
+    def test_due_validations_go_out_in_key_order(self):
+        names = ("/e.html", "/index.html", "/d.html")
+        coop = self.coop(*names)
+        assert self.validated(coop, self.T_VAL) == \
+            sorted(hosted_key(name) for name in names)
+
+    def test_last_validated_survives_a_snapshot(self):
+        from repro.server.persistence import restore_engine, snapshot_engine
+
+        coop = self.coop("/d.html")
+        key = hosted_key("/d.html")
+        emitted = coop.hosted[key].validated_at + self.T_VAL + 3.0
+        assert self.validated(coop, emitted) == [key]
+        snapshot = snapshot_engine(coop, now=emitted + 1.0)
+        assert snapshot["hosted"][key]["last_validated"] == emitted
+        restarted = DCWSEngine(COOP, coop.config, coop.store, peers=[HOME])
+        restarted.initialize(0.0)
+        restore_engine(restarted, snapshot, now=emitted + 2.0)
+        assert restarted.hosted[key].validated_at == emitted
 
 
 class TestContentAdministration:
@@ -662,12 +778,12 @@ for name in sorted(site)[1:]:
 coop = DCWSEngine(COOP, ServerConfig(), MemoryStore({}), peers=[HOME])
 coop.initialize(0.0)
 coop.seed_hosted(HOME, "/d.html", site["/d.html"], 0, 5.0)
-print(coop.validation.last_serviced("/~migrate/home/8001/d.html"))
+print(coop.hosted["/~migrate/home/8001/d.html"].validated_at)
 
 key = "/~migrate/home/8001/p0.html"
 pull = coop.handle_request(Request(method="GET", target=key), 6.0)
 coop.complete_pull(pull, Response(status=200, body=site["/p0.html"]), 6.0)
-print(coop.validation.last_serviced(key))
+print(coop.hosted[key].validated_at)
 """
 
 

@@ -112,10 +112,42 @@ class TestAccounting:
         first = [a for a in coop.tick(30.0) if a.kind == "validate"]
         reported = first[0].request.headers.get_int("X-DCWS-Hosted-Hits")
         assert reported == 6  # pull + five serves
-        # Immediately re-validating reports nothing new.
-        coop.validation.mark(first[0].key, 30.0)
+        # Once the home has answered, re-validating reports nothing new.
+        answer = home.handle_request(first[0].request, 30.0)
+        coop.complete_action(first[0], answer.response, 30.0)
         second = [a for a in coop.tick(60.0) if a.kind == "validate"]
         assert second[0].request.headers.get("X-DCWS-Hosted-Hits") is None
+
+    def test_an_unanswered_validation_keeps_its_hit_report(self):
+        """Regression: hits ride a validation the home never answers;
+        the next validation carries them again, and the home credits
+        them once it answers."""
+        coop = DCWSEngine(COOP, ServerConfig(validation_interval=5.0),
+                          MemoryStore(), peers=[HOME])
+        coop.initialize(0.0)
+        home = make_engine()
+        home.policy.force_migrate("/sub/e.html", COOP, 0.5)
+        key = "/~migrate/home/8001/sub/e.html"
+        pull = coop.handle_request(Request("GET", key), 1.0)
+        coop.complete_pull(pull, home.handle_request(pull.request, 1.1)
+                           .response, 1.2)
+        for __ in range(5):
+            coop.handle_request(Request("GET", key), 1.3)
+
+        def validation(now):
+            return next(a for a in coop.tick(now) if a.kind == "validate")
+
+        lost = validation(30.0)
+        assert lost.request.headers.get_int("X-DCWS-Hosted-Hits") == 6
+        coop.complete_action(lost, None, 30.5)  # the home never answered
+        retry = validation(60.0)
+        assert retry.request.headers.get_int("X-DCWS-Hosted-Hits") == 6
+        credited = home.graph.get("/sub/e.html").hits
+        answer = home.handle_request(retry.request, 60.1)
+        assert home.graph.get("/sub/e.html").hits == credited + 1 + 6
+        coop.complete_action(retry, answer.response, 60.2)
+        after = validation(90.0)
+        assert after.request.headers.get("X-DCWS-Hosted-Hits") is None
 
 
 class TestHostedHitsCredit:

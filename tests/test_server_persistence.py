@@ -144,6 +144,22 @@ class TestParentFormats:
         assert record.migrated_at == 5.0
         assert restarted.graph.get("/e.html").migrated_at is None
 
+    def test_hosted_entry_without_hits_reported_counts_them_reported(
+            self, tmp_path):
+        """Version 3 snapshots kept a hosted copy's hits but not how many
+        the home was told of: count them all as told, so a restart never
+        reports a credited hit twice."""
+        key = "/~migrate/coop/8002/x.html"
+        data = parent_format_snapshot(3, {})
+        data["hosted"][key] = {
+            "home": "coop:8002", "original": "/x.html", "size": 0,
+            "hits": 6, "version": "", "content_type": "text/html",
+            "digest": "", "last_validated": None}
+        data["checksum"] = _payload_checksum(data)
+        restarted = self.restore(tmp_path, data)
+        assert restarted.hosted[key].hits == 6
+        assert restarted.hosted[key].hits_reported == 6
+
     def test_version_1_string_form_restores(self, tmp_path):
         restarted = self.restore(tmp_path, parent_format_snapshot(1, {
             "/d.html": "coop:8002"}))
@@ -177,6 +193,30 @@ class TestHostedState:
         assert restarted.hosted[key].fetched
         reply = restarted.handle_request(Request("GET", key), 4.0)
         assert reply.response.status == 200
+
+    def test_a_restart_does_not_re_report_credited_hits(self, tmp_path):
+        """Regression: the snapshot keeps how many hosted hits the home
+        has credited, so a restart reports only the hits it has not."""
+        coop = self.coop_with_copy()
+        key = "/~migrate/home/8001/d.html"
+        for __ in range(5):
+            coop.handle_request(Request("GET", key), 1.5)
+        validation = next(a for a in coop.tick(200.0)
+                          if a.kind == "validate")
+        assert validation.request.headers.get_int("X-DCWS-Hosted-Hits") == 6
+        answer = make_engine().handle_request(validation.request, 200.0)
+        coop.complete_action(validation, answer.response, 200.0)
+        for __ in range(3):
+            coop.handle_request(Request("GET", key), 200.5)
+        path = str(tmp_path / "coop.snapshot")
+        save_snapshot(coop, path, now=201.0)
+        restarted = DCWSEngine(COOP, ServerConfig(), coop.store,
+                               peers=[HOME])
+        restarted.initialize(0.0)
+        restore_from_file(restarted, path, now=202.0)
+        again = next(a for a in restarted.tick(400.0)
+                     if a.kind == "validate")
+        assert again.request.headers.get_int("X-DCWS-Hosted-Hits") == 3
 
     def test_hosted_without_content_restored_unfetched(self, tmp_path):
         coop = self.coop_with_copy()

@@ -100,7 +100,7 @@ def engine_state(engine):
         for record in engine.graph.migrated_documents()}
     hosted = {
         key: (entry.fetched, entry.size, entry.version,
-              str(entry.home), entry.original)
+              str(entry.home), entry.original, entry.validated_at)
         for key, entry in engine.hosted.items()}
     return documents, migrations, hosted
 
@@ -255,6 +255,49 @@ class TestReplayIdempotent:
             assert got_location == location
             assert got_replicas == replicas
             assert got_version >= version  # replay only moves forward
+        assert_clean(replayed)
+
+
+class TestCoopReplay:
+    def test_replayed_validation_deadlines_match_live(self, tmp_path):
+        """Regression: replay gives a pulled or seeded copy the jittered
+        first validation deadline the live engine gave it, and a
+        refreshed copy one never earlier than the live one."""
+        site = dict(SITE, **{"/f.html": b"<html>gone soon</html>"})
+        home = make_engine(site=site)
+        journal = WriteAheadJournal(str(tmp_path / "coop.wal"),
+                                    location=str(COOP), fsync_policy="off")
+        coop = DCWSEngine(COOP, ServerConfig(validation_interval=120.0),
+                          MemoryStore(), peers=[HOME])
+        coop.initialize(0.0)
+        coop.attach_journal(journal)
+        key = "/~migrate/home/8001{}".format
+        pull = coop.handle_request(Request("GET", key("/index.html")), 6.0)
+        coop.complete_pull(pull, home.handle_request(pull.request, 6.0)
+                           .response, 6.0)
+        for name in ("/d.html", "/e.html", "/f.html"):
+            coop.seed_hosted(HOME, name, site[name], 0, 8.0)
+        # /d.html and /f.html fall due first: one is refreshed, the
+        # other answered 404 and dropped.
+        home.update_document("/d.html", b"<html>d v2</html>")
+        validations = [a for a in coop.tick(20.0) if a.kind == "validate"]
+        assert [a.key for a in validations] == [key("/d.html"),
+                                                key("/f.html")]
+        coop.complete_action(validations[0], home.handle_request(
+            validations[0].request, 20.0).response, 21.0)
+        coop.complete_action(validations[1], Response(status=404), 21.0)
+        journal.close()
+
+        replayed = DCWSEngine(COOP, ServerConfig(validation_interval=120.0),
+                              coop.store, peers=[HOME])
+        recover(replayed, None, journal.path, now=30.0)
+        live, got = engine_state(coop)[2], engine_state(replayed)[2]
+        assert sorted(got) == sorted(live) == [
+            key("/d.html"), key("/e.html"), key("/index.html")]
+        for name in ("/index.html", "/e.html"):
+            assert got[key(name)][-1] == live[key(name)][-1]
+        assert live[key("/index.html")][-1] < 6.0
+        assert got[key("/d.html")][-1] >= live[key("/d.html")][-1] == 20.0
         assert_clean(replayed)
 
 
