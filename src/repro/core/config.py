@@ -145,13 +145,17 @@ class ServerConfig:
     keep_alive: bool = True
     keep_alive_timeout: float = 5.0
     keep_alive_max_requests: int = 100
-    # Serve-path cache hierarchy (template cache -> byte cache -> response
-    # cache; see DESIGN.md).  ``byte_cache_bytes`` bounds the LRU byte
-    # cache in front of a disk-backed store (0 disables; memory stores
-    # never need one).  ``response_cache_entries`` bounds the
-    # rendered-response cache keyed by (name, version, method) (0
-    # disables).
-    byte_cache_bytes: int = 8 * 1024 * 1024
+    # ``byte_cache_bytes`` is the copy cache's one budget
+    # (repro.server.cache; 0 disables the cache): identity plus gzip
+    # variant bytes of every cached copy, home or hosted, under one LRU.
+    # 24 MiB holds browse_mix's whole hot set — 18.4 MB of distinct
+    # bytes (5.3 MB of pages, 11.8 MB of half-megabyte rasters, 1.35 MB
+    # of variants) — with room to spare; at 8 MiB one LRU thrashes on
+    # the raster cycle (DESIGN.md section 4 has the measurement).
+    # ``response_cache_entries`` is no longer read by the server's
+    # cache; the benchmark harness still sizes its cached_get script
+    # from it, and it goes after ROADMAP item 6(a) unpins it.
+    byte_cache_bytes: int = 24 * 1024 * 1024
     response_cache_entries: int = 512
     # Socket tuning and event-loop admission control.  ``listen_backlog``
     # is the kernel accept backlog of both front ends (Table 1's socket
@@ -170,15 +174,17 @@ class ServerConfig:
     # Multi-core scale-out (repro.server.multiproc).  ``workers`` is the
     # number of serving processes sharing the listen port (1 = the
     # classic single-process front ends; >1 forks SO_REUSEPORT workers,
-    # each running its own aio loop).  ``lock_stripes`` is the number of
-    # byte/response cache stripes (crc32(name) % lock_stripes), each
-    # with its own LRU order and share of the budget; it also partitions
-    # document *ownership* across workers — a first-use pull executes on
-    # the worker owning the document's shard.  No lock is sized by it.
+    # each running its own aio loop).  ``lock_stripes`` partitions
+    # document *ownership* across workers (crc32(name) % lock_stripes) —
+    # a first-use pull executes on the worker owning the document's
+    # shard.  The server's cache no longer reads it (the copy cache is
+    # one LRU), and no lock is sized by it; it goes with multiproc's
+    # striping after ROADMAP item 6(a) unpins it from the harness.
     # ``sendfile_min_bytes``: disk-backed bodies at least this large are
     # served via os.sendfile on the threaded front end instead of being
-    # read into memory (and deliberately bypass the byte/response caches
-    # so one big file cannot flush the hot set).
+    # read into memory, unless the copy cache already holds them (and
+    # deliberately bypass the cache so one big file cannot flush the
+    # hot set).
     workers: int = 1
     lock_stripes: int = 16
     sendfile_min_bytes: int = 256 * 1024

@@ -10,8 +10,9 @@ A DCWS server answers four plain-text administrative endpoints:
 - ``/~dcws/peers``  — the failure-domain view: per-peer circuit state,
   trips, consecutive unanswered transfers, last success, GLT row age;
 - ``/~dcws/events`` — the tail of the structured event log;
-- ``/~dcws/caches`` — hit/miss/eviction counters of the serve-path cache
-  hierarchy (link templates, byte cache, response cache);
+- ``/~dcws/caches`` — the serve path's memory: the short-circuit's
+  share, the link templates, and the copy cache's entries, bytes,
+  budget, hits, misses, evictions and invalidations;
 - ``/~dcws/durability`` — write-ahead journal position, checkpoint
   freshness, and the stats of the last crash recovery;
 - ``/~dcws/membership`` — the adaptive membership table: per-peer

@@ -1,55 +1,37 @@
-"""Versioned serve-path caches (byte cache and rendered-response cache).
+"""The copy cache: one LRU and one byte budget for every stored copy.
 
 DistCache-style observation: a small cache in front of a distributed
-store absorbs the skewed head of web load.  Two layers sit on the DCWS
-serve hot path:
+store absorbs the skewed head of web load, and the hot set that matters
+is small in count and skewed in size — so the bound is bytes, not
+entries.
 
-- :class:`CachingStore` — a size-bounded LRU *byte cache* wrapped around
-  any :class:`~repro.server.filestore.DocumentStore` (in practice the
-  :class:`~repro.server.filestore.DiskStore`), so repeat ``get`` calls for
-  hot documents stop re-reading the disk.  ``put``/``delete`` write
-  through and invalidate.
-- :class:`ResponseCache` — rendered 200 responses keyed by
-  ``(name, version, method)``, so a repeat hit skips the store entirely
-  and reuses the same immutable body bytes — and, on the engine's
-  short-circuit, the header block framed for them
-  (:attr:`CachedResponse.framed`).  Version bumps (author
-  updates, migration/revocation dirtying) change the key, and
-  regeneration explicitly invalidates, so a stale body is never served.
+One :class:`CopyEntry` per store key — a home document's name or a
+fetched hosted copy's ``/~migrate/...`` key — holds everything the serve
+path makes of that copy's bytes: the identity body, the gzip variant
+a GET's fill makes, the validators, the framed 200 blocks per flavour
+and the framed 304 blocks.  The entry is stamped with the copy's
+``(version, digest)``; a lookup under another stamp misses, and the
+fill that follows replaces the entry in place, so a key never holds two
+versions and one :meth:`CopyCache.invalidate` reaches everything made
+from a copy.
 
-:class:`Rendition` is the record beside them that is *not* a cache: what
-a stored copy's ``(version, digest)`` determines — validators, framed
-304 blocks, the gzip variant — kept by the engine per store key, for
-home documents and fetched hosted copies alike, so an eviction above
-never costs a second deflate pass.
-
-Both caches keep their own locking, and the counters feed the admin
-endpoint and benchmarks.  With ``stripes > 1`` the lock and the LRU
-structure are partitioned by ``shard_of(name, stripes)`` and capacity is
-split evenly across stripes.  Every engine call now runs under the
-host's one lock, so on the serve path the per-shard locks are never
-contended; what the partition buys is isolation — a few large bodies
-can only evict within their own stripes (DESIGN.md section 4 has the
-measurement).  The default of one stripe preserves the original
-global-LRU semantics exactly.
+There is no lock here: every caller runs under the host's one engine
+lock (multiproc's cross-worker invalidations included).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple, ValuesView
 
 from repro.http.content import etag_for, last_modified_for
 from repro.http.headers import Headers
-from repro.server.filestore import DocumentStore
-from repro.server.striping import shard_of
 
 
 @dataclass
 class CacheStats:
-    """Cumulative counters one cache exposes to stats/admin."""
+    """Cumulative counters the cache exposes to stats/admin."""
 
     hits: int = 0
     misses: int = 0
@@ -72,331 +54,141 @@ class CacheStats:
                 "hit_rate": round(self.hit_rate, 4)}
 
 
-class _ByteShard:
-    """One stripe of :class:`LRUByteCache`: entries + lock + budget."""
+@dataclass(eq=False)
+class CopyEntry:
+    """One stored copy as the serve path renders it.
 
-    __slots__ = ("capacity", "entries", "used", "lock")
+    Made by one fill, ``DCWSEngine._serve_copy``, from bytes it has just
+    read: ``gzip_body`` is the deflate of ``body`` (``None`` when
+    compression is not worthwhile or was not asked for), made only from
+    bytes hashed to ``digest`` when a digest exists.  ``methods`` are
+    the request methods a fill has been made for: a lookup by any other
+    misses, and its fill joins them.  A HEAD fill makes no variant, so
+    only a GET fill settles ``gzip_body``.
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.entries: "OrderedDict[str, bytes]" = OrderedDict()
-        self.used = 0
-        self.lock = threading.Lock()
-
-
-class LRUByteCache:
-    """A byte-bounded LRU map of document name -> bytes.
-
-    ``capacity_bytes <= 0`` disables the cache (every lookup misses).
-    Oversized single values are not cached rather than flushing the
-    whole cache to make room.  With ``stripes > 1`` the byte budget,
-    the LRU order, and the lock are all per-stripe.
-    """
-
-    def __init__(self, capacity_bytes: int, *, stripes: int = 1) -> None:
-        self.capacity_bytes = capacity_bytes
-        self.stripes = max(1, stripes)
-        self.stats = CacheStats()
-        per_shard = (max(1, capacity_bytes // self.stripes)
-                     if capacity_bytes > 0 else 0)
-        self._shards: List[_ByteShard] = [
-            _ByteShard(per_shard) for __ in range(self.stripes)]
-
-    def _shard(self, name: str) -> _ByteShard:
-        return self._shards[shard_of(name, self.stripes)]
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(shard.used for shard in self._shards)
-
-    def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
-
-    def __contains__(self, name: object) -> bool:
-        if not isinstance(name, str):
-            return False
-        return name in self._shard(name).entries
-
-    def get(self, name: str) -> Optional[bytes]:
-        shard = self._shard(name)
-        with shard.lock:
-            data = shard.entries.get(name)
-            if data is None:
-                self.stats.misses += 1
-                return None
-            shard.entries.move_to_end(name)
-            self.stats.hits += 1
-            return data
-
-    def put(self, name: str, data: bytes) -> None:
-        if self.capacity_bytes <= 0:
-            return
-        size = len(data)
-        shard = self._shard(name)
-        with shard.lock:
-            old = shard.entries.pop(name, None)
-            if old is not None:
-                shard.used -= len(old)
-            if size > shard.capacity:
-                return
-            shard.entries[name] = data
-            shard.used += size
-            while shard.used > shard.capacity:
-                __, evicted = shard.entries.popitem(last=False)
-                shard.used -= len(evicted)
-                self.stats.evictions += 1
-
-    def invalidate(self, name: str) -> None:
-        shard = self._shard(name)
-        with shard.lock:
-            data = shard.entries.pop(name, None)
-            if data is not None:
-                shard.used -= len(data)
-                self.stats.invalidations += 1
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
-                shard.used = 0
-
-
-class CachingStore(DocumentStore):
-    """LRU byte cache in front of another :class:`DocumentStore`.
-
-    Reads fill the cache; writes and deletes go through to the inner
-    store and keep the cache coherent (the fresh bytes replace the cached
-    entry rather than merely invalidating it, so a concurrent reader can
-    never observe a partially written disk file).
-    """
-
-    def __init__(self, inner: DocumentStore, capacity_bytes: int, *,
-                 stripes: int = 1) -> None:
-        self.inner = inner
-        self.cache = LRUByteCache(capacity_bytes, stripes=stripes)
-
-    def get(self, name: str) -> bytes:
-        data = self.cache.get(name)
-        if data is not None:
-            return data
-        data = self.inner.get(name)
-        self.cache.put(name, data)
-        return data
-
-    def put(self, name: str, data: bytes) -> None:
-        data = bytes(data)
-        self.inner.put(name, data)
-        self.cache.put(name, data)
-
-    def delete(self, name: str) -> None:
-        self.inner.delete(name)
-        self.cache.invalidate(name)
-
-    def names(self) -> List[str]:
-        return self.inner.names()
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.inner
-
-    def size(self, name: str) -> int:
-        return self.inner.size(name)
-
-    def items(self) -> Iterator[Tuple[str, bytes]]:
-        return self.inner.items()
-
-    def sendfile_source(self, name: str) -> Optional[Tuple[str, int]]:
-        """Delegate zero-copy sourcing to the inner store — unless the
-        bytes are already memory-resident here, in which case reading
-        from cache beats a sendfile syscall pair."""
-        if name in self.cache:
-            return None
-        return self.inner.sendfile_source(name)
-
-
-@dataclass(frozen=True)
-class CachedResponse:
-    """One rendered 200: shared immutable body plus the header facts.
-
-    Filled at one site, ``DCWSEngine._serve_copy``, for a home document
-    or a hosted copy alike.  ``etag``/``last_modified`` and ``gzip_body``
-    are the copy's :class:`Rendition`'s (the validators empty for a
-    versionless hosted copy, which is never cached; the variant ``None``
-    when compression is not worthwhile), so gzip negotiation on a cache
-    hit costs a header check, never a compression pass.
-
-    ``framed`` is the one mutable part: the finished header block of
-    this entry's plain 200, one per ``(gzip variant, connection
-    persists)`` — four at most; HEAD is a cache entry of its own.  The
-    engine's cached-read short-circuit fills it on a flavour's first hit
-    with the headers it rendered (their serialized form included) and
-    copies it on every later one, never handing out the stored block
-    itself.  It is reachable only through this entry, so whatever
-    invalidates or evicts the entry drops its blocks with it.
-    """
-
-    body: bytes
-    content_length: int
-    content_type: str
-    version: str
-    etag: str = ""
-    last_modified: str = ""
-    gzip_body: Optional[bytes] = None
-    # Strong digest of the identity body (``sha256:<hex>``), copied from
-    # the document record at fill time and stamped as ``X-DCWS-Digest``
-    # on full responses; "" when the record had none.
-    digest: str = ""
-    framed: Dict[Tuple[bool, bool], Headers] = field(
-        default_factory=dict, compare=False, repr=False)
-
-
-@dataclass
-class Rendition:
-    """What one stored copy's ``(version, digest)`` stamp determines.
-
-    The engine keeps one per store key — a home document's name or a
-    fetched hosted copy's ``/~migrate/...`` key — *replaces* it when the
-    copy's version or digest moves, and drops it with a hosted copy's
-    bytes; no field here is ever corrected in place, so nothing derived
-    from an older stamp can survive it.  ``etag``/``last_modified`` are
-    set at construction (:meth:`of`; empty for a versionless legacy
-    pull).  The other two fill lazily and only ever from
-    ``None``/absent to their one value: ``gzip_body`` is the variant of
-    the bytes that hash to ``digest``, made by the first GET cache fill
-    from bytes it has hashed to that digest (a later fill may pair it
-    only with bytes it has hashed the same way); ``not_modified`` holds
-    the framed 304 header block per "connection persists" flavour.
-
-    Unlike :class:`CachedResponse` this is not inside any cache's
-    budget: it is O(stored copies), like the LDG and the hosted table —
-    the point is that a response-cache eviction loses the identity
-    bytes, which the byte cache or the disk give back, and not the
-    deflate pass.
+    ``framed`` and ``not_modified`` are the two memos of finished header
+    blocks — a GET's 200 per ``(gzip variant, connection persists)``
+    and the 304 per "connection persists".  They are reachable only
+    through this entry, so whatever replaces, evicts or invalidates it
+    drops them with it.  An entry that is not in the cache (a versionless
+    copy's, or the validators :meth:`of` derives for a 304 with nothing
+    cached) keeps its memos for the one response that made it.
     """
 
     version: object        # a home's int, or the str a co-op was handed
     digest: str
+    body: bytes
+    content_type: str
     etag: str
     last_modified: str
     gzip_body: Optional[bytes] = None
-    not_modified: Dict[bool, Headers] = field(default_factory=dict)
+    methods: FrozenSet[str] = frozenset()
+    framed: Dict[Tuple[bool, bool], Headers] = field(
+        default_factory=dict, repr=False)
+    not_modified: Dict[bool, Headers] = field(
+        default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        # What the entry costs the budget; its bytes never change.
+        self.size = len(self.body) + len(self.gzip_body or b"")
 
     @classmethod
-    def of(cls, key: str, version: object, digest: str) -> "Rendition":
-        """The empty rendition of *key* at ``(version, digest)``."""
+    def of(cls, key: str, version: object, digest: str) -> "CopyEntry":
+        """A body-less entry for *key* at ``(version, digest)``: its
+        validators, empty for a versionless hosted copy."""
         versioned = version != ""
-        return cls(version, digest,
+        return cls(version, digest, b"", "",
                    etag_for(key, version) if versioned else "",
                    last_modified_for(version) if versioned else "")
 
 
-class _ResponseShard:
-    """One stripe of :class:`ResponseCache`: LRU + name index + lock."""
+class CopyCache:
+    """An LRU of :class:`CopyEntry` by store key, bounded by bytes.
 
-    __slots__ = ("capacity", "entries", "by_name", "lock")
+    ``budget`` counts identity plus variant bytes; ``budget <= 0``
+    switches the cache off (every lookup misses).  A versionless entry,
+    or one larger than the whole budget, is not cached.
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.entries: "OrderedDict[Tuple[str, str, str], CachedResponse]" = \
-            OrderedDict()
-        self.by_name: Dict[str, set] = {}
-        self.lock = threading.Lock()
-
-    def unindex(self, key: Tuple[str, str, str]) -> None:
-        """Drop *key* from the per-name index (lock held by caller)."""
-        keys = self.by_name.get(key[0])
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self.by_name[key[0]]
-
-
-class ResponseCache:
-    """Rendered-response LRU keyed by ``(name, version, method)``.
-
-    Bounded by entry count.  ``invalidate(name)`` drops every version and
-    method of *name* — used when a regeneration or a hosted-copy refresh
-    rewrites bytes without the version changing observably.  A per-name
-    key index keeps that O(cached versions of *name*): migration events
-    invalidate on the hot path, and a scan of every entry under the lock
-    would make each invalidation O(total entries).
-
-    ``on_invalidate`` (when set) is called with the document name after
-    any invalidation that actually dropped entries — the multi-process
-    front end hangs its cross-worker version broadcast here.  It fires
-    outside the shard lock and never for invalidations that arrive *as*
-    broadcasts (``broadcast=False``), so relays cannot loop.
+    ``on_invalidate`` (when set) is called with the key after every
+    :meth:`invalidate` — the multi-process front end hangs its
+    cross-worker broadcast here — but never for invalidations that
+    arrive *as* broadcasts (``broadcast=False``), so relays cannot loop.
     """
 
-    def __init__(self, capacity_entries: int, *, stripes: int = 1) -> None:
-        self.capacity_entries = capacity_entries
-        self.stripes = max(1, stripes)
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.used_bytes = 0
         self.stats = CacheStats()
         self.on_invalidate: Optional[Callable[[str], None]] = None
-        per_shard = (max(1, capacity_entries // self.stripes)
-                     if capacity_entries > 0 else 0)
-        self._shards: List[_ResponseShard] = [
-            _ResponseShard(per_shard) for __ in range(self.stripes)]
-
-    def _shard(self, name: str) -> _ResponseShard:
-        return self._shards[shard_of(name, self.stripes)]
+        self._entries: "OrderedDict[str, CopyEntry]" = OrderedDict()
 
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._entries)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._entries
+
+    def peek(self, key: str) -> Optional[CopyEntry]:
+        """The entry under *key*, whatever its stamp — not booked as a
+        lookup and not moved in the LRU order."""
+        return self._entries.get(key)
+
+    def entries(self) -> ValuesView[CopyEntry]:
+        """Every entry, least recently used first, without booking."""
+        return self._entries.values()
 
     @property
-    def enabled(self) -> bool:
-        return self.capacity_entries > 0
+    def variant_bytes(self) -> int:
+        return sum(len(entry.gzip_body) for entry in self._entries.values()
+                   if entry.gzip_body is not None)
 
-    def get(self, name: str, version: object,
-            method: str) -> Optional[CachedResponse]:
-        if not self.enabled:
-            return None
-        key = (name, str(version), method)
-        shard = self._shard(name)
-        with shard.lock:
-            entry = shard.entries.get(key)
-            if entry is None:
+    def get(self, key: str, version: object, method: str,
+            digest: Optional[str] = None, *,
+            book_miss: bool = True) -> Optional[CopyEntry]:
+        """The entry under *key* if it is stamped *version* (and
+        *digest*, when given) and filled for *method*, booked as a hit;
+        else a miss.  ``book_miss=False`` is for a lookup whose miss the
+        caller hands on to one that looks again (the short-circuit's, to
+        the slow path's), so that every booked miss is one store read."""
+        entry = self._entries.get(key)
+        if entry is None or entry.version != version \
+                or (digest is not None and entry.digest != digest) \
+                or method not in entry.methods:
+            if book_miss:
                 self.stats.misses += 1
-                return None
-            shard.entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
+            return None
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return entry
 
-    def put(self, name: str, version: object, method: str,
-            entry: CachedResponse) -> None:
-        if not self.enabled:
+    def put(self, key: str, entry: CopyEntry) -> None:
+        """Install a fill as *key*'s one entry, replacing whatever it
+        held, and evict from the cold end down to the budget."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.used_bytes -= old.size
+        if entry.version == "" or entry.size > self.budget \
+                or self.budget <= 0:
             return
-        key = (name, str(version), method)
-        shard = self._shard(name)
-        with shard.lock:
-            shard.entries[key] = entry
-            shard.entries.move_to_end(key)
-            shard.by_name.setdefault(name, set()).add(key)
-            while len(shard.entries) > shard.capacity:
-                evicted, __ = shard.entries.popitem(last=False)
-                shard.unindex(evicted)
-                self.stats.evictions += 1
+        self._entries[key] = entry
+        self.used_bytes += entry.size
+        while self.used_bytes > self.budget:
+            __, evicted = self._entries.popitem(last=False)
+            self.used_bytes -= evicted.size
+            self.stats.evictions += 1
 
-    def invalidate(self, name: str, *, broadcast: bool = True) -> int:
-        """Drop every cached rendering of *name*; returns how many.
-
-        The per-name index makes this O(cached versions of *name*)
-        rather than a scan of every entry under the lock.
+    def invalidate(self, key: str, *, broadcast: bool = True) -> int:
+        """Drop *key*'s entry; returns how many entries went (0 or 1).
         ``broadcast=False`` marks an invalidation that arrived over the
         cross-worker channel: it is applied but not re-announced."""
-        shard = self._shard(name)
-        with shard.lock:
-            stale = shard.by_name.pop(name, None)
-            if stale:
-                for key in stale:
-                    del shard.entries[key]
-                self.stats.invalidations += len(stale)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.used_bytes -= entry.size
+            self.stats.invalidations += 1
         if broadcast and self.on_invalidate is not None:
-            self.on_invalidate(name)
-        return len(stale) if stale else 0
+            self.on_invalidate(key)
+        return 0 if entry is None else 1
 
     def clear(self) -> None:
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
-                shard.by_name.clear()
+        self._entries.clear()
+        self.used_bytes = 0

@@ -8,7 +8,7 @@ verifies exactly that, and the crash/chaos suites run it after every
 recovery so "the server came back up" is never mistaken for "the server
 came back up *right*".
 
-The seven checked invariants:
+The eight checked invariants:
 
 1.  entry points are at home whenever the config protects them;
 2.  every *fetched* hosted entry is backed by store bytes; unfetched
@@ -30,9 +30,15 @@ The seven checked invariants:
     the "two primaries" hazard the rejoin reconciliation must prevent;
 8.  quarantine agreement: no copy the integrity manager has quarantined
     is still in any serve table — a quarantined hosted entry must be
-    unfetched (digestless, versionless) and a quarantined home document
-    must have no rendered response cached, or a known-corrupt body
-    could reach a client.
+    unfetched (digestless, versionless), and no quarantined key, home
+    or hosted, may have a copy-cache entry, or a known-corrupt body
+    could reach a client;
+9.  copy-cache accounting: the cache's ``used_bytes`` is the sum of its
+    entries' sizes and within its budget.
+
+Every check only reads: the copy cache is looked at with ``in`` and
+:meth:`~repro.server.cache.CopyCache.entries`, never through a booked
+lookup, so running fsck moves no counter and no LRU order.
 
 There is no invariant 5 (validation deadlines now live on the hosted
 entries, leaving no second ledger to agree with them); the other
@@ -105,6 +111,18 @@ def check_engine(engine: DCWSEngine, *,
 
     # 8. quarantined copies are out of every serve table
     violations.extend(_check_quarantine(engine))
+
+    # 9. the copy cache's byte accounting
+    cache = engine.response_cache
+    held = sum(entry.size for entry in cache.entries())
+    if cache.used_bytes != held:
+        violations.append(
+            f"copy cache books {cache.used_bytes} bytes but its entries "
+            f"hold {held}")
+    if cache.used_bytes > cache.budget:
+        violations.append(
+            f"copy cache holds {cache.used_bytes} bytes, over its budget "
+            f"of {cache.budget}")
 
     # 4. clean documents carry no stale migrated-form links
     if check_links:
@@ -234,15 +252,19 @@ def _check_quarantine(engine: DCWSEngine) -> List[str]:
     """Invariant 8: nothing quarantined is servable.
 
     A quarantined hosted copy must have reverted to unfetched (its bytes
-    deleted, version and digest blanked) and a quarantined home document
-    must have no rendering left in the response cache — both are the
-    mechanical guarantees behind "zero corrupt 200 bodies"."""
+    deleted, version and digest blanked) and no quarantined key may have
+    a copy-cache entry — both are the mechanical guarantees behind "zero
+    corrupt 200 bodies"."""
     violations: List[str] = []
     integrity = getattr(engine, "integrity", None)
     if integrity is None:
         return violations
     for qrec in integrity.active():
         key = qrec.key
+        if key in engine.response_cache:
+            violations.append(
+                f"quarantined {qrec.kind} copy {key} still has a "
+                f"copy-cache entry")
         if qrec.kind == "hosted":
             entry = engine.hosted.get(key)
             if entry is not None and entry.fetched:
@@ -253,14 +275,6 @@ def _check_quarantine(engine: DCWSEngine) -> List[str]:
                 violations.append(
                     f"quarantined hosted entry {key} still carries "
                     f"version/digest state")
-            continue
-        record = engine.graph.find(key)
-        if record is not None \
-                and engine.response_cache.get(key, record.version,
-                                              "GET") is not None:
-            violations.append(
-                f"quarantined home document {key} still has a rendered "
-                f"response cached")
     return violations
 
 

@@ -18,8 +18,8 @@ it.  This module closes that gap with one primitive and two loops:
   repair daemon, every ``scrub_interval`` (0 disables it).  Walks
   the hosted + owned documents under a throttled docs-per-round budget
   (a resumable cursor over the sorted name space), re-reads bytes from
-  the *underlying* store (bypassing the byte cache, so disk rot cannot
-  hide behind a warm cache) and re-hashes them against the recorded
+  the store (never the copy cache, so disk rot cannot hide behind a
+  warm cache) and re-hashes them against the recorded
   digest.
 
 - **Quarantine**: a mismatch anywhere (scrub, sampled serve check,

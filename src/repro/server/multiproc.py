@@ -23,8 +23,8 @@ cores the way classic pre-fork servers do, adapted to DCWS semantics:
   engine mutation is idempotent and crash-atomic), trading momentary
   single-writer discipline for zero client-visible failures.
 
-- **Invalidation broadcast.**  Each worker's response cache reports
-  invalidations (``ResponseCache.on_invalidate``); the worker batches
+- **Invalidation broadcast.**  Each worker's copy cache reports
+  invalidations (``CopyCache.on_invalidate``); the worker batches
   them per tick and the supervisor fans them out, so a regeneration or
   author update on one worker evicts the stale rendering from every
   sibling within one tick period (bounded staleness, no shared memory).

@@ -1,12 +1,9 @@
 """The stable document-to-shard map.
 
 ``shard_of(name, stripes)`` assigns every document to one of a fixed
-number of shards.  Two things are partitioned by it: the byte and
-response caches (:mod:`repro.server.cache` — each stripe has its own
-LRU order and its own share of the budget, which is what keeps a few
-half-megabyte bodies from evicting the small hot set; DESIGN.md section
-4 has the measurement) and, in the multi-process front end
-(:mod:`repro.server.multiproc`), which worker pulls a hosted document.
+number of shards.  In the multi-process front end
+(:mod:`repro.server.multiproc`) it decides which worker pulls a hosted
+document.  (The copy cache is one LRU and is not striped.)
 
 No lock lives here.  The engine has exactly one synchronisation rule:
 every engine call runs under the host's lock.

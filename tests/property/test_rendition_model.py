@@ -1,23 +1,34 @@
 """Stateful property: no stale 304, no stale gzip variant.
 
-A home document's rendition — validators, framed 304 blocks, the gzip
-variant — outlives its response-cache entry, so everything that changes
-what a GET returns must replace it.  Hypothesis interleaves author
+A home document's copy-cache entry — bytes, validators, framed heads,
+the gzip variant — is stamped with the copy's ``(version, digest)``, so
+everything that changes what a GET returns must either drop it or leave
+it under a stamp no lookup asks for.  Hypothesis interleaves author
 updates, migrations and revocations (which dirty referrers), eager
 regeneration, cache eviction and GETs carrying the ETag a browser saw
 last, the one it saw before that, or none, with and without
 ``Accept-Encoding: gzip``, each through the short-circuit where it
-applies and the slow path where it does not.  The oracle is the server's
-own next unconditional GET:
+applies and the slow path where it does not — under a byte budget of
+about two pages, so fills evict one another.  The oracle is the
+server's own next unconditional GET:
 
 - a conditional request is answered 304 iff its validator is the ETag
   that GET returns;
 - every 200 carries the author's latest revision, and its body — after
-  gunzipping when it says gzip — hashes to its ``X-DCWS-Digest``.
+  gunzipping when it says gzip — hashes to its ``X-DCWS-Digest``;
+
+and, after every step, the cache itself: every variant is the deflate
+of bytes that hash to its entry's digest, and ``used_bytes`` is the sum
+of the entries' sizes, within the budget.
 """
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
@@ -31,6 +42,9 @@ from tests.test_server_engine_fastpath import dispatch
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)
 NAMES = [f"/p{i}.html" for i in range(4)]
+# About two pages with their variants (~640 bytes each): a third fill
+# evicts the least recently used.
+BUDGET = 1400
 
 _doc = st.sampled_from(NAMES)
 
@@ -47,8 +61,8 @@ def page(name: str, revision: int) -> bytes:
 class RenditionMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
-        # Two cache entries for four pages: GETs evict one another.
-        config = ServerConfig(response_cache_entries=2, lock_stripes=1)
+        # Room for two of four pages: GETs evict one another.
+        config = ServerConfig(byte_cache_bytes=BUDGET)
         self.engine = DCWSEngine(
             HOME, config, MemoryStore({n: page(n, 0) for n in NAMES}),
             entry_points=[NAMES[0]], peers=[COOP])
@@ -98,6 +112,19 @@ class RenditionMachine(RuleBasedStateMachine):
     def evict(self):
         self.engine.response_cache.clear()
 
+    @invariant()
+    def entries_hold_what_their_stamps_say(self):
+        if not hasattr(self, "engine"):
+            return
+        cache = self.engine.response_cache
+        sizes = 0
+        for entry in cache.entries():
+            assert body_digest(entry.body) == entry.digest
+            if entry.gzip_body is not None:
+                assert gunzip_bytes(entry.gzip_body) == entry.body
+            sizes += entry.size
+        assert cache.used_bytes == sizes <= BUDGET
+
     @rule(name=_doc, which=st.sampled_from(["latest", "older", "none"]),
           gzip=st.booleans(), head=st.booleans())
     def get(self, name, which, gzip, head):
@@ -114,6 +141,12 @@ class RenditionMachine(RuleBasedStateMachine):
             request.headers.set("If-None-Match", validator)
         response = self.dispatch(request)
         truth = self.dispatch(Request(method="GET", target=name))
+        if truth.status == 200:
+            # The 200 just served is the entry's, stamped as it is now.
+            record = self.engine.graph.get(name)
+            entry = self.engine.response_cache.peek(name)
+            assert (entry.version, entry.digest) == \
+                (record.version, record.digest)
         if self.engine.graph.get(name).location != HOME:
             assert response.status == truth.status == 301
             return

@@ -318,7 +318,7 @@ def home_cases(tmp: pathlib.Path):
             store = DiskStore(str(root))
             for name, data in {**SITE, RASTER: RASTER_BYTES}.items():
                 store.put(name, data)
-        engine = home_engine(now, DiskStore(str(root)), byte_cache_bytes=0)
+        engine = home_engine(now, DiskStore(str(root)))
         engine.sendfile_enabled = True
         return engine
 

@@ -169,8 +169,7 @@ def flavoured(version, connection, method, encoding, path) -> Request:
 
 
 def cache_entries(engine):
-    return [entry for shard in engine.response_cache._shards
-            for entry in shard.entries.values()]
+    return list(engine.response_cache.entries())
 
 
 def test_memoised_heads_match_the_slow_route_on_first_use_and_reuse():
@@ -473,9 +472,11 @@ def test_conditional_matrix_is_byte_identical_on_both_routes():
     # One framed block per "connection persists" flavour, however the
     # request spelled its validators, method or encoding.
     for path in ("/big.html", "/i.gif"):
-        assert set(by_fast._renditions[path].not_modified) == {True, False}
+        assert set(by_fast.response_cache.peek(path).not_modified) == \
+            {True, False}
     # The slow route frames 304s through the same builder and memo.
-    assert set(by_slow._renditions["/big.html"].not_modified) == {True, False}
+    assert set(by_slow.response_cache.peek("/big.html").not_modified) == \
+        {True, False}
 
 
 def test_a_304_needs_no_cached_200_and_no_store_read():
@@ -551,13 +552,15 @@ def test_conditionals_on_documents_that_must_still_go_slow():
         engine.policy.repair_replica("/d.html", COOP_2, 4.5)
     assert by_fast.graph.get("/d.html").replicas
     revalidate("/d.html", 5.0, everywhere(301))
-    # Quarantined with nothing to regenerate from: 503 — its rendition,
-    # 304 blocks included, is still there and must not answer.
+    # Quarantined with nothing to regenerate from: 503 — its cache
+    # entry, 304 blocks included, went with the quarantine, and the
+    # validators it would match still must not answer.
     for engine in twins:
+        assert engine.response_cache.peek("/i.gif").not_modified
         engine.store.put("/i.gif", SITE["/i.gif"].replace(b"x", b"y", 1))
         engine.tick(6.0)
         assert engine.integrity.is_quarantined("/i.gif")
-        assert engine._renditions["/i.gif"].not_modified
+        assert "/i.gif" not in engine.response_cache
     revalidate("/i.gif", 6.5, everywhere(503))
     # Entry-gated: every request takes the slow path; an entry point
     # revalidates, a deep link without the cookie is sent to the door.

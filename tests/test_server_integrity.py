@@ -415,7 +415,7 @@ class TestServeSampling:
 
     def test_hosted_cache_miss_detects_rot_and_repulls(self):
         coop = pulled_coop(integrity_serve_sample=1, scrub_interval=0.0,
-                           byte_cache_bytes=0, response_cache_entries=0)
+                           byte_cache_bytes=0)
         corrupt_store(coop, MIGRATED_D)
         result = get(coop, MIGRATED_D)
         # Quarantined and immediately re-pulled; the pull announces the
@@ -427,7 +427,7 @@ class TestServeSampling:
     def test_sampling_rate_skips_most_reads(self):
         engine = make_engine(integrity_serve_sample=1000,
                              scrub_interval=0.0,
-                             response_cache_entries=0)
+                             byte_cache_bytes=0)
         for i in range(10):
             get(engine, "/e.html", now=1.0 + i * 0.01)
         assert engine.integrity.counters.serve_checks == 0
@@ -527,6 +527,61 @@ class TestDurability:
         # Deliberately broken: still fetched.
         violations = check_engine(coop)
         assert any("quarantined" in v for v in violations)
+
+
+class TestFsckCopyCache:
+    def test_fsck_moves_no_cache_counter(self):
+        """A read-only checker: with a quarantined home document on the
+        books it looks the cache over without booking a hit or a miss
+        or reordering the LRU."""
+        engine = make_engine(scrub_interval=1.0, scrub_budget=16)
+        for path in ("/e.html", "/d.html", "/i.gif"):
+            assert get(engine, path).response.status == 200
+        corrupt_store(engine, "/i.gif")
+        engine.tick(2.0)
+        assert engine.integrity.is_quarantined("/i.gif")
+        before = engine.cache_counters()
+        assert check_engine(engine) == []
+        assert engine.cache_counters() == before
+        order = [id(entry) for entry in engine.response_cache.entries()]
+        assert check_engine(engine) == []
+        assert [id(entry)
+                for entry in engine.response_cache.entries()] == order
+
+    @pytest.mark.parametrize("side", ["home", "hosted"])
+    def test_fsck_flags_a_cached_copy_of_a_quarantined_key(self, side):
+        if side == "home":
+            engine, key = make_engine(scrub_interval=1.0,
+                                      scrub_budget=16), "/i.gif"
+            get(engine, key)
+            cached = engine.response_cache.peek(key)
+            corrupt_store(engine, key)
+            engine.tick(2.0)
+        else:
+            engine, key = pulled_coop(integrity_serve_sample=1), MIGRATED_D
+            get(engine, key)
+            cached = engine.response_cache.peek(key)
+            corrupt_store(engine, key)
+            engine.response_cache.clear()
+            assert isinstance(get(engine, key, now=2.0), PullFromHome)
+        assert engine.integrity.is_quarantined(key)
+        assert key not in engine.response_cache
+        assert check_engine(engine, check_links=False) == []
+        # Deliberately broken: the rotten copy's entry is back.
+        engine.response_cache.put(key, cached)
+        violations = check_engine(engine, check_links=False)
+        assert any(f"quarantined {side} copy {key}" in v
+                   for v in violations), violations
+
+    def test_fsck_checks_the_copy_cache_accounting(self):
+        engine = make_engine()
+        get(engine, "/e.html")
+        assert check_engine(engine) == []
+        engine.response_cache.used_bytes += 1
+        assert any("books" in v for v in check_engine(engine))
+        engine.response_cache.used_bytes -= 1
+        engine.response_cache.budget = 1
+        assert any("over its budget" in v for v in check_engine(engine))
 
 
 class TestCorruptFaultKind:

@@ -1,11 +1,12 @@
-"""The per-document rendition: what outlives a response-cache entry.
+"""The copy cache's entry: one stored copy's rendition, and its stamp.
 
-A stored copy's validators, framed 304 blocks and gzip variant — a home
-document's or a fetched hosted copy's — hang off one record stamped
-``(version, digest)``.  These tests pin what that
-buys (a refill does not deflate again; revalidations stay on the
-short-circuit, and the server can say so), what replaces the record, and
-what it must never do: vouch for bytes that have rotted underneath it.
+A stored copy's identity bytes, validators, framed heads and gzip
+variant — a home document's or a fetched hosted copy's — live in one
+copy-cache entry stamped ``(version, digest)``.  These tests pin what
+that buys (revalidations stay on the short-circuit, and the server can
+say so), what replaces the entry, what an eviction costs (the variant
+goes with the bytes and is made again, from hashed bytes), and what the
+entry must never do: vouch for bytes that have rotted underneath it.
 
 The bit-rot cases flip a byte of the *stored* document through the fault
 plan's ``corrupt`` kind; the flipped offset comes from
@@ -88,39 +89,53 @@ def evict(engine):
     engine.response_cache.clear()
 
 
-def rendition_of(engine, record):
-    return engine._rendition(record.name, record.version, record.digest)
+def entry_of(engine, key):
+    return engine.response_cache.peek(key)
 
 
-# -- what replaces a rendition -------------------------------------------
+def looked_up(engine, record):
+    return engine.response_cache.get(record.name, record.version, "GET",
+                                     record.digest)
+
+
+# -- what replaces an entry ------------------------------------------------
 
 
 def test_a_rendition_is_replaced_when_either_half_of_its_stamp_moves():
     engine = make_engine()
     record = engine.graph.get(PAGE)
-    first = rendition_of(engine, record)
-    assert rendition_of(engine, record) is first
+    served = dispatch(engine, get(PAGE, gzip=True))
+    first = entry_of(engine, PAGE)
+    assert looked_up(engine, record) is first
+    assert engine._validators(PAGE, record) is first
     assert (first.version, first.digest) == (record.version, record.digest)
     assert first.etag == etag_for(PAGE, record.version)
     assert first.last_modified == last_modified_for(record.version)
+    assert first.gzip_body is served.body
     record.version += 1
-    second = rendition_of(engine, record)
+    assert looked_up(engine, record) is None       # a stale stamp misses
+    assert engine._validators(PAGE, record).etag != first.etag
+    dispatch(engine, get(PAGE, gzip=True))          # the fill replaces it
+    second = entry_of(engine, PAGE)
     assert second is not first and second.etag != first.etag
+    assert second.version == record.version
     record.digest = body_digest(b"other bytes, same version")
-    third = rendition_of(engine, record)
+    assert looked_up(engine, record) is None
+    third = engine._validators(PAGE, record)
     assert third is not second and third.etag == second.etag
     assert third.gzip_body is None and not third.not_modified
-    assert len(engine._renditions) == 1     # replaced, not accumulated
+    assert len(engine.response_cache) == 1     # replaced, not accumulated
 
 
 def test_an_update_and_a_regeneration_each_start_a_new_rendition():
     engine = make_engine()
     before = dispatch(engine, get(PAGE, gzip=True))
-    kept = engine._renditions[PAGE]
+    kept = entry_of(engine, PAGE)
     assert kept.gzip_body is before.body
     engine.update_document(PAGE, SITE[PAGE].replace(b"lorem", b"LOREM"))
+    assert PAGE not in engine.response_cache
     after = dispatch(engine, get(PAGE, gzip=True))     # regenerates
-    fresh = engine._renditions[PAGE]
+    fresh = entry_of(engine, PAGE)
     assert fresh is not kept
     assert fresh.digest == engine.graph.get(PAGE).digest != kept.digest
     assert fresh.gzip_body is after.body
@@ -134,59 +149,90 @@ def test_a_peers_304_is_framed_afresh_and_never_kept():
     """A response to a peer carries the load table of the moment; the
     memoised block must neither hold one nor be handed to a peer."""
     engine = make_engine()
+    dispatch(engine, get(PAGE))             # the entry that keeps blocks
     etag = etag_for(PAGE, 0)
     from_peer = get(PAGE, etag=etag)
     from_peer.headers.set(SENDER_HEADER, str(COOP))
     first = dispatch(engine, from_peer)
     assert first.status == 304 and first.headers.get(SENDER_HEADER)
-    assert not engine._renditions[PAGE].not_modified
+    assert not entry_of(engine, PAGE).not_modified
     assert engine.stats.fast_hits == 0      # peer traffic goes slow
     plain = dispatch(engine, get(PAGE, etag=etag))
     assert plain.status == 304 and SENDER_HEADER not in plain.headers
     assert engine.stats.fast_hits == 1
+    assert entry_of(engine, PAGE).not_modified
     again = dispatch(engine, from_peer)     # not the block just kept
     assert again.status == 304
     assert again.headers.get(SENDER_HEADER) == str(HOME)
 
 
-# -- a refill does not deflate again -------------------------------------
+# -- an eviction takes the variant with the bytes ---------------------------
 
 
-def test_refilling_an_evicted_entry_does_not_compress_again(monkeypatch):
+def counting_gzip(monkeypatch):
     calls = []
     real = content.gzip_bytes
+    monkeypatch.setattr(content, "gzip_bytes",
+                        lambda data: calls.append(len(data)) or real(data))
+    return calls
 
-    def counting(data):
-        calls.append(len(data))
-        return real(data)
 
-    monkeypatch.setattr(content, "gzip_bytes", counting)
+def test_an_evicted_entry_takes_its_variant_with_it(monkeypatch):
+    calls = counting_gzip(monkeypatch)
     engine = make_engine()
     first = dispatch(engine, get(PAGE, gzip=True))
     assert calls == [len(SITE[PAGE])]
-    for __ in range(3):
+    served = first
+    for turn in range(2, 5):
+        # A hit is served from the entry: no second deflate.
+        assert dispatch(engine, get(PAGE, gzip=True)).body is served.body
         evict(engine)
         assert len(engine.response_cache) == 0
         again = dispatch(engine, get(PAGE, gzip=True))
         assert len(engine.response_cache) == 1      # refilled
-        assert again.body is first.body
+        assert again.body is not served.body and again.body == first.body
         assert again.serialize_head() == first.serialize_head()
         assert body_digest(gunzip_bytes(again.body)) == \
             again.headers.get(DIGEST_HEADER)
-    assert calls == [len(SITE[PAGE])]
-    # An identity refill carries the kept variant too (Vary depends on it).
+        assert calls == [len(SITE[PAGE])] * turn
+        served = again
+    # An identity refill makes the variant too (Vary depends on it).
     evict(engine)
     identity = dispatch(engine, get(PAGE))
     assert identity.body == SITE[PAGE]
     assert identity.headers.get("Vary") == "Accept-Encoding"
-    assert calls == [len(SITE[PAGE])]
-    # A document with nothing worth keeping is simply asked again.
+    assert len(calls) == 5
+    # A document with nothing worth compressing is simply asked again.
     for __ in range(2):
         evict(engine)
         assert dispatch(engine, get("/i.gif", gzip=True)).body == \
             SITE["/i.gif"]
-    assert engine._renditions["/i.gif"].gzip_body is None
-    assert calls == [len(SITE[PAGE])]
+    assert entry_of(engine, "/i.gif").gzip_body is None
+    assert len(calls) == 5
+
+
+def test_a_head_joins_the_entry_a_get_made_and_keeps_its_variant():
+    engine = make_engine()
+    reads = []
+    read = engine.store.get
+    engine.store.get = lambda name: reads.append(name) or read(name)
+    first = dispatch(engine, get(PAGE, gzip=True))
+    assert first.headers.get("Content-Encoding") == "gzip"
+    # The first HEAD of the copy misses and joins the GET's entry; the
+    # second is a hit.  A HEAD answers as the identity entity, no Vary.
+    for __ in range(2):
+        head = dispatch(engine, get(PAGE, gzip=True, method="HEAD"))
+        assert head.status == 200 and head.body == b""
+        assert head.headers.get_int("Content-Length") == len(SITE[PAGE])
+        assert "Vary" not in head.headers
+        assert "Content-Encoding" not in head.headers
+    entry = entry_of(engine, PAGE)
+    assert entry.methods == {"GET", "HEAD"} and len(engine.response_cache) == 1
+    assert entry.gzip_body is first.body
+    again = dispatch(engine, get(PAGE, gzip=True))
+    assert again.body is first.body
+    assert again.serialize_head() == first.serialize_head()
+    assert reads == [PAGE, PAGE]        # the GET's fill, the HEAD's join
 
 
 def test_every_fill_that_touches_the_variant_hashes_the_bytes(monkeypatch):
@@ -202,7 +248,7 @@ def test_every_fill_that_touches_the_variant_hashes_the_bytes(monkeypatch):
     for turn in range(2, 5):
         evict(engine)
         dispatch(engine, get(PAGE, gzip=True))
-        assert hashed == [digest] * turn    # ... and before each reuse
+        assert hashed == [digest] * turn    # ... and before each remake
     # A document that cannot have a variant is left to the sampler.
     evict(engine)
     dispatch(engine, get("/i.gif", gzip=True))
@@ -210,22 +256,22 @@ def test_every_fill_that_touches_the_variant_hashes_the_bytes(monkeypatch):
     assert engine.integrity.counters.serve_checks == 0
 
 
-# -- bit-rot under a rendition -------------------------------------------
+# -- bit-rot under an entry ------------------------------------------------
 
 
 def rotting_engine(tmp_path, name):
     """A disk-backed engine whose reads of *name* flip one byte (offset
-    from ``REPRO_FAULT_SEED``) once ``plan.enabled`` is set.  No byte
-    cache, no scrubber and the 1-in-N sampler off: the only thing left
-    to notice is the check a variant reuse makes."""
+    from ``REPRO_FAULT_SEED``) once ``plan.enabled`` is set.  Every cache
+    miss reads the disk; no scrubber and the 1-in-N sampler off: the
+    only thing left to notice is the check a fill that makes the
+    variant makes."""
     plan = FaultPlan.from_env([FaultRule(kind="corrupt", site="disk",
                                          name=name)])
     plan.enabled = False
     store = DiskStore(str(tmp_path), faults=plan)
     for path, data in SITE.items():
         store.put(path, data)
-    engine = make_engine(store, byte_cache_bytes=0,
-                         integrity_serve_sample=0)
+    engine = make_engine(store, integrity_serve_sample=0)
     return engine, plan
 
 
@@ -236,7 +282,7 @@ def test_a_rotten_refill_is_quarantined_not_paired_with_the_variant(
     good = dispatch(engine, get(PAGE, gzip=True))
     etag = good.headers.get("ETag")
     assert dispatch(engine, get(PAGE, etag=etag)).status == 304
-    kept = engine._renditions[PAGE]
+    kept = entry_of(engine, PAGE)
     assert kept.gzip_body is good.body and kept.not_modified
     plan.enabled = True
     evict(engine)
@@ -254,7 +300,7 @@ def test_a_rotten_refill_is_quarantined_not_paired_with_the_variant(
     repaired = dispatch(engine, get(PAGE, gzip=True, etag=etag))
     assert repaired.status == 200
     assert not engine.integrity.is_quarantined(PAGE)
-    assert engine._renditions[PAGE] is not kept
+    assert entry_of(engine, PAGE) is not kept
     assert repaired.body is not good.body
     body = gunzip_bytes(repaired.body)
     assert body_digest(body) == repaired.headers.get(DIGEST_HEADER)
@@ -264,17 +310,17 @@ def test_a_rotten_refill_is_quarantined_not_paired_with_the_variant(
 
 @pytest.mark.parametrize("name", [PAGE, NOTES])
 def test_a_rotten_first_read_never_becomes_the_variant(tmp_path, name):
-    """The variant is made once and outlives cache entries, so the read
-    it is made from must be shown to be the stamped bytes: a variant of
-    rotten bytes under the good digest would be paired with every later
-    clean read, and nothing downstream hashes a gzip body."""
+    """The read a variant is made from must be shown to be the stamped
+    bytes: a variant of rotten bytes under the good digest would be
+    served for as long as its entry lives, and nothing downstream
+    hashes a gzip body."""
     engine, plan = rotting_engine(tmp_path, name)
     plan.enabled = True
     refused = dispatch(engine, get(name, gzip=True))
     assert refused.status == 503
     assert [event.kind for event in plan.injected] == ["corrupt"]
     assert engine.integrity.counters.corruptions_detected == 1
-    assert engine._renditions[name].gzip_body is None
+    assert name not in engine.response_cache
     assert len(engine.response_cache) == 0
     plan.enabled = False
     if name == NOTES:       # nothing regenerates it: the author re-uploads
@@ -284,7 +330,7 @@ def test_a_rotten_first_read_never_becomes_the_variant(tmp_path, name):
         served = dispatch(engine, get(name, gzip=True))
         assert served.status == 200
         assert served.headers.get("Content-Encoding") == "gzip"
-        assert served.body is engine._renditions[name].gzip_body
+        assert served.body is entry_of(engine, name).gzip_body
         assert body_digest(gunzip_bytes(served.body)) == \
             served.headers.get(DIGEST_HEADER) == \
             engine.graph.get(name).digest
@@ -303,17 +349,18 @@ def test_no_304_for_a_quarantined_name(tmp_path):
     evict(engine)
     assert dispatch(engine, get(NOTES, gzip=True)).status == 503
     assert engine.integrity.is_quarantined(NOTES)
-    # Same version, same digest, so the rendition and its 304 blocks are
-    # still there — and must not answer for bytes known to be bad.
+    # Same version, same digest, so the validators still match — and
+    # must not answer for bytes known to be bad.
     record = engine.graph.get(NOTES)
     assert not record.dirty
-    assert rendition_of(engine, record).not_modified
+    assert NOTES not in engine.response_cache
+    assert engine._validators(NOTES, record).etag == etag
     for method in ("GET", "HEAD"):
         refused = dispatch(engine, get(NOTES, etag=etag, method=method))
         assert refused.status == 503
     assert engine.stats.fast_hits == 2
     assert engine.stats.conditional_304s == 2
-    # The author's re-upload is a new version with its own rendition.
+    # The author's re-upload is a new version with its own entry.
     plan.enabled = False
     engine.update_document(NOTES, SITE[NOTES])
     assert dispatch(engine, get(NOTES, etag=etag)).status == 200
@@ -321,7 +368,7 @@ def test_no_304_for_a_quarantined_name(tmp_path):
     assert dispatch(engine, get(NOTES, etag=fresh)).status == 304
 
 
-# -- a hosted copy has a rendition too --------------------------------------
+# -- a hosted copy has an entry too ------------------------------------------
 
 KEY = f"/~migrate/{HOME.host}/{HOME.port}{PAGE}"
 REVISED = SITE[PAGE].replace(b"lorem", b"LOREM")
@@ -350,14 +397,14 @@ def test_a_refresh_by_validation_replaces_the_hosted_rendition():
     etag = served.headers.get("ETag")
     assert etag == etag_for(KEY, "3")
     assert dispatch(coop, get(KEY, etag=etag)).status == 304
-    kept = coop._renditions[KEY]
+    kept = entry_of(coop, KEY)
     assert kept.gzip_body is served.body and kept.not_modified
     assert (kept.version, kept.digest) == ("3", body_digest(SITE[PAGE]))
-    # 304 from the home: the copy, and so the rendition, stand.
+    # 304 from the home: the copy, and so the entry, stand.
     validated(coop, Response(status=304))
     assert dispatch(coop, get(KEY, gzip=True)).body is served.body
-    assert coop._renditions[KEY] is kept
-    # 200 with new bytes under a new version: a new stamp, a new record.
+    assert entry_of(coop, KEY) is kept
+    # 200 with new bytes under a new version: a new stamp, a new entry.
     fresh = Response(status=200, body=REVISED)
     fresh.headers.set(VERSION_HEADER, "4")
     fresh.headers.set(DIGEST_HEADER, body_digest(REVISED))
@@ -366,7 +413,7 @@ def test_a_refresh_by_validation_replaces_the_hosted_rendition():
     again = dispatch(coop, get(KEY, gzip=True))
     assert gunzip_bytes(again.body) == REVISED
     assert again.headers.get("ETag") == etag_for(KEY, "4")
-    replaced = coop._renditions[KEY]
+    replaced = entry_of(coop, KEY)
     assert replaced is not kept and not replaced.not_modified
     assert replaced.gzip_body is again.body
     # A home that keeps the version but not the bytes (a regeneration):
@@ -376,20 +423,20 @@ def test_a_refresh_by_validation_replaces_the_hosted_rendition():
     validated(coop, regenerated)
     assert gunzip_bytes(dispatch(coop, get(KEY, gzip=True)).body) == \
         SITE[PAGE]
-    assert coop._renditions[KEY] is not replaced
+    assert entry_of(coop, KEY) is not replaced
 
 
 @pytest.mark.parametrize("status", [301, 404])
 def test_dropping_a_hosted_copy_drops_its_rendition(status):
     coop = make_coop()
     dispatch(coop, get(KEY, gzip=True))
-    assert KEY in coop._renditions
+    assert KEY in coop.response_cache
     validated(coop, Response(status=status))
     assert KEY not in coop.hosted and KEY not in coop.store
-    assert KEY not in coop._renditions
-    assert len(coop.response_cache) == 0
-    assert coop.cache_counters()["renditions"] == {
-        "entries": 0, "variant_bytes": 0}
+    assert KEY not in coop.response_cache
+    counters = coop.cache_counters()["response_cache"]
+    assert (counters["entries"], counters["used_bytes"],
+            counters["variant_bytes"]) == (0, 0, 0)
 
 
 def test_a_pull_answered_with_a_redirect_leaves_no_rendition():
@@ -402,28 +449,29 @@ def test_a_pull_answered_with_a_redirect_leaves_no_rendition():
     moved = Response(status=301)
     moved.headers.set("Location", "http://elsewhere:1/~migrate/x")
     assert coop.complete_pull(pull, moved, 60.0).response.status == 301
-    assert KEY not in coop.hosted and KEY not in coop._renditions
+    assert KEY not in coop.hosted and KEY not in coop.response_cache
 
 
-def test_refilling_an_evicted_hosted_entry_does_not_compress_again(
-        monkeypatch):
-    calls = []
-    real = content.gzip_bytes
-    monkeypatch.setattr(content, "gzip_bytes",
-                        lambda data: calls.append(len(data)) or real(data))
+def test_an_evicted_hosted_entry_takes_its_variant_with_it(monkeypatch):
+    calls = counting_gzip(monkeypatch)
     coop = make_coop()
     first = dispatch(coop, get(KEY, gzip=True))
     assert calls == [len(SITE[PAGE])]
-    for __ in range(3):
+    assert coop.cache_counters()["response_cache"]["variant_bytes"] == \
+        len(first.body)
+    served = first
+    for turn in range(2, 5):
+        assert dispatch(coop, get(KEY, gzip=True)).body is served.body
         evict(coop)
+        assert coop.cache_counters()["response_cache"]["variant_bytes"] == 0
         again = dispatch(coop, get(KEY, gzip=True))
-        assert again.body is first.body
+        assert again.body is not served.body and again.body == first.body
         assert again.serialize_head() == first.serialize_head()
+        assert calls == [len(SITE[PAGE])] * turn
+        served = again
     evict(coop)
     assert dispatch(coop, get(KEY)).headers.get("Vary") == "Accept-Encoding"
-    assert calls == [len(SITE[PAGE])]
-    assert coop.cache_counters()["renditions"]["variant_bytes"] == \
-        len(first.body)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("gzip", [True, False])
@@ -435,9 +483,9 @@ def test_a_rotten_hosted_refill_is_pulled_again_never_paired(tmp_path, gzip):
                                          name=KEY)])
     plan.enabled = False
     coop = make_coop(DiskStore(str(tmp_path), faults=plan),
-                     byte_cache_bytes=0, integrity_serve_sample=0)
+                     integrity_serve_sample=0)
     good = dispatch(coop, get(KEY, gzip=True))
-    assert coop._renditions[KEY].gzip_body is good.body
+    assert entry_of(coop, KEY).gzip_body is good.body
     plan.enabled = True
     evict(coop)
     pull = coop.handle_request(get(KEY, gzip=gzip), 70.0)
@@ -446,7 +494,7 @@ def test_a_rotten_hosted_refill_is_pulled_again_never_paired(tmp_path, gzip):
     assert [event.kind for event in plan.injected] == ["corrupt"]
     assert coop.integrity.counters.corruptions_detected == 1
     assert coop.integrity.counters.serve_checks == 0    # not the sampler
-    assert KEY not in coop._renditions and KEY not in coop.store
+    assert KEY not in coop.response_cache and KEY not in coop.store
     assert len(coop.response_cache) == 0
     # The home's answer is installed and served — negotiated like any
     # request, which the reply after a pull once was not.
@@ -467,10 +515,10 @@ def test_a_rotten_first_hosted_read_never_becomes_the_variant(tmp_path):
     plan = FaultPlan.from_env([FaultRule(kind="corrupt", site="disk",
                                          name=KEY)])
     coop = make_coop(DiskStore(str(tmp_path), faults=plan),
-                     byte_cache_bytes=0, integrity_serve_sample=0)
+                     integrity_serve_sample=0)
     pull = coop.handle_request(get(KEY, gzip=True), 70.0)
     assert isinstance(pull, PullFromHome)
-    assert KEY not in coop._renditions
+    assert KEY not in coop.response_cache
     assert len(coop.response_cache) == 0
 
 
@@ -509,6 +557,9 @@ def test_a_clean_site_with_revalidations_stays_on_the_short_circuit():
     that sends 304s back to ``handle_request`` fails here, not in a
     benchmark."""
     engine = make_engine()
+    reads = []
+    read = engine.store.get
+    engine.store.get = lambda name: reads.append(name) or read(name)
     names = sorted(SITE)
     for name in names:      # the warm crawl: one slow fill per document
         dispatch(engine, get(name))
@@ -530,21 +581,33 @@ def test_a_clean_site_with_revalidations_stays_on_the_short_circuit():
     assert counters["short_circuit"] == {
         "fast_hits": stats.fast_hits, "requests": stats.requests,
         "share": round(share, 4)}
-    assert counters["renditions"]["entries"] == len(SITE)
+    assert counters["response_cache"]["entries"] == len(SITE)
+    # A short-circuit miss is looked up again by the slow path and
+    # booked once there: every booked miss is one read of the store.
+    assert counters["byte_cache"]["misses"] == len(reads) > len(SITE)
     page = render_caches(engine)
-    assert "short_circuit:" in page and "renditions:" in page
+    assert "short_circuit:" in page and "response_cache:" in page
     assert f"share            {share:.4f}" in page
 
 
 def test_rendition_counters_report_the_variant_bytes_kept():
+    def held(engine):
+        counters = engine.cache_counters()["response_cache"]
+        return {key: counters[key]
+                for key in ("entries", "used_bytes", "variant_bytes")}
+
     engine = make_engine()
-    assert engine.cache_counters()["renditions"] == {
-        "entries": 0, "variant_bytes": 0}
+    assert held(engine) == {"entries": 0, "used_bytes": 0,
+                            "variant_bytes": 0}
     bodies = [dispatch(engine, get(name, gzip=True)).body
               for name in (PAGE, NOTES)]
     dispatch(engine, get("/i.gif", gzip=True))
-    assert engine.cache_counters()["renditions"] == {
-        "entries": 3, "variant_bytes": sum(map(len, bodies))}
-    evict(engine)       # the cache forgets; the renditions do not
-    assert engine.cache_counters()["renditions"]["variant_bytes"] == \
-        sum(map(len, bodies))
+    variants = sum(map(len, bodies))
+    identity = len(SITE[PAGE]) + len(SITE[NOTES]) + len(SITE["/i.gif"])
+    assert held(engine) == {"entries": 3, "used_bytes": identity + variants,
+                            "variant_bytes": variants}
+    assert engine.cache_counters()["response_cache"]["budget"] == \
+        engine.config.byte_cache_bytes
+    evict(engine)       # the variants go with the bytes
+    assert held(engine) == {"entries": 0, "used_bytes": 0,
+                            "variant_bytes": 0}
