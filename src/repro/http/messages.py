@@ -209,7 +209,9 @@ def parse_request_head(head: str) -> Tuple[Request, int]:
 
     The one head parser under :func:`parse_request` and
     :meth:`repro.http.wire.RequestParser.next_request`, so both raise
-    the same exceptions from the same bytes.
+    the same exceptions from the same bytes.  Framing is
+    ``Content-Length`` alone: a ``Transfer-Encoding`` field raises
+    :class:`HTTPError`, as do conflicting lengths.
     """
     lines = head.split("\r\n")
     parts = lines[0].split(" ")
@@ -217,6 +219,11 @@ def parse_request_head(head: str) -> Tuple[Request, int]:
         raise HTTPError(f"malformed request line: {lines[0]!r}")
     method, target, version = parts
     headers = Headers.parse_lines(lines[1:])
+    if "transfer-encoding" in headers:
+        # No body is ever de-chunked here, so a Transfer-Encoding request
+        # (with or without Content-Length — RFC 7230 section 3.3.3) has
+        # no framing this server agrees on: refuse it, and close.
+        raise HTTPError("Transfer-Encoding is not supported in requests")
     length = validated_content_length(headers)
     return Request(method=method, target=target, headers=headers,
                    version=version), length

@@ -82,6 +82,7 @@ class ThreadedDCWSServer(SocketHost):
         listener.bind((self.bind_host, self.port))
         listener.listen(self.engine.config.listen_backlog)
         listener.settimeout(0.2)
+        self.port = listener.getsockname()[1]   # the bound one, for port 0
         self._listener = listener
         self._threads = []
         front_end = threading.Thread(target=self._front_end_loop,

@@ -5,7 +5,8 @@ Every entry must be answered with 400 — never executed, never allowed to
 shift the framing of what follows.  After each payload the server must
 still answer a clean request on a fresh connection (no crashed worker, no
 wedged loop), and recoverable entries must not desync a request pipelined
-behind them on the same connection.
+behind them on the same connection.  Each entry is replayed twice on
+the same server, so the second pass runs against a warm head memo.
 """
 
 import socket
@@ -60,6 +61,13 @@ CORPUS = [
                  id="space-before-colon"),
     pytest.param(b"GET /x\tHTTP/1.1\r\nHost: h\r\n\r\n", False,
                  id="tab-in-request-line"),
+    pytest.param(b"POST /x HTTP/1.1\r\nHost: h\r\n"
+                 b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n"
+                 b"GET /smuggled HTTP/1.1\r\nHost: h\r\n\r\n", False,
+                 id="te-chunked-smuggles-get"),
+    pytest.param(b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n"
+                 b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n", False,
+                 id="cl-and-te"),
 ]
 
 
@@ -105,18 +113,26 @@ def exchange(port: int, wire: bytes, *, want: bytes = b"",
 
 @pytest.mark.parametrize("payload, recoverable", CORPUS)
 def test_corpus_entry_rejected_and_contained(server, payload, recoverable):
-    data = exchange(server.port, payload + PIPELINED_GET,
-                    want=PROBE_BODY if recoverable else b"")
-    assert data.split(b"\r\n")[0].split()[1:2] == [b"400"], \
-        f"expected a 400 first, got: {data[:80]!r}"
-    if recoverable:
-        # The malformed head frames no body: it is consumed exactly and
-        # the pipelined request behind it is served.
-        assert PROBE_BODY in data
-    else:
-        # Framing is ambiguous — the smuggled request must NOT run.
-        assert PROBE_BODY not in data
+    # Twice on one server: the second pass meets a warm head memo (the
+    # pipelined GET's head is kept; no refused head ever is), and must
+    # reach the same verdict.
+    verdicts = []
+    for __ in range(2):
+        data = exchange(server.port, payload + PIPELINED_GET,
+                        want=PROBE_BODY if recoverable else b"")
+        status = data.split(b"\r\n")[0].split()[1:2]
+        assert status == [b"400"], \
+            f"expected a 400 first, got: {data[:80]!r}"
+        if recoverable:
+            # The malformed head frames no body: it is consumed exactly
+            # and the pipelined request behind it is served.
+            assert PROBE_BODY in data
+        else:
+            # Framing is ambiguous — the smuggled request must NOT run.
+            assert PROBE_BODY not in data
+        verdicts.append((status, PROBE_BODY in data))
 
-    # Whatever happened, the server is still alive for other clients.
-    clean = exchange(server.port, PIPELINED_GET, want=PROBE_BODY)
-    assert PROBE_BODY in clean
+        # Whatever happened, the server is still alive for other clients.
+        clean = exchange(server.port, PIPELINED_GET, want=PROBE_BODY)
+        assert PROBE_BODY in clean
+    assert verdicts[0] == verdicts[1]

@@ -327,3 +327,14 @@ class TestLifecycle:
         with ThreadedDCWSServer(engine) as server:
             assert server.wait_ready()
             assert fetch_url(url_of(server, "/e.html")).status == 200
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_port_zero_records_the_bound_port(self, front_end):
+        # A leaf page only: the engine resolves links against its own
+        # location, and port 0 names no server.
+        engine = DCWSEngine(Location("127.0.0.1", 0), ServerConfig(),
+                            MemoryStore({"/e.html": SITE["/e.html"]}))
+        with FRONT_ENDS[front_end](engine) as server:
+            assert server.wait_ready()
+            assert server.port != 0
+            assert fetch_url(url_of(server, "/e.html")).status == 200

@@ -205,6 +205,50 @@ class TestContentLengthStrictness:
         assert issubclass(RecoverableProtocolError, HTTPError)
 
 
+class TestTransferEncoding:
+    """Framing is Content-Length alone: a request carrying
+    Transfer-Encoding is refused and the connection closed (RFC 7230
+    section 3.3.3).  Ignoring the field let a chunked "body" run as a
+    second request, and with both fields present Content-Length framed."""
+
+    def assert_fatal(self, parser):
+        with pytest.raises(HTTPError) as excinfo:
+            parser.next_request()
+        assert not isinstance(excinfo.value, RecoverableProtocolError)
+        assert "Transfer-Encoding" in str(excinfo.value)
+
+    def test_chunked_body_does_not_smuggle_a_request(self):
+        parser = RequestParser()
+        parser.feed(b"POST /x HTTP/1.1\r\nHost: h\r\n"
+                    b"Transfer-Encoding: chunked\r\n\r\n"
+                    b"0\r\n\r\nGET /smuggled HTTP/1.1\r\nHost: h\r\n\r\n")
+        self.assert_fatal(parser)
+
+    def test_content_length_and_transfer_encoding_fatal(self):
+        parser = RequestParser()
+        parser.feed(b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n"
+                    b"Transfer-Encoding: chunked\r\n\r\nabcd")
+        self.assert_fatal(parser)
+
+    def test_bad_content_length_beside_it_is_not_recoverable(self):
+        # Without Transfer-Encoding a bad length frames no body and the
+        # connection stays; with it, the framing is ambiguous.
+        parser = RequestParser()
+        parser.feed(b"POST /x HTTP/1.1\r\nContent-Length: -1\r\n"
+                    b"transfer-encoding: identity\r\n\r\n")
+        self.assert_fatal(parser)
+
+    @pytest.mark.parametrize("value", [b"chunked", b"gzip, chunked",
+                                       b"identity", b""])
+    def test_every_value_and_every_pass_refused(self, value):
+        wire = (b"GET /x HTTP/1.1\r\nTRANSFER-ENCODING: " + value
+                + b"\r\n\r\n")
+        for __ in range(2):             # a refused head is never memoised
+            parser = RequestParser()
+            parser.feed(wire)
+            self.assert_fatal(parser)
+
+
 class TestLimits:
     def test_default_limit(self):
         assert RequestParser().max_request == DEFAULT_MAX_REQUEST

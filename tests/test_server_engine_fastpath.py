@@ -33,7 +33,7 @@ from repro.http.content import (
 )
 from repro.http.headers import Headers, _Facts
 from repro.http.messages import Request, Response, parse_request
-from repro.http.wire import RequestParser
+from repro.http.wire import RequestParser, _parsed_head
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
     DCWSEngine,
@@ -915,13 +915,29 @@ def counted(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counting)
 
 
+def assert_cold_parse_asks_once(monkeypatch, raw):
+    """The first parse of *raw* in this process works out its facts
+    once; every later parse of the same bytes takes them from the
+    head memo."""
+    _parsed_head.cache_clear()          # whatever parsed these bytes before
+    calls = {}
+    with monkeypatch.context() as patch:
+        counted(patch, _Facts, "__init__", calls)
+        parser = RequestParser()
+        parser.feed(raw)
+        assert parser.next_request().headers.facts().keep_alive
+    assert calls == {"__init__": 1}, calls
+
+
 def test_one_warm_cached_get_asks_its_fields_once(monkeypatch):
     """Parse, ``_engine_dispatch``, ``_settle_keep_alive`` and
     ``serialize_head`` for one warm cached GET: before the facts record
     this was 8 ``Headers.get``, 4 ``get_all`` and ``Connection``
     interpreted three times.  Now the request's facts are worked out
-    once, and the response's not at all — its block was stored with
-    them, and a copy starts with its original's."""
+    once, when its head is first parsed (the head memo keeps them, so a
+    warm head's turn works out none), and the response's not at all —
+    its block was stored with them, and a copy starts with its
+    original's."""
     engine = make_engine()
     host = AsyncDCWSServer(engine)      # never started: no sockets
     raw = (b"GET /big.html HTTP/1.1\r\nHost: h\r\n"
@@ -935,6 +951,7 @@ def test_one_warm_cached_get_asks_its_fields_once(monkeypatch):
         assert host._settle_keep_alive(3, request, reply.response)
         return request, reply, reply.response.serialize_head()
 
+    assert_cold_parse_asks_once(monkeypatch, raw)
     turn(1.0)                           # the cache fill, by the slow route
     turn(2.0)                           # the flavour's first short-circuit
     calls = {}
@@ -946,7 +963,7 @@ def test_one_warm_cached_get_asks_its_fields_once(monkeypatch):
     assert engine.stats.fast_hits == fast_hits + 1
     assert calls.get("get", 0) <= 2, calls
     assert calls.get("get_all", 0) <= 1, calls    # Content-Length, strictly
-    assert calls.get("__init__", 0) == 1, calls   # the request's, once
+    assert calls.get("__init__", 0) == 0, calls   # a warm head's came with it
     assert b"Content-Encoding: gzip" in head
     assert b"Connection: keep-alive" in head
     # A copy of a stored block arrives with its facts filled in.
@@ -968,13 +985,14 @@ def test_one_warm_cached_get_asks_its_fields_once(monkeypatch):
         assert not_modified.status == 304
         host._settle_keep_alive(3, request, not_modified)
         not_modified.serialize_head()
-    assert calls.get("__init__", 0) == 1, calls
+    assert calls.get("__init__", 0) == 0, calls
 
 
 def test_one_warm_hosted_get_asks_its_fields_once(monkeypatch):
     """A co-op's warm GET of a hosted copy costs what a home's does: it
     never reaches ``handle_request`` or ``_serve_copy``, asks the
-    request's fields once, and books its hit on the hosted entry."""
+    request's fields once (at the head's first parse), and books its
+    hit on the hosted entry."""
     coop = coop_engine()
     host = AsyncDCWSServer(coop)        # never started: no sockets
     key = key_of("/big.html")
@@ -989,6 +1007,7 @@ def test_one_warm_hosted_get_asks_its_fields_once(monkeypatch):
         assert host._settle_keep_alive(3, request, reply.response)
         return reply, reply.response.serialize_head()
 
+    assert_cold_parse_asks_once(monkeypatch, raw)
     turn(1.0)                           # the cache fill, by the slow route
     turn(2.0)                           # the flavour's first short-circuit
     calls = {}
@@ -1003,7 +1022,7 @@ def test_one_warm_hosted_get_asks_its_fields_once(monkeypatch):
     assert "handle_request" not in calls and "_serve_copy" not in calls
     assert calls.get("get", 0) <= 2, calls
     assert calls.get("get_all", 0) <= 1, calls    # Content-Length, strictly
-    assert calls.get("__init__", 0) == 1, calls   # the request's, once
+    assert calls.get("__init__", 0) == 0, calls   # a warm head's came with it
     assert b"Content-Encoding: gzip" in head
     assert b"Connection: keep-alive" in head
     assert VERSION_HEADER.encode() not in head
