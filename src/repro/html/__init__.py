@@ -10,7 +10,7 @@ era (unclosed tags, unquoted attributes, stray ``>``).
 
 from repro.html.links import HREF_ATTRIBUTES, LinkRef, extract_links
 from repro.html.parser import Document, Element, Node, Text, parse_html
-from repro.html.rewriter import count_rewritable_links, rewrite_links
+from repro.html.rewriter import rewrite_links
 from repro.html.serializer import serialize_html
 from repro.html.tokenizer import (
     Comment,
@@ -35,7 +35,6 @@ __all__ = [
     "Text",
     "TextToken",
     "Token",
-    "count_rewritable_links",
     "extract_links",
     "parse_html",
     "rewrite_links",

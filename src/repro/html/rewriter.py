@@ -45,11 +45,6 @@ def rewrite_links(document: Document, rewrite: RewriteFn) -> int:
     return changed
 
 
-def count_rewritable_links(document: Document) -> int:
-    """How many references :func:`rewrite_links` would visit."""
-    return len(link_elements(document))
-
-
 def rewrite_html(source: str, rewrite: RewriteFn) -> str:
     """Parse, rewrite, and re-serialize *source* in one call.
 

@@ -24,11 +24,21 @@ path without ever re-parsing.
 parsed: the same walk also yields the page's followable link values —
 what :func:`repro.html.links.extract_links` reports — so the local
 document graph's edges and the template cost one pass between them.
+
+A server keeps one template per home page for as long as it runs, so
+the layout is flat: the span offsets in one ``array``, the link values
+and tag names in lists of ``sys.intern``ed strings (a site links a few
+hundred distinct targets from tens of thousands of anchors, and after a
+regeneration every page holds absolute URLs of those same targets), the
+attribute derived from the tag.  :class:`LinkSpan` tuples are built only
+when :attr:`LinkTemplate.spans` is read.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
+from sys import intern
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.html.links import HREF_ATTRIBUTES, is_followable
@@ -43,8 +53,7 @@ class LinkSpan(NamedTuple):
 
     ``start``/``end`` delimit the *escaped* attribute value (inside its
     double quotes); ``value`` is the unescaped value as the parse tree
-    stores it.  (A NamedTuple, not a dataclass: splicing rebuilds every
-    span per regeneration, so construction cost is on the hot path.)
+    stores it; ``attribute`` is always ``HREF_ATTRIBUTES[tag]``.
     """
 
     start: int
@@ -55,27 +64,60 @@ class LinkSpan(NamedTuple):
 
 
 class LinkTemplate:
-    """A document's canonical source plus the spans of its references."""
+    """A document's canonical source plus the spans of its references.
 
-    __slots__ = ("source", "spans")
+    Span *i* starts at ``_bounds[2 * i]``, ends at ``_bounds[2 * i + 1]``
+    and holds ``_values[i]`` on a ``_tags[i]`` element.  A template is
+    never changed after it is made, so a splice hands its tag list on to
+    the next template.
+    """
+
+    __slots__ = ("source", "_bounds", "_values", "_tags")
 
     def __init__(self, source: str, spans: List[LinkSpan]) -> None:
+        bounds = array("L")
+        for span in spans:
+            if HREF_ATTRIBUTES.get(span.tag) != span.attribute:
+                raise ValueError(f"{span.attribute!r} is not the reference "
+                                 f"attribute of <{span.tag}>")
+            bounds.extend((span.start, span.end))
         self.source = source
-        self.spans = spans
+        self._bounds = bounds
+        self._values = [intern(span.value) for span in spans]
+        self._tags = [intern(span.tag) for span in spans]
+
+    @classmethod
+    def _flat(cls, source: str, bounds: "array[int]", values: List[str],
+              tags: List[str]) -> "LinkTemplate":
+        """A template over arrays already in the flat layout."""
+        template = cls.__new__(cls)
+        template.source = source
+        template._bounds = bounds
+        template._values = values
+        template._tags = tags
+        return template
 
     def __len__(self) -> int:
         return len(self.source)
 
+    @property
+    def span_count(self) -> int:
+        """How many spans, without building them."""
+        return len(self._values)
+
+    @property
+    def spans(self) -> List[LinkSpan]:
+        """The spans as tuples, built on each read (tests, introspection)."""
+        bounds = iter(self._bounds)
+        return [LinkSpan(start, end, value, tag, HREF_ATTRIBUTES[tag])
+                for start, end, value, tag
+                in zip(bounds, bounds, self._values, self._tags)]
+
     def compute_replacements(self, rewrite: RewriteFn) -> List[Optional[str]]:
         """Evaluate *rewrite* on every span, mirroring ``rewrite_links``:
         spans whose current value is no longer followable are skipped."""
-        replacements: List[Optional[str]] = []
-        for span in self.spans:
-            if not is_followable(span.value):
-                replacements.append(None)
-            else:
-                replacements.append(rewrite(span.value.strip()))
-        return replacements
+        return [rewrite(value.strip()) if is_followable(value) else None
+                for value in self._values]
 
     def splice(self, rewrite: RewriteFn) -> Tuple[str, "LinkTemplate"]:
         """Regenerate via *rewrite*; returns ``(output, next_template)``.
@@ -94,33 +136,31 @@ class LinkTemplate:
         The string half of :meth:`splice`: every rewrite lookup has been
         made by the time it runs.
         """
-        source = self.source
-        if not any(replacement is not None and replacement != span.value
-                   for span, replacement in zip(self.spans, replacements)):
-            return source, self
+        source, bounds, values = self.source, self._bounds, self._values
+        new_bounds = bounds[:]
+        new_values = values.copy()
         parts: List[str] = []
-        new_spans: List[LinkSpan] = []
-        cursor = 0
-        shift = 0
-        for span, replacement in zip(self.spans, replacements):
-            if replacement is None or replacement == span.value:
+        cursor = shift = 0
+        for index, replacement in enumerate(replacements):
+            if replacement is None or replacement == values[index]:
                 if shift:
-                    span = LinkSpan(span.start + shift, span.end + shift,
-                                    span.value, span.tag, span.attribute)
-                new_spans.append(span)
+                    new_bounds[2 * index] += shift
+                    new_bounds[2 * index + 1] += shift
                 continue
-            parts.append(source[cursor:span.start])
+            start, end = bounds[2 * index], bounds[2 * index + 1]
+            replacement = new_values[index] = intern(replacement)
             escaped = escape_attribute(replacement)
-            parts.append(escaped)
-            new_start = span.start + shift
-            new_end = new_start + len(escaped)
-            shift += len(escaped) - (span.end - span.start)
-            cursor = span.end
-            new_spans.append(LinkSpan(new_start, new_end, replacement,
-                                      span.tag, span.attribute))
+            parts += (source[cursor:start], escaped)
+            new_bounds[2 * index] = start + shift
+            shift += len(escaped) - (end - start)
+            new_bounds[2 * index + 1] = end + shift
+            cursor = end
+        if not parts:
+            return source, self
         parts.append(source[cursor:])
         output = "".join(parts)
-        return output, LinkTemplate(output, new_spans)
+        return output, LinkTemplate._flat(output, new_bounds, new_values,
+                                          self._tags)
 
 
 def index_document(document: Document) -> Tuple[LinkTemplate, List[str]]:
@@ -134,15 +174,19 @@ def index_document(document: Document) -> Tuple[LinkTemplate, List[str]]:
     """
     pieces, references = walk_html(document, HREF_ATTRIBUTES)
     ends = list(accumulate(map(len, pieces)))
-    spans: List[LinkSpan] = []
+    bounds = array("L")
+    values: List[str] = []
+    tags: List[str] = []
     links: List[str] = []
-    for piece, value, tag, attribute, first in references:
+    for piece, value, tag, _, first in references:
         if is_followable(value):
-            spans.append(LinkSpan(ends[piece - 1], ends[piece], value,
-                                  tag, attribute))
+            bounds.extend((ends[piece - 1], ends[piece]))
+            value = intern(value)
+            values.append(value)
+            tags.append(intern(tag))
             if first:
                 links.append(value.strip())
-    return LinkTemplate("".join(pieces), spans), links
+    return LinkTemplate._flat("".join(pieces), bounds, values, tags), links
 
 
 def build_link_template(document: Document) -> LinkTemplate:

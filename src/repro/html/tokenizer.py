@@ -368,8 +368,3 @@ def unescape_entities(text: str) -> str:
 def escape_attribute(value: str) -> str:
     """Escape a value for inclusion in a double-quoted attribute."""
     return value.replace("&", "&amp;").replace('"', "&quot;")
-
-
-def escape_text(value: str) -> str:
-    """Escape character data."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

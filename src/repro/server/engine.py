@@ -2082,8 +2082,10 @@ class DCWSEngine:
     def cache_counters(self) -> Dict[str, Dict[str, float]]:
         """Counters of the serve path's memory, for the admin endpoint,
         stats sampling, and benchmarks: the short-circuit's share, the
-        link templates, and the copy cache's one block."""
+        link templates, and the copy cache's one block.  The templates'
+        span and source totals are summed here, on each call."""
         cache = self.response_cache
+        templates = self._templates.values()
         block = cache.stats.as_dict()
         block.update(entries=len(cache), used_bytes=cache.used_bytes,
                      budget=cache.budget, variant_bytes=cache.variant_bytes)
@@ -2096,6 +2098,8 @@ class DCWSEngine:
             },
             "templates": {
                 "entries": len(self._templates),
+                "spans": sum(template.span_count for template in templates),
+                "source_bytes": sum(map(len, templates)),
                 "builds": self.stats.template_builds,
                 "splices": self.stats.splices,
             },

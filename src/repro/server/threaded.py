@@ -291,14 +291,6 @@ class _RequestReader:
                 self._parser.feed(chunk)
 
 
-def _read_request(connection: socket.socket) -> Request:
-    """Read one complete request off *connection*."""
-    request = _RequestReader(connection).read_request()
-    if request is None:
-        raise HTTPError("connection closed before request completed")
-    return request
-
-
 def send_response(connection: socket.socket, response: Response) -> None:
     """Put *response* on the wire without concatenating head and body.
 

@@ -2,7 +2,7 @@
 
 from repro.html.links import extract_links
 from repro.html.parser import parse_html
-from repro.html.rewriter import count_rewritable_links, rewrite_html, rewrite_links
+from repro.html.rewriter import rewrite_html, rewrite_links
 from repro.html.serializer import serialize_html
 
 
@@ -43,10 +43,6 @@ class TestRewriteLinks:
         assert 'class="nav"' in out
         assert 'target="_top"' in out
         assert 'href="/new.html"' in out
-
-    def test_count_rewritable(self):
-        doc = parse_html('<a href="a">1</a><img src="b"><a href="#f">2</a>')
-        assert count_rewritable_links(doc) == 2
 
 
 class TestRewriteHtml:

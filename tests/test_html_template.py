@@ -1,5 +1,12 @@
 """Unit tests for link-template splice reconstruction."""
 
+import gc
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.datasets import build_sblog
 from repro.html.parser import parse_html
 from repro.html.rewriter import rewrite_html
 from repro.html.serializer import serialize_html
@@ -117,3 +124,86 @@ class TestSplice:
         output, __ = template.splice(lambda v: calls.append(v))
         assert calls == []
         assert output == template.source
+
+
+class TestFootprint:
+    """A server keeps a template per page for as long as it runs: the
+    spans are held flat, with link values and tags interned."""
+
+    @staticmethod
+    def link_heavy_page():
+        site = build_sblog(seed=0)
+        pages = sorted((name for name in site.documents
+                        if name.endswith(".html")),
+                       key=lambda name: -site.documents[name].count(b"href="))
+        return site, pages[0]
+
+    def test_a_template_keeps_few_bytes_per_span(self):
+        site, name = self.link_heavy_page()
+        text = site.documents[name].decode("latin-1")
+        # Another template already holds the page's link values, as the
+        # other pages of a site do on a server.
+        other = build_link_template(parse_html(text))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            template = build_link_template(parse_html(text))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        spans = len(template.spans)
+        assert spans > 300
+        assert template.spans == other.spans
+        # About 5x below the 330 B a span that 5-tuples holding private
+        # strings cost.
+        assert (kept - sys.getsizeof(template.source)) / spans < 64
+
+    def test_equal_values_of_two_pages_are_one_object(self):
+        site = build_sblog(seed=0)
+        first, second = (build_link_template(parse_html(
+            site.documents[name].decode("latin-1")))
+            for name in ("/index.html", "/by_date.html"))
+        values = {span.value: span.value for span in first.spans}
+        shared = [span.value for span in second.spans
+                  if span.value in values]
+        assert shared
+        assert all(value is values[value] for value in shared)
+
+    def test_spliced_replacements_are_one_object(self):
+        def absolute(value):
+            return "http://home:80" + value       # a fresh string each call
+        spliced = [template_of(f'<a href="/a.html">A</a><p>{n}</p>'
+                               '<img src="/i.gif">').splice(absolute)[1]
+                   for n in range(2)]
+        first, second = (template.spans for template in spliced)
+        assert [span.value for span in first] == [
+            "http://home:80/a.html", "http://home:80/i.gif"]
+        assert all(a.value is b.value for a, b in zip(first, second))
+
+    def test_the_constructor_round_trips_its_spans(self):
+        site, name = self.link_heavy_page()
+        built = build_link_template(parse_html(
+            site.documents[name].decode("latin-1")))
+        spans = built.spans
+        assert LinkTemplate(built.source, spans).spans == spans
+        with pytest.raises(ValueError):
+            LinkTemplate('<a href="/a.html">', [LinkSpan(9, 16, "/a.html",
+                                                         "a", "src")])
+
+    def test_an_offset_past_65535_round_trips(self):
+        filler = "<p>" + "x" * 70_000 + "</p>"
+        source = filler + '<a href="/a.html">A</a>' + filler \
+            + '<img src="/i.gif">'
+        template = template_of(source)
+        starts = [span.start for span in template.spans]
+        assert min(starts) > 65_535
+        for span in template.spans:
+            assert template.source[span.start:span.end] == span.value
+        output, spliced = template.splice(migrate)
+        assert output == rewrite_html(source, migrate)
+        for span in spliced.spans:
+            assert spliced.source[span.start:span.end] == span.value
+        assert LinkTemplate(template.source, template.spans).spans \
+            == template.spans

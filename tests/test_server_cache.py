@@ -411,6 +411,21 @@ class TestEngineResponseCache:
         for key in ("hits", "used_bytes", "budget", "variant_bytes"):
             assert key in text
 
+    def test_template_counters_sum_the_live_templates(self):
+        engine = make_engine()
+        engine.policy.force_migrate("/d.html", COOP, now=0.5)
+        before = engine.cache_counters()["templates"]
+        get(engine, "/index.html")            # the splice lengthens a link
+        after = engine.cache_counters()["templates"]
+        templates = engine._templates.values()
+        assert after["spans"] == before["spans"] > 0
+        assert after["spans"] == sum(len(t.spans) for t in templates)
+        assert after["source_bytes"] > before["source_bytes"]
+        assert after["source_bytes"] == sum(len(t.source) for t in templates)
+        text = get(engine, "/~dcws/caches", now=3.0).response.body.decode()
+        assert f"spans            {after['spans']}" in text
+        assert f"source_bytes     {after['source_bytes']}" in text
+
     def test_status_page_reports_splices(self):
         engine = make_engine()
         engine.policy.force_migrate("/d.html", COOP, now=0.5)

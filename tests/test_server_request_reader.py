@@ -5,7 +5,7 @@ import socket
 import pytest
 
 from repro.errors import HTTPError
-from repro.server.threaded import _read_request, _RequestReader
+from repro.server.threaded import _RequestReader
 
 
 @pytest.fixture()
@@ -71,12 +71,3 @@ def test_truncated_body_raises_instead_of_short_request(pair):
     client.close()
     with pytest.raises(HTTPError):
         _RequestReader(server).read_request()
-
-
-def test_module_level_read_request_wrapper(pair):
-    client, server = pair
-    client.sendall(b"GET / HTTP/1.0\r\n\r\n")
-    assert _read_request(server).target == "/"
-    client.close()
-    with pytest.raises(HTTPError):
-        _read_request(server)
