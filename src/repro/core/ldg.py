@@ -19,7 +19,7 @@ Maintained invariants (property-tested in ``tests/property``):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.document import DocumentRecord, Location
 from repro.errors import DocumentNotFound, MigrationError
@@ -159,21 +159,14 @@ class LocalDocumentGraph:
             raise MigrationError(f"cannot migrate entry point: {name!r}")
         if coop == self.home:
             raise MigrationError(f"cannot migrate {name!r} to its own home")
-        record.location = coop
-        record.migrated_at = now
-        self._dirty_self(record)
-        return self._dirty_referrers(record)
+        return self._relocate(record, coop, record.replicas, now)
 
     def mark_revoked(self, name: str) -> List[str]:
         """Return *name* to its home server, dirtying referrers again."""
         record = self.get(name)
         if record.location == self.home and not record.replicas:
             raise MigrationError(f"document is not migrated: {name!r}")
-        record.location = self.home
-        record.replicas.clear()
-        record.migrated_at = None
-        self._dirty_self(record)
-        return self._dirty_referrers(record)
+        return self._relocate(record, self.home, (), None)
 
     def add_replica(self, name: str, coop: Location,
                     now: float) -> List[str]:
@@ -185,12 +178,9 @@ class LocalDocumentGraph:
             raise MigrationError(f"replica location invalid for {name!r}: {coop}")
         if record.location == self.home:
             # First replica: treat like a primary migration.
-            record.location = coop
-            record.migrated_at = now
-        else:
-            record.replicas.add(coop)
-        self._dirty_self(record)
-        return self._dirty_referrers(record)
+            return self._relocate(record, coop, record.replicas, now)
+        return self._relocate(record, record.location,
+                              record.replicas | {coop}, record.migrated_at)
 
     def drop_holder(self, name: str, dead: Location) -> List[str]:
         """Replication groups: remove *dead* from *name*'s holder set.
@@ -200,9 +190,9 @@ class LocalDocumentGraph:
         ``migrated_at``) instead of bouncing home.  Raises
         :class:`MigrationError` when *dead* is not a holder or no live
         holder would survive (callers revoke then).
-        Returns the dirtied referrer names; the version bump from
-        ``_dirty_self`` invalidates cached responses whose rewritten
-        links may still point at the dead holder.
+        Returns the dirtied referrer names; the version bump invalidates
+        cached responses whose rewritten links may still point at the
+        dead holder.
         """
         record = self.get(name)
         if dead not in record.locations():
@@ -211,28 +201,17 @@ class LocalDocumentGraph:
             (loc for loc in record.locations() if loc != dead), key=str)
         if not survivors or survivors == [self.home]:
             raise MigrationError(f"no surviving holder for {name!r}")
-        if record.location == dead:
-            promoted = survivors[0]
-            record.location = promoted
-            record.replicas.discard(promoted)
-        record.replicas.discard(dead)
-        self._dirty_self(record)
-        return self._dirty_referrers(record)
+        primary = survivors[0] if record.location == dead \
+            else record.location
+        return self._relocate(record, primary,
+                              record.replicas - {primary, dead},
+                              record.migrated_at)
 
-    def _dirty_self(self, record: DocumentRecord) -> None:
-        """A relocated document's own hyperlinks must be rewritten to
-        absolute URLs (it may now be served from a foreign path), and its
-        version bumped so co-op copies refresh at validation."""
-        if record.content_type.startswith("text/html"):
-            record.dirty = True
-        record.version += 1
-
-    def dirty_referrers(self, name: str) -> List[str]:
-        """Set ``Dirty`` on every referrer of *name*; returns their names."""
-        return self._dirty_referrers(self.get(name))
-
-    def _dirty_referrers(self, record: DocumentRecord) -> List[str]:
-        """Dirty every referrer, with a version bump for the clean ones.
+    def _relocate(self, record: DocumentRecord, location: Location,
+                  replicas: Iterable[Location],
+                  migrated_at: Optional[float]) -> List[str]:
+        """The live half of every relocation: the versions it leaves
+        behind, then :meth:`install_holders`.  Returns the dirtied names.
 
         A referrer that is dirty already keeps its version: a dirty
         document is regenerated before any response carries its version,
@@ -240,16 +219,46 @@ class LocalDocumentGraph:
         the page reads it back under the version the save gave it
         whatever migrated in between.
         """
-        dirtied: List[str] = []
-        for referrer_name in sorted(record.link_from):
+        referrers = [referrer for referrer in map(
+            self._records.get, sorted(record.link_from))
+            if referrer is not None]
+        dirtied = [(r.name, r.version if r.dirty else r.version + 1)
+                   for r in referrers]
+        self.install_holders(record.name, location, replicas, migrated_at,
+                             record.version + 1, dirtied=dirtied)
+        return [name for name, _version in dirtied]
+
+    def install_holders(self, name: str, location: Location,
+                        replicas: Iterable[Location],
+                        migrated_at: Optional[float], version: int, *,
+                        dirty: bool = True,
+                        dirtied: Iterable[Tuple[str, int]] = ()) -> bool:
+        """Install who holds *name*, and since when: the one write every
+        relocation ends in, live, replayed from its journal record, or
+        restored from a snapshot.
+
+        The document itself is left dirty (an HTML page's own links
+        must be rewritten absolute, since it may now be served from a
+        foreign path; a snapshot passes its saved bit instead) at
+        *version*, so co-op copies refresh at validation, and so is each
+        ``(referrer, version)`` of *dirtied*.  Versions only move
+        forward, so installing twice is installing once.  ``False``, with
+        nothing touched, for a document no longer in the graph.
+        """
+        record = self._records.get(name)
+        if record is None:
+            return False
+        record.location = location
+        record.replicas = set(replicas)
+        record.migrated_at = None if location == self.home else migrated_at
+        record.dirty = dirty and record.is_html
+        record.version = max(record.version, version)
+        for referrer_name, referrer_version in dirtied:
             referrer = self._records.get(referrer_name)
-            if referrer is None:
-                continue
-            if not referrer.dirty:
+            if referrer is not None:
                 referrer.dirty = True
-                referrer.version += 1
-            dirtied.append(referrer_name)
-        return dirtied
+                referrer.version = max(referrer.version, referrer_version)
+        return True
 
     def remote_linkfrom_count(self, name: str) -> int:
         """How many referrers of *name* are not currently on this server

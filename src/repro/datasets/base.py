@@ -129,18 +129,6 @@ def make_page(title: str, *,
     return "\n".join(lines).encode("latin-1")
 
 
-def make_frame_template(title: str, frame_srcs: Sequence[str]) -> bytes:
-    """A small frameset entry page (section 3.1: frame templates are
-    well-known and tiny; internal frame pages migrate)."""
-    rows = ",".join(["*"] * len(frame_srcs))
-    lines = [f"<html><head><title>{title}</title></head>",
-             f'<frameset rows="{rows}">']
-    for src in frame_srcs:
-        lines.append(f'<frame src="{src}">')
-    lines.append("</frameset></html>")
-    return "\n".join(lines).encode("latin-1")
-
-
 _GIF_HEADER = b"GIF89a"
 _JPEG_HEADER = b"\xff\xd8\xff\xe0\x00\x10JFIF\x00"
 
@@ -150,11 +138,6 @@ def make_image(nbytes: int, seed: int, kind: str = "gif") -> bytes:
     header = _GIF_HEADER if kind == "gif" else _JPEG_HEADER
     body_len = max(0, nbytes - len(header))
     return header + random.Random(seed).randbytes(body_len)
-
-
-def spread_sizes(rng: random.Random, count: int, low: int, high: int) -> List[int]:
-    """*count* sizes uniform in [low, high], deterministic."""
-    return [rng.randint(low, high) for __ in range(count)]
 
 
 def bimodal_sizes(rng: random.Random, count: int, mode_a: int, mode_b: int,

@@ -19,10 +19,6 @@ from repro.http.piggyback import LoadReport, attach_load_reports, extract_load_r
 from repro.http.status import (
     STATUS_REASONS,
     StatusCode,
-    is_client_error,
-    is_redirect,
-    is_server_error,
-    is_success,
     reason_phrase,
 )
 from repro.http.urls import URL, join_url, parse_url, split_path
@@ -37,10 +33,6 @@ __all__ = [
     "URL",
     "attach_load_reports",
     "extract_load_reports",
-    "is_client_error",
-    "is_redirect",
-    "is_server_error",
-    "is_success",
     "join_url",
     "parse_request",
     "parse_response",

@@ -54,22 +54,3 @@ def reason_phrase(code: int) -> str:
     """Return the canonical reason phrase, or ``"Unknown"``."""
     return STATUS_REASONS.get(code, "Unknown")
 
-
-def is_success(code: int) -> bool:
-    """True for 2xx codes."""
-    return 200 <= code < 300
-
-
-def is_redirect(code: int) -> bool:
-    """True for 3xx codes."""
-    return 300 <= code < 400
-
-
-def is_client_error(code: int) -> bool:
-    """True for 4xx codes."""
-    return 400 <= code < 500
-
-
-def is_server_error(code: int) -> bool:
-    """True for 5xx codes."""
-    return 500 <= code < 600

@@ -435,6 +435,57 @@ class DCWSEngine:
             dirtied=dirtied,
             migrated_at=record.migrated_at if record else None)
 
+    def _install_membership(self, peer: str, state: str, now: float) -> None:
+        """Install one peer's membership state outright (snapshot restore
+        and journal replay; the live transitions journal the state they
+        reach).  Dead and forgotten peers also leave the GLT — the
+        constructor registers every configured peer, and a recovered
+        engine must not ping one it had declared dead — and alive ones
+        are registered, so the pinger resumes after a replayed rejoin."""
+        if not peer or not state:
+            return
+        self.membership.install(peer, state, now)
+        try:
+            location = Location.parse(peer)
+        except ValueError:
+            return
+        if state in (DEAD, FORGOTTEN):
+            self.glt.remove(location)
+        elif self.glt.get(location) is None:
+            self.glt.register(location)
+
+    def _restore_document(self, name: str, location: Location,
+                          replicas: Iterable[Location],
+                          migrated_at: Optional[float], version: int,
+                          dirty: bool, hits: int, digest: str) -> bool:
+        """One snapshot document entry, through the holder install;
+        ``False`` for a document no longer on disk.  The snapshot's
+        digest is that of the *authored* bytes: it overrides the one
+        initialize() computed from disk, so rot that happened while the
+        server was down is caught by the first scrub, not blessed."""
+        if not self.graph.install_holders(name, location, replicas,
+                                          migrated_at, version, dirty=dirty):
+            return False
+        record = self.graph.get(name)
+        record.hits = hits
+        record.digest = digest or record.digest
+        return True
+
+    def _restore_hosted(self, key: str, home: Location, original: str,
+                        content_type: str, size: int, version: str,
+                        digest: str, hits: int, hits_reported: int,
+                        validated_at: float) -> None:
+        """One snapshot hosted entry, through the copy install.  With its
+        bytes missing from the store it comes back unfetched, and the
+        next request lazily re-pulls instead of 404ing a document the
+        home still believes migrated here.  The saved deadline is kept:
+        a copy overdue at the crash validates at once."""
+        hosted = self._hosted_entry(key, home, original)
+        hosted.content_type = content_type or hosted.content_type
+        hosted.hits, hosted.hits_reported = hits, hits_reported
+        self._install_copy(hosted, None, size, version, digest,
+                           validated_at=validated_at)
+
     # ------------------------------------------------------------------
     # Initialization: scan the store, parse documents, build the LDG
     # (paper section 3.3: "computed upon initialization of the web server
@@ -1231,10 +1282,9 @@ class DCWSEngine:
         claimed = response.headers.get(DIGEST_HEADER, "") or ""
         if claimed and not digest_matches(response.body, claimed):
             return self._reject_corrupt_pull(pull, now)
-        hosted.content_type = response.headers.get("Content-Type") \
-            or hosted.content_type
         self._install_pulled(
-            hosted, response.body,
+            hosted, response.headers.get("Content-Type", "") or "",
+            response.body, len(response.body),
             response.headers.get(VERSION_HEADER, "") or "",
             claimed or body_digest(response.body), now)
         self.log.record(now, "pull", key=pull.key, home=str(pull.home),
@@ -1246,31 +1296,53 @@ class DCWSEngine:
             return self._reject_corrupt_pull(pull, now)
         return reply
 
-    def _install_copy(self, hosted: HostedDocument, data: bytes,
-                      version: str, digest: str) -> None:
-        """Store verified bytes as *hosted*'s copy, dropping the cache
-        entry made from the bytes it replaces."""
-        self.store.put(hosted.key, data)
-        self.response_cache.invalidate(hosted.key)
-        hosted.fetched = True
-        hosted.size = len(data)
-        hosted.version = version
-        hosted.digest = digest
-        self._clear_quarantine(hosted.key)
+    def _install_copy(self, hosted: HostedDocument, data: Optional[bytes],
+                      size: int, version: str, digest: str, *,
+                      validated_at: Optional[float] = None,
+                      replayed: bool = False) -> None:
+        """Install *hosted*'s copy — verified *data*, or (``None``) the
+        bytes the store already holds, if any — dropping the cache entry
+        made from the bytes it replaces.
 
-    def _install_pulled(self, hosted: HostedDocument, data: bytes,
-                        version: str, digest: str, now: float) -> None:
-        """A first copy, pulled or seeded: journal, store, schedule."""
+        *replayed* installs a ``pull`` or ``validate_refreshed`` record,
+        journaled before its byte write, so the bytes on disk may belong
+        to an older complete copy: the copy keeps no version, which makes
+        its first validation an unconditional refresh instead of a 304
+        that would pin a stale copy for ever, and no digest, since
+        claiming the journaled one would quarantine a legitimately stale
+        copy.
+        """
+        if data is not None:
+            self.store.put(hosted.key, data)
+        if validated_at is not None:
+            hosted.validated_at = validated_at
+        self.response_cache.invalidate(hosted.key)
+        hosted.fetched = data is not None or hosted.key in self.store
+        kept = hosted.fetched and not replayed
+        hosted.size = size if hosted.fetched else 0
+        hosted.version = version if kept else ""
+        hosted.digest = digest if kept else ""
+        if hosted.fetched:
+            self._clear_quarantine(hosted.key)
+
+    def _install_pulled(self, hosted: HostedDocument, content_type: str,
+                        data: Optional[bytes], size: int, version: str,
+                        digest: str, now: float, *,
+                        replayed: bool = False) -> None:
+        """A first copy, pulled or seeded (or its ``pull`` record
+        replayed): journal, schedule, store."""
+        hosted.content_type = content_type or hosted.content_type
         # Journal before the byte write: a crash in between recovers the
         # hosted entry as unfetched, and the next request re-pulls — lost
         # work, never lost state.
         self._journal("pull", key=hosted.key, home=str(hosted.home),
-                      original=hosted.original, size=len(data),
+                      original=hosted.original, size=size,
                       version=version, content_type=hosted.content_type,
                       digest=digest)
         if not hosted.fetched:  # a re-install keeps its deadline
             hosted.schedule_first_validation(now, self.config)
-        self._install_copy(hosted, data, version, digest)
+        self._install_copy(hosted, data, size, version, digest,
+                           replayed=replayed)
 
     def _reject_corrupt_pull(self, pull: PullFromHome,
                              now: float) -> EngineReply:
@@ -1339,7 +1411,9 @@ class DCWSEngine:
         regenerated, next_template = template.splice(
             lambda raw: self._rewrite_value(record.name, raw))
         self._templates[record.name] = next_template
-        self._commit_bytes(record, regenerated.encode("latin-1"))
+        data = regenerated.encode("latin-1")
+        self._commit_bytes(record, record.version, len(data),
+                           body_digest(data), data)
         return True
 
     def _template_for(self, record: DocumentRecord
@@ -1365,19 +1439,27 @@ class DCWSEngine:
             self.stats.template_builds += 1
         return template
 
-    def _commit_bytes(self, record: DocumentRecord, data: bytes) -> None:
-        """Install regenerated bytes: store, record, copy cache."""
-        self.store.put(record.name, data)
-        record.size = len(data)
+    def _commit_bytes(self, record: DocumentRecord, version: int, size: int,
+                      digest: str, data: Optional[bytes] = None) -> None:
+        """Install a regeneration of *record* at *version*: store,
+        record, copy cache.  Without *data* (a replayed ``regenerate``
+        record) the bytes are on disk already, and a document a later
+        save or relocation moved past *version* is left dirty."""
+        if data is not None:
+            self.store.put(record.name, data)
+        if record.version != version:
+            return
+        record.size = size
         record.dirty = False
-        record.digest = body_digest(data)
+        if digest:
+            record.digest = digest
         # Journal *after* the byte write — the record asserts "this
         # version's links are clean on disk", which is only true once
         # the crash-atomic put returned.  A crash in between replays
-        # as still-dirty and simply regenerates again.
-        self._journal("regenerate", name=record.name,
-                      version=record.version, size=record.size,
-                      digest=record.digest)
+        # as still-dirty and simply regenerates again.  Replay installs
+        # the digest, so the scrub catches rot from while it was down.
+        self._journal("regenerate", name=record.name, version=version,
+                      size=size, digest=digest)
         # Regeneration changes bytes without bumping the version: the
         # digest half of the stamp moves, and the entry goes at once.
         self.response_cache.invalidate(record.name)
@@ -1598,7 +1680,8 @@ class DCWSEngine:
             self._journal("validate_refreshed", key=hosted.key,
                           size=len(response.body), version=version,
                           digest=digest)
-            self._install_copy(hosted, response.body, version, digest)
+            self._install_copy(hosted, response.body, len(response.body),
+                               version, digest)
             self.log.record(now, "validate_refreshed", key=hosted.key,
                             bytes=hosted.size)
         elif response.status in (StatusCode.NOT_FOUND,
@@ -1658,37 +1741,55 @@ class DCWSEngine:
     def _quarantine(self, copy: Union[DocumentRecord, HostedDocument],
                     reason: str, data: bytes, now: float) -> None:
         """*data*, just read for *copy*, is not what its digest names:
-        journal that and stop serving the copy.  A home document leaves
-        every cache and is armed for regeneration when the in-memory
-        link template (pre-corruption canonical source) can rebuild it.
-        A hosted copy's bytes are deleted and its entry reverts to
-        unfetched: the next request re-pulls, carrying the quarantine
-        flag so the home repairs the group from a verified copy."""
-        home = isinstance(copy, DocumentRecord)
-        key, kind = (copy.name, KIND_HOME) if home else (copy.key, KIND_HOSTED)
+        quarantine the copy and log it."""
+        key, kind = (copy.name, KIND_HOME) \
+            if isinstance(copy, DocumentRecord) else (copy.key, KIND_HOSTED)
+        self._install_quarantine(key, kind, reason, copy.digest,
+                                 body_digest(data), now)
+        self.log.record(now, "quarantine", key=key, copy=kind, reason=reason)
+
+    def _install_quarantine(self, key: str, kind: str, reason: str,
+                            expected: str, actual: str, now: float, *,
+                            version: int = 0, replayed: bool = False) -> None:
+        """Journal a quarantine and stop serving the copy.  A home
+        document leaves every cache and is armed for regeneration when
+        the in-memory link template (pre-corruption canonical source) can
+        rebuild it.  A hosted copy's bytes are deleted and its entry
+        reverts to unfetched: the next request re-pulls, carrying the
+        quarantine flag so the home repairs the group from a verified
+        copy.
+
+        *replayed* installs a ``quarantine`` record at its *version*:
+        the template initialize() built may come from the corrupt disk
+        bytes, so it is dropped, and the quarantine holds until the
+        document is re-authored.
+        """
+        self.integrity.quarantine(key, kind, reason, expected, actual, now)
         fields = {"key": key, "copy": kind, "reason": reason,
-                  "expected": copy.digest, "actual": body_digest(data)}
-        self.integrity.quarantine(key, kind, reason, copy.digest,
-                                  fields["actual"], now)
-        if home:
-            if copy.is_html and key in self._templates and not copy.dirty:
+                  "expected": expected, "actual": actual}
+        if kind == KIND_HOSTED:
+            self._journal("quarantine", **fields)
+            self._discard_copy(key)
+            hosted = self.hosted.get(key)
+            if hosted is not None:
+                self._install_copy(hosted, None, 0, "", "")
+            return
+        if replayed:
+            self._templates.pop(key, None)
+        record = self.graph.find(key)
+        if record is not None:
+            if record.is_html and key in self._templates \
+                    and not record.dirty:
                 # The next serve regenerates from the template; the
                 # commit replaces the corrupt bytes and clears this
                 # quarantine.  Dirtied with a bump like everywhere else: a
                 # dirty document's version is one nobody was served, which
                 # is what lets a later migration event leave it alone.
-                copy.dirty = True
-                copy.version += 1
-            self._journal("quarantine", version=copy.version, **fields)
-            self.response_cache.invalidate(key)
-        else:
-            self._journal("quarantine", **fields)
-            self._discard_copy(key)
-            copy.fetched = False
-            copy.version = ""
-            copy.digest = ""
-            copy.size = 0
-        self.log.record(now, "quarantine", key=key, copy=kind, reason=reason)
+                record.dirty = True
+                record.version += 1
+            record.version = max(record.version, version)
+            self._journal("quarantine", version=record.version, **fields)
+        self.response_cache.invalidate(key)
 
     def _discard_copy(self, key: str) -> None:
         """Forget a hosted copy's bytes and the cache entry made from
@@ -1881,8 +1982,9 @@ class DCWSEngine:
         the usual per-document jitter."""
         self._clock = now
         key = encode_migrated_path(home, original)
-        self._install_pulled(self._hosted_entry(key, home, original), data,
-                             str(version), body_digest(data), now)
+        self._install_pulled(self._hosted_entry(key, home, original), "",
+                             data, len(data), str(version),
+                             body_digest(data), now)
 
     # ------------------------------------------------------------------
     # Content administration (section 4.5, case 1)
@@ -1893,29 +1995,45 @@ class DCWSEngine:
         refresh its outgoing edges.  Co-op copies catch up at their next
         validation."""
         record = self.graph.get(name)
-        digest = body_digest(data)
-        # Journal before the byte write: replay bumps the version even
-        # if the crash ate the bytes, so co-ops revalidate instead of
-        # holding a stale copy that compares equal by version.
-        self._journal("content_update", name=name,
-                      version=record.version + 1, size=len(data),
-                      dirty=record.is_html, digest=digest)
-        self.store.put(name, data)
-        self.response_cache.invalidate(name)
+        self._install_update(record, data, record.version + 1,
+                             body_digest(data), record.is_html)
+        self.log.record(self._clock, "content_update", name=name,
+                        version=record.version)
+
+    def _install_update(self, record: DocumentRecord, data: bytes,
+                        version: int, digest: str, dirty: bool, *,
+                        replayed: bool = False) -> None:
+        """An author's save of *record* at *version* — live, or its
+        ``content_update`` record *replayed* with the bytes on disk as
+        *data*.
+
+        Journaled before the byte write: replay bumps the version even
+        if the crash ate the bytes, so co-ops revalidate instead of
+        holding a stale copy that compares equal by version.  For the
+        same reason a replayed save trusts its digest only when the
+        bytes on disk are the ones it names; otherwise they are the
+        previous, legitimate bytes, and their digest stays.
+        """
+        self._journal("content_update", name=record.name, version=version,
+                      size=len(data), dirty=dirty, digest=digest)
+        if not replayed:
+            self.store.put(record.name, data)
+        record.version = max(record.version, version)
+        record.dirty = record.dirty or dirty
+        if replayed and not (digest and digest_matches(data, digest)):
+            return
+        self.response_cache.invalidate(record.name)
         record.size = len(data)
-        record.version += 1
         record.digest = digest
         if record.is_html:
             self.stats.parses += 1
-            self.graph.set_links(name, self._index_html(name, data))
-            record.dirty = True
+            self.graph.set_links(record.name,
+                                 self._index_html(record.name, data))
         else:
-            self._templates.pop(name, None)
+            self._templates.pop(record.name, None)
         # Authored bytes replace the copy wholesale: any quarantine
         # on the old bytes is moot.
-        self._clear_quarantine(name)
-        self.log.record(self._clock, "content_update", name=name,
-                        version=record.version)
+        self._clear_quarantine(record.name)
 
     # ------------------------------------------------------------------
     # Piggybacking helpers

@@ -18,7 +18,10 @@ The eight checked invariants:
 4.  *clean* (not dirty) HTML home documents contain no stale
     migrated-form links: a link rewritten toward a co-op must point at a
     current location of its target — otherwise a crash forgot a
-    revocation that the on-disk hyperlinks still remember;
+    revocation that the on-disk hyperlinks still remember.  A clean
+    HTML document located away from home has no relative link to a
+    same-site document either: served from a foreign path, it would
+    resolve against the co-op — its relocation forgot to dirty it;
 6.  replica sets are well-formed: no replica equals the home location
     or duplicates the primary, every holder of a replicated document is
     a server the GLT still knows, every replicated hosted entry has
@@ -131,12 +134,14 @@ def check_engine(engine: DCWSEngine, *,
 
 
 def _check_clean_links(engine: DCWSEngine) -> List[str]:
-    """Invariant 4: parse each clean HTML home document and verify every
-    migrated-form hyperlink points at a current location of its target."""
+    """Invariant 4: parse each clean HTML document and verify every
+    migrated-form hyperlink of one at home points at a current location
+    of its target, and that one away from home links nothing on the
+    site relatively."""
     violations: List[str] = []
     home = engine.location
     for record in engine.graph.documents():
-        if record.dirty or not record.is_html or record.location != home:
+        if record.dirty or not record.is_html:
             continue
         try:
             source = engine.store.get(record.name).decode("latin-1")
@@ -149,9 +154,17 @@ def _check_clean_links(engine: DCWSEngine) -> List[str]:
             try:
                 url = parse_url(raw)
             except Exception:
-                continue  # relative or malformed: not a rewritten link
+                # Relative (or malformed): served from a co-op, a
+                # relative link resolves against the co-op's path.
+                if record.location != home and engine._resolve_to_name(
+                        record.name, raw) in engine.graph:
+                    violations.append(
+                        f"clean document {record.name} at "
+                        f"{record.location} links {raw!r} relatively: "
+                        f"never regenerated since it moved")
+                continue
             path = normalize_path(url.path)
-            if not is_migrated_path(path):
+            if record.location != home or not is_migrated_path(path):
                 continue
             try:
                 link_home, original = decode_migrated_path(path)

@@ -33,7 +33,10 @@ journal (:mod:`repro.server.wal`):
 Replay is a plain state install (journal records carry resulting
 locations and versions, not operations), which makes it idempotent:
 replaying a prefix twice leaves the same engine as replaying it once —
-the property ``tests/test_wal.py`` fuzzes.
+the property ``tests/test_wal.py`` fuzzes.  There is one write path: a
+record replays through the install method the live engine ran when it
+wrote the record (:data:`_INSTALLS`), and a snapshot restores through
+the same methods.
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ import os
 import tempfile
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.document import Location
 from repro.errors import ReproError
 from repro.http.piggyback import LoadReport
-from repro.server.engine import DCWSEngine, HostedDocument
-from repro.server.filestore import fsync_directory, guess_content_type
+from repro.server.engine import DCWSEngine
+from repro.server.filestore import fsync_directory
 from repro.server.wal import JournalRecord, WALError, scan_journal
 
 # Version 3 keeps ``migrated_at`` on each document entry; versions 1 and
@@ -190,11 +193,11 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
 
     The engine must already be initialized (its LDG built from the
     store).  Documents present in the snapshot but no longer on disk are
-    skipped; new documents keep their fresh state.  Hosted entries whose
-    bytes are missing from the store are re-registered *unfetched* — the
-    next request lazily re-pulls from the home instead of 404ing a
-    document the home still believes migrated here.  Returns the number
-    of restored document records.
+    skipped; new documents keep their fresh state.  Each entry goes in
+    through the engine's install methods, as a replayed record does
+    (:meth:`DCWSEngine._restore_document`,
+    :meth:`DCWSEngine._restore_hosted`).  Returns the number of restored
+    document records.
     """
     if snapshot.get("location") != str(engine.location):
         raise SnapshotError(
@@ -206,56 +209,34 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
     # (time unknown: the restart's).
     migrations = snapshot.get("migrations", {})
     for name, saved in snapshot.get("documents", {}).items():
-        record = engine.graph.find(name)
-        if record is None:
-            continue
-        record.location = Location.parse(saved["location"])
-        record.replicas = {Location.parse(r) for r in saved["replicas"]}
         migrated_at = saved.get("migrated_at")
         if migrated_at is None and isinstance(migrations.get(name), dict):
             migrated_at = migrations[name].get("migrated_at")
-        record.migrated_at = None if record.location == engine.location \
-            else float(now if migrated_at is None else migrated_at)
-        record.version = int(saved["version"])
-        record.hits = int(saved["hits"])
-        record.dirty = bool(saved["dirty"])
-        # The snapshot carries the digest of the *authored* bytes; when
-        # present it overrides the one initialize() computed from disk,
-        # so rot that happened while the server was down is caught by
-        # the first scrub instead of being blessed at startup.
-        saved_digest = str(saved.get("digest", ""))
-        if saved_digest:
-            record.digest = saved_digest
-        restored += 1
+        restored += engine._restore_document(
+            name, Location.parse(saved["location"]),
+            [Location.parse(r) for r in saved["replicas"]],
+            float(now if migrated_at is None else migrated_at),
+            int(saved["version"]), bool(saved["dirty"]), int(saved["hits"]),
+            str(saved.get("digest", "")))
     for key, saved in snapshot.get("hosted", {}).items():
-        fetched = key in engine.store
-        entry = HostedDocument(
-            key=key,
-            home=Location.parse(saved["home"]),
-            original=saved["original"],
-            fetched=fetched,
-            size=int(saved["size"]) if fetched else 0,
-            hits=int(saved["hits"]),
+        last = saved.get("last_validated")
+        engine._restore_hosted(
+            key, Location.parse(saved["home"]), saved["original"],
+            saved.get("content_type") or "", int(saved["size"]),
+            str(saved["version"]), str(saved.get("digest", "")),
+            int(saved["hits"]),
             # Older snapshots did not keep it: count every hit reported
             # rather than report a credited one twice.
-            hits_reported=int(saved.get("hits_reported", saved["hits"])),
-            version=str(saved["version"]) if fetched else "",
-            digest=str(saved.get("digest", "")) if fetched else "",
-            content_type=saved.get("content_type")
-            or guess_content_type(saved["original"]))
-        # Keep the real deadline: a document overdue at crash time
-        # validates immediately, not one interval late.
-        last = saved.get("last_validated")
-        entry.validated_at = now if last is None else float(last)
-        engine.hosted[key] = entry
+            int(saved.get("hits_reported", saved["hits"])),
+            now if last is None else float(last))
     engine.glt.merge(LoadReport(server=row["server"],
                                 metric=float(row["metric"]),
                                 timestamp=float(row["ts"]))
                      for row in snapshot.get("glt", []))
     engine.replication.restore(snapshot.get("replication", []))
     for row in snapshot.get("membership", []):
-        _install_membership(engine, str(row.get("peer", "")),
-                            str(row.get("state", "")), now)
+        engine._install_membership(str(row.get("peer", "")),
+                                   str(row.get("state", "")), now)
     engine.integrity.restore(snapshot.get("integrity", []))
     for entry in snapshot.get("integrity", []):
         if entry.get("kind") == "home":
@@ -264,30 +245,6 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
             # disk bytes; the quarantine then holds until re-authored.
             engine._templates.pop(str(entry.get("key", "")), None)
     return restored
-
-
-def _install_membership(engine: DCWSEngine, peer: str, state: str,
-                        now: float) -> None:
-    """Install one membership state (snapshot restore / journal replay).
-
-    Idempotent like every other resulting-state record.  Dead and
-    forgotten peers are also removed from the GLT — the constructor
-    re-registers every configured peer, so without this a recovered
-    engine would ping a peer it had already declared dead — and alive
-    peers are re-registered so the pinger resumes after a replayed
-    rejoin.
-    """
-    if not peer or not state:
-        return
-    engine.membership.install(peer, state, now)
-    try:
-        location = Location.parse(peer)
-    except ValueError:
-        return
-    if state in ("dead", "forgotten"):
-        engine.glt.remove(location)
-    elif engine.glt.get(location) is None:
-        engine.glt.register(location)
 
 
 def restore_from_file(engine: DCWSEngine, path: str, now: float) -> int:
@@ -335,153 +292,99 @@ class RecoveryStats:
         }
 
 
+def _relocated(engine: DCWSEngine, when: float, fields: Dict) -> None:
+    migrated_at = fields.get("migrated_at")
+    engine.graph.install_holders(
+        str(fields["name"]), Location.parse(str(fields["location"])),
+        [Location.parse(str(r)) for r in fields.get("replicas", [])],
+        float(when if migrated_at is None else migrated_at),
+        int(fields.get("version", 0)),
+        dirtied=[(str(name), int(version))
+                 for name, version in fields.get("dirtied", [])])
+
+
+def _pulled(engine: DCWSEngine, when: float, fields: Dict) -> None:
+    key = str(fields["key"])
+    engine._install_pulled(
+        engine._hosted_entry(key, Location.parse(str(fields["home"])),
+                             str(fields.get("original", key))),
+        str(fields.get("content_type", "")), None,
+        int(fields.get("size", 0)), str(fields.get("version", "")),
+        str(fields.get("digest", "")), when, replayed=True)
+
+
+def _refreshed(engine: DCWSEngine, when: float, fields: Dict) -> None:
+    hosted = engine.hosted.get(str(fields["key"]))
+    if hosted is not None:
+        # When the validation was sent is not journaled: a replayed
+        # refresh counts as validated at its own, later, time.
+        engine._install_copy(
+            hosted, None, int(fields.get("size", 0)),
+            str(fields.get("version", "")), str(fields.get("digest", "")),
+            validated_at=when, replayed=True)
+
+
+def _updated(engine: DCWSEngine, when: float, fields: Dict) -> None:
+    record = engine.graph.find(str(fields["name"]))
+    if record is not None:
+        engine._install_update(
+            record, engine.store.get(record.name),
+            int(fields.get("version", 0)), str(fields.get("digest", "")),
+            bool(fields.get("dirty")), replayed=True)
+
+
+def _regenerated(engine: DCWSEngine, when: float, fields: Dict) -> None:
+    record = engine.graph.find(str(fields["name"]))
+    if record is not None:
+        engine._commit_bytes(record, int(fields.get("version", -1)),
+                             int(fields.get("size", record.size)),
+                             str(fields.get("digest", "")))
+
+
+def _quarantined(engine: DCWSEngine, when: float, fields: Dict) -> None:
+    engine._install_quarantine(
+        str(fields["key"]), str(fields.get("copy", "home")),
+        str(fields.get("reason", "scrub")), str(fields.get("expected", "")),
+        str(fields.get("actual", "")), when,
+        version=int(fields.get("version", 0)), replayed=True)
+
+
+#: Each journal record kind and the install method that replays it: the
+#: one the live engine ran when it wrote the record.
+_INSTALLS: Dict[str, Callable[[DCWSEngine, float, Dict], None]] = {
+    **dict.fromkeys(("migrate", "remigrate", "revoke", "replicate",
+                     "replica_drop", "repair"), _relocated),
+    "pull": _pulled,
+    "validate_refreshed": _refreshed,
+    "hosted_dropped": lambda engine, when, fields:
+        engine._drop_hosted(str(fields["key"])),
+    "content_update": _updated,
+    "regenerate": _regenerated,
+    "glt_row": lambda engine, when, fields:
+        engine.glt.update_own(float(fields.get("metric", 0.0)), when),
+    "quarantine": _quarantined,
+    "quarantine_cleared": lambda engine, when, fields:
+        engine._clear_quarantine(str(fields["key"])),
+    "membership": lambda engine, when, fields: engine._install_membership(
+        str(fields.get("peer", "")), str(fields.get("state", "")), when),
+}
+
+
 def apply_record(engine: DCWSEngine, record: JournalRecord) -> None:
-    """Install one journal record's resulting state into *engine*.
+    """Install one journal record's resulting state into *engine*, which
+    has no journal attached (the install methods journal as they go).
 
     Versions only ever move forward (``max``), locations and flags are
     set outright — so applying any prefix of the journal twice equals
     applying it once, and a record for a document that no longer exists
-    on disk is a no-op rather than an error.
+    on disk is a no-op rather than an error.  Unknown kinds (a newer
+    writer) are skipped: replay applies what it understands and fsck
+    judges the result.
     """
-    fields = record.fields
-    if record.kind in ("migrate", "remigrate", "revoke", "replicate",
-                       "replica_drop", "repair"):
-        name = str(fields["name"])
-        location = Location.parse(str(fields["location"]))
-        replicas = [str(r) for r in fields.get("replicas", [])]
-        document = engine.graph.find(name)
-        if document is not None:
-            document.location = location
-            document.replicas = {Location.parse(r) for r in replicas}
-            migrated_at = fields.get("migrated_at")
-            document.migrated_at = None if location == engine.location \
-                else float(record.time if migrated_at is None
-                           else migrated_at)
-            document.version = max(document.version,
-                                   int(fields.get("version", 0)))
-            for touched_name, touched_version in fields.get("dirtied", []):
-                touched = engine.graph.find(str(touched_name))
-                if touched is not None:
-                    touched.version = max(touched.version,
-                                          int(touched_version))
-                    touched.dirty = True
-        return
-    if record.kind == "pull":
-        key = str(fields["key"])
-        original = str(fields.get("original", key))
-        fetched = key in engine.store
-        entry = HostedDocument(
-            key=key, home=Location.parse(str(fields["home"])),
-            original=original, fetched=fetched,
-            size=int(fields.get("size", 0)) if fetched else 0,
-            # Version intentionally dropped even when bytes exist: the
-            # journal is written before the byte write, so the on-disk
-            # copy might be an older complete pull.  A blank version
-            # makes the first validation an unconditional refresh
-            # instead of a 304 that would pin a stale copy forever.
-            # The digest is dropped for the same reason: claiming the
-            # journaled digest for bytes that may belong to an older
-            # pull would quarantine a legitimately stale copy.
-            version="",
-            digest="",
-            content_type=str(fields.get("content_type", ""))
-            or guess_content_type(original))
-        existing = engine.hosted.get(key)
-        if existing is not None:
-            entry.hits = existing.hits
-            entry.hits_reported = existing.hits_reported
-        if existing is not None and existing.fetched:
-            # A re-install keeps its deadline, as the live one did.
-            entry.validated_at = existing.validated_at
-        else:
-            entry.schedule_first_validation(record.time, engine.config)
-        engine.hosted[key] = entry
-        return
-    if record.kind == "hosted_dropped":
-        key = str(fields["key"])
-        engine.hosted.pop(key, None)
-        engine.response_cache.invalidate(key)
-        engine.store.delete(key)
-        engine.integrity.clear(key)
-        return
-    if record.kind == "validate_refreshed":
-        key = str(fields["key"])
-        entry = engine.hosted.get(key)
-        if entry is not None:
-            if key in engine.store:
-                entry.size = int(fields.get("size", entry.size))
-                entry.version = ""  # same staleness argument as "pull"
-                entry.digest = ""
-            else:
-                entry.fetched = False
-                entry.version = ""
-                entry.digest = ""
-                entry.size = 0
-            entry.validated_at = record.time
-        return
-    if record.kind == "content_update":
-        document = engine.graph.find(str(fields["name"]))
-        if document is not None:
-            document.version = max(document.version,
-                                   int(fields.get("version", 0)))
-            if fields.get("dirty"):
-                document.dirty = True
-        return
-    if record.kind == "regenerate":
-        document = engine.graph.find(str(fields["name"]))
-        if document is not None and \
-                document.version == int(fields.get("version", -1)):
-            document.dirty = False
-            # Journaled *after* the byte write, so the digest names the
-            # bytes that are (or were) on disk: installing it lets the
-            # scrub catch rot that happened while the server was down.
-            # ("content_update" replay deliberately does NOT install its
-            # digest — that record precedes the write, and the crash may
-            # have left the previous, legitimate bytes on disk.)
-            digest = str(fields.get("digest", ""))
-            if digest:
-                document.digest = digest
-        return
-    if record.kind == "glt_row":
-        engine.glt.update_own(float(fields.get("metric", 0.0)), record.time)
-        return
-    if record.kind == "quarantine":
-        key = str(fields["key"])
-        copy_kind = str(fields.get("copy", "home"))
-        engine.integrity.quarantine(
-            key, copy_kind, str(fields.get("reason", "scrub")),
-            str(fields.get("expected", "")), str(fields.get("actual", "")),
-            record.time)
-        if copy_kind == "hosted":
-            entry = engine.hosted.get(key)
-            if entry is not None:
-                entry.fetched = False
-                entry.version = ""
-                entry.digest = ""
-                entry.size = 0
-            engine.store.delete(key)
-        else:
-            # Never regenerate from a template built out of the corrupt
-            # disk bytes at initialize time.
-            engine._templates.pop(key, None)
-            document = engine.graph.find(key)
-            if document is not None:
-                document.version = max(document.version,
-                                       int(fields.get("version", 0)))
-        engine.response_cache.invalidate(key)
-        return
-    if record.kind == "quarantine_cleared":
-        engine.integrity.clear(str(fields["key"]))
-        return
-    if record.kind == "membership":
-        # Membership transitions journal the *resulting* state, so any
-        # replay prefix lands on the same table: a peer declared dead,
-        # rediscovered, and re-declared replays to its final state.
-        _install_membership(engine, str(fields.get("peer", "")),
-                            str(fields.get("state", "")), record.time)
-        return
-    # Unknown kinds (a newer writer) are skipped: replay applies what it
-    # understands and fsck judges the result.
+    install = _INSTALLS.get(record.kind)
+    if install is not None:
+        engine._clock = record.time
+        install(engine, record.time, record.fields)
 
 
 def recover(engine: DCWSEngine, snapshot_path: Optional[str],

@@ -59,14 +59,6 @@ from repro.server.filestore import fsync_directory
 if TYPE_CHECKING:
     from repro.faults import FaultPlan
 
-#: Journal record kinds (the engine's durable mutation vocabulary).
-RECORD_KINDS = (
-    "migrate", "remigrate", "revoke", "replicate",
-    "pull", "hosted_dropped", "validate_refreshed",
-    "content_update", "regenerate", "glt_row",
-    "quarantine", "quarantine_cleared",
-)
-
 FSYNC_POLICIES = ("always", "interval", "off")
 
 _HEADER = struct.Struct(">II")   # payload length, CRC32(payload)
