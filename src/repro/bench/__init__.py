@@ -7,7 +7,7 @@
   Figure 8 (cold-start growth), Table 2 (parameter tuning directions),
   section 5.3 overhead and CPS-vs-BPS analyses, plus the baseline and
   replication ablations;
-- :mod:`repro.bench.reporting` — fixed-width table/series formatting.
+- :mod:`repro.bench.reporting` — fixed-width table formatting.
 """
 
 from repro.bench.harness import (
@@ -17,14 +17,13 @@ from repro.bench.harness import (
     current_scale,
     run_dcws,
 )
-from repro.bench.reporting import format_series, format_table
+from repro.bench.reporting import format_table
 
 __all__ = [
     "ExperimentScale",
     "PAPER_SCALE",
     "QUICK_SCALE",
     "current_scale",
-    "format_series",
     "format_table",
     "run_dcws",
 ]

@@ -166,8 +166,3 @@ def cluster_config(scale: ExperimentScale, *, servers: int, clients: int,
 def saturating_clients(scale: ExperimentScale, servers: int) -> int:
     """A client population that drives *servers* past their knee."""
     return scale.clients_per_server * servers
-
-
-def with_duration(scale: ExperimentScale, duration: float) -> ExperimentScale:
-    """A copy of *scale* with a different per-run duration."""
-    return replace(scale, duration=duration)

@@ -41,18 +41,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]],
     return "\n".join(lines)
 
 
-def format_series(label: str, times: Sequence[float],
-                  values: Sequence[float], *, unit: str = "") -> str:
-    """Render a (time, value) series as two aligned rows."""
-    time_cells = [f"{t:.0f}" for t in times]
-    value_cells = [_render(v) for v in values]
-    widths = [max(len(a), len(b)) for a, b in zip(time_cells, value_cells)]
-    header = f"{label}{f' ({unit})' if unit else ''}"
-    time_row = "t:  " + "  ".join(c.rjust(w) for c, w in zip(time_cells, widths))
-    value_row = "v:  " + "  ".join(c.rjust(w) for c, w in zip(value_cells, widths))
-    return "\n".join([header, time_row, value_row])
-
-
 def sparkline(values: Sequence[float]) -> str:
     """A one-line unicode sketch of a series' shape."""
     if not values:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.document import Location
@@ -45,6 +46,10 @@ if TYPE_CHECKING:
 #: Methods safe to replay once on a fresh connection after a failed
 #: exchange on a previously-idle channel.
 _IDEMPOTENT_METHODS = ("GET", "HEAD")
+
+#: Seconds a transport failure steers this pool's owner away from an
+#: authority (see :meth:`ConnectionPool.note_failure`).
+_FAILURE_MEMORY = 5.0
 
 
 class _Channel:
@@ -94,6 +99,7 @@ class ConnectionPool:
         self.evictions = 0
         self.requests = 0
         self.digest_rejects = 0     # bodies failing X-DCWS-Digest checks
+        self._failed_at: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # The one public operation
@@ -210,6 +216,27 @@ class ConnectionPool:
         with self._lock:
             self.evictions += 1
         channel.close()
+
+    # ------------------------------------------------------------------
+    # Failure memory of the client that owns this pool
+    # ------------------------------------------------------------------
+
+    def note_failure(self, authority: str) -> None:
+        """Remember that *authority*'s transport refused or reset, so the
+        owner's replica chooser routes around it for a few seconds
+        instead of timing out on it again (client-side failover)."""
+        with self._lock:
+            self._failed_at[authority] = time.monotonic()
+
+    def recently_failed(self, authority: str) -> bool:
+        with self._lock:
+            failed_at = self._failed_at.get(authority)
+            if failed_at is None:
+                return False
+            if time.monotonic() - failed_at > _FAILURE_MEMORY:
+                del self._failed_at[authority]
+                return False
+            return True
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

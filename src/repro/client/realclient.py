@@ -5,15 +5,15 @@ migration pulls, validations, pings) and by the real-transport walker.
 By default each call opens one connection, HTTP/1.0 style, exactly like
 the 1998 prototype's inter-server sessions; pass a
 :class:`repro.client.pool.ConnectionPool` to reuse persistent per-peer
-channels instead.
+channels instead.  The pool also holds its owner's replica failure
+memory; a call without one remembers nothing.
 """
 
 from __future__ import annotations
 
 import socket
-import time
 import zlib
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.document import Location
 from repro.core.naming import (
@@ -42,31 +42,10 @@ _MAX_RESPONSE = 64 * 1024 * 1024
 # when present, describes the entity the body *would* have been).
 _BODYLESS_STATUSES = (204, 304)
 
-# Requester-side replica failure memory: authorities whose transport
-# recently refused/reset, remembered briefly so the replica chooser and
-# the home fallback route around them instead of re-timing-out on every
-# request (DistCache-style client-side failover).
-_REPLICA_FAILURE_TTL = 5.0
-_replica_failures: Dict[str, float] = {}
 
-
-def _note_replica_failure(authority: str) -> None:
-    _replica_failures[authority] = time.monotonic()
-
-
-def _replica_recently_failed(authority: str) -> bool:
-    failed_at = _replica_failures.get(authority)
-    if failed_at is None:
-        return False
-    if time.monotonic() - failed_at > _REPLICA_FAILURE_TTL:
-        del _replica_failures[authority]
-        return False
-    return True
-
-
-def reset_replica_failures() -> None:
-    """Forget the failure memory (test isolation)."""
-    _replica_failures.clear()
+def _recently_failed(pool: "Optional[ConnectionPool]", authority: str) -> bool:
+    """Has *authority* recently failed this client (the pool's memory)?"""
+    return pool is not None and pool.recently_failed(authority)
 
 
 def _home_fallback(url: URL) -> Optional[URL]:
@@ -85,25 +64,27 @@ def _home_fallback(url: URL) -> Optional[URL]:
     return parse_url(f"http://{home.host}:{home.port}{original}")
 
 
-def _choose_replica(url: URL, header: str) -> URL:
+def _choose_replica(url: URL, header: str,
+                    pool: "Optional[ConnectionPool]" = None) -> URL:
     """Apply two-choices with failure memory to an advertised replica set.
 
     The home's redirect already made a load-weighted pick; keep it
-    unless its authority recently failed at the transport level, in
-    which case reroute to a digest-spread sibling that has not.
+    unless its authority recently failed this client (its *pool*
+    remembers), in which case reroute to a digest-spread sibling that
+    has not.  Without a pool there is no memory and the pick stands.
     """
     candidates = [a.strip() for a in header.split(",") if a.strip()]
     if len(candidates) < 2 or not is_migrated_path(url.path):
         return url
     if url.authority in candidates and \
-            not _replica_recently_failed(url.authority):
+            not _recently_failed(pool, url.authority):
         return url
     digest = zlib.crc32(url.request_target.encode("latin-1", "replace"))
     order = [candidates[digest % len(candidates)],
              candidates[(digest >> 16) % len(candidates)]]
     for authority in order + candidates:
         if authority != url.authority and \
-                not _replica_recently_failed(authority):
+                not _recently_failed(pool, authority):
             return parse_url(f"http://{authority}{url.request_target}")
     return url
 
@@ -231,7 +212,8 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
             response = http_fetch(Location(current.host, current.port),
                                   request, timeout=timeout, pool=pool)
         except (OSError, HTTPError):
-            _note_replica_failure(current.authority)
+            if pool is not None:
+                pool.note_failure(current.authority)
             if not fell_back and followed < max_redirects:
                 # A dead co-op is not a dead document: the migrated path
                 # encodes the home, which always holds the permanent
@@ -267,7 +249,7 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
             current = join_url(current, location)
             replicas = response.headers.get(REPLICAS_HEADER, "") or ""
             if replicas:
-                rerouted = _choose_replica(current, replicas)
+                rerouted = _choose_replica(current, replicas, pool)
                 if rerouted is not current:
                     fell_back = fell_back or \
                         rerouted.authority != current.authority
@@ -323,25 +305,6 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
                             wire_size=wire_size, replica_fallback=fell_back)
 
 
-def browser_fetch(*, timeout: float = 10.0,
-                  pool: "Optional[ConnectionPool]" = None):
-    """A ``fetch`` callable for :class:`RandomWalker` that behaves like
-    a real browser: one validator cache for the walker's lifetime (so
-    repeat visits revalidate with 304s) and gzip accepted.  The cache is
-    exposed as ``fetch.validators`` for assertions and stats.
-    """
-    from repro.client.cache import ValidatorCache
-
-    validators = ValidatorCache()
-
-    def fetch(url: URL) -> FetchOutcome:
-        return fetch_url(url, timeout=timeout, pool=pool,
-                         validators=validators, accept_gzip=True)
-
-    fetch.validators = validators
-    return fetch
-
-
 def _split_links(response: Response) -> "tuple[List[str], List[str]]":
     content_type = response.headers.get("Content-Type", "") or ""
     if not content_type.startswith("text/html") or not response.body:
@@ -355,17 +318,3 @@ def _split_links(response: Response) -> "tuple[List[str], List[str]]":
         elif link.tag == "a":
             links.append(link.value)
     return links, images
-
-
-def head_ok(peer: Location, *, timeout: float = 3.0) -> bool:
-    """Cheap liveness probe used by examples and tests.
-
-    Targets ``/~dcws/health``, which the engine answers before any
-    accounting — probing never inflates hit counters or load metrics.
-    """
-    request = Request(method="HEAD", target="/~dcws/health")
-    try:
-        response = http_fetch(peer, request, timeout=timeout)
-    except (OSError, HTTPError):
-        return False
-    return response.status < 500

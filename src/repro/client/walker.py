@@ -107,10 +107,6 @@ class ExponentialBackoff:
     def on_success(self) -> None:
         self._consecutive = 0
 
-    @property
-    def consecutive_drops(self) -> int:
-        return self._consecutive
-
 
 def select_next_link(links: Sequence[str], rng: random.Random) -> Optional[str]:
     """Pick the next hyperlink to follow, uniformly at random.

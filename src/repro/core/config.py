@@ -21,7 +21,6 @@ CPS vs BPS as the balancing metric (section 5.3 justifies CPS).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict
 
 from repro.core.metrics import LoadMetricKind
 from repro.errors import ConfigError
@@ -308,10 +307,6 @@ class ServerConfig:
             membership_forget_after=(
                 self.membership_forget_after * time_factor),
         )
-
-    def as_table(self) -> Dict[str, Any]:
-        """Field name → value mapping, used by the Table 1 bench reporter."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 #: The configuration used throughout the paper's experiments (Table 1).

@@ -62,19 +62,6 @@ class LocalDocumentGraph:
                 record.link_from.add(other.name)
         return record
 
-    def remove_document(self, name: str) -> None:
-        """Delete a document and all edges touching it."""
-        record = self.get(name)
-        for target in list(record.link_to):
-            target_record = self._records.get(target)
-            if target_record is not None:
-                target_record.link_from.discard(name)
-        for source in list(record.link_from):
-            source_record = self._records.get(source)
-            if source_record is not None:
-                source_record.link_to.discard(name)
-        del self._records[name]
-
     def set_links(self, name: str, link_to: Iterable[str]) -> None:
         """Replace *name*'s outgoing edges, keeping transposes exact.
 
@@ -136,9 +123,6 @@ class LocalDocumentGraph:
         """Zero the per-window hit counters (each stats interval)."""
         for record in self._records.values():
             record.reset_window()
-
-    def total_hits(self) -> int:
-        return sum(r.hits for r in self._records.values())
 
     # ------------------------------------------------------------------
     # Migration bookkeeping (paper section 4.2)

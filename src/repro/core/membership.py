@@ -260,12 +260,6 @@ class MembershipTable:
         entry = self._peers.get(peer)
         return entry.state if entry is not None else ALIVE
 
-    def is_dead(self, peer: str) -> bool:
-        return self.state(peer) in (DEAD, FORGOTTEN)
-
-    def is_suspect(self, peer: str) -> bool:
-        return self.state(peer) == SUSPECT
-
     def placeable(self, peer: object) -> bool:
         """May *peer* (a key or a ``Location``) receive new migrations,
         re-migrations or replicas?  Only while strictly alive — not even
@@ -485,10 +479,6 @@ class MembershipTable:
     def suspects(self) -> List[str]:
         return sorted(p for p, e in self._peers.items()
                       if e.state == SUSPECT)
-
-    def dead_peers(self) -> List[str]:
-        return sorted(p for p, e in self._peers.items()
-                      if e.state in (DEAD, FORGOTTEN))
 
     def states(self) -> Dict[str, str]:
         return {peer: entry.state for peer, entry in self._peers.items()}

@@ -33,18 +33,16 @@ class WindowCounter:
     """Events-per-second over a fixed sliding time window.
 
     Kept as at most ``_BUCKETS`` + 1 time buckets of ``window /
-    _BUCKETS`` seconds, each a running ``[index, weight, count]``, so
-    memory is fixed whatever the event rate.  A query drops every bucket
-    the window's old edge has reached: ``rate`` and ``count_in_window``
-    never count an event older than the window and may miss those of at
-    most one bucket width just inside it; the ``lifetime_*`` figures are
-    exact.  Timestamps must be non-decreasing per counter, which both
+    _BUCKETS`` seconds, each a running ``[index, weight]``, so memory is
+    fixed whatever the event rate.  A query drops every bucket the
+    window's old edge has reached: ``rate`` never counts an event older
+    than the window and may miss those of at most one bucket width just
+    inside it.  Timestamps must be non-decreasing per counter, which both
     the simulator (single virtual clock) and the real server (monotonic
     clock under a lock) guarantee.
     """
 
-    __slots__ = ("window", "_width", "_buckets", "_lifetime_weight",
-                 "_lifetime_count")
+    __slots__ = ("window", "_width", "_buckets")
 
     def __init__(self, window: float) -> None:
         if window <= 0:
@@ -52,8 +50,6 @@ class WindowCounter:
         self.window = window
         self._width = window / _BUCKETS
         self._buckets: Deque[List[float]] = deque()
-        self._lifetime_weight = 0.0
-        self._lifetime_count = 0
 
     def record(self, now: float, weight: float = 1.0) -> None:
         """Record an event of *weight* at time *now*."""
@@ -61,32 +57,13 @@ class WindowCounter:
         buckets = self._buckets
         if not buckets or buckets[-1][0] != index:
             self._prune(now)
-            buckets.append([index, 0.0, 0])
-        head = buckets[-1]
-        head[1] += weight
-        head[2] += 1
-        self._lifetime_weight += weight
-        self._lifetime_count += 1
+            buckets.append([index, 0.0])
+        buckets[-1][1] += weight
 
     def rate(self, now: float) -> float:
         """Weighted events per second over the window ending at *now*."""
         self._prune(now)
         return sum(bucket[1] for bucket in self._buckets) / self.window
-
-    def count_in_window(self, now: float) -> int:
-        """Number of events still inside the window."""
-        self._prune(now)
-        return sum(bucket[2] for bucket in self._buckets)
-
-    @property
-    def lifetime_total(self) -> float:
-        """Sum of all weights ever recorded (never pruned)."""
-        return self._lifetime_weight
-
-    @property
-    def lifetime_count(self) -> int:
-        """Number of events ever recorded (never pruned)."""
-        return self._lifetime_count
 
     def _prune(self, now: float) -> None:
         edge = int((now - self.window) / self._width)

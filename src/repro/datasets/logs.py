@@ -1,15 +1,11 @@
-"""Access-log synthesis and parsing (Common Log Format).
+"""Access-log synthesis.
 
 The paper notes (section 6) that its evaluation did not use actual access
-logs.  This module closes that gap in both directions:
-
-- :func:`generate_access_log` synthesizes a CLF trace by random walks
-  over a site's real hyperlink graph (Poisson sequence arrivals, the same
-  navigation behaviour as Algorithm 2), so the trace is *consistent with
-  the site's topology*;
-- :func:`parse_clf` ingests real-world CLF lines, so genuine 1990s server
-  logs can drive the simulator's replay client
-  (:class:`repro.sim.replay.ReplayClient`).
+logs.  :func:`generate_access_log` synthesizes a trace by random walks
+over a site's real hyperlink graph (Poisson sequence arrivals, the same
+navigation behaviour as Algorithm 2), so the trace is *consistent with
+the site's topology*; the simulator's replay client
+(:class:`repro.sim.replay.ReplayClient`) drives a cluster with it.
 
 Replayed requests use the *original* (home-server) URLs regardless of any
 migrations — exactly the bookmark/search-engine traffic of paper section
@@ -19,9 +15,8 @@ migrations — exactly the bookmark/search-engine traffic of paper section
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from repro.datasets.base import SiteContent
 from repro.html.links import extract_links
@@ -38,35 +33,6 @@ class LogRecord:
     path: str            # absolute request path
     status: int = 200
     size: int = 0
-
-    def to_clf(self, host_base: str = "example.org") -> str:
-        """Render as a Common Log Format line (fixed fake date)."""
-        return (f"{self.client} - - [01/Aug/1998:12:{int(self.time) // 60 % 60:02d}:"
-                f"{int(self.time) % 60:02d} -0700] "
-                f'"GET {self.path} HTTP/1.0" {self.status} {self.size}')
-
-
-_CLF_PATTERN = re.compile(
-    r'^(?P<client>\S+) \S+ \S+ \[(?P<date>[^\]]+)\] '
-    r'"(?P<method>\S+) (?P<path>\S+)[^"]*" (?P<status>\d{3}) (?P<size>\S+)')
-
-
-def parse_clf(lines: Sequence[str]) -> List[LogRecord]:
-    """Parse CLF lines into records; times are synthesized in order
-    (one request per 50 ms) because CLF timestamps are second-granular."""
-    records: List[LogRecord] = []
-    for index, line in enumerate(lines):
-        match = _CLF_PATTERN.match(line.strip())
-        if match is None:
-            continue
-        size_text = match.group("size")
-        records.append(LogRecord(
-            time=index * 0.05,
-            client=match.group("client"),
-            path=match.group("path"),
-            status=int(match.group("status")),
-            size=0 if size_text == "-" else int(size_text)))
-    return records
 
 
 def site_link_graph(site: SiteContent) -> Dict[str, List[str]]:
@@ -165,11 +131,3 @@ def _image_references(site: SiteContent) -> Dict[str, List[str]]:
                 found.append(resolved.path)
         images[name] = found
     return images
-
-
-def trace_statistics(records: Sequence[LogRecord]) -> Tuple[int, int, float]:
-    """(requests, distinct clients, duration) of a trace."""
-    if not records:
-        return 0, 0, 0.0
-    clients = {record.client for record in records}
-    return len(records), len(clients), records[-1].time - records[0].time

@@ -19,7 +19,6 @@ from repro.html.tokenizer import (
     StartTag,
     TextToken,
     Token,
-    tokenize_html,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "parse_html",
     "rewrite_links",
     "serialize_html",
-    "tokenize_html",
 ]

@@ -94,26 +94,6 @@ class Document:
         key = name.lower()
         return [el for el in self.iter_elements() if el.name == key]
 
-    def find_first(self, name: str) -> Optional[Element]:
-        """The first element with tag *name*, or ``None``."""
-        key = name.lower()
-        for element in self.iter_elements():
-            if element.name == key:
-                return element
-        return None
-
-    def text_content(self) -> str:
-        """Concatenated character data of the whole document."""
-        parts: List[str] = []
-        stack: List[Node] = list(reversed(self.children))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Text):
-                parts.append(node.data)
-            elif isinstance(node, Element):
-                stack.extend(reversed(node.children))
-        return "".join(parts)
-
 
 def parse_html(source: str) -> Document:
     """Parse *source* into a :class:`Document`.

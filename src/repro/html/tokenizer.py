@@ -161,18 +161,13 @@ class _Scanner:
         return chunk
 
 
-def tokenize_html(source: str) -> List[Token]:
-    """Tokenize *source* into a list of tokens.
+def iter_tokens(source: str) -> Iterator[Token]:
+    """Yield the tokens of *source* in order.
 
-    >>> tokenize_html('<a href="x.html">go</a>')
+    >>> list(iter_tokens('<a href="x.html">go</a>'))
     [StartTag(name='a', attrs=[('href', 'x.html')], self_closing=False), \
 TextToken(data='go'), EndTag(name='a')]
     """
-    return list(iter_tokens(source))
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    """Yield tokens lazily; see :func:`tokenize_html`."""
     scanner = _Scanner(source)  # recovery cursor, parked until a pattern declines
     find = source.find
     pos, length = 0, len(source)

@@ -12,7 +12,6 @@ from repro.http.messages import (
     Response,
     parse_request,
     parse_response,
-    request_wants_keep_alive,
     response_allows_keep_alive,
 )
 from repro.http.piggyback import LoadReport, attach_load_reports, extract_load_reports
@@ -38,7 +37,6 @@ __all__ = [
     "parse_response",
     "parse_url",
     "reason_phrase",
-    "request_wants_keep_alive",
     "response_allows_keep_alive",
     "split_path",
 ]

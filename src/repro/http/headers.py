@@ -192,17 +192,6 @@ class Headers:
             raise HTTPError(f"header {name} is not an integer: {raw!r}")
         return int(raw)
 
-    def has_token(self, name: str, token: str) -> bool:
-        """True when any field named *name* lists *token* in its
-        comma-separated value (case-insensitive), e.g.
-        ``Connection: keep-alive, upgrade``."""
-        wanted = token.lower()
-        for value in self.get_all(name):
-            for part in value.split(","):
-                if part.strip().lower() == wanted:
-                    return True
-        return False
-
     def remove(self, name: str) -> int:
         """Delete every field named *name*; return how many were removed."""
         key = _fold(name)

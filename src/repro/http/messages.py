@@ -162,11 +162,6 @@ def wants_keep_alive(version: str, headers: Headers) -> bool:
     return not facts.close and (facts.keep_alive or version == "HTTP/1.1")
 
 
-def request_wants_keep_alive(request: Request) -> bool:
-    """Does *request* ask for the connection to stay open afterwards?"""
-    return wants_keep_alive(request.version, request.headers)
-
-
 def response_allows_keep_alive(response: Response) -> bool:
     """Does *response* permit reusing the connection afterwards?"""
     return wants_keep_alive(response.version, response.headers)

@@ -10,7 +10,7 @@ Only ``http`` URLs are modelled; that is all the 1998 prototype speaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import URLError
@@ -57,9 +57,6 @@ class URL:
         if self.query is None:
             return self.path
         return f"{self.path}?{self.query}"
-
-    def with_path(self, path: str) -> "URL":
-        return replace(self, path=path, query=None)
 
     def same_server(self, other: "URL") -> bool:
         """True when both URLs point at the same host:port."""

@@ -64,7 +64,6 @@ from repro.server.dispatch import SocketHost, close_quietly
 from repro.server.engine import DCWSEngine, EngineReply
 
 _RECV_CHUNK = 65536
-_MAX_REQUEST = 1024 * 1024
 #: Seconds between deadline checks, and the longest sleep in ``select``.
 _REAP_PERIOD = 0.1
 _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
@@ -138,7 +137,7 @@ class _Connection:
 
     def __init__(self, sock: socket.socket, deadline: float) -> None:
         self.sock = sock
-        self.parser = RequestParser(max_request=_MAX_REQUEST)
+        self.parser = RequestParser()
         self.out = _OutQueue()
         self.served = 0
         self.deadline = deadline
@@ -404,13 +403,7 @@ class AsyncDCWSServer(SocketHost):
             try:
                 request = conn.parser.next_request()
             except RecoverableProtocolError as exc:
-                # The parser consumed exactly the offending request (its
-                # invalid Content-Length frames no body): answer 400 on
-                # the still-correctly-delimited stream and keep pumping —
-                # the next pipelined request parses normally.
-                response = error_response(StatusCode.BAD_REQUEST, str(exc))
-                response.headers.set("Connection", "keep-alive")
-                self._enqueue_response(conn, None, response)
+                self._enqueue_response(conn, None, self._bad_framing(exc))
                 continue
             except HTTPError:
                 self._fail(conn, StatusCode.BAD_REQUEST)

@@ -29,7 +29,7 @@ from typing import Callable, Optional, TYPE_CHECKING, Union
 
 from repro.client.pool import ConnectionPool
 from repro.client.realclient import http_fetch
-from repro.errors import DigestMismatch, HTTPError
+from repro.errors import DigestMismatch, HTTPError, RecoverableProtocolError
 from repro.http.messages import (
     Request,
     Response,
@@ -260,6 +260,16 @@ class SocketHost:
                                   "server overloaded")
         response.headers.set("Connection", "close")
         response.headers.set("Retry-After", "1")
+        return response
+
+    @staticmethod
+    def _bad_framing(exc: RecoverableProtocolError) -> Response:
+        """The 400 for a request the parser consumed whole (its invalid
+        Content-Length frames no body).  The stream is still correctly
+        delimited, so the answer offers to keep the connection: the next
+        pipelined request parses normally."""
+        response = error_response(StatusCode.BAD_REQUEST, str(exc))
+        response.headers.set("Connection", "keep-alive")
         return response
 
     # ------------------------------------------------------------------

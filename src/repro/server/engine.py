@@ -763,8 +763,8 @@ class DCWSEngine:
         record.record_hit()
         purpose = request.headers.get(PURPOSE_HEADER)
         sender = extract_sender(request.headers)
-        privileged = (purpose in ("migration-pull", "validation")
-                      and self._sender_is_assigned(sender, record))
+        transfer = purpose in ("migration-pull", "validation")
+        privileged = transfer and self._sender_is_assigned(sender, record)
         if privileged and purpose == "validation":
             # A validating co-op reports the hits its hosted copy
             # absorbed; credit them so selection/re-migration/replication
@@ -784,15 +784,20 @@ class DCWSEngine:
             return self._drop_corrupt_holder(request, record, sender, now)
         if not record.entry_point and not self._gate_passes(request, now):
             return self._gate_bounce(request, now, doc_name=record.name)
-        if record.location != self.location and not privileged:
+        at_home = record.location == self.location
+        if not privileged and (not at_home or (transfer and sender)):
             # Migrated away: 301 to the current location (section 4.4).
             # Pull and validation requests from the *assigned* co-op are
             # the exception: the home keeps the permanent copy and must
             # serve it.  A co-op that is no longer the document's host
-            # (the home re-migrated it) gets the same 301 — that is how
-            # it learns to stop serving its stale copy.
-            target = self.replication.pick(record, salt=request.target)
-            location_url = migrated_url(target, self.location, path)
+            # (the home re-migrated or revoked it) gets a 301 too — to
+            # the home URL when the document is back home — and that is
+            # how it learns to stop serving its stale copy.
+            if at_home:
+                location_url = home_url(self.location, path)
+            else:
+                target = self.replication.pick(record, salt=request.target)
+                location_url = migrated_url(target, self.location, path)
             self.metrics.record_redirect(now)
             self.stats.responses_301 += 1
             response = redirect_response(str(location_url))

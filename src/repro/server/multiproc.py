@@ -603,13 +603,3 @@ class WorkerSupervisor:
         return {"mode": "reuseport", "port": self.port, "stripes": stripes,
                 "respawns": self.respawns, "roster": roster,
                 "workers": workers}
-
-    def aggregate_stats(self) -> Dict[str, int]:
-        """Summed counters across workers (benchmark reporting)."""
-        totals = {"requests": 0, "responses_200": 0, "accepted": 0,
-                  "response_cache_hits": 0, "repairs": 0,
-                  "replica_drops": 0, "two_choices_picks": 0}
-        for proc in self._procs:
-            for key in totals:
-                totals[key] += int(proc.stats.get(key, 0))
-        return totals

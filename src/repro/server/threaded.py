@@ -44,7 +44,6 @@ from repro.server.dispatch import SocketHost, close_quietly
 from repro.server.engine import DCWSEngine
 
 _RECV_CHUNK = 65536
-_MAX_REQUEST = 1024 * 1024
 
 
 class ThreadedDCWSServer(SocketHost):
@@ -160,7 +159,7 @@ class ThreadedDCWSServer(SocketHost):
         except OSError:
             pass
         finally:
-            _close_quietly(connection)
+            close_quietly(connection)
 
     # ------------------------------------------------------------------
     # Worker threads
@@ -182,7 +181,7 @@ class ThreadedDCWSServer(SocketHost):
                 pass
             finally:
                 self._serving.discard(connection)
-                _close_quietly(connection)
+                close_quietly(connection)
 
     def _serve_connection(self, connection: socket.socket) -> None:
         """Serve requests off one connection until it closes.
@@ -204,13 +203,8 @@ class ThreadedDCWSServer(SocketHost):
             except socket.timeout:
                 return  # idle keep-alive connection (or stalled peer)
             except RecoverableProtocolError as exc:
-                # The parser consumed exactly the offending request (its
-                # invalid Content-Length frames no body), so the stream is
-                # still correctly delimited: answer 400 and keep serving —
-                # the next pipelined request parses normally.
                 served += 1
-                response = error_response(StatusCode.BAD_REQUEST, str(exc))
-                response.headers.set("Connection", "keep-alive")
+                response = self._bad_framing(exc)
                 keep = self._settle_keep_alive(served, None, response)
                 try:
                     send_response(connection, response)
@@ -268,7 +262,7 @@ class _RequestReader:
 
     def __init__(self, connection: socket.socket) -> None:
         self._connection = connection
-        self._parser = RequestParser(max_request=_MAX_REQUEST)
+        self._parser = RequestParser()
 
     @property
     def buffered(self) -> bool:
@@ -335,6 +329,3 @@ def _send_quietly(connection: socket.socket, response: Response) -> None:
     except OSError:
         pass
 
-
-#: Shared with the event-loop front end (repro.server.dispatch).
-_close_quietly = close_quietly

@@ -51,7 +51,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.server.filestore import fsync_directory
@@ -366,10 +366,3 @@ class WriteAheadJournal:
     def __repr__(self) -> str:
         return (f"WriteAheadJournal({self.path!r}, epoch={self.epoch}, "
                 f"lsn={self.last_lsn}, {self.fsync_policy})")
-
-
-def iter_tail(path: str, after_lsn: int) -> Iterator[JournalRecord]:
-    """The journal records with ``lsn > after_lsn`` (replay order)."""
-    for record in scan_journal(path).records:
-        if record.lsn > after_lsn:
-            yield record

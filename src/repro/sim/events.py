@@ -75,20 +75,6 @@ class EventLoop:
             self._now = end
         return fired
 
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue completely (bounded by *max_events*)."""
-        fired = 0
-        while self._queue:
-            when, __, callback = heapq.heappop(self._queue)
-            self._now = when
-            callback()
-            fired += 1
-            self._processed += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"event loop exceeded {max_events} events — runaway?")
-        return fired
-
     def every(self, interval: float, callback: Callable[[], None], *,
               end: float = float("inf"), start_offset: float = 0.0) -> None:
         """Fire *callback* every *interval* seconds until *end*.

@@ -57,9 +57,6 @@ class Serializer:
         self._busy_time += duration
         return start, end
 
-    def busy_until(self) -> float:
-        return self._busy_until
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of [0, elapsed] this resource spent busy."""
         if elapsed <= 0:
@@ -200,22 +197,3 @@ class FaultyTransport:
         if event.kind == "blackhole":
             return self.request_timeout, 0.0
         return self.link_latency, 0.0
-
-    # ------------------------------------------------------------------
-    # Runtime partition control (membership/rediscovery chaos scenarios)
-    # ------------------------------------------------------------------
-
-    def partition(self, peer: str) -> None:
-        """Blackhole every subsequent transfer toward *peer*.
-
-        Note the plan is *this host's outbound* view: a bidirectional
-        partition (the shape that exercises false-death rediscovery,
-        since the victim must also stop gossiping back) needs
-        ``partition`` called on both sides' transports.
-        """
-        self.plan.block(peer)
-
-    def heal(self, peer: str) -> None:
-        """Lift the partition toward *peer*; the rediscovery daemon's
-        next re-probe then succeeds and triggers rejoin reconciliation."""
-        self.plan.unblock(peer)

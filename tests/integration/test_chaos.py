@@ -29,14 +29,11 @@ import time
 import pytest
 
 import repro
-from repro.client.realclient import (
-    fetch_url,
-    http_fetch,
-    reset_replica_failures,
-)
+from repro.client.realclient import fetch_url, http_fetch
 from repro.client.walker import RandomWalker
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.core.membership import DEAD, FORGOTTEN
 from repro.faults import FaultPlan
 from repro.http.messages import Request
 from repro.http.urls import URL
@@ -428,7 +425,6 @@ class TestReplicaHolderCrash:
     @pytest.mark.parametrize("victim_role", ["primary", "replica"])
     def test_sigkill_holder_zero_404s_zero_revocations(self, tmp_path,
                                                        victim_role):
-        reset_replica_failures()
         home_port = free_port()
         coop_ports = [free_port() for __ in range(3)]
         config = ServerConfig(stats_interval=0.3, pinger_interval=0.3,
@@ -544,7 +540,6 @@ class TestReplicaHolderCrash:
                     proc.kill()
                     proc.wait(timeout=10)
             home.stop()
-            reset_replica_failures()
 
 
 class TestFalseDeathRediscovery:
@@ -563,7 +558,6 @@ class TestFalseDeathRediscovery:
     """
 
     def test_partition_heal_rediscovers_within_two_periods(self):
-        reset_replica_failures()
         home_port = free_port()
         coop_ports = [free_port() for __ in range(3)]
         config = ServerConfig(stats_interval=0.3, pinger_interval=0.3,
@@ -639,7 +633,8 @@ class TestFalseDeathRediscovery:
             victim_plan.block(home_key)
 
             wait_until(
-                lambda: home.engine.membership.is_dead(victim_key),
+                lambda: home.engine.membership.state(victim_key)
+                in (DEAD, FORGOTTEN),
                 10.0, "home never declared the partitioned co-op dead",
                 diagnose)
             # Repair re-homed the group onto the survivors: two live
@@ -712,7 +707,6 @@ class TestFalseDeathRediscovery:
             home.stop()
             for coop in coops:
                 coop.stop()
-            reset_replica_failures()
 
 
 class TestCorruptionQuarantine:
@@ -729,7 +723,6 @@ class TestCorruptionQuarantine:
 
     @pytest.mark.parametrize("seed_offset", [0, 1, 2])
     def test_byte_flip_quarantined_and_repaired(self, seed_offset):
-        reset_replica_failures()
         home_port = free_port()
         coop_ports = [free_port() for __ in range(3)]
         # ping_failure_limit is generous: nobody dies in this scenario,
@@ -874,7 +867,6 @@ class TestCorruptionQuarantine:
             home.stop()
             for coop in coops:
                 coop.stop()
-            reset_replica_failures()
 
 
 class TestWorkerCrash:

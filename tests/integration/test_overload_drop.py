@@ -73,7 +73,7 @@ def test_drop_recorded_in_metrics(tiny_server):
         deadline = time.time() + 5.0
         while time.time() < deadline:
             with tiny_server._lock:
-                if tiny_server.engine.metrics.drops.lifetime_count >= 1:
+                if tiny_server._drops_drained >= 1:
                     return
             time.sleep(0.1)
         pytest.fail("drop was never recorded in the engine metrics")

@@ -14,8 +14,7 @@ import time
 import pytest
 
 from repro.client.cache import ValidatorCache
-from repro.client.realclient import (browser_fetch, fetch_url, head_ok,
-                                     http_fetch)
+from repro.client.realclient import fetch_url, http_fetch
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request
@@ -83,7 +82,9 @@ class TestBasicServing:
 
     def test_head_probe(self, pair):
         home, __ = pair
-        assert head_ok(Location("127.0.0.1", home.port))
+        probe = http_fetch(Location("127.0.0.1", home.port),
+                           Request(method="HEAD", target="/~dcws/health"))
+        assert probe.status == 200
 
     def test_bad_request_handled(self, pair):
         home, __ = pair
@@ -208,13 +209,15 @@ class TestConditionalGetOverSockets:
         from repro.client.walker import RandomWalker
 
         home, __ = pair
-        fetch = browser_fetch()
+        validators = ValidatorCache()
         walker = RandomWalker(
-            [f"http://127.0.0.1:{home.port}/index.html"], fetch,
+            [f"http://127.0.0.1:{home.port}/index.html"],
+            lambda url: fetch_url(url, validators=validators,
+                                  accept_gzip=True),
             seed=7, sleep=lambda __: None)
         walker.run(sequences=4)
         assert walker.stats.not_modified > 0
-        assert fetch.validators.not_modified == walker.stats.not_modified
+        assert validators.not_modified == walker.stats.not_modified
         # Revalidated fetches move head bytes only: the wire total is
         # strictly below the entity total.
         assert walker.stats.bytes_received < walker.stats.entity_bytes

@@ -231,7 +231,6 @@ _values = st.one_of(
                      "gzip;q=0, gzip", "deflate, gzipped", "home:8001"]),
     st.text(alphabet="abcXYZ019 ,;=-\"/", max_size=12),
     st.integers(0, 99999))
-_tokens = st.sampled_from(["close", "CLOSE", "keep-alive", "upgrade", "max"])
 _slot = st.integers(0, 7)
 
 # parse_lines input: field lines, folded continuations (blank ones
@@ -257,7 +256,7 @@ _operations = st.lists(st.one_of(
     st.tuples(st.just("get_default"), _slot, _names),
     st.tuples(st.just("get_all"), _slot, _names),
     st.tuples(st.just("get_int"), _slot, _names),
-    st.tuples(st.just("has_token"), _slot, _names, _tokens),
+    st.tuples(st.just("connection"), _slot),
     st.tuples(st.just("contains"), _slot, _names),
     st.tuples(st.just("eq"), _slot, _slot),
     st.tuples(st.just("copy"), _slot),
@@ -287,9 +286,14 @@ def apply(kind, args, slots, make):
     else:
         target = slots[args[0] % len(slots)]
         rest = args[1:]
-        if kind in ("add", "set", "remove", "get", "get_all", "get_int",
-                    "has_token"):
+        if kind in ("add", "set", "remove", "get", "get_all", "get_int"):
             return outcome(lambda: getattr(target, kind)(*rest))
+        if kind == "connection":
+            if isinstance(target, Headers):
+                facts = target.facts()
+                return ("returned", (facts.close, facts.keep_alive))
+            return ("returned", (target.has_token("Connection", "close"),
+                                 target.has_token("Connection", "keep-alive")))
         if kind == "get_default":
             return outcome(lambda: target.get(rest[0], "fallback"))
         if kind == "contains":

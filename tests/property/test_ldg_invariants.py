@@ -112,15 +112,6 @@ class LDGMachine(RuleBasedStateMachine):
             pass  # wasn't migrated; fine
         self.left_home.pop(name, None)
 
-    @rule(index=_doc_index)
-    def remove(self, index):
-        name = self._name(index)
-        if name not in self.graph:
-            return
-        self.graph.remove_document(name)
-        self.names.remove(name)
-        self.left_home.pop(name, None)
-
     @rule(index=_doc_index, count=st.integers(1, 5))
     def hit(self, index, count):
         name = self._name(index)

@@ -1,5 +1,7 @@
 """Unit tests for the benchmark harness (scales, config building)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.harness import (
@@ -13,7 +15,6 @@ from repro.bench.harness import (
     saturating_clients,
     scaled_costs,
     scaled_server_config,
-    with_duration,
 )
 from repro.core.config import ServerConfig
 
@@ -50,11 +51,6 @@ class TestScales:
         # Server-side constants are untouched.
         assert costs.request_cpu == pytest.approx(0.001)
 
-    def test_with_duration(self):
-        shorter = with_duration(QUICK_SCALE, 5.0)
-        assert shorter.duration == 5.0
-        assert shorter.time_factor == QUICK_SCALE.time_factor
-
 
 class TestBuilders:
     def test_build_site_by_name(self):
@@ -81,7 +77,7 @@ class TestRunDcws:
     def test_tiny_run_produces_result(self):
         site = build_site("lod")
         result = run_dcws(site, servers=2, clients=8,
-                          scale=with_duration(QUICK_SCALE, 10.0))
+                          scale=replace(QUICK_SCALE, duration=10.0))
         assert result.client_stats.requests > 0
         assert len(result.series) > 0
         assert result.config.servers == 2

@@ -1,6 +1,6 @@
 """Unit tests for table/series formatting."""
 
-from repro.bench.reporting import format_series, format_table, sparkline
+from repro.bench.reporting import format_table, sparkline
 
 
 class TestFormatTable:
@@ -27,17 +27,6 @@ class TestFormatTable:
         text = format_table(("col", "x"), [("abc", 1), ("de", 22)])
         lines = text.splitlines()
         assert len(lines[1]) == len(lines[2]) == len(lines[3])
-
-
-class TestFormatSeries:
-    def test_rows_aligned(self):
-        text = format_series("CPS", [0.0, 10.0, 20.0], [1.0, 250.0, 1000.0],
-                             unit="conn/s")
-        lines = text.splitlines()
-        assert lines[0] == "CPS (conn/s)"
-        assert lines[1].startswith("t:")
-        assert lines[2].startswith("v:")
-        assert len(lines[1]) == len(lines[2])
 
 
 class TestSparkline:

@@ -1,15 +1,20 @@
 """ConnectionPool: persistent per-peer channels for server-to-server HTTP."""
 
 import socket
+from types import SimpleNamespace
 
 import pytest
 
+from repro.client import pool as pool_module
 from repro.client.pool import ConnectionPool, _Channel
+from repro.client.realclient import _choose_replica, fetch_url
 from repro.errors import HTTPError
 from repro.faults import FaultPlan, FaultRule
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.core.naming import encode_migrated_path
 from repro.http.messages import Request
+from repro.http.urls import URL
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
@@ -216,3 +221,40 @@ def test_injected_reset_on_reused_channel_raises_for_post(server):
         with pytest.raises(ConnectionResetError):
             pool.fetch(peer, Request(method="POST", target="/a.html"))
         assert pool.opens == 1
+
+
+class TestFailureMemory:
+    """A requester remembers, on its own pool, which replica authorities
+    just failed it; no other requester's choice is steered by that."""
+
+    def dead_replica(self):
+        port = free_port()  # bound and closed: connecting is refused
+        url = URL("127.0.0.1", port,
+                  encode_migrated_path(Location("home", 8001), "/d.html"))
+        sibling = "127.0.0.1:1"
+        return url, f"127.0.0.1:{port}, {sibling}", sibling
+
+    def test_a_failure_noted_by_one_client_does_not_steer_another(self):
+        url, replicas, sibling = self.dead_replica()
+        with ConnectionPool() as mine, ConnectionPool() as theirs:
+            assert fetch_url(url, pool=mine, max_redirects=0).status == 599
+            assert _choose_replica(url, replicas) is url
+            assert _choose_replica(url, replicas, theirs) is url
+            assert _choose_replica(url, replicas, mine).authority == sibling
+
+    def test_a_client_without_a_pool_remembers_nothing(self):
+        url, replicas, __ = self.dead_replica()
+        assert fetch_url(url, max_redirects=0).status == 599
+        assert _choose_replica(url, replicas) is url
+
+    def test_the_memory_fades(self, monkeypatch):
+        clock = [100.0]
+        monkeypatch.setattr(pool_module, "time",
+                            SimpleNamespace(monotonic=lambda: clock[0]))
+        pool = ConnectionPool()
+        pool.note_failure("peer:1")
+        clock[0] += 4.0
+        assert pool.recently_failed("peer:1")
+        clock[0] += 2.0
+        assert not pool.recently_failed("peer:1")
+        assert not pool.recently_failed("other:2")

@@ -88,9 +88,3 @@ class TestScaled:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ConfigError):
             ServerConfig().scaled(0.0)
-
-    def test_as_table_contains_every_field(self):
-        table = ServerConfig().as_table()
-        assert table["worker_threads"] == 12
-        assert "validation_interval" in table
-        assert len(table) >= 15

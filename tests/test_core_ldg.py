@@ -67,14 +67,6 @@ class TestSetLinks:
         assert graph.get("/C").link_from == {"/A", "/B"}
         graph.check_invariants()
 
-    def test_remove_document_cleans_edges(self):
-        graph = small_graph()
-        graph.remove_document("/D")
-        assert "/D" not in graph
-        assert "/D" not in graph.get("/B").link_to
-        assert "/D" not in graph.get("/E").link_to
-        graph.check_invariants()
-
 
 class TestMigration:
     def test_mark_migrated_sets_location_and_dirty(self):
@@ -183,4 +175,3 @@ class TestHits:
         graph.reset_windows()
         assert graph.get("/C").hits == 3
         assert graph.get("/C").window_hits == 0
-        assert graph.total_hits() == 3

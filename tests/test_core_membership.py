@@ -118,7 +118,7 @@ class TestMembershipStateMachine:
         transitions, deaths = t.sweep(last + 5.0)
         assert ("p", ALIVE, SUSPECT) in transitions
         assert deaths == []
-        assert t.is_suspect("p")
+        assert t.state("p") == SUSPECT
 
     def test_sweep_recommends_death_but_does_not_apply(self):
         t = table()
@@ -126,15 +126,15 @@ class TestMembershipStateMachine:
         t.sweep(last + 5.0)            # -> suspect
         _, deaths = t.sweep(last + 100.0)
         assert deaths == ["p"]
-        assert not t.is_dead("p")      # recommendation only
+        assert t.state("p") not in (DEAD, FORGOTTEN)  # recommendation only
         assert t.mark_dead("p", last + 100.0)
-        assert t.is_dead("p")
+        assert t.state("p") == DEAD
 
     def test_suspect_recovers_to_alive_without_dying(self):
         t = table()
         last = warm(t, "p")
         t.sweep(last + 5.0)
-        assert t.is_suspect("p")
+        assert t.state("p") == SUSPECT
         assert t.heartbeat("p", last + 6.0) == (SUSPECT, ALIVE)
         assert t.state("p") == ALIVE
         assert t.counters.deaths == 0
@@ -146,7 +146,7 @@ class TestMembershipStateMachine:
         assert t.failure("p", 10.0) == SUSPECT
         assert t.failure("p", 10.1) is None
         assert t.failure("p", 10.2) == DEAD   # recommended, unapplied
-        assert not t.is_dead("p")
+        assert t.state("p") not in (DEAD, FORGOTTEN)
 
     def test_mark_dead_is_idempotent(self):
         t = table()

@@ -31,19 +31,12 @@ class TestWindowCounter:
         counter.record(1.0, weight=50.0)
         assert counter.rate(1.0) == pytest.approx(75.0)
 
-    def test_lifetime_counters_never_pruned(self):
-        counter = WindowCounter(window=1.0)
-        counter.record(0.0, 3.0)
-        counter.record(100.0, 7.0)
-        assert counter.lifetime_total == 10.0
-        assert counter.lifetime_count == 2
-
     def test_count_in_window(self):
         counter = WindowCounter(window=10.0)
         counter.record(0.0)
         counter.record(8.0)
-        assert counter.count_in_window(9.0) == 2
-        assert counter.count_in_window(15.0) == 1
+        assert counter.rate(9.0) * counter.window == pytest.approx(2.0)
+        assert counter.rate(15.0) * counter.window == pytest.approx(1.0)
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ConfigError):

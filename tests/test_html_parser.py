@@ -35,8 +35,7 @@ class TestTreeShape:
 
     def test_stray_end_tag_dropped(self):
         doc = parse_html("a</b>c")
-        text = doc.text_content()
-        assert text == "ac"
+        assert [child.data for child in doc.children] == ["a", "c"]
 
     def test_outer_end_tag_closes_inner(self):
         doc = parse_html("<div><b>x</div>after")
@@ -56,16 +55,9 @@ class TestQueries:
         anchors = self.DOC.find_all("a")
         assert [a.get_attr("href") for a in anchors] == ["1.html", "2.html"]
 
-    def test_find_first(self):
-        assert self.DOC.find_first("img").get_attr("src") == "i.gif"
-        assert self.DOC.find_first("table") is None
-
     def test_iter_elements_depth_first(self):
         names = [e.name for e in self.DOC.iter_elements()]
         assert names == ["html", "body", "a", "div", "a", "img"]
-
-    def test_text_content(self):
-        assert self.DOC.text_content() == "ab"
 
     def test_empty_document(self):
         doc = parse_html("")
@@ -76,7 +68,7 @@ class TestQueries:
 class TestMutation:
     def test_set_attr_then_serialize(self):
         doc = parse_html('<a href="old.html">x</a>')
-        doc.find_first("a").set_attr("href", "new.html")
+        doc.find_all("a")[0].set_attr("href", "new.html")
         assert serialize_html(doc) == '<a href="new.html">x</a>'
 
     def test_frameset_frames(self):

@@ -7,117 +7,121 @@ from repro.html.tokenizer import (
     StartTag,
     TextToken,
     escape_attribute,
-    tokenize_html,
+    iter_tokens,
     unescape_entities,
 )
 
 
+def tokens_of(source):
+    return list(iter_tokens(source))
+
+
 class TestBasicTokens:
     def test_simple_element(self):
-        tokens = tokenize_html("<b>hi</b>")
+        tokens = tokens_of("<b>hi</b>")
         assert tokens == [StartTag("b"), TextToken("hi"), EndTag("b")]
 
     def test_text_only(self):
-        assert tokenize_html("plain text") == [TextToken("plain text")]
+        assert tokens_of("plain text") == [TextToken("plain text")]
 
     def test_tag_names_lowercased(self):
-        tokens = tokenize_html("<IMG SRC='x.gif'>")
+        tokens = tokens_of("<IMG SRC='x.gif'>")
         assert tokens[0].name == "img"
         assert tokens[0].attrs == [("src", "x.gif")]
 
     def test_comment(self):
-        tokens = tokenize_html("<!-- note -->")
+        tokens = tokens_of("<!-- note -->")
         assert tokens == [Comment(" note ")]
 
     def test_doctype(self):
-        tokens = tokenize_html("<!DOCTYPE html><p>x")
+        tokens = tokens_of("<!DOCTYPE html><p>x")
         assert isinstance(tokens[0], Doctype)
         assert tokens[0].data == "DOCTYPE html"
 
     def test_self_closing(self):
-        tokens = tokenize_html("<br/>")
+        tokens = tokens_of("<br/>")
         assert tokens[0].self_closing is True
 
 
 class TestAttributes:
     def test_double_quoted(self):
-        tag = tokenize_html('<a href="x.html">')[0]
+        tag = tokens_of('<a href="x.html">')[0]
         assert tag.get_attr("href") == "x.html"
 
     def test_single_quoted(self):
-        tag = tokenize_html("<a href='x.html'>")[0]
+        tag = tokens_of("<a href='x.html'>")[0]
         assert tag.get_attr("href") == "x.html"
 
     def test_unquoted(self):
-        tag = tokenize_html("<a href=x.html target=_top>")[0]
+        tag = tokens_of("<a href=x.html target=_top>")[0]
         assert tag.get_attr("href") == "x.html"
         assert tag.get_attr("target") == "_top"
 
     def test_bare_attribute(self):
-        tag = tokenize_html("<input checked>")[0]
+        tag = tokens_of("<input checked>")[0]
         assert tag.attrs == [("checked", None)]
 
     def test_attribute_names_lowercased(self):
-        tag = tokenize_html('<A HREF="x">')[0]
+        tag = tokens_of('<A HREF="x">')[0]
         assert tag.get_attr("href") == "x"
 
     def test_entity_in_attribute_unescaped(self):
-        tag = tokenize_html('<a href="cgi?a=1&amp;b=2">')[0]
+        tag = tokens_of('<a href="cgi?a=1&amp;b=2">')[0]
         assert tag.get_attr("href") == "cgi?a=1&b=2"
 
     def test_set_attr_updates_in_place(self):
-        tag = tokenize_html('<a href="old" class="k">')[0]
+        tag = tokens_of('<a href="old" class="k">')[0]
         tag.set_attr("href", "new")
         assert tag.attrs == [("href", "new"), ("class", "k")]
 
     def test_set_attr_appends_when_missing(self):
-        tag = tokenize_html("<a>")[0]
+        tag = tokens_of("<a>")[0]
         tag.set_attr("href", "x")
         assert tag.get_attr("href") == "x"
 
     def test_whitespace_between_attrs(self):
-        tag = tokenize_html('<a  href = "x"   class= y >')[0]
+        tag = tokens_of('<a  href = "x"   class= y >')[0]
         assert tag.get_attr("href") == "x"
         assert tag.get_attr("class") == "y"
 
 
 class TestRecovery:
     def test_stray_less_than_is_text(self):
-        tokens = tokenize_html("a < b")
+        tokens = tokens_of("a < b")
         assert "".join(t.data for t in tokens
                        if isinstance(t, TextToken)) == "a < b"
 
     def test_unterminated_tag_at_eof(self):
-        tokens = tokenize_html("<a href=")
+        tokens = tokens_of("<a href=")
         assert isinstance(tokens[0], StartTag)
 
     def test_unterminated_comment(self):
-        tokens = tokenize_html("<!-- never closed")
+        tokens = tokens_of("<!-- never closed")
         assert tokens == [Comment(" never closed")]
 
     def test_empty_end_tag_recovered_as_text(self):
-        tokens = tokenize_html("x</>y")
+        tokens = tokens_of("x</>y")
         text = "".join(t.data for t in tokens if isinstance(t, TextToken))
         assert "x" in text and "y" in text
 
     def test_stray_slash_in_tag(self):
-        tag = tokenize_html("<a / href='x'>")[0]
+        tag = tokens_of("<a / href='x'>")[0]
         assert tag.get_attr("href") == "x"
 
 
 class TestRawText:
     def test_script_content_not_tokenized(self):
-        tokens = tokenize_html("<script>if (a<b) x();</script>")
+        tokens = tokens_of("<script>if (a<b) x();</script>")
         assert tokens[0] == StartTag("script")
         assert tokens[1] == TextToken("if (a<b) x();")
         assert tokens[2] == EndTag("script")
 
     def test_style_content_not_tokenized(self):
-        tokens = tokenize_html("<style>a > b {}</style>")
+        tokens = tokens_of("<style>a > b {}</style>")
         assert tokens[1] == TextToken("a > b {}")
 
     def test_unclosed_script_runs_to_eof(self):
-        tokens = tokenize_html("<script>var x = 1;")
+        tokens = tokens_of("<script>var x = 1;")
         assert tokens[-1] == TextToken("var x = 1;")
 
 

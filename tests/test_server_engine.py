@@ -197,6 +197,44 @@ class TestMigrationAndRedirect:
         assert reply.response.status == 400
 
 
+class TestRevokedCopy:
+    """A co-op that loses a document to a revocation stops serving it:
+    the home answers its next transfer for the document with a 301."""
+
+    def test_a_revoked_copy_is_dropped_at_its_first_validation(self):
+        home = make_engine()
+        coop = make_engine(location=COOP, site={}, peers=(HOME,),
+                           validation_interval=30.0)
+        home.policy.force_migrate("/e.html", COOP, now=0.5)
+        key = "/~migrate/home/8001/e.html"
+        pull = get(coop, key, now=1.0)
+        coop.complete_pull(pull, home.handle_request(pull.request, 1.0)
+                           .response, 1.0)
+        assert coop.hosted[key].fetched
+        home.policy.revoke("/e.html")
+        validations = [a for a in coop.tick(31.0) if a.kind == "validate"]
+        assert [a.key for a in validations] == [key]
+        answer = home.handle_request(validations[0].request, 31.0).response
+        assert answer.status == 301
+        assert answer.headers.get("Location") == "http://home:8001/e.html"
+        coop.complete_action(validations[0], answer, 31.0)
+        assert key not in coop.hosted
+        # The old URL pulls anew, and the home's 301 reaches the client.
+        pull = get(coop, key, now=32.0)
+        reply = coop.complete_pull(pull, home.handle_request(
+            pull.request, 32.0).response, 32.0)
+        assert reply.response.status == 301
+        assert key not in coop.hosted
+
+    def test_an_unassigned_pull_of_a_home_document_is_redirected(self):
+        reply = get(make_engine(), "/d.html",
+                    headers={PURPOSE_HEADER: "migration-pull",
+                             "X-DCWS-Sender": "coop:8002"})
+        assert reply.response.status == 301
+        assert reply.response.headers.get("Location") == \
+            "http://home:8001/d.html"
+
+
 class TestCoopBehaviour:
     def coop_engine(self):
         return make_engine(location=COOP, site={}, peers=(HOME,))

@@ -101,6 +101,7 @@ class TestAccounting:
                           MemoryStore(), peers=[HOME])
         coop.initialize(0.0)
         home = make_engine()
+        home.policy.force_migrate("/sub/e.html", COOP, 0.5)
         pull = coop.handle_request(
             Request("GET", "/~migrate/home/8001/sub/e.html"), 1.0)
         assert isinstance(pull, PullFromHome)
@@ -192,7 +193,7 @@ class TestHostedHitsCredit:
         engine = make_engine()
         stranger = Location("other", 8003)
         reply = engine.handle_request(self.validation(stranger, "500"), 1.0)
-        assert reply.response.status == 200     # not migrated: served
+        assert reply.response.status == 301     # at home, yet no copy of it
         engine.policy.force_migrate(self.NAME, COOP, 1.5)
         reply = engine.handle_request(self.validation(stranger, "500"), 2.0)
         assert reply.response.status == 301     # as for any non-holder

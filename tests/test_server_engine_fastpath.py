@@ -384,12 +384,11 @@ def dispatch(engine, request, now):
     return engine.handle_request(request, now)
 
 
-def observed(engine):
+def observed(engine, now):
     """Everything a request may move, whichever route served it."""
     return (counters(engine),
             {record.name: record.hits for record in engine.graph.documents()},
-            engine.metrics.connections.lifetime_count,
-            engine.metrics.bytes.lifetime_total,
+            engine.metrics.cps(now), engine.metrics.bps(now),
             engine.stats.bytes_sent)
 
 
@@ -436,7 +435,7 @@ def twin_step(by_fast, by_slow, make_request, now):
     full = slow(by_slow, make_request(), now)
     assert quick.response.serialize() == full.response.serialize()
     assert quick.doc_name == full.doc_name
-    assert observed(by_fast) == observed(by_slow)
+    assert observed(by_fast, now) == observed(by_slow, now)
     assert by_slow.stats.fast_hits == 0
     return quick, by_fast.stats.fast_hits - before == 1
 
@@ -745,7 +744,7 @@ def test_replicas_on_a_home_record_change_no_answer():
                 assert reply.response.serialize() == \
                     plain.response.serialize(), (path, name, method)
                 assert took_it == short, (path, name, method)
-    assert observed(replicated) == observed(unreplicated)
+    assert observed(replicated, 2.0) == observed(unreplicated, 2.0)
 
 
 # -- a co-op's copies on the short-circuit --------------------------------
@@ -783,12 +782,11 @@ def home_answer(status, body=b"", version=None):
     return response
 
 
-def coop_observed(engine):
+def coop_observed(engine, now):
     return (counters(engine),
             {key: (hosted.hits, hosted.fetched, hosted.version)
              for key, hosted in engine.hosted.items()},
-            engine.metrics.connections.lifetime_count,
-            engine.metrics.bytes.lifetime_total)
+            engine.metrics.cps(now), engine.metrics.bps(now))
 
 
 def test_a_coops_copies_take_the_short_circuit_byte_for_byte():
@@ -821,7 +819,7 @@ def test_a_coops_copies_take_the_short_circuit_byte_for_byte():
         assert head == full.response.serialize_head(), key
         assert response.body == full.response.body, key
         assert quick.doc_name == full.doc_name == key
-        assert coop_observed(by_fast) == coop_observed(by_slow), key
+        assert coop_observed(by_fast, now) == coop_observed(by_slow, now), key
         assert by_slow.stats.fast_hits == 0
         assert head not in retired.get(key, ()), key
         assert VERSION_HEADER.encode() not in head

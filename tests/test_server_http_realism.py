@@ -283,6 +283,7 @@ def make_fetched_coop():
     """A co-op whose hosted copy of /d.html has already been pulled."""
     coop = make_coop()
     home = make_engine()
+    home.policy.force_migrate("/d.html", COOP, 0.4)
     key = f"/~migrate/{HOME.host}/{HOME.port}/d.html"
     pull = coop.handle_request(Request("GET", key), 0.5)
     assert isinstance(pull, PullFromHome)

@@ -169,9 +169,15 @@ class TestParentFormats:
 
 
 class TestHostedState:
+    @staticmethod
+    def home_of_copy():
+        home = make_engine()
+        home.policy.force_migrate("/d.html", COOP, 0.5)
+        return home
+
     def coop_with_copy(self):
         coop = make_engine(location=COOP, site={})
-        home = make_engine()
+        home = self.home_of_copy()
         pull = coop.handle_request(
             Request("GET", "/~migrate/home/8001/d.html"), 1.0)
         pull.request.headers.set(PURPOSE_HEADER, "migration-pull")
@@ -204,7 +210,8 @@ class TestHostedState:
         validation = next(a for a in coop.tick(200.0)
                           if a.kind == "validate")
         assert validation.request.headers.get_int("X-DCWS-Hosted-Hits") == 6
-        answer = make_engine().handle_request(validation.request, 200.0)
+        answer = self.home_of_copy().handle_request(validation.request,
+                                                    200.0)
         coop.complete_action(validation, answer.response, 200.0)
         for __ in range(3):
             coop.handle_request(Request("GET", key), 200.5)

@@ -86,25 +86,6 @@ class TestScheduling:
         assert loop.events_processed == 3
 
 
-class TestRunAll:
-    def test_drains_queue(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(1.0, lambda: fired.append(1))
-        loop.schedule(2.0, lambda: fired.append(2))
-        assert loop.run_all() == 2
-
-    def test_runaway_guard(self):
-        loop = EventLoop()
-
-        def rescheduling():
-            loop.schedule_after(1.0, rescheduling)
-
-        loop.schedule(0.0, rescheduling)
-        with pytest.raises(SimulationError):
-            loop.run_all(max_events=100)
-
-
 class TestEvery:
     def test_periodic_firing(self):
         loop = EventLoop()

@@ -39,7 +39,6 @@ from repro.server.persistence import (
 from repro.server.wal import (
     WALError,
     WriteAheadJournal,
-    iter_tail,
     scan_journal,
 )
 
@@ -158,13 +157,6 @@ class TestFraming:
         scan = scan_journal(path)
         assert scan.records == [] and scan.torn_tail
 
-    def test_iter_tail_filters_by_lsn(self, tmp_path):
-        path = str(tmp_path / "a.wal")
-        with WriteAheadJournal(path, location="x") as journal:
-            for i in range(4):
-                journal.append("glt_row", float(i), metric=float(i))
-        assert [r.lsn for r in iter_tail(path, after_lsn=2)] == [3, 4]
-
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = WriteAheadJournal(str(tmp_path / "a.wal"), location="x")
         journal.close()
@@ -265,6 +257,8 @@ class TestCoopReplay:
         refreshed copy one never earlier than the live one."""
         site = dict(SITE, **{"/f.html": b"<html>gone soon</html>"})
         home = make_engine(site=site)
+        for name in ("/index.html", "/d.html"):
+            home.policy.force_migrate(name, COOP, 5.0)
         journal = WriteAheadJournal(str(tmp_path / "coop.wal"),
                                     location=str(COOP), fsync_policy="off")
         coop = DCWSEngine(COOP, ServerConfig(validation_interval=120.0),
@@ -527,6 +521,7 @@ class TestFsck:
     def coop_with_copy(self):
         coop = make_engine(location=COOP, site={})
         home = make_engine()
+        home.policy.force_migrate("/d.html", COOP, 0.5)
         pull = coop.handle_request(
             Request("GET", "/~migrate/home/8001/d.html"), 1.0)
         pull.request.headers.set(PURPOSE_HEADER, "migration-pull")
