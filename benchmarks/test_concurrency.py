@@ -261,128 +261,3 @@ def test_event_loop_sustains_4x_keep_alive_concurrency(report):
     assert ratio >= 4.0, (
         f"aio sustained only {sustained['aio']} vs threaded "
         f"{sustained['threaded']} — below the 4x bar")
-
-
-# ----------------------------------------------------------------------
-# Measurement 3: multi-process scale-out (SO_REUSEPORT workers)
-# ----------------------------------------------------------------------
-
-def closed_loop_rps(port: int, connections: int, window: float) -> float:
-    """Aggregate cached-hit RPS: closed-loop keep-alive clients re-send
-    the moment a response completes; responses counted over *window*."""
-    clients = []
-    completed = 0
-    try:
-        for __ in range(connections):
-            sock = socket.create_connection(("127.0.0.1", port),
-                                            timeout=5.0)
-            sock.setblocking(False)
-            client = _Client(sock)
-            try:
-                sock.send(REQUEST)
-            except OSError:
-                pass
-            clients.append(client)
-        start = time.monotonic()
-        deadline = start + window
-        live = {c.sock: c for c in clients}
-        while live and time.monotonic() < deadline:
-            readable, __, __ = select.select(list(live), [], [], 0.05)
-            for sock in readable:
-                client = live[sock]
-                try:
-                    chunk = sock.recv(65536)
-                except OSError:
-                    chunk = b""
-                if not chunk:
-                    del live[sock]
-                    continue
-                client.buffer += chunk
-                while client.response_complete():
-                    completed += 1
-                    try:
-                        sock.send(REQUEST)
-                    except OSError:
-                        del live[sock]
-                        break
-        elapsed = time.monotonic() - start
-        return completed / max(elapsed, 1e-6)
-    finally:
-        for client in clients:
-            try:
-                client.sock.close()
-            except OSError:
-                pass
-
-
-def test_multiproc_worker_sweep(report, scale):
-    """Cached-hit RPS at 1, 2, and 4 worker processes.
-
-    The honest caveat is recorded with the numbers: on a single-core
-    container (``os.cpu_count() == 1``) four event loops time-slice one
-    CPU, so the >= 2.5x scaling bar is only *enforced* when at least 4
-    cores exist (``scaling_gate``: "full").  On fewer cores the gate
-    degrades to "no collapse": multi-worker throughput must stay within
-    2x of single-worker (IPC + scheduling overhead bounded), and
-    ``scaling_ok`` reports that weaker check.
-    """
-    from repro.server.multiproc import WorkerSupervisor, choose_mode
-
-    mode = choose_mode()
-    if mode is None:
-        import pytest
-        pytest.skip("no multi-process accept mode on this platform")
-
-    window = 1.0 if scale.name == "quick" else 3.0
-    connections = 16
-
-    def factory(index, location):
-        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
-                              validation_interval=60.0,
-                              migration_hit_threshold=1e9,
-                              keep_alive_timeout=30.0)
-        return DCWSEngine(location, config, MemoryStore(SITE),
-                          entry_points=["/index.html"])
-
-    rps = {}
-    for workers in (1, 2, 4):
-        with WorkerSupervisor(factory, workers, port=0) as sup:
-            # Warm every worker's byte/response caches before timing.
-            for __ in range(workers * 3):
-                fetch_url(URL("127.0.0.1", sup.port, "/e.html"),
-                          timeout=2.0)
-            rps[workers] = closed_loop_rps(sup.port, connections, window)
-
-    cpu_count = os.cpu_count() or 1
-    ratio_4v1 = rps[4] / max(rps[1], 1e-6)
-    if cpu_count >= 4:
-        scaling_gate = "full"
-        scaling_ok = ratio_4v1 >= 2.5
-    else:
-        # One core: parallel speedup is physically impossible; assert
-        # the multi-process plumbing does not collapse throughput.
-        scaling_gate = "single-core-no-collapse"
-        scaling_ok = rps[4] >= rps[1] * 0.5
-    lines = [
-        f"multi-process cached-hit throughput ({mode}, "
-        f"{connections} clients, {window:g}s window, "
-        f"{cpu_count} cpu cores)",
-        *(f"  {w} worker(s) : {rps[w]:9.0f} rps" for w in (1, 2, 4)),
-        f"  4v1 ratio   : {ratio_4v1:.2f}x",
-        f"  gate        : {scaling_gate} -> "
-        f"{'ok' if scaling_ok else 'FAIL'}",
-    ]
-    report("concurrency_multiproc", "\n".join(lines))
-    record_json(multiproc={
-        "mode": mode,
-        "cpu_count": cpu_count,
-        "connections": connections,
-        "window_seconds": window,
-        "rps": {str(w): round(rps[w], 1) for w in (1, 2, 4)},
-        "ratio_4v1": round(ratio_4v1, 3),
-        "scaling_gate": scaling_gate,
-        "scaling_ok": scaling_ok,
-    })
-    assert scaling_ok, (
-        f"multi-process scaling gate failed ({scaling_gate}): "
-        f"rps={rps}, ratio={ratio_4v1:.2f}")

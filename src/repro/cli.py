@@ -57,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="socket front end: thread-per-connection "
                             "(the paper's prototype) or the nonblocking "
                             "event loop (thousands of keep-alive clients)")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes sharing the port "
-                            "(SO_REUSEPORT, or fd hand-off where "
-                            "unavailable); 1 = single-process")
     serve.add_argument("--replication-k", type=int, default=1, metavar="K",
                        help="replication-group size for hot documents: "
                             "K >= 2 enables k-copy placement with "
@@ -133,43 +129,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = dataclasses.replace(
             config, replication_k=replication_k,
             max_replicas=max(config.max_replicas, replication_k))
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if workers > 1:
-        from repro.server.multiproc import WorkerSupervisor, choose_mode
-
-        mode = choose_mode()
-        if mode is None:
-            print("warning: SO_REUSEPORT is not available on this "
-                  "platform; running a single process", file=sys.stderr)
-            workers = 1
-        else:
-            def factory(index: int, location: Location) -> DCWSEngine:
-                return DCWSEngine(location, config, DiskStore(args.root),
-                                  entry_points=entries, peers=peers)
-
-            supervisor = WorkerSupervisor(
-                factory, workers, host=args.host, port=args.port,
-                stripes=config.lock_stripes,
-                server_options={"snapshot_path": args.state_file,
-                                "journal_path": getattr(args, "journal",
-                                                        None)})
-            supervisor.start()
-            print(f"DCWS server on http://{args.host}:{supervisor.port} "
-                  f"({len(names)} documents, {len(peers)} peers, "
-                  f"{workers} workers via {mode})")
-            print(f"workers: http://{args.host}:{supervisor.port}"
-                  f"/~dcws/workers")
-            try:
-                while True:
-                    time.sleep(1.0)
-            except KeyboardInterrupt:
-                print("\nshutting down")
-            finally:
-                supervisor.stop()
-            return 0
     engine = DCWSEngine(Location(args.host, args.port), config, store,
                         entry_points=entries, peers=peers)
     server_cls = (AsyncDCWSServer if getattr(args, "front_end", "threaded")

@@ -170,21 +170,13 @@ class ServerConfig:
     listen_backlog: int = 128
     max_connections: int = 1024
     write_buffer_limit: int = 256 * 1024
-    # Multi-core scale-out (repro.server.multiproc).  ``workers`` is the
-    # number of serving processes sharing the listen port (1 = the
-    # classic single-process front ends; >1 forks SO_REUSEPORT workers,
-    # each running its own aio loop).  ``lock_stripes`` partitions
-    # document *ownership* across workers (crc32(name) % lock_stripes) —
-    # a first-use pull executes on the worker owning the document's
-    # shard.  The server's cache no longer reads it (the copy cache is
-    # one LRU), and no lock is sized by it; it goes with multiproc's
-    # striping after ROADMAP item 6(a) unpins it from the harness.
+    # ``lock_stripes`` sizes nothing the server runs: the benchmark
+    # harness pins it, and it goes once that pin is lifted.
     # ``sendfile_min_bytes``: disk-backed bodies at least this large are
     # served via os.sendfile on the threaded front end instead of being
     # read into memory, unless the copy cache already holds them (and
     # deliberately bypass the cache so one big file cannot flush the
     # hot set).
-    workers: int = 1
     lock_stripes: int = 16
     sendfile_min_bytes: int = 256 * 1024
     # HTTP content negotiation on the serve path.  ``gzip_enabled`` turns
@@ -233,7 +225,7 @@ class ServerConfig:
             "replication_sufficient",
             "keep_alive_timeout", "keep_alive_max_requests",
             "listen_backlog", "max_connections", "write_buffer_limit",
-            "workers", "lock_stripes",
+            "lock_stripes",
             "sendfile_min_bytes",
         )
         for name in positive:

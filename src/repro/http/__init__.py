@@ -10,7 +10,6 @@ from repro.http.headers import Headers
 from repro.http.messages import (
     Request,
     Response,
-    parse_request,
     parse_response,
     response_allows_keep_alive,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "attach_load_reports",
     "extract_load_reports",
     "join_url",
-    "parse_request",
     "parse_response",
     "parse_url",
     "reason_phrase",

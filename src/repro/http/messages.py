@@ -202,9 +202,8 @@ def parse_request_head(head: str) -> Tuple[Request, int]:
     already cut off — into a body-less :class:`Request` and the body
     length its ``Content-Length`` frames.
 
-    The one head parser under :func:`parse_request` and
-    :meth:`repro.http.wire.RequestParser.next_request`, so both raise
-    the same exceptions from the same bytes.  Framing is
+    The head parser under
+    :meth:`repro.http.wire.RequestParser.next_request`.  Framing is
     ``Content-Length`` alone: a ``Transfer-Encoding`` field raises
     :class:`HTTPError`, as do conflicting lengths.
     """
@@ -222,14 +221,6 @@ def parse_request_head(head: str) -> Tuple[Request, int]:
     length = validated_content_length(headers)
     return Request(method=method, target=target, headers=headers,
                    version=version), length
-
-
-def parse_request(data: bytes) -> Request:
-    """Parse a serialized request (head and body must be complete)."""
-    head, body = _split_head(data)
-    request, length = parse_request_head(head)
-    request.body = body[:length]
-    return request
 
 
 def parse_response(data: bytes) -> Response:

@@ -231,49 +231,6 @@ def render_caches(engine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_workers(engine) -> str:
-    """The multi-process worker roster (``/~dcws/workers``).
-
-    In multi-process mode the supervisor pushes an aggregated cluster
-    view down to every worker (``engine.worker_view``); any worker can
-    therefore answer for the whole fleet.  Single-process hosts report
-    themselves as a one-worker roster so the endpoint is always live.
-    """
-    view = getattr(engine, "worker_view", None)
-    data = view() if callable(view) else view
-    if not data:
-        return ("single-process mode (no worker supervisor)\n"
-                "workers 1\n")
-    cluster = data.get("cluster") or {}
-    lines: List[str] = [
-        f"worker {data.get('worker')} pid {data.get('pid')}",
-        f"roster {' '.join(str(i) for i in data.get('roster', []))}",
-        f"stripes {data.get('stripes')}",
-    ]
-    if cluster:
-        lines.append(f"mode {cluster.get('mode')}")
-        lines.append(f"respawns {cluster.get('respawns', 0)}")
-        lines.append("")
-        header = (f"{'Worker':>6} {'PID':>8} {'Alive':>5} {'Accepted':>9} "
-                  f"{'Requests':>9} {'CacheHits':>9} {'RPS':>9}  Shards")
-        lines.append(header)
-        lines.append("-" * len(header))
-        workers = cluster.get("workers", {})
-        for index in sorted(workers, key=lambda k: int(k)):
-            row = workers[index]
-            shards = ",".join(str(s) for s in row.get("shards", [])) or "-"
-            lines.append(
-                f"{index:>6} {str(row.get('pid', '-')):>8} "
-                f"{1 if row.get('alive') else 0:>5} "
-                f"{row.get('accepted', 0):>9} {row.get('requests', 0):>9} "
-                f"{row.get('response_cache_hits', 0):>9} "
-                f"{row.get('rps', 0.0):>9} "
-                f" {shards}")
-    else:
-        lines.append("cluster view: not yet received from supervisor")
-    return "\n".join(lines) + "\n"
-
-
 def render_replication(engine) -> str:
     """Replication groups and the repair daemon (``/~dcws/replication``).
 
@@ -443,7 +400,6 @@ ENDPOINTS = {
     "replication": render_replication,
     "membership": render_membership,
     "integrity": render_integrity,
-    "workers": render_workers,
     "health": render_health,
 }
 

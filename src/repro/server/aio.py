@@ -175,8 +175,9 @@ class AsyncDCWSServer(SocketHost):
     def start(self, listener: Optional[socket.socket] = None) -> None:
         """Bind, listen, and launch the loop thread and executor.
 
-        *listener* (already bound and listening) lets the multi-process
-        supervisor hand each worker its own ``SO_REUSEPORT`` listener.
+        *listener*, already bound and listening, replaces the socket
+        this method would open, for a caller that needs its own socket
+        options.
         """
         if self._running:
             raise ReproError("server already started")

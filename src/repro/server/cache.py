@@ -16,14 +16,14 @@ versions and one :meth:`CopyCache.invalidate` reaches everything made
 from a copy.
 
 There is no lock here: every caller runs under the host's one engine
-lock (multiproc's cross-worker invalidations included).
+lock.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, ValuesView
+from typing import Dict, FrozenSet, Optional, Tuple, ValuesView
 
 from repro.http.content import etag_for, last_modified_for
 from repro.http.headers import Headers
@@ -108,18 +108,12 @@ class CopyCache:
     ``budget`` counts identity plus variant bytes; ``budget <= 0``
     switches the cache off (every lookup misses).  A versionless entry,
     or one larger than the whole budget, is not cached.
-
-    ``on_invalidate`` (when set) is called with the key after every
-    :meth:`invalidate` — the multi-process front end hangs its
-    cross-worker broadcast here — but never for invalidations that
-    arrive *as* broadcasts (``broadcast=False``), so relays cannot loop.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.used_bytes = 0
         self.stats = CacheStats()
-        self.on_invalidate: Optional[Callable[[str], None]] = None
         self._entries: "OrderedDict[str, CopyEntry]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -177,17 +171,14 @@ class CopyCache:
             self.used_bytes -= evicted.size
             self.stats.evictions += 1
 
-    def invalidate(self, key: str, *, broadcast: bool = True) -> int:
-        """Drop *key*'s entry; returns how many entries went (0 or 1).
-        ``broadcast=False`` marks an invalidation that arrived over the
-        cross-worker channel: it is applied but not re-announced."""
+    def invalidate(self, key: str) -> int:
+        """Drop *key*'s entry; returns how many entries went (0 or 1)."""
         entry = self._entries.pop(key, None)
-        if entry is not None:
-            self.used_bytes -= entry.size
-            self.stats.invalidations += 1
-        if broadcast and self.on_invalidate is not None:
-            self.on_invalidate(key)
-        return 0 if entry is None else 1
+        if entry is None:
+            return 0
+        self.used_bytes -= entry.size
+        self.stats.invalidations += 1
+        return 1
 
     def clear(self) -> None:
         self._entries.clear()

@@ -189,17 +189,11 @@ class SocketHost:
             return engine.handle_request(request, now)
 
     def _dispatch_blocking(self, request: Request) -> Response:
-        """One request start to finish on the calling thread.
-
-        A pull runs here, on this host, whatever a subclass does with
-        :meth:`_execute_pull`: the multi-process worker serves requests
-        its siblings forwarded through this method, and a forwarded
-        request must never be forwarded again.
-        """
+        """One request start to finish on the calling thread."""
         result = self._engine_dispatch(request, time.monotonic())
         if isinstance(result, EngineReply):
             return result.response
-        return SocketHost._execute_pull(self, result)
+        return self._execute_pull(result)
 
     def _execute_pull(self, pull: PullFromHome) -> Response:
         """Lazy migration: blocking fetch from home, outside the lock."""

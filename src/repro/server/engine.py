@@ -305,9 +305,6 @@ class DCWSEngine:
         # os.sendfile set this; large clean disk-backed GETs then skip
         # the byte read entirely (see _serve_copy).
         self.sendfile_enabled = False
-        # Multi-process hosts install a callable here returning the
-        # supervisor's per-worker roster for /~dcws/workers.
-        self.worker_view = None
         # Tiered shedding input: hosts set this before dispatching when
         # their queue/connection pressure crosses ``config.shed_pressure``.
         # While True, expensive work (regenerations, first-use pulls) is

@@ -59,10 +59,10 @@ _STATE_PRIORITY = {STATE_CRITICAL: 0, STATE_DEGRADED: 1, STATE_HEALTHY: 2}
 
 
 def _digest(name: str, salt: str) -> int:
-    """Deterministic (cross-process, cross-run) pick digest.
+    """Deterministic (cross-run) pick digest.
 
-    ``hash()`` is salted per process; crc32 keeps replica choice stable
-    under multiproc sharding and makes simulator runs reproducible."""
+    ``hash()`` is salted per process; crc32 makes replica choice, and so
+    simulator runs, reproducible."""
     return zlib.crc32(f"{name}|{salt}".encode("utf-8", "replace"))
 
 

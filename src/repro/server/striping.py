@@ -1,16 +1,9 @@
-"""The stable document-to-shard map.
+"""A stable name-to-shard map: CRC-32 of the name, not ``hash()``,
+which Python salts per process.
 
-``shard_of(name, stripes)`` assigns every document to one of a fixed
-number of shards.  In the multi-process front end
-(:mod:`repro.server.multiproc`) it decides which worker pulls a hosted
-document.  (The copy cache is one LRU and is not striped.)
-
-No lock lives here.  The engine has exactly one synchronisation rule:
-every engine call runs under the host's lock.
-
-Shard assignment uses CRC-32 of the document name, *not* ``hash()``:
-Python salts string hashes per process, and every worker process must
-agree on which shard — and therefore which worker — owns a document.
+The engine uses it to spread hosted copies' first validations over
+T_val; the benchmark harness pins this module (and
+``ServerConfig.lock_stripes``), which is why it stays a module.
 """
 
 from __future__ import annotations

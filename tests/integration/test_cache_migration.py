@@ -7,7 +7,6 @@ fresh bytes at every step, both on a bare engine and through the threaded
 server over real sockets.
 """
 
-import socket
 import time
 
 import pytest
@@ -21,6 +20,7 @@ from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
 from repro.client.realclient import fetch_url, http_fetch
 from repro.http.urls import URL
+from tests.support import free_port
 
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)
@@ -128,12 +128,6 @@ class TestEngineMigrationCycle:
 # ---------------------------------------------------------------------------
 # Threaded-server integration: the same cycle over real sockets.
 # ---------------------------------------------------------------------------
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 @pytest.fixture()

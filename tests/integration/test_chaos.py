@@ -20,7 +20,6 @@ seed is printed so a failing run can be replayed (`REPRO_FAULT_SEED`).
 
 import dataclasses
 import os
-import socket
 import subprocess
 import sys
 import threading
@@ -41,6 +40,7 @@ from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.fsck import assert_clean
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -70,12 +70,6 @@ print("READY", flush=True)
 while True:
     time.sleep(1.0)
 """
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def migrated(engine):
@@ -868,73 +862,3 @@ class TestCorruptionQuarantine:
             for coop in coops:
                 coop.stop()
 
-
-class TestWorkerCrash:
-    """Scenario 4: one multi-process worker is SIGKILLed under load.
-
-    The supervisor must respawn it and rebroadcast the roster; every
-    request that reaches a live worker keeps being answered from the
-    shared corpus, so across the whole storm the walkers see zero 404s.
-    Transport-level resets (the killed worker's accept queue dies with
-    it) are expected and retried — chaos is the point.
-    """
-
-    def test_sigkill_worker_zero_404s(self):
-        pytest.importorskip("repro.server.multiproc")
-        from repro.server.multiproc import WorkerSupervisor, choose_mode
-
-        if choose_mode() is None:
-            pytest.skip("no multi-process accept mode on this platform")
-
-        def factory(index, location):
-            config = ServerConfig(stats_interval=60.0, pinger_interval=60.0)
-            return DCWSEngine(location, config, MemoryStore(dict(SITE)),
-                              entry_points=["/index.html"], peers=[])
-
-        statuses = []
-        statuses_lock = threading.Lock()
-
-        def recording_fetch(url):
-            outcome = fetch_url(url, timeout=2.0)
-            with statuses_lock:
-                statuses.append(outcome.status)
-            return outcome
-
-        with WorkerSupervisor(factory, 2, port=0) as sup:
-            stats, threads = [], []
-
-            def one(seed: int) -> None:
-                walker = RandomWalker(
-                    [f"http://127.0.0.1:{sup.port}/index.html"],
-                    recording_fetch, seed=SEED + seed, sleep=capped_sleep,
-                    min_steps=2, max_steps=4, max_transport_retries=2)
-                walker.run(sequences=10)
-                stats.append(walker.stats)
-
-            for i in range(3):
-                thread = threading.Thread(target=one, args=(i,), daemon=True)
-                thread.start()
-                threads.append(thread)
-
-            time.sleep(0.3)
-            victim = sup._procs[0].process.pid
-            os.kill(victim, 9)  # SIGKILL mid-crawl: no goodbye
-
-            wait_until(lambda: sup.respawns >= 1
-                       and all(p.alive for p in sup._procs),
-                       10.0, "supervisor never respawned the killed worker")
-            for thread in threads:
-                thread.join(timeout=30)
-
-            # The respawned worker answers too: every document reachable.
-            for name in SITE:
-                outcome = fetch_url(
-                    URL("127.0.0.1", sup.port, name), timeout=2.0)
-                assert outcome.status == 200, \
-                    f"{name} -> {outcome.status} (seed={SEED})"
-
-        with statuses_lock:
-            assert statuses, "walkers never completed a fetch"
-            assert 404 not in statuses, f"saw a 404 (seed={SEED})"
-        total = sum(s.requests for s in stats)
-        assert total > 0

@@ -31,7 +31,8 @@ from repro.core.document import Location
 from repro.http.content import etag_for
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from tests.integration.test_real_servers import FRONT_ENDS, free_port
+from tests.integration.test_real_servers import FRONT_ENDS
+from tests.support import free_port
 
 PAGES = 320
 REQUESTS = 20_100

@@ -26,7 +26,6 @@ import json
 import os
 import random
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -41,6 +40,7 @@ from repro.server.engine import DCWSEngine
 from repro.server.filestore import DiskStore, MemoryStore
 from repro.server.fsck import check_engine
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -52,12 +52,6 @@ SITE = dict(
     **{f"/p{i}.html": f"<html>page {i}</html>".encode() for i in range(4)})
 
 COOP = Location("coop", 9999)  # never contacted: migrations are lazy
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def make_plan(seed: int, steps: int = 18):

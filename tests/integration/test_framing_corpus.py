@@ -20,6 +20,7 @@ from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port
 
 FRONT_ENDS = {"threaded": ThreadedDCWSServer, "aio": AsyncDCWSServer}
 
@@ -69,12 +70,6 @@ CORPUS = [
                  b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n", False,
                  id="cl-and-te"),
 ]
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 @pytest.fixture(params=sorted(FRONT_ENDS))

@@ -20,18 +20,13 @@ from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
 from tests.integration.test_real_servers import FRONT_ENDS
+from tests.support import free_port
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a></html>',
     "/d.html": b'<html><a href="e.html">E</a></html>',
     "/e.html": b"<html>leaf</html>",
 }
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def start_server(server_cls=ThreadedDCWSServer, **config_kwargs):

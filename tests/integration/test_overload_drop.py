@@ -10,12 +10,7 @@ from repro.core.document import Location
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+from tests.support import free_port
 
 
 @pytest.fixture()

@@ -23,6 +23,7 @@ from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port
 
 FRONT_ENDS = {"threaded": ThreadedDCWSServer, "aio": AsyncDCWSServer}
 
@@ -33,12 +34,6 @@ SITE = {
     "/i.gif": b"GIF89a" + b"x" * 500,
     "/big.html": b"<html>" + b"<p>lorem ipsum dolor</p>" * 64 + b"</html>",
 }
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 @pytest.fixture(params=sorted(FRONT_ENDS))

@@ -1,6 +1,5 @@
 """A real server restart keeps its migration state (persistence)."""
 
-import socket
 import time
 
 import pytest
@@ -13,6 +12,7 @@ from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a></html>',
@@ -25,12 +25,6 @@ FRONT_ENDS = [
     pytest.param(ThreadedDCWSServer, id="threaded"),
     pytest.param(AsyncDCWSServer, id="aio"),
 ]
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 @pytest.mark.parametrize("server_class", FRONT_ENDS)

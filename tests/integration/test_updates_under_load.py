@@ -23,7 +23,8 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from tests.integration.test_real_servers import FRONT_ENDS, free_port
+from tests.integration.test_real_servers import FRONT_ENDS
+from tests.support import free_port
 
 PAGE = "/page.html"
 CLIENTS = 4

@@ -1,12 +1,16 @@
 """Unit tests for the command-line interface."""
 
-import socket
-import threading
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.support import free_port
 
 
 class TestParser:
@@ -69,115 +73,102 @@ class TestSimulateCommand:
 
 
 class TestServeCommand:
+    """``repro serve`` as a real process, stopped the way an operator
+    stops it: SIGINT, a clean ``shutting down`` and exit status 0."""
+
     def test_serve_empty_root_fails(self, tmp_path, capsys):
         assert main(["serve", "--root", str(tmp_path)]) == 1
 
-    def test_serve_and_fetch(self, tmp_path, capsys):
-        from repro.server.filestore import DiskStore
+    def test_serve_and_fetch(self, tmp_path):
+        port = free_port()
+        with serving(site(tmp_path / "site", "served from disk"), port):
+            assert fetch(port, "/index.html").body == \
+                b"<html>served from disk</html>"
+            assert fetch(port, "/~dcws/status").status == 200
 
-        store = DiskStore(str(tmp_path))
-        store.put("/index.html", b"<html>served from disk</html>")
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+    def test_two_cooperating_servers(self, tmp_path):
+        """Scale-out is more servers: two processes, each with its own
+        root and the other as its ``--peer``, learn each other's load
+        by ping gossip (``--time-factor 0.02`` pings every 0.4 s)."""
+        ports = free_port(), free_port()
+        with serving(site(tmp_path / "a", "server a"), ports[0],
+                     "--peer", f"127.0.0.1:{ports[1]}",
+                     "--time-factor", "0.02"), \
+                serving(site(tmp_path / "b", "server b"), ports[1],
+                        "--peer", f"127.0.0.1:{ports[0]}",
+                        "--time-factor", "0.02"):
+            for port in ports:
+                assert fetch(port, "/index.html").status == 200
+            for port, other in (ports, ports[::-1]):
+                row = f"127.0.0.1:{other}"
+                wait_for(lambda: heard_from(port, row), 10.0,
+                         f"{port}'s /~dcws/load never listed {row}")
 
-        exit_codes = []
 
-        def run_server():
-            exit_codes.append(main(["serve", "--root", str(tmp_path),
-                                    "--port", str(port)]))
+def site(root, text: str):
+    root.mkdir()
+    (root / "index.html").write_text(f"<html>{text}</html>")
+    return root
 
-        thread = threading.Thread(target=run_server, daemon=True)
-        thread.start()
+
+def fetch(port: int, path: str):
+    from repro.client.realclient import http_fetch
+    from repro.core.document import Location
+    from repro.http.messages import Request
+
+    response = http_fetch(Location("127.0.0.1", port),
+                          Request("GET", path), timeout=2.0)
+    assert response.status == 200, f"{path} -> {response.status}"
+    return response
+
+
+def heard_from(port: int, row: str) -> bool:
+    """*row*'s line on *port*'s load table carries a report time."""
+    table = fetch(port, "/~dcws/load").body.decode()
+    return any(line.startswith(row) and not line.endswith("never")
+               for line in table.splitlines())
+
+
+def wait_for(condition, timeout: float, message: str) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, message
+        time.sleep(0.1)
+
+
+@contextlib.contextmanager
+def serving(root, port: int, *options: str):
+    """``python -m repro serve`` on *port* until the block ends, then
+    SIGINT; the process must shut down cleanly on its own."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--root", str(root),
+         "--port", str(port), *options],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        wait_for(lambda: proc.poll() is not None or answers(port), 15.0,
+                 f"repro serve on {port} never answered")
+        assert proc.poll() is None, f"repro serve on {port} exited"
+        yield proc
+    finally:
+        proc.send_signal(signal.SIGINT)
         try:
-            from repro.client.realclient import fetch_url
-            from repro.http.urls import URL
-
-            deadline = time.time() + 5.0
-            outcome = None
-            while time.time() < deadline:
-                outcome = fetch_url(URL("127.0.0.1", port, "/index.html"),
-                                    timeout=1.0)
-                if outcome.status == 200:
-                    break
-                time.sleep(0.1)
-            assert outcome is not None and outcome.status == 200
-            status = fetch_url(URL("127.0.0.1", port, "/~dcws/status"),
-                               timeout=1.0)
-            assert status.status == 200
-        finally:
-            # The serve loop only exits on KeyboardInterrupt; the daemon
-            # thread dies with the test process.
-            pass
+            out, err = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise
+    assert proc.returncode == 0, err
+    assert "shutting down" in out
 
 
-class TestWorkersFlag:
-    def test_workers_parsed(self):
-        args = build_parser().parse_args(
-            ["serve", "--root", "/tmp/site", "--workers", "4"])
-        assert args.workers == 4
-
-    def test_workers_default_single_process(self):
-        args = build_parser().parse_args(["serve", "--root", "/tmp/site"])
-        assert args.workers == 1
-
-    def test_workers_below_one_rejected(self, tmp_path, capsys):
-        from repro.server.filestore import DiskStore
-
-        DiskStore(str(tmp_path)).put("/index.html", b"<html>x</html>")
-        assert main(["serve", "--root", str(tmp_path),
-                     "--workers", "0"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
-
-    def test_serve_multiprocess_and_fetch(self, tmp_path):
-        """End-to-end: `repro serve --workers 2` in a subprocess."""
-        import os
-        import signal
-        import subprocess
-        import sys
-
-        from repro.client.realclient import fetch_url
-        from repro.http.urls import URL
-        from repro.server.filestore import DiskStore
-        from repro.server.multiproc import choose_mode
-
-        if choose_mode() is None:
-            pytest.skip("no multi-process accept mode on this platform")
-        store = DiskStore(str(tmp_path))
-        store.put("/index.html", b"<html>multiproc cli</html>")
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        import repro
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--root",
-             str(tmp_path), "--port", str(port), "--workers", "2"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True)
-        try:
-            deadline = time.time() + 15.0
-            outcome = None
-            while time.time() < deadline and proc.poll() is None:
-                try:
-                    outcome = fetch_url(URL("127.0.0.1", port,
-                                            "/index.html"), timeout=1.0)
-                    if outcome.status == 200:
-                        break
-                except OSError:
-                    pass
-                time.sleep(0.2)
-            assert outcome is not None and outcome.status == 200
-            workers_page = fetch_url(URL("127.0.0.1", port,
-                                         "/~dcws/workers"), timeout=2.0)
-            assert workers_page.status == 200
-        finally:
-            proc.send_signal(signal.SIGINT)
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10)
+def answers(port: int) -> bool:
+    try:
+        fetch(port, "/~dcws/health")
+    except (OSError, AssertionError):
+        return False
+    return True

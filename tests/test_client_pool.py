@@ -18,14 +18,9 @@ from repro.http.urls import URL
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port
 
 SITE = {"/a.html": b"<html>pooled</html>"}
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def make_server(**config_kwargs) -> ThreadedDCWSServer:

@@ -39,8 +39,6 @@ class TestValidation:
         ("stats_interval", 0.0),
         ("pinger_interval", -5.0),
         ("max_replicas", 0),
-        ("workers", 0),
-        ("workers", -2),
         ("lock_stripes", 0),
         ("sendfile_min_bytes", 0),
     ])

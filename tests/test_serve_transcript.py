@@ -39,7 +39,7 @@ from repro.http.content import (
     etag_for,
     http_date,
 )
-from repro.http.messages import Request, Response, parse_request
+from repro.http.messages import Request, Response
 from repro.http.piggyback import SENDER_HEADER
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
@@ -52,7 +52,7 @@ from repro.server.engine import (
 from repro.server.entrygate import COOKIE_NAME
 from repro.server.filestore import DiskStore, MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
-from tests.integration.test_real_servers import free_port
+from tests.support import free_port, parse_request
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "serve_transcript.json"
 

@@ -21,18 +21,13 @@ from repro.server.aio import _REAP_PERIOD, AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.http.urls import URL
+from tests.support import free_port
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a></html>',
     "/d.html": b"<html>doc</html>",
     "/big.html": b"<html>" + b"x" * 200_000 + b"</html>",
 }
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def make_server(config: ServerConfig, **kwargs) -> AsyncDCWSServer:

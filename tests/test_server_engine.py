@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.content import digest_matches
-from repro.http.messages import Request, Response, parse_request
+from repro.http.messages import Request, Response
 from repro.http.piggyback import LoadReport, extract_load_reports
 from repro.server.engine import (
     DCWSEngine,
@@ -21,6 +21,7 @@ from repro.server.engine import (
     VERSION_HEADER,
 )
 from repro.server.filestore import MemoryStore
+from tests.support import parse_request
 
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)

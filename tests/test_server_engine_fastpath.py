@@ -32,7 +32,7 @@ from repro.http.content import (
     http_date,
 )
 from repro.http.headers import Headers, _Facts
-from repro.http.messages import Request, Response, parse_request
+from repro.http.messages import Request, Response
 from repro.http.wire import RequestParser, _parsed_head
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
@@ -45,7 +45,7 @@ from repro.server.engine import (
 )
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
-from tests.integration.test_real_servers import free_port
+from tests.support import free_port, parse_request
 
 HOME = Location("home", 8001)
 

@@ -41,7 +41,7 @@ from repro.server.persistence import (
 )
 from repro.server.threaded import ThreadedDCWSServer
 from repro.server.wal import WriteAheadJournal, scan_journal
-from tests.integration.test_real_servers import free_port
+from tests.support import free_port
 
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)

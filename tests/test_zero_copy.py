@@ -28,6 +28,7 @@ from repro.server.aio import AsyncDCWSServer, _Connection, _OutQueue
 from repro.server.engine import DCWSEngine, EngineReply
 from repro.server.filestore import DiskStore, MemoryStore
 from repro.server.threaded import ThreadedDCWSServer, send_response
+from tests.support import free_port
 
 HOME = Location("127.0.0.1", 8001)
 
@@ -299,9 +300,7 @@ class TestSendfilePath:
         (root / "big.html").write_bytes(body)
         (root / "index.html").write_bytes(b"<html>i</html>")
         store = DiskStore(str(root))
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = free_port()
         config = ServerConfig(stats_interval=1000.0, sendfile_min_bytes=1024,
                               byte_cache_bytes=256)  # too small to cache body
         engine = DCWSEngine(Location("127.0.0.1", port), config, store,
