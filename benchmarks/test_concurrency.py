@@ -36,6 +36,7 @@ from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port, release
 
 WORKERS = 8
 CONNECTIONS = 64
@@ -65,12 +66,6 @@ def record_json(**fields) -> None:
     with open(BENCH_JSON, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def make_server(server_cls, *, keep_alive_timeout=30.0):
@@ -220,6 +215,7 @@ def test_event_loop_sustains_4x_keep_alive_concurrency(report):
         server.start()
         try:
             assert server.wait_ready()
+            release(server.port)
             crawls[name] = crawl(server.port)
             traces[name] = walker_trace(server.port)
             sustained[name] = sustained_connections(

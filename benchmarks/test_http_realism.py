@@ -36,6 +36,7 @@ from repro.http.urls import URL
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
+from tests.support import free_port, release
 
 ROUNDS = 5
 SHED_REQUESTS = 50
@@ -65,12 +66,6 @@ def record_json(**fields) -> None:
     with open(BENCH_JSON, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def make_server(**config_kwargs) -> AsyncDCWSServer:
@@ -148,6 +143,7 @@ def shedding_measurements():
         server.start()
         try:
             assert server.wait_ready()
+            release(server.port)
 
             def dirty():
                 with server._lock:
@@ -181,6 +177,7 @@ def test_validators_and_gzip_cut_bytes_on_wire(report):
     server.start()
     try:
         assert server.wait_ready()
+        release(server.port)
         naive = crawl_bytes(server.port, realistic=False)
         realistic = crawl_bytes(server.port, realistic=True)
     finally:

@@ -7,7 +7,6 @@ persistent path must win — it skips a connect/teardown per request —
 and the pool's open counter must stay far below the request count.
 """
 
-import socket
 import time
 
 from repro.client.pool import ConnectionPool
@@ -18,15 +17,10 @@ from repro.http.messages import Request
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
+from tests.support import free_port, release
 
 REQUESTS = 300
 DOC = b"<html>" + b"x" * 2048 + b"</html>"
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def test_keepalive_beats_one_shot(report):
@@ -37,6 +31,7 @@ def test_keepalive_beats_one_shot(report):
 
     with ThreadedDCWSServer(engine) as server:
         assert server.wait_ready()
+        release(loc.port)
 
         def fetch_once():
             request = Request(method="GET", target="/doc.html")

@@ -34,15 +34,25 @@ SITE = {
 }
 
 
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+def reserve_port() -> socket.socket:
+    """A bound, non-listening loopback socket that holds its port.
+
+    Each engine must know its own port (and its peer's) before its
+    server binds.  Closing a port-0 probe first would let another
+    process take the number in between; the servers listen with
+    ``SO_REUSEADDR``, so they may bind it beside this probe, which is
+    closed once they listen.
+    """
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    probe.bind(("127.0.0.1", 0))
+    return probe
 
 
 def main() -> None:
-    home_loc = Location("127.0.0.1", free_port())
-    coop_loc = Location("127.0.0.1", free_port())
+    probes = [reserve_port(), reserve_port()]
+    home_loc, coop_loc = (Location("127.0.0.1", probe.getsockname()[1])
+                          for probe in probes)
     # Compressed intervals so the demo balances within seconds.
     config = ServerConfig(stats_interval=0.5, pinger_interval=1.0,
                           validation_interval=5.0,
@@ -54,6 +64,8 @@ def main() -> None:
         coop_loc, config, MemoryStore(), peers=[home_loc]), tick_period=0.1)
 
     with home, coop:
+        for probe in probes:
+            probe.close()
         print(f"home server:  http://{home_loc}")
         print(f"co-op server: http://{coop_loc}")
         print("\n-- hammering /hot.html to overload the home server --")

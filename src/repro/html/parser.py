@@ -24,7 +24,7 @@ from repro.html.tokenizer import (
 
 # Elements that implicitly close an open element of the same name
 # (``<li>`` closes a previous ``<li>``, etc.).
-_SELF_NESTING_CLOSERS = frozenset({"li", "p", "tr", "td", "th", "option", "dt", "dd"})
+SELF_NESTING_CLOSERS = frozenset({"li", "p", "tr", "td", "th", "option", "dt", "dd"})
 
 
 @dataclass
@@ -115,7 +115,7 @@ def parse_html(source: str) -> Document:
         kind = type(token)
         if kind is StartTag:
             name = token.name
-            if name in _SELF_NESTING_CLOSERS and open_names \
+            if name in SELF_NESTING_CLOSERS and open_names \
                     and open_names[-1] == name:
                 stack.pop()
                 open_names.pop()

@@ -6,14 +6,19 @@ invariant — covered by property tests — is that re-parsing the output
 yields an identical link set and identical text content, which is all the
 DCWS system (and a browser) observes.
 
-There is one walker, :func:`walk_html`, and every product of a parse tree
-comes out of it: :func:`serialize_html` joins its pieces,
-:func:`repro.html.template.index_document` turns the references it
-reports into spans of the joined source, and
+There is one walker over a parse tree, :func:`walk_html`, and every
+product of a tree comes out of it: :func:`serialize_html` joins its
+pieces, :func:`repro.html.template.index_document` turns the references
+it reports into spans of the joined source, and
 :func:`repro.html.links.extract_links` reads the same references as
 links.  Because the bytes and the positions come from the same pass, a
-link template's spans are correct by construction, and indexing a page
-walks its tree once.
+tree's template spans are correct by construction.
+
+The server builds no tree: :func:`repro.html.template.index_source`
+writes the same canonical source and references by these rules in one
+scan of the page's text, copying tags that are already in this form.
+That makes two producers of the canonical source;
+``tests/property/test_html_index_model.py`` holds them equal.
 """
 
 from __future__ import annotations

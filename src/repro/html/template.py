@@ -10,20 +10,23 @@ followable href/src attribute value.  Regeneration then becomes a splice
 — copy the unchanged stretches, drop in the replacement URLs — which is
 orders of magnitude cheaper than the full round trip.
 
-Correctness by construction: the template comes out of the serializer's
-own walk (:func:`repro.html.serializer.walk_html`), so the template source
-and the span offsets come from the same pass that the full parse-tree
-rewriter would serialize with.  :meth:`LinkTemplate.splice` therefore
-produces byte-identical output to ``serialize_html`` after
-:func:`repro.html.rewriter.rewrite_links` on the same tree — the property
-tests assert exactly that.  Splicing also returns a *new* template for the
-regenerated source, so successive reconstructions keep using the fast
-path without ever re-parsing.
-
-:func:`index_document` is what a server calls on a page it has just
-parsed: the same walk also yields the page's followable link values —
-what :func:`repro.html.links.extract_links` reports — so the local
-document graph's edges and the template cost one pass between them.
+A template has two producers.  :func:`index_document` takes a parse
+tree and reads the template off the serializer's own walk
+(:func:`repro.html.serializer.walk_html`), so its source and span offsets
+come from the same pass that the full parse-tree rewriter would
+serialize with: :meth:`LinkTemplate.splice` produces byte-identical
+output to ``serialize_html`` after :func:`repro.html.rewriter.rewrite_links`
+on the same tree, which the property tests assert.  :func:`index_source`
+is what a server runs on a page's text: one scan, no tokens for the tags
+that are already canonical and no tree, with the same result as
+``index_document(parse_html(text))`` — ``_bounds``, ``_values``,
+``_tags``, source and link list alike; that equality is what
+``tests/property/test_html_index_model.py`` checks, on every input it
+generates.  Both also return the page's followable link values — what
+:func:`repro.html.links.extract_links` reports — so the local document
+graph's edges and the template cost one pass between them.  Splicing
+returns a *new* template for the regenerated source, so successive
+reconstructions keep using the fast path without ever re-parsing.
 
 A server keeps one template per home page for as long as it runs, so
 the layout is flat: the span offsets in one ``array``, the link values
@@ -36,16 +39,19 @@ when :attr:`LinkTemplate.spans` is read.
 
 from __future__ import annotations
 
+import re
 from array import array
 from itertools import accumulate
 from sys import intern
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.html.links import HREF_ATTRIBUTES, is_followable
-from repro.html.parser import Document
+from repro.html.parser import SELF_NESTING_CLOSERS, Document
 from repro.html.rewriter import RewriteFn
 from repro.html.serializer import walk_html
-from repro.html.tokenizer import escape_attribute
+from repro.html.tokenizer import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Comment,
+                                  Doctype, EndTag, StartTag, TextToken,
+                                  escape_attribute, markup_at, raw_text_end)
 
 
 class LinkSpan(NamedTuple):
@@ -192,3 +198,164 @@ def index_document(document: Document) -> Tuple[LinkTemplate, List[str]]:
 def build_link_template(document: Document) -> LinkTemplate:
     """The template half of :func:`index_document`."""
     return index_document(document)[0]
+
+
+# A start or end tag already in the form ``walk_html`` writes: lower-case
+# names, one space before each attribute, values double-quoted and free
+# of ``&`` (so escaping them changes nothing).  The tokenizer's patterns
+# read such a tag the same way, and it serializes to its own source, so
+# it is copied.  At any other ``<`` only the ``<`` itself matches.  A
+# start tag's first attribute has groups of its own — name, then value —
+# because a reference attribute is nearly always first; the rest of the
+# list is group 4, read by ``_CANONICAL_ATTRIBUTE_RE`` when it must be.
+_NAME = r"[a-z0-9\-_:.]"
+_CANONICAL_ATTRIBUTE = rf' ({_NAME}+)(?:="([^"&]*)")?'
+_CANONICAL_TAG_RE = re.compile(
+    rf'<(?:([a-z]{_NAME}*)(?:{_CANONICAL_ATTRIBUTE}'
+    rf'((?: {_NAME}+(?:="[^"&]*")?)*))?>|/({_NAME}+)>)?')
+_CANONICAL_ATTRIBUTE_RE = re.compile(_CANONICAL_ATTRIBUTE)
+
+#: ``(start, end, value, first)``: a reference attribute's escaped value
+#: is ``html[start:end]`` of the start tag's output ``html``; the rest is
+#: as in :data:`repro.html.serializer.Reference`.
+_TagReference = Tuple[int, int, str, bool]
+
+
+def _start_tag_html(tag: StartTag) -> Tuple[str, Optional[_TagReference]]:
+    """*tag* as ``walk_html`` writes it, and its reference."""
+    name = tag.name
+    attribute = HREF_ATTRIBUTES.get(name)
+    first = True
+    reference = None
+    html = "<" + name
+    for key, value in tag.attrs:
+        if value is None:
+            html += " " + key
+            if key == attribute:
+                first = False
+        elif key == attribute:
+            html += f' {key}="'
+            escaped = escape_attribute(value)
+            reference = (len(html), len(html) + len(escaped), value, first)
+            html += escaped + '"'
+            attribute = None  # later occurrences are plain
+        else:
+            html += f' {key}="{escape_attribute(value)}"'
+    html += ">"
+    if tag.self_closing and name not in VOID_ELEMENTS:
+        html += f"</{name}>"
+    return html, reference
+
+
+def _later_reference(text: str, lt: int, start: int, end: int,
+                     attribute: str, first: bool) -> Optional[_TagReference]:
+    """The reference among the canonical attributes at ``text[start:end]``
+    of the tag at *lt*, when the tag's first attribute was not it."""
+    for found in _CANONICAL_ATTRIBUTE_RE.finditer(text, start, end):
+        if found[1] == attribute:
+            if found[2] is not None:
+                return found.start(2) - lt, found.end(2) - lt, found[2], first
+            first = False
+    return None
+
+
+def index_source(text: str) -> Tuple[LinkTemplate, List[str]]:
+    """``index_document(parse_html(text))``, in one scan of *text*.
+
+    Canonical tags and the text between them are copied from *text* in
+    runs; the output is cut only where it differs from the source: an
+    end tag the tree implies (a self-nesting predecessor, the elements an
+    outer end tag closes, what is open at end of input), a dropped stray
+    end tag, or a construct ``walk_html`` writes differently, which is
+    tokenized by :func:`~repro.html.tokenizer.markup_at` and written by
+    ``walk_html``'s rules.  A stack of open names applies ``parse_html``'s
+    recovery rules; span offsets are read off the running output length.
+    """
+    pieces: List[str] = []  # the output that precedes text[run:pos]
+    size = 0                # its length
+    run = pos = 0
+    open_names: List[str] = []
+    bounds = array("L")
+    values: List[str] = []
+    tags: List[str] = []
+    links: List[str] = []
+
+    def cut(start: int, output: str, resume: int) -> None:
+        """Write *output* where ``text[start:resume]`` would be copied."""
+        nonlocal size, run
+        pieces.append(text[run:start])
+        pieces.append(output)
+        size += start - run + len(output)
+        run = resume
+
+    search = _CANONICAL_TAG_RE.search
+    while True:
+        match = search(text, pos)
+        if match is None:
+            break
+        lt = match.start()
+        name, key, value, rest, end_name = match.groups()
+        html = None  # the construct's output, when it is not its source
+        nests = True
+        reference: Optional[_TagReference] = None
+        if name is None and end_name is None:
+            token, pos = markup_at(text, lt)
+            kind = type(token)
+            if kind is StartTag:
+                name = token.name
+                nests = not token.self_closing
+                html, reference = _start_tag_html(token)
+            elif kind is EndTag:
+                end_name = token.name
+                html = f"</{end_name}>"
+            else:
+                html = token.data if kind is TextToken \
+                    else f"<!--{token.data}-->" if kind is Comment \
+                    else f"<!{token.data}>"
+        else:
+            pos = match.end()
+            if key is not None and name in HREF_ATTRIBUTES:
+                attribute = HREF_ATTRIBUTES[name]
+                if key == attribute and value is not None:
+                    reference = (match.start(3) - lt, match.end(3) - lt,
+                                 value, True)
+                elif rest:
+                    reference = _later_reference(
+                        text, lt, match.start(4), match.end(4), attribute,
+                        key != attribute)
+        if name is not None:
+            if name in SELF_NESTING_CLOSERS and open_names \
+                    and open_names[-1] == name:
+                open_names.pop()
+                cut(lt, f"</{name}>", lt)
+            if nests and name not in VOID_ELEMENTS:
+                open_names.append(name)
+            if reference is not None:
+                start, end, value, first = reference
+                if is_followable(value):
+                    at = size + lt - run
+                    bounds.extend((at + start, at + end))
+                    value = intern(value)
+                    values.append(value)
+                    tags.append(intern(name))
+                    if first:
+                        links.append(value.strip())
+        elif end_name is None:
+            pass  # text, a comment or a doctype
+        elif open_names and open_names[-1] == end_name:
+            open_names.pop()
+        elif end_name in open_names:
+            closes = ""
+            while open_names[-1] != end_name:
+                closes += f"</{open_names.pop()}>"
+            open_names.pop()
+            cut(lt, closes, lt)
+        else:
+            html = ""  # a stray end tag is dropped
+        if html is not None and html != text[lt:pos]:
+            cut(lt, html, pos)
+        if nests and name in RAW_TEXT_ELEMENTS:
+            pos = raw_text_end(name, text, pos)
+    pieces.append(text[run:])
+    pieces.extend(f"</{name}>" for name in reversed(open_names))
+    return LinkTemplate._flat("".join(pieces), bounds, values, tags), links

@@ -16,7 +16,9 @@ Whatever a pattern declines (a value with no closing quote, ``"x"c="y"``,
 same ``<``, to the character scanner below, which is the definition of
 the stream: the patterns accept only input on which both agree
 (``tests/property/test_html_index_model.py`` holds the scanner-only
-tokenizer as the reference).
+tokenizer as the reference).  :func:`markup_at` is that step for one
+``<``; :func:`repro.html.template.index_source` calls it for the markup
+it cannot copy as it stands.
 """
 
 from __future__ import annotations
@@ -168,7 +170,6 @@ def iter_tokens(source: str) -> Iterator[Token]:
     [StartTag(name='a', attrs=[('href', 'x.html')], self_closing=False), \
 TextToken(data='go'), EndTag(name='a')]
     """
-    scanner = _Scanner(source)  # recovery cursor, parked until a pattern declines
     find = source.find
     pos, length = 0, len(source)
     while pos < length:
@@ -178,40 +179,46 @@ TextToken(data='go'), EndTag(name='a')]
                 yield TextToken(source[pos:])
                 return
             yield TextToken(source[pos:start])
-        match = _START_TAG_RE.match(source, start)
-        if match is not None:
-            name, attributes, slash = match.groups()
-            attrs: List[Tuple[str, Optional[str]]] = [
-                (key.lower(), (double or single or bare) if equals else None)
-                for key, equals, double, single, bare
-                in _ATTRIBUTE_RE.findall(attributes)] if attributes else []
-            if "&" in attributes:
-                attrs = [(key, value and unescape_entities(value))
-                         for key, value in attrs]
-            token: Token = StartTag(name.lower(), attrs, slash == "/")
-            pos = match.end()
-        else:
-            match = _CLOSED_MARKUP_RE.match(source, start)
-            if match is None:
-                scanner.pos = start
-                token = _scan_markup(scanner)
-                pos = scanner.pos
-            else:
-                end_tag, comment, doctype = match.groups()
-                token = EndTag(end_tag.lower()) if end_tag is not None \
-                    else Doctype(doctype) if comment is None \
-                    else Comment(comment)
-                pos = match.end()
+        token, pos = markup_at(source, start)
         yield token
         if type(token) is StartTag and token.name in RAW_TEXT_ELEMENTS \
                 and not token.self_closing:
-            # Raw content runs to ``</name`` in any letter case; the
-            # end tag itself is the next ordinary token.
-            closer = _RAW_TEXT_END[token.name].search(source, pos)
-            end = closer.start() if closer is not None else length
+            end = raw_text_end(token.name, source, pos)
             if end > pos:
                 yield TextToken(source[pos:end])
             pos = end
+
+
+def markup_at(source: str, start: int) -> Tuple[Token, int]:
+    """The token that begins at the ``<`` at *start*, and where it ends."""
+    match = _START_TAG_RE.match(source, start)
+    if match is not None:
+        name, attributes, slash = match.groups()
+        attrs: List[Tuple[str, Optional[str]]] = [
+            (key.lower(), (double or single or bare) if equals else None)
+            for key, equals, double, single, bare
+            in _ATTRIBUTE_RE.findall(attributes)] if attributes else []
+        if "&" in attributes:
+            attrs = [(key, value and unescape_entities(value))
+                     for key, value in attrs]
+        return StartTag(name.lower(), attrs, slash == "/"), match.end()
+    match = _CLOSED_MARKUP_RE.match(source, start)
+    if match is None:
+        scanner = _Scanner(source)
+        scanner.pos = start
+        return _scan_markup(scanner), scanner.pos
+    end_tag, comment, doctype = match.groups()
+    token: Token = EndTag(end_tag.lower()) if end_tag is not None \
+        else Doctype(doctype) if comment is None else Comment(comment)
+    return token, match.end()
+
+
+def raw_text_end(name: str, source: str, pos: int) -> int:
+    """Where the raw content of a ``<script>`` or ``<style>`` that opens
+    at *pos* ends: at ``</name`` in any letter case, or at end of input.
+    The end tag itself is ordinary markup."""
+    closer = _RAW_TEXT_END[name].search(source, pos)
+    return closer.start() if closer is not None else len(source)
 
 
 def _scan_markup(scanner: _Scanner) -> Token:

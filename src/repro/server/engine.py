@@ -77,8 +77,7 @@ from repro.http.content import (
     not_modified,
     parse_range,
 )
-from repro.html.parser import parse_html
-from repro.html.template import LinkTemplate, index_document
+from repro.html.template import LinkTemplate, index_source
 from repro.http.headers import Headers
 from repro.http.messages import (
     FileBody,
@@ -245,7 +244,7 @@ class EngineStats:
     bytes_sent: int = 0
     reconstructions: int = 0
     splices: int = 0           # reconstructions served by template splice
-    template_builds: int = 0   # link templates built (each costs a parse)
+    template_builds: int = 0   # link templates built (each costs a scan)
     parses: int = 0
     responses_503: int = 0
     responses_206: int = 0
@@ -515,13 +514,15 @@ class DCWSEngine:
         self._initialized = True
 
     def _index_html(self, base_name: str, data: bytes) -> List[str]:
-        """One parse and one walk, two products: the document's link names
-        for the LDG and a fresh link template for splice reconstruction."""
-        template, links = index_document(parse_html(data.decode("latin-1")))
+        """One scan of the source, two products: the document's link names
+        for the LDG and a fresh link template for splice reconstruction.
+        The names go into a set of edges, so each distinct link value is
+        resolved once (SBLog's pages average 141 links to 10 values)."""
+        template, links = index_source(data.decode("latin-1"))
         self._templates[base_name] = template
         self.stats.template_builds += 1
         names: List[str] = []
-        for value in links:
+        for value in set(links):
             resolved = self._resolve_to_name(base_name, value)
             if resolved is not None:
                 names.append(resolved)
@@ -1422,9 +1423,9 @@ class DCWSEngine:
                       ) -> Optional[LinkTemplate]:
         """The document's current link template, built on demand.
 
-        Templates exist for every home HTML document parsed at
-        initialization or update; building here (one parse, no serialize
-        round trip) covers documents that appeared by other means.
+        Templates exist for every home HTML document indexed at
+        initialization or update; building here (one scan of the stored
+        source) covers documents that appeared by other means.
         """
         template = self._templates.get(record.name)
         if template is None:
@@ -1436,7 +1437,7 @@ class DCWSEngine:
                 source = self.store.get(record.name).decode("latin-1")
             except DocumentNotFound:
                 return None
-            template = index_document(parse_html(source))[0]
+            template = index_source(source)[0]
             self._templates[record.name] = template
             self.stats.template_builds += 1
         return template

@@ -147,6 +147,8 @@ def _check_clean_links(engine: DCWSEngine) -> List[str]:
             source = engine.store.get(record.name).decode("latin-1")
         except DocumentNotFound:
             continue  # already reported by invariant 3
+        # The tree path, not the engine's index_source: the links are
+        # derived independently of the code whose results are checked.
         for link in extract_links(parse_html(source)):
             raw = strip_fragment(link.value).strip()
             if not raw:

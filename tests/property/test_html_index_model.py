@@ -8,8 +8,11 @@ tree builder, the serializer with its capture hook, and
 ``LinkTemplate.source``, spans and link lists must be identical on every
 HTML page the four dataset builders produce, on generated tag soup, on
 every prefix of a sample page, and on the generators of
-``test_html_roundtrip.py``.  ``tests/test_server_engine_index.py`` patches
-the same reference into one of two twin engines.
+``test_html_roundtrip.py`` and ``test_template_splice.py`` — for both
+producers of the canonical source: the tree path,
+``index_document(parse_html(text))``, and the one-pass scan the engine
+runs, ``index_source(text)``.  ``tests/test_server_engine_index.py``
+patches the same reference into one of two twin engines.
 """
 
 import re
@@ -27,7 +30,7 @@ from repro.html.parser import (CommentNode, Document, DoctypeNode, Element,
                                Node, Text, parse_html)
 from repro.html.serializer import serialize_html
 from repro.html.template import (LinkSpan, LinkTemplate, build_link_template,
-                                 index_document)
+                                 index_document, index_source)
 from repro.html.tokenizer import (RAW_TEXT_ELEMENTS, VOID_ELEMENTS, Comment,
                                   Doctype, EndTag, StartTag, TextToken, Token,
                                   escape_attribute, iter_tokens,
@@ -395,6 +398,11 @@ def assert_same_index(source: str) -> None:
     expected_links = reference_extract_links(reference)
     assert extract_links(document) == expected_links
     assert links == [link.value for link in expected_links]
+    scanned, scanned_links = index_source(source)
+    assert (scanned.source, scanned.spans, scanned_links) == \
+        (expected.source, expected.spans, links)
+    assert (scanned._bounds, scanned._values, scanned._tags) == \
+        (template._bounds, template._values, template._tags)
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASET_BUILDERS))
@@ -433,6 +441,12 @@ FRAGMENTS = [
     "<body background=/bg.gif>", "<frame src=/f.html>", "<area href=/ar.html>",
     "<li>one<li>two", "<p>x<p>y</p>", "<td><tr><td>", "</p></li>", "<b><i></b></i>",
     "text", " ", "\n", "a < b", "fish & chips", "&amp;", ">", "\"", "'",
+    # canonical markup, copied by index_source rather than re-written
+    "<ul>", "<li>", "</li>", "</ul>", "<p>", "</p>", "<div>", "</div>", "<div/>",
+    '<a name="n" href="/second.html">', '<img alt="" src="/later.gif">',
+    '<a title=" href=" href="/after.html">', '<a href="/a.html" href="/b.html">',
+    '<a href>', '<a href name="n">', '<img src="/i.gif" alt="x > y">',
+    "<script>", "<style>", '<script src="/s.js">', "</style>", "</td>",
 ]
 _soup = st.lists(
     st.one_of(st.sampled_from(FRAGMENTS),
@@ -444,6 +458,20 @@ _soup = st.lists(
 @settings(max_examples=600, deadline=None)
 @example("<a b=\"x\"c=\"y\">")
 @example("<script>a</SCRIPT><STYLE>b</style>")
+# Each construct the one-pass scan must cut and re-write rather than copy
+@example('<A HREF="/u.html">u</A><IMG Src="/i.gif">')
+@example("<a href='/s.html' title='t'>s</a><a href=/u.html class=c>u</a>")
+@example('<a href="/q.html?a=1&amp;b=2" title="&lt;&#34;">q</a>')
+@example('<a href = "/b.html" title= "t" class ="c">b</a>')
+@example('<a href="/t.html" >t</a><img src="/i.gif"/><a href="/s.html"/>')
+@example('<a href href="/x.html">x</a><a href="/y.html" href="/z.html">y</a>')
+@example("<div/><br/><p/>text<li/>")
+@example("</b><ul><li><a href=\"/x.html\">x</ul></ul><b><i></b></i>")
+@example("<ul><li>a<li>b</ul><p>x<p>y<dl><dt>t<dd>d<dt>u</dl>")
+@example('x<!-- never closed <a href="/no.html">')
+@example('<p>x<a href="/cut.html"')
+@example("a < b <a href=\"/lt.html\">c</a> 1<2")
+@example("<p><script>if (a<b) x('</a>');</SCRIPT >after<a href=\"/s.html\">s")
 def test_tag_soup_indexes_identically(source):
     assert_same_index(source)
 

@@ -353,3 +353,52 @@ def test_resolver_on_the_default_port():
             "http://www/dir/x.html"
         assert engine._rewrite_value(A, "/x.html") == \
             "http://coop:8002/~migrate/www/80/x.html"
+
+
+# ----------------------------------------------------------------------
+# The engine indexes without building a parse tree
+# ----------------------------------------------------------------------
+
+def test_the_engine_indexes_without_a_parse_tree(monkeypatch):
+    """Initialize, an author's update and a template rebuilt for a
+    dirtied page all index by scanning the source: ``parse_html`` is
+    never called, under any name ``repro.server`` could reach it by."""
+    import sys
+
+    import repro.html.parser
+
+    def no_tree(source):
+        raise AssertionError("the engine built a parse tree")
+
+    monkeypatch.setattr(repro.html.parser, "parse_html", no_tree)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.server") \
+                and hasattr(module, "parse_html"):
+            monkeypatch.setattr(module, "parse_html", no_tree)
+    site = build_sblog()
+    engine = DCWSEngine(HOME, ServerConfig(), MemoryStore(dict(site.documents)),
+                        entry_points=site.entry_points, peers=[COOP])
+    engine.initialize(0.0)
+    builds = engine.stats.template_builds
+    assert builds == sum(record.is_html for record in engine.graph.documents())
+
+    pages = sorted(name for name in site.documents
+                   if name.endswith(".html") and name not in site.entry_points)
+    engine.update_document(pages[0], site.documents[pages[1]])
+    assert engine.stats.template_builds == builds + 1
+    expected = reference_build_link_template(reference_parse_html(
+        site.documents[pages[1]].decode("latin-1")))
+    template = engine._templates[pages[0]]
+    assert (template.source, template.spans) == \
+        (expected.source, expected.spans)
+
+    referrer = pages[2]
+    target = sorted(engine.graph.get(referrer).link_to - {referrer}
+                    - set(site.entry_points))[0]
+    engine.policy.force_migrate(target, COOP, now=1.0)
+    assert engine.graph.get(referrer).dirty
+    del engine._templates[referrer]
+    head, body = read(engine, referrer, 2.0)
+    assert head.startswith(b"HTTP/1.0 200")
+    assert engine.stats.template_builds == builds + 2
+    assert str(migrated_url(COOP, HOME, target)).encode() in body
