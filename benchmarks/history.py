@@ -16,6 +16,16 @@ a share of its median, how many pairs there were and how many the change
 won (ties count for neither side); beside them the operations attempted
 and failed on each side and each side's median ``client.speed``, so a
 run on a disturbed box can be told from a slow program.
+
+    python3 benchmarks/history.py --drift "parse each request head once"
+
+prints, for every workload and end-to-end metric, the newest line's
+``change`` median against the ``change`` median of the latest earlier
+line whose label contains the given text, and flags each move the wrong
+way by more than the metric's ``BENCHMARK.json`` bound.  Every change is
+held to its bound against its own parent, so a creep that fits each
+per-change bound can only be seen across several lines; the exit code is
+1 when anything is flagged.
 """
 
 from __future__ import annotations
@@ -113,13 +123,58 @@ def shas(runs: List[Dict[str, dict]]) -> str:
     return ",".join(found)
 
 
+def drift(lines: List[dict], label: str, end_to_end: List[dict]) -> int:
+    """Print the newest line's ``change`` medians against those of the
+    latest earlier line labelled with *label*; the number of adverse
+    moves beyond their bound."""
+    newest = lines[-1]
+    earlier = [line for line in lines[:-1] if label in line.get("label", "")]
+    if not earlier:
+        raise SystemExit(f"no history line before the newest is labelled "
+                         f"with {label!r}")
+    then = earlier[-1]
+    print(f"from {then['label']}\n  to {newest['label']}")
+    flagged = 0
+    for name, entry in newest["workloads"].items():
+        before = then["workloads"].get(name)
+        if before is None:
+            continue
+        for metric in end_to_end:
+            old = before["metrics"].get(metric["name"])
+            new = entry["metrics"].get(metric["name"])
+            if old is None or new is None:
+                continue
+            old, new = old["change"], new["change"]
+            move = (new - old) / (old or 1.0)
+            adverse = -move if metric["better"] == "higher" else move
+            beyond = adverse > metric["bound"]
+            flagged += beyond
+            print(f"{name:13s} {metric['name']:20s} {old:12.4f} -> "
+                  f"{new:12.4f} {metric['unit']:5s} {move:+7.1%}  bound "
+                  f"{metric['bound']:4.0%}{'  DRIFT' if beyond else ''}")
+    print(f"{flagged} adverse drift(s) beyond the bound")
+    return flagged
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--parent", nargs="+", required=True, metavar="FILE")
-    parser.add_argument("--change", nargs="+", required=True, metavar="FILE")
+    parser.add_argument("--label")
+    parser.add_argument("--parent", nargs="+", metavar="FILE")
+    parser.add_argument("--change", nargs="+", metavar="FILE")
+    parser.add_argument("--drift", metavar="LABEL-TEXT",
+                        help="compare the newest line with an earlier one "
+                             "instead of appending a line")
     parser.add_argument("--history", default=HISTORY)
     args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        end_to_end = json.load(handle)["end_to_end"]
+    if args.drift is not None:
+        with open(args.history) as handle:
+            lines = [json.loads(line) for line in handle if line.strip()]
+        return 1 if drift(lines, args.drift, end_to_end) else 0
+    if not (args.label and args.parent and args.change):
+        parser.error("--label, --parent and --change are required to "
+                     "append a line")
     if len(args.parent) != len(args.change):
         parser.error("runs are paired by position: as many --parent files "
                      "as --change files")
@@ -132,8 +187,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return runs
 
     parent, change = load(args.parent), load(args.change)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        end_to_end = json.load(handle)["end_to_end"]
     env = dict(next(iter(change[0].values()))["env"])
     for per_run in ("git", "seed"):
         env.pop(per_run, None)

@@ -20,6 +20,7 @@ from repro.errors import NamingError
 from repro.http.urls import URL, split_path
 
 MIGRATE_MARKER = "~migrate"
+_MIGRATE_PREFIX = f"/{MIGRATE_MARKER}/"
 
 # Replication extension: a home server's redirect for a replicated
 # document names every live holder (comma-separated ``host:port``) so
@@ -66,7 +67,7 @@ def decode_migrated_path(path: str) -> Tuple[Location, str]:
 
 def is_migrated_path(path: str) -> bool:
     """True when *path*'s first component is ``~migrate``."""
-    return path.startswith(f"/{MIGRATE_MARKER}/")
+    return path.startswith(_MIGRATE_PREFIX)
 
 
 def migrated_url(coop: Location, home: Location, path: str) -> URL:

@@ -135,17 +135,15 @@ class Headers:
     and ``value`` holds no CR or LF — is established where a field
     enters (:meth:`add`, and the continuation arm of
     :meth:`parse_lines`) and nowhere else, so :meth:`copy` shares the
-    tuples instead of validating them again.  Two things are derived
-    from the fields at most once per mutation, and a copy starts with
-    its original's: the latin-1 block (:meth:`serialize_bytes`) and the
-    answers the serve path wants of a message (:meth:`facts`).
+    tuples instead of validating them again.  The answers the serve
+    path wants of a message (:meth:`facts`) are derived at most once per
+    mutation, and a copy starts with its original's.
     """
 
-    __slots__ = ("_items", "_wire", "_facts")
+    __slots__ = ("_items", "_facts")
 
     def __init__(self, items: Optional[Iterable[Tuple[str, str]]] = None) -> None:
         self._items: List[Tuple[str, str, str]] = []
-        self._wire: Optional[bytes] = None
         self._facts: Optional[_Facts] = None
         if items is not None:
             for name, value in items:
@@ -157,7 +155,7 @@ class Headers:
         if not folded:
             raise HTTPError(f"invalid header field name: {name!r}")
         self._items.append((folded, name, _unbroken(str(value).strip())))
-        self._wire = self._facts = None
+        self._facts = None
 
     def set(self, name: str, value: str) -> None:
         """Replace every field named *name* with a single field."""
@@ -199,7 +197,7 @@ class Headers:
         removed = len(self._items) - len(kept)
         if removed:
             self._items = kept
-            self._wire = self._facts = None
+            self._facts = None
         return removed
 
     def items(self) -> Iterator[Tuple[str, str]]:
@@ -208,27 +206,16 @@ class Headers:
     def copy(self) -> "Headers":
         clone = Headers()
         clone._items = self._items.copy()
-        clone._wire = self._wire
         clone._facts = self._facts
         return clone
-
-    def memoised_copy(self) -> "Headers":
-        """A copy to keep and copy again: block and facts are filled
-        first, so this collection and every such copy start with both."""
-        self.serialize_bytes()
-        self.facts()
-        return self.copy()
 
     def serialize(self) -> str:
         """Render the fields as CRLF-terminated lines (no trailing blank)."""
         return "".join(f"{name}: {value}\r\n" for __, name, value in self._items)
 
     def serialize_bytes(self) -> bytes:
-        """:meth:`serialize` in latin-1, rendered once per mutation."""
-        wire = self._wire
-        if wire is None:
-            wire = self._wire = self.serialize().encode("latin-1")
-        return wire
+        """:meth:`serialize` in latin-1."""
+        return self.serialize().encode("latin-1")
 
     def facts(self) -> _Facts:
         """These fields' :class:`_Facts`, worked out once per mutation."""

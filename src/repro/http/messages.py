@@ -130,9 +130,10 @@ class Response:
 
         Byte-identical prefix of :meth:`serialize`: front ends writev
         ``[serialize_head(), body]`` so the (possibly large, shared,
-        cached) body is never concatenated per request.  The field
-        block is the headers' own memoised rendering; they are copied
-        only when a ``Content-Length`` has to be synthesised.
+        cached) body is never concatenated per request.  The headers
+        are copied only when a ``Content-Length`` has to be synthesised.
+        A warm cached GET never gets here: its finished head is kept on
+        the copy-cache entry (:mod:`repro.server.cache`).
         """
         headers = self.headers
         if not headers.facts().framed:

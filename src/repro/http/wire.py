@@ -26,15 +26,19 @@ request is never silently accepted.
 
 Traffic repeats whole request heads byte for byte, so each head is parsed
 once per process: :func:`_parsed_head` memoises what
-:func:`~repro.http.messages.parse_request_head` makes of the head bytes —
-method, target, version, a field template whose facts are worked out, the
-``Content-Length`` frame and the normalised route — in a bounded
-``lru_cache`` (:data:`HEAD_MEMO_ENTRIES` heads, least recently used out).
-Every request gets its own copy of the template, so a handler that edits
-its request's fields never edits the memo.  A head that raises is never
-stored (it raises again on every pass), and a head longer than
-:data:`HEAD_MEMO_MAX_BYTES` is parsed every time and never kept, so a
-client cannot pin large keys.
+:func:`~repro.http.messages.parse_request_head` makes of the head bytes as
+one :class:`ParsedHead` — method, target, version, a field template whose
+facts are worked out, the ``Content-Length`` frame and the normalised
+route — in a bounded ``lru_cache`` (:data:`HEAD_MEMO_ENTRIES` heads, least
+recently used out).  A front end hands the shared :class:`ParsedHead`
+itself (:meth:`RequestParser.next_head`) to the engine's warm route,
+which only reads it; a :class:`~repro.http.messages.Request` — with its
+own copy of the template, so a handler that edits its request's fields
+never edits the memo — is built only for a request that route does not
+answer (:meth:`ParsedHead.request`, :meth:`RequestParser.next_request`).
+A head that raises is never stored (it raises again on every pass), and a
+head longer than :data:`HEAD_MEMO_MAX_BYTES` is parsed every time and
+never kept, so a client cannot pin large keys.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from repro.errors import (
     InvalidContentLength,
     RecoverableProtocolError,
 )
-from repro.http.headers import Headers
 from repro.http.messages import Request, parse_request_head
 
 #: Default bound on one buffered request (head + body), matching the
@@ -62,17 +65,36 @@ HEAD_MEMO_MAX_BYTES = 1024
 
 _HEAD_TERMINATOR = b"\r\n\r\n"
 
-#: What a head parses to: method, target, version, the field template
-#: (facts filled), the body length ``Content-Length`` frames, the route.
-_Parsed = Tuple[str, str, str, Headers, int, str]
+
+class ParsedHead:
+    """What one request head parses to: method, target, version, the
+    field template (facts filled), the body length ``Content-Length``
+    frames, and the route.  Shared by every request that sends the same
+    head bytes, so nothing edits one; :meth:`request` makes the editable
+    :class:`Request` the slow path takes."""
+
+    __slots__ = ("method", "target", "version", "headers", "length", "route")
+
+    def __init__(self, request: Request, length: int) -> None:
+        self.method = request.method
+        self.target = request.target
+        self.version = request.version
+        self.headers = request.headers
+        self.length = length
+        self.route = request.route
+        self.headers.facts()
+
+    def request(self, body: bytes = b"") -> Request:
+        """A :class:`Request` of its own for this head and *body*."""
+        request = Request(self.method, self.target, self.headers.copy(),
+                          self.version, body)
+        request._route = (self.target, self.route)
+        return request
 
 
-def _parse_head(head: bytes) -> _Parsed:
+def _parse_head(head: bytes) -> ParsedHead:
     """Parse *head* (request line and fields, no blank line) once."""
-    request, length = parse_request_head(head.decode("latin-1"))
-    request.headers.facts()
-    return (request.method, request.target, request.version,
-            request.headers, length, request.route)
+    return ParsedHead(*parse_request_head(head.decode("latin-1")))
 
 
 #: The process-wide memo.  ``lru_cache`` stores only heads that parsed,
@@ -123,7 +145,17 @@ class RequestParser:
         self._eof = True
 
     def next_request(self) -> Optional[Request]:
-        """Return the next complete request, or ``None``.
+        """Return the next complete request, or ``None`` — as
+        :meth:`next_head` does, as a :class:`Request` of its own."""
+        found = self.next_head()
+        if found is None:
+            return None
+        head, body = found
+        return head.request(body)
+
+    def next_head(self) -> Optional[Tuple[ParsedHead, bytes]]:
+        """Consume the next complete request; return its memoised head
+        and its body, or ``None``.
 
         ``None`` means "need more bytes" — or, once :meth:`feed_eof` was
         called, "the stream ended cleanly at a request boundary".  EOF
@@ -147,19 +179,16 @@ class RequestParser:
             if self._eof and self._buffer:
                 raise HTTPError("connection closed before request completed")
             return None
-        head = bytes(self._buffer[:head_end])
+        key = bytes(self._buffer[:head_end])
         try:
             if head_end > HEAD_MEMO_MAX_BYTES:
-                parsed = _parse_head(head)
+                head = _parse_head(key)
             else:
-                parsed = _parsed_head(head)
+                head = _parsed_head(key)
         except InvalidContentLength as exc:
             self._consume(head_end + 4)
             raise RecoverableProtocolError(str(exc)) from exc
-        method, target, version, template, expected, route = parsed
-        request = Request(method, target, template.copy(), version)
-        request._route = (target, route)
-        needed = head_end + 4 + expected
+        needed = head_end + 4 + head.length
         if needed > self.max_request:
             raise HTTPError("request exceeds size limit")
         if len(self._buffer) < needed:
@@ -167,10 +196,10 @@ class RequestParser:
                 raise HTTPError("connection closed before request body "
                                 "completed")
             return None
-        if expected:
-            request.body = bytes(self._buffer[head_end + 4:needed])
+        body = bytes(self._buffer[head_end + 4:needed]) if head.length \
+            else b""
         self._consume(needed)
-        return request
+        return head, body
 
     def _consume(self, count: int) -> None:
         """Drop *count* leading buffer bytes and reset the head-scan cache."""

@@ -17,9 +17,16 @@ Structure:
   :class:`repro.http.wire.RequestParser` — the identical protocol code
   the threaded front end uses.
 - **In-memory dispatches stay on the loop.**  One request through the
-  engine under the engine lock (the cached-GET short-circuit, else
-  ``engine.handle_request``) is a dictionary-and-string affair; the loop
-  never holds the lock longer than one such dispatch.
+  engine under the engine lock is a dictionary-and-string affair; the
+  loop never holds the lock longer than one such dispatch.  A warm
+  cached read builds no message objects at all: the parser hands over
+  the head memo's :class:`~repro.http.wire.ParsedHead`, the engine's
+  warm route (:meth:`~repro.server.engine.DCWSEngine.serve_warm`)
+  answers with the finished head bytes and the body its copy-cache
+  entry holds, and the loop hands the two to one ``sendmsg`` as they
+  are.  What that route does not answer becomes a
+  :class:`~repro.http.messages.Request` and goes to
+  ``engine.handle_request``.
 - **Blocking work leaves the loop.**  Network transfers — lazy-migration
   pulls and the periodic validations and pings — plus the journal's
   fsync and checkpoints run on a small
@@ -54,12 +61,12 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional, Tuple, Union
 
 from repro.errors import HTTPError, RecoverableProtocolError, ReproError
 from repro.http.messages import Request, Response, error_response
 from repro.http.status import StatusCode
-from repro.http.wire import RequestParser
+from repro.http.wire import ParsedHead, RequestParser
 from repro.server.dispatch import SocketHost, close_quietly
 from repro.server.engine import DCWSEngine, EngineReply
 
@@ -361,7 +368,7 @@ class AsyncDCWSServer(SocketHost):
         conn.close_after_flush = True
         conn.reads_paused = True
         self._connections[sock] = conn
-        self._send_response(conn, self._refuse())
+        self._send(conn, *self._wire_of(self._refuse()))
 
     # -- per-connection reads -------------------------------------------
 
@@ -402,16 +409,16 @@ class AsyncDCWSServer(SocketHost):
                 and not conn.close_after_flush \
                 and conn.sock in self._connections:
             try:
-                request = conn.parser.next_request()
+                found = conn.parser.next_head()
             except RecoverableProtocolError as exc:
                 self._enqueue_response(conn, None, self._bad_framing(exc))
                 continue
             except HTTPError:
                 self._fail(conn, StatusCode.BAD_REQUEST)
                 return
-            if request is None:
+            if found is None:
                 break
-            self._handle_request(conn, request, now)
+            self._handle_request(conn, *found, now)
         if conn.sock not in self._connections or conn.busy:
             return
         if conn.parser.eof and not conn.close_after_flush:
@@ -432,11 +439,16 @@ class AsyncDCWSServer(SocketHost):
         """Open connections against the admission cap, as a fraction."""
         return len(self._connections) / self.engine.config.max_connections
 
-    def _handle_request(self, conn: _Connection, request: Request,
-                        now: float) -> None:
-        result = self._engine_dispatch(request, now)
+    def _handle_request(self, conn: _Connection, head: ParsedHead,
+                        body: bytes, now: float) -> None:
+        result = self._engine_dispatch(head, now, body=body,
+                                       served=conn.served + 1)
+        if isinstance(result, tuple):
+            wire, payload, persists = result
+            self._answer(conn, wire, payload, persists)
+            return
         if isinstance(result, EngineReply):
-            self._enqueue_response(conn, request, result.response)
+            self._enqueue_response(conn, head, result.response)
             return
         # A pull blocks on the network: hand off to the executor; the
         # completion re-enters the loop via the self-pipe.  One in-flight
@@ -450,36 +462,55 @@ class AsyncDCWSServer(SocketHost):
                 response = error_response(StatusCode.INTERNAL_SERVER_ERROR,
                                           "directive execution failed")
                 response.headers.set("Connection", "close")
-            self._post(lambda: self._complete_dispatch(conn, request,
+            self._post(lambda: self._complete_dispatch(conn, head,
                                                        response))
 
         self._executor.submit(run)
 
-    def _complete_dispatch(self, conn: _Connection, request: Request,
+    def _complete_dispatch(self, conn: _Connection, head: ParsedHead,
                            response: Response) -> None:
         """Loop-side completion of an executor dispatch."""
         conn.busy = False
         if conn.sock not in self._connections:
             return  # the connection died while the work ran
-        self._enqueue_response(conn, request, response)
+        self._enqueue_response(conn, head, response)
         if conn.sock in self._connections:
             self._pump(conn, time.monotonic())
 
     def _enqueue_response(self, conn: _Connection,
-                          request: Optional[Request],
+                          request: Union[Request, ParsedHead, None],
                           response: Response) -> None:
-        """Settle keep-alive for *response*, re-arm the deadline, send it
-        — straight to the socket when nothing is queued ahead of it."""
+        """Settle keep-alive for *response* and answer with it."""
+        keep = self._settle_keep_alive(conn.served + 1, request, response)
+        self._answer(conn, *self._wire_of(response), keep)
+
+    def _answer(self, conn: _Connection, head: bytes, body: bytes,
+                keep: bool) -> None:
+        """Count the connection's next answer, mark it the last unless
+        *keep*, re-arm the deadline and send it — straight to the socket
+        when nothing is queued ahead of it."""
         conn.served += 1
-        if not self._settle_keep_alive(conn.served, request, response):
+        if not keep:
             conn.close_after_flush = True
         # Idle keep-alive clock; doubles as the write deadman — a client
         # that never drains its responses is reaped at the same deadline.
         conn.deadline = time.monotonic() \
             + self.engine.config.keep_alive_timeout
-        self._send_response(conn, response)
+        self._send(conn, head, body)
 
-    def _send_response(self, conn: _Connection, response: Response) -> None:
+    @staticmethod
+    def _wire_of(response: Response) -> Tuple[bytes, bytes]:
+        """*response* as head bytes and body bytes."""
+        body = response.body
+        if response.body_file is not None and not body:
+            # No sendfile on a nonblocking loop socket (the engine leaves
+            # sendfile_enabled off for this host); read defensively in
+            # case a FileBody response arrives by another route.
+            with open(response.body_file.path, "rb") as handle:
+                body = handle.read()
+        return response.serialize_head(), body
+
+    def _send(self, conn: _Connection, head: bytes, body: bytes) -> None:
         """Put head and body on the wire, behind whatever is queued.
 
         With nothing queued — the usual turn — one ``sendmsg`` hands the
@@ -489,14 +520,6 @@ class AsyncDCWSServer(SocketHost):
         :meth:`_flush` stays the one drain of those (backpressure,
         ``close_after_flush`` and the write deadman hang on it).
         """
-        head = response.serialize_head()
-        body = response.body
-        if response.body_file is not None and not body:
-            # No sendfile on a nonblocking loop socket (the engine leaves
-            # sendfile_enabled off for this host); read defensively in
-            # case a FileBody response arrives by another route.
-            with open(response.body_file.path, "rb") as handle:
-                body = handle.read()
         sent = 0
         if not conn.out and _HAS_SENDMSG:
             try:
@@ -521,7 +544,7 @@ class AsyncDCWSServer(SocketHost):
         response.headers.set("Connection", "close")
         conn.close_after_flush = True
         conn.reads_paused = True
-        self._send_response(conn, response)
+        self._send(conn, *self._wire_of(response))
 
     # -- writes ---------------------------------------------------------
 

@@ -8,12 +8,14 @@ entries.
 One :class:`CopyEntry` per store key — a home document's name or a
 fetched hosted copy's ``/~migrate/...`` key — holds everything the serve
 path makes of that copy's bytes: the identity body, the gzip variant
-a GET's fill makes, the validators, the framed 200 blocks per flavour
-and the framed 304 blocks.  The entry is stamped with the copy's
-``(version, digest)``; a lookup under another stamp misses, and the
-fill that follows replaces the entry in place, so a key never holds two
-versions and one :meth:`CopyCache.invalidate` reaches everything made
-from a copy.
+a GET's fill makes, the validators, and the finished response heads —
+status line, fields and blank line, as bytes — of a GET's 200 per
+flavour and of the 304.  A warm cached GET is one of those heads and
+one of those bodies handed to the socket as they are.  The entry is
+stamped with the copy's ``(version, digest)``; a lookup under another
+stamp misses, and the fill that follows replaces the entry in place, so
+a key never holds two versions and one :meth:`CopyCache.invalidate`
+reaches everything made from a copy.
 
 There is no lock here: every caller runs under the host's one engine
 lock.
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple, ValuesView
 
 from repro.http.content import etag_for, last_modified_for
-from repro.http.headers import Headers
 
 
 @dataclass
@@ -66,9 +67,11 @@ class CopyEntry:
     misses, and its fill joins them.  A HEAD fill makes no variant, so
     only a GET fill settles ``gzip_body``.
 
-    ``framed`` and ``not_modified`` are the two memos of finished header
-    blocks — a GET's 200 per ``(gzip variant, connection persists)``
-    and the 304 per "connection persists".  They are reachable only
+    ``framed`` and ``not_modified`` are the two memos of finished head
+    bytes — a GET's 200 per ``(gzip variant, connection persists)`` and
+    the 304 per "connection persists", each what
+    :meth:`~repro.http.messages.Response.serialize_head` made of that
+    response when it was first rendered.  They are reachable only
     through this entry, so whatever replaces, evicts or invalidates it
     drops them with it.  An entry that is not in the cache (a versionless
     copy's, or the validators :meth:`of` derives for a 304 with nothing
@@ -83,9 +86,9 @@ class CopyEntry:
     last_modified: str
     gzip_body: Optional[bytes] = None
     methods: FrozenSet[str] = frozenset()
-    framed: Dict[Tuple[bool, bool], Headers] = field(
+    framed: Dict[Tuple[bool, bool], bytes] = field(
         default_factory=dict, repr=False)
-    not_modified: Dict[bool, Headers] = field(
+    not_modified: Dict[bool, bytes] = field(
         default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:

@@ -4,8 +4,10 @@ Every engine call runs under the host's one engine lock, and
 :meth:`SocketHost._engine_dispatch` is the serve path's single locked
 section — shedding signal, cached-read short-circuit, full
 :meth:`DCWSEngine.handle_request`, dirty-document regeneration included.
-The engine answers with a finished :class:`EngineReply` or with the one
-blocking directive, a lazy-migration pull (:class:`PullFromHome`); only
+The engine answers a warm cached read with its finished head bytes and
+body (:data:`Warm`), anything else with a finished :class:`EngineReply`
+or with the one blocking directive, a lazy-migration pull
+(:class:`PullFromHome`); only
 network transfers — those pulls, and the periodic pass's pings and
 validations — run between two holds of the lock.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, Optional, TYPE_CHECKING, Union
+from typing import Callable, Optional, TYPE_CHECKING, Tuple, Union
 
 from repro.client.pool import ConnectionPool
 from repro.client.realclient import http_fetch
@@ -37,6 +39,7 @@ from repro.http.messages import (
     wants_keep_alive,
 )
 from repro.http.status import StatusCode
+from repro.http.wire import ParsedHead
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
@@ -47,6 +50,10 @@ from repro.server.engine import (
 if TYPE_CHECKING:
     from repro.faults import FaultPlan
     from repro.server.wal import WriteAheadJournal
+
+#: A warm answer, :meth:`DCWSEngine.serve_warm`'s: the finished head
+#: bytes, the body, and whether the connection persists after them.
+Warm = Tuple[bytes, bytes, bool]
 
 
 class SocketHost:
@@ -168,9 +175,22 @@ class SocketHost:
     # The serve path
     # ------------------------------------------------------------------
 
-    def _engine_dispatch(self, request: Request, now: float
-                         ) -> Union[EngineReply, PullFromHome]:
+    def _engine_dispatch(self, request: Union[Request, ParsedHead],
+                         now: float, *, body: bytes = b"", served: int = 0
+                         ) -> Union[Warm, EngineReply, PullFromHome]:
         """One request through the engine, under the engine lock.
+
+        A front end hands over the memoised head a parser returned, its
+        *body*, and its ordinal *served* on the connection.  A bodiless
+        one goes to :meth:`DCWSEngine.serve_warm`, whose answer comes
+        back as the :data:`Warm` triple the front end sends as it is;
+        what that route does not answer goes to ``handle_request``.  Any
+        other request — a :class:`Request`, a head with a body, the
+        connection's ``keep_alive_max_requests``-th (its head must say
+        ``Connection: close``), every request under overload — takes
+        the render path: ``fast_lookup``/``fast_commit``, else
+        ``handle_request``, each answer a :class:`EngineReply` whose
+        keep-alive :meth:`_settle_keep_alive` settles.
 
         At or above ``shed_pressure`` the engine sheds its expensive
         tier (regenerations, first-use pulls) while cache hits and 304s
@@ -183,17 +203,30 @@ class SocketHost:
                       and self._pressure() >= config.shed_pressure)
         with self._lock:
             engine.overloaded = overloaded
+            if isinstance(request, ParsedHead):
+                if not (body or overloaded
+                        or served >= config.keep_alive_max_requests):
+                    warm = engine.serve_warm(request, now)
+                    if warm is not None:
+                        return warm
+                    return engine.handle_request(request.request(), now)
+                request = request.request(body)
             hit = engine.fast_lookup(request, now)
             if hit is not None:
                 return engine.fast_commit(hit, request, now)
             return engine.handle_request(request, now)
 
-    def _dispatch_blocking(self, request: Request) -> Response:
-        """One request start to finish on the calling thread."""
-        result = self._engine_dispatch(request, time.monotonic())
+    def _dispatch_blocking(self, head: ParsedHead, body: bytes,
+                           served: int) -> Union[Warm, Response]:
+        """One request start to finish on the calling thread: the warm
+        triple, or the response to settle and send."""
+        result = self._engine_dispatch(head, time.monotonic(), body=body,
+                                       served=served)
         if isinstance(result, EngineReply):
             return result.response
-        return self._execute_pull(result)
+        if isinstance(result, PullFromHome):
+            return self._execute_pull(result)
+        return result
 
     def _execute_pull(self, pull: PullFromHome) -> Response:
         """Lazy migration: blocking fetch from home, outside the lock."""
@@ -219,13 +252,17 @@ class SocketHost:
                                               rtt=rtt, corrupt=corrupt)
         return reply.response
 
-    def _settle_keep_alive(self, served: int, request: Optional[Request],
+    def _settle_keep_alive(self, served: int,
+                           request: Union[Request, ParsedHead, None],
                            response: Response) -> bool:
         """Whether the connection outlives *response*, its *served*-th.
 
         *request* is ``None`` when the bytes that earned the response
-        never parsed into one.  A connection we are about to close says
-        so and nothing else: the engine's ``Keep-Alive`` parameters
+        never parsed into one.  (A warm answer needs no settling: it is
+        never the ``keep_alive_max_requests``-th, and its head already
+        says whether the connection persists.)  A connection we are
+        about to close says so and nothing else: the engine's
+        ``Keep-Alive`` parameters
         beside ``Connection: close`` make some clients (``http.client``
         on an HTTP/1.0 response) keep the channel.
         """

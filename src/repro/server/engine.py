@@ -119,6 +119,7 @@ from repro.server.replication import ReplicationManager
 from repro.server.striping import shard_of
 
 if TYPE_CHECKING:
+    from repro.http.wire import ParsedHead
     from repro.server.persistence import RecoveryStats
     from repro.server.wal import WriteAheadJournal
 
@@ -156,19 +157,19 @@ class EngineReply:
 
 @dataclass
 class _FastHit:
-    """A clean read answered from memory, framed and pending its
+    """A clean read answered from memory, pending its rendering and its
     counters: a cached 200, or a 304 off the copy's validators.
 
     ``copy`` is what :meth:`DCWSEngine._serve_copy` would have been
     handed: the LDG record of a home document, or the entry of a hosted
-    copy.  Produced by :meth:`DCWSEngine.fast_lookup` and booked by
+    copy; ``entry`` is the copy-cache entry of a 200, or the validators
+    of a 304.  Produced by :meth:`DCWSEngine.fast_lookup` and booked by
     :meth:`DCWSEngine.fast_commit`, both within one hold of the host's
     engine lock.
     """
 
     copy: Union[DocumentRecord, "HostedDocument"]
-    cached: Optional[CopyEntry]   # None for a 304: all head
-    response: Response
+    entry: CopyEntry
     kind: str              # "identity", "gzip" or "304"
 
 
@@ -604,9 +605,75 @@ class DCWSEngine:
 
     # -- short-circuit for clean cached reads ----------------------------
 
+    def serve_warm(self, head: "ParsedHead", now: float
+                   ) -> Optional[Tuple[bytes, bytes, bool]]:
+        """Answer a client's parsed request head from memory (host holds
+        the engine lock): ``(head bytes, body, persists)``, booked, or
+        ``None`` when :meth:`handle_request` must answer it instead.
+
+        The one route of a clean cached read.  :meth:`_find_warm` decides
+        on the head's method, route and facts, and :meth:`_book_hit`
+        books the answer exactly as :meth:`handle_request` would have.
+        A GET's 200 and any 304 are the finished head bytes kept on the
+        copy's cache entry — ``framed`` per ``(gzip, persists)``,
+        ``not_modified`` per ``persists`` — and the entry's own body
+        object; a flavour's first answer renders through the renderer
+        :meth:`_serve_copy` uses and keeps what
+        :meth:`~repro.http.messages.Response.serialize_head` makes of it.
+        A HEAD's 200 is rendered each time.  *head* is only read: it is
+        the head memo's, shared by every request that sends its bytes.
+        The host sends the answer as it is, so the request that must
+        close its connection at ``keep_alive_max_requests`` is not
+        handed here.
+        """
+        found = self._find_warm(head)
+        if found is None:
+            return None
+        copy, entry, kind = found
+        persists = self._persists(head)
+        body = b""
+        if kind == "304":
+            wire = entry.not_modified.get(persists)
+            if wire is None:    # the 304's builder keeps its head bytes
+                self._render_hit(head.request(), copy, entry, kind)
+                wire = entry.not_modified[persists]
+        elif head.method == "HEAD":
+            wire = self._render_hit(head.request(), copy, entry,
+                                    kind).serialize_head()
+        else:
+            flavour = (kind == "gzip", persists)
+            body = entry.gzip_body if flavour[0] else entry.body
+            wire = entry.framed.get(flavour)
+            if wire is None:
+                wire = entry.framed[flavour] = self._render_hit(
+                    head.request(), copy, entry, kind).serialize_head()
+        self._book_hit(copy, entry, kind, len(body), now)
+        return wire, body, persists
+
     def fast_lookup(self, request: Request, now: float) -> Optional[_FastHit]:
-        """Try to resolve *request* as a clean read from memory (host
-        holds the engine lock).
+        """:meth:`serve_warm`'s decision for a :class:`Request` (host
+        holds the engine lock); :meth:`fast_commit` renders and books
+        the hit."""
+        found = self._find_warm(request)
+        return None if found is None else _FastHit(*found)
+
+    def fast_commit(self, hit: _FastHit, request: Request,
+                    now: float) -> EngineReply:
+        """Render and book a :meth:`fast_lookup` hit, within the same
+        hold of the engine lock: the response :meth:`serve_warm`'s head
+        bytes are made from, counted as :meth:`serve_warm` counts it."""
+        response = self._render_hit(request, hit.copy, hit.entry, hit.kind)
+        key = self._book_hit(hit.copy, hit.entry, hit.kind,
+                             response.body_length(), now)
+        return EngineReply(response=response, doc_name=key)
+
+    def _find_warm(self, request: Union[Request, "ParsedHead"]
+                   ) -> Optional[Tuple[Union[DocumentRecord,
+                                             "HostedDocument"],
+                                       CopyEntry, str]]:
+        """Resolve a request as a clean read from memory: the copy, its
+        cache entry (its validators for a 304) and the kind of answer,
+        or ``None`` for the slow path.
 
         The route resolves to a stored copy the way
         :meth:`handle_request` resolves it — the LDG record for a home
@@ -615,21 +682,15 @@ class DCWSEngine:
         without ``Range``, no entry gate; a home record clean and
         located here; a hosted entry fetched and versioned.  Such a
         request skips :meth:`handle_request`'s routing, piggyback and
-        pre-steps; ``None`` sends the host there instead.  A
-        revalidation whose validators name the copy's current stamp is
-        answered 304 — unless the copy is quarantined — with no booked
-        cache lookup and no store read.  Anything else needs the cached
-        200; a conditional that does not match is served exactly like an
-        unconditional request.  Nothing here mutates engine state but the
-        LRU order and the two memos of framed header blocks on the cache
-        entry (``not_modified`` for 304s, ``framed`` for a GET's 200s): a
-        flavour's first hit goes through :meth:`_render_entity`, the
-        renderer :meth:`_serve_copy` uses, and its headers are kept;
-        every later hit gets a copy of that block (a HEAD is rendered
-        each time).  The memos live and die with the entry, which every
-        update, regeneration, re-install, quarantine and drop of the
-        copy invalidates.
-        :meth:`fast_commit` books the hit through the same :meth:`_book`.
+        pre-steps.  A revalidation whose validators name the copy's
+        current stamp is answered 304 — unless the copy is quarantined —
+        with no booked cache lookup and no store read.  Anything else
+        needs the cached 200; a conditional that does not match is
+        served exactly like an unconditional request.  Nothing here
+        mutates engine state but the LRU order and the hit count of the
+        copy cache.  The memos a hit reads live and die with the cache
+        entry, which every update, regeneration, re-install, quarantine
+        and drop of the copy invalidates.
         """
         if request.method not in ("GET", "HEAD"):
             return None
@@ -637,7 +698,8 @@ class DCWSEngine:
             # Gate checks and cookie issuance are time-dependent per
             # request; gated sites always take the slow path.
             return None
-        facts = request.headers.facts()
+        headers = request.headers
+        facts = headers.facts()
         if facts.peer or facts.ranged:
             return None  # peer semantics, Range negotiation: slow path
         path = request.route
@@ -649,62 +711,55 @@ class DCWSEngine:
                 return None
         else:
             copy = self.graph.find(path)
-            if copy is None or copy.dirty or copy.location != self.location:
+            # A record at home holds the engine's own Location object:
+            # the identity test spares the dataclass comparison.
+            if copy is None or copy.dirty or (
+                    copy.location is not self.location
+                    and copy.location != self.location):
                 return None
-        home = isinstance(copy, DocumentRecord)
         if facts.conditional:
             # A 304 is all head and needs no cached 200, so the
             # quarantine that empties the cache must be asked here.
             if self.integrity.is_quarantined(path):
                 return None
             validators = self._validators(path, copy)
-            if not_modified(request.headers, validators.etag,
+            if not_modified(headers, validators.etag,
                             validators.last_modified):
-                return _FastHit(
-                    copy=copy, cached=None, kind="304",
-                    response=self._not_modified_response(
-                        request, validators, home=home))
+                return copy, validators, "304"
         cached = self.response_cache.get(path, copy.version, request.method,
                                          copy.digest, book_miss=False)
         if cached is None:
             return None
-        gzip = self._wants_gzip(request, cached)
-        if request.method == "HEAD":
-            response, __ = self._render_entity(request, cached, home=home)
-        else:
-            flavour = (gzip, self._persists(request))
-            framed = cached.framed.get(flavour)
-            if framed is not None:
-                response = Response(
-                    status=StatusCode.OK, headers=framed.copy(),
-                    body=cached.gzip_body if gzip else cached.body)
-            else:
-                response, __ = self._render_entity(request, cached,
-                                                   home=home)
-                cached.framed[flavour] = response.headers.memoised_copy()
-        return _FastHit(copy=copy, cached=cached, response=response,
-                        kind="gzip" if gzip else "identity")
+        return copy, cached, \
+            "gzip" if self._wants_gzip(request, cached) else "identity"
 
-    def fast_commit(self, hit: _FastHit, request: Request,
-                    now: float) -> EngineReply:
-        """Book a :meth:`fast_lookup` hit, within the same hold of the
-        engine lock, counted exactly like the slow path counts it — a
-        home document's hit on its record, a hosted copy's on its entry,
-        as :meth:`_handle_coop` does.  The response left
-        :meth:`fast_lookup` framed; only the accounting half of
-        :meth:`_finish` is left to do."""
+    def _render_hit(self, request: Request,
+                    copy: Union[DocumentRecord, "HostedDocument"],
+                    entry: CopyEntry, kind: str) -> Response:
+        """The framed response :meth:`_serve_copy` renders for a hit."""
+        home = isinstance(copy, DocumentRecord)
+        if kind == "304":
+            return self._not_modified_response(request, entry, home=home)
+        return self._render_entity(request, entry, home=home)[0]
+
+    def _book_hit(self, copy: Union[DocumentRecord, "HostedDocument"],
+                  entry: CopyEntry, kind: str, body_bytes: int,
+                  now: float) -> str:
+        """Count one answer from memory exactly like the slow path counts
+        it — a home document's hit on its record, a hosted copy's on its
+        entry, as :meth:`_handle_coop` does — and return its key."""
         self._clock = now
         self.stats.requests += 1
         self.stats.fast_hits += 1
-        copy = hit.copy
         if isinstance(copy, DocumentRecord):
             copy.record_hit()
             key = copy.name
         else:
             copy.hits += 1
             key = copy.key
-        self._book(hit.kind, hit.cached)
-        return self._account(hit.response, now, doc_name=key)
+        self._book(kind, entry)
+        self._count_sent(body_bytes, now)
+        return key
 
     # -- administrative endpoints (/~dcws/...) ---------------------------
 
@@ -996,26 +1051,21 @@ class DCWSEngine:
     def _not_modified_response(self, request: Request, validators: CopyEntry,
                                *, home: bool) -> Response:
         """The framed 304 for a client validator naming *validators*: the
-        one builder of that head, and its memo.  A 304 is all head and a
-        client's head depends on the request only through "does the
-        connection persist", so the block is built once per flavour and
-        copied after that.  A peer's head carries the load table of the
-        moment: built afresh, never kept."""
-        persists = self._persists(request)
-        peer = bool(extract_sender(request.headers))
-        framed = None if peer else validators.not_modified.get(persists)
-        if framed is not None:
-            return Response(status=StatusCode.NOT_MODIFIED,
-                            headers=framed.copy())
+        one builder of that head, and the keeper of its bytes.  A 304 is
+        all head and a client's head depends on the request only through
+        "does the connection persist", so the first one of each flavour
+        leaves its head bytes on *validators* for :meth:`serve_warm`.  A
+        peer's head carries the load table of the moment: never kept."""
         response = Response(status=StatusCode.NOT_MODIFIED)
         response.headers.set("ETag", validators.etag)
         response.headers.set("Last-Modified", validators.last_modified)
         if home:
             response.headers.set(VERSION_HEADER, str(validators.version))
         self._frame(request, response)
-        if not peer:
-            validators.not_modified[persists] = \
-                response.headers.memoised_copy()
+        if not extract_sender(request.headers):
+            persists = self._persists(request)
+            if persists not in validators.not_modified:
+                validators.not_modified[persists] = response.serialize_head()
         return response
 
     @staticmethod
@@ -2134,7 +2184,7 @@ class DCWSEngine:
         """Common bookkeeping for every response leaving this server:
         :meth:`_frame` makes the message complete on the wire,
         :meth:`_account` books it.  The cached-read short-circuit runs
-        the halves apart — a framed header block is kept per cache
+        the halves apart — the finished head bytes are kept per cache
         entry, the accounting happens per request."""
         self._frame(request, response)
         return self._account(response, now, doc_name=doc_name,
@@ -2184,12 +2234,15 @@ class DCWSEngine:
                  ) -> EngineReply:
         """Count a framed response into the load metrics and wrap it
         (every reconstruction is a template splice)."""
-        body_bytes = response.body_length()
-        self.metrics.record_connection(now, body_bytes + RESPONSE_HEAD_OVERHEAD)
-        self.stats.bytes_sent += body_bytes
+        self._count_sent(response.body_length(), now)
         return EngineReply(response=response, doc_name=doc_name,
                            reconstructed=reconstructed,
                            spliced=reconstructed)
+
+    def _count_sent(self, body_bytes: int, now: float) -> None:
+        """Count one response of *body_bytes* into the load metrics."""
+        self.metrics.record_connection(now, body_bytes + RESPONSE_HEAD_OVERHEAD)
+        self.stats.bytes_sent += body_bytes
 
     # ------------------------------------------------------------------
     # Introspection

@@ -34,12 +34,12 @@ import queue
 import socket
 import threading
 import time
-from typing import Any, List, Optional, Set
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.errors import HTTPError, RecoverableProtocolError, ReproError
-from repro.http.messages import Request, Response, error_response
+from repro.http.messages import Response, error_response
 from repro.http.status import StatusCode
-from repro.http.wire import RequestParser
+from repro.http.wire import ParsedHead, RequestParser
 from repro.server.dispatch import SocketHost, close_quietly
 from repro.server.engine import DCWSEngine
 
@@ -199,7 +199,7 @@ class ThreadedDCWSServer(SocketHost):
             if served and not reader.buffered:
                 connection.settimeout(config.keep_alive_timeout)
             try:
-                request = reader.read_request()
+                found = reader.read_head()
             except socket.timeout:
                 return  # idle keep-alive connection (or stalled peer)
             except RecoverableProtocolError as exc:
@@ -217,15 +217,20 @@ class ThreadedDCWSServer(SocketHost):
                 _send_quietly(connection, error_response(
                     StatusCode.BAD_REQUEST))
                 return
-            if request is None:
+            if found is None:
                 return  # peer closed cleanly at a request boundary
             if served:
                 connection.settimeout(self.request_timeout)
             served += 1
-            response = self._dispatch_blocking(request)
-            keep = self._settle_keep_alive(served, request, response)
+            head, body = found
+            result = self._dispatch_blocking(head, body, served)
             try:
-                send_response(connection, response)
+                if isinstance(result, tuple):   # warm: sent as it is
+                    wire, payload, keep = result
+                    send_bytes(connection, wire, payload)
+                else:
+                    keep = self._settle_keep_alive(served, head, result)
+                    send_response(connection, result)
             except OSError:
                 return
             if not keep:
@@ -269,13 +274,13 @@ class _RequestReader:
         """Bytes of a further (pipelined) request are already waiting."""
         return self._parser.buffered
 
-    def read_request(self) -> Optional[Request]:
-        """Read one complete request; ``None`` on clean EOF between
-        requests."""
+    def read_head(self) -> Optional[Tuple[ParsedHead, bytes]]:
+        """Read one complete request, as its memoised head and its body;
+        ``None`` on clean EOF between requests."""
         while True:
-            request = self._parser.next_request()
-            if request is not None:
-                return request
+            found = self._parser.next_head()
+            if found is not None:
+                return found
             if self._parser.eof:
                 return None
             chunk = self._connection.recv(_RECV_CHUNK)
@@ -288,17 +293,11 @@ class _RequestReader:
 def send_response(connection: socket.socket, response: Response) -> None:
     """Put *response* on the wire without concatenating head and body.
 
-    Three delivery strategies, most efficient first:
-
-    - ``body_file`` set → send the head, then ``socket.sendfile`` the
-      disk file (kernel zero-copy where the platform has ``os.sendfile``;
-      the stdlib falls back to a read/send loop where it does not);
-    - bytes body → one ``sendmsg([head, body])`` gather write, looped
-      with memoryview slicing on short writes, so the (possibly shared,
-      cached) body bytes are never copied into a concatenated buffer;
-    - no ``sendmsg`` on this platform → plain ``sendall`` concatenation.
-
-    Raises ``OSError`` on transport failure like ``sendall`` would.
+    ``body_file`` set → send the head, then ``socket.sendfile`` the disk
+    file (kernel zero-copy where the platform has ``os.sendfile``; the
+    stdlib falls back to a read/send loop where it does not); otherwise
+    :func:`send_bytes`.  Raises ``OSError`` on transport failure like
+    ``sendall`` would.
     """
     head = response.serialize_head()
     if response.body_file is not None and not response.body:
@@ -306,7 +305,17 @@ def send_response(connection: socket.socket, response: Response) -> None:
         with open(response.body_file.path, "rb") as handle:
             connection.sendfile(handle, 0, response.body_file.size)
         return
-    body = response.body
+    send_bytes(connection, head, response.body)
+
+
+def send_bytes(connection: socket.socket, head: bytes, body: bytes) -> None:
+    """Put *head* and *body* on the wire: one ``sendmsg([head, body])``
+    gather write, looped with memoryview slicing on short writes, so the
+    (possibly shared, cached) body bytes are never copied into a
+    concatenated buffer; plain ``sendall`` where there is no body or no
+    ``sendmsg`` on this platform.  Raises ``OSError`` on transport
+    failure like ``sendall`` would.
+    """
     if not body:
         connection.sendall(head)
         return

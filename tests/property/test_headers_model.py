@@ -5,8 +5,8 @@ replaced.
 of ``(name, value)`` pairs, ``lower()`` on every lookup, a ``copy()``
 that re-validates every field.  Hypothesis drives both through the same
 sequence of operations; every result, every exception (type and text)
-and the serialized form after every step must agree, and the memoised
-``serialize_bytes()`` must always equal a fresh ``serialize()``.
+and the serialized form after every step must agree, and
+``serialize_bytes()`` must always equal ``serialize()`` in latin-1.
 
 Beside it, kept verbatim too, are the questions the serve path used to
 put to a field list one lookup at a time — ``wants_keep_alive``,
@@ -337,24 +337,25 @@ def test_headers_match_the_reference_model(operations):
             assert memoised_answers(mine) == old_answers(model), (kind, args)
 
 
-def test_a_copy_shares_the_rendering_until_either_side_changes():
+def test_a_copy_renders_apart_from_its_original():
     original = Headers([("Content-Type", "text/html"), ("X-A", "1")])
     block = original.serialize_bytes()
     clone = original.copy()
-    assert clone.serialize_bytes() is block
+    assert clone.serialize_bytes() == block
     clone.set("X-A", "2")
-    assert original.serialize_bytes() is block
+    assert original.serialize_bytes() == block
     assert clone.serialize_bytes() == b"Content-Type: text/html\r\nX-A: 2\r\n"
     original.remove("x-a")
     assert original.serialize_bytes() == b"Content-Type: text/html\r\n"
     assert clone.get("X-A") == "2"
 
 
-def test_removing_an_absent_name_keeps_the_rendering():
+def test_removing_an_absent_name_keeps_the_facts():
     headers = Headers([("X-A", "1")])
-    block = headers.serialize_bytes()
+    facts = headers.facts()
     assert headers.remove("X-B") == 0
-    assert headers.serialize_bytes() is block
+    assert headers.facts() is facts
+    assert headers.serialize_bytes() == b"X-A: 1\r\n"
 
 
 def test_bare_line_break_inside_a_continuation_is_rejected():
@@ -435,9 +436,6 @@ def test_a_copy_shares_the_facts_until_either_side_changes():
     assert clone.facts().close
     original.add("Range", "bytes=0-1")
     assert original.facts().ranged and not clone.facts().ranged
-    kept = original.memoised_copy()
-    assert kept.facts() is original.facts()
-    assert kept.serialize_bytes() is original.serialize_bytes()
 
 
 def test_a_reassigned_target_re_derives_the_route():

@@ -77,3 +77,36 @@ def test_two_pairs_make_one_line(tmp_path, capsys):
         "setup_s", "rps", "cpu_us_per_req", "p95_ms", "slo_share",
         "wire_bytes_per_req", "rss_mb"}
     assert "cached_get" in capsys.readouterr().out
+
+
+def history_line(label, rps, cpu):
+    """A history line holding one workload's change medians."""
+    metrics = {"rps": rps, "cpu_us_per_req": cpu, "rss_mb": 30.0}
+    return json.dumps({"label": label, "workloads": {"cached_get": {
+        "metrics": {name: {"parent": value, "change": value}
+                    for name, value in metrics.items()}}}})
+
+
+def test_drift_flags_creep_that_fits_each_bound(tmp_path, capsys):
+    """Two changes each 12 % slower fit the 20 % ``cpu_us_per_req``
+    bound against their parents, but not against the line before
+    both; ``rps`` within its bound and an unchanged ``rss_mb`` are
+    not flagged."""
+    history = load_history()
+    target = tmp_path / "history.jsonl"
+    target.write_text("\n".join([
+        history_line("the base line", 10_000.0, 50.0),
+        history_line("one step", 9_500.0, 56.0),
+        history_line("another step", 9_000.0, 62.7),
+    ]) + "\n")
+    assert history.main(["--drift", "one step", "--history",
+                         str(target)]) == 0
+    assert "0 adverse drift(s)" in capsys.readouterr().out
+    assert history.main(["--drift", "base", "--history",
+                         str(target)]) == 1
+    out = capsys.readouterr().out
+    flagged = [line.split()[1] for line in out.splitlines()
+               if line.endswith("DRIFT")]
+    assert flagged == ["cpu_us_per_req"]
+    assert "from the base line" in out and "1 adverse drift(s)" in out
+    assert target.read_text().count("\n") == 3      # nothing appended

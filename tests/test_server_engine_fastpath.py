@@ -22,6 +22,8 @@ import itertools
 import re
 import socket
 
+import pytest
+
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.content import (
@@ -32,7 +34,7 @@ from repro.http.content import (
     http_date,
 )
 from repro.http.headers import Headers, _Facts
-from repro.http.messages import Request, Response
+from repro.http.messages import Request, Response, parse_response
 from repro.http.wire import RequestParser, _parsed_head
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
@@ -172,16 +174,43 @@ def cache_entries(engine):
     return list(engine.response_cache.entries())
 
 
+class Warm:
+    """One answer of the warm route, as a front end receives it."""
+
+    def __init__(self, head: bytes, body: bytes, persists: bool) -> None:
+        self.head, self.body, self.persists = head, body, persists
+
+    @property
+    def headers(self) -> Headers:
+        return parse_response(self.head).headers
+
+
+def parsed(request):
+    """*request*'s head as the front ends hand it to the engine: the
+    head memo's, through a parser."""
+    parser = RequestParser()
+    parser.feed(request.serialize())
+    head, body = parser.next_head()
+    assert body == b""
+    return head
+
+
+def warm(engine, request, now):
+    answer = engine.serve_warm(parsed(request), now)
+    assert answer is not None, f"{request.method} {request.target} missed"
+    return Warm(*answer)
+
+
 def test_memoised_heads_match_the_slow_route_on_first_use_and_reuse():
     by_fast, by_slow = make_engine(), make_engine()
-    warm = {step: slow(by_fast, build(*step), 1.0) for step in SCRIPT}
+    filled = {step: slow(by_fast, build(*step), 1.0) for step in SCRIPT}
     for step in SCRIPT:
         slow(by_slow, build(*step), 1.0)
     assert not any(entry.framed for entry in cache_entries(by_fast))
     passes = []
-    for turn in range(2):       # first use renders, second use copies
+    for turn in range(2):       # first use renders, second use reuses
         passes.append([
-            (fast(by_fast, flavoured(*step), 2.0 + turn),
+            (warm(by_fast, flavoured(*step), 2.0 + turn),
              slow(by_slow, flavoured(*step), 2.0 + turn))
             for step in FLAVOURED])
         if turn == 0:
@@ -189,31 +218,70 @@ def test_memoised_heads_match_the_slow_route_on_first_use_and_reuse():
                       for entry in cache_entries(by_fast)}
     for step, (first, full), (again, full_again) in zip(FLAVOURED, *passes):
         head = full.response.serialize_head()
-        assert first.response.serialize_head() == head, step
-        assert again.response.serialize_head() == head, step
+        assert first.head == head, step
+        assert again.head == head, step
         assert full_again.response.serialize_head() == head, step
         assert DIGEST_HEADER.encode() + b": sha256:" in head, step
         # One body object per variant: the one the cache fill produced.
-        assert first.response.body is warm[step[2:]].response.body, step
-        assert again.response.body is first.response.body, step
-        assert first.response.body == full.response.body, step
-        assert first.response.headers is not again.response.headers
+        assert first.body is filled[step[2:]].response.body, step
+        assert again.body is first.body, step
+        assert first.body == full.response.body, step
+        if step[2] == "GET":    # the kept bytes themselves, sent again
+            assert again.head is first.head, step
     assert counters(by_fast) == counters(by_slow)
     entries = cache_entries(by_fast)
     assert any(entry.framed for entry in entries)
+    handed_out = {id(answer.head) for answers in passes
+                  for answer, __ in answers}
     for entry in entries:
         assert len(entry.framed) <= 4
-        # The second pass copied: the kept blocks are the first pass's,
-        # and no reply was handed one of them.
+        # The second pass reused: the kept heads are the first pass's,
+        # and they are what the replies were handed.
         assert entry.framed == blocks[id(entry)]
         assert all(entry.framed[key] is block
                    for key, block in blocks[id(entry)].items())
-        handed_out = {id(reply.response.headers)
-                      for replies in passes for reply, __ in replies}
-        assert not handed_out & {id(block)
-                                 for block in entry.framed.values()}
+        assert {id(block) for block in entry.framed.values()} <= handed_out
     # The slow route never fills the memo.
     assert not any(entry.framed for entry in cache_entries(by_slow))
+
+
+def test_each_kept_head_is_the_slow_renders_head():
+    """Every flavour of kept head bytes — a GET's 200 identity or gzip,
+    and the 304, each on a connection that persists (HTTP/1.1, HTTP/1.0
+    with keep-alive) and one that does not (HTTP/1.0 without it) — is
+    byte for byte what ``serialize_head`` makes of the slow route's
+    rendering of the same request."""
+    by_warm, by_slow = make_engine(), make_engine()
+    for engine in (by_warm, by_slow):
+        for step in SCRIPT:
+            slow(engine, build(*step), 1.0)
+    asks = [("HTTP/1.1", None, True), ("HTTP/1.0", "keep-alive", True),
+            ("HTTP/1.0", None, False)]
+    etag = etag_for("/big.html", 0)
+    for version, connection, persists in asks:
+        for encoding in ("gzip", None):
+            request = lambda: flavoured(version, connection, "GET",
+                                        encoding, "/big.html")
+            answer = warm(by_warm, request(), 2.0)
+            rendered = slow(by_slow, request(), 2.0).response
+            assert answer.persists == persists
+            assert answer.head == rendered.serialize_head()
+            entry = by_warm.response_cache.peek("/big.html")
+            assert entry.framed[(encoding == "gzip", persists)] \
+                is answer.head
+        revalidation = lambda: conditional(
+            "/big.html", {"If-None-Match": etag}, version, connection)
+        answer = warm(by_warm, revalidation(), 3.0)
+        rendered = slow(by_slow, revalidation(), 3.0).response
+        assert rendered.status == 304 and answer.body == b""
+        assert answer.head == rendered.serialize_head()
+        assert by_warm.response_cache.peek("/big.html") \
+            .not_modified[persists] == answer.head
+    entry = by_warm.response_cache.peek("/big.html")
+    assert set(entry.framed) == {(gzip, persists) for gzip in (True, False)
+                                 for persists in (True, False)}
+    assert set(entry.not_modified) == {True, False}
+    assert counters(by_warm) == counters(by_slow)
 
 
 def replies_stay_apart(request):
@@ -246,20 +314,20 @@ def test_a_304_cannot_reach_the_next_one():
     assert replies_stay_apart(revalidation).split()[1] == b"304"
 
 
-def validators(reply):
-    headers = reply.response.headers
+def validators(answer):
+    headers = answer.headers
     return {name: headers.get(name)
             for name in ("ETag", DIGEST_HEADER, VERSION_HEADER,
                          "Content-Length", "Last-Modified")}
 
 
 def fast_twice(engine, request, now):
-    """The memo's fill and its first copy; they must read the same."""
-    first, again = fast(engine, request(), now), fast(engine, request(),
+    """The memo's fill and its first reuse on the warm route; they must
+    be the same bytes."""
+    first, again = warm(engine, request(), now), warm(engine, request(),
                                                       now + 0.1)
-    assert first.response.serialize_head() == \
-        again.response.serialize_head()
-    assert first.response.body is again.response.body
+    assert again.head is first.head
+    assert first.body is again.body
     return again
 
 
@@ -280,15 +348,14 @@ def test_no_stale_head_after_an_update_or_a_migration():
         assert engine.fast_lookup(request(), 3.0 + turn) is None  # dirty
         regenerated = slow(engine, request(), 3.0 + turn)
         after = fast_twice(engine, request, 3.5 + turn)
-        assert after.response.serialize_head() == \
-            regenerated.response.serialize_head()
-        assert after.response.body is regenerated.response.body
+        assert after.head == regenerated.response.serialize_head()
+        assert after.body is regenerated.response.body
         record = engine.graph.get("/index.html")
         assert validators(after) == {
             "ETag": etag_for("/index.html", record.version),
-            DIGEST_HEADER: body_digest(after.response.body),
+            DIGEST_HEADER: body_digest(after.body),
             VERSION_HEADER: str(record.version),
-            "Content-Length": str(len(after.response.body)),
+            "Content-Length": str(len(after.body)),
             "Last-Modified": regenerated.response.headers.get(
                 "Last-Modified")}
         seen.append(validators(after))
@@ -314,9 +381,8 @@ def test_no_stale_head_after_a_quarantine_clears():
     repaired = slow(engine, request(), 3.0)     # regenerates, clears
     assert not engine.integrity.is_quarantined("/d.html")
     after = fast_twice(engine, request, 3.5)
-    assert after.response.serialize_head() == \
-        repaired.response.serialize_head()
-    body = after.response.body
+    assert after.head == repaired.response.serialize_head()
+    body = after.body
     assert b">up<" in body and b"UP" not in body    # spliced, not the rot
     record = engine.graph.get("/d.html")
     assert validators(after) == {
@@ -331,7 +397,7 @@ def test_no_stale_head_after_a_quarantine_clears():
 
 def test_hosted_copies_have_no_memo_to_go_stale():
     """A pull that re-installs a hosted copy drops the cache entry that
-    holds its framed blocks, so the next head — on the fast route — is
+    holds its kept head bytes, so the next head — on the warm route — is
     the new copy's, even when the home kept the version."""
     coop = DCWSEngine(Location("coop", 8002), ServerConfig(), MemoryStore({}),
                       peers=[HOME])
@@ -353,21 +419,21 @@ def test_hosted_copies_have_no_memo_to_go_stale():
               (b"<html>three</html>", "5"))
     for turn, (body, version) in enumerate(copies):
         pulled = install(body, version, 1.0 + turn)
-        # The memo's fill, then its first copy.
+        # The memo's fill, then its first reuse.
         served = fast_twice(coop, lambda: build("GET", None, key), 1.5 + turn)
-        assert served.response.serialize_head() == \
-            pulled.response.serialize_head()
-        assert served.response.body is pulled.response.body == body
+        assert served.head == pulled.response.serialize_head()
+        assert served.body is pulled.response.body == body
         assert validators(served) == {
             "ETag": etag_for(key, version), DIGEST_HEADER: body_digest(body),
             VERSION_HEADER: None, "Content-Length": str(len(body)),
             "Last-Modified": pulled.response.headers.get("Last-Modified")}
-        heads.append(served.response.serialize_head())
+        heads.append(served.head)
     assert len(set(heads)) == len(copies)
     assert coop.stats.fast_hits == 2 * len(copies)
-    # Only the last copy's entry is left, holding the block just copied.
+    # Only the last copy's entry is left, holding the head just sent.
     (entry,) = cache_entries(coop)
     assert entry.body == copies[-1][0] and entry.framed
+    assert served.head in entry.framed.values()
 
 
 # -- conditional requests: the 304 short-circuit ---------------------------
@@ -668,6 +734,66 @@ def test_three_hosts_one_script():
         assert booked["reconstructions"] == cleaned == 2
 
 
+# -- the connection's last answer ------------------------------------------
+
+def read_answer(sock, method="GET"):
+    """One response off *sock*: its head, and its body read to the
+    length its head frames."""
+    wire = b""
+    while b"\r\n\r\n" not in wire:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed mid-response"
+        wire += chunk
+    head, __, body = wire.partition(b"\r\n\r\n")
+    length = int(re.search(rb"(?i)\r\ncontent-length: (\d+)",
+                           head).group(1))
+    if method == "HEAD" or head[9:12] == b"304":
+        length = 0
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed mid-body"
+        body += chunk
+    assert len(body) == length, "more than one response's bytes"
+    return head + b"\r\n\r\n", body
+
+
+@pytest.mark.parametrize("server_cls", [AsyncDCWSServer, ThreadedDCWSServer])
+def test_the_capped_answer_says_close_and_the_server_closes(server_cls):
+    """Warm answers are sent as they were kept, so the connection's
+    ``keep_alive_max_requests``-th — on either front end, a cached 200
+    or a 304 — must not be one of them: it says ``Connection: close``,
+    no ``Keep-Alive``, and the server closes after it."""
+    config = ServerConfig(keep_alive_max_requests=4)
+    location = Location("127.0.0.1", free_port())
+    etag = etag_for("/big.html", 0)
+    asks = [(b"GET /big.html HTTP/1.1\r\nHost: h\r\n"
+             b"Accept-Encoding: gzip\r\n\r\n"),
+            (b"GET /big.html HTTP/1.1\r\nHost: h\r\n"
+             b"If-None-Match: " + etag.encode() + b"\r\n\r\n")]
+    for raw in asks:
+        engine = DCWSEngine(location, config, MemoryStore(SITE),
+                            entry_points=["/index.html"])
+        with server_cls(engine), socket.create_connection(
+                ("127.0.0.1", location.port), timeout=5.0) as sock:
+            heads = []
+            for __ in range(config.keep_alive_max_requests):
+                sock.sendall(raw)
+                heads.append(read_answer(sock)[0])
+            assert sock.recv(1) == b""          # closed after the last
+        assert engine.stats.fast_hits >= 2      # the warm route answered
+        *kept, last = heads
+        for head in kept:
+            assert b"\r\nConnection: keep-alive\r\n" in head
+            assert b"\r\nKeep-Alive: timeout=" in head
+        assert b"\r\nConnection: close\r\n" in last
+        assert b"Keep-Alive" not in last
+        # Otherwise the last head is the one the warm route sent before.
+        assert last.replace(b"Connection: close\r\n", b"") == \
+            re.sub(rb"Connection: keep-alive\r\nKeep-Alive: [^\r]*\r\n",
+                   b"", kept[-1])
+        assert len({int(head[9:12]) for head in heads[1:]}) == 1
+
+
 # -- a copy's home and a co-op, one script --------------------------------
 
 def without(head: bytes, *names: bytes) -> bytes:
@@ -927,70 +1053,73 @@ def assert_cold_parse_asks_once(monkeypatch, raw):
     assert calls == {"__init__": 1}, calls
 
 
+def count_messages(monkeypatch, calls):
+    """Count what a turn builds: responses, field-list copies, requests."""
+    counted(monkeypatch, Response, "__init__", calls)
+    counted(monkeypatch, Headers, "copy", calls)
+    counted(monkeypatch, Request, "__post_init__", calls)
+
+
 def test_one_warm_cached_get_asks_its_fields_once(monkeypatch):
-    """Parse, ``_engine_dispatch``, ``_settle_keep_alive`` and
-    ``serialize_head`` for one warm cached GET: before the facts record
-    this was 8 ``Headers.get``, 4 ``get_all`` and ``Connection``
-    interpreted three times.  Now the request's facts are worked out
-    once, when its head is first parsed (the head memo keeps them, so a
-    warm head's turn works out none), and the response's not at all —
-    its block was stored with them, and a copy starts with its
-    original's."""
+    """Parse and ``_engine_dispatch`` for one warm cached GET, the turn
+    both front ends run: before the facts record this was 8
+    ``Headers.get``, 4 ``get_all`` and ``Connection`` interpreted three
+    times.  Now the request's facts are worked out once, when its head
+    is first parsed (the head memo keeps them, so a warm head's turn
+    works out none), and the response's not at all — its head bytes
+    were kept whole.  Nor does a warm turn, a GET's or a 304's, build a
+    ``Request``, a ``Response`` or a copy of any field list: the answer
+    is the kept head bytes and the cached body object."""
     engine = make_engine()
     host = AsyncDCWSServer(engine)      # never started: no sockets
     raw = (b"GET /big.html HTTP/1.1\r\nHost: h\r\n"
            b"Accept-Encoding: gzip\r\nConnection: keep-alive\r\n\r\n")
     parser = RequestParser()
 
-    def turn(now):
+    def turn(now, raw=raw):
         parser.feed(raw)
-        request = parser.next_request()
-        reply = host._engine_dispatch(request, now)
-        assert host._settle_keep_alive(3, request, reply.response)
-        return request, reply, reply.response.serialize_head()
+        head, body = parser.next_head()
+        return host._engine_dispatch(head, now, body=body, served=3)
 
     assert_cold_parse_asks_once(monkeypatch, raw)
-    turn(1.0)                           # the cache fill, by the slow route
+    filled = turn(1.0).response         # the cache fill, by the slow route
     turn(2.0)                           # the flavour's first short-circuit
     calls = {}
     counted(monkeypatch, Headers, "get", calls)
     counted(monkeypatch, Headers, "get_all", calls)
     counted(monkeypatch, _Facts, "__init__", calls)
+    count_messages(monkeypatch, calls)
     fast_hits = engine.stats.fast_hits
-    request, reply, head = turn(3.0)
+    head, body, persists = turn(3.0)
     assert engine.stats.fast_hits == fast_hits + 1
     assert calls.get("get", 0) <= 2, calls
     assert calls.get("get_all", 0) <= 1, calls    # Content-Length, strictly
-    assert calls.get("__init__", 0) == 0, calls   # a warm head's came with it
+    assert calls.get("__init__", 0) == 0, calls   # nothing built, no facts
+    assert "copy" not in calls and "__post_init__" not in calls, calls
+    assert persists
     assert b"Content-Encoding: gzip" in head
     assert b"Connection: keep-alive" in head
-    # A copy of a stored block arrives with its facts filled in.
+    # What went out is the kept head itself and the cached variant.
     (cached,) = [entry for entry in cache_entries(engine)
                  if entry.gzip_body is not None and entry.framed]
-    for block in cached.framed.values():
-        calls.clear()
-        copy = block.copy()
-        assert copy.facts() is block.facts() and copy.facts().framed
-        assert "__init__" not in calls
+    assert head is cached.framed[(True, True)] and body is cached.gzip_body
     # The same holds for a 304 off the rendition.
     conditional_raw = raw[:-2] + b"If-None-Match: " + \
-        reply.response.headers.get("ETag").encode() + b"\r\n\r\n"
-    for now in (4.0, 5.0):
-        parser.feed(conditional_raw)
-        request = parser.next_request()
-        calls.clear()
-        not_modified = host._engine_dispatch(request, now).response
-        assert not_modified.status == 304
-        host._settle_keep_alive(3, request, not_modified)
-        not_modified.serialize_head()
-    assert calls.get("__init__", 0) == 0, calls
+        filled.headers.get("ETag").encode() + b"\r\n\r\n"
+    turn(4.0, conditional_raw)          # the 304's first, rendered
+    calls.clear()
+    head, body, persists = turn(5.0, conditional_raw)
+    assert head.split()[1] == b"304" and body == b"" and persists
+    assert head is cached.not_modified[True]
+    assert calls.get("get", 0) <= 1, calls        # If-None-Match
+    assert not {"__init__", "copy", "__post_init__"} & set(calls), calls
 
 
 def test_one_warm_hosted_get_asks_its_fields_once(monkeypatch):
     """A co-op's warm GET of a hosted copy costs what a home's does: it
     never reaches ``handle_request`` or ``_serve_copy``, asks the
-    request's fields once (at the head's first parse), and books its
-    hit on the hosted entry."""
+    request's fields once (at the head's first parse), builds no
+    message, and books its hit on the hosted entry."""
     coop = coop_engine()
     host = AsyncDCWSServer(coop)        # never started: no sockets
     key = key_of("/big.html")
@@ -1000,10 +1129,8 @@ def test_one_warm_hosted_get_asks_its_fields_once(monkeypatch):
 
     def turn(now):
         parser.feed(raw)
-        request = parser.next_request()
-        reply = host._engine_dispatch(request, now)
-        assert host._settle_keep_alive(3, request, reply.response)
-        return reply, reply.response.serialize_head()
+        head, body = parser.next_head()
+        return host._engine_dispatch(head, now, body=body, served=3)
 
     assert_cold_parse_asks_once(monkeypatch, raw)
     turn(1.0)                           # the cache fill, by the slow route
@@ -1013,14 +1140,17 @@ def test_one_warm_hosted_get_asks_its_fields_once(monkeypatch):
                         (_Facts, "__init__"), (DCWSEngine, "handle_request"),
                         (DCWSEngine, "_serve_copy")):
         counted(monkeypatch, owner, name, calls)
+    count_messages(monkeypatch, calls)
     fast_hits, hits = coop.stats.fast_hits, coop.hosted[key].hits
-    reply, head = turn(3.0)
+    head, body, persists = turn(3.0)
     assert coop.stats.fast_hits == fast_hits + 1
-    assert coop.hosted[key].hits == hits + 1 and reply.doc_name == key
+    assert coop.hosted[key].hits == hits + 1 and persists
     assert "handle_request" not in calls and "_serve_copy" not in calls
     assert calls.get("get", 0) <= 2, calls
     assert calls.get("get_all", 0) <= 1, calls    # Content-Length, strictly
-    assert calls.get("__init__", 0) == 0, calls   # a warm head's came with it
+    assert calls.get("__init__", 0) == 0, calls   # nothing built, no facts
+    assert "copy" not in calls and "__post_init__" not in calls, calls
     assert b"Content-Encoding: gzip" in head
     assert b"Connection: keep-alive" in head
     assert VERSION_HEADER.encode() not in head
+    assert body is coop.response_cache.peek(key).gzip_body

@@ -8,6 +8,13 @@ from repro.errors import HTTPError
 from repro.server.threaded import _RequestReader
 
 
+def read_request(reader):
+    """The next request off *reader* as a worker gets it — its memoised
+    head and body — made into a ``Request``; ``None`` on clean EOF."""
+    found = reader.read_head()
+    return None if found is None else found[0].request(found[1])
+
+
 @pytest.fixture()
 def pair():
     a, b = socket.socketpair()
@@ -23,7 +30,7 @@ def pair():
 def test_reads_single_request(pair):
     client, server = pair
     client.sendall(b"GET /x.html HTTP/1.0\r\nHost: h\r\n\r\n")
-    request = _RequestReader(server).read_request()
+    request = read_request(_RequestReader(server))
     assert request.method == "GET"
     assert request.target == "/x.html"
     assert request.body == b""
@@ -33,7 +40,7 @@ def test_reads_body_by_content_length(pair):
     client, server = pair
     client.sendall(b"POST /x HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello-EXTRA")
     reader = _RequestReader(server)
-    request = reader.read_request()
+    request = read_request(reader)
     assert request.body == b"hello"
     # Bytes past the frame stay buffered for the next request.
     assert reader.buffered
@@ -43,16 +50,16 @@ def test_pipelined_requests_served_in_turn(pair):
     client, server = pair
     client.sendall(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n")
     reader = _RequestReader(server)
-    assert reader.read_request().target == "/a"
+    assert read_request(reader).target == "/a"
     assert reader.buffered
-    assert reader.read_request().target == "/b"
+    assert read_request(reader).target == "/b"
     assert not reader.buffered
 
 
 def test_clean_eof_between_requests_returns_none(pair):
     client, server = pair
     client.close()
-    assert _RequestReader(server).read_request() is None
+    assert read_request(_RequestReader(server)) is None
 
 
 def test_eof_mid_head_raises(pair):
@@ -60,7 +67,7 @@ def test_eof_mid_head_raises(pair):
     client.sendall(b"GET /x.html HTTP/1.0\r\nHost:")
     client.close()
     with pytest.raises(HTTPError):
-        _RequestReader(server).read_request()
+        read_request(_RequestReader(server))
 
 
 def test_truncated_body_raises_instead_of_short_request(pair):
@@ -70,4 +77,4 @@ def test_truncated_body_raises_instead_of_short_request(pair):
     client.sendall(b"POST /x HTTP/1.0\r\nContent-Length: 100\r\n\r\npartial")
     client.close()
     with pytest.raises(HTTPError):
-        _RequestReader(server).read_request()
+        read_request(_RequestReader(server))
