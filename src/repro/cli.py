@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="threaded",
                        help="socket front end: thread-per-connection "
                             "(the paper's prototype) or the nonblocking "
-                            "event loop (thousands of keep-alive clients)")
+                            "epoll event loop (Linux; thousands of "
+                            "keep-alive clients)")
     serve.add_argument("--replication-k", type=int, default=1, metavar="K",
                        help="replication-group size for hot documents: "
                             "K >= 2 enables k-copy placement with "
@@ -106,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.server.aio import AsyncDCWSServer
     from repro.server.engine import DCWSEngine
     from repro.server.filestore import DiskStore
     from repro.server.threaded import ThreadedDCWSServer
@@ -131,8 +131,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_replicas=max(config.max_replicas, replication_k))
     engine = DCWSEngine(Location(args.host, args.port), config, store,
                         entry_points=entries, peers=peers)
-    server_cls = (AsyncDCWSServer if getattr(args, "front_end", "threaded")
-                  == "aio" else ThreadedDCWSServer)
+    server_cls = ThreadedDCWSServer
+    if getattr(args, "front_end", "threaded") == "aio":
+        from repro.server.aio import AsyncDCWSServer  # needs Linux epoll
+
+        server_cls = AsyncDCWSServer
     server = server_cls(engine, snapshot_path=args.state_file,
                         journal_path=getattr(args, "journal", None))
     server.start()

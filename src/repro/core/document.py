@@ -28,6 +28,20 @@ class Location:
     host: str
     port: int
 
+    def __eq__(self, other: object) -> bool:
+        # Identity first: a record at home holds the engine's own
+        # Location, so the common comparison is decided by ``is``.  The
+        # dataclass still derives the hash from (host, port).
+        if self is other:
+            return True
+        if other.__class__ is not Location:
+            return NotImplemented
+        return self.host == other.host and self.port == other.port
+
+    def __ne__(self, other: object) -> bool:
+        # Spelled out so that ``!=`` on the same object is one call too.
+        return self is not other and not self == other
+
     @classmethod
     def parse(cls, text: str) -> "Location":
         host, sep, port_text = text.partition(":")

@@ -24,6 +24,12 @@ Usage pattern (the "feed bytes, ask for requests" loop)::
 middle of a request head or body raises :class:`HTTPError`: a truncated
 request is never silently accepted.
 
+A closed-loop client's ``recv`` usually holds exactly one bodiless
+request.  :meth:`RequestParser.feed_whole` takes such a chunk whole —
+no copy into the stream buffer, no scan for the next head — and hands
+every other chunk to :meth:`~RequestParser.feed`, so one copy of the
+framing rules decides both ways in.
+
 Traffic repeats whole request heads byte for byte, so each head is parsed
 once per process: :func:`_parsed_head` memoises what
 :func:`~repro.http.messages.parse_request_head` makes of the head bytes as
@@ -139,6 +145,36 @@ class RequestParser:
         self._buffer.extend(data)
         if len(self._buffer) > self.max_request:
             raise HTTPError("request exceeds size limit")
+
+    def feed_whole(self, data: bytes) -> Optional[ParsedHead]:
+        """Feed one received chunk; return its head when the chunk is a
+        whole bodiless request on its own.
+
+        The usual turn of a closed-loop client: nothing is buffered and
+        the chunk is exactly one head, its terminator at the very end, no
+        longer than :data:`HEAD_MEMO_MAX_BYTES`, and the head parses with
+        no body to frame.  Then the chunk is consumed as it is — no copy
+        into the stream buffer, no second scan — and its memoised
+        :class:`ParsedHead` is returned, as :meth:`next_head` would have
+        returned it.  Any other chunk (a partial or pipelined request, a
+        body, a head the memo does not keep, one that does not parse, a
+        chunk after EOF or over the size limit) is handed to :meth:`feed`
+        and ``None`` returned, so :meth:`feed` and :meth:`next_head`
+        frame it, or refuse it, exactly as they frame any chunk.
+        """
+        end = len(data) - 4
+        if not self._buffer and 0 <= end <= HEAD_MEMO_MAX_BYTES \
+                and data.find(_HEAD_TERMINATOR) == end \
+                and not self._eof and end + 4 <= self.max_request:
+            try:
+                head = _parsed_head(data[:end])
+            except HTTPError:
+                pass    # refused again, by next_head, the one way it is
+            else:
+                if not head.length:
+                    return head
+        self.feed(data)
+        return None
 
     def feed_eof(self) -> None:
         """The peer closed its sending side; no more bytes will arrive."""

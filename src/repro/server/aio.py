@@ -1,32 +1,39 @@
-"""Event-loop front end: nonblocking keep-alive serving on ``selectors``.
+"""Event-loop front end: nonblocking keep-alive serving on Linux ``epoll``.
 
 :class:`AsyncDCWSServer` hosts the same :class:`DCWSEngine` as the
 threaded front end (:mod:`repro.server.threaded`), but multiplexes every
 client connection on a single event-loop thread instead of parking one
 thread per connection.  The thread-per-connection model caps concurrency
 at the worker count long before the engine saturates — an idle keep-alive
-client pins a whole worker; here an idle connection costs one selector
+client pins a whole worker; here an idle connection costs one epoll
 registration and a few hundred bytes of state, so one loop absorbs
-thousands of concurrent keep-alive clients.
+thousands of concurrent keep-alive clients.  It needs ``select.epoll``
+(Linux); the threaded front end is the portable one.
 
 Structure:
 
-- **One loop thread** owns the listener, a ``selectors.DefaultSelector``,
-  and every connection's read/write state machine (:class:`_Connection`).
-  Requests are parsed incrementally by the sans-I/O
+- **One loop thread** owns the listener, a ``select.epoll`` object with
+  an fd → handler map beside it, and every connection's read/write
+  state machine (:class:`_Connection`).  An ``EPOLLHUP`` or ``EPOLLERR``
+  counts as readable and writable, masked by the registered interest —
+  what ``selectors`` makes of them.  Requests are parsed by the sans-I/O
   :class:`repro.http.wire.RequestParser` — the identical protocol code
   the threaded front end uses.
-- **In-memory dispatches stay on the loop.**  One request through the
-  engine under the engine lock is a dictionary-and-string affair; the
-  loop never holds the lock longer than one such dispatch.  A warm
-  cached read builds no message objects at all: the parser hands over
-  the head memo's :class:`~repro.http.wire.ParsedHead`, the engine's
+- **A warm GET is one turn.**  One epoll wake, one ``recv``, one engine
+  call, one ``sendmsg``: a ``recv`` that holds exactly one whole
+  bodiless head, on a connection with nothing buffered and nothing in
+  flight, is framed by :meth:`~repro.http.wire.RequestParser.feed_whole`
+  straight from the received bytes; the memoised
+  :class:`~repro.http.wire.ParsedHead` goes to
+  :meth:`~repro.server.dispatch.SocketHost._engine_dispatch`, whose
   warm route (:meth:`~repro.server.engine.DCWSEngine.serve_warm`)
   answers with the finished head bytes and the body its copy-cache
   entry holds, and the loop hands the two to one ``sendmsg`` as they
-  are.  What that route does not answer becomes a
-  :class:`~repro.http.messages.Request` and goes to
-  ``engine.handle_request``.
+  are.  Every other chunk goes through the parser's stream
+  (:meth:`_pump`, request by request); what the warm route does not
+  answer becomes a :class:`~repro.http.messages.Request` and goes to
+  ``engine.handle_request``.  In-memory dispatches stay on the loop:
+  the loop never holds the engine lock longer than one of them.
 - **Blocking work leaves the loop.**  Network transfers — lazy-migration
   pulls and the periodic validations and pings — plus the journal's
   fsync and checkpoints run on a small
@@ -34,8 +41,7 @@ Structure:
   :class:`repro.server.dispatch.SocketHost`'s, shared with the threaded
   front end.  A pull's completion re-enters the loop through a
   *self-pipe*: the executor thread appends a callback to a queue and
-  writes one byte to a ``socketpair`` the selector watches, waking the
-  loop.
+  writes one byte to a ``socketpair`` the loop watches, waking it.
 - **Admission control lives at the accept edge** (where the paper's
   section 5.2 overload rule belongs): beyond ``config.max_connections``
   open connections, new arrivals are shed immediately with
@@ -56,11 +62,11 @@ completion posts back — one in-flight blocking job per connection.
 from __future__ import annotations
 
 import collections
-import selectors
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from select import EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, epoll
 from typing import Any, Callable, Deque, Dict, Optional, Tuple, Union
 
 from repro.errors import HTTPError, RecoverableProtocolError, ReproError
@@ -71,9 +77,9 @@ from repro.server.dispatch import SocketHost, close_quietly
 from repro.server.engine import DCWSEngine, EngineReply
 
 _RECV_CHUNK = 65536
-#: Seconds between deadline checks, and the longest sleep in ``select``.
+#: Seconds between deadline checks, and the longest sleep in ``poll``.
 _REAP_PERIOD = 0.1
-_HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
+_HANG_UP = EPOLLHUP | EPOLLERR
 
 
 class _OutQueue:
@@ -135,8 +141,8 @@ class _Connection:
     clock); :meth:`AsyncDCWSServer._reap` checks it every
     ``_REAP_PERIOD``.  ``busy`` marks a blocking dispatch in the executor;
     the connection is never reaped nor further dispatched while set.
-    ``events`` mirrors the selector registration so interest updates are
-    cheap and idempotent.
+    ``events`` mirrors the epoll registration (0: not registered) so
+    interest updates are cheap and idempotent.
     """
 
     __slots__ = ("sock", "parser", "out", "served", "deadline", "busy",
@@ -162,13 +168,17 @@ class AsyncDCWSServer(SocketHost):
 
     def __init__(self, engine: DCWSEngine, **options: Any) -> None:
         super().__init__(engine, **options)
-        self._selector: Optional[selectors.BaseSelector] = None
+        self._epoll: Optional[epoll] = None
+        # What epoll watches, by fd: a connection, or the listener's and
+        # the self-pipe's handler.
+        self._handlers: Dict[int, Union[_Connection,
+                                        Callable[[], None]]] = {}
         self._thread: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self.connections_shed = 0
         self._connections: Dict[socket.socket, _Connection] = {}
         # Self-pipe: executor threads append completions and write one
-        # byte to wake the selector; the loop drains both.
+        # byte to wake the loop; the loop drains both.
         self._completions: Deque[Callable[[], None]] = collections.deque()
         self._wakeup_recv: Optional[socket.socket] = None
         self._wakeup_send: Optional[socket.socket] = None
@@ -209,11 +219,11 @@ class AsyncDCWSServer(SocketHost):
         self._wakeup_recv, self._wakeup_send = socket.socketpair()
         self._wakeup_recv.setblocking(False)
         self._wakeup_send.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ,
-                                self._on_accept)
-        self._selector.register(self._wakeup_recv, selectors.EVENT_READ,
-                                self._on_wakeup)
+        self._epoll = epoll()
+        for sock, handler in ((listener, self._on_accept),
+                              (self._wakeup_recv, self._on_wakeup)):
+            self._handlers[sock.fileno()] = handler
+            self._epoll.register(sock.fileno(), EPOLLIN)
         self._stop.clear()
         self._next_tick = time.monotonic() + self.tick_period
         self._running = True
@@ -247,28 +257,39 @@ class AsyncDCWSServer(SocketHost):
     # ------------------------------------------------------------------
 
     def _run_loop(self) -> None:
-        assert self._selector is not None
+        assert self._epoll is not None
+        poll = self._epoll.poll
+        handlers = self._handlers
         next_reap = 0.0
         try:
             while not self._stop.is_set():
                 timeout = min(max(self._next_tick - time.monotonic(), 0.0),
                               _REAP_PERIOD)
-                for key, mask in self._selector.select(timeout):
-                    data = key.data
+                for fd, event in poll(timeout):
+                    # Looked up now, not when poll returned: a handler
+                    # that ran earlier in this batch may have closed the
+                    # fd, and an accept reused it.  The event is then a
+                    # spurious one for a nonblocking socket, which a
+                    # recv or flush shrugs off.
+                    handler = handlers.get(fd)
+                    if handler is None:
+                        continue
+                    if handler.__class__ is not _Connection:
+                        handler()  # accept burst or wakeup drain
+                        continue
+                    if event & _HANG_UP:
+                        event |= EPOLLIN | EPOLLOUT
+                    event &= handler.events
                     try:
-                        if not isinstance(data, _Connection):
-                            data()  # accept burst or wakeup drain
-                            continue
-                        if mask & selectors.EVENT_WRITE:
-                            self._flush(data)
-                            if data.sock not in self._connections:
+                        if event & EPOLLOUT:
+                            self._flush(handler)
+                            if handler.sock not in self._connections:
                                 continue  # flushed its last and closed
-                        if mask & selectors.EVENT_READ:
-                            self._read(data)
+                        if event & EPOLLIN:
+                            self._read(handler)
                     except Exception:
                         # A broken connection must never kill the loop.
-                        if isinstance(data, _Connection):
-                            self._close(data)
+                        self._close(handler)
                 now = time.monotonic()
                 if now >= self._next_tick:
                     self._tick(now)
@@ -290,9 +311,10 @@ class AsyncDCWSServer(SocketHost):
                     pass
         self._wakeup_recv = None
         self._wakeup_send = None
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
+        self._handlers.clear()
+        if self._epoll is not None:
+            self._epoll.close()
+            self._epoll = None
 
     # -- self-pipe ------------------------------------------------------
 
@@ -346,8 +368,7 @@ class AsyncDCWSServer(SocketHost):
             return
         conn = _Connection(sock, time.monotonic() + self.request_timeout)
         self._connections[sock] = conn
-        self._selector.register(sock, selectors.EVENT_READ, conn)
-        conn.events = selectors.EVENT_READ
+        self._update_interest(conn)
 
     def _shed(self, sock: socket.socket) -> None:
         """Over the connection cap: graceful 503 drop at the edge.
@@ -355,7 +376,7 @@ class AsyncDCWSServer(SocketHost):
         The 503 goes through the normal buffered write path — a real
         :class:`_Connection` with ``close_after_flush`` set and reads
         left paused — so a partial nonblocking send completes via
-        selector write events instead of truncating the response on the
+        ``EPOLLOUT`` events instead of truncating the response on the
         wire (a bare ``send()`` here used to do exactly that under
         pressure).  The accept path still never blocks: queuing is
         nonblocking, and a client that refuses to drain its 503 is
@@ -368,7 +389,7 @@ class AsyncDCWSServer(SocketHost):
         conn.close_after_flush = True
         conn.reads_paused = True
         self._connections[sock] = conn
-        self._send(conn, *self._wire_of(self._refuse()))
+        self._queue(conn, *self._wire_of(self._refuse()))
 
     # -- per-connection reads -------------------------------------------
 
@@ -382,11 +403,21 @@ class AsyncDCWSServer(SocketHost):
             return
         now = time.monotonic()
         if chunk:
-            arming = not conn.parser.buffered
+            parser = conn.parser
+            arming = not parser.buffered
+            head = None
             try:
-                conn.parser.feed(chunk)
+                if conn.busy or conn.close_after_flush:
+                    parser.feed(chunk)  # waits behind what is in flight
+                else:
+                    head = parser.feed_whole(chunk)
             except HTTPError:
                 self._fail(conn, StatusCode.BAD_REQUEST)
+                return
+            if head is not None:
+                # The whole-chunk turn: one request, nothing behind it,
+                # answered now.
+                self._turn(conn, head, b"", now)
                 return
             if arming:
                 # First byte of a new request: the whole request must
@@ -418,20 +449,13 @@ class AsyncDCWSServer(SocketHost):
                 return
             if found is None:
                 break
-            self._handle_request(conn, *found, now)
-        if conn.sock not in self._connections or conn.busy:
-            return
-        if conn.parser.eof and not conn.close_after_flush:
+            self._turn(conn, *found, now)
+        if conn.parser.eof and not conn.busy \
+                and not conn.close_after_flush \
+                and conn.sock in self._connections:
             # Peer finished sending cleanly; flush what we owe and close.
             conn.close_after_flush = True
             self._flush(conn)
-            return
-        if len(conn.out) >= self.engine.config.write_buffer_limit \
-                and not conn.reads_paused:
-            # Backpressure: responses are not draining — stop reading
-            # until _flush() brings the buffer under the low-water mark.
-            conn.reads_paused = True
-            self._update_interest(conn)
 
     # -- dispatch -------------------------------------------------------
 
@@ -439,13 +463,14 @@ class AsyncDCWSServer(SocketHost):
         """Open connections against the admission cap, as a fraction."""
         return len(self._connections) / self.engine.config.max_connections
 
-    def _handle_request(self, conn: _Connection, head: ParsedHead,
-                        body: bytes, now: float) -> None:
+    def _turn(self, conn: _Connection, head: ParsedHead, body: bytes,
+              now: float) -> None:
+        """Answer one framed request: the engine's warm triple or its
+        reply onto the wire, or its pull into the executor."""
         result = self._engine_dispatch(head, now, body=body,
                                        served=conn.served + 1)
-        if isinstance(result, tuple):
-            wire, payload, persists = result
-            self._answer(conn, wire, payload, persists)
+        if result.__class__ is tuple:
+            self._answer(conn, *result)
             return
         if isinstance(result, EngineReply):
             self._enqueue_response(conn, head, result.response)
@@ -487,8 +512,14 @@ class AsyncDCWSServer(SocketHost):
     def _answer(self, conn: _Connection, head: bytes, body: bytes,
                 keep: bool) -> None:
         """Count the connection's next answer, mark it the last unless
-        *keep*, re-arm the deadline and send it — straight to the socket
-        when nothing is queued ahead of it."""
+        *keep*, re-arm the deadline and put head and body on the wire,
+        behind whatever is queued.
+
+        With nothing queued — the usual turn — one ``sendmsg`` hands the
+        kernel the head and the (possibly cached, shared) body object
+        itself.  Only what it did not take, or what must wait behind an
+        earlier remainder, is queued (:meth:`_queue`).
+        """
         conn.served += 1
         if not keep:
             conn.close_after_flush = True
@@ -496,7 +527,20 @@ class AsyncDCWSServer(SocketHost):
         # that never drains its responses is reaped at the same deadline.
         conn.deadline = time.monotonic() \
             + self.engine.config.keep_alive_timeout
-        self._send(conn, head, body)
+        sent = 0
+        if not conn.out:
+            try:
+                sent = conn.sock.sendmsg((head, body))
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                self._close(conn)
+                return
+            if sent == len(head) + len(body):
+                if conn.close_after_flush:
+                    self._close(conn)
+                return
+        self._queue(conn, head, body, sent)
 
     @staticmethod
     def _wire_of(response: Response) -> Tuple[bytes, bytes]:
@@ -510,29 +554,13 @@ class AsyncDCWSServer(SocketHost):
                 body = handle.read()
         return response.serialize_head(), body
 
-    def _send(self, conn: _Connection, head: bytes, body: bytes) -> None:
-        """Put head and body on the wire, behind whatever is queued.
-
-        With nothing queued — the usual turn — one ``sendmsg`` hands the
-        kernel the head and the (possibly cached, shared) body object
-        itself.  Only what it did not take, or what must wait behind an
-        earlier remainder, becomes :class:`_OutQueue` segments, and
-        :meth:`_flush` stays the one drain of those (backpressure,
-        ``close_after_flush`` and the write deadman hang on it).
-        """
-        sent = 0
-        if not conn.out and _HAS_SENDMSG:
-            try:
-                sent = conn.sock.sendmsg((head, body))
-            except (BlockingIOError, InterruptedError):
-                pass
-            except OSError:
-                self._close(conn)
-                return
-            if sent == len(head) + len(body):
-                if conn.close_after_flush:
-                    self._close(conn)
-                return
+    def _queue(self, conn: _Connection, head: bytes, body: bytes,
+               sent: int = 0) -> None:
+        """Queue head and body, less the *sent* bytes the kernel already
+        took, as :class:`_OutQueue` segments behind whatever is queued,
+        and flush: :meth:`_flush` is the one drain of the queue
+        (backpressure, ``close_after_flush`` and the write deadman hang
+        on it)."""
         conn.out.append(head)
         conn.out.append(body)
         conn.out.advance(sent)
@@ -544,22 +572,26 @@ class AsyncDCWSServer(SocketHost):
         response.headers.set("Connection", "close")
         conn.close_after_flush = True
         conn.reads_paused = True
-        self._send(conn, *self._wire_of(response))
+        self._queue(conn, *self._wire_of(response))
 
     # -- writes ---------------------------------------------------------
 
     def _flush(self, conn: _Connection) -> None:
+        """Drain what is queued, then set reads against the queue.
+
+        Backpressure lives here, beside the one drain: a queue at
+        ``write_buffer_limit`` pauses reading from the connection (its
+        responses are not draining), and reading resumes once the queue
+        is back under half the limit.
+        """
         if conn.sock not in self._connections:
             return
         if conn.out:
             try:
-                if _HAS_SENDMSG:
-                    # Gather write straight from the segment queue: one
-                    # syscall covers head + body (+ pipelined followers)
-                    # with zero user-space concatenation.
-                    sent = conn.sock.sendmsg(conn.out.buffers())
-                else:
-                    sent = conn.sock.send(conn.out.buffers(1)[0])
+                # Gather write straight from the segment queue: one
+                # syscall covers head + body (+ pipelined followers)
+                # with zero user-space concatenation.
+                sent = conn.sock.sendmsg(conn.out.buffers())
                 if sent:
                     conn.out.advance(sent)
             except (BlockingIOError, InterruptedError):
@@ -570,37 +602,47 @@ class AsyncDCWSServer(SocketHost):
         if conn.close_after_flush and not conn.out:
             self._close(conn)
             return
-        if conn.reads_paused and not conn.close_after_flush \
-                and len(conn.out) <= \
-                self.engine.config.write_buffer_limit // 2:
+        limit = self.engine.config.write_buffer_limit
+        if len(conn.out) >= limit:
+            conn.reads_paused = True
+        elif conn.reads_paused and not conn.close_after_flush \
+                and len(conn.out) <= limit // 2:
             conn.reads_paused = False  # backpressure released
         self._update_interest(conn)
 
     def _update_interest(self, conn: _Connection) -> None:
+        """Register what the connection waits for — reads unless paused
+        or half-closed, writes while anything is queued — with epoll and
+        in the handler map."""
         desired = 0
         if not conn.reads_paused and not conn.parser.eof:
-            desired |= selectors.EVENT_READ
+            desired |= EPOLLIN
         if conn.out:
-            desired |= selectors.EVENT_WRITE
-        if desired == conn.events or self._selector is None:
+            desired |= EPOLLOUT
+        if desired == conn.events or self._epoll is None:
             return
         try:
+            fd = conn.sock.fileno()
             if conn.events == 0:
-                self._selector.register(conn.sock, desired, conn)
+                self._epoll.register(fd, desired)
+                self._handlers[fd] = conn
             elif desired == 0:
-                self._selector.unregister(conn.sock)
+                self._epoll.unregister(fd)
+                del self._handlers[fd]
             else:
-                self._selector.modify(conn.sock, desired, conn)
+                self._epoll.modify(fd, desired)
             conn.events = desired
         except (KeyError, ValueError, OSError):
             self._close(conn)
 
     def _close(self, conn: _Connection) -> None:
         self._connections.pop(conn.sock, None)
-        if conn.events and self._selector is not None:
+        if conn.events and self._epoll is not None:
+            fd = conn.sock.fileno()
+            self._handlers.pop(fd, None)
             try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError, OSError):
+                self._epoll.unregister(fd)
+            except (ValueError, OSError):
                 pass
         conn.events = 0
         close_quietly(conn.sock)

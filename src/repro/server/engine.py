@@ -711,11 +711,8 @@ class DCWSEngine:
                 return None
         else:
             copy = self.graph.find(path)
-            # A record at home holds the engine's own Location object:
-            # the identity test spares the dataclass comparison.
-            if copy is None or copy.dirty or (
-                    copy.location is not self.location
-                    and copy.location != self.location):
+            if copy is None or copy.dirty \
+                    or copy.location != self.location:
                 return None
         if facts.conditional:
             # A 304 is all head and needs no cached 200, so the

@@ -4,7 +4,7 @@ Two DCWS servers run on loopback ports; a real HTTP client exercises
 serving, migration, redirection, lazy pulls, piggybacking and the
 periodic machinery — the same flows the simulator models, on actual TCP
 connections.  The whole suite is parametrized over the two socket front
-ends (thread-per-connection and the selectors event loop), which must be
+ends (thread-per-connection and the epoll event loop), which must be
 behaviourally identical: same engine, same protocol code, same answers.
 """
 
@@ -126,6 +126,37 @@ class TestMigrationOverSockets:
         assert outcome.redirected
         key = f"/~migrate/127.0.0.1/{home.port}/d.html"
         assert coop.engine.hosted[key].fetched
+
+    def test_a_warm_get_behind_a_pull_is_answered_after_it(self, pair):
+        """A warm GET that arrives as one whole chunk while the co-op's
+        pull for an earlier request on the same connection is still out
+        waits for that pull: answers keep request order."""
+        home, coop = pair
+        with home._lock:
+            for name in ("/d.html", "/e.html"):
+                home.engine.policy.force_migrate(
+                    name, coop.engine.location, time.monotonic())
+        cold = f"/~migrate/127.0.0.1/{home.port}/d.html".encode()
+        warm = f"/~migrate/127.0.0.1/{home.port}/e.html".encode()
+        for __ in range(2):     # pulled, then answered from memory
+            assert fetch_url(url_of(coop, warm.decode())).status == 200
+        with socket.create_connection(("127.0.0.1", coop.port),
+                                      timeout=5) as raw:
+            with home._lock:    # the home cannot answer the pull yet
+                raw.sendall(b"GET " + cold + b" HTTP/1.1\r\nHost: h\r\n\r\n")
+                time.sleep(0.2)
+                raw.sendall(b"GET " + warm + b" HTTP/1.1\r\nHost: h\r\n"
+                            b"Connection: close\r\n\r\n")
+                time.sleep(0.2)
+            data = b""
+            while True:
+                chunk = raw.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        assert data.count(b" 200 OK\r\n") == 2
+        # /d.html links E; /e.html is the leaf.
+        assert data.index(b"E</a>") < data.index(b"<html>leaf</html>")
 
     def test_dirty_referrer_served_with_rewritten_links(self, pair):
         home, coop = pair

@@ -76,6 +76,16 @@ class TestUrls:
         assert location == Location("host", 8042)
         assert str(location) == "host:8042"
 
+    def test_equal_but_distinct_locations_compare_equal_and_hash_alike(self):
+        first, second = Location("host", 8042), Location.parse("host:8042")
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second) == hash(("host", 8042))
+        assert {first: "row"}[second] == "row"
+        assert first != Location("host", 8043)
+        assert first != Location("other", 8042)
+        assert first != "host:8042" and first != ("host", 8042)
+
     def test_location_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
             Location.parse("hostonly")

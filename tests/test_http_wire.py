@@ -7,9 +7,14 @@ framing, pipelining, dribbled feeds, EOF semantics, size limits.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import HTTPError, RecoverableProtocolError
-from repro.http.wire import DEFAULT_MAX_REQUEST, RequestParser
+from repro.http.wire import (
+    DEFAULT_MAX_REQUEST,
+    HEAD_MEMO_MAX_BYTES,
+    RequestParser,
+)
 
 
 class TestFraming:
@@ -263,3 +268,154 @@ class TestLimits:
         parser.feed(b"POST /x HTTP/1.0\r\nContent-Length: 999\r\n\r\n")
         with pytest.raises(HTTPError):
             parser.next_request()
+
+
+class TestWholeChunk:
+    """``feed_whole`` frames a chunk that is one whole bodiless request
+    on its own and hands every other chunk to ``feed``: either way a
+    stream frames, and refuses, exactly what ``feed`` + ``next_head``
+    frame and refuse."""
+
+    def test_a_whole_bodiless_request_is_framed_on_the_spot(self):
+        parser = RequestParser()
+        wire = b"GET /x.html HTTP/1.1\r\nHost: h\r\n\r\n"
+        head = parser.feed_whole(wire)
+        assert (head.method, head.target, head.length) == ("GET", "/x.html", 0)
+        assert not parser.buffered
+        parser.feed(wire)
+        assert parser.next_head() == (head, b"")    # the memo's own head
+
+    @pytest.mark.parametrize("wire", [
+        b"GET /x HTTP/1.1\r\n",                             # partial
+        b"GET /x HTTP/1.1\r\n\r\nGET /y HTTP/1.1\r\n\r\n",    # pipelined
+        b"GET /x HTTP/1.1\r\n\r\n\r\n\r\n",                  # and an empty head
+        b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\n",    # body to come
+        b"GET /x HTTP/1.1\r\nX-Pad: " + b"p" * HEAD_MEMO_MAX_BYTES
+        + b"\r\n\r\n",                                    # never memoised
+        b"GET /x HTTP/1.1\r\nContent-Length: -1\r\n\r\n",    # recoverable
+    ])
+    def test_any_other_chunk_goes_to_the_stream(self, wire):
+        parser = RequestParser()
+        assert parser.feed_whole(wire) is None
+        assert parser.buffered
+
+    def test_a_chunk_behind_buffered_bytes_goes_to_the_stream(self):
+        wire = b"GET /y HTTP/1.1\r\n\r\n"
+        parser = RequestParser()
+        parser.feed(b"POST /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                    % len(wire))
+        assert parser.next_request() is None    # waiting for the body
+        assert parser.feed_whole(wire) is None  # ... which this chunk is
+        assert parser.next_request().body == wire
+
+    def test_after_eof_and_over_the_limit_feed_refuses(self):
+        parser = RequestParser()
+        parser.feed_eof()
+        with pytest.raises(HTTPError, match="after EOF"):
+            parser.feed_whole(b"GET /x HTTP/1.1\r\n\r\n")
+        with pytest.raises(HTTPError, match="size limit"):
+            RequestParser(max_request=16).feed_whole(
+                b"GET /x HTTP/1.1\r\n\r\n")
+
+
+#: Requests a pipeline is made of: warm-route GETs, bodies (one of them
+#: a GET's bytes), each way a Content-Length can be wrong,
+#: Transfer-Encoding, a head over the memo's size bound, a malformed
+#: request line and an empty head.
+_PIECES = [
+    b"GET /a.html HTTP/1.1\r\nHost: h\r\n\r\n",
+    b"GET /b/../c.html HTTP/1.0\r\n\r\n",
+    b"HEAD /a.html HTTP/1.1\r\nConnection: close\r\n\r\n",
+    b"GET /a.html HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    b"POST /p HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+    b"POST /p HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+    b"GET /p HTTP/1.1\r\nContent-Length: +5\r\n\r\n",
+    b"GET /p HTTP/1.1\r\nContent-Length: 0x1\r\n\r\n",
+    b"POST /p HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n"
+    b"\r\nabc",
+    b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+    b"GET /t HTTP/1.1\r\nTransfer-Encoding: identity\r\n\r\n",
+    b"GET /big HTTP/1.1\r\nX-Pad: " + b"p" * (HEAD_MEMO_MAX_BYTES + 8)
+    + b"\r\n\r\n",
+    b"NOT-HTTP\r\n\r\n",
+    b"\r\n\r\n",
+    b"POST /p HTTP/1.1\r\nContent-Length: 33\r\n\r\n"
+    b"GET /a.html HTTP/1.1\r\nHost: h\r\n\r\n",       # a body that is a GET
+]
+
+
+@st.composite
+def cut_pipelines(draw):
+    """A pipeline of requests, cut into the chunks that arrive, whether
+    the peer then closes, and the parser's size limit.  Cuts fall at
+    random bytes and, weighted in, where a request or its head ends —
+    the cuts that make a chunk exactly one head."""
+    pieces = draw(st.lists(st.sampled_from(_PIECES), min_size=1,
+                           max_size=6))
+    wire = b"".join(pieces)
+    if draw(st.booleans()):
+        wire = wire[:draw(st.integers(1, len(wire)))]   # cut off at EOF
+    marks, offset = set(), 0
+    for piece in pieces:
+        marks |= {offset, offset + piece.find(b"\r\n\r\n") + 4}
+        offset += len(piece)
+    if len(wire) > 1:
+        marks |= set(draw(st.lists(st.integers(1, len(wire) - 1),
+                                   max_size=4)))
+    marks = sorted(mark for mark in marks if 0 < mark < len(wire))
+    cuts = sorted(draw(st.sets(st.sampled_from(marks)))) if marks else []
+    chunks = [wire[start:end] for start, end
+              in zip([0] + cuts, cuts + [len(wire)])]
+    limit = draw(st.sampled_from([DEFAULT_MAX_REQUEST, 2048, 40]))
+    return chunks, draw(st.booleans()), limit
+
+
+def framed(chunks, eof, limit, whole):
+    """What a parser makes of *chunks*, fed whole-chunk first or only
+    by ``feed``: each request (head, body), each error, and the bytes
+    left buffered after each."""
+    parser = RequestParser(max_request=limit)
+    log = []
+
+    def note(*event):
+        log.append(event + (bytes(parser._buffer),))
+
+    def drain():
+        while True:
+            try:
+                found = parser.next_head()
+            except RecoverableProtocolError as exc:
+                note("400", str(exc))
+                continue
+            except HTTPError as exc:
+                note("fatal", str(exc))
+                return False
+            if found is None:
+                return True
+            head, body = found
+            note("request", head.method, head.target, head.version,
+                 list(head.headers.items()), head.route, body)
+
+    for chunk in chunks:
+        try:
+            head = parser.feed_whole(chunk) if whole else parser.feed(chunk)
+        except HTTPError as exc:
+            note("fatal", str(exc))
+            return log
+        if head is not None:
+            note("request", head.method, head.target, head.version,
+                 list(head.headers.items()), head.route, b"")
+        if not drain():
+            return log
+    if eof:
+        parser.feed_eof()
+        drain()
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_pipelines())
+def test_whole_chunk_entry_frames_what_the_stream_frames(case):
+    chunks, eof, limit = case
+    assert framed(chunks, eof, limit, whole=True) == \
+        framed(chunks, eof, limit, whole=False)

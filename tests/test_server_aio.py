@@ -487,6 +487,46 @@ class TestBackpressure:
         assert data == b""
 
 
+    def test_whole_chunk_gets_to_a_reader_that_never_reads_pause(self):
+        """Warm GETs that each arrive as one whole chunk take the
+        whole-chunk turn, answered within the ``recv`` that brought
+        them; against a client that never reads, the loop must still
+        stop reading at ``write_buffer_limit``, holding no more than the
+        limit plus one response, and every answer must arrive in order
+        once the client drains."""
+        limit = 16 * 1024
+        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
+                              write_buffer_limit=limit,
+                              keep_alive_max_requests=1000)
+        server = make_server(config)
+        start_small_buffered(server)
+        raw = b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n"
+        try:
+            with small_window_connect(server) as sock:
+                sock.sendall(raw)       # warm the copy cache, then read
+                first = sock.recv(65536)
+                assert first.endswith(SITE["/d.html"])
+                (conn,) = server._connections.values()
+                sent = 1
+                while sent < 400 and not conn.reads_paused:
+                    sock.sendall(raw)   # one whole request per send,
+                    sent += 1           # answered before the next one
+                    assert wait_for(lambda: conn.served == sent
+                                    or conn.reads_paused)
+                assert conn.reads_paused
+                queued = len(conn.out)
+                assert limit <= queued < limit + len(first)
+                time.sleep(0.2)         # paused: nothing more is read
+                assert len(conn.out) == queued and conn.reads_paused
+                sock.sendall(raw[:-2] + b"Connection: close\r\n\r\n")
+                data = recv_until_close(sock)
+        finally:
+            server.stop()
+        statuses = re.findall(rb"HTTP/1\.\d (\d+) ", data)
+        assert statuses == [b"200"] * sent
+        assert data.count(SITE["/d.html"]) == sent
+
+
 class TestHealthAndLifecycle:
     def test_health_endpoint_bypasses_accounting(self, server):
         engine = server.engine
