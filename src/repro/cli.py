@@ -19,6 +19,19 @@ from repro.core.document import Location
 from repro.datasets import DATASET_BUILDERS
 
 
+def _positive(kind):
+    """An argparse type: a finite *kind* value above zero, or a usage
+    error."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite: {text}")
+        return value
+    parse.__name__ = kind.__name__     # argparse's "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -39,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="/PATH",
                        help="well-known entry point (repeatable; "
                             "default /index.html if present)")
-    serve.add_argument("--time-factor", type=float, default=1.0,
+    serve.add_argument("--time-factor", type=_positive(float), default=1.0,
                        help="compress every Table 1 interval by this factor")
     serve.add_argument("--state-file", default=None,
                        help="snapshot migration state here (restored on "
@@ -58,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(the paper's prototype) or the nonblocking "
                             "epoll event loop (Linux; thousands of "
                             "keep-alive clients)")
-    serve.add_argument("--replication-k", type=int, default=1, metavar="K",
+    serve.add_argument("--replication-k", type=_positive(int), default=1,
+                       metavar="K",
                        help="replication-group size for hot documents: "
                             "K >= 2 enables k-copy placement with "
                             "autonomous repair; 1 = single-location "
@@ -73,10 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--duration", type=float, default=60.0)
     simulate.add_argument("--sample-interval", type=float, default=10.0)
     simulate.add_argument("--seed", type=int, default=1)
-    simulate.add_argument("--time-factor", type=float, default=0.3)
+    simulate.add_argument("--time-factor", type=_positive(float),
+                          default=0.3)
     simulate.add_argument("--prewarm", action="store_true",
                           help="start from a balanced (warmed) cluster")
-    simulate.add_argument("--replication-k", type=int, default=1,
+    simulate.add_argument("--replication-k", type=_positive(int), default=1,
                           metavar="K",
                           help="replication-group size (K >= 2 enables "
                                "replication groups with autonomous repair)")

@@ -20,7 +20,7 @@ CPS vs BPS as the balancing metric (section 5.3 justifies CPS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.core.metrics import LoadMetricKind
 from repro.errors import ConfigError
@@ -46,13 +46,12 @@ class ServerConfig:
     coop_migration_spacing: float = 60.0      # T_coop, seconds
 
     # --- migration policy (sections 4.1-4.2) ---------------------------
-    # Initial hit threshold T of Algorithm 1 step 3 (hits per stats window).
+    # Initial hit threshold T of Algorithm 1 step 3 (hits per stats
+    # window); step 3 halves it while it empties the candidate set, and a
+    # home migrates at most one file per stats interval (section 5.2: "a
+    # maximum of one file per 10 seconds") — constants of
+    # repro.core.selection and repro.core.migration.
     migration_hit_threshold: float = 10.0
-    # Factor by which the threshold shrinks when step 3 empties the set.
-    threshold_reduction_factor: float = 0.5
-    # Home servers migrate at most one file per stats interval (section
-    # 5.2: "a maximum of one file per 10 seconds").
-    max_migrations_per_interval: int = 1
     # Migrate only when own load exceeds the cluster mean by this factor.
     imbalance_tolerance: float = 1.15
     # Load metric used for balancing decisions; the paper argues CPS for
@@ -74,10 +73,9 @@ class ServerConfig:
     # distribution (thresholds, window and bootstrap sample count are
     # the defaults of ``MembershipTable`` / ``AccrualFailureDetector``)
     # — the timing-based complement to ``ping_failure_limit``'s explicit
-    # consecutive-failure bound.  ``membership_floor`` is the minimum
-    # modelled inter-arrival (additionally floored at the pinger
-    # interval — the cadence at which heartbeats are guaranteed).
-    membership_floor: float = 0.1
+    # consecutive-failure bound.  The modelled inter-arrival is floored
+    # at ``pinger_interval``, the cadence at which heartbeats are
+    # guaranteed.
     # The circuit (repro.core.membership): a peer declared dead, or whose
     # last ``ping_failure_limit`` transfers went unanswered, is sent one
     # transfer per period until one is answered — first after
@@ -90,9 +88,6 @@ class ServerConfig:
     reprobe_backoff: float = 2.0
     reprobe_max_interval: float = 60.0
     reprobe_jitter: float = 0.1
-    # A peer dead this long demotes to *forgotten* (still re-probed, at
-    # the capped rate).
-    membership_forget_after: float = 300.0
 
     # --- extensions beyond the prototype --------------------------------
     # Paper future work (section 6): replicate hot documents to several
@@ -129,19 +124,12 @@ class ServerConfig:
     # Algorithm 1 step 2: never migrate well-known entry points.  False is
     # an ablation knob quantifying the entry-points hypothesis (§3.1).
     protect_entry_points: bool = True
-    # Entry gate (§3.1): when the shared secret is non-empty, non-entry
-    # documents require a session cookie issued at an entry point; deep
-    # links without one are redirected to the front door.  The secret is
-    # shared cluster-wide so co-ops validate tokens statelessly.
-    entry_gate_secret: str = ""
-    entry_gate_ttl: float = 900.0
-    # Persistent connections: workers serve multiple requests per
-    # connection (Connection: keep-alive / HTTP/1.1 semantics) and
-    # server-to-server channels are pooled.  ``keep_alive_timeout`` is how
-    # long a worker holds an idle connection between requests;
-    # ``keep_alive_max_requests`` bounds requests per connection so one
-    # client cannot pin a worker forever.
-    keep_alive: bool = True
+    # Persistent connections: workers serve every connection whose client
+    # asks for it (Connection: keep-alive / HTTP/1.1 semantics) for more
+    # than one request, and server-to-server channels are pooled.
+    # ``keep_alive_timeout`` is how long a worker holds an idle connection
+    # between requests; ``keep_alive_max_requests`` bounds requests per
+    # connection so one client cannot pin a worker forever.
     keep_alive_timeout: float = 5.0
     keep_alive_max_requests: int = 100
     # ``byte_cache_bytes`` is the copy cache's one budget
@@ -156,18 +144,16 @@ class ServerConfig:
     # from it, and it goes after ROADMAP item 6(a) unpins it.
     byte_cache_bytes: int = 24 * 1024 * 1024
     response_cache_entries: int = 512
-    # Socket tuning and event-loop admission control.  ``listen_backlog``
-    # is the kernel accept backlog of both front ends (Table 1's socket
-    # queue length keeps its original meaning: the threaded server's
-    # bounded worker hand-off queue).  The remaining knobs govern the
-    # event-loop front end (repro.server.aio): ``max_connections`` caps
-    # concurrently open client connections — connections over the cap are
-    # shed at accept with 503 + Retry-After, the paper's overload rule
-    # applied at the edge — and ``write_buffer_limit`` is the
-    # per-connection outbound high-water mark above which the loop stops
-    # reading from that client (backpressure) until the buffer drains
-    # below half the limit.
-    listen_backlog: int = 128
+    # Event-loop admission control (repro.server.aio).
+    # ``max_connections`` caps concurrently open client connections —
+    # connections over the cap are shed at accept with 503 + Retry-After,
+    # the paper's overload rule applied at the edge — and
+    # ``write_buffer_limit`` is the per-connection outbound high-water
+    # mark above which the loop stops reading from that client
+    # (backpressure) until the buffer drains below half the limit.  (The
+    # kernel accept backlog of both front ends is the constant
+    # ``repro.server.dispatch.LISTEN_BACKLOG``; Table 1's socket queue
+    # length is the threaded server's bounded worker hand-off queue.)
     max_connections: int = 1024
     write_buffer_limit: int = 256 * 1024
     # ``lock_stripes`` sizes nothing the server runs: the benchmark
@@ -179,13 +165,6 @@ class ServerConfig:
     # hot set).
     lock_stripes: int = 16
     sendfile_min_bytes: int = 256 * 1024
-    # HTTP content negotiation on the serve path.  ``gzip_enabled`` turns
-    # on pre-compressed response variants: at cache-fill time compressible
-    # bodies of at least ``http.content.GZIP_MIN_BYTES`` get a
-    # deterministic gzip variant stored alongside the identity bytes,
-    # negotiated per request via ``Accept-Encoding`` (with ``Vary:
-    # Accept-Encoding``).
-    gzip_enabled: bool = True
     # Tiered load shedding: when a front end reports queue/connection
     # pressure at or above ``shed_pressure`` (a fraction of its capacity),
     # the engine sheds *expensive* work — dirty-document regenerations and
@@ -207,25 +186,22 @@ class ServerConfig:
     integrity_serve_sample: int = 16
     # Write-ahead journal fsync discipline (repro.server.wal).
     # ``always`` fsyncs every append (group-committed); ``interval``
-    # defers to the periodic tick, bounding loss to ``wal_fsync_interval``
-    # seconds at near-zero hot-path cost (the default); ``off`` leaves
-    # durability to the OS page cache (a crash of the *process* still
-    # loses nothing — only power loss can).
+    # defers to the periodic tick, bounding loss to the journal's
+    # ``fsync_interval`` (0.05 s) at near-zero hot-path cost (the
+    # default); ``off`` leaves durability to the OS page cache (a crash
+    # of the *process* still loses nothing — only power loss can).
     wal_fsync: str = "interval"
-    wal_fsync_interval: float = 0.05
 
     def __post_init__(self) -> None:
         positive = (
             "front_end_threads", "pinger_threads", "worker_threads",
             "socket_queue_length", "stats_interval", "pinger_interval",
             "validation_interval", "home_remigration_interval",
-            "coop_migration_spacing", "max_migrations_per_interval",
-            "ping_failure_limit", "max_replicas",
+            "coop_migration_spacing", "ping_failure_limit", "max_replicas",
             "max_replications_per_interval", "replication_k",
             "replication_sufficient",
             "keep_alive_timeout", "keep_alive_max_requests",
-            "listen_backlog", "max_connections", "write_buffer_limit",
-            "lock_stripes",
+            "max_connections", "write_buffer_limit", "lock_stripes",
             "sendfile_min_bytes",
         )
         for name in positive:
@@ -233,15 +209,11 @@ class ServerConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.migration_hit_threshold < 0:
             raise ConfigError("migration_hit_threshold must be non-negative")
-        if not (0.0 < self.threshold_reduction_factor < 1.0):
-            raise ConfigError("threshold_reduction_factor must be in (0, 1)")
         if self.imbalance_tolerance < 1.0:
             raise ConfigError("imbalance_tolerance must be >= 1.0")
         if self.selection_policy not in ("paper", "hottest", "random"):
             raise ConfigError(
                 f"unknown selection_policy: {self.selection_policy!r}")
-        if self.entry_gate_ttl <= 0:
-            raise ConfigError("entry_gate_ttl must be positive")
         if self.byte_cache_bytes < 0:
             raise ConfigError("byte_cache_bytes must be non-negative")
         if self.response_cache_entries < 0:
@@ -257,16 +229,12 @@ class ServerConfig:
                 "integrity_serve_sample must be non-negative")
         if self.wal_fsync not in ("always", "interval", "off"):
             raise ConfigError(f"unknown wal_fsync policy: {self.wal_fsync!r}")
-        if self.wal_fsync_interval <= 0:
-            raise ConfigError("wal_fsync_interval must be positive")
         if self.replication_sufficient > self.replication_k:
             raise ConfigError(
                 "replication_sufficient must be <= replication_k")
         if self.replication_heat_threshold < 0:
             raise ConfigError(
                 "replication_heat_threshold must be non-negative")
-        if self.membership_floor <= 0:
-            raise ConfigError("membership_floor must be positive")
         if self.reprobe_interval <= 0:
             raise ConfigError("reprobe_interval must be positive")
         if self.reprobe_backoff < 1.0:
@@ -276,8 +244,6 @@ class ServerConfig:
                 "reprobe_max_interval must be >= reprobe_interval")
         if self.reprobe_jitter < 0:
             raise ConfigError("reprobe_jitter must be non-negative")
-        if self.membership_forget_after <= 0:
-            raise ConfigError("membership_forget_after must be positive")
 
     def scaled(self, time_factor: float) -> "ServerConfig":
         """Return a copy with every time interval multiplied by
@@ -293,11 +259,8 @@ class ServerConfig:
             home_remigration_interval=self.home_remigration_interval * time_factor,
             coop_migration_spacing=self.coop_migration_spacing * time_factor,
             scrub_interval=self.scrub_interval * time_factor,
-            membership_floor=self.membership_floor * time_factor,
             reprobe_interval=self.reprobe_interval * time_factor,
             reprobe_max_interval=self.reprobe_max_interval * time_factor,
-            membership_forget_after=(
-                self.membership_forget_after * time_factor),
         )
 
 

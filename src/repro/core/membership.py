@@ -14,9 +14,9 @@ so the real hosts and the simulator share it:
   from the inter-arrival distribution of per-peer successes (pings,
   pulls, validations, piggybacked gossip alike).  Silence is judged
   against how often the peer *usually* talks to us, not a fixed count.
-- :class:`MembershipTable` — the per-peer **alive → suspect → dead →
-  forgotten** state machine.  A slow peer degrades to *suspect*
-  (excluded from migration/repair targets, its hosted documents kept)
+- :class:`MembershipTable` — the per-peer **alive → suspect → dead**
+  state machine.  A slow peer degrades to *suspect* (excluded from
+  migration/repair targets, its hosted documents kept)
   before it is ever declared dead; explicit transport failures escalate
   faster than silence.  Dead transitions are *recommended*, never
   self-applied — the engine applies them exactly once through its
@@ -41,13 +41,12 @@ from __future__ import annotations
 import math
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 ALIVE = "alive"
 SUSPECT = "suspect"
 DEAD = "dead"
-FORGOTTEN = "forgotten"
 
 _LN10 = math.log(10.0)
 #: EWMA weight of each new round-trip-time sample.
@@ -142,7 +141,7 @@ class MembershipCounters:
 
     suspicions: int = 0         # transitions into SUSPECT
     deaths: int = 0             # transitions into DEAD
-    rediscoveries: int = 0      # DEAD/FORGOTTEN -> ALIVE (false deaths)
+    rediscoveries: int = 0      # DEAD -> ALIVE (false deaths)
     probes_sent: int = 0        # rediscovery probes emitted
     reconcile_drops: int = 0            # rejoin copies that lost
     reconcile_reregistrations: int = 0  # rejoin copies re-registered
@@ -177,7 +176,7 @@ class _PeerEntry:
 class MembershipTable:
     """The per-peer ledger: membership state machine and circuit.
 
-    Pure policy: transitions into SUSPECT/ALIVE/FORGOTTEN are applied
+    Pure policy: transitions into SUSPECT/ALIVE are applied
     here and *returned*; transitions into DEAD are only ever
     **recommended** (by :meth:`failure` and :meth:`sweep`) and applied by
     the caller via :meth:`mark_dead` — the engine's single journaled
@@ -192,7 +191,7 @@ class MembershipTable:
                  failure_limit: int = 3, reprobe_interval: float = 5.0,
                  reprobe_backoff: float = 2.0,
                  reprobe_max_interval: float = 60.0,
-                 reprobe_jitter: float = 0.1, forget_after: float = 300.0,
+                 reprobe_jitter: float = 0.1,
                  detector: Optional[AccrualFailureDetector] = None,
                  seed: int = 0) -> None:
         if not (0.0 < suspect_phi < dead_phi):
@@ -208,8 +207,6 @@ class MembershipTable:
                 "reprobe_max_interval must be >= reprobe_interval")
         if reprobe_jitter < 0:
             raise ValueError("reprobe_jitter must be non-negative")
-        if forget_after <= 0:
-            raise ValueError("forget_after must be positive")
         self.suspect_phi = suspect_phi
         self.dead_phi = dead_phi
         self.failure_limit = failure_limit
@@ -217,7 +214,6 @@ class MembershipTable:
         self.reprobe_backoff = reprobe_backoff
         self.reprobe_max_interval = reprobe_max_interval
         self.reprobe_jitter = reprobe_jitter
-        self.forget_after = forget_after
         self.detector = detector or AccrualFailureDetector()
         self.seed = seed
         self.counters = MembershipCounters()
@@ -228,14 +224,12 @@ class MembershipTable:
         """Build from a ``ServerConfig``, flooring the detector's modelled
         inter-arrival at the pinger interval — the cadence at which
         heartbeats are actually guaranteed."""
-        detector = AccrualFailureDetector(
-            floor=max(config.membership_floor, config.pinger_interval))
+        detector = AccrualFailureDetector(floor=config.pinger_interval)
         return cls(failure_limit=config.ping_failure_limit,
                    reprobe_interval=config.reprobe_interval,
                    reprobe_backoff=config.reprobe_backoff,
                    reprobe_max_interval=config.reprobe_max_interval,
                    reprobe_jitter=config.reprobe_jitter,
-                   forget_after=config.membership_forget_after,
                    detector=detector)
 
     # ------------------------------------------------------------------
@@ -292,7 +286,7 @@ class MembershipTable:
         host-measured *rtt* into the peer's EWMA, and promotes the peer
         back to ALIVE.  Returns the applied ``(old, new)`` transition
         when the state changed (``suspect -> alive`` recovery or
-        ``dead/forgotten -> alive`` rejoin), else ``None``.
+        ``dead -> alive`` rejoin), else ``None``.
         """
         entry = self._entry(peer, now)
         self.detector.heartbeat(peer, now)
@@ -307,7 +301,7 @@ class MembershipTable:
         old = entry.state
         entry.state = ALIVE
         entry.since = now
-        if old in (DEAD, FORGOTTEN):
+        if old == DEAD:
             self.counters.rediscoveries += 1
         return (old, ALIVE)
 
@@ -326,7 +320,7 @@ class MembershipTable:
         entry.misses += 1
         if entry.misses >= self.failure_limit:
             self._trip(peer, entry, now)
-        if entry.state in (DEAD, FORGOTTEN):
+        if entry.state == DEAD:
             return None
         entry.failures += 1
         if entry.failures >= self.failure_limit:
@@ -343,10 +337,10 @@ class MembershipTable:
 
         Returns ``True`` when this call performed the transition (the
         caller then runs the death side effects exactly once) and
-        ``False`` when the peer was already dead or forgotten.
+        ``False`` when the peer was already dead.
         """
         entry = self._entry(peer, now)
-        if entry.state in (DEAD, FORGOTTEN):
+        if entry.state == DEAD:
             return False
         entry.state = DEAD
         entry.since = now
@@ -367,9 +361,9 @@ class MembershipTable:
 
         Returns ``(transitions, deaths)``: *transitions* are applied
         ``(peer, old, new)`` state changes (``alive -> suspect`` when phi
-        crossed the suspicion threshold, ``dead -> forgotten`` ageing);
-        *deaths* are peers whose suspicion demands a DEAD declaration,
-        returned unapplied for the caller's ``_declare_dead``.
+        crossed the suspicion threshold); *deaths* are peers whose
+        suspicion demands a DEAD declaration, returned unapplied for the
+        caller's ``_declare_dead``.
         """
         transitions: List[Tuple[str, str, str]] = []
         deaths: List[str] = []
@@ -384,11 +378,6 @@ class MembershipTable:
             elif entry.state == SUSPECT:
                 if self.detector.phi(peer, now) >= self.dead_phi:
                     deaths.append(peer)
-            elif entry.state == DEAD:
-                if now - entry.since >= self.forget_after:
-                    entry.state = FORGOTTEN
-                    entry.since = now
-                    transitions.append((peer, DEAD, FORGOTTEN))
         return transitions, deaths
 
     # ------------------------------------------------------------------
@@ -443,12 +432,12 @@ class MembershipTable:
         return True
 
     def due_probes(self, now: float) -> List[str]:
-        """Configured dead/forgotten peers admitted a rediscovery probe
+        """Configured dead peers admitted a rediscovery probe
         at *now*, sorted for determinism; each one's admission is taken.
         Only statically configured peers are probed — gossip-discovered
         strangers are somebody else's to rediscover."""
         due = [peer for peer, entry in sorted(self._peers.items())
-               if entry.configured and entry.state in (DEAD, FORGOTTEN)
+               if entry.configured and entry.state == DEAD
                and self.admit(peer, now)]
         self.counters.probes_sent += len(due)
         return due
@@ -470,7 +459,7 @@ class MembershipTable:
     def reprobe_backlog(self) -> int:
         """How many configured peers await rediscovery."""
         return sum(1 for entry in self._peers.values()
-                   if entry.configured and entry.state in (DEAD, FORGOTTEN))
+                   if entry.configured and entry.state == DEAD)
 
     # ------------------------------------------------------------------
     # Introspection and persistence
@@ -497,23 +486,30 @@ class MembershipTable:
             "next_admit_at": entry.next_admit_at,
         }
 
-    def install(self, peer: str, state: str, now: float) -> None:
+    def install(self, peer: str, state: str, now: float) -> Optional[str]:
         """Install *state* outright — journal replay and snapshot
-        restore.  Idempotent, no counters, no recommendations: replaying
-        a transition twice equals once.  The circuit is runtime-only: a
-        dead peer's opens afresh, anyone else's starts closed."""
-        if state not in (ALIVE, SUSPECT, DEAD, FORGOTTEN):
-            return
+        restore — and return the state installed (``None`` for one that
+        is not a state).  A stored ``"forgotten"`` — what older builds
+        aged a peer dead for 300 s into, read everywhere exactly like
+        dead — installs as DEAD.  Idempotent, no counters, no
+        recommendations: replaying a transition twice equals once.  The
+        circuit is runtime-only: a dead peer's opens afresh, anyone
+        else's starts closed."""
+        if state == "forgotten":
+            state = DEAD
+        if state not in (ALIVE, SUSPECT, DEAD):
+            return None
         entry = self._entry(peer, now)
         if entry.state == state:
-            return
+            return state
         entry.state = state
         entry.since = now
         entry.failures = 0
-        if state in (DEAD, FORGOTTEN):
+        if state == DEAD:
             self._trip(peer, entry, now)
         else:
             self._close(entry)
+        return state
 
     def snapshot(self) -> List[Dict[str, object]]:
         """Non-alive peers only (an absent row means alive), for the

@@ -4,8 +4,8 @@ Implements the decision procedure of paper section 4.2 on top of
 Algorithm 1 (:mod:`repro.core.selection`):
 
 - at each statistics re-calculation interval (T_st) an overloaded home
-  server migrates at most ``max_migrations_per_interval`` documents
-  (section 5.2: one file per 10 seconds);
+  server migrates at most ``MAX_MIGRATIONS_PER_INTERVAL`` documents
+  (section 5.2: "a maximum of one file per 10 seconds");
 - the target is the server with the lowest ``LoadMetric`` in the global
   load table, skipping co-ops that accepted a migration within the last
   T_coop seconds (60 s) so a co-op is never swamped before it can
@@ -34,6 +34,10 @@ from repro.core.selection import (
     select_documents_for_migration,
 )
 from repro.errors import DocumentNotFound, MigrationError
+
+#: Section 5.2: a home migrates "a maximum of one file per 10 seconds",
+#: one per statistics interval.
+MAX_MIGRATIONS_PER_INTERVAL = 1
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ class MigrationPolicy:
             decisions.extend(self._consider_replication(now, own_metric))
         if not self._overloaded(own_metric):
             return decisions
-        budget = self.config.max_migrations_per_interval - len(
+        budget = MAX_MIGRATIONS_PER_INTERVAL - len(
             [d for d in decisions if d.kind in ("migrate", "remigrate")])
         for _ in range(max(0, budget)):
             decision = self._migrate_one(now, own_metric)
@@ -194,12 +198,10 @@ class MigrationPolicy:
         if config.selection_policy == "paper":
             chosen = select_documents_for_migration(
                 self.graph, config.migration_hit_threshold,
-                reduction_factor=config.threshold_reduction_factor,
                 protect_entry_points=config.protect_entry_points)
             return chosen[0] if chosen else None
         candidates = eligible_candidates(
             self.graph, config.migration_hit_threshold,
-            reduction_factor=config.threshold_reduction_factor,
             protect_entry_points=config.protect_entry_points)
         if not candidates:
             return None
@@ -250,7 +252,7 @@ class MigrationPolicy:
                 dirtied=tuple(sorted(set(dirtied) | set(dirtied_again))))))
             # Re-migration is cheaper than first migration (the revoked
             # co-op simply drops its copy), so it gets twice the budget.
-            if len(decisions) >= 2 * self.config.max_migrations_per_interval:
+            if len(decisions) >= 2 * MAX_MIGRATIONS_PER_INTERVAL:
                 break
         return decisions
 

@@ -23,12 +23,14 @@ from typing import List, Optional
 from repro.core.document import DocumentRecord
 from repro.core.ldg import LocalDocumentGraph
 
+#: Step 3's retry: the factor by which T shrinks while it empties C.
+THRESHOLD_REDUCTION_FACTOR = 0.5
+
 
 def eligible_candidates(
     graph: LocalDocumentGraph,
     threshold: float,
     *,
-    reduction_factor: float = 0.5,
     protect_entry_points: bool = True,
 ) -> List[DocumentRecord]:
     """Steps 1-3 of Algorithm 1: the candidate set after entry-point and
@@ -56,7 +58,7 @@ def eligible_candidates(
         if filtered:
             candidates = filtered
             break
-        effective *= reduction_factor
+        effective *= THRESHOLD_REDUCTION_FACTOR
     return candidates
 
 
@@ -64,7 +66,6 @@ def select_documents_for_migration(
     graph: LocalDocumentGraph,
     threshold: float,
     *,
-    reduction_factor: float = 0.5,
     count: int = 1,
     protect_entry_points: bool = True,
 ) -> List[DocumentRecord]:
@@ -77,8 +78,7 @@ def select_documents_for_migration(
     migrated documents.
     """
     candidates = eligible_candidates(
-        graph, threshold, reduction_factor=reduction_factor,
-        protect_entry_points=protect_entry_points)
+        graph, threshold, protect_entry_points=protect_entry_points)
     if not candidates:
         return []
 

@@ -16,7 +16,7 @@ A DCWS server answers four plain-text administrative endpoints:
 - ``/~dcws/durability`` — write-ahead journal position, checkpoint
   freshness, and the stats of the last crash recovery;
 - ``/~dcws/membership`` — the adaptive membership table: per-peer
-  alive/suspect/dead/forgotten state, φ suspicion, RTT estimates, and
+  alive/suspect/dead state, φ suspicion, RTT estimates, and
   the rediscovery (re-probe) schedule;
 - ``/~dcws/integrity`` — the content-integrity view: scrub schedule and
   cursor, corruption/quarantine counters, and every active quarantine;
@@ -375,7 +375,7 @@ def render_membership(engine) -> str:
         # since == 0.0 is the registration default, not a transition
         # timestamp — against a monotonic clock it would render as hours.
         since_text = "-" if since == 0.0 else f"{max(0.0, now - since):.1f}s"
-        if states[key] in ("dead", "forgotten") and info.get("configured"):
+        if states[key] == "dead" and info.get("configured"):
             next_at = float(info.get("next_admit_at", 0.0) or 0.0)
             probe_text = f"{max(0.0, next_at - now):.1f}s"
         else:

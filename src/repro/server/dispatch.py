@@ -51,6 +51,9 @@ if TYPE_CHECKING:
     from repro.faults import FaultPlan
     from repro.server.wal import WriteAheadJournal
 
+#: The kernel accept backlog of both front ends' listening sockets.
+LISTEN_BACKLOG = 128
+
 #: A warm answer, :meth:`DCWSEngine.serve_warm`'s: the finished head
 #: bytes, the body, and whether the connection persists after them.
 Warm = Tuple[bytes, bytes, bool]
@@ -133,12 +136,10 @@ class SocketHost:
 
             stats = persistence.recover(self.engine, self.snapshot_path,
                                         self.journal_path, now)
-            config = self.engine.config
             self.journal = WriteAheadJournal(
                 self.journal_path,
                 location=str(self.engine.location),
-                fsync_policy=config.wal_fsync,
-                fsync_interval=config.wal_fsync_interval,
+                fsync_policy=self.engine.config.wal_fsync,
                 epoch=stats.resume_epoch,
                 start_lsn=stats.resume_lsn,
                 faults=self._journal_faults)
@@ -266,9 +267,7 @@ class SocketHost:
         beside ``Connection: close`` make some clients (``http.client``
         on an HTTP/1.0 response) keep the channel.
         """
-        config = self.engine.config
-        keep = (config.keep_alive
-                and served < config.keep_alive_max_requests
+        keep = (served < self.engine.config.keep_alive_max_requests
                 and (request is None
                      or wants_keep_alive(request.version, request.headers))
                 and wants_keep_alive(response.version, response.headers))

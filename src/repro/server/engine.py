@@ -50,7 +50,6 @@ from repro.core.metrics import ServerMetrics
 from repro.core.membership import (
     ALIVE,
     DEAD,
-    FORGOTTEN,
     MembershipTable,
     SUSPECT,
 )
@@ -93,10 +92,6 @@ from repro.http.piggyback import (
     extract_sender,
 )
 from repro.http.status import StatusCode
-from repro.http.cookies import (
-    build_set_cookie,
-    parse_cookie_header,
-)
 from repro.http.urls import (
     DEFAULT_HTTP_PORT,
     URL,
@@ -106,7 +101,6 @@ from repro.http.urls import (
 )
 from repro.server.admin import ADMIN_PREFIX, HEALTH_PATH
 from repro.server.cache import CopyCache, CopyEntry
-from repro.server.entrygate import COOKIE_NAME, EntryGate
 from repro.server.filestore import DocumentStore, guess_content_type
 from repro.server.integrity import (
     IntegrityManager,
@@ -314,10 +308,10 @@ class DCWSEngine:
             location, enforce_entry_home=config.protect_entry_points)
         self.glt = GlobalLoadTable(location)
         # The peer ledger: one record per peer — the alive -> suspect ->
-        # dead -> forgotten state machine driven by the accrual failure
-        # detector, and the circuit every outbound transfer asks admit()
-        # at emission, whose schedule is also the rediscovery re-probe of
-        # a falsely-dead configured peer.  Every success/failure
+        # dead state machine driven by the accrual failure detector, and
+        # the circuit every outbound transfer asks admit() at emission,
+        # whose schedule is also the rediscovery re-probe of a
+        # falsely-dead configured peer.  Every success/failure
         # observation below feeds it via _peer_success/_peer_failure;
         # all DEAD declarations it recommends flow through the single
         # journaled _declare_dead.  Its ``placeable`` predicate gates
@@ -355,10 +349,6 @@ class DCWSEngine:
         # (policy callbacks, _commit_bytes) can stamp records without
         # threading ``now`` through every call chain.
         self._clock = 0.0
-        self.entry_gate: Optional[EntryGate] = None
-        if config.entry_gate_secret:
-            self.entry_gate = EntryGate(config.entry_gate_secret,
-                                        config.entry_gate_ttl)
         self._entry_points = {normalize_path(p) for p in entry_points}
         # The periodic rounds in tick() order: (name, interval, round).
         # Interval 0 runs every tick, scrub_interval 0 never scrubs; the
@@ -435,18 +425,18 @@ class DCWSEngine:
     def _install_membership(self, peer: str, state: str, now: float) -> None:
         """Install one peer's membership state outright (snapshot restore
         and journal replay; the live transitions journal the state they
-        reach).  Dead and forgotten peers also leave the GLT — the
-        constructor registers every configured peer, and a recovered
-        engine must not ping one it had declared dead — and alive ones
-        are registered, so the pinger resumes after a replayed rejoin."""
+        reach).  Dead peers also leave the GLT — the constructor
+        registers every configured peer, and a recovered engine must not
+        ping one it had declared dead — and alive ones are registered,
+        so the pinger resumes after a replayed rejoin."""
         if not peer or not state:
             return
-        self.membership.install(peer, state, now)
+        state = self.membership.install(peer, state, now)
         try:
             location = Location.parse(peer)
         except ValueError:
             return
-        if state in (DEAD, FORGOTTEN):
+        if state == DEAD:
             self.glt.remove(location)
         elif self.glt.get(location) is None:
             self.glt.register(location)
@@ -578,8 +568,7 @@ class DCWSEngine:
         path = request.route
         if path == HEALTH_PATH:
             # Monitoring traffic: answered before any accounting so
-            # probes never inflate hit counters or the CPS/BPS metrics,
-            # and never bounce off the entry gate.
+            # probes never inflate hit counters or the CPS/BPS metrics.
             return self._handle_health(request)
         self.stats.requests += 1
         self._absorb_piggyback(request.headers)
@@ -679,24 +668,20 @@ class DCWSEngine:
         :meth:`handle_request` resolves it — the LDG record for a home
         name, ``self.hosted[key]`` for a ``~migrate`` key — and one
         precondition list applies to either kind: a client GET/HEAD
-        without ``Range``, no entry gate; a home record clean and
-        located here; a hosted entry fetched and versioned.  Such a
-        request skips :meth:`handle_request`'s routing, piggyback and
-        pre-steps.  A revalidation whose validators name the copy's
-        current stamp is answered 304 — unless the copy is quarantined —
-        with no booked cache lookup and no store read.  Anything else
-        needs the cached 200; a conditional that does not match is
-        served exactly like an unconditional request.  Nothing here
+        without ``Range``; a home record clean and located here; a
+        hosted entry fetched and versioned.  Such a request skips
+        :meth:`handle_request`'s routing, piggyback and pre-steps.  A
+        revalidation whose validators name the copy's current stamp is
+        answered 304 — unless the copy is quarantined — with no booked
+        cache lookup and no store read.  Anything else needs the cached
+        200; a conditional that does not match is served exactly like an
+        unconditional request.  Nothing here
         mutates engine state but the LRU order and the hit count of the
         copy cache.  The memos a hit reads live and die with the cache
         entry, which every update, regeneration, re-install, quarantine
         and drop of the copy invalidates.
         """
         if request.method not in ("GET", "HEAD"):
-            return None
-        if self.entry_gate is not None:
-            # Gate checks and cookie issuance are time-dependent per
-            # request; gated sites always take the slow path.
             return None
         headers = request.headers
         facts = headers.facts()
@@ -832,8 +817,6 @@ class DCWSEngine:
             # for a re-pull, must not be served its own bad copy back):
             # drop the holder, repair the group, and point it home.
             return self._drop_corrupt_holder(request, record, sender, now)
-        if not record.entry_point and not self._gate_passes(request, now):
-            return self._gate_bounce(request, now, doc_name=record.name)
         at_home = record.location == self.location
         if not privileged and (not at_home or (transfer and sender)):
             # Migrated away: 301 to the current location (section 4.4).
@@ -866,7 +849,7 @@ class DCWSEngine:
                              now: float) -> EngineReply:
         """What only a home does before :meth:`_serve_copy`: refuse a
         quarantined copy it cannot repair, regenerate a dirty page,
-        answer a co-op's version check, and mint the gate cookie."""
+        and answer a co-op's version check."""
         if self.integrity.is_quarantined(record.name) \
                 and not (record.dirty and record.is_html
                          and record.name in self._templates):
@@ -900,14 +883,7 @@ class DCWSEngine:
             self.stats.responses_304 += 1
             return self._finish(request, response, now, doc_name=record.name,
                                 reconstructed=reconstructed)
-        cookie = None
-        if self.entry_gate is not None and record.entry_point:
-            # Gate cookies are time-dependent, so they are applied per
-            # request on top of the cached rendering.
-            cookie = build_set_cookie(
-                COOKIE_NAME, self.entry_gate.issue(now),
-                max_age=int(self.config.entry_gate_ttl))
-        return self._serve_copy(request, record, now, cookie=cookie,
+        return self._serve_copy(request, record, now,
                                 reconstructed=reconstructed)
 
     # -- one way to serve a stored copy ------------------------------------
@@ -927,8 +903,7 @@ class DCWSEngine:
 
     def _serve_copy(self, request: Request,
                     copy: Union[DocumentRecord, HostedDocument], now: float,
-                    *, cookie: Optional[str] = None,
-                    reconstructed: bool = False
+                    *, reconstructed: bool = False
                     ) -> Union[EngineReply, PullFromHome]:
         """Answer *request* from the bytes stored for *copy* — a clean
         home document or a fetched hosted copy — with the 200, 206, 304
@@ -937,11 +912,11 @@ class DCWSEngine:
         Everything derived from the copy's ``(version, digest)`` is read
         off its copy-cache entry, which a miss fills from the store.  Two
         things differ by whose copy it is.
-        A home stamps ``X-DCWS-Version`` (and, on a gated entry point,
-        *cookie*) and may hand a large body to ``sendfile``; a co-op
-        does neither.  And bytes that are missing, or that fail the
-        digest on a fill, make a home quarantine the document and answer
-        503, a co-op drop the copy and pull it again.
+        A home stamps ``X-DCWS-Version`` and may hand a large body to
+        ``sendfile``; a co-op does neither.  And bytes that are missing,
+        or that fail the digest on a fill, make a home quarantine the
+        document and answer 503, a co-op drop the copy and pull it
+        again.
         """
         home = isinstance(copy, DocumentRecord)
         key = copy.name if home else copy.key
@@ -959,7 +934,7 @@ class DCWSEngine:
             return self._account(
                 self._not_modified_response(request, validators, home=home),
                 now, **flags)
-        if home and cookie is None and self.sendfile_enabled \
+        if home and self.sendfile_enabled \
                 and request.method == "GET" \
                 and request.headers.get("Range") is None \
                 and "GET" not in validators.methods:
@@ -1002,8 +977,7 @@ class DCWSEngine:
                 self.response_cache.invalidate(key)
                 self.log.record(now, "pull", key=key, reason="missing-bytes")
                 return self._start_pull(request, copy, now)
-            wants_variant = request.method == "GET" \
-                and self.config.gzip_enabled
+            wants_variant = request.method == "GET"
             # The entry's variant is the deflate of the bytes that hash
             # to its digest, so a fill that would make one first shows
             # the bytes just read to be those: a hash beside the one
@@ -1040,8 +1014,7 @@ class DCWSEngine:
                     gzip_body=maybe_gzip(data, copy.content_type)
                     if wants_variant else None, methods=methods)
             self.response_cache.put(key, cached)
-        response, kind = self._render_entity(request, cached, home=home,
-                                             cookie=cookie)
+        response, kind = self._render_entity(request, cached, home=home)
         self._book(kind, cached)
         return self._account(response, now, **flags)
 
@@ -1087,8 +1060,7 @@ class DCWSEngine:
         return response
 
     def _render_entity(self, request: Request, cached: CopyEntry, *,
-                       home: bool, cookie: Optional[str] = None
-                       ) -> Tuple[Response, str]:
+                       home: bool) -> Tuple[Response, str]:
         """Build and frame the 200/206/416 for one cache entry.
 
         Negotiates ``Range`` (single byte range against the identity
@@ -1139,8 +1111,6 @@ class DCWSEngine:
                 response.headers.set(DIGEST_HEADER, cached.digest)
         if home:
             response.headers.set(VERSION_HEADER, str(cached.version))
-        if cookie is not None:
-            response.headers.set("Set-Cookie", cookie)
         self._frame(request, response)
         return response, kind
 
@@ -1194,32 +1164,6 @@ class DCWSEngine:
             self.metrics.record_drop(now)
         return self._finish(request, response, now, doc_name=doc_name)
 
-    def _gate_passes(self, request: Request, now: float) -> bool:
-        """No gate here, a peer asking, or a valid session cookie."""
-        if self.entry_gate is None or extract_sender(request.headers):
-            return True
-        cookie_header = request.headers.get("Cookie", "") or ""
-        token = parse_cookie_header(cookie_header).get(COOKIE_NAME)
-        return self.entry_gate.validate(token, now)
-
-    def _gate_bounce(self, request: Request, now: float, *,
-                     doc_name: str, home: Optional[Location] = None
-                     ) -> EngineReply:
-        """Redirect an ungated deep link to the site's front door
-        (section 3.1: "force them to come in the front door")."""
-        front_host = home if home is not None else self.location
-        entries = sorted(self._entry_points) or ["/"]
-        front_door = str(home_url(front_host, entries[0])) \
-            if home is None else str(home_url(front_host, "/"))
-        response = Response(status=StatusCode.FOUND)
-        response.headers.set("Location", front_door)
-        response.headers.set("Content-Type", "text/html")
-        response.body = (f'<html><body>Please enter via '
-                         f'<a href="{front_door}">{front_door}</a>'
-                         f'</body></html>').encode("latin-1")
-        self.metrics.record_redirect(now)
-        return self._finish(request, response, now, doc_name=doc_name)
-
     def _sender_is_assigned(self, sender: str,
                             record: DocumentRecord) -> bool:
         """Is *sender* (a ``host:port`` string) a current host of *record*?"""
@@ -1232,8 +1176,6 @@ class DCWSEngine:
 
     def _handle_coop(self, request: Request, key: str, home: Location,
                      original: str, now: float) -> Union[EngineReply, PullFromHome]:
-        if not self._gate_passes(request, now):
-            return self._gate_bounce(request, now, doc_name=key, home=home)
         hosted = self._hosted_entry(key, home, original)
         hosted.hits += 1
         if not hosted.fetched:
@@ -1628,9 +1570,9 @@ class DCWSEngine:
         """Membership upkeep off the engine tick.
 
         Applies the accrual sweep (silence-driven ``alive -> suspect``,
-        ``suspect -> dead`` through the single declared-dead site,
-        ``dead -> forgotten`` ageing), emits a rediscovery probe to each
-        configured dead/forgotten peer whose circuit admits one, and a
+        ``suspect -> dead`` through the single declared-dead site), emits
+        a rediscovery probe to each configured dead peer whose circuit
+        admits one, and a
         ping to each heard-from peer whose open circuit does — whatever
         the pinger's schedule, so an admission is never left unspent.
         """
@@ -1950,7 +1892,7 @@ class DCWSEngine:
             return
         old, _new = transition
         self._journal("membership", peer=peer_key, state=ALIVE)
-        if old in (DEAD, FORGOTTEN):
+        if old == DEAD:
             self._peer_rejoined(peer_key, now)
         else:
             self.log.record(now, "peer_recovered", peer=peer_key)
@@ -1969,7 +1911,7 @@ class DCWSEngine:
             self._declare_dead(peer, now)
 
     def _peer_rejoined(self, peer_key: str, now: float) -> None:
-        """A dead/forgotten peer answered again: false death healed.
+        """A dead peer answered again: false death healed.
 
         Re-registers it in the GLT (so the pinger resumes), logs the
         rediscovery, and runs the co-op-side half of reconciliation:
@@ -2189,8 +2131,7 @@ class DCWSEngine:
 
     def _persists(self, request: Request) -> bool:
         """Will the response to *request* offer to keep the connection?"""
-        return self.config.keep_alive \
-            and wants_keep_alive(request.version, request.headers)
+        return wants_keep_alive(request.version, request.headers)
 
     def _frame(self, request: Request, response: Response) -> None:
         """Piggyback, ``Content-Length``, HEAD body strip and the

@@ -28,9 +28,9 @@ The eight checked invariants:
     bytes present or is registered unfetched, and every replication
     group tracks a currently migrated document;
 7.  membership agreement: no peer the membership table considers dead
-    (or forgotten) still holds any document — a dead holder lingering
-    in a serving set means repair forgot to drop it, which is exactly
-    the "two primaries" hazard the rejoin reconciliation must prevent;
+    still holds any document — a dead holder lingering in a serving
+    set means repair forgot to drop it, which is exactly the "two
+    primaries" hazard the rejoin reconciliation must prevent;
 8.  quarantine agreement: no copy the integrity manager has quarantined
     is still in any serve table — a quarantined hosted entry must be
     unfetched (digestless, versionless), and no quarantined key, home
@@ -238,7 +238,7 @@ def _check_replicas(engine: DCWSEngine) -> List[str]:
 
 def _check_membership(engine: DCWSEngine) -> List[str]:
     """Invariant 7: no document is held by a peer the membership table
-    has declared dead or forgotten.
+    has declared dead.
 
     ``_declare_dead`` revokes every document from the dying peer in the
     same bracket that journals the membership transition, and rejoin
@@ -251,7 +251,7 @@ def _check_membership(engine: DCWSEngine) -> List[str]:
     if membership is None:
         return violations
     dead = {peer for peer, state in membership.states().items()
-            if state in ("dead", "forgotten")}
+            if state == "dead"}
     if not dead:
         return violations
     for record in engine.graph.documents():

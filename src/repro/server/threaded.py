@@ -40,7 +40,7 @@ from repro.errors import HTTPError, RecoverableProtocolError, ReproError
 from repro.http.messages import Response, error_response
 from repro.http.status import StatusCode
 from repro.http.wire import ParsedHead, RequestParser
-from repro.server.dispatch import SocketHost, close_quietly
+from repro.server.dispatch import LISTEN_BACKLOG, SocketHost, close_quietly
 from repro.server.engine import DCWSEngine
 
 _RECV_CHUNK = 65536
@@ -79,7 +79,7 @@ class ThreadedDCWSServer(SocketHost):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.bind_host, self.port))
-        listener.listen(self.engine.config.listen_backlog)
+        listener.listen(LISTEN_BACKLOG)
         listener.settimeout(0.2)
         self.port = listener.getsockname()[1]   # the bound one, for port 0
         self._listener = listener

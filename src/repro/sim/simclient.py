@@ -27,7 +27,6 @@ from repro.client.walker import (
 )
 from repro.core.naming import decode_migrated_path
 from repro.errors import NamingError
-from repro.http.cookies import build_cookie_header, parse_set_cookie
 from repro.http.messages import Request, Response
 from repro.http.urls import URL, join_url
 from repro.sim.events import EventLoop
@@ -99,9 +98,6 @@ class SimClient:
         self._stopped = True
         self._steps_left = 0
         self._current: Optional[URL] = None
-        # A simple cookie jar (one site per benchmark run, so no domain
-        # scoping): lets clients traverse entry-gated sites (§3.1).
-        self.cookies: dict = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -256,20 +252,12 @@ class SimClient:
                 return
             request = Request(method="GET", target=url.request_target)
             request.headers.set("Host", url.authority)
-            if self.cookies:
-                request.headers.set("Cookie",
-                                    build_cookie_header(self.cookies))
             self.send(url, request, received)
 
         def received(response: Optional[Response]) -> None:
             if self._stopped:
                 return
             self.stats.requests += 1
-            if response is not None:
-                for raw in response.headers.get_all("Set-Cookie"):
-                    parsed = parse_set_cookie(raw)
-                    if parsed is not None:
-                        self.cookies[parsed[0]] = parsed[1]
             if response is None:
                 # A dead co-op is not a dead document: retry once at the
                 # home the migrated path encodes (replica failover).

@@ -32,7 +32,7 @@ from repro.client.realclient import fetch_url, http_fetch
 from repro.client.walker import RandomWalker
 from repro.core.config import ServerConfig
 from repro.core.document import Location
-from repro.core.membership import DEAD, FORGOTTEN
+from repro.core.membership import DEAD
 from repro.faults import FaultPlan
 from repro.http.messages import Request
 from repro.http.urls import URL
@@ -627,8 +627,7 @@ class TestFalseDeathRediscovery:
             victim_plan.block(home_key)
 
             wait_until(
-                lambda: home.engine.membership.state(victim_key)
-                in (DEAD, FORGOTTEN),
+                lambda: home.engine.membership.state(victim_key) == DEAD,
                 10.0, "home never declared the partitioned co-op dead",
                 diagnose)
             # Repair re-homed the group onto the survivors: two live

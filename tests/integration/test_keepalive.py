@@ -110,17 +110,6 @@ class TestKeepAliveFrontEnd:
             assert second.status == 200
         assert server.connections_accepted == 1
 
-    def test_keep_alive_disabled_by_config(self):
-        srv = start_server(keep_alive=False)
-        try:
-            with socket.create_connection(("127.0.0.1", srv.port),
-                                          timeout=5.0) as sock:
-                response = roundtrip(sock, bytearray(), "/e.html")
-                assert response.headers.facts().close
-                assert sock.recv(1) == b""
-        finally:
-            srv.stop()
-
     def test_idle_timeout_closes_connection(self):
         srv = start_server(keep_alive_timeout=0.3)
         try:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core.membership import (
     DEAD,
-    FORGOTTEN,
     SUSPECT,
     AccrualFailureDetector,
     MembershipTable,
@@ -30,7 +29,7 @@ _peer = st.sampled_from(PEERS)
 def fresh_table() -> MembershipTable:
     table = MembershipTable(
         failure_limit=2, reprobe_interval=REPROBE_INTERVAL,
-        reprobe_max_interval=4.0, reprobe_jitter=0.3, forget_after=20.0,
+        reprobe_max_interval=4.0, reprobe_jitter=0.3,
         detector=AccrualFailureDetector(floor=0.5))
     table.register(PEERS[0], configured=True)   # re-probed while dead
     return table
@@ -71,7 +70,7 @@ class PeerLedgerMachine(RuleBasedStateMachine):
         return self.table.describe(peer)["circuit"]
 
     def dead(self, peer):
-        return self.table.state(peer) in (DEAD, FORGOTTEN)
+        return self.table.state(peer) == DEAD
 
     def declare(self, peer):
         """The engine's _declare_dead: mark_dead is True exactly when

@@ -43,6 +43,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "figure99"])
 
+    @pytest.mark.parametrize("command", [["serve", "--root", "/nonexistent"],
+                                         ["simulate"]])
+    @pytest.mark.parametrize("option", [
+        ["--replication-k", "0"], ["--replication-k", "-3"],
+        ["--replication-k", "two"], ["--time-factor", "-1"],
+        ["--time-factor", "0"], ["--time-factor", "nan"],
+        ["--time-factor", "inf"]])
+    def test_nonpositive_counts_and_factors_are_usage_errors(
+            self, command, option, capsys):
+        # A k of 0 used to start a server running as k=1, and a negative
+        # factor ended in a ConfigError traceback: both are refused
+        # before any command runs.
+        with pytest.raises(SystemExit) as refused:
+            main(command + option)
+        assert refused.value.code == 2
+        assert f"argument {option[0]}:" in capsys.readouterr().err
+
+    def test_positive_counts_and_factors_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--root", "/tmp/site", "--replication-k", "2",
+             "--time-factor", "0.1"])
+        assert (args.replication_k, args.time_factor) == (2, 0.1)
+
 
 class TestDatasetCommand:
     def test_prints_statistics(self, capsys):

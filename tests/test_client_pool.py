@@ -97,7 +97,8 @@ def test_stale_idle_channel_evicted_and_retried(server):
 
 
 def test_peer_closing_connection_prevents_pooling():
-    srv = make_server(keep_alive=False)
+    # One request per connection: every answer says Connection: close.
+    srv = make_server(keep_alive_max_requests=1)
     srv.start()
     try:
         with ConnectionPool() as pool:

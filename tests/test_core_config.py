@@ -46,12 +46,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ServerConfig(**{field: value})
 
-    def test_threshold_reduction_domain(self):
-        with pytest.raises(ConfigError):
-            ServerConfig(threshold_reduction_factor=1.0)
-        with pytest.raises(ConfigError):
-            ServerConfig(threshold_reduction_factor=0.0)
-
     def test_imbalance_tolerance_domain(self):
         with pytest.raises(ConfigError):
             ServerConfig(imbalance_tolerance=0.9)

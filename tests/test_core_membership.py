@@ -12,9 +12,8 @@ import random
 import pytest
 
 from repro.core.config import ServerConfig
-from repro.core.membership import (ALIVE, DEAD, FORGOTTEN,
-                                   AccrualFailureDetector, MembershipTable,
-                                   SUSPECT)
+from repro.core.membership import (ALIVE, DEAD, AccrualFailureDetector,
+                                   MembershipTable, SUSPECT)
 
 
 def jittered_trace(interval: float, jitter: float, count: int,
@@ -126,7 +125,7 @@ class TestMembershipStateMachine:
         t.sweep(last + 5.0)            # -> suspect
         _, deaths = t.sweep(last + 100.0)
         assert deaths == ["p"]
-        assert t.state("p") not in (DEAD, FORGOTTEN)  # recommendation only
+        assert t.state("p") != DEAD  # recommendation only
         assert t.mark_dead("p", last + 100.0)
         assert t.state("p") == DEAD
 
@@ -146,7 +145,7 @@ class TestMembershipStateMachine:
         assert t.failure("p", 10.0) == SUSPECT
         assert t.failure("p", 10.1) is None
         assert t.failure("p", 10.2) == DEAD   # recommended, unapplied
-        assert t.state("p") not in (DEAD, FORGOTTEN)
+        assert t.state("p") != DEAD
 
     def test_mark_dead_is_idempotent(self):
         t = table()
@@ -166,13 +165,6 @@ class TestMembershipStateMachine:
         t.heartbeat("p", 1.2)
         assert t.failure("p", 1.3) == SUSPECT  # streak restarted
         assert t.failure("p", 1.4) is None
-
-    def test_dead_ages_to_forgotten(self):
-        t = table(forget_after=100.0)
-        t.mark_dead("p", 0.0)
-        transitions, _ = t.sweep(100.0)
-        assert ("p", DEAD, FORGOTTEN) in transitions
-        assert t.state("p") == FORGOTTEN
 
     def test_rejoin_counts_rediscovery(self):
         t = table()
@@ -452,7 +444,15 @@ class TestInstallAndSnapshot:
         assert fresh.state("a") == DEAD
         assert fresh.state("b") == SUSPECT
 
+    def test_a_stored_forgotten_installs_as_dead(self):
+        # Older builds aged a dead peer into "forgotten"; it meant dead.
+        t = table()
+        assert t.install("p", "forgotten", 1.0) == DEAD
+        assert t.state("p") == DEAD
+        assert t.describe("p")["circuit"] == "open"
+        assert t.install("p", "lost", 2.0) is None
+
     def test_from_config_floors_at_pinger_interval(self):
-        config = ServerConfig(pinger_interval=7.0, membership_floor=0.1)
+        config = ServerConfig(pinger_interval=7.0)
         t = MembershipTable.from_config(config)
         assert t.detector.floor == 7.0

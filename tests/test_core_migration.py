@@ -95,8 +95,7 @@ class TestRevocation:
 
     def test_revoke_all_from_dead_coop(self):
         config = ServerConfig(migration_hit_threshold=1.0,
-                              coop_migration_spacing=1.0,
-                              max_migrations_per_interval=3)
+                              coop_migration_spacing=1.0)
         policy, graph, glt = build_policy(config, coops=(COOP_A,))
         policy.force_migrate("/d0", COOP_A, now=0.0)
         policy.force_migrate("/d1", COOP_A, now=0.0)

@@ -10,6 +10,9 @@ journal written by an older build.
   the save's write landed or a crash ate it.
 - fsck's invariant 4 flags a clean relocated page that still links
   relatively: the state the first regression left behind.
+- A peer an older build stored as ``"forgotten"`` (its name for a peer
+  dead for 300 s, read everywhere exactly like dead) recovers as dead and
+  out of the load table, from a snapshot row and from a journal record.
 - ``tests/golden/replay_compat/`` holds the journals and snapshots of a
   home + co-op run recorded at commit 2066337, with the state that build
   recovered from them; this build must recover the same state.
@@ -25,13 +28,19 @@ import pytest
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.core.membership import DEAD
 from repro.faults import FaultPlan, FaultRule, InjectedDiskError
 from repro.http.content import digest_matches
 from repro.http.messages import Request
 from repro.server.engine import DCWSEngine, PullFromHome
 from repro.server.filestore import DiskStore, MemoryStore
 from repro.server.fsck import check_engine
-from repro.server.persistence import checkpoint, recover
+from repro.server.persistence import (
+    _payload_checksum,
+    checkpoint,
+    recover,
+    snapshot_engine,
+)
 from repro.server.wal import WriteAheadJournal
 from tests.test_replay_differential import durable_state
 
@@ -213,6 +222,36 @@ def record(directory=GOLDEN):
             "recovered": recovered_state(directory, engine.location, stored)}
     (directory / "expected.json").write_text(
         json.dumps(expected, indent=1, sort_keys=True) + "\n")
+
+
+def test_a_peer_stored_as_forgotten_recovers_dead(tmp_path):
+    coop_2 = Location("coop2", 8003)
+
+    def home_engine():
+        return DCWSEngine(HOME, CONFIG, MemoryStore(SITE),
+                          entry_points=["/index.html"], peers=[COOP, coop_2])
+
+    old = home_engine()
+    old.initialize(0.0)
+    snapshot = snapshot_engine(old, 1.0)
+    snapshot["membership"] = [
+        {"peer": str(COOP), "state": "forgotten", "since": 1.0}]
+    snapshot["checksum"] = _payload_checksum(snapshot)
+    (tmp_path / "home.snapshot").write_text(json.dumps(snapshot))
+    journal = WriteAheadJournal(str(tmp_path / "home.wal"),
+                                location=str(HOME), fsync_policy="off")
+    journal.append("membership", 2.0, peer=str(coop_2), state="forgotten")
+    journal.close()
+
+    engine = home_engine()
+    assert engine.glt.get(COOP) and engine.glt.get(coop_2)
+    stats = recover(engine, str(tmp_path / "home.snapshot"),
+                    str(tmp_path / "home.wal"), 3.0)
+    assert stats.snapshot_loaded and stats.records_replayed == 1
+    for peer in (COOP, coop_2):
+        assert engine.membership.state(str(peer)) == DEAD, peer
+        assert engine.glt.get(peer) is None, peer
+    assert check_engine(engine) == []
 
 
 def test_a_journal_and_snapshot_from_2066337_recover_identically():

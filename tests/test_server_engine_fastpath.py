@@ -560,14 +560,6 @@ def test_a_304_needs_no_cached_200_and_no_store_read():
         "/big.html", conditionals("/big.html")["stale"][0]), 5.0) is None
 
 
-def gated_engine():
-    config = ServerConfig(entry_gate_secret="s3cret")
-    engine = DCWSEngine(HOME, config, MemoryStore(dict(HOSTED)),
-                        entry_points=["/index.html"], peers=[COOP])
-    engine.initialize(0.0)
-    return engine
-
-
 def scrubbed_engine():
     config = ServerConfig(scrub_interval=1.0, scrub_budget=16)
     engine = DCWSEngine(HOME, config, MemoryStore(dict(HOSTED)),
@@ -627,12 +619,6 @@ def test_conditionals_on_documents_that_must_still_go_slow():
         assert engine.integrity.is_quarantined("/i.gif")
         assert "/i.gif" not in engine.response_cache
     revalidate("/i.gif", 6.5, everywhere(503))
-    # Entry-gated: every request takes the slow path; an entry point
-    # revalidates, a deep link without the cookie is sent to the door.
-    by_fast, by_slow = gated_engine(), gated_engine()
-    revalidate("/index.html", 7.0, clean)
-    revalidate("/big.html", 7.5, everywhere(302))
-    assert by_fast.stats.fast_hits == 0
 
 
 # (what happens first under the host's lock, method, path, headers)

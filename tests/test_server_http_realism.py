@@ -163,12 +163,6 @@ class TestGzip:
                        headers={"Accept-Encoding": "gzip"})
         assert response.headers.get("Content-Encoding") is None
 
-    def test_gzip_disabled_by_config(self):
-        response = get(make_engine(gzip_enabled=False), "/d.html",
-                       headers={"Accept-Encoding": "gzip"})
-        assert response.headers.get("Content-Encoding") is None
-        assert response.headers.get("Vary") is None
-
     def test_q_zero_refuses_gzip(self):
         response = get(make_engine(), "/d.html",
                        headers={"Accept-Encoding": "gzip;q=0"})
