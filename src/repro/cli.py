@@ -82,10 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run a virtual-time cluster experiment")
     simulate.add_argument("--dataset", default="lod",
                           choices=sorted(DATASET_BUILDERS))
-    simulate.add_argument("--servers", type=int, default=4)
-    simulate.add_argument("--clients", type=int, default=64)
-    simulate.add_argument("--duration", type=float, default=60.0)
-    simulate.add_argument("--sample-interval", type=float, default=10.0)
+    simulate.add_argument("--servers", type=_positive(int), default=4)
+    simulate.add_argument("--clients", type=_positive(int), default=64)
+    simulate.add_argument("--duration", type=_positive(float), default=60.0)
+    simulate.add_argument("--sample-interval", type=_positive(float),
+                          default=10.0)
     simulate.add_argument("--seed", type=int, default=1)
     simulate.add_argument("--time-factor", type=_positive(float),
                           default=0.3)

@@ -79,13 +79,13 @@ class ServerConfig:
     # The circuit (repro.core.membership): a peer declared dead, or whose
     # last ``ping_failure_limit`` transfers went unanswered, is sent one
     # transfer per period until one is answered — first after
-    # ``reprobe_interval`` seconds, then backed off by ``reprobe_backoff``
-    # per admission up to ``reprobe_max_interval``, with deterministic
+    # ``reprobe_interval`` seconds, then doubled
+    # (``membership.REPROBE_BACKOFF``) per admission up to
+    # ``reprobe_max_interval``, with deterministic
     # per-(peer, attempt) jitter up to ``reprobe_jitter`` (a fraction of
     # the period).  For a dead peer from the static configured peer list
     # each admission is a rediscovery probe.
     reprobe_interval: float = 5.0
-    reprobe_backoff: float = 2.0
     reprobe_max_interval: float = 60.0
     reprobe_jitter: float = 0.1
 
@@ -237,8 +237,6 @@ class ServerConfig:
                 "replication_heat_threshold must be non-negative")
         if self.reprobe_interval <= 0:
             raise ConfigError("reprobe_interval must be positive")
-        if self.reprobe_backoff < 1.0:
-            raise ConfigError("reprobe_backoff must be >= 1.0")
         if self.reprobe_max_interval < self.reprobe_interval:
             raise ConfigError(
                 "reprobe_max_interval must be >= reprobe_interval")

@@ -51,6 +51,8 @@ DEAD = "dead"
 _LN10 = math.log(10.0)
 #: EWMA weight of each new round-trip-time sample.
 RTT_ALPHA = 0.2
+#: How much an open circuit's admission period grows per admission.
+REPROBE_BACKOFF = 2.0
 
 
 class AccrualFailureDetector:
@@ -189,7 +191,6 @@ class MembershipTable:
 
     def __init__(self, *, suspect_phi: float = 2.0, dead_phi: float = 8.0,
                  failure_limit: int = 3, reprobe_interval: float = 5.0,
-                 reprobe_backoff: float = 2.0,
                  reprobe_max_interval: float = 60.0,
                  reprobe_jitter: float = 0.1,
                  detector: Optional[AccrualFailureDetector] = None,
@@ -200,8 +201,6 @@ class MembershipTable:
             raise ValueError("failure_limit must be >= 1")
         if reprobe_interval <= 0:
             raise ValueError("reprobe_interval must be positive")
-        if reprobe_backoff < 1.0:
-            raise ValueError("reprobe_backoff must be >= 1")
         if reprobe_max_interval < reprobe_interval:
             raise ValueError(
                 "reprobe_max_interval must be >= reprobe_interval")
@@ -211,7 +210,6 @@ class MembershipTable:
         self.dead_phi = dead_phi
         self.failure_limit = failure_limit
         self.reprobe_interval = reprobe_interval
-        self.reprobe_backoff = reprobe_backoff
         self.reprobe_max_interval = reprobe_max_interval
         self.reprobe_jitter = reprobe_jitter
         self.detector = detector or AccrualFailureDetector()
@@ -227,7 +225,6 @@ class MembershipTable:
         detector = AccrualFailureDetector(floor=config.pinger_interval)
         return cls(failure_limit=config.ping_failure_limit,
                    reprobe_interval=config.reprobe_interval,
-                   reprobe_backoff=config.reprobe_backoff,
                    reprobe_max_interval=config.reprobe_max_interval,
                    reprobe_jitter=config.reprobe_jitter,
                    detector=detector)
@@ -390,7 +387,7 @@ class MembershipTable:
         reproduce exactly and co-located daemons do not probe in
         lockstep."""
         period = min(
-            self.reprobe_interval * (self.reprobe_backoff ** attempts),
+            self.reprobe_interval * (REPROBE_BACKOFF ** attempts),
             self.reprobe_max_interval)
         token = f"{self.seed}:{peer}:{attempts}".encode("utf-8")
         fraction = (zlib.crc32(token) % 1000) / 999.0

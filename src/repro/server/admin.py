@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.document import Location
+from repro.core.membership import REPROBE_BACKOFF
 
 ADMIN_PREFIX = "/~dcws/"
 
@@ -351,7 +352,7 @@ def render_membership(engine) -> str:
         f"dead phi                {table.dead_phi:g}",
         f"failure limit           {table.failure_limit}",
         f"re-probe interval       {table.reprobe_interval:g}s "
-        f"(x{table.reprobe_backoff:g} to {table.reprobe_max_interval:g}s)",
+        f"(x{REPROBE_BACKOFF:g} to {table.reprobe_max_interval:g}s)",
         f"suspicions              {counters.suspicions}",
         f"deaths declared         {counters.deaths}",
         f"rediscoveries           {counters.rediscoveries}",

@@ -21,6 +21,17 @@ server-to-server transfers (lazy pulls, validations, pings) ride pooled
 keep-alive channels (:class:`repro.client.pool.ConnectionPool`) instead
 of opening one TCP connection per transfer.
 
+A warm GET on a kept connection is one ``recv``, one engine call and one
+``sendmsg``.  Accepted sockets stay blocking with no Python-level
+timeout; the kernel bounds each read and write instead
+(``SO_RCVTIMEO``/``SO_SNDTIMEO``, :func:`set_kernel_timeout`), armed at
+accept and changed once, after the first response: reads before it wait
+up to ``request_timeout``, later reads up to ``keep_alive_timeout``, and
+every send up to ``request_timeout``.  A chunk that is one whole
+bodiless request is framed from the received bytes
+(:meth:`~repro.http.wire.RequestParser.feed_whole`), and the warm answer
+leaves in one gather write of the kept head bytes and the cached body.
+
 The engine is guarded by one lock, and every engine call — the cached-GET
 short-circuit and dirty-document regeneration included — runs under it;
 only network I/O (reading requests, sending responses, server-to-server
@@ -30,11 +41,14 @@ event-loop one lives in :class:`repro.server.dispatch.SocketHost`.
 
 from __future__ import annotations
 
+import math
 import queue
 import socket
+import struct
+import sys
 import threading
 import time
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 from repro.errors import HTTPError, RecoverableProtocolError, ReproError
 from repro.http.messages import Response, error_response
@@ -43,7 +57,11 @@ from repro.http.wire import ParsedHead, RequestParser
 from repro.server.dispatch import LISTEN_BACKLOG, SocketHost, close_quietly
 from repro.server.engine import DCWSEngine
 
+_GATHER = hasattr(socket.socket, "sendmsg")
 _RECV_CHUNK = 65536
+#: What a read that outlived ``SO_RCVTIMEO`` raises: EAGAIN on POSIX,
+#: WSAETIMEDOUT on Windows.
+_TIMED_OUT = (BlockingIOError, TimeoutError)
 
 
 class ThreadedDCWSServer(SocketHost):
@@ -139,14 +157,20 @@ class ThreadedDCWSServer(SocketHost):
             except OSError:
                 return
             self.connections_accepted += 1
-            connection.settimeout(self.request_timeout)
             try:
-                # Responses are single sendall() calls; Nagle only delays
+                # The socket stays blocking; the kernel bounds each read
+                # and write (see _serve_connection for the read rule).
+                set_kernel_timeout(connection, socket.SO_RCVTIMEO,
+                                   self.request_timeout)
+                set_kernel_timeout(connection, socket.SO_SNDTIMEO,
+                                   self.request_timeout)
+                # Responses are single gather writes; Nagle only delays
                 # the handful of small frames (503 drops, 304s).
                 connection.setsockopt(socket.IPPROTO_TCP,
                                       socket.TCP_NODELAY, 1)
             except OSError:
-                pass
+                close_quietly(connection)   # never serve it unbounded
+                continue
             try:
                 self._connections.put_nowait(connection)
             except queue.Full:
@@ -187,20 +211,22 @@ class ThreadedDCWSServer(SocketHost):
         """Serve requests off one connection until it closes.
 
         Honours persistent-connection semantics: after each response the
-        worker keeps the connection (an idle timeout replacing the request
-        timeout) and serves the next request — including ones already
-        pipelined into the reader's buffer — until the peer asks to close,
-        goes quiet, or the per-connection request cap is reached.
+        worker keeps the connection and serves the next request —
+        including ones already pipelined into the reader's buffer — until
+        the peer asks to close, goes quiet, or the per-connection request
+        cap is reached.  Reads wait up to ``request_timeout`` (armed at
+        accept) until the first response and ``keep_alive_timeout`` from
+        then on; a read that times out closes the connection unanswered.
         """
-        config = self.engine.config
         reader = _RequestReader(connection)
         served = 0
         while not self._stop.is_set():
-            if served and not reader.buffered:
-                connection.settimeout(config.keep_alive_timeout)
+            if served == 1:
+                set_kernel_timeout(connection, socket.SO_RCVTIMEO,
+                                   self.engine.config.keep_alive_timeout)
             try:
                 found = reader.read_head()
-            except socket.timeout:
+            except _TIMED_OUT:
                 return  # idle keep-alive connection (or stalled peer)
             except RecoverableProtocolError as exc:
                 served += 1
@@ -219,22 +245,44 @@ class ThreadedDCWSServer(SocketHost):
                 return
             if found is None:
                 return  # peer closed cleanly at a request boundary
-            if served:
-                connection.settimeout(self.request_timeout)
             served += 1
             head, body = found
             result = self._dispatch_blocking(head, body, served)
             try:
-                if isinstance(result, tuple):   # warm: sent as it is
+                if result.__class__ is tuple:   # warm: sent as it is
                     wire, payload, keep = result
-                    send_bytes(connection, wire, payload)
+                    sent = connection.sendmsg((wire, payload)) \
+                        if _GATHER else 0
+                    if sent < len(wire) + len(payload):
+                        self._send_timed(connection, send_bytes, wire,
+                                         payload, sent)
                 else:
                     keep = self._settle_keep_alive(served, head, result)
-                    send_response(connection, result)
+                    self._send_timed(connection, send_response, result)
             except OSError:
                 return
             if not keep:
                 return
+
+    def _send_timed(self, connection: socket.socket,
+                    send: Callable[..., None], *args: Any) -> None:
+        """``send(connection, *args)`` under a Python-level timeout, so
+        each wait for room in the send buffer is a ``poll`` bounded by
+        ``request_timeout``: a peer that stops reading frees the worker
+        after about that long.
+
+        The blocking socket cannot promise that for a large write:
+        ``SO_SNDTIMEO`` bounds each call, and against a stalled peer each
+        call still moves a few bytes; and ``socket.sendfile`` answers
+        EAGAIN on a socket with no Python-level timeout with a ``poll``
+        that never times out.  The render path's answers and what a warm
+        gather write left unsent come here.
+        """
+        connection.settimeout(self.request_timeout)
+        try:
+            send(connection, *args)
+        finally:
+            connection.settimeout(None)
 
     def _pressure(self) -> float:
         """Depth of the bounded hand-off queue, as a fraction."""
@@ -276,18 +324,29 @@ class _RequestReader:
 
     def read_head(self) -> Optional[Tuple[ParsedHead, bytes]]:
         """Read one complete request, as its memoised head and its body;
-        ``None`` on clean EOF between requests."""
+        ``None`` on clean EOF between requests.
+
+        With nothing buffered, a received chunk that is one whole
+        bodiless request is framed from the chunk itself
+        (:meth:`RequestParser.feed_whole`); every other chunk is framed
+        by the parser's stream."""
+        parser = self._parser
         while True:
-            found = self._parser.next_head()
-            if found is not None:
-                return found
-            if self._parser.eof:
+            if parser.buffered:
+                found = parser.next_head()
+                if found is not None:
+                    return found
+            elif parser.eof:
                 return None
             chunk = self._connection.recv(_RECV_CHUNK)
             if not chunk:
-                self._parser.feed_eof()
+                parser.feed_eof()
+            elif parser.buffered:
+                parser.feed(chunk)
             else:
-                self._parser.feed(chunk)
+                head = parser.feed_whole(chunk)
+                if head is not None:
+                    return head, b""
 
 
 def send_response(connection: socket.socket, response: Response) -> None:
@@ -308,28 +367,48 @@ def send_response(connection: socket.socket, response: Response) -> None:
     send_bytes(connection, head, response.body)
 
 
-def send_bytes(connection: socket.socket, head: bytes, body: bytes) -> None:
-    """Put *head* and *body* on the wire: one ``sendmsg([head, body])``
-    gather write, looped with memoryview slicing on short writes, so the
-    (possibly shared, cached) body bytes are never copied into a
-    concatenated buffer; plain ``sendall`` where there is no body or no
-    ``sendmsg`` on this platform.  Raises ``OSError`` on transport
-    failure like ``sendall`` would.
+def send_bytes(connection: socket.socket, head: bytes, body: bytes,
+               sent: int = 0) -> None:
+    """Put *head* and *body*, less their first *sent* bytes, on the
+    wire: one ``sendmsg([head, body])`` gather write, looped with
+    memoryview slicing on short writes, so the (possibly shared, cached)
+    body bytes are never copied into a concatenated buffer; plain
+    ``sendall`` where this platform has no ``sendmsg``.  Raises
+    ``OSError`` on transport failure like ``sendall`` would.
     """
-    if not body:
-        connection.sendall(head)
-        return
-    if not hasattr(connection, "sendmsg"):
-        connection.sendall(head + body)
+    if not _GATHER:
+        connection.sendall((head + body)[sent:])
         return
     segments = [memoryview(head), memoryview(body)]
-    while segments:
-        sent = connection.sendmsg(segments)
+    while True:
         while segments and sent >= len(segments[0]):
-            sent -= len(segments[0])
-            segments.pop(0)
-        if segments and sent:
+            sent -= len(segments.pop(0))
+        if not segments:
+            return
+        if sent:
             segments[0] = segments[0][sent:]
+        sent = connection.sendmsg(segments)
+
+
+def set_kernel_timeout(connection: socket.socket, option: int,
+                       seconds: float) -> None:
+    """Bound each blocking read (``SO_RCVTIMEO``) or write
+    (``SO_SNDTIMEO``) on *connection* by *seconds*, in the kernel."""
+    connection.setsockopt(socket.SOL_SOCKET, option,
+                          pack_timeout(seconds))
+
+
+def pack_timeout(seconds: float) -> bytes:
+    """*seconds* as the socket option value: a DWORD of milliseconds on
+    Windows, a ``struct timeval`` elsewhere.
+
+    Rounded up to the smallest unit the option holds, and never to 0,
+    which the kernel reads as "wait for ever"."""
+    if sys.platform == "win32":
+        return struct.pack("=I", max(1, math.ceil(seconds * 1000)))
+    whole, micros = divmod(max(1, math.ceil(seconds * 1_000_000)),
+                           1_000_000)
+    return struct.pack("@ll", whole, micros)
 
 
 def _send_quietly(connection: socket.socket, response: Response) -> None:

@@ -10,7 +10,7 @@ virtual-time experiment and returns a :class:`SimulationResult`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.client.walker import WalkerStats
@@ -65,12 +65,6 @@ class ClusterConfig:
     # i's CPU charges are multiplied by cpu_scales[i] (1.0 = a paper-spec
     # Pentium-200; 2.0 = half as fast).  None = homogeneous.
     cpu_scales: Optional[Sequence[float]] = None
-    # Persistent-connection mode, mirroring the real server's keep-alive
-    # front-end and pooled server-to-server channels: per-request
-    # connection setup/teardown bytes drop to the per-exchange overhead
-    # (CostModel.keepalive_overhead_bytes).  Shorthand for passing a
-    # CostModel with keep_alive=True.
-    keep_alive: bool = False
     # Deterministic fault injection on server-to-server transfers: the
     # same seeded FaultPlan the real transports consume, adapted to
     # virtual time by repro.sim.network.FaultyTransport.
@@ -143,9 +137,6 @@ class SimCluster:
             raise SimulationError("cluster needs at least one server")
         if len(sites) > config.servers:
             raise SimulationError("more sites than servers")
-        if config.keep_alive and not config.costs.keep_alive:
-            config = replace(config,
-                             costs=replace(config.costs, keep_alive=True))
         self.sites = list(sites)
         self.config = config
         self.loop = EventLoop()

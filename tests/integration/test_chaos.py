@@ -558,8 +558,8 @@ class TestFalseDeathRediscovery:
                               ping_failure_limit=2,
                               validation_interval=60.0,
                               replication_k=2, max_replicas=2,
-                              reprobe_interval=0.3, reprobe_backoff=2.0,
-                              reprobe_max_interval=0.6, reprobe_jitter=0.0)
+                              reprobe_interval=0.3, reprobe_max_interval=0.6,
+                              reprobe_jitter=0.0)
         home_loc = Location("127.0.0.1", home_port)
         coop_locs = [Location("127.0.0.1", p) for p in coop_ports]
         home_plan = FaultPlan(seed=SEED)       # home's outbound view

@@ -2,12 +2,14 @@
 
 Covers the keep-alive front-end (multiple and pipelined requests per
 connection, idle timeout, per-connection cap, Connection semantics), the
-request-read hardening, the lock-free drop counter, and pooled
-server-to-server channels.
+threaded worker's kernel socket timeouts, the request-read hardening, the
+lock-free drop counter, and pooled server-to-server channels.
 """
 
 import http.client
 import socket
+import struct
+import sys
 import time
 
 import pytest
@@ -17,8 +19,8 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.urls import URL
 from repro.server.engine import DCWSEngine
-from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
+from repro.server.filestore import DiskStore, MemoryStore
+from repro.server.threaded import ThreadedDCWSServer, pack_timeout
 from tests.integration.test_real_servers import FRONT_ENDS
 from tests.support import free_port
 
@@ -176,6 +178,95 @@ class TestKeepAliveFrontEnd:
                 assert sock.recv(1) == b""
         finally:
             srv.stop()
+
+
+#: Larger than what the loopback socket buffers of a client that never
+#: reads can absorb.
+BIG = b"<html>" + b"b" * (8 << 20) + b"</html>"
+
+
+class TestKernelTimeouts:
+    """Accepted sockets stay blocking; ``SO_RCVTIMEO``/``SO_SNDTIMEO``
+    bound each read and write: reads up to ``request_timeout`` until the
+    first response and ``keep_alive_timeout`` after it, sends up to
+    ``request_timeout``."""
+
+    @pytest.mark.parametrize("route", ["render", "warm", "sendfile"])
+    def test_a_client_that_never_reads_frees_the_only_worker(
+            self, route, tmp_path):
+        timeout = 1.0
+        small = {"/e.html": SITE["/e.html"]}
+        if route == "sendfile":
+            for name, body in dict(small, **{"/big.html": BIG}).items():
+                (tmp_path / name.lstrip("/")).write_bytes(body)
+            store = DiskStore(str(tmp_path))
+        else:
+            store = MemoryStore(dict(small, **{"/big.html": BIG}))
+        config = ServerConfig(
+            worker_threads=1, stats_interval=60.0, pinger_interval=60.0,
+            sendfile_min_bytes=1024,
+            byte_cache_bytes=64 << 20 if route == "warm" else 256)
+        engine = DCWSEngine(Location("127.0.0.1", free_port()), config,
+                            store, entry_points=[])
+        srv = ThreadedDCWSServer(engine, request_timeout=timeout)
+        srv.start()
+        clients = []
+        try:
+            if route == "warm":     # a reader caches the body first
+                with socket.create_connection(("127.0.0.1", srv.port),
+                                              timeout=5.0) as reader:
+                    reader.sendall(b"GET /big.html HTTP/1.1\r\nHost: h\r\n"
+                                   b"Connection: close\r\n\r\n")
+                    while reader.recv(1 << 20):
+                        pass
+            stalled = socket.create_connection(("127.0.0.1", srv.port))
+            clients.append(stalled)
+            stalled.sendall(b"GET /big.html HTTP/1.1\r\nHost: h\r\n\r\n")
+            began = time.monotonic()
+            waiting = socket.create_connection(("127.0.0.1", srv.port),
+                                               timeout=3 * timeout + 2.0)
+            clients.append(waiting)
+            # Queued behind the stalled client until the worker lets go.
+            response = roundtrip(waiting, bytearray(), "/e.html")
+            assert response.status == 200
+            assert time.monotonic() - began < 3 * timeout
+            if route == "warm":
+                assert engine.cache_counters()[
+                    "short_circuit"]["fast_hits"] == 1
+        finally:
+            for client in clients:
+                client.close()
+            srv.stop()
+
+    def test_a_silent_fresh_connection_waits_out_the_request_timeout(self):
+        config = ServerConfig(keep_alive_timeout=0.2, stats_interval=60.0,
+                              pinger_interval=60.0)
+        engine = DCWSEngine(Location("127.0.0.1", free_port()), config,
+                            MemoryStore(dict(SITE)))
+        srv = ThreadedDCWSServer(engine, request_timeout=3.0)
+        srv.start()
+        try:
+            with socket.create_connection(("127.0.0.1", srv.port),
+                                          timeout=5.0) as sock:
+                time.sleep(0.8)     # past keep_alive_timeout, not past 3 s
+                assert roundtrip(sock, bytearray(), "/e.html").status == 200
+                began = time.monotonic()
+                assert sock.recv(1) == b""  # kept: keep_alive_timeout now
+                assert time.monotonic() - began < 2.0
+        finally:
+            srv.stop()
+
+    def test_a_tiny_timeout_is_packed_nonzero(self):
+        packed = pack_timeout(1e-9)
+        assert packed.strip(b"\0")     # 0 would mean "wait for ever"
+        if sys.platform != "win32":
+            assert struct.unpack("@ll", pack_timeout(2.5)) == (2, 500000)
+            assert struct.unpack("@ll", packed) == (0, 1)
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, packed)
+            kept = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                                   len(packed))
+        assert kept.strip(b"\0")
 
 
 class TestRequestReadHardening:

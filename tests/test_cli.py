@@ -60,6 +60,19 @@ class TestParser:
         assert refused.value.code == 2
         assert f"argument {option[0]}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [
+        ["--servers", "0"], ["--servers", "-2"], ["--clients", "0"],
+        ["--duration", "-5"], ["--duration", "0"], ["--duration", "inf"],
+        ["--sample-interval", "0"], ["--sample-interval", "nan"]])
+    def test_nonpositive_simulation_sizes_are_usage_errors(self, option,
+                                                           capsys):
+        # --servers 0 used to end in a SimulationError traceback, and
+        # --duration -5 ran nothing and printed "steady CPS 0", exit 0.
+        with pytest.raises(SystemExit) as refused:
+            main(["simulate"] + option)
+        assert refused.value.code == 2
+        assert f"argument {option[0]}:" in capsys.readouterr().err
+
     def test_positive_counts_and_factors_parse(self):
         args = build_parser().parse_args(
             ["serve", "--root", "/tmp/site", "--replication-k", "2",

@@ -221,8 +221,8 @@ class TestRediscoverySchedule:
         assert t.reprobe_backlog() == 1
 
     def test_backoff_grows_exponentially_to_cap(self):
-        t = table(reprobe_interval=5.0, reprobe_backoff=2.0,
-                  reprobe_max_interval=60.0, reprobe_jitter=0.0)
+        t = table(reprobe_interval=5.0, reprobe_max_interval=60.0,
+                  reprobe_jitter=0.0)
         periods = [t._backoff("p", n) for n in range(6)]
         assert periods == [5.0, 10.0, 20.0, 40.0, 60.0, 60.0]
 
@@ -364,8 +364,8 @@ class TestCircuit:
         assert t.describe("p")["circuit"] == "closed"
 
     def test_unanswered_admissions_double_the_backoff(self):
-        t = table(reprobe_interval=1.0, reprobe_backoff=2.0,
-                  reprobe_max_interval=100.0, reprobe_jitter=0.0)
+        t = table(reprobe_interval=1.0, reprobe_max_interval=100.0,
+                  reprobe_jitter=0.0)
         t.mark_dead("p", 0.0)
         assert t.admit("p", 1.0)
         t.failure("p", 1.0)                     # the trial went unanswered
@@ -377,8 +377,8 @@ class TestCircuit:
         assert t.admit("p", 7.0)
 
     def test_backoff_caps_at_the_reprobe_maximum(self):
-        t = table(reprobe_interval=1.0, reprobe_backoff=2.0,
-                  reprobe_max_interval=8.0, reprobe_jitter=0.0)
+        t = table(reprobe_interval=1.0, reprobe_max_interval=8.0,
+                  reprobe_jitter=0.0)
         t.mark_dead("p", 0.0)
         now, granted = 0.0, []
         while now < 40.0:

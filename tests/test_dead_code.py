@@ -75,8 +75,6 @@ UNTURNED = {
     "ping_failure_limit": "test timing: failure-path tests lower it so a "
                           "peer dies in two missed transfers",
     "reprobe_interval": _TEST_TIMING,
-    "reprobe_backoff": "circuit tests name it, but none sets it off its "
-                       "default 2.0: the next field to become a constant",
     "reprobe_max_interval": _TEST_TIMING,
     "reprobe_jitter": "test timing: circuit tests set it to 0 to pin the "
                       "admission schedule",

@@ -1,10 +1,12 @@
-"""Request-read hardening: the worker-side incremental request reader."""
+"""Request-read hardening: the worker-side incremental request reader,
+and its whole-chunk entry."""
 
 import socket
 
 import pytest
 
 from repro.errors import HTTPError
+from repro.http.wire import DEFAULT_MAX_REQUEST, RequestParser
 from repro.server.threaded import _RequestReader
 
 
@@ -78,3 +80,79 @@ def test_truncated_body_raises_instead_of_short_request(pair):
     client.close()
     with pytest.raises(HTTPError):
         read_request(_RequestReader(server))
+
+
+class _Chunks:
+    """A connection whose ``recv`` hands out fixed chunks, then EOF."""
+
+    def __init__(self, *chunks):
+        self._chunks = list(chunks)
+
+    def recv(self, size):
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+@pytest.fixture()
+def stream_feeds(monkeypatch):
+    """Count the chunks the parser's stream path (``feed``) takes."""
+    calls = []
+    original = RequestParser.feed
+
+    def feed(self, data):
+        calls.append(data)
+        return original(self, data)
+
+    monkeypatch.setattr(RequestParser, "feed", feed)
+    return calls
+
+
+def stream_head(data):
+    """*data*'s first head as the stream path frames it."""
+    parser = RequestParser()
+    parser.feed(data)
+    return parser.next_head()[0]
+
+
+ONE_HEAD = b"GET /w.html HTTP/1.1\r\nHost: h\r\n\r\n"
+
+
+class TestWholeChunkRead:
+    def test_a_one_head_chunk_is_the_stream_paths_memoised_head(
+            self, stream_feeds):
+        expected = stream_head(ONE_HEAD)
+        stream_feeds.clear()
+        reader = _RequestReader(_Chunks(ONE_HEAD))
+        head, body = reader.read_head()
+        assert head is expected
+        assert body == b""
+        assert stream_feeds == []   # framed from the chunk itself
+        assert not reader.buffered
+        assert reader.read_head() is None
+
+    def test_a_pipelined_chunk_frames_through_feed(self, stream_feeds):
+        chunk = ONE_HEAD + b"GET /v.html HTTP/1.1\r\nHost: h\r\n\r\n"
+        reader = _RequestReader(_Chunks(chunk))
+        assert reader.read_head()[0] is stream_head(ONE_HEAD)
+        assert reader.buffered
+        assert reader.read_head()[0].target == "/v.html"
+        assert stream_feeds[0] == chunk
+
+    def test_a_partial_chunk_frames_through_feed(self, stream_feeds):
+        reader = _RequestReader(_Chunks(ONE_HEAD[:20], ONE_HEAD[20:]))
+        head, body = reader.read_head()
+        assert head is stream_head(ONE_HEAD)
+        assert body == b""
+        assert stream_feeds[:2] == [ONE_HEAD[:20], ONE_HEAD[20:]]
+
+    def test_a_bodied_chunk_frames_through_feed(self, stream_feeds):
+        chunk = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+        head, body = _RequestReader(_Chunks(chunk)).read_head()
+        assert (head.method, body) == ("POST", b"hello")
+        assert stream_feeds == [chunk]
+
+    def test_an_over_limit_chunk_is_refused_by_feed(self, stream_feeds):
+        chunk = (b"GET /x HTTP/1.1\r\nX-Pad: " + b"a" * DEFAULT_MAX_REQUEST
+                 + b"\r\n\r\n")
+        with pytest.raises(HTTPError, match="size limit"):
+            _RequestReader(_Chunks(chunk)).read_head()
+        assert stream_feeds == [chunk]

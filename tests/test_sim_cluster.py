@@ -6,6 +6,7 @@ from repro.core.config import ServerConfig
 from repro.datasets.synthetic import build_synthetic_site
 from repro.errors import SimulationError
 from repro.sim.cluster import ClusterConfig, SimCluster
+from repro.sim.network import CostModel
 
 
 def quick_config(**kwargs):
@@ -45,7 +46,8 @@ class TestConstruction:
 
     def test_keep_alive_knob_enables_persistent_cost_model(self):
         plain = SimCluster(small_site(), quick_config())
-        persistent = SimCluster(small_site(), quick_config(keep_alive=True))
+        persistent = SimCluster(small_site(), quick_config(
+            costs=CostModel(keep_alive=True)))
         assert not plain.config.costs.keep_alive
         assert persistent.config.costs.keep_alive
         assert persistent.config.costs.effective_connection_overhead() < \
