@@ -19,6 +19,19 @@ from repro.datasets.synthetic import build_synthetic_site
 from repro.sim.cluster import ClusterConfig, SimCluster
 
 
+def deadline_week(cluster: SimCluster) -> None:
+    """Skew the client population: 9 in 10 clients browse CS pages.
+
+    Entry URLs are per-site, so each client's walk starts its sequences
+    from one site's entry list only.
+    """
+    cs_entries = [u for u in cluster.entry_urls if u.host == "server0"]
+    math_entries = [u for u in cluster.entry_urls if u.host == "server1"]
+    for index, client in enumerate(cluster.clients):
+        client.walk.entry_points = \
+            math_entries if index % 10 == 0 else cs_entries
+
+
 def main() -> None:
     cs_site = build_synthetic_site(pages=60, images=20, fanout=5,
                                    seed=1, name="cs-department")
@@ -29,15 +42,7 @@ def main() -> None:
         servers=2, clients=40, duration=120.0, sample_interval=10.0,
         seed=11, server_config=ServerConfig().scaled(0.2))
     cluster = SimCluster([cs_site, math_site], config)
-
-    # Skew the client population: deadline week on the CS site.  9 in 10
-    # clients browse CS pages; entry URLs are per-site, so restrict each
-    # client's entry list accordingly.
-    cs_entries = [u for u in cluster.entry_urls if u.host == "server0"]
-    math_entries = [u for u in cluster.entry_urls if u.host == "server1"]
-    for index, client in enumerate(cluster.clients):
-        client.entry_points = math_entries if index % 10 == 0 else cs_entries
-
+    deadline_week(cluster)
     result = cluster.run()
 
     cs_engine = cluster.servers["server0:80"].engine

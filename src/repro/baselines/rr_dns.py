@@ -26,11 +26,8 @@ from repro.server.stats import ClusterSample, TimeSeries
 from repro.sim.cluster import ClusterConfig
 from repro.sim.events import EventLoop
 from repro.sim.network import BandwidthLink
-from repro.sim.simclient import SimClient
+from repro.sim.simclient import SimClient, shared_parse
 from repro.sim.simserver import StaticServer
-
-from repro.html.links import extract_links
-from repro.html.parser import parse_html
 
 
 @dataclass
@@ -114,13 +111,13 @@ class RoundRobinDNSCluster:
         self._rotor = 0
         self._sampler = _CountingSampler(config.sample_interval)
         self._served_last: Dict[str, int] = {}
-        self._parse_cache: Dict[bytes, tuple] = {}
         self.clients: List[SimClient] = []
+        parse = shared_parse()
         entry_urls = [URL("www", 80, entry) for entry in site.entry_points]
         for index in range(config.clients):
             self.clients.append(SimClient(
                 index, self.loop, config.costs,
-                send=self._make_send(index), parse=self._parse,
+                send=self._make_send(index), parse=parse,
                 entry_points=entry_urls,
                 seed=config.seed * 10_000 + index))
 
@@ -152,18 +149,6 @@ class RoundRobinDNSCluster:
                                lambda: server.deliver(request, counted))
 
         return send
-
-    def _parse(self, content_type: str, body: bytes):
-        if not content_type.startswith("text/html") or not body:
-            return [], []
-        cached = self._parse_cache.get(body)
-        if cached is not None:
-            return cached
-        found = extract_links(parse_html(body.decode("latin-1", "replace")))
-        result = ([l.value for l in found if not l.embedded],
-                  [l.value for l in found if l.embedded])
-        self._parse_cache[body] = result
-        return result
 
     # ------------------------------------------------------------------
 

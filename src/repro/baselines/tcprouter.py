@@ -20,8 +20,6 @@ from typing import Callable, Dict, List, Optional
 from repro.client.walker import WalkerStats
 from repro.datasets.base import SiteContent
 from repro.errors import SimulationError
-from repro.html.links import extract_links
-from repro.html.parser import parse_html
 from repro.http.messages import Request, Response
 from repro.http.urls import URL
 from repro.server.filestore import MemoryStore
@@ -29,7 +27,7 @@ from repro.baselines.rr_dns import BaselineResult, _CountingSampler
 from repro.sim.cluster import ClusterConfig
 from repro.sim.events import EventLoop
 from repro.sim.network import BandwidthLink, Serializer
-from repro.sim.simclient import SimClient
+from repro.sim.simclient import SimClient, shared_parse
 from repro.sim.simserver import StaticServer
 
 #: CPU the router spends rewriting one connection's packets (seconds).
@@ -59,13 +57,13 @@ class TCPRouterCluster:
         self._rotor = 0
         self._sampler = _CountingSampler(config.sample_interval)
         self._served_last: Dict[str, int] = {}
-        self._parse_cache: Dict[bytes, tuple] = {}
         self.clients: List[SimClient] = []
+        parse = shared_parse()
         entry_urls = [URL("vip", 80, entry) for entry in site.entry_points]
         for index in range(config.clients):
             self.clients.append(SimClient(
                 index, self.loop, config.costs,
-                send=self._route, parse=self._parse,
+                send=self._route, parse=parse,
                 entry_points=entry_urls,
                 seed=config.seed * 10_000 + index))
 
@@ -98,18 +96,6 @@ class TCPRouterCluster:
 
         self.loop.schedule(cpu_end + costs.link_latency,
                            lambda: backend.deliver(request, backend_responded))
-
-    def _parse(self, content_type: str, body: bytes):
-        if not content_type.startswith("text/html") or not body:
-            return [], []
-        cached = self._parse_cache.get(body)
-        if cached is not None:
-            return cached
-        found = extract_links(parse_html(body.decode("latin-1", "replace")))
-        result = ([l.value for l in found if not l.embedded],
-                  [l.value for l in found if l.embedded])
-        self._parse_cache[body] = result
-        return result
 
     # ------------------------------------------------------------------
 

@@ -6,10 +6,10 @@ that *navigates*: start at a random well-known entry point, walk 1–25
 random hyperlinks, fetch embedded images in parallel, keep a client-side
 cache for the duration of each sequence, and back off exponentially on 503.
 
-:class:`~repro.client.walker.RandomWalker` is the synchronous walker used
-against the real threaded server; the simulator's event-driven client
-(:mod:`repro.sim.simclient`) reuses the same cache, link-selection and
-backoff pieces.
+:class:`~repro.client.walker.Walk` holds those rules without I/O;
+:class:`~repro.client.walker.RandomWalker` drives it one blocking fetch at
+a time and :class:`repro.sim.simclient.SimClient` on the simulator's event
+loop.  :func:`~repro.client.realclient.fetch_url` is the real-socket fetch.
 """
 
 from repro.client.cache import ClientCache
@@ -19,6 +19,7 @@ from repro.client.walker import (
     ExponentialBackoff,
     FetchOutcome,
     RandomWalker,
+    Walk,
     WalkerStats,
     select_next_link,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "ExponentialBackoff",
     "FetchOutcome",
     "RandomWalker",
+    "Walk",
     "WalkerStats",
     "http_fetch",
     "select_next_link",

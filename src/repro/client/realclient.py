@@ -13,22 +13,16 @@ from __future__ import annotations
 
 import socket
 import zlib
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.core.document import Location
-from repro.core.naming import (
-    REPLICAS_HEADER,
-    decode_migrated_path,
-    is_migrated_path,
-)
-from repro.errors import HTTPError, NamingError
+from repro.core.naming import REPLICAS_HEADER, _home_fallback, is_migrated_path
+from repro.errors import HTTPError
 from repro.faults import apply_corruption
-from repro.html.links import extract_links
-from repro.html.parser import parse_html
 from repro.http.content import DIGEST_HEADER, digest_matches, gunzip_bytes
 from repro.http.messages import Request, Response, parse_response
-from repro.http.urls import URL, parse_url
-from repro.client.walker import FetchOutcome
+from repro.http.urls import URL, join_url, parse_url
+from repro.client.walker import MAX_REDIRECTS, FetchOutcome, page_links
 
 if TYPE_CHECKING:
     from repro.client.cache import ValidatorCache
@@ -46,22 +40,6 @@ _BODYLESS_STATUSES = (204, 304)
 def _recently_failed(pool: "Optional[ConnectionPool]", authority: str) -> bool:
     """Has *authority* recently failed this client (the pool's memory)?"""
     return pool is not None and pool.recently_failed(authority)
-
-
-def _home_fallback(url: URL) -> Optional[URL]:
-    """The home-server URL a migrated-form *url* encodes, if any.
-
-    Pull-through naming means the home always holds the permanent copy,
-    so a requester that cannot reach a co-op can re-derive the home URL
-    from the path alone — no second lookup, no out-of-band state.
-    """
-    try:
-        home, original = decode_migrated_path(url.path)
-    except NamingError:
-        return None
-    if f"{home.host}:{home.port}" == url.authority:
-        return None
-    return parse_url(f"http://{home.host}:{home.port}{original}")
 
 
 def _choose_replica(url: URL, header: str,
@@ -175,7 +153,7 @@ def _recv_into(sock: socket.socket, buffer: bytearray) -> bool:
 
 
 def fetch_url(url: URL, *, timeout: float = 10.0,
-              max_redirects: int = 5,
+              max_redirects: int = MAX_REDIRECTS,
               pool: "Optional[ConnectionPool]" = None,
               validators: "Optional[ValidatorCache]" = None,
               accept_gzip: bool = False) -> FetchOutcome:
@@ -195,6 +173,11 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
     fell_back = False
     current = url
     followed = 0
+
+    def outcome(status: int, **facts) -> FetchOutcome:
+        return FetchOutcome(status=status, redirected=redirected,
+                            replica_fallback=fell_back, url=current, **facts)
+
     while True:
         request = Request(method="GET", target=current.request_target)
         request.headers.set("Host", current.authority)
@@ -214,38 +197,28 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
         except (OSError, HTTPError):
             if pool is not None:
                 pool.note_failure(current.authority)
+            fallback = None
             if not fell_back and followed < max_redirects:
-                # A dead co-op is not a dead document: the migrated path
-                # encodes the home, which always holds the permanent
-                # copy — retry there once before giving up.
+                # A dead co-op is not a dead document: retry once at the
+                # home the migrated path encodes.
                 fallback = _home_fallback(current)
-                if fallback is not None:
-                    current = fallback
-                    fell_back = True
-                    redirected = True
-                    followed += 1
-                    continue
-            return FetchOutcome(status=599, redirected=redirected,
-                                replica_fallback=fell_back)
+            if fallback is None:
+                return outcome(599)
+            current = fallback
+            fell_back = True
+            followed += 1
+            continue
         if response.status == 304 and cached is not None:
             validators.not_modified += 1
-            return FetchOutcome(status=304, size=cached.size,
-                                links=list(cached.links),
-                                images=list(cached.images),
-                                redirected=redirected,
-                                not_modified=True, wire_size=0,
-                                replica_fallback=fell_back)
+            return outcome(304, size=cached.size, links=list(cached.links),
+                           images=list(cached.images), not_modified=True,
+                           wire_size=0)
         if response.status in (301, 302):
             location = response.headers.get("Location")
             if not location or followed >= max_redirects:
                 # Out of follows (or nowhere to go): report the redirect
                 # itself, the way max_redirects=0 callers expect.
-                return FetchOutcome(status=response.status,
-                                    size=len(response.body),
-                                    redirected=redirected,
-                                    replica_fallback=fell_back)
-            from repro.http.urls import join_url
-
+                return outcome(response.status, size=len(response.body))
             current = join_url(current, location)
             replicas = response.headers.get(REPLICAS_HEADER, "") or ""
             if replicas:
@@ -265,9 +238,8 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
             # buggy or lying server can still hand over fewer (or more)
             # bytes than Content-Length promised.  Never accept such a
             # document silently: report it for WalkerStats accounting.
-            return FetchOutcome(status=response.status, size=wire_size,
-                                redirected=redirected, wire_size=wire_size,
-                                replica_fallback=fell_back, short_body=True)
+            return outcome(response.status, size=wire_size,
+                           wire_size=wire_size, short_body=True)
         encoding = (response.headers.get("Content-Encoding", "") or "").lower()
         if encoding == "gzip" and response.body:
             try:
@@ -275,11 +247,8 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
             except (OSError, ValueError):
                 # Framing was intact but the compressed stream does not
                 # decode — the payload was damaged in transit or storage.
-                return FetchOutcome(status=response.status,
-                                    redirected=redirected,
-                                    wire_size=wire_size,
-                                    replica_fallback=fell_back,
-                                    corrupt_body=True)
+                return outcome(response.status, wire_size=wire_size,
+                               corrupt_body=True)
             response.headers.remove("Content-Encoding")
         claimed = response.headers.get(DIGEST_HEADER, "") or ""
         if claimed and response.status == 200 \
@@ -288,33 +257,15 @@ def fetch_url(url: URL, *, timeout: float = 10.0,
             # The digest covers the identity body, so this check runs
             # after gzip decode; a mismatch means the entity the server
             # authored is not the entity we received.
-            return FetchOutcome(status=response.status,
-                                size=len(response.body),
-                                redirected=redirected, wire_size=wire_size,
-                                replica_fallback=fell_back,
-                                corrupt_body=True)
-        links, images = _split_links(response)
+            return outcome(response.status, size=len(response.body),
+                           wire_size=wire_size, corrupt_body=True)
+        links, images = page_links(
+            response.headers.get("Content-Type", "") or "", response.body)
         if validators is not None and response.ok:
             validators.store(
                 str(current),
                 etag=response.headers.get("ETag", "") or "",
                 last_modified=response.headers.get("Last-Modified", "") or "",
                 size=len(response.body), links=links, images=images)
-        return FetchOutcome(status=response.status, size=len(response.body),
-                            links=links, images=images, redirected=redirected,
-                            wire_size=wire_size, replica_fallback=fell_back)
-
-
-def _split_links(response: Response) -> "tuple[List[str], List[str]]":
-    content_type = response.headers.get("Content-Type", "") or ""
-    if not content_type.startswith("text/html") or not response.body:
-        return [], []
-    document = parse_html(response.body.decode("latin-1", "replace"))
-    links: List[str] = []
-    images: List[str] = []
-    for link in extract_links(document):
-        if link.embedded:
-            images.append(link.value)
-        elif link.tag == "a":
-            links.append(link.value)
-    return links, images
+        return outcome(response.status, size=len(response.body), links=links,
+                       images=images, wire_size=wire_size)

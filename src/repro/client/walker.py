@@ -16,24 +16,30 @@
 Plus the request-drop behaviour of section 5.2: on a 503 the client backs
 off exponentially (1 s, 2 s, 4 s, ...).
 
-:class:`RandomWalker` is a synchronous implementation parameterized by a
-``fetch`` callable, so it runs against the real socket server, an in-memory
-engine (tests), or anything else that answers URL fetches.  The simulator
-uses the same :func:`select_next_link`, :class:`ClientCache` and
-:class:`ExponentialBackoff` pieces in event-driven form.
+:class:`Walk` holds these rules and does no I/O.  Two clients run it,
+fetching and waiting for it: :class:`repro.sim.simclient.SimClient`, on
+the simulator's event loop, and :class:`RandomWalker`, one blocking fetch
+at a time, against the real socket server or any ``fetch`` callable.
+Each client's transport follows redirects itself, because the real one's
+choice among advertised replicas and its validators live there.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.client.cache import ClientCache
+from repro.html.links import extract_links
+from repro.html.parser import parse_html
 from repro.http.urls import URL, join_url, parse_url
 
 MIN_STEPS = 1
 MAX_STEPS = 25
+# Redirect hops one fetch follows, the home failover included.
+MAX_REDIRECTS = 5
 
 
 @dataclass
@@ -48,6 +54,8 @@ class FetchOutcome:
     cached entity).  ``wire_size``, when set, is the body bytes actually
     received — smaller than ``size`` for gzip responses, zero for 304s —
     so byte accounting can distinguish entity size from transfer size.
+    ``url`` is the URL last asked, after redirects and failover (the one
+    that answered, when one did); ``None`` means the one first asked.
     """
 
     status: int
@@ -67,6 +75,7 @@ class FetchOutcome:
     # the entity is unusable, whatever the status code says.
     short_body: bool = False
     corrupt_body: bool = False
+    url: Optional[URL] = None
 
     @property
     def ok(self) -> bool:
@@ -119,9 +128,29 @@ def select_next_link(links: Sequence[str], rng: random.Random) -> Optional[str]:
     return links[rng.randrange(len(links))]
 
 
+def page_links(content_type: str, body: bytes) -> Tuple[List[str], List[str]]:
+    """A page's ``(links, images)``: the hyperlinks a user can follow and
+    the references fetched with the page; both empty for non-HTML."""
+    if not content_type.startswith("text/html") or not body:
+        return [], []
+    links: List[str] = []
+    images: List[str] = []
+    for link in extract_links(parse_html(body.decode("latin-1", "replace"))):
+        if link.embedded:
+            images.append(link.value)
+        elif link.tag in ("a", "area"):
+            links.append(link.value)
+    return links, images
+
+
 @dataclass
 class WalkerStats:
-    """Counters one walker accumulates across its sequences."""
+    """Counters one walker accumulates across its sequences.
+
+    ``requests`` counts the exchanges the client's transport reports:
+    every hop in the simulator, every ``fetch`` call for
+    :class:`RandomWalker`, whose transport follows redirects itself.
+    """
 
     sequences: int = 0
     steps: int = 0
@@ -132,7 +161,7 @@ class WalkerStats:
     cache_hits: int = 0
     drops: int = 0
     redirects: int = 0
-    errors: int = 0
+    errors: int = 0           # fetches that ended without a usable entity
     transport_failures: int = 0
     transport_retries: int = 0
     backoff_time: float = 0.0
@@ -141,35 +170,147 @@ class WalkerStats:
     corrupt_bodies: int = 0     # body failed gzip decode or digest check
 
 
-class RandomWalker:
-    """A synchronous Algorithm 2 client.
+class Walk:
+    """Algorithm 2's rules, with no I/O: the client running it fetches
+    and waits.
 
-    ``fetch`` performs one URL fetch (following redirects itself and
-    reporting them via ``redirected``); ``sleep`` is injectable so tests
-    need not wait wall-clock seconds.
+    The client calls :meth:`begin` for each sequence, then for each step
+    :meth:`step`; when that misses the cache it fetches the page, hands
+    the outcome to :meth:`page` and fetches the images it returns (each
+    one :meth:`wanted` when a helper picks it up, then :meth:`image`).
+    :meth:`choose` gives the next URL and the think time to wait first.
+    Every exchange goes through :meth:`book`, which turns a 503 into the
+    delay to wait before asking again.
+    """
+
+    def __init__(self, entry_points: Sequence[URL], seed: int, *,
+                 min_steps: int = MIN_STEPS, max_steps: int = MAX_STEPS,
+                 think_time: float = 0.0,
+                 backoff: Optional[ExponentialBackoff] = None) -> None:
+        if not entry_points:
+            raise ValueError("walker needs at least one entry-point URL")
+        self.entry_points = list(entry_points)
+        self.rng = random.Random(seed)
+        self.min_steps = min_steps
+        self.max_steps = max_steps
+        # Mean user think time between page views (exponentially
+        # distributed).  The paper's benchmark used zero think time and
+        # flags that as future work (section 6).
+        self.think_time = think_time
+        self.backoff = backoff if backoff is not None else ExponentialBackoff()
+        self.cache = ClientCache()
+        self.stats = WalkerStats()
+        self.current: Optional[URL] = None
+        self._steps_left = 0
+
+    def begin(self) -> URL:
+        """Start a sequence: reset the cache, draw the number of steps,
+        then the entry point, and return it."""
+        self.cache.reset()
+        self.stats.sequences += 1
+        self._steps_left = self.rng.randint(self.min_steps, self.max_steps)
+        return self.entry_points[self.rng.randrange(len(self.entry_points))]
+
+    def step(self, url: URL) -> Optional[List[str]]:
+        """Step to *url*: its links when this sequence holds the page
+        (its images came with it), else ``None`` and the client fetches."""
+        self.current = url
+        cached = self.cache.lookup(str(url))
+        if cached is None:
+            return None
+        self.stats.cache_hits += 1
+        self.stats.steps += 1
+        return cached[1]
+
+    def page(self, url: URL, outcome: FetchOutcome) -> Optional[List[URL]]:
+        """Take the page *url* answered with; return its images, in page
+        order, or ``None`` when the step failed and the user gives up the
+        sequence."""
+        if not outcome.ok:
+            self.stats.errors += 1
+            return None
+        self.stats.steps += 1
+        self.cache.store(str(url), outcome.size, outcome.links)
+        return [join_url(url, raw) for raw in outcome.images]
+
+    def wanted(self, image: URL) -> bool:
+        """Whether *image* still needs fetching: a helper skips one that
+        an earlier fetch cached by the time it picks it up."""
+        return str(image) not in self.cache
+
+    def image(self, url: URL, outcome: FetchOutcome) -> None:
+        """Take the image *url* answered with."""
+        if outcome.ok:
+            self.cache.store(str(url), outcome.size, [])
+        else:
+            self.stats.errors += 1
+
+    def choose(self, links: Sequence[str]) -> Tuple[Optional[URL], float]:
+        """Pick the next link, resolved against the URL this step asked
+        for (``None`` ends the sequence), then the think time to wait
+        before going on."""
+        self._steps_left -= 1
+        raw = select_next_link(links, self.rng)
+        target = None
+        if self._steps_left > 0 and raw is not None:
+            target = join_url(self.current, raw)
+        think = 0.0
+        if self.think_time > 0.0:
+            think = self.rng.expovariate(1.0 / self.think_time)
+        return target, think
+
+    def book(self, outcome: FetchOutcome) -> Optional[float]:
+        """Book one exchange; for a 503, return the backoff delay to wait
+        before asking again."""
+        stats = self.stats
+        stats.requests += 1
+        stats.entity_bytes += outcome.size
+        stats.bytes_received += (outcome.size if outcome.wire_size is None
+                                 else outcome.wire_size)
+        stats.not_modified += outcome.not_modified
+        stats.redirects += outcome.redirected
+        stats.replica_fallbacks += outcome.replica_fallback
+        stats.short_bodies += outcome.short_body
+        stats.corrupt_bodies += outcome.corrupt_body
+        stats.transport_failures += outcome.transport_failed
+        if outcome.dropped:
+            stats.drops += 1
+            return self.delay()
+        if not outcome.transport_failed:
+            self.backoff.on_success()
+        return None
+
+    def delay(self) -> float:
+        """The next backoff delay, booked into ``backoff_time``."""
+        delay = self.backoff.on_drop()
+        self.stats.backoff_time += delay
+        return delay
+
+
+class RandomWalker:
+    """Algorithm 2 run one blocking fetch at a time.
+
+    ``fetch`` performs one URL fetch, following redirects itself and
+    reporting them via ``redirected``; ``sleep`` is injectable so tests
+    need not wait wall-clock seconds.  A real socket can be refused for a
+    moment (a full backlog, a server restarting), so a fetch that reaches
+    no server is retried up to ``max_transport_retries`` times on the 503
+    backoff schedule.
     """
 
     def __init__(self, entry_points: Sequence[str], fetch: FetchFn, *,
                  seed: int = 0,
-                 sleep: Callable[[float], None] = None,
+                 sleep: Optional[Callable[[float], None]] = None,
                  min_steps: int = MIN_STEPS,
                  max_steps: int = MAX_STEPS,
                  max_transport_retries: int = 3) -> None:
-        if not entry_points:
-            raise ValueError("walker needs at least one entry-point URL")
-        self.entry_points = [parse_url(e) if isinstance(e, str) else e
-                             for e in entry_points]
+        self.walk = Walk([parse_url(e) if isinstance(e, str) else e
+                          for e in entry_points], seed,
+                         min_steps=min_steps, max_steps=max_steps)
+        self.stats = self.walk.stats
         self.fetch = fetch
-        self.rng = random.Random(seed)
-        self.sleep = sleep if sleep is not None else _default_sleep
-        self.min_steps = min_steps
-        self.max_steps = max_steps
+        self.sleep = sleep if sleep is not None else time.sleep
         self.max_transport_retries = max_transport_retries
-        self.cache = ClientCache()
-        self.backoff = ExponentialBackoff()
-        self.stats = WalkerStats()
-
-    # ------------------------------------------------------------------
 
     def run(self, sequences: int) -> WalkerStats:
         """Execute *sequences* complete browse sequences."""
@@ -179,56 +320,25 @@ class RandomWalker:
 
     def run_sequence(self) -> None:
         """One iteration of Algorithm 2's outer loop."""
-        self.cache.reset()
-        self.stats.sequences += 1
-        current = self.entry_points[self.rng.randrange(len(self.entry_points))]
-        steps = self.rng.randint(self.min_steps, self.max_steps)
-        for _ in range(steps):
-            outcome = self._fetch_document(current)
-            if outcome is None:
-                return  # unrecoverable error ends the sequence
-            self.stats.steps += 1
-            size, links, images = outcome
-            self._fetch_images(current, images)
-            raw_next = select_next_link(links, self.rng)
-            if raw_next is None:
-                return
-            current = join_url(current, raw_next)
+        walk = self.walk
+        url: Optional[URL] = walk.begin()
+        while url is not None:
+            links = walk.step(url)
+            if links is None:
+                outcome = self._fetch(url)
+                images = walk.page(outcome.url or url, outcome)
+                if images is None:
+                    return
+                for image in images:
+                    if walk.wanted(image):
+                        fetched = self._fetch(image)
+                        walk.image(fetched.url or image, fetched)
+                links = outcome.links
+            url, __ = walk.choose(links)  # this walk has no think time
 
-    # ------------------------------------------------------------------
-
-    def _fetch_document(self, url: URL):
-        cached = self.cache.lookup(str(url))
-        if cached is not None:
-            self.stats.cache_hits += 1
-            size, links = cached
-            return size, links, []  # images were fetched with the page
-        outcome = self._fetch_with_backoff(url)
-        if outcome is None or not outcome.ok:
-            if outcome is not None:
-                self.stats.errors += 1
-            return None
-        self.cache.store(str(url), outcome.size, outcome.links)
-        return outcome.size, outcome.links, outcome.images
-
-    def _fetch_images(self, base: URL, images: List[str]) -> None:
-        """Request embedded images (sequentially here; the real benchmark
-        binary uses four helper threads — the threaded harness in
-        :mod:`repro.bench.harness` provides that parallelism)."""
-        for raw in images:
-            image_url = join_url(base, raw)
-            if self.cache.lookup(str(image_url)) is not None:
-                self.stats.cache_hits += 1
-                continue
-            outcome = self._fetch_with_backoff(image_url)
-            if outcome is not None and outcome.ok:
-                self.cache.store(str(image_url), outcome.size, [])
-
-    def _fetch_with_backoff(self, url: URL) -> Optional[FetchOutcome]:
-        """Fetch with exponential backoff on 503 drops *and* transport
-        failures (connection refused/reset); transport retries are bounded
-        by ``max_transport_retries``, drops retry indefinitely."""
-        transport_tries = 0
+    def _fetch(self, url: URL) -> FetchOutcome:
+        """Fetch *url*, waiting out 503s and bounded transport retries."""
+        retries = 0
         while True:
             try:
                 outcome = self.fetch(url)
@@ -237,44 +347,15 @@ class RandomWalker:
                 # sentinel (refused/reset) get the same retry treatment.
                 outcome = FetchOutcome(status=599)
             except Exception:
-                self.stats.errors += 1
-                return None
-            self.stats.requests += 1
-            self.stats.entity_bytes += outcome.size
-            self.stats.bytes_received += (
-                outcome.wire_size if outcome.wire_size is not None
-                else outcome.size)
-            if outcome.not_modified:
-                self.stats.not_modified += 1
-            if outcome.redirected:
-                self.stats.redirects += 1
-            if outcome.replica_fallback:
-                self.stats.replica_fallbacks += 1
-            if outcome.short_body:
-                self.stats.short_bodies += 1
-            if outcome.corrupt_body:
-                self.stats.corrupt_bodies += 1
-            if outcome.transport_failed:
-                self.stats.transport_failures += 1
-                if transport_tries >= self.max_transport_retries:
-                    return outcome  # counted as an error by the caller
-                transport_tries += 1
+                # A malformed answer (say, a bad Location): one error,
+                # not retried.
+                return FetchOutcome(status=599)
+            delay = self.walk.book(outcome)
+            if outcome.transport_failed and \
+                    retries < self.max_transport_retries:
+                retries += 1
                 self.stats.transport_retries += 1
-                delay = self.backoff.on_drop()
-                self.stats.backoff_time += delay
-                self.sleep(delay)
-                continue
-            if outcome.dropped:
-                self.stats.drops += 1
-                delay = self.backoff.on_drop()
-                self.stats.backoff_time += delay
-                self.sleep(delay)
-                continue
-            self.backoff.on_success()
-            return outcome
-
-
-def _default_sleep(seconds: float) -> None:
-    import time
-
-    time.sleep(seconds)
+                delay = self.walk.delay()
+            if delay is None:
+                return outcome
+            self.sleep(delay)

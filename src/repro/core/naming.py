@@ -13,7 +13,7 @@ servers need no out-of-band state to know which home server to pull from.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.core.document import Location
 from repro.errors import NamingError
@@ -83,3 +83,20 @@ def migrated_url(coop: Location, home: Location, path: str) -> URL:
 def home_url(home: Location, path: str) -> URL:
     """The original (pre-migration) URL of a document."""
     return URL(host=home.host, port=home.port, path=path)
+
+
+def _home_fallback(url: URL) -> Optional[URL]:
+    """The home URL a migrated-form *url* encodes, or ``None`` when it
+    encodes none or names the server *url* already addresses.
+
+    Pull-through naming means the home always holds the permanent copy,
+    so a client that cannot reach a co-op re-derives the home URL from
+    the path alone and asks there once: the failover both client
+    transports (the real socket one and the simulator's) apply.
+    """
+    try:
+        home, original = decode_migrated_path(url.path)
+    except NamingError:
+        return None
+    target = home_url(home, original)
+    return None if target.same_server(url) else target

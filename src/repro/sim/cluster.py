@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.client.walker import WalkerStats
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.datasets.base import SiteContent
 from repro.errors import SimulationError
-from repro.html.links import extract_links
-from repro.html.parser import parse_html
 from repro.http.messages import Request, Response
 from repro.http.urls import URL
 from repro.server.engine import DCWSEngine
@@ -28,7 +26,7 @@ from repro.server.stats import TimeSeries, sample_cluster
 from repro.faults import FaultPlan
 from repro.sim.events import EventLoop
 from repro.sim.network import BandwidthLink, CostModel, FaultyTransport, PAPER_COSTS
-from repro.sim.simclient import SimClient
+from repro.sim.simclient import SimClient, shared_parse
 from repro.sim.simserver import QueuedServer, SimServer
 
 
@@ -154,7 +152,6 @@ class SimCluster:
         self.entry_urls = self._entry_urls()
         self.clients: List[SimClient] = []
         self._build_clients()
-        self._parse_cache: Dict[bytes, Tuple[List[str], List[str]]] = {}
         self._sampled = TimeSeries()
 
     # ------------------------------------------------------------------
@@ -193,10 +190,11 @@ class SimCluster:
         return urls
 
     def _build_clients(self) -> None:
+        parse = shared_parse()
         for index in range(self.config.clients):
             client = SimClient(
                 index, self.loop, self.config.costs,
-                send=self._client_send, parse=self._parse,
+                send=self._client_send, parse=parse,
                 entry_points=self.entry_urls,
                 seed=self.config.seed * 10_000 + index,
                 think_time=self.config.think_time)
@@ -249,28 +247,6 @@ class SimCluster:
         arrival = self.loop.now + self.config.costs.link_latency
         self.loop.schedule(arrival,
                            lambda: target.deliver(request, on_response))
-
-    # ------------------------------------------------------------------
-    # Shared parse service (memoized real HTML parsing)
-    # ------------------------------------------------------------------
-
-    def _parse(self, content_type: str, body: bytes) -> Tuple[List[str], List[str]]:
-        if not content_type.startswith("text/html") or not body:
-            return [], []
-        cached = self._parse_cache.get(body)
-        if cached is not None:
-            return cached
-        document = parse_html(body.decode("latin-1", "replace"))
-        links: List[str] = []
-        images: List[str] = []
-        for link in extract_links(document):
-            if link.embedded:
-                images.append(link.value)
-            elif link.tag in ("a", "area", "frame", "iframe"):
-                links.append(link.value)
-        result = (links, images)
-        self._parse_cache[body] = result
-        return result
 
     # ------------------------------------------------------------------
     # Failure injection

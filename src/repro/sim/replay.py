@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.client.walker import MAX_REDIRECTS
 from repro.datasets.logs import LogRecord
 from repro.http.messages import Request, Response
 from repro.http.urls import URL, join_url
 from repro.sim.cluster import SimCluster
-
-_MAX_REDIRECTS = 5
 
 
 @dataclass
@@ -73,7 +72,7 @@ class ReplayClient:
                 self.stats.failed += 1
                 return
             self.stats.statuses.append(response.status)
-            if response.status in (301, 302) and redirect_depth < _MAX_REDIRECTS:
+            if response.status in (301, 302) and redirect_depth < MAX_REDIRECTS:
                 location = response.headers.get("Location")
                 if location:
                     self.stats.redirected += 1

@@ -14,7 +14,7 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.core.naming import encode_migrated_path
 from repro.http.messages import Request
-from repro.http.urls import URL
+from repro.http.urls import URL, parse_url
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
@@ -254,3 +254,39 @@ class TestFailureMemory:
         clock[0] += 2.0
         assert not pool.recently_failed("peer:1")
         assert not pool.recently_failed("other:2")
+
+
+def test_fetch_fails_over_from_a_closed_coop_to_a_live_home(server):
+    home = Location("127.0.0.1", server.port)
+    closed = URL("127.0.0.1", free_port(),
+                 encode_migrated_path(home, "/a.html"))
+    outcome = fetch_url(closed, timeout=2.0)
+    assert outcome.status == 200
+    assert outcome.replica_fallback
+    assert not outcome.redirected  # a failover is not a redirect
+    assert outcome.url == URL("127.0.0.1", server.port, "/a.html")
+
+
+class _RefusingPool:
+    """A pool that refuses every fetch and records the peers asked."""
+
+    def __init__(self):
+        self.asked = []
+
+    def fetch(self, peer, request, *, timeout=None):
+        self.asked.append(peer)
+        raise ConnectionRefusedError("refused")
+
+    def note_failure(self, authority):
+        pass
+
+
+def test_a_coop_on_port_80_is_not_its_own_home():
+    # ``http://h/`` leaves port 80 implied while the migrated path spells
+    # it out: the home it encodes is the dead server itself.
+    pool = _RefusingPool()
+    outcome = fetch_url(parse_url("http://h/~migrate/h/80/a.html"),
+                        pool=pool)
+    assert outcome.transport_failed
+    assert not outcome.replica_fallback
+    assert pool.asked == [Location("h", 80)]

@@ -1,4 +1,4 @@
-"""Unit tests for the synchronous Algorithm 2 walker."""
+"""Unit tests for Algorithm 2's walk and its blocking client."""
 
 import random
 
@@ -10,7 +10,11 @@ from repro.client.walker import (
     RandomWalker,
     select_next_link,
 )
-from repro.http.urls import URL
+from repro.http.messages import Response
+from repro.http.urls import URL, parse_url
+from repro.sim.events import EventLoop
+from repro.sim.network import CostModel
+from repro.sim.simclient import SimClient
 
 
 class TestBackoff:
@@ -152,6 +156,17 @@ class TestWalker:
         walker.run_sequence()
         assert walker.stats.errors == 1
 
+    def test_unexpected_fetch_exception_is_one_error(self):
+        def broken(url):
+            raise ValueError("bad header")
+
+        walker = RandomWalker(["http://h/x.html"], broken,
+                              sleep=lambda s: None)
+        walker.run(2)
+        assert walker.stats.errors == 2
+        assert walker.stats.requests == 0
+        assert walker.stats.transport_retries == 0
+
     def test_transport_failure_backs_off_then_recovers(self):
         site = FakeSite()
         site.refuse_next = 2
@@ -186,3 +201,60 @@ class TestWalker:
         walker.run_sequence()
         # Each recovery reset the schedule: both retries waited the base.
         assert slept == [1.0, 1.0]
+
+
+class TestOneWalk:
+    """Rules the blocking walker shares with the simulator's client."""
+
+    def test_both_clients_walk_the_same_urls(self):
+        site = FakeSite()
+        entries = ["http://h/index.html", "http://h/a.html"]
+        walker = RandomWalker(entries, site.fetch, seed=5,
+                              sleep=lambda s: None)
+        walker.run(sequences=8)
+
+        loop = EventLoop()
+        asked = []
+
+        def send(url, request, on_response):
+            asked.append(str(url))
+            page = site.pages.get(str(url), FetchOutcome(status=404))
+            response = Response(status=page.status, body=str(url).encode())
+            loop.schedule_after(0.001, lambda: on_response(response))
+
+        def parse(content_type, body):
+            page = site.pages[body.decode()]
+            return page.links, page.images
+
+        client = SimClient(0, loop, CostModel(client_overhead=0.001,
+                                              image_helpers=1),
+                           send=send, parse=parse, seed=5,
+                           entry_points=[parse_url(e) for e in entries])
+        client.start()
+        loop.run_until(1.0)
+        client.stop()
+        assert len(asked) > len(site.requests) > 8
+        assert asked[:len(site.requests)] == site.requests
+
+    def test_a_failed_image_counts_as_an_error(self):
+        site = FakeSite()
+        site.pages["http://h/index.html"].images.append("gone.gif")
+        walker = make_walker(site, min_steps=1, max_steps=1)
+        walker.run_sequence()
+        assert "http://h/gone.gif" in site.requests
+        assert walker.stats.errors == 1
+
+    def test_a_page_is_cached_under_the_url_that_answered(self):
+        coop = parse_url("http://c/~migrate/h/80/index.html")
+        site = FakeSite()
+        site.pages["http://h/index.html"] = FetchOutcome(
+            status=200, size=10, links=["index.html"], images=["i.gif"],
+            redirected=True, url=coop)
+        site.pages["http://c/~migrate/h/80/i.gif"] = FetchOutcome(200, 5)
+        walker = make_walker(site, min_steps=2, max_steps=2)
+        walker.run_sequence()
+        # Its images resolve against the co-op; the next link resolves
+        # against the URL the step asked for, which the cache misses.
+        assert site.requests == ["http://h/index.html",
+                                 "http://c/~migrate/h/80/i.gif",
+                                 "http://h/index.html"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.document import Location
 from repro.core.naming import (
+    _home_fallback,
     decode_migrated_path,
     encode_migrated_path,
     home_url,
@@ -91,3 +92,15 @@ class TestUrls:
             Location.parse("hostonly")
         with pytest.raises(ValueError):
             Location.parse(":80")
+
+
+class TestHomeFallback:
+    def test_a_migrated_url_falls_back_to_its_home(self):
+        url = migrated_url(COOP, HOME, "/a/b.html")
+        assert _home_fallback(url) == home_url(HOME, "/a/b.html")
+
+    def test_a_plain_url_has_no_fallback(self):
+        assert _home_fallback(home_url(HOME, "/a.html")) is None
+
+    def test_a_home_that_is_the_server_asked_is_no_fallback(self):
+        assert _home_fallback(migrated_url(HOME, HOME, "/a.html")) is None

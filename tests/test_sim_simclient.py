@@ -19,10 +19,13 @@ class ScriptedServer:
         self.delay = delay
         self.requests = []
         self.drop_next = 0
+        self.dead = set()   # hosts that have crashed: no answer at all
 
     def send(self, url, request, on_response):
         self.requests.append(str(url))
-        if self.drop_next > 0:
+        if url.host in self.dead:
+            response = None
+        elif self.drop_next > 0:
             self.drop_next -= 1
             response = Response(status=503)
         else:
@@ -125,6 +128,40 @@ class TestRedirects:
         client.stop()
         # Bounded redirects per request attempt, not infinite.
         assert client.stats.redirects < len(server.requests) + 10
+
+
+class TestFailover:
+    COOP_COPY = "http://coop/~migrate/h/80/a.html"
+
+    def run_one_sequence(self, dead):
+        loop = EventLoop()
+        body = b"<html>home copy</html>"
+        server = ScriptedServer(loop, {"http://h/a.html": html_response(body)})
+        server.dead.update(dead)
+        client = make_client(loop, server, parse_stub({body: ([], [])}),
+                             entries=(self.COOP_COPY,),
+                             min_steps=1, max_steps=1)
+        client.start()
+        # Two hops of 1 ms overhead plus 1 ms delivery each: the second
+        # sequence's first request is not issued before 5 ms.
+        loop.run_until(0.0045)
+        client.stop()
+        return server, client
+
+    def test_a_crashed_coop_fails_over_to_the_home_once(self):
+        server, client = self.run_one_sequence({"coop"})
+        assert server.requests == [self.COOP_COPY, "http://h/a.html"]
+        assert client.stats.replica_fallbacks == 1
+        assert client.stats.steps == 1
+        assert client.stats.errors == 0
+        assert client.latencies == [pytest.approx(0.004)]
+
+    def test_a_dead_home_ends_the_fetch_as_an_error(self):
+        server, client = self.run_one_sequence({"coop", "h"})
+        assert server.requests == [self.COOP_COPY, "http://h/a.html"]
+        assert client.stats.replica_fallbacks == 1
+        assert client.stats.errors == 1
+        assert client.stats.steps == 0
 
 
 class TestBackoff:
