@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 from repro.client.walker import WalkerStats
 from repro.datasets.base import SiteContent
 from repro.errors import SimulationError
-from repro.http.messages import Request, Response
+from repro.http.messages import Response
 from repro.http.urls import URL
 from repro.server.filestore import MemoryStore
 from repro.server.stats import ClusterSample, TimeSeries
@@ -27,7 +27,7 @@ from repro.sim.cluster import ClusterConfig
 from repro.sim.events import EventLoop
 from repro.sim.network import BandwidthLink
 from repro.sim.simclient import SimClient, shared_parse
-from repro.sim.simserver import StaticServer
+from repro.sim.simserver import Arrival, StaticServer
 
 
 @dataclass
@@ -136,7 +136,7 @@ class RoundRobinDNSCluster:
     def _make_send(self, client_index: int):
         lease: Dict[str, object] = {"server": None, "expires": -1.0}
 
-        def send(url: URL, request: Request,
+        def send(url: URL, request: Arrival,
                  on_response: Callable[[Optional[Response]], None]) -> None:
             server = self._resolve(lease)
 

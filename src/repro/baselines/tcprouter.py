@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 from repro.client.walker import WalkerStats
 from repro.datasets.base import SiteContent
 from repro.errors import SimulationError
-from repro.http.messages import Request, Response
+from repro.http.messages import Response
 from repro.http.urls import URL
 from repro.server.filestore import MemoryStore
 from repro.baselines.rr_dns import BaselineResult, _CountingSampler
@@ -28,7 +28,7 @@ from repro.sim.cluster import ClusterConfig
 from repro.sim.events import EventLoop
 from repro.sim.network import BandwidthLink, Serializer
 from repro.sim.simclient import SimClient, shared_parse
-from repro.sim.simserver import StaticServer
+from repro.sim.simserver import Arrival, StaticServer
 
 #: CPU the router spends rewriting one connection's packets (seconds).
 ROUTER_CONNECTION_CPU = 0.0002
@@ -71,7 +71,7 @@ class TCPRouterCluster:
     # The router data path
     # ------------------------------------------------------------------
 
-    def _route(self, url: URL, request: Request,
+    def _route(self, url: URL, request: Arrival,
                on_response: Callable[[Optional[Response]], None]) -> None:
         """client -> router (CPU) -> backend -> router (NIC) -> client."""
         costs = self.config.costs

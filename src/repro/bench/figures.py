@@ -761,7 +761,7 @@ def ablation_bookmarks(scale: Optional[ExperimentScale] = None, *,
     scale = scale or current_scale()
     from repro.bench.harness import cluster_config
     from repro.datasets.logs import generate_access_log
-    from repro.sim.replay import attach_replay
+    from repro.sim.replay import ReplayClient
 
     site = build_site(dataset)
     records = generate_access_log(site, duration=scale.duration * 0.8,
@@ -770,8 +770,8 @@ def ablation_bookmarks(scale: Optional[ExperimentScale] = None, *,
                             clients=saturating_clients(scale, servers) // 2,
                             prewarm=True)
     cluster = SimCluster(site, config)
-    replayer = attach_replay(cluster, records, time_scale=1.0,
-                             start_offset=1.0)
+    replayer = ReplayClient(cluster, records, time_scale=1.0,
+                            start_offset=1.0)
     result = cluster.run(extra_setup=lambda c: replayer.start())
     return BookmarkAblation(
         replay_requests=replayer.stats.issued,

@@ -25,17 +25,10 @@ class ClientCache:
 
     def __init__(self) -> None:
         self._entries: Dict[str, Tuple[int, List[str]]] = {}
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, url: str) -> Optional[Tuple[int, List[str]]]:
-        """Return ``(size, links)`` or ``None``; counts hit/miss."""
-        entry = self._entries.get(url)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
+        """Return ``(size, links)`` or ``None``."""
+        return self._entries.get(url)
 
     def store(self, url: str, size: int, links: List[str]) -> None:
         self._entries[url] = (size, list(links))

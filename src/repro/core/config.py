@@ -169,9 +169,7 @@ class ServerConfig:
     # pressure at or above ``shed_pressure`` (a fraction of its capacity),
     # the engine sheds *expensive* work — dirty-document regenerations and
     # first-use co-op pulls — with 503 + Retry-After while cheap work
-    # (cache hits, 304 validations) keeps being served.  False restores
-    # the single-tier behaviour: overload is handled only at the edge.
-    tiered_shedding: bool = True
+    # (cache hits, 304 validations) keeps being served.
     shed_pressure: float = 0.9
     # End-to-end content integrity (repro.server.integrity).  The scrub
     # round runs off the engine tick every ``scrub_interval`` seconds

@@ -108,6 +108,13 @@ def _parse_head(head: bytes) -> ParsedHead:
 _parsed_head = lru_cache(maxsize=HEAD_MEMO_ENTRIES)(_parse_head)
 
 
+def parsed_head(head: bytes) -> ParsedHead:
+    """:func:`_parse_head`, through the memo when *head* is short
+    enough to keep."""
+    return (_parsed_head if len(head) <= HEAD_MEMO_MAX_BYTES
+            else _parse_head)(head)
+
+
 class RequestParser:
     """Incremental parser for a stream of pipelined HTTP requests.
 
@@ -215,12 +222,8 @@ class RequestParser:
             if self._eof and self._buffer:
                 raise HTTPError("connection closed before request completed")
             return None
-        key = bytes(self._buffer[:head_end])
         try:
-            if head_end > HEAD_MEMO_MAX_BYTES:
-                head = _parse_head(key)
-            else:
-                head = _parsed_head(key)
+            head = parsed_head(bytes(self._buffer[:head_end]))
         except InvalidContentLength as exc:
             self._consume(head_end + 4)
             raise RecoverableProtocolError(str(exc)) from exc

@@ -1,25 +1,22 @@
-"""What the two socket front ends share: :class:`SocketHost`.
+"""The serve route of every host, :func:`serve`, and what the two socket
+front ends share, :class:`SocketHost`.
 
-Every engine call runs under the host's one engine lock, and
-:meth:`SocketHost._engine_dispatch` is the serve path's single locked
-section — shedding signal, cached-read short-circuit, full
-:meth:`DCWSEngine.handle_request`, dirty-document regeneration included.
-The engine answers a warm cached read with its finished head bytes and
-body (:data:`Warm`), anything else with a finished :class:`EngineReply`
-or with the one blocking directive, a lazy-migration pull
-(:class:`PullFromHome`); only
-network transfers — those pulls, and the periodic pass's pings and
-validations — run between two holds of the lock.
+:func:`serve` takes one request through the engine: a client's memoised
+head to :meth:`DCWSEngine.serve_warm`, else ``fast_lookup``/
+``fast_commit`` or ``handle_request``.  It answers with a warm read's
+finished head bytes and body (:data:`Warm`), a finished
+:class:`EngineReply`, or the one blocking directive, a lazy-migration
+pull (:class:`PullFromHome`).  The socket front ends call it under the
+host's one engine lock, overloaded past ``shed_pressure``; the
+simulator never overloaded, as the paper's 503 is the queue drop.
 
 The front ends (:mod:`repro.server.threaded`, :mod:`repro.server.aio`)
 differ in how they move bytes and on which thread a transfer blocks.
 Everything else lives here once: construction up to the transport's own
 state, the journal + snapshot lifecycle, the locked dispatch, the pull,
-the periodic pass, the keep-alive decision and the overload 503.
-
-:meth:`_engine_dispatch` never blocks beyond the lock; methods that touch
-the network or the disk say so and must run on a thread that is allowed
-to block — never on the event loop.
+the periodic pass, the keep-alive decision and the overload 503.  Only
+network transfers — pulls, pings, validations — and the disk run off
+the lock, on a thread allowed to block: never on the event loop.
 """
 
 from __future__ import annotations
@@ -179,43 +176,14 @@ class SocketHost:
     def _engine_dispatch(self, request: Union[Request, ParsedHead],
                          now: float, *, body: bytes = b"", served: int = 0
                          ) -> Union[Warm, EngineReply, PullFromHome]:
-        """One request through the engine, under the engine lock.
-
-        A front end hands over the memoised head a parser returned, its
-        *body*, and its ordinal *served* on the connection.  A bodiless
-        one goes to :meth:`DCWSEngine.serve_warm`, whose answer comes
-        back as the :data:`Warm` triple the front end sends as it is;
-        what that route does not answer goes to ``handle_request``.  Any
-        other request — a :class:`Request`, a head with a body, the
-        connection's ``keep_alive_max_requests``-th (its head must say
-        ``Connection: close``), every request under overload — takes
-        the render path: ``fast_lookup``/``fast_commit``, else
-        ``handle_request``, each answer a :class:`EngineReply` whose
-        keep-alive :meth:`_settle_keep_alive` settles.
-
-        At or above ``shed_pressure`` the engine sheds its expensive
-        tier (regenerations, first-use pulls) while cache hits and 304s
-        keep flowing.  ``_pressure()`` is read before taking the lock —
-        an approximate reading is exactly what a pressure signal needs.
-        """
-        engine = self.engine
-        config = engine.config
-        overloaded = (config.tiered_shedding
-                      and self._pressure() >= config.shed_pressure)
+        """:func:`serve`, under the engine lock, overloaded at or above
+        ``shed_pressure``.  ``_pressure()`` is read before taking the
+        lock — an approximate reading is exactly what a pressure signal
+        needs."""
+        overloaded = self._pressure() >= self.engine.config.shed_pressure
         with self._lock:
-            engine.overloaded = overloaded
-            if isinstance(request, ParsedHead):
-                if not (body or overloaded
-                        or served >= config.keep_alive_max_requests):
-                    warm = engine.serve_warm(request, now)
-                    if warm is not None:
-                        return warm
-                    return engine.handle_request(request.request(), now)
-                request = request.request(body)
-            hit = engine.fast_lookup(request, now)
-            if hit is not None:
-                return engine.fast_commit(hit, request, now)
-            return engine.handle_request(request, now)
+            return serve(self.engine, request, now, body=body,
+                         served=served, overloaded=overloaded)
 
     def _dispatch_blocking(self, head: ParsedHead, body: bytes,
                            served: int) -> Union[Warm, Response]:
@@ -343,6 +311,37 @@ class SocketHost:
         rtt = finished - started if response is not None else None
         with self._lock:
             self.engine.complete_action(action, response, finished, rtt=rtt)
+
+
+def serve(engine: DCWSEngine, request: Union[Request, ParsedHead],
+          now: float, *, body: bytes = b"", served: int = 0,
+          overloaded: bool = False
+          ) -> Union[Warm, EngineReply, PullFromHome]:
+    """One request through *engine*, the serve route of every host (the
+    caller holds whatever guards the engine).
+
+    A client's bodiless memoised head goes to :meth:`DCWSEngine.serve_warm`
+    unless it is *overloaded* or its connection's
+    ``keep_alive_max_requests``-th (*served*; that head must say
+    ``Connection: close``); what that route declines goes to
+    ``handle_request``.  Anything else takes the render path:
+    ``fast_lookup``/``fast_commit``, else ``handle_request``.
+    *overloaded* sheds the engine's expensive tier (regenerations,
+    first-use pulls) while cache hits and 304s keep flowing.
+    """
+    engine.overloaded = overloaded
+    if isinstance(request, ParsedHead):
+        if not (body or overloaded
+                or served >= engine.config.keep_alive_max_requests):
+            warm = engine.serve_warm(request, now)
+            if warm is not None:
+                return warm
+            return engine.handle_request(request.request(), now)
+        request = request.request(body)
+    hit = engine.fast_lookup(request, now)
+    if hit is not None:
+        return engine.fast_commit(hit, request, now)
+    return engine.handle_request(request, now)
 
 
 def close_quietly(connection: socket.socket) -> None:

@@ -299,10 +299,9 @@ class DCWSEngine:
         # os.sendfile set this; large clean disk-backed GETs then skip
         # the byte read entirely (see _serve_copy).
         self.sendfile_enabled = False
-        # Tiered shedding input: hosts set this before dispatching when
-        # their queue/connection pressure crosses ``config.shed_pressure``.
-        # While True, expensive work (regenerations, first-use pulls) is
-        # shed with 503 while cache hits and 304s keep being served.
+        # Tiered shedding input, set per request by dispatch.serve: while
+        # True, expensive work (regenerations, first-use pulls) is shed
+        # with 503 while cache hits and 304s keep being served.
         self.overloaded = False
         self.graph = LocalDocumentGraph(
             location, enforce_entry_home=config.protect_entry_points)
@@ -862,7 +861,7 @@ class DCWSEngine:
                                      drop=False)
         reconstructed = False
         if record.dirty and record.is_html:
-            if self.overloaded and self.config.tiered_shedding:
+            if self.overloaded:
                 # Tier 2 of overload handling: a dirty document needs a
                 # regeneration pass before it can be served — refuse that
                 # expense while the front end reports pressure.  Clean
@@ -1179,7 +1178,7 @@ class DCWSEngine:
         hosted = self._hosted_entry(key, home, original)
         hosted.hits += 1
         if not hosted.fetched:
-            if self.overloaded and self.config.tiered_shedding:
+            if self.overloaded:
                 # First-use pull is the co-op's expensive tier: refuse it
                 # under pressure; already-fetched copies keep serving.
                 return self._shed(request, now, doc_name=key, kind="pull")

@@ -5,8 +5,9 @@ Substitutes for the paper's testbed (64 Pentium-200 workstations on
 :class:`~repro.server.engine.DCWSEngine` instances and a faithful
 Algorithm 2 client: every policy decision, hyperlink rewrite, piggybacked
 header and 301/503 in a simulated run is produced by the same code the
-real socket server runs — only time, queueing and byte transport are
-modelled.
+real socket server runs, down to the serve route
+(:func:`repro.server.dispatch.serve`) a client's GET head takes — only
+time, queueing and byte transport are modelled.
 
 Model summary (see DESIGN.md for the calibration rationale):
 

@@ -20,6 +20,7 @@ from repro.datasets.base import SiteContent
 from repro.errors import SimulationError
 from repro.http.messages import Request, Response
 from repro.http.urls import URL
+from repro.http.wire import ParsedHead
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.stats import TimeSeries, sample_cluster
@@ -194,7 +195,7 @@ class SimCluster:
         for index in range(self.config.clients):
             client = SimClient(
                 index, self.loop, self.config.costs,
-                send=self._client_send, parse=parse,
+                send=self.client_send, parse=parse,
                 entry_points=self.entry_urls,
                 seed=self.config.seed * 10_000 + index,
                 think_time=self.config.think_time)
@@ -230,15 +231,11 @@ class SimCluster:
         self.loop.schedule(arrival,
                            lambda: target.deliver(request, on_response))
 
-    def client_send(self, url: URL, request: Request,
+    def client_send(self, url: URL, request: ParsedHead,
                     on_response: Callable[[Optional[Response]], None]) -> None:
-        """Public client-to-server send — for custom traffic sources such
-        as the access-log replayer (:mod:`repro.sim.replay`)."""
-        self._client_send(url, request, on_response)
-
-    def _client_send(self, url: URL, request: Request,
-                     on_response: Callable[[Optional[Response]], None]) -> None:
-        """Client-to-server transfer (client NICs are not the bottleneck)."""
+        """Client-to-server transfer (client NICs are not the bottleneck),
+        also for custom traffic sources such as the access-log replayer
+        (:mod:`repro.sim.replay`)."""
         target = self.servers.get(f"{url.host}:{url.port}")
         if target is None:
             self.loop.schedule_after(self.config.costs.request_timeout,

@@ -12,13 +12,14 @@ clients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.client.walker import MAX_REDIRECTS
 from repro.datasets.logs import LogRecord
-from repro.http.messages import Request, Response
+from repro.http.messages import Response
 from repro.http.urls import URL, join_url
 from repro.sim.cluster import SimCluster
+from repro.sim.simclient import get_head
 
 
 @dataclass
@@ -49,7 +50,8 @@ class ReplayClient:
         self.stats = ReplayStats()
 
     def start(self) -> None:
-        """Schedule every record; call before ``cluster.run()``."""
+        """Schedule every record: pass it to ``cluster.run`` as
+        ``extra_setup=lambda c: replayer.start()``."""
         base = self.records[0].time if self.records else 0.0
         for record in self.records:
             when = self.start_offset + (record.time - base) * self.time_scale
@@ -63,8 +65,6 @@ class ReplayClient:
                url: Optional[URL] = None) -> None:
         target = url if url is not None else \
             URL(self.home.host, self.home.port, record.path)
-        request = Request(method="GET", target=target.request_target)
-        request.headers.set("Host", target.authority)
         self.stats.issued += 1
 
         def received(response: Optional[Response]) -> None:
@@ -86,7 +86,7 @@ class ReplayClient:
             else:
                 self.stats.failed += 1
 
-        self.cluster.client_send(target, request, received)
+        self.cluster.client_send(target, get_head(target), received)
 
     # ------------------------------------------------------------------
 
@@ -96,15 +96,3 @@ class ReplayClient:
         if self.stats.issued == 0:
             return 0.0
         return self.stats.redirected / self.stats.issued
-
-
-def attach_replay(cluster: SimCluster, records: Sequence[LogRecord], *,
-                  home_index: int = 0, time_scale: float = 1.0,
-                  start_offset: float = 0.0) -> ReplayClient:
-    """Create a replayer and return it; pass ``start`` via ``extra_setup``::
-
-        replayer = attach_replay(cluster, records)
-        cluster.run(extra_setup=lambda c: replayer.start())
-    """
-    return ReplayClient(cluster, records, home_index=home_index,
-                        time_scale=time_scale, start_offset=start_offset)

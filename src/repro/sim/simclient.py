@@ -27,8 +27,9 @@ from repro.client.walker import (
     page_links,
 )
 from repro.core.naming import _home_fallback
-from repro.http.messages import Request, Response
+from repro.http.messages import Response
 from repro.http.urls import URL, join_url
+from repro.http.wire import ParsedHead, parsed_head
 from repro.sim.events import EventLoop
 from repro.sim.network import CostModel, Serializer
 
@@ -36,7 +37,7 @@ from repro.sim.network import CostModel, Serializer
 # parse cache (real HTML parsing, memoized per distinct body).
 ParsedLinks = Tuple[List[str], List[str]]
 ParseFn = Callable[[str, bytes], ParsedLinks]
-ClientSendFn = Callable[[URL, Request, Callable[[Optional[Response]], None]], None]
+ClientSendFn = Callable[[URL, ParsedHead, Callable[[Optional[Response]], None]], None]
 DoneFn = Callable[[URL, Optional[Response]], None]
 
 
@@ -195,9 +196,7 @@ class SimClient:
         def issue() -> None:
             if self._stopped:
                 return
-            request = Request(method="GET", target=url.request_target)
-            request.headers.set("Host", url.authority)
-            self.send(url, request, received)
+            self.send(url, get_head(url), received)
 
         def received(response: Optional[Response]) -> None:
             if self._stopped:
@@ -233,6 +232,13 @@ class SimClient:
         __, ready = self._cpu.reserve(self.loop.now,
                                       self.costs.client_overhead)
         self.loop.schedule(ready, issue)
+
+
+def get_head(url: URL) -> ParsedHead:
+    """The head a client frames to GET *url*, as a server's parser
+    hands it over: from the head memo, so it takes the warm route."""
+    return parsed_head(f"GET {url.request_target} HTTP/1.0\r\n"
+                       f"Host: {url.authority}".encode("latin-1"))
 
 
 def _outcome(response: Optional[Response]) -> FetchOutcome:

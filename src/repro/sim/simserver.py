@@ -5,7 +5,9 @@ the front-end, a worker pool sharing one CPU, and a NIC egress link.  The
 concrete subclasses plug in behaviour:
 
 - :class:`SimServer` hosts a real :class:`~repro.server.engine.DCWSEngine`
-  (the system under test);
+  (the system under test) behind the socket hosts' route,
+  :func:`repro.server.dispatch.serve`, never overloaded: the paper's
+  503 is the queue drop below, and shedding would move Figure 6;
 - :class:`StaticServer` serves a fixed store with no DCWS logic — the
   building block for the round-robin-DNS and TCP-router baselines
   (:mod:`repro.baselines`).
@@ -24,16 +26,21 @@ blocking worker threads of the prototype.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple, Union
 
 from repro.errors import DocumentNotFound
-from repro.http.messages import Request, Response, error_response
+from repro.http.messages import (Request, Response, error_response,
+                                 parse_response)
 from repro.http.status import StatusCode
+from repro.http.wire import ParsedHead
+from repro.server.dispatch import serve
 from repro.server.engine import DCWSEngine, EngineReply, PullFromHome
 from repro.server.filestore import DocumentStore, guess_content_type
 from repro.sim.events import EventLoop
 from repro.sim.network import BandwidthLink, CostModel, Serializer
 
+#: What reaches a node: a client's memoised head, or a peer's request.
+Arrival = Union[ParsedHead, Request]
 RespondFn = Callable[[Optional[Response]], None]
 SendFn = Callable[["QueuedServer", object, Request, RespondFn], None]
 
@@ -58,7 +65,7 @@ class QueuedServer:
         self.switch = switch
         self.crashed = False
         self.busy_workers = 0
-        self._queue: Deque[Tuple[Request, RespondFn]] = deque()
+        self._queue: Deque[Tuple[Arrival, RespondFn]] = deque()
         # Counters surfaced to benches.
         self.arrivals = 0
         self.served = 0
@@ -68,7 +75,7 @@ class QueuedServer:
     # Arrival path (the front-end thread)
     # ------------------------------------------------------------------
 
-    def deliver(self, request: Request, respond: RespondFn) -> None:
+    def deliver(self, request: Arrival, respond: RespondFn) -> None:
         """A connection reaches this node at the loop's current time."""
         if self.crashed:
             self.loop.schedule_after(self.costs.request_timeout,
@@ -82,7 +89,7 @@ class QueuedServer:
         else:
             self._drop(request, respond)
 
-    def _drop(self, request: Request, respond: RespondFn) -> None:
+    def _drop(self, request: Arrival, respond: RespondFn) -> None:
         """Queue overflow: graceful 503 from the front-end (section 5.2)."""
         self.dropped += 1
         self.on_drop(request)
@@ -96,11 +103,11 @@ class QueuedServer:
     # Worker path
     # ------------------------------------------------------------------
 
-    def _begin(self, request: Request, respond: RespondFn) -> None:
+    def _begin(self, request: Arrival, respond: RespondFn) -> None:
         self.busy_workers += 1
         self.handle(request, respond)
 
-    def handle(self, request: Request, respond: RespondFn) -> None:
+    def handle(self, request: Arrival, respond: RespondFn) -> None:
         """Subclass hook: compute and send the response.
 
         Implementations must end by calling :meth:`finish` exactly once
@@ -152,7 +159,7 @@ class QueuedServer:
 
     # Subclass hooks ----------------------------------------------------
 
-    def on_drop(self, request: Request) -> None:
+    def on_drop(self, request: Arrival) -> None:
         """Called when the front-end sheds a connection."""
 
 
@@ -171,8 +178,13 @@ class SimServer(QueuedServer):
 
     # ------------------------------------------------------------------
 
-    def handle(self, request: Request, respond: RespondFn) -> None:
-        result = self.engine.handle_request(request, self.loop.now)
+    def handle(self, request: Arrival, respond: RespondFn) -> None:
+        result = serve(self.engine, request, self.loop.now)
+        if isinstance(result, tuple):
+            # Warm: the response its kept bytes carry, a clean hit.
+            head, body, __ = result
+            result = EngineReply(parse_response(head))
+            result.response.body = body
         if isinstance(result, PullFromHome):
             # Lazy migration: the worker blocks on an HTTP session with the
             # home server (section 4.2, sub-condition 1).
@@ -196,7 +208,7 @@ class SimServer(QueuedServer):
             body_bytes=len(reply.response.body))
         self.finish(reply.response, respond, cpu_cost=cost)
 
-    def on_drop(self, request: Request) -> None:
+    def on_drop(self, request: Arrival) -> None:
         self.engine.metrics.record_drop(self.loop.now)
 
     # ------------------------------------------------------------------
@@ -231,8 +243,8 @@ class StaticServer(QueuedServer):
         self.store = store
         self.bytes_sent = 0
 
-    def handle(self, request: Request, respond: RespondFn) -> None:
-        path = request.path
+    def handle(self, request: Arrival, respond: RespondFn) -> None:
+        path = request.route
         try:
             data = self.store.get(path)
         except DocumentNotFound:

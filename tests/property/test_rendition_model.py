@@ -35,9 +35,9 @@ from repro.core.document import Location
 from repro.errors import MigrationError
 from repro.http.content import DIGEST_HEADER, body_digest, gunzip_bytes
 from repro.http.messages import Request
+from repro.server.dispatch import serve
 from repro.server.engine import DCWSEngine, VERSION_HEADER
 from repro.server.filestore import MemoryStore
-from tests.test_server_engine_fastpath import dispatch
 
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)
@@ -73,7 +73,7 @@ class RenditionMachine(RuleBasedStateMachine):
 
     def dispatch(self, request):
         self.clock += 1.0
-        return dispatch(self.engine, request, self.clock).response
+        return serve(self.engine, request, self.clock).response
 
     def check_200(self, name, response):
         body = response.body

@@ -8,6 +8,7 @@ from repro.client.walker import (
     ExponentialBackoff,
     FetchOutcome,
     RandomWalker,
+    Walk,
     select_next_link,
 )
 from repro.http.messages import Response
@@ -258,3 +259,15 @@ class TestOneWalk:
         assert site.requests == ["http://h/index.html",
                                  "http://c/~migrate/h/80/i.gif",
                                  "http://h/index.html"]
+
+    def test_cache_hits_count_steps_the_sequence_cache_answers(self):
+        url = parse_url("http://h/a.html")
+        walk = Walk([url], seed=1)
+        walk.begin()
+        assert walk.step(url) is None           # a miss books nothing
+        walk.page(url, FetchOutcome(200, 10, links=["b.html"]))
+        assert walk.step(url) == ["b.html"]
+        assert walk.stats.cache_hits == 1
+        walk.begin()                            # the reset empties it
+        assert walk.step(url) is None
+        assert walk.stats.cache_hits == 1

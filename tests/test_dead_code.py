@@ -100,8 +100,6 @@ UNTURNED = {
     "write_buffer_limit": "tests lower the event loop's high-water mark "
                           "to see backpressure",
     "sendfile_min_bytes": "tests lower it to send small files by sendfile",
-    "tiered_shedding": "tests switch it off to compare the single-tier "
-                       "overload rule",
     "shed_pressure": "tests lower it to shed without real overload",
     "scrub_interval": "tests set it, and 0 switches scrubbing off; "
                       "production takes the default through scaled()",

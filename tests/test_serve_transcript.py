@@ -41,7 +41,9 @@ from repro.http.content import (
 )
 from repro.http.messages import Request, Response
 from repro.http.piggyback import SENDER_HEADER
+from repro.http.wire import RequestParser
 from repro.server.aio import AsyncDCWSServer
+from repro.server.dispatch import serve
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
@@ -51,7 +53,7 @@ from repro.server.engine import (
 )
 from repro.server.filestore import DiskStore, MemoryStore
 from repro.server.threaded import ThreadedDCWSServer
-from tests.support import free_port, parse_request
+from tests.support import free_port
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "serve_transcript.json"
 
@@ -450,9 +452,9 @@ def books(engine: DCWSEngine) -> Dict[str, object]:
 
 
 def through_engine(make, steps: List[Step]):
-    """``SocketHost._engine_dispatch`` and ``_pull`` without the lock or
-    the network: the short-circuit where it applies, the slow path where
-    it does not, a pull completed with the step's canned answer."""
+    """The hosts' :func:`serve` without a lock or the network: the warm
+    route where it applies, the slow path where it does not, a pull
+    completed with the step's canned answer."""
     engine = make(0.0)
     engine.initialize(0.0)
     clock = itertools.count(100)
@@ -461,12 +463,14 @@ def through_engine(make, steps: List[Step]):
         if step.prepare is not None:
             step.prepare(engine)
         wire = step.request(engine)
-        request, now = parse_request(wire), float(next(clock))
-        hit = engine.fast_lookup(request, now)
-        if hit is not None:
-            reply = engine.fast_commit(hit, request, now)
-        else:
-            reply = engine.handle_request(request, now)
+        parser = RequestParser()
+        parser.feed(wire)
+        (head, body), now = parser.next_head(), float(next(clock))
+        reply = serve(engine, head, now, body=body,
+                      overloaded=engine.overloaded)   # as prepared
+        if isinstance(reply, tuple):                    # warm
+            wires.append((wire, reply[0], reply[1]))
+            continue
         if isinstance(reply, PullFromHome):
             assert step.upstream is not None, step.label
             response, keywords = step.upstream(reply)

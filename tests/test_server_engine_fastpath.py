@@ -37,6 +37,7 @@ from repro.http.headers import Headers, _Facts
 from repro.http.messages import Request, Response, parse_response
 from repro.http.wire import RequestParser, _parsed_head
 from repro.server.aio import AsyncDCWSServer
+from repro.server.dispatch import serve
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
@@ -441,15 +442,6 @@ def test_hosted_copies_have_no_memo_to_go_stale():
 COOP_2 = Location("127.0.0.1", 2)
 
 
-def dispatch(engine, request, now):
-    """``SocketHost._engine_dispatch`` without the lock: the
-    short-circuit where it applies, the slow path where it does not."""
-    hit = engine.fast_lookup(request, now)
-    if hit is not None:
-        return engine.fast_commit(hit, request, now)
-    return engine.handle_request(request, now)
-
-
 def observed(engine, now):
     """Everything a request may move, whichever route served it."""
     return (counters(engine),
@@ -497,7 +489,7 @@ def twin_step(by_fast, by_slow, make_request, now):
     """One request through each twin; same wire bytes, same books.
     Returns the reply and whether it took the short-circuit."""
     before = by_fast.stats.fast_hits
-    quick = dispatch(by_fast, make_request(), now)
+    quick = serve(by_fast, make_request(), now)
     full = slow(by_slow, make_request(), now)
     assert quick.response.serialize() == full.response.serialize()
     assert quick.doc_name == full.doc_name
@@ -809,10 +801,10 @@ def test_a_coop_serves_a_copy_as_its_home_would():
                                           ("gzip", None)):
                     step = (turn, name, case, version, connection, method,
                             encoding)
-                    at_home = dispatch(home, conditional(
+                    at_home = serve(home, conditional(
                         name, conditionals(name)[case][0], version,
                         connection, method, encoding), 1.0 + turn).response
-                    at_coop = dispatch(coop, conditional(
+                    at_coop = serve(coop, conditional(
                         key, conditionals(key)[case][0], version,
                         connection, method, encoding), 1.0 + turn).response
                     assert at_coop.body == at_home.body, step
@@ -925,7 +917,7 @@ def test_a_coops_copies_take_the_short_circuit_byte_for_byte():
     def step(make_request, key):
         now = float(next(clock))
         before = by_fast.stats.fast_hits
-        quick = through(by_fast, dispatch, make_request(), now)
+        quick = through(by_fast, serve, make_request(), now)
         full = through(by_slow, slow, make_request(), now)
         head, response = quick.response.serialize_head(), quick.response
         assert head == full.response.serialize_head(), key

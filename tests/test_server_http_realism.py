@@ -247,12 +247,6 @@ class TestTieredShedding:
                        headers={"If-None-Match": etag})
         assert response.status == 304
 
-    def test_shedding_disabled_by_config(self):
-        engine = make_engine(tiered_shedding=False)
-        engine.update_document("/d.html", BIG_PAGE)
-        engine.overloaded = True
-        assert get(engine, "/d.html").status == 200
-
     def test_unfetched_pull_shed_under_overload(self):
         coop = make_coop()
         key = f"/~migrate/{HOME.host}/{HOME.port}/d.html"

@@ -34,6 +34,7 @@ from repro.http.messages import Request, Response
 from repro.http.piggyback import SENDER_HEADER
 from repro.server import engine as engine_module
 from repro.server.admin import render_caches
+from repro.server.dispatch import serve
 from repro.server.engine import (
     DCWSEngine,
     OutboundAction,
@@ -41,7 +42,6 @@ from repro.server.engine import (
     VERSION_HEADER,
 )
 from repro.server.filestore import DiskStore, MemoryStore
-from tests.test_server_engine_fastpath import dispatch as engine_dispatch
 
 HOME = Location("home", 8001)
 COOP = Location("coop", 8002)
@@ -82,7 +82,7 @@ _clock = itertools.count(1)
 
 def dispatch(engine, request):
     """The short-circuit where it applies, else the slow path."""
-    return engine_dispatch(engine, request, float(next(_clock))).response
+    return serve(engine, request, float(next(_clock))).response
 
 
 def evict(engine):

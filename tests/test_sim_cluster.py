@@ -5,8 +5,10 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.datasets.synthetic import build_synthetic_site
 from repro.errors import SimulationError
+from repro.http.urls import URL, join_url
 from repro.sim.cluster import ClusterConfig, SimCluster
 from repro.sim.network import CostModel
+from repro.sim.simclient import get_head
 
 
 def quick_config(**kwargs):
@@ -165,3 +167,43 @@ class TestFailureInjection:
         cluster.run(extra_setup=crash_home)
         # The co-op must not discard its copies (section 4.5, case 4).
         assert any(h.fetched for h in coop.hosted.values())
+
+
+class TestWarmRoute:
+    """Client GETs reach the engines through the sockets' warm route."""
+
+    @staticmethod
+    def fetch(cluster, url):
+        """One client GET of *url*, run to its answer."""
+        answers = []
+        cluster.client_send(url, get_head(url), answers.append)
+        cluster.loop.run_until(cluster.loop.now + 5.0)
+        assert len(answers) == 1 and answers[0] is not None
+        return answers[0]
+
+    def test_a_migrated_name_is_redirected_once_its_copy_is_clean(self):
+        cluster = SimCluster(small_site(), quick_config(duration=10.0))
+        cluster.run()
+        home, coop = (cluster.servers[str(location)].engine
+                      for location in cluster.locations)
+        assert home.stats.fast_hits > 0 and coop.stats.fast_hits > 0
+        record = next(record for record in home.graph.documents()
+                      if record.is_html and not record.entry_point
+                      and record.location == home.location)
+        url = URL(home.location.host, home.location.port, record.name)
+        warm = home.stats.fast_hits
+        assert self.fetch(cluster, url).status == 200
+        assert home.stats.fast_hits == warm + 1
+        home.policy.force_migrate(record.name, coop.location,
+                                  cluster.loop.now)
+        moved = self.fetch(cluster, url)
+        assert moved.status == 301
+        # Following it makes the co-op pull: the home regenerates the
+        # page, so its copy is clean and cached again, and only the
+        # location rule keeps the warm route from answering 200.
+        assert self.fetch(cluster, join_url(
+            url, moved.headers.get("Location"))).status == 200
+        assert not home.graph.get(record.name).dirty
+        again = self.fetch(cluster, url)
+        assert again.status == 301
+        assert again.headers.get("Location") == moved.headers.get("Location")

@@ -6,7 +6,7 @@ from repro.core.config import ServerConfig
 from repro.datasets.logs import LogRecord, generate_access_log
 from repro.datasets.synthetic import build_synthetic_site
 from repro.sim.cluster import ClusterConfig, SimCluster
-from repro.sim.replay import ReplayClient, attach_replay
+from repro.sim.replay import ReplayClient
 
 
 def make_cluster(prewarm=True, servers=2):
@@ -23,7 +23,7 @@ class TestReplay:
         site, cluster = make_cluster()
         records = [LogRecord(time=float(i), client="c", path=name)
                    for i, name in enumerate(sorted(site.documents)[:10])]
-        replayer = attach_replay(cluster, records)
+        replayer = ReplayClient(cluster, records)
         cluster.run(extra_setup=lambda c: replayer.start())
         assert replayer.stats.issued >= len(records)
         assert replayer.stats.succeeded + replayer.stats.failed + \
@@ -33,7 +33,7 @@ class TestReplay:
         site, cluster = make_cluster(prewarm=True)
         records = generate_access_log(site, duration=20.0,
                                       sequences_per_second=1.0, seed=3)
-        replayer = attach_replay(cluster, records)
+        replayer = ReplayClient(cluster, records)
         cluster.run(extra_setup=lambda c: replayer.start())
         # Prewarm migrated half the documents: some replays must bounce.
         assert replayer.stats.redirected > 0
@@ -46,7 +46,7 @@ class TestReplay:
         site, cluster = make_cluster(prewarm=False)
         records = [LogRecord(time=float(i), client="c", path=name)
                    for i, name in enumerate(sorted(site.documents)[:10])]
-        replayer = attach_replay(cluster, records)
+        replayer = ReplayClient(cluster, records)
         cluster.run(extra_setup=lambda c: replayer.start())
         assert replayer.stats.redirected == 0
         assert replayer.redirect_fraction == 0.0
@@ -68,7 +68,7 @@ class TestReplay:
     def test_unknown_path_404s_but_is_counted(self):
         site, cluster = make_cluster(prewarm=False)
         records = [LogRecord(time=0.0, client="c", path="/ghost.html")]
-        replayer = attach_replay(cluster, records)
+        replayer = ReplayClient(cluster, records)
         cluster.run(extra_setup=lambda c: replayer.start())
         assert replayer.stats.failed == 1
         assert 404 in replayer.stats.statuses
