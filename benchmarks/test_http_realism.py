@@ -16,7 +16,9 @@ connection-pressure signal forced past ``shed_pressure``, the server
 must keep answering cached documents at full speed while refusing the
 expensive tier (dirty-document regeneration) with 503; with shedding
 disabled the same dirty requests are regenerated inline, which is the
-slow path the policy protects.
+slow path the policy protects.  ``/index.html`` is dirtied the paper's
+way, by moving a page it links to, so each of those regenerations is a
+real splice (a save whose links stay home regenerates for free).
 
 Numbers land in ``benchmarks/results/http_realism.txt`` and the
 machine-readable ``BENCH_http.json`` at the repo root.
@@ -54,6 +56,10 @@ SITE = {"/index.html": (b"<html>"
 for index in range(4):
     SITE[f"/p{index}.html"] = (b"<html>" + PARAGRAPH * (60 + 10 * index)
                                + b"</html>")
+# What the regenerate arm moves, and where to: a co-op address that is
+# written into /index.html's link and never contacted.
+MOVED = "/p2.html"
+COOP = Location("127.0.0.1", 9)
 
 
 def record_json(**fields) -> None:
@@ -147,22 +153,30 @@ def shedding_measurements():
             release(server.port)
 
             def dirty():
+                # The paper's way: a page /index.html links to moves,
+                # to the co-op and back by turns, so every regeneration
+                # splices a link to its new location.
                 with server._lock:
-                    server.engine.update_document("/p1.html",
-                                                  SITE["/p1.html"])
+                    policy = server.engine.policy
+                    if server.engine.graph.get(MOVED).location == COOP:
+                        policy.revoke(MOVED)
+                    else:
+                        policy.force_migrate(MOVED, COOP, time.monotonic())
 
             cached, cached_time = keep_alive_statuses(
                 server.port, "/p0.html", SHED_REQUESTS)
-            dirty()
+            if shedding:
+                dirty()
             expensive, expensive_time = keep_alive_statuses(
-                server.port, "/p1.html", SHED_REQUESTS,
-                dirty_hook=dirty if not shedding else None)
+                server.port, "/index.html", SHED_REQUESTS,
+                dirty_hook=None if shedding else dirty)
             results[mode] = {
                 "cached_statuses": cached,
                 "cached_rps": SHED_REQUESTS / max(cached_time, 1e-9),
                 "expensive_statuses": expensive,
                 "expensive_rps": SHED_REQUESTS / max(expensive_time, 1e-9),
                 "shed": server.engine.stats.regenerations_shed,
+                "spliced": server.engine.stats.reconstructions,
             }
         finally:
             server.stop()
@@ -229,6 +243,8 @@ def test_validators_and_gzip_cut_bytes_on_wire(report):
     assert shed["shedding"]["expensive_statuses"].count(503) == \
         SHED_REQUESTS
     assert shed["shedding"]["shed"] == SHED_REQUESTS
-    # With shedding off, the same requests regenerate inline and succeed.
+    # With shedding off, the same requests regenerate inline and succeed,
+    # each one a splice.
     assert shed["regenerate"]["expensive_statuses"].count(200) == \
         SHED_REQUESTS
+    assert shed["regenerate"]["spliced"] == SHED_REQUESTS

@@ -43,7 +43,7 @@ import re
 from array import array
 from itertools import accumulate
 from sys import intern
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from repro.html.links import HREF_ATTRIBUTES, is_followable
 from repro.html.parser import SELF_NESTING_CLOSERS, Document
@@ -118,6 +118,12 @@ class LinkTemplate:
         return [LinkSpan(start, end, value, tag, HREF_ATTRIBUTES[tag])
                 for start, end, value, tag
                 in zip(bounds, bounds, self._values, self._tags)]
+
+    def link_values(self) -> Set[str]:
+        """The distinct followable values, stripped, as :meth:`splice`
+        hands them to its rewrite."""
+        return {value.strip() for value in set(self._values)
+                if is_followable(value)}
 
     def compute_replacements(self, rewrite: RewriteFn) -> List[Optional[str]]:
         """Evaluate *rewrite* on every span, mirroring ``rewrite_links``:

@@ -55,6 +55,7 @@ from repro.core.membership import (
 )
 from repro.core.migration import MigrationDecision, MigrationPolicy
 from repro.core.naming import (
+    MIGRATE_MARKER,
     REPLICAS_HEADER,
     decode_migrated_path,
     encode_migrated_path,
@@ -1390,14 +1391,22 @@ class DCWSEngine:
     # ------------------------------------------------------------------
 
     def _regenerate(self, record: DocumentRecord) -> bool:
-        """Splice the current locations into the document's link template
-        — replacement URLs go into the canonical source, nothing is
-        re-parsed — and write the result back.  ``False``, with nothing
+        """Point a dirty page's links at their current locations.  When
+        some link has a new one (:meth:`_links_move`), splice the
+        locations into the document's link template — replacement URLs
+        go into the canonical source, nothing is re-parsed — write the
+        result back and return ``True``.  When none has, the bytes on
+        disk are already right: clear the dirty bit over them, write
+        nothing and return ``False``.  ``False`` too, with nothing
         touched, when there is no template and no clean source to build
         one from: a quarantined document whose template is gone stays
         quarantined until it is re-authored."""
         template = self._template_for(record)
         if template is None:
+            return False
+        if not self._links_move(record, template):
+            self._commit_bytes(record, record.version, record.size,
+                               record.digest)
             return False
         regenerated, next_template = template.splice(
             lambda raw: self._rewrite_value(record.name, raw))
@@ -1406,6 +1415,27 @@ class DCWSEngine:
         self._commit_bytes(record, record.version, len(data),
                            body_digest(data), data)
         return True
+
+    def _links_move(self, record: DocumentRecord,
+                    template: LinkTemplate) -> bool:
+        """Whether regenerating *record* would point a link somewhere
+        new: the page is held away or replicated (its relative links
+        must go absolute), quarantined (the splice is its repair), or
+        one of its distinct link values names a site document that is
+        held away or replicated, or names one in ``~migrate`` form.
+        Read straight off the records — not through the replica pick,
+        which books the choice."""
+        if record.location != self.location or record.replicas \
+                or self.integrity.is_quarantined(record.name):
+            return True
+        for value in template.link_values():
+            name = self._resolve_to_name(record.name, value)
+            target = None if name is None else self.graph.find(name)
+            if target is not None and (
+                    target.location != self.location or target.replicas
+                    or MIGRATE_MARKER in value):
+                return True
+        return False
 
     def _template_for(self, record: DocumentRecord
                       ) -> Optional[LinkTemplate]:
@@ -1433,9 +1463,11 @@ class DCWSEngine:
     def _commit_bytes(self, record: DocumentRecord, version: int, size: int,
                       digest: str, data: Optional[bytes] = None) -> None:
         """Install a regeneration of *record* at *version*: store,
-        record, copy cache.  Without *data* (a replayed ``regenerate``
-        record) the bytes are on disk already, and a document a later
-        save or relocation moved past *version* is left dirty."""
+        record, copy cache.  Without *data* the bytes are on disk
+        already — a replayed ``regenerate`` record, or a live one for a
+        page none of whose links moved (never a quarantined page) — and
+        a document a later save or relocation moved past *version* is
+        left dirty."""
         if data is not None:
             self.store.put(record.name, data)
         if record.version != version:

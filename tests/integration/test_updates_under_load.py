@@ -8,6 +8,11 @@ published revision, whole: body, digest and version of the same
 revision.  The clients ride ``http.client`` across the per-connection
 request cap, so they also depend on a capped response saying
 ``Connection: close`` without a ``Keep-Alive`` header.
+
+The page's one link points at ``/other.html``.  At home, no link moves,
+so a save is served as saved and nothing is spliced; with ``/other.html``
+migrated, every first read after a save splices the co-op's URL in, so
+the same check runs on the splice path.
 """
 
 import hashlib
@@ -29,6 +34,9 @@ from tests.support import free_port
 PAGE = "/page.html"
 CLIENTS = 4
 UPDATES = 200
+# Where the migrated twin's /other.html is held: written into the page's
+# link, never contacted.
+COOP = Location("127.0.0.1", 9)
 
 
 def revision(number: int) -> bytes:
@@ -62,6 +70,15 @@ def client_loop(port, stop, seen, errors):
 
 @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
 def test_every_response_is_one_published_revision(front_end):
+    updates_under_load(front_end, other_migrated=False)
+
+
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_every_spliced_response_is_one_published_revision(front_end):
+    updates_under_load(front_end, other_migrated=True)
+
+
+def updates_under_load(front_end, *, other_migrated):
     location = Location("127.0.0.1", free_port())
     site = {PAGE: revision(0), "/other.html": b"<html>leaf</html>"}
     engine = DCWSEngine(location, ServerConfig(), MemoryStore(site))
@@ -74,7 +91,11 @@ def test_every_response_is_one_published_revision(front_end):
     server.start()
     try:
         assert server.wait_ready()
-        published[engine.graph.get(PAGE).version] = 0
+        with server._lock:
+            if other_migrated:
+                engine.policy.force_migrate("/other.html", COOP,
+                                            time.monotonic())
+            published[engine.graph.get(PAGE).version] = 0
         clients = [threading.Thread(target=client_loop, daemon=True,
                                     args=(location.port, stop, seen, errors))
                    for _ in range(CLIENTS)]
@@ -107,7 +128,11 @@ def test_every_response_is_one_published_revision(front_end):
     for version, number in seen:
         assert published.get(version) == number, (version, number)
     assert len({version for version, _ in seen}) > 10
-    # One regeneration per dirtying at most, inside the dispatch that
-    # found the page dirty, and every request counted exactly once.
-    assert reconstructions <= UPDATES + 1
+    # A save whose link stays home is served as saved; with the link
+    # moved, one splice per dirtying at most, inside the dispatch that
+    # found the page dirty.  Every request is counted exactly once.
+    if other_migrated:
+        assert 0 < reconstructions <= UPDATES + 1
+    else:
+        assert reconstructions == 0
     assert hits == len(seen)

@@ -10,6 +10,10 @@ journal written by an older build.
   the save's write landed or a crash ate it.
 - fsck's invariant 4 flags a clean relocated page that still links
   relatively: the state the first regression left behind.
+- A save whose links all stay home clears its dirty bit at the first
+  read with a ``regenerate`` record and no byte write; that record
+  recovers the same state, and a crash before the first read replays the
+  save dirty, so the recovered home decides again.
 - A peer an older build stored as ``"forgotten"`` (its name for a peer
   dead for 300 s, read everywhere exactly like dead) recovers as dead and
   out of the load table, from a snapshot row and from a journal record.
@@ -30,7 +34,7 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.core.membership import DEAD
 from repro.faults import FaultPlan, FaultRule, InjectedDiskError
-from repro.http.content import digest_matches
+from repro.http.content import body_digest, digest_matches
 from repro.http.messages import Request
 from repro.server.engine import DCWSEngine, PullFromHome
 from repro.server.filestore import DiskStore, MemoryStore
@@ -41,7 +45,7 @@ from repro.server.persistence import (
     recover,
     snapshot_engine,
 )
-from repro.server.wal import WriteAheadJournal
+from repro.server.wal import WriteAheadJournal, scan_journal
 from tests.test_replay_differential import durable_state
 
 HOME = Location("home", 8001)
@@ -142,6 +146,49 @@ def test_fsck_flags_a_clean_relocated_page_with_relative_links():
     violations = check_engine(engine)
     assert len(violations) == 1
     assert "/d.html" in violations[0] and "relatively" in violations[0]
+
+
+SAVED_INDEX = b'<html><a href="f.html">F</a><a href="d.html">D</a></html>'
+
+
+def test_a_byteless_live_regenerate_recovers_the_same_state(tmp_path):
+    live = journaled(HOME, MemoryStore(SITE), tmp_path / "home.wal")
+    live.update_document("/index.html", SAVED_INDEX)
+    reply = live.handle_request(Request("GET", "/index.html"), 1.0)
+    assert reply.response.body == SAVED_INDEX and not reply.reconstructed
+    assert [record.kind for record in scan_journal(
+        live.journal.path).records[-2:]] == ["content_update", "regenerate"]
+    live.journal.close()
+
+    recovered = make_engine(HOME, copy_of(live.store))
+    recover(recovered, None, live.journal.path, now=2.0)
+    record = recovered.graph.get("/index.html")
+    assert not record.dirty and record.digest == body_digest(SAVED_INDEX)
+    assert durable_state(recovered) == durable_state(live)
+    assert check_engine(recovered) == []
+
+
+@pytest.mark.parametrize("moved", [False, True],
+                         ids=["links-stay-home", "link-moved-after-save"])
+def test_a_crash_before_the_first_read_replays_the_save_dirty(
+        tmp_path, moved):
+    live = journaled(HOME, MemoryStore(SITE), tmp_path / "home.wal")
+    live.update_document("/index.html", SAVED_INDEX)
+    if moved:
+        live.policy.force_migrate("/d.html", COOP, now=1.0)
+    live.journal.close()
+
+    recovered = make_engine(HOME, copy_of(live.store))
+    recover(recovered, None, live.journal.path, now=2.0)
+    assert recovered.graph.get("/index.html").dirty
+    reply = recovered.handle_request(Request("GET", "/index.html"), 3.0)
+    assert reply.response.status == 200
+    assert reply.reconstructed == moved
+    assert (b"~migrate" in reply.response.body) == moved
+    if not moved:
+        assert reply.response.body == SAVED_INDEX
+    assert not recovered.graph.get("/index.html").dirty
+    assert check_engine(recovered) == []
 
 
 # ----------------------------------------------------------------------
