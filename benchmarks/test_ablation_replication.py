@@ -81,6 +81,7 @@ def test_kill_holder_report(kill_result, report):
         },
         "errors": {"baseline": baseline[3], "replicated": replicated[3]},
         "repairs": replicated[4],
+        "repairs_before_crash": replicated[7],
         "replica_drops": replicated[5],
         "revocations": {
             "baseline": baseline[6], "replicated": replicated[6],
@@ -106,6 +107,18 @@ def test_kill_holder_repairs_ran_without_revocation_storm(kill_result):
     assert replicated[6] == 0, (
         f"replicated variant revoked {replicated[6]} documents — the "
         f"dead holder's documents should all have had surviving copies")
+
+
+def test_kill_holder_repairs_after_the_crash_answer_its_drops(kill_result):
+    # Before the crash the round tops the prewarmed migrations up to
+    # k = 2; after it, each repair should replace a dropped holder.  More
+    # repairs than drops after the crash would be re-repair thrash.
+    replicated = kill_result.row("replicated")
+    after = replicated[4] - replicated[7]
+    assert 0 < replicated[7] < replicated[4]
+    assert after <= replicated[5], (
+        f"{after} repairs after the crash for {replicated[5]} replica "
+        f"drops — holders are being re-repaired")
 
 
 def test_kill_holder_tail_latency(kill_result):

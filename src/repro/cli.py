@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "keep-alive clients)")
     serve.add_argument("--replication-k", type=_positive(int), default=1,
                        metavar="K",
-                       help="replication-group size for hot documents: "
+                       help="live holders kept per migrated document: "
                             "K >= 2 enables k-copy placement with "
                             "autonomous repair; 1 = single-location "
                             "(the prototype)")
@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="start from a balanced (warmed) cluster")
     simulate.add_argument("--replication-k", type=_positive(int), default=1,
                           metavar="K",
-                          help="replication-group size (K >= 2 enables "
-                               "replication groups with autonomous repair)")
+                          help="live holders kept per migrated document "
+                               "(K >= 2 enables autonomous repair)")
 
     dataset = commands.add_parser(
         "dataset", help="generate one of the paper's data sets")
@@ -142,9 +142,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, wal_fsync=args.wal_fsync)
     replication_k = getattr(args, "replication_k", 1)
     if replication_k > 1:
-        config = dataclasses.replace(
-            config, replication_k=replication_k,
-            max_replicas=max(config.max_replicas, replication_k))
+        config = dataclasses.replace(config, replication_k=replication_k)
     engine = DCWSEngine(Location(args.host, args.port), config, store,
                         entry_points=entries, peers=peers)
     server_cls = ThreadedDCWSServer
@@ -180,8 +178,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         import dataclasses
 
         server_config = dataclasses.replace(
-            server_config, replication_k=replication_k,
-            max_replicas=max(server_config.max_replicas, replication_k))
+            server_config, replication_k=replication_k)
     config = ClusterConfig(
         servers=args.servers, clients=args.clients, duration=args.duration,
         sample_interval=args.sample_interval, seed=args.seed,

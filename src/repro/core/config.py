@@ -90,33 +90,24 @@ class ServerConfig:
     reprobe_jitter: float = 0.1
 
     # --- extensions beyond the prototype --------------------------------
-    # Paper future work (section 6): replicate hot documents to several
-    # co-ops.  0 disables replication (prototype behaviour: footnote 1,
-    # "each document may be migrated to only one co-op server").
+    # Paper future work (section 6): a migrated document may have more
+    # than one holder, by one rule (repro.server.replication).  Its
+    # target holder count is the floor ``replication_k``: with k >= 2
+    # the replica round (a round of the engine tick, every stats
+    # interval T_st, and at once when a holder is lost) tops every
+    # migrated document up to k live holders and re-places a holder that
+    # is declared dead or whose circuit opens — a single co-op crash
+    # then costs zero availability and no revoke/re-home cycle.  While
+    # the document's co-op runs hot the round raises the target by one
+    # holder per round, up to ``max(replication_k, max_replicas)``.  The
+    # defaults (1, 1) are the prototype (footnote 1, "each document may
+    # be migrated to only one co-op server").
     max_replicas: int = 1
-    # Reactive replication budget: how many documents the periodic
-    # replication pass may replicate per statistics interval.  1 is the
-    # historical behaviour (one replication per round, mirroring the
-    # paper's one-migration-per-interval pacing).
-    max_replications_per_interval: int = 1
-    # --- replication groups with autonomous repair ----------------------
-    # ``replication_k`` is the target number of live holders per
-    # replication group (the k of k-copy placement).  1 keeps no groups
-    # (replica choice still goes through the manager's pick); with
-    # k >= 2 every hot migrated document gets a group that the repair
-    # loop (a round of the engine tick, every stats interval T_st)
-    # proactively tops up to k holders and autonomously re-replicates
-    # when a holder is declared dead or its circuit opens — a single
-    # co-op crash then costs zero availability and no revoke/re-home
-    # cycle.
     replication_k: int = 1
-    # Groups with at least ``replication_sufficient`` live holders (but
-    # fewer than k) are *degraded*; below that they are *critical* and
-    # repair first.  Must satisfy 1 <= sufficient <= k.
-    replication_sufficient: int = 1
-    # Accumulated hits below which a migrated document does not get a
-    # replication group (0 = every migrated document is group-managed).
-    replication_heat_threshold: float = 0.0
+    # How many holders the replica round may add per round, floor and
+    # heat together.  1 mirrors the paper's one-migration-per-interval
+    # pacing.
+    max_replications_per_interval: int = 1
     # Document-selection policy.  "paper" is Algorithm 1; "hottest" takes
     # the highest-hit candidate ignoring link locality (ablating steps
     # 4-5); "random" picks uniformly among threshold survivors.
@@ -197,7 +188,6 @@ class ServerConfig:
             "validation_interval", "home_remigration_interval",
             "coop_migration_spacing", "ping_failure_limit", "max_replicas",
             "max_replications_per_interval", "replication_k",
-            "replication_sufficient",
             "keep_alive_timeout", "keep_alive_max_requests",
             "max_connections", "write_buffer_limit", "lock_stripes",
             "sendfile_min_bytes",
@@ -227,12 +217,6 @@ class ServerConfig:
                 "integrity_serve_sample must be non-negative")
         if self.wal_fsync not in ("always", "interval", "off"):
             raise ConfigError(f"unknown wal_fsync policy: {self.wal_fsync!r}")
-        if self.replication_sufficient > self.replication_k:
-            raise ConfigError(
-                "replication_sufficient must be <= replication_k")
-        if self.replication_heat_threshold < 0:
-            raise ConfigError(
-                "replication_heat_threshold must be non-negative")
         if self.reprobe_interval <= 0:
             raise ConfigError("reprobe_interval must be positive")
         if self.reprobe_max_interval < self.reprobe_interval:

@@ -15,9 +15,10 @@ Algorithm 1 (:mod:`repro.core.selection`):
 - all migrations are *logical*: only the LDG changes here; document bytes
   move lazily when the co-op first needs them.
 
-The ``max_replicas`` extension (paper future work, section 6) lets a hot
-document be hosted by several co-ops at once; referring links are spread
-across the replica set by the engine's rewriter.
+Holders beyond the first (paper future work, section 6) are added by
+one round only, :class:`repro.server.replication.ReplicationManager`,
+through :meth:`MigrationPolicy.add_holder`; the policy keeps the T_coop
+spacing both draw on, and the drop and revocation primitives.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ MAX_MIGRATIONS_PER_INTERVAL = 1
 
 @dataclass(frozen=True)
 class MigrationDecision:
-    """One applied (logical) migration, revocation, or replication.
+    """One applied (logical) migration, revocation, or holder change.
 
-    ``replica_drop`` removes a dead holder from a replication group
-    (promoting a surviving replica to primary when the primary died);
-    ``repair`` adds a replacement holder — both are issued by the
-    autonomous repair machinery rather than the periodic load round.
+    ``replica_drop`` removes a dead holder (promoting a surviving
+    replica to primary when the primary died); ``repair`` adds a holder
+    toward the availability floor and ``replicate`` one for a hot
+    co-op — all three are issued by the replica round rather than the
+    periodic load round.
     """
 
     name: str
@@ -118,17 +120,10 @@ class MigrationPolicy:
         Called once per statistics interval with the server's current load
         metric.  Returns the decisions applied to the LDG (possibly none).
         """
-        decisions: List[MigrationDecision] = []
-        decisions.extend(self._consider_remigration(now))
-        if self.config.max_replicas > 1:
-            # Replication reacts to a *co-op* running hot, which can happen
-            # whether or not this home server is itself overloaded.
-            decisions.extend(self._consider_replication(now, own_metric))
+        decisions = self._consider_remigration(now)
         if not self._overloaded(own_metric):
             return decisions
-        budget = MAX_MIGRATIONS_PER_INTERVAL - len(
-            [d for d in decisions if d.kind in ("migrate", "remigrate")])
-        for _ in range(max(0, budget)):
+        for _ in range(max(0, MAX_MIGRATIONS_PER_INTERVAL - len(decisions))):
             decision = self._migrate_one(now, own_metric)
             if decision is None:
                 break
@@ -159,15 +154,19 @@ class MigrationPolicy:
         and currently reachable (closed circuit, not suspected dead)."""
         eligible: List[Location] = []
         for peer in self.glt.peers():
-            if not self._available(peer):
-                continue
-            last = self._coop_last_accept.get(str(peer))
-            if last is not None and now - last < self.config.coop_migration_spacing:
+            if not self._available(peer) or self.cooling(peer, now):
                 continue
             row = self.glt.get(peer)
             if row is not None and row.metric < own_metric:
                 eligible.append(peer)
         return eligible
+
+    def cooling(self, peer: Location, now: float) -> bool:
+        """Whether *peer* accepted a migration or a heat-driven holder
+        within the last T_coop seconds."""
+        last = self._coop_last_accept.get(str(peer))
+        return last is not None and \
+            now - last < self.config.coop_migration_spacing
 
     def _migrate_one(self, now: float,
                      own_metric: float) -> Optional[MigrationDecision]:
@@ -257,45 +256,7 @@ class MigrationPolicy:
         return decisions
 
     # ------------------------------------------------------------------
-    # Replication extension (future work, section 6)
-    # ------------------------------------------------------------------
-
-    def _consider_replication(self, now: float,
-                              own_metric: float) -> List[MigrationDecision]:
-        """Give an over-hot migrated document an additional replica.
-
-        Candidates are ordered by accumulated hits, so the document
-        actually responsible for the co-op's heat replicates first.
-        """
-        decisions: List[MigrationDecision] = []
-        mean = self.glt.mean_metric()
-        if mean <= 0.0:
-            return decisions
-        for document in self._by_demand():
-            if len(document.locations()) >= self.config.max_replicas:
-                continue
-            coop_row = self.glt.get(document.location)
-            if coop_row is None or \
-                    coop_row.metric <= self.config.imbalance_tolerance * mean:
-                continue
-            target = self.glt.least_loaded(
-                exclude=list(document.locations()) + self._unavailable_peers())
-            if target is None:
-                continue
-            last = self._coop_last_accept.get(str(target))
-            if last is not None and now - last < self.config.coop_migration_spacing:
-                continue
-            dirtied = self.graph.add_replica(document.name, target, now)
-            self._coop_last_accept[str(target)] = now
-            decisions.append(self._note(MigrationDecision(
-                name=document.name, target=target, kind="replicate",
-                dirtied=tuple(dirtied))))
-            if len(decisions) >= self.config.max_replications_per_interval:
-                break  # per-round replication budget exhausted
-        return decisions
-
-    # ------------------------------------------------------------------
-    # Replication groups: holder death and autonomous repair
+    # Holders: death and addition (driven by the replica round)
     # ------------------------------------------------------------------
 
     def drop_holder(self, name: str, dead: Location) -> Optional[MigrationDecision]:
@@ -316,17 +277,22 @@ class MigrationPolicy:
             name=name, target=self.graph.get(name).location,
             kind="replica_drop", dirtied=tuple(dirtied)))
 
-    def repair_replica(self, name: str, target: Location,
-                       now: float) -> MigrationDecision:
-        """Add *target* as a replacement holder of migrated *name*.
+    def add_holder(self, name: str, target: Location, now: float, *,
+                   kind: str) -> MigrationDecision:
+        """Add *target* as one more holder of migrated *name*: the one
+        place a holder is added, for the replica round and rejoin.
 
-        Issued by the repair loop; like :meth:`force_migrate` it bypasses
-        the T_coop rate limit — restoring availability beats pacing.
+        A ``repair`` fills the availability floor and, like
+        :meth:`force_migrate`, bypasses T_coop — restoring availability
+        beats pacing.  A heat-driven ``replicate`` is a co-op accepting
+        load, so it starts the co-op's T_coop spacing (see
+        :meth:`cooling`).
         """
         dirtied = self.graph.add_replica(name, target, now)
+        if kind == "replicate":
+            self._coop_last_accept[str(target)] = now
         return self._note(MigrationDecision(
-            name=name, target=target, kind="repair",
-            dirtied=tuple(dirtied)))
+            name=name, target=target, kind=kind, dirtied=tuple(dirtied)))
 
     # ------------------------------------------------------------------
     # Revocation (section 4.5, cases 1 and 3)

@@ -32,10 +32,12 @@ server and the simulator expose them.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List
 
 from repro.core.document import Location
 from repro.core.membership import REPROBE_BACKOFF
+from repro.server.replication import STATE_HEALTHY
 
 ADMIN_PREFIX = "/~dcws/"
 
@@ -233,53 +235,53 @@ def render_caches(engine) -> str:
 
 
 def render_replication(engine) -> str:
-    """Replication groups and the repair daemon (``/~dcws/replication``).
+    """Replication groups and the replica round (``/~dcws/replication``).
 
     Group roster with live-holder counts and states, the copies
     histogram, and the repair/two-choices counters — the operator's view
-    of how far the cluster is from its k-copy target.  Repairs and
-    replica drops are the engine's own counts (``EngineStats``), so
-    rejoin re-registrations and drops at a peer's death are in them.
+    of how far the cluster is from its k-copy target.  Every state is
+    read off the LDG and k here; repairs, heat additions and replica
+    drops are the engine's own counts (``EngineStats``), so rejoin
+    re-registrations and drops at a peer's death are in them.
     """
     manager = engine.replication
-    now = getattr(engine, "_admin_now", 0.0)
     counters = manager.counters
-    k = manager.config.replication_k
+    config = manager.config
+    groups = [(record.name, manager.state(record),
+               len(manager.live_holders(record)))
+              for record in manager.groups()]
     lines: List[str] = [
-        f"replication groups      {len(manager.groups)}"
-        + ("" if k > 1 else " (disabled: replication_k <= 1)"),
+        f"replication groups      {len(groups)}"
+        + ("" if config.replication_k > 1
+           else " (disabled: replication_k <= 1)"),
         f"replicated documents    "
         f"{sum(1 for r in engine.graph.documents() if r.replicas)}",
-        f"  target k              {k}",
-        f"  sufficient            {manager.config.replication_sufficient}",
-        f"  below target          {manager.groups_below_target()}",
-        f"  repair interval       {manager.config.stats_interval:g}s",
+        f"  target k              {config.replication_k}",
+        f"  heat ceiling          "
+        f"{max(config.replication_k, config.max_replicas)}",
+        f"  below target          "
+        f"{sum(1 for g in groups if g[1] != STATE_HEALTHY)}",
+        f"  round interval        {config.stats_interval:g}s",
         f"repairs                 {engine.stats.repairs}",
+        f"heat additions          {engine.stats.replications}",
         f"replica drops           {engine.stats.replica_drops}",
-        f"state changes           {counters.state_changes}",
         f"two-choices picks       {counters.two_choices_picks}",
         f"  took the alternate    {counters.two_choices_alternates}",
         "",
         "copies histogram (live holders -> groups):",
     ]
-    histogram = manager.copies_histogram()
+    histogram = Counter(live for __, __, live in groups)
     if histogram:
         for live in sorted(histogram):
             lines.append(f"  {live:>2} {histogram[live]}")
     else:
         lines.append("  (no groups)")
     lines.append("")
-    header = (f"{'Document':<40} {'State':>9} {'Live':>5} "
-              f"{'Repairs':>8} {'LastRepair':>11}")
+    header = f"{'Document':<40} {'State':>9} {'Live':>5}"
     lines.append(header)
     lines.append("-" * len(header))
-    for name in sorted(manager.groups):
-        group = manager.groups[name]
-        live = len(manager.live_holders(name))
-        repaired = ("never" if not group.repaired_at
-                    else f"{max(0.0, now - group.repaired_at):.1f}s")
-        lines.append(f"{name:<40} {group.state:>9} {live:>5} "
-                     f"{group.repairs:>8} {repaired:>11}")
+    for name, state, live in groups:
+        lines.append(f"{name:<40} {state:>9} {live:>5}")
     return "\n".join(lines) + "\n"
 
 

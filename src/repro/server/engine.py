@@ -110,7 +110,7 @@ from repro.server.integrity import (
     REASON_SCRUB,
     REASON_SERVE,
 )
-from repro.server.replication import ReplicationManager
+from repro.server.replication import STATE_HEALTHY, ReplicationManager
 from repro.server.striping import shard_of
 
 if TYPE_CHECKING:
@@ -257,9 +257,9 @@ class EngineStats:
     pings: int = 0
     migrations: int = 0
     revocations: int = 0
-    replications: int = 0
+    replications: int = 0    # holders the replica round added for heat
     replica_drops: int = 0   # dead holders shed from replication groups
-    repairs: int = 0         # replacement holders added by the repair loop
+    repairs: int = 0         # holders added toward the floor k
     # The most recent decisions only (the EventLog's bound): a
     # long-lived server books one per migration, revocation and repair.
     decisions: deque[MigrationDecision] = field(
@@ -325,15 +325,14 @@ class DCWSEngine:
         # cursor, and the quarantine table (see
         # repro.server.integrity).
         self.integrity = IntegrityManager(config)
-        # The one replica pick for every migrated document, and (with
-        # replication_k >= 2) the groups with autonomous repair; its
-        # decisions surface through the policy callback above, so they
-        # are journaled like every other relocation.
+        # The one replica pick for every migrated document, and the one
+        # round that adds holders (the floor replication_k, raised by
+        # heat up to max_replicas); its decisions surface through the
+        # policy callback above, so they are journaled like every other
+        # relocation.
         self.replication = ReplicationManager(
             config, self.graph, self.glt, self.policy,
-            peers=self.membership,
-            log=lambda msg: self.log.record(self._clock, "replication",
-                                            detail=msg))
+            peers=self.membership)
         self.hosted: Dict[str, HostedDocument] = {}
         self.stats = EngineStats()
         self.log = EventLog()
@@ -353,9 +352,11 @@ class DCWSEngine:
         # The periodic rounds in tick() order: (name, interval, round).
         # Interval 0 runs every tick, scrub_interval 0 never scrubs; the
         # stats and ping clocks start at initialize(), the rest at once.
+        # The replica round goes before the migration round, so a heat
+        # addition due in the same tick takes its co-op first (T_coop).
         self._rounds = [
-            ("stats", config.stats_interval, self._recalculate_statistics),
             ("repair", config.stats_interval, self._repair_round),
+            ("stats", config.stats_interval, self._recalculate_statistics),
             ("scrub", config.scrub_interval, self._scrub_round),
             ("quarantine", 0.0, self._quarantine_notifications),
             ("validate", 0.0, self._validations_due),
@@ -837,7 +838,7 @@ class DCWSEngine:
             if record.replicas:
                 # Stamp the live replica set so requesters can apply
                 # two-choices — and fail over — without asking again.
-                live = self.replication.live_holders(path)
+                live = self.replication.live_holders(record)
                 if len(live) > 1:
                     response.headers.set(
                         REPLICAS_HEADER,
@@ -862,11 +863,14 @@ class DCWSEngine:
                                      drop=False)
         reconstructed = False
         if record.dirty and record.is_html:
-            if self.overloaded:
-                # Tier 2 of overload handling: a dirty document needs a
-                # regeneration pass before it can be served — refuse that
-                # expense while the front end reports pressure.  Clean
-                # documents (the cheap tier) keep serving below.
+            template = self._template_for(record) if self.overloaded \
+                else None
+            if template is not None and self._links_move(record, template):
+                # Tier 2 of overload handling: a dirty document whose
+                # links moved needs a splice before it can be served —
+                # refuse that expense while the front end reports
+                # pressure.  Clean documents, and dirty ones whose
+                # links all stay put (the cheap tier), serve below.
                 return self._shed(request, now, doc_name=record.name,
                                   kind="regeneration")
             reconstructed = self._regenerate(record)
@@ -1527,7 +1531,7 @@ class DCWSEngine:
         return actions
 
     def _repair_round(self, now: float) -> None:
-        """Replication repair daemon: one pass."""
+        """The replica round: one pass (see repro.server.replication)."""
         self._book_decisions(self.replication.repair_round(now), now)
 
     # What each kind of applied decision counts as in EngineStats.
@@ -2094,7 +2098,7 @@ class DCWSEngine:
 
         The rediscovered peer's probe response listed the documents it
         still holds for us, by (original path, version).  Compare each
-        against the current LDG/replication-group state: a copy of a
+        against the LDG and the group state it implies: a copy of a
         document we re-homed, revoked, or re-versioned during the split
         *loses* (counted here; the peer's own forced revalidation drops
         it), while a version-current copy of a still-under-target group
@@ -2121,12 +2125,12 @@ class DCWSEngine:
             if str(record.version) != version:
                 drops += 1          # outdated copy loses
                 continue
-            if record.name not in self.replication.groups or \
-                    len(self.replication.live_holders(record.name)) \
-                    >= self.config.replication_k:
+            if self.config.replication_k <= 1 or \
+                    self.replication.state(record) == STATE_HEALTHY:
                 drops += 1          # group already whole (or unmanaged)
                 continue
-            decision = self.policy.repair_replica(record.name, peer, now)
+            decision = self.policy.add_holder(record.name, peer, now,
+                                              kind="repair")
             self._book_decisions([decision], now)
             reregistered += 1
         counters = self.membership.counters

@@ -24,9 +24,8 @@ The eight checked invariants:
     resolve against the co-op — its relocation forgot to dirty it;
 6.  replica sets are well-formed: no replica equals the home location
     or duplicates the primary, every holder of a replicated document is
-    a server the GLT still knows, every replicated hosted entry has
-    bytes present or is registered unfetched, and every replication
-    group tracks a currently migrated document;
+    a server the GLT still knows, and every replicated hosted entry
+    has bytes present or is registered unfetched;
 7.  membership agreement: no peer the membership table considers dead
     still holds any document — a dead holder lingering in a serving
     set means repair forgot to drop it, which is exactly the "two
@@ -219,19 +218,12 @@ def _check_replicas(engine: DCWSEngine) -> List[str]:
                 f"unfetched hosted entry {key} claims size {entry.size}")
     # Every holder of a group-managed document must still be a server
     # the GLT knows (a dead holder must have been dropped by repair, not
-    # linger in the serving set), and every group must track a
-    # currently migrated document.
-    for name in engine.replication.groups:
-        record = engine.graph.find(name)
-        if record is None or record.location == home:
-            violations.append(
-                f"replication group for {name} but the document is "
-                f"not migrated")
-            continue
+    # linger in the serving set).
+    for record in engine.replication.groups():
         for holder in sorted(record.locations(), key=str):
             if holder != home and holder not in engine.glt:
                 violations.append(
-                    f"document {name} held by {holder}, which the "
+                    f"document {record.name} held by {holder}, which the "
                     f"GLT no longer knows")
     return violations
 

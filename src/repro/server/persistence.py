@@ -122,7 +122,6 @@ def snapshot_engine(engine: DCWSEngine, now: float, *,
         "last_lsn": last_lsn,
         "documents": documents,
         "hosted": hosted,
-        "replication": engine.replication.snapshot(),
         "glt": glt,
         # Non-alive membership rows only; absent peers restore as alive.
         "membership": engine.membership.snapshot(),
@@ -233,7 +232,6 @@ def restore_engine(engine: DCWSEngine, snapshot: Dict[str, Any],
                                 metric=float(row["metric"]),
                                 timestamp=float(row["ts"]))
                      for row in snapshot.get("glt", []))
-    engine.replication.restore(snapshot.get("replication", []))
     for row in snapshot.get("membership", []):
         engine._install_membership(str(row.get("peer", "")),
                                    str(row.get("state", "")), now)

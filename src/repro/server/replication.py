@@ -1,48 +1,51 @@
-"""Replication groups with autonomous repair.
+"""The one replica rule: a round that holds every migrated document at
+its target holder count, and the pick that spreads requesters over the
+holders.
 
 The paper defers hot-document replication to future work (section 6);
-this subsystem makes the vestigial hooks (``LDG.add_replica``, the
-``replicate`` decision kind) a first-class availability mechanism:
+this module is the only code that adds holders (``LDG.add_replica``,
+through :meth:`~repro.core.migration.MigrationPolicy.add_holder`):
 
-- with ``ServerConfig.replication_k`` above 1, every hot migrated
-  document gets a *replication group* with target holder count k and a
-  sufficiency threshold (``replication_sufficient``).  The group set is
-  derived from the LDG: a group exists while its document is away from
-  home, and k is read from the config, never stored per group;
-- a *repair loop*, a round of the engine tick's schedule at the
-  migration round's cadence (T_st), run at once when a holder is lost,
-  proactively tops groups up to k holders and — when the peer ledger
-  (:class:`~repro.core.membership.MembershipTable`) says a holder no
-  longer ``holds``: declared dead, or its circuit open — drops the holder
-  (promoting a surviving replica when the primary died) and re-replicates
-  onto the least-loaded ``placeable`` peer.  Because migration is logical
-  and co-ops pull bytes lazily from home, repair is pure bookkeeping: no
-  bulk copy, no 302-storm, no availability gap;
+- each migrated document has one *target holder count*.  Its floor is
+  ``ServerConfig.replication_k``; while the co-op holding the document
+  runs hot (its GLT row above ``imbalance_tolerance`` x the cluster
+  mean) the round raises it by one holder per round, up to the ceiling
+  ``max(replication_k, max_replicas)``;
+- the round — a round of the engine tick's schedule at the migration
+  round's cadence (T_st), run at once when a holder is lost — works in
+  one order: drop the holders the peer ledger
+  (:class:`~repro.core.membership.MembershipTable`) says no longer
+  ``holds`` (promoting a surviving replica when the primary died); fill
+  floor deficits, critical documents first, bypassing T_coop (decision
+  kind ``repair``); then add heat-driven holders, hottest document
+  first, keeping T_coop spacing (kind ``replicate``).  Both kinds of
+  addition go to the least-loaded ``placeable`` peer and share one
+  ``max_replications_per_interval`` budget.  Because migration is
+  logical and co-ops pull bytes lazily from home, an addition is pure
+  bookkeeping: no bulk copy, no availability gap;
 - serving is replica-aware, whatever k is: requesters are spread over
   the live holders with *power of two choices* (DistCache,
   arXiv:1901.08200) — two candidates chosen by a deterministic digest of
-  (name, salt), the less-loaded one (by GLT row) wins.  This is the one
-  pick rule for every migrated document, so the engine always has a
-  manager, and one with k = 1 simply keeps no groups.
+  (name, salt), the less-loaded one (by GLT row) wins.
 
-Group state machine::
+Nothing is stored per document.  With k above 1 every migrated document
+is a *group*, and its state is read off its LDG record and k::
 
-    healthy (live >= k)  ->  degraded (sufficient <= live < k)
-                         ->  critical (live < sufficient)
-    any deficit  --repair loop-->  repaired back to healthy
+    healthy (live >= k)  ->  degraded (0 < live < k)
+                         ->  critical (no live holder)
 
-The manager deliberately has no I/O and no locking of its own: the
-engine calls it under the same write bracket as the migration round, and
-repairs surface as :class:`~repro.core.migration.MigrationDecision`
-records (kinds ``replica_drop`` / ``repair``) so the write-ahead journal
-and snapshot machinery cover them like any other relocation.
+The manager has no I/O and no locking of its own: the engine calls it
+under the same write bracket as the migration round, and its changes
+surface as :class:`~repro.core.migration.MigrationDecision` records so
+the write-ahead journal and snapshot machinery cover them like any other
+relocation.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import ServerConfig
 from repro.core.document import DocumentRecord, Location
@@ -55,8 +58,6 @@ STATE_HEALTHY = "healthy"
 STATE_DEGRADED = "degraded"
 STATE_CRITICAL = "critical"
 
-_STATE_PRIORITY = {STATE_CRITICAL: 0, STATE_DEGRADED: 1, STATE_HEALTHY: 2}
-
 
 def _digest(name: str, salt: str) -> int:
     """Deterministic (cross-run) pick digest.
@@ -67,150 +68,129 @@ def _digest(name: str, salt: str) -> int:
 
 
 @dataclass
-class ReplicationGroup:
-    """Home-side bookkeeping for one replicated document."""
-
-    name: str
-    created_at: float
-    state: str = STATE_HEALTHY
-    repaired_at: float = 0.0
-    repairs: int = 0
-
-
-@dataclass
 class ReplicationCounters:
     """Monotonic counters the admin endpoint and stats sampling read
-    (repairs and replica drops are counted once, in ``EngineStats``)."""
+    (repairs, heat additions and replica drops are counted once, in
+    ``EngineStats``)."""
 
     two_choices_picks: int = 0
     two_choices_alternates: int = 0
-    state_changes: int = 0
 
 
 class ReplicationManager:
-    """Per-home replication groups, their repair loop, and replica choice.
+    """The replica round and the replica pick for one home.
 
     Constructed by every engine with its peer ledger as *peers*.
     Placement is stricter than custody:
     ``peers.holds`` (not declared dead, circuit closed) keeps holders
     serving, ``peers.placeable`` (strictly alive — not even *suspect*)
-    gates where the repair loop may place new replicas.
+    gates where the round may place new holders.
     """
 
     def __init__(self, config: ServerConfig, graph: LocalDocumentGraph,
                  glt: GlobalLoadTable, policy: MigrationPolicy, *,
-                 peers: MembershipTable,
-                 log: Optional[Callable[[str], None]] = None) -> None:
+                 peers: MembershipTable) -> None:
         self.config = config
         self.graph = graph
         self.glt = glt
         self.policy = policy
         self.peers = peers
-        self._log = log or (lambda _msg: None)
-        self.groups: Dict[str, ReplicationGroup] = {}
         self.counters = ReplicationCounters()
 
     # ------------------------------------------------------------------
-    # Group membership
-    # ------------------------------------------------------------------
-
-    def sync(self, now: float) -> None:
-        """Derive the group set from the LDG.
-
-        With k above 1, migrated documents at or above the heat
-        threshold gain a group; documents revoked back home (or deleted)
-        lose theirs.  With k = 1 there are none.  Idempotent and cheap —
-        called at the top of every repair round.
-        """
-        migrated = {r.name: r for r in self.graph.migrated_documents()} \
-            if self.config.replication_k > 1 else {}
-        for name in [g for g in self.groups if g not in migrated]:
-            del self.groups[name]
-        for name in sorted(migrated):
-            document = migrated[name]
-            if name in self.groups or \
-                    document.hits < self.config.replication_heat_threshold:
-                continue
-            group = ReplicationGroup(name=name, created_at=now)
-            group.state = self._classify(self._live_holders(document))
-            self.groups[name] = group
-
-    # ------------------------------------------------------------------
-    # Repair loop
+    # The round
     # ------------------------------------------------------------------
 
     def repair_round(self, now: float) -> List[MigrationDecision]:
-        """One pass of the repair daemon.
+        """One pass toward every migrated document's target.
 
-        Drops dead holders from every group (promoting a surviving
-        replica when the primary died), then tops under-replicated
-        groups back up to their target, critical groups first, within
-        the per-round replication budget.  Returns the applied
-        decisions (kinds ``replica_drop`` and ``repair``) — the caller
-        journals and counts them exactly like migration-round output.
+        Drops dead holders, fills floor deficits (critical first), then
+        adds one heat-driven holder per hot document (hottest first),
+        within one per-round budget.  Returns the applied decisions
+        (kinds ``replica_drop``, ``repair`` and ``replicate``) — the
+        caller journals and counts them exactly like migration-round
+        output.  With a ceiling of one holder it returns at once.
         """
-        self.sync(now)
+        k = self.config.replication_k
+        ceiling = max(k, self.config.max_replicas)
+        if ceiling <= 1:
+            return []
         decisions: List[MigrationDecision] = []
-        budget = self.config.max_replications_per_interval
-        orderd = sorted(
-            self.groups,
-            key=lambda n: (_STATE_PRIORITY.get(self.groups[n].state, 3), n))
-        for name in orderd:
-            group = self.groups[name]
-            document = self.graph.find(name)
-            if document is None:
-                continue
-            # 1. Shed holders the cluster considers dead.  Purely
-            # logical: home always keeps the permanent copy, so no bytes
-            # need to move for the survivors to keep serving.
+        migrated = sorted(self.graph.migrated_documents(),
+                          key=lambda r: r.name)
+        # 1. Shed holders the cluster considers dead.  Purely logical:
+        # home always keeps the permanent copy, so no bytes need to move
+        # for the survivors to keep serving.
+        for document in migrated:
             for dead in sorted(document.locations(), key=str):
-                if self.peers.holds(dead):
-                    continue
-                dropped = self.policy.drop_holder(name, dead)
-                if dropped is not None:
-                    decisions.append(dropped)
-            # 2. Top the group back up to k live holders.
-            while budget > 0:
-                live = self._live_holders(document)
-                if len(live) >= self.config.replication_k:
-                    break
-                target = self.glt.least_loaded(
-                    exclude=list(document.locations()) +
-                    self._unavailable_peers())
+                if not self.peers.holds(dead):
+                    dropped = self.policy.drop_holder(document.name, dead)
+                    if dropped is not None:
+                        decisions.append(dropped)
+        budget = self.config.max_replications_per_interval
+        # 2. The groups' floor deficits, critical (no live holder) first.
+        short = [d for d in self.groups() if len(self.live_holders(d)) < k]
+        for document in sorted(short, key=lambda d: bool(self.live_holders(d))):
+            while budget > 0 and len(self.live_holders(document)) < k:
+                target = self._target(document)
                 if target is None:
                     break
-                decisions.append(
-                    self.policy.repair_replica(name, target, now))
-                group.repairs += 1
-                group.repaired_at = now
+                decisions.append(self.policy.add_holder(
+                    document.name, target, now, kind="repair"))
                 budget -= 1
-            self._transition(group, self._classify(
-                self._live_holders(document)))
+        # 3. Heat: one more holder for each document whose co-op runs
+        # hot, hottest first, T_coop-spaced.
+        mean = self.glt.mean_metric()
+        if mean <= 0.0:
+            return decisions
+        for document in sorted(migrated, key=lambda r: (-r.hits, r.name)):
+            if budget <= 0:
+                break
+            if len(document.locations()) >= ceiling:
+                continue
+            row = self.glt.get(document.location)
+            if row is None or \
+                    row.metric <= self.config.imbalance_tolerance * mean:
+                continue
+            target = self._target(document)
+            if target is None or self.policy.cooling(target, now):
+                continue
+            decisions.append(self.policy.add_holder(
+                document.name, target, now, kind="replicate"))
+            budget -= 1
         return decisions
 
-    def _live_holders(self, document: DocumentRecord) -> List[Location]:
-        return [loc for loc in sorted(document.locations(), key=str)
+    def _target(self, document: DocumentRecord) -> Optional[Location]:
+        """Where the next holder of *document* goes: the least-loaded
+        peer that is ``placeable`` (so suspects never receive new
+        holders) and does not hold it yet."""
+        unavailable = [p for p in self.glt.peers()
+                       if not self.peers.placeable(p)]
+        return self.glt.least_loaded(
+            exclude=list(document.locations()) + unavailable)
+
+    # ------------------------------------------------------------------
+    # Group state, derived (admin endpoint, stats sampling, fsck, rejoin)
+    # ------------------------------------------------------------------
+
+    def live_holders(self, record: DocumentRecord) -> List[Location]:
+        """The holders of *record* the peer ledger says still hold it —
+        also the replica set the engine stamps onto redirects."""
+        return [loc for loc in sorted(record.locations(), key=str)
                 if loc != self.graph.home and self.peers.holds(loc)]
 
-    def _unavailable_peers(self) -> List[Location]:
-        """Peers excluded from repair *placement* — the stricter
-        ``placeable`` predicate, so suspects never receive new replicas."""
-        return [p for p in self.glt.peers() if not self.peers.placeable(p)]
+    def groups(self) -> List[DocumentRecord]:
+        """The managed documents, by name: every migrated one while k is
+        above 1, none otherwise."""
+        if self.config.replication_k <= 1:
+            return []
+        return sorted(self.graph.migrated_documents(), key=lambda r: r.name)
 
-    def _classify(self, live: List[Location]) -> str:
-        if len(live) >= self.config.replication_k:
+    def state(self, record: DocumentRecord) -> str:
+        live = len(self.live_holders(record))
+        if live >= self.config.replication_k:
             return STATE_HEALTHY
-        if len(live) >= self.config.replication_sufficient:
-            return STATE_DEGRADED
-        return STATE_CRITICAL
-
-    def _transition(self, group: ReplicationGroup, state: str) -> None:
-        if state == group.state:
-            return
-        self.counters.state_changes += 1
-        self._log(f"replication group {group.name}: "
-                  f"{group.state} -> {state}")
-        group.state = state
+        return STATE_DEGRADED if live else STATE_CRITICAL
 
     # ------------------------------------------------------------------
     # Replica choice (requester-facing)
@@ -229,7 +209,7 @@ class ReplicationManager:
         if not record.replicas:
             return record.location
         holders = sorted(record.locations(), key=str)
-        candidates = self._live_holders(record) or holders
+        candidates = self.live_holders(record) or holders
         if len(candidates) == 1:
             return candidates[0]
         digest = _digest(record.name, salt)
@@ -247,55 +227,3 @@ class ReplicationManager:
     def _load_of(self, server: Location) -> float:
         row = self.glt.get(server)
         return row.metric if row is not None else float("inf")
-
-    # ------------------------------------------------------------------
-    # Introspection (admin endpoint, stats sampling, fsck)
-    # ------------------------------------------------------------------
-
-    def live_holders(self, name: str) -> List[Location]:
-        """Live holders of *name* (empty when unknown) — used by the
-        engine to stamp the replica set onto redirects."""
-        document = self.graph.find(name)
-        if document is None:
-            return []
-        return self._live_holders(document)
-
-    def groups_below_target(self) -> int:
-        return sum(1 for g in self.groups.values()
-                   if g.state != STATE_HEALTHY)
-
-    def copies_histogram(self) -> Dict[int, int]:
-        """live-holder-count -> number of groups."""
-        histogram: Dict[int, int] = {}
-        for name in self.groups:
-            document = self.graph.find(name)
-            live = len(self._live_holders(document)) if document else 0
-            histogram[live] = histogram.get(live, 0) + 1
-        return histogram
-
-    # ------------------------------------------------------------------
-    # Durability (snapshot round-trip; decisions are journaled upstream)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        return [
-            {"name": g.name, "created_at": g.created_at,
-             "repaired_at": g.repaired_at, "repairs": g.repairs,
-             "state": g.state}
-            for _, g in sorted(self.groups.items())
-        ]
-
-    def restore(self, groups: List[Dict[str, object]]) -> None:
-        """Install snapshot groups (an older snapshot's per-group
-        ``target`` is ignored: k is the config's); none when k = 1."""
-        self.groups.clear()
-        if self.config.replication_k <= 1:
-            return
-        for entry in groups:
-            name = str(entry["name"])
-            self.groups[name] = ReplicationGroup(
-                name=name,
-                created_at=float(entry.get("created_at", 0.0)),
-                state=str(entry.get("state", STATE_HEALTHY)),
-                repaired_at=float(entry.get("repaired_at", 0.0)),
-                repairs=int(entry.get("repairs", 0)))

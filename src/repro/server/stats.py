@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
 from repro.server.engine import DCWSEngine
+from repro.server.replication import STATE_HEALTHY
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class ClusterSample:
     wal_bytes: int = 0
     wal_records_since_checkpoint: int = 0
     wal_last_lsn: int = 0
-    # Replication groups with autonomous repair, summed across engines
-    # (none unless replication_k >= 2): group census at sample time,
+    # Replication groups, derived from each LDG and summed across
+    # engines (none unless replication_k >= 2): group census at sample time,
     # lifetime repairs (``EngineStats.repairs``), and two-choices picks.
     # ``replication_copies`` is a histogram of live-holder count ->
     # number of groups (keys are strings for JSON friendliness).
@@ -88,13 +89,13 @@ def sample_cluster(now: float,
             wal_records += journal.records_since_checkpoint
             wal_last_lsn = max(wal_last_lsn, journal.last_lsn)
         manager = engine.replication
-        replication_groups += len(manager.groups)
-        replication_below += manager.groups_below_target()
+        for record in manager.groups():
+            replication_groups += 1
+            replication_below += manager.state(record) != STATE_HEALTHY
+            key = str(len(manager.live_holders(record)))
+            replication_copies[key] = replication_copies.get(key, 0) + 1
         replication_repairs += engine.stats.repairs
         two_choices_picks += manager.counters.two_choices_picks
-        for live, count in manager.copies_histogram().items():
-            key = str(live)
-            replication_copies[key] = replication_copies.get(key, 0) + count
         per_server[str(engine.location)] = cps
     return ClusterSample(time=now, cps=total_cps, bps=total_bps,
                          drops_per_second=total_drops,

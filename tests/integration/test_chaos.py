@@ -140,6 +140,39 @@ def rejoin_diagnosis(home, victim, key: str) -> str:
     return "\n".join(lines)
 
 
+def group_diagnosis(home, name: str) -> str:
+    """One replicated document as a timed-out wait found it at the
+    home: its holder set, the group state derived from it, and the tail
+    of the home's event log."""
+    with home._lock:
+        engine = home.engine
+        record = engine.graph.get(name)
+        holders = ", ".join(
+            f"{holder} ({engine.membership.state(str(holder))})"
+            for holder in sorted(record.locations(), key=str))
+        lines = [f"home holders of {name}: {holders}",
+                 f"home group state: {engine.replication.state(record)}"
+                 f" (k={engine.config.replication_k})"]
+        tail = engine.log.tail(20)
+    lines.append(f"last {len(tail)} home events:")
+    lines.extend(f"  {event.render()}" for event in tail)
+    return "\n".join(lines)
+
+
+def test_a_group_diagnosis_names_holders_state_and_events():
+    home_loc, coop = Location("127.0.0.1", 1), Location("127.0.0.1", 2)
+    engine = DCWSEngine(home_loc, ServerConfig(replication_k=2),
+                        MemoryStore(SITE), peers=[coop])
+    engine.initialize(0.0)
+    engine.policy.force_migrate("/d.html", coop, now=0.0)
+    engine.log.record(0.0, "migrate", name="/d.html")
+    home = ThreadedDCWSServer(engine)
+    text = group_diagnosis(home, "/d.html")
+    assert "home holders of /d.html: 127.0.0.1:2 (alive)" in text
+    assert "home group state: degraded (k=2)" in text
+    assert "last 1 home events:" in text and "migrate" in text
+
+
 def test_a_timed_out_wait_reports_what_the_servers_were_doing():
     with pytest.raises(pytest.fail.Exception) as failure:
         wait_until(lambda: False, 0.0, "never settled",
@@ -672,7 +705,9 @@ class TestFalseDeathRediscovery:
 
             with home._lock:
                 # All k=2 groups back healthy, victim re-registered.
-                assert home.engine.replication.groups_below_target() == 0
+                manager = home.engine.replication
+                assert all(manager.state(record) == "healthy"
+                           for record in manager.groups())
                 assert home.engine.glt.get(victim) is not None
                 # The victim is not a holder: reconciliation dropped its
                 # copy rather than re-admitting a third primary-ish copy.
@@ -746,9 +781,11 @@ class TestCorruptionQuarantine:
             with home._lock:
                 home.engine.policy.force_migrate("/d.html", coop_locs[0],
                                                  time.monotonic())
+            diagnose = lambda: group_diagnosis(home, "/d.html")
             wait_until(
                 lambda: len(home.engine.graph.get("/d.html").replicas) == 1,
-                10.0, "repair daemon never topped the group up to k=2")
+                10.0, "corruption: the round never topped /d.html up to "
+                "k=2 before the flip", diagnose)
             replica = next(iter(home.engine.graph.get("/d.html").replicas))
             for holder in (coop_locs[0], replica):
                 assert http_fetch(holder,
@@ -796,7 +833,8 @@ class TestCorruptionQuarantine:
             # polls of this loop.)
             wait_until(
                 lambda: victim.engine.log.count("quarantine") >= 1,
-                10.0, "victim never quarantined its rotted copy")
+                10.0, "corruption: victim never quarantined its rotted copy",
+                diagnose)
             assert victim.engine.integrity.counters \
                 .corruptions_detected >= 1
             event = victim.engine.log.last("quarantine")
@@ -810,17 +848,20 @@ class TestCorruptionQuarantine:
             wait_until(
                 lambda: home.engine.integrity.counters
                 .holder_quarantines_reported >= 1,
-                10.0, "home was never told about the quarantined holder")
+                10.0, "corruption: home was never told about the "
+                "quarantined holder", diagnose)
             assert home.engine.log.count("holder_quarantined") >= 1
             wait_until(
                 lambda: len(home.engine.graph.get("/d.html").locations())
                 == 2,
-                10.0, "group never repaired back to two live holders")
+                10.0, "corruption: /d.html never repaired back to two live "
+                "holders", diagnose)
             # The quarantine lifts once the corrupt copy is dropped (or
             # replaced by a verified re-pull) — it never lingers.
             wait_until(
                 lambda: not victim.engine.integrity.is_quarantined(key_d),
-                10.0, "victim quarantine never cleared after repair")
+                10.0, "corruption: victim quarantine never cleared after "
+                "repair", diagnose)
 
             for thread in threads:
                 thread.join(timeout=30)

@@ -6,8 +6,10 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.core.glt import GlobalLoadTable
 from repro.core.ldg import LocalDocumentGraph
+from repro.core.membership import MembershipTable
 from repro.core.migration import MigrationPolicy
 from repro.http.piggyback import LoadReport
+from repro.server.replication import ReplicationManager
 
 HOME = Location("home", 80)
 COOP_A = Location("a", 80)
@@ -138,6 +140,9 @@ class TestRemigration:
 
 
 class TestReplication:
+    """Holders beyond the first come from the replica round alone
+    (repro.server.replication); the load round never adds one."""
+
     def test_replication_when_enabled_and_hot(self):
         config = ServerConfig(migration_hit_threshold=1.0, max_replicas=3,
                               imbalance_tolerance=1.05)
@@ -146,10 +151,28 @@ class TestReplication:
         glt.update_own(200.0, 100.0)
         glt.observe(LoadReport(str(COOP_A), 500.0, 100.0))
         glt.observe(LoadReport(str(COOP_B), 1.0, 100.0))
-        decisions = policy.consider(now=100.0, own_metric=200.0)
-        replications = [d for d in decisions if d.kind == "replicate"]
-        assert replications
+        # The engine's tick order: the replica round, then the load round.
+        replica_round = ReplicationManager(config, graph, glt, policy,
+                                           peers=MembershipTable())
+        replications = replica_round.repair_round(100.0)
+        assert [d.kind for d in replications] == ["replicate"]
         assert COOP_B in graph.get("/d0").locations()
+        decisions = policy.consider(now=100.0, own_metric=200.0)
+        assert [d for d in decisions if d.kind == "replicate"] == []
+
+    def test_a_heat_addition_starts_coop_spacing(self):
+        config = ServerConfig(migration_hit_threshold=1.0, max_replicas=3,
+                              coop_migration_spacing=60.0)
+        policy, graph, __ = build_policy(config)
+        policy.force_migrate("/d0", COOP_A, now=0.0)
+        repair = policy.add_holder("/d0", COOP_B, 10.0, kind="repair")
+        assert repair.kind == "repair" and not policy.cooling(COOP_B, 10.0)
+        policy.force_migrate("/d1", COOP_A, now=0.0)
+        heat = policy.add_holder("/d1", COOP_B, 20.0, kind="replicate")
+        assert heat.kind == "replicate"
+        assert policy.cooling(COOP_B, 79.0)
+        assert not policy.cooling(COOP_B, 80.0)
+        assert graph.get("/d1").locations() == {COOP_A, COOP_B}
 
     def test_no_replication_by_default(self):
         policy, graph, glt = build_policy()

@@ -78,11 +78,6 @@ UNTURNED = {
     "reprobe_max_interval": _TEST_TIMING,
     "reprobe_jitter": "test timing: circuit tests set it to 0 to pin the "
                       "admission schedule",
-    "replication_sufficient": "replica rule: goes or gets a turner with "
-                              "the one replica rule (ROADMAP item 12)",
-    "replication_heat_threshold": "replica rule: goes or gets a turner "
-                                  "with the one replica rule (ROADMAP "
-                                  "item 12)",
     "protect_entry_points": "the paper's section 3.1 entry-point "
                             "hypothesis; TestEntryPointAblation turns it, "
                             "an ablation row in bench/figures.py is open",

@@ -73,7 +73,8 @@ def durable_state(engine):
             for key, entry in engine.hosted.items()},
         "quarantined": [record.key for record in engine.integrity.active()],
         "membership": engine.membership.snapshot(),
-        "replication": engine.replication.snapshot(),
+        "replication": [[record.name, engine.replication.state(record)]
+                        for record in engine.replication.groups()],
     }
 
 

@@ -1,11 +1,13 @@
-"""Replication groups with autonomous repair.
+"""The one replica rule: the round that holds every migrated document
+at its target holder count.
 
 Covers the subsystem end to end at the unit level: configuration
-validation, the LDG/policy drop-and-repair primitives (with primary
-promotion), the :class:`ReplicationManager` state machine and repair
-loop, two-choices replica serving, engine integration (holder death
-means ``replica_drop`` + repair, never a revocation storm), durability
-(journal replay idempotence and snapshot round-trip for the new decision
+validation, the LDG/policy drop-and-add primitives (with primary
+promotion), the :class:`ReplicationManager` round (floor, heat,
+ceiling, order, budget) and the group states it derives, two-choices
+replica serving, engine integration (holder death means
+``replica_drop`` + repair, never a revocation storm), durability
+(journal replay idempotence and snapshot round-trip for the decision
 kinds), fsck invariant 6, the admin endpoint, and the cluster-sample
 gauges.
 """
@@ -64,7 +66,7 @@ def make_engine(location=HOME, peers=(COOP, COOP2), **config_kwargs):
 
 
 def migrated_engine(**config_kwargs):
-    """A home with /d.html migrated to COOP and a group synced."""
+    """A home with /d.html migrated to COOP: one holder, below k = 2."""
     engine = make_engine(**config_kwargs)
     engine.policy.force_migrate("/d.html", COOP, now=0.5)
     return engine
@@ -92,7 +94,7 @@ class TestConfig:
         engine = make_engine(replication_k=1)
         engine.policy.force_migrate("/d.html", COOP, now=0.5)
         assert engine.replication.repair_round(1.0) == []
-        assert engine.replication.groups == {}
+        assert engine.replication.groups() == []
 
     def test_k_above_one_enables_the_subsystem(self):
         engine = make_engine()
@@ -101,8 +103,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"replication_k": 0},
         {"max_replications_per_interval": 0},
-        {"replication_k": 2, "replication_sufficient": 3},
-        {"replication_heat_threshold": -1.0},
+        {"max_replicas": 0},
+        {"replication_k": 2, "imbalance_tolerance": 0.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -150,7 +152,7 @@ class TestDropHolder:
 
     def test_policy_drop_updates_migration_record(self):
         engine = migrated_engine()
-        engine.policy.repair_replica("/d.html", COOP2, now=1.0)
+        engine.policy.add_holder("/d.html", COOP2, 1.0, kind="repair")
         decision = engine.policy.drop_holder("/d.html", COOP)
         assert decision is not None
         assert decision.kind == "replica_drop"
@@ -165,7 +167,7 @@ class TestDropHolder:
     def test_revoke_all_from_prefers_drop_over_revoke(self):
         engine = migrated_engine()
         engine.policy.force_migrate("/e.html", COOP, now=0.6)
-        engine.policy.repair_replica("/d.html", COOP2, now=1.0)
+        engine.policy.add_holder("/d.html", COOP2, 1.0, kind="repair")
         decisions = engine.policy.revoke_all_from(COOP)
         kinds = {d.name: d.kind for d in decisions}
         assert kinds == {"/d.html": "replica_drop", "/e.html": "revoke"}
@@ -174,30 +176,28 @@ class TestDropHolder:
 
 
 # ======================================================================
-# ReplicationManager: groups, repair loop, and the state machine
+# ReplicationManager: the round and the group states it derives
 # ======================================================================
 
+def hot(engine, coop=COOP, metric=1000.0):
+    """Gossip that *coop* runs hot against an idle cluster."""
+    engine.glt.observe(LoadReport(str(coop), metric, 1.0))
+    for peer in engine.glt.peers():
+        if peer != coop:
+            engine.glt.observe(LoadReport(str(peer), 1.0, 1.0))
+
+
 class TestManager:
-    def test_sync_creates_groups_for_migrated_documents(self):
+    def test_every_migrated_document_is_a_group(self):
         engine = migrated_engine()
-        engine.replication.sync(1.0)
-        assert "/d.html" in engine.replication.groups
+        groups = engine.replication.groups()
+        assert [record.name for record in groups] == ["/d.html"]
+        assert engine.replication.state(groups[0]) == STATE_DEGRADED
 
-    def test_sync_removes_groups_for_revoked_documents(self):
+    def test_a_revoked_document_is_no_group(self):
         engine = migrated_engine()
-        engine.replication.sync(1.0)
         engine.policy.revoke("/d.html")
-        engine.replication.sync(2.0)
-        assert engine.replication.groups == {}
-
-    def test_heat_threshold_gates_group_creation(self):
-        engine = migrated_engine(replication_heat_threshold=5.0)
-        engine.replication.sync(1.0)
-        assert engine.replication.groups == {}
-        for _ in range(5):
-            engine.graph.record_hit("/d.html", 1.0)
-        engine.replication.sync(2.0)
-        assert "/d.html" in engine.replication.groups
+        assert engine.replication.groups() == []
 
     def test_repair_round_tops_up_to_k(self):
         engine = migrated_engine()
@@ -206,9 +206,7 @@ class TestManager:
         record = engine.graph.get("/d.html")
         assert record.location == COOP
         assert record.replicas == {COOP2}
-        group = engine.replication.groups["/d.html"]
-        assert group.state == STATE_HEALTHY
-        assert group.repairs == 1
+        assert engine.replication.state(record) == STATE_HEALTHY
 
     def test_repair_budget_bounds_each_round(self):
         engine = migrated_engine()
@@ -220,16 +218,22 @@ class TestManager:
         assert engine.replication.repair_round(3.0) == []
 
     def test_critical_groups_repair_first(self):
+        # /e.html's only holder is dead (critical: no live holder, and
+        # no survivor to drop it for); /d.html keeps one live holder
+        # (degraded).  One addition per round goes to /e.html, although
+        # /d.html sorts first by name.
         engine = make_engine(max_replications_per_interval=1)
-        engine.policy.force_migrate("/d.html", COOP, now=0.5)
+        engine.policy.force_migrate("/d.html", COOP2, now=0.5)
         engine.policy.force_migrate("/e.html", COOP, now=0.5)
-        engine.replication.sync(1.0)
-        # /e.html degraded (has a live holder), /d.html critical (none).
-        engine.replication.groups["/d.html"].state = STATE_CRITICAL
-        engine.replication.groups["/e.html"].state = STATE_DEGRADED
-        decisions = engine.replication.repair_round(1.0)
+        peers = MembershipTable()
+        peers.mark_dead(str(COOP), 0.6)
+        manager = ReplicationManager(
+            engine.config, engine.graph, engine.glt, engine.policy,
+            peers=peers)
+        assert manager.state(engine.graph.get("/e.html")) == STATE_CRITICAL
+        decisions = manager.repair_round(1.0)
         repaired = [d.name for d in decisions if d.kind == "repair"]
-        assert repaired == ["/d.html"]
+        assert repaired == ["/e.html"]
 
     def test_dead_holder_dropped_then_replaced(self):
         peers = MembershipTable()
@@ -245,15 +249,99 @@ class TestManager:
         record = engine.graph.get("/d.html")
         assert record.location == COOP2
         assert COOP not in record.locations()
-        assert manager.groups["/d.html"].state == STATE_DEGRADED
+        assert manager.state(record) == STATE_DEGRADED
 
     def test_classify_thresholds(self):
-        engine = make_engine(replication_k=3, max_replicas=3,
-                             replication_sufficient=2)
-        manager = engine.replication
-        assert manager._classify([COOP, COOP2, HOME]) == STATE_HEALTHY
-        assert manager._classify([COOP, COOP2]) == STATE_DEGRADED
-        assert manager._classify([COOP]) == STATE_CRITICAL
+        engine = make_engine(peers=(COOP, COOP2, COOP3), replication_k=3,
+                             max_replicas=3)
+        engine.policy.force_migrate("/d.html", COOP, now=0.5)
+        for holder in (COOP2, COOP3):
+            engine.policy.add_holder("/d.html", holder, 1.0, kind="repair")
+        peers = MembershipTable()
+        manager = ReplicationManager(
+            engine.config, engine.graph, engine.glt, engine.policy,
+            peers=peers)
+        record = engine.graph.get("/d.html")
+        assert manager.state(record) == STATE_HEALTHY
+        peers.mark_dead(str(COOP3), 2.0)
+        assert manager.state(record) == STATE_DEGRADED
+        for holder in (COOP, COOP2):
+            peers.mark_dead(str(holder), 2.0)
+        assert manager.state(record) == STATE_CRITICAL
+
+    def test_a_ceiling_of_one_returns_before_walking_the_graph(self,
+                                                               monkeypatch):
+        engine = migrated_engine(replication_k=1, max_replicas=1)
+        hot(engine)
+
+        def walked():
+            raise AssertionError("the round walked the graph")
+
+        monkeypatch.setattr(engine.graph, "migrated_documents", walked)
+        assert engine.replication.repair_round(1.0) == []
+
+
+class TestHeat:
+    """Above the floor, a hot co-op raises a document's target by one
+    holder per round, up to max(replication_k, max_replicas)."""
+
+    def test_a_hot_coop_adds_one_holder_per_round_up_to_the_ceiling(self):
+        engine = migrated_engine(peers=(COOP, COOP2, COOP3, COOP4),
+                                 replication_k=1, max_replicas=3,
+                                 imbalance_tolerance=1.05,
+                                 coop_migration_spacing=1.0)
+        hot(engine)
+        added = []
+        for now in (10.0, 20.0, 30.0, 40.0):
+            decisions = engine.replication.repair_round(now)
+            assert [d.kind for d in decisions] in ([], ["replicate"])
+            added.append(len(decisions))
+        assert added == [1, 1, 0, 0]
+        assert len(engine.graph.get("/d.html").locations()) == 3
+        assert engine.replication.groups() == []    # k = 1: no floor
+
+    def test_a_cool_coop_adds_nothing(self):
+        engine = migrated_engine(replication_k=1, max_replicas=3)
+        engine.glt.observe(LoadReport(str(COOP), 1.0, 1.0))
+        engine.glt.observe(LoadReport(str(COOP2), 1.0, 1.0))
+        assert engine.replication.repair_round(10.0) == []
+
+    def test_heat_keeps_coop_spacing_and_the_floor_bypasses_it(self):
+        engine = migrated_engine(replication_k=1, max_replicas=2,
+                                 imbalance_tolerance=1.05,
+                                 coop_migration_spacing=60.0)
+        engine.policy.force_migrate("/e.html", COOP, now=0.6)
+        hot(engine)
+        first = engine.replication.repair_round(10.0)
+        assert [(d.kind, d.target) for d in first] == \
+            [("replicate", COOP2)]
+        assert engine.policy.cooling(COOP2, 10.0)
+        # COOP2 is the only place left and accepted within T_coop.
+        assert engine.replication.repair_round(20.0) == []
+        assert engine.replication.repair_round(71.0) != []
+
+    def test_the_floor_goes_first_and_shares_the_budget(self):
+        engine = migrated_engine(peers=(COOP, COOP2, COOP3),
+                                 replication_k=2, max_replicas=3,
+                                 imbalance_tolerance=1.05)
+        hot(engine)
+        assert [d.kind for d in engine.replication.repair_round(10.0)] == \
+            ["repair"]
+        assert [d.kind for d in engine.replication.repair_round(20.0)] == \
+            ["replicate"]
+        assert len(engine.graph.get("/d.html").locations()) == 3
+        assert engine.replication.repair_round(30.0) == []
+
+    def test_the_hottest_document_goes_first(self):
+        engine = migrated_engine(replication_k=1, max_replicas=2,
+                                 imbalance_tolerance=1.05)
+        engine.policy.force_migrate("/e.html", COOP, now=0.6)
+        for _ in range(5):
+            engine.graph.record_hit("/e.html", 1.0)
+        hot(engine)
+        decisions = engine.replication.repair_round(10.0)
+        assert [(d.kind, d.name) for d in decisions] == \
+            [("replicate", "/e.html")]
 
 
 class TestTwoChoices:
@@ -290,7 +378,7 @@ class TestTwoChoices:
         manager = ReplicationManager(
             engine.config, engine.graph, engine.glt, engine.policy,
             peers=peers)
-        engine.policy.repair_replica("/d.html", COOP2, now=1.0)
+        engine.policy.add_holder("/d.html", COOP2, 1.0, kind="repair")
         record = engine.graph.get("/d.html")
         picks = {str(manager.pick(record, salt=f"/r{i}"))
                  for i in range(16)}
@@ -328,11 +416,11 @@ class TestEngineIntegration:
         record = engine.graph.get("/d.html")
         assert record.location == COOP2
         assert record.migrated_at == 0.5
-        assert engine.replication.groups["/d.html"].state == STATE_DEGRADED
+        assert engine.replication.state(record) == STATE_DEGRADED
 
     def test_unreplicated_documents_still_revoke(self):
         engine = migrated_engine(ping_failure_limit=2, pinger_interval=1.0,
-                                 replication_heat_threshold=1e9)
+                                 replication_k=1)
         declare_dead(engine, COOP, start=5.0)
         assert engine.stats.revocations == 1
         assert engine.graph.get("/d.html").location == HOME
@@ -353,8 +441,8 @@ class TestEngineIntegration:
         assert reply.response.headers.get(REPLICAS_HEADER) is None
 
     def test_reactive_replicas_share_the_one_pick_rule(self):
-        # k = 1 keeps no groups, but a document reactive replication
-        # spread over two holders is picked and redirected like any
+        # k = 1 keeps no groups, but a document that heat spread over
+        # two holders is picked and redirected like any
         # other: two choices by load, the live set on the 301.
         engine = migrated_engine(replication_k=1)
         engine.graph.add_replica("/d.html", COOP2, now=1.0)
@@ -367,7 +455,7 @@ class TestEngineIntegration:
             assert str(COOP2) in reply.response.headers.get("Location")
             replicas = reply.response.headers.get(REPLICAS_HEADER)
             assert set(replicas.split(",")) == {str(COOP), str(COOP2)}
-        assert engine.replication.groups == {}
+        assert engine.replication.groups() == []
 
 
 # ======================================================================
@@ -418,41 +506,45 @@ class TestDurability:
         engine = migrated_engine()
         engine.tick(5.0)
         snapshot = snapshot_engine(engine, 6.0)
-        assert snapshot["replication"], "groups missing from snapshot"
         fresh = make_engine()
         restore_engine(fresh, snapshot, 7.0)
         assert replication_state(fresh) == replication_state(engine)
-        assert fresh.replication.groups.keys() == \
-            engine.replication.groups.keys()
-        group = fresh.replication.groups["/d.html"]
-        assert group.repairs == 1
-        assert group.state == STATE_HEALTHY
-        assert fresh.graph.get("/d.html").replicas == {COOP2}
+        assert [r.name for r in fresh.replication.groups()] == \
+            [r.name for r in engine.replication.groups()] == ["/d.html"]
+        record = fresh.graph.get("/d.html")
+        assert fresh.replication.state(record) == STATE_HEALTHY
+        assert record.replicas == {COOP2}
 
     def test_disabled_subsystem_snapshot_is_empty(self):
-        engine = migrated_engine(replication_k=1)
-        assert snapshot_engine(engine, 1.0)["replication"] == []
+        # No group list is stored, under k = 1 or any other k: every
+        # group is derived from the documents' holder sets.
+        for k in (1, 2):
+            engine = migrated_engine(replication_k=k)
+            engine.tick(5.0)
+            assert "replication" not in snapshot_engine(engine, 6.0)
 
     def test_groups_restored_under_k_1_are_dropped(self):
         engine = migrated_engine()
         engine.tick(5.0)
         fresh = make_engine(replication_k=1)
         restore_engine(fresh, snapshot_engine(engine, 6.0), 7.0)
-        assert fresh.replication.groups == {}
+        assert fresh.replication.groups() == []
         assert fresh.graph.get("/d.html").replicas == {COOP2}
 
     @staticmethod
     def snapshot_under_k(k, rounds):
-        """A snapshot of /d.html's group at *k* holders, with the
-        per-group ``target`` an older snapshot carried."""
+        """A snapshot of /d.html at *k* holders, with the ``replication``
+        group list (and per-group ``target``) an older snapshot carried:
+        a restart loads it and ignores it."""
         engine = migrated_engine(peers=(COOP, COOP2, COOP3, COOP4),
                                  replication_k=k)
         for round_number in range(rounds):
             engine.tick(5.0 + round_number)
         assert len(engine.graph.get("/d.html").locations()) == k
         snapshot = snapshot_engine(engine, 9.0)
-        for entry in snapshot["replication"]:
-            entry["target"] = k
+        snapshot["replication"] = [
+            {"name": "/d.html", "created_at": 5.0, "repaired_at": 5.0,
+             "repairs": k - 1, "state": STATE_CRITICAL, "target": k}]
         return snapshot
 
     def test_restart_under_a_higher_k_tops_groups_up(self):
@@ -461,9 +553,9 @@ class TestDurability:
         restore_engine(restarted, self.snapshot_under_k(2, 1), 10.0)
         decisions = restarted.replication.repair_round(11.0)
         assert [d.kind for d in decisions] == ["repair"]
-        assert len(restarted.graph.get("/d.html").locations()) == 3
-        assert restarted.replication.groups["/d.html"].state == \
-            STATE_HEALTHY
+        record = restarted.graph.get("/d.html")
+        assert len(record.locations()) == 3
+        assert restarted.replication.state(record) == STATE_HEALTHY
 
     def test_restart_under_a_lower_k_repairs_to_the_new_k(self):
         restarted = make_engine(peers=(COOP, COOP2, COOP3, COOP4),
@@ -473,10 +565,9 @@ class TestDurability:
         restarted.membership.mark_dead(str(holders[-1]), 10.5)
         decisions = restarted.replication.repair_round(11.0)
         assert [d.kind for d in decisions] == ["replica_drop"]
-        assert restarted.graph.get("/d.html").locations() == \
-            set(holders[:-1])
-        assert restarted.replication.groups["/d.html"].state == \
-            STATE_HEALTHY
+        record = restarted.graph.get("/d.html")
+        assert record.locations() == set(holders[:-1])
+        assert restarted.replication.state(record) == STATE_HEALTHY
 
 
 # ======================================================================
@@ -500,17 +591,6 @@ class TestFsck:
         engine = migrated_engine()
         engine.graph.get("/d.html").replicas.add(COOP)
         assert any("primary" in v for v in
-                   check_engine(engine, check_links=False))
-
-    def test_group_for_unmigrated_document_flagged(self):
-        engine = migrated_engine()
-        engine.replication.sync(1.0)
-        engine.policy.revoke("/d.html")
-        # Simulate a missed sync: the group lingers after revocation.
-        engine.replication.groups["/d.html"] = \
-            engine.replication.groups.get("/d.html") or None
-        engine.replication.restore([{"name": "/d.html"}])
-        assert any("not migrated" in v for v in
                    check_engine(engine, check_links=False))
 
     def test_holder_unknown_to_glt_flagged(self):

@@ -16,7 +16,9 @@ such a step to the head of the *next* identical request instead of the
 recorded one, and still to the recorded status, body and counters.
 
 Re-record (only ever at a commit whose wire is the reference) with
-``PYTHONPATH=src python -m tests.test_serve_transcript``.
+``PYTHONPATH=src python -m tests.test_serve_transcript``; add
+``--case NAME`` (repeatable) to re-record only those cases, keeping
+every other case's rows and every head id already recorded.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ import json
 import pathlib
 import socket
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import pytest
 
@@ -249,7 +251,8 @@ def migrate(name: str, target: Location = COOP):
 
 
 def replicate(name: str):
-    return lambda engine: engine.policy.repair_replica(name, COOP_2, 0.0)
+    return lambda engine: engine.policy.add_holder(name, COOP_2, 0.0,
+                                                   kind="repair")
 
 
 def update(name: str, data: bytes):
@@ -526,11 +529,22 @@ def digest(body: bytes) -> str:
     return hashlib.sha256(body).hexdigest()[:16]
 
 
-def record(tmp: pathlib.Path) -> Dict[str, object]:
-    heads: List[str] = []
-    index: Dict[str, int] = {}
-    transcript: Dict[str, object] = {}
-    for name, (make, steps, __) in all_cases(tmp).items():
+def record(tmp: pathlib.Path, only: Sequence[str] = (),
+           base: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    """Record every case, or only the cases named in *only* on top of
+    the transcript *base*: its heads keep their ids (a new head is
+    appended) and its other cases keep their rows."""
+    base = base or {"heads": [], "cases": {}}
+    heads: List[str] = list(base["heads"])
+    index: Dict[str, int] = {text: i for i, text in enumerate(heads)}
+    transcript: Dict[str, object] = dict(base["cases"])
+    cases = all_cases(tmp)
+    unknown = sorted(set(only) - set(cases))
+    if unknown:
+        raise SystemExit(f"no such case: {', '.join(unknown)}")
+    for name, (make, steps, __) in cases.items():
+        if only and name not in only:
+            continue
         wires, booked = through_engine(make, steps)
         rows = []
         for step, (wire, head, body) in zip(steps, wires):
@@ -619,10 +633,24 @@ def test_the_transcript_covers_what_it_claims(golden):
         assert any(fragment in head for head in golden["heads"]), fragment
 
 
+def test_re_recording_one_case_leaves_the_file_as_it_was(golden, tmp_path):
+    assert dump(record(tmp_path, ["home-updated"], golden)) == \
+        GOLDEN.read_text()
+    with pytest.raises(SystemExit):
+        record(tmp_path, ["no-such-case"], golden)
+
+
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(
+        description="re-record the golden serve transcript")
+    parser.add_argument("--case", action="append", default=[],
+                        metavar="NAME", help="re-record only this case")
+    only = parser.parse_args().case
+    base = json.loads(GOLDEN.read_text()) if only else None
     with tempfile.TemporaryDirectory() as scratch:
         GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(dump(record(pathlib.Path(scratch))))
-    print(f"recorded {GOLDEN}")
+        GOLDEN.write_text(dump(record(pathlib.Path(scratch), only, base)))
+    print(f"recorded {GOLDEN}" + (f" ({', '.join(only)})" if only else ""))

@@ -359,18 +359,19 @@ class TestServePathRealism:
 
     def test_connection_pressure_sheds_regeneration_only(self):
         # One live connection out of max_connections=2 crosses the 0.5
-        # pressure threshold: dirty documents 503, clean ones still serve.
+        # pressure threshold: a document whose link target moved (it
+        # needs a splice) 503s, clean ones still serve.
         config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
                               max_connections=2, shed_pressure=0.5)
         with make_server(config) as server:
             assert server.wait_ready()
             with server._lock:
-                server.engine.update_document("/index.html",
-                                              SITE["/index.html"])
+                server.engine.policy.force_migrate(
+                    "/d.html", Location("127.0.0.1", 1), now=0.0)
             with connect(server) as sock:
                 sock.sendall(b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n")
                 dirty = sock.recv(65536)
-                sock.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n")
+                sock.sendall(b"GET /big.html HTTP/1.1\r\nHost: h\r\n\r\n")
                 clean = sock.recv(65536)
             assert re.match(rb"HTTP/1\.\d 503 ", dirty)
             assert b"Retry-After: 1" in dirty

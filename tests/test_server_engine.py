@@ -495,9 +495,9 @@ class TestTick:
         repair every T_st and scrub every scrub_interval from the first
         tick — each against its own last run, at irregular tick times."""
         site = {f"/p{n}.html": b"<html>page</html>" for n in range(20)}
-        engine = make_engine(site=site, stats_interval=10.0,
-                             pinger_interval=20.0, scrub_interval=30.0,
-                             replication_k=2)
+        engine = make_engine(site=site, peers=(COOP, Location("coop2", 8003)),
+                             stats_interval=10.0, pinger_interval=20.0,
+                             scrub_interval=30.0, replication_k=2)
         expected = [  # (now, stats, repair, scrub, ping)
             (3.0, 0, 1, 1, 0), (9.5, 0, 0, 0, 0), (10.0, 1, 0, 0, 0),
             (14.0, 0, 1, 0, 0), (20.5, 1, 0, 0, 1), (29.9, 0, 1, 0, 0),
@@ -506,20 +506,22 @@ class TestTick:
             (75.0, 1, 1, 1, 0), (90.5, 1, 1, 0, 1), (91.0, 0, 0, 0, 0)]
         ran = []
         for index, (now, *__) in enumerate(expected):
-            # A document migrated just before the tick gains its
-            # replication group only if the repair round runs.
+            # A document migrated just before the tick leaves one below
+            # the floor k = 2, so a repair round that runs repairs (onto
+            # the second peer).
             name = f"/p{index}.html"
             engine.policy.force_migrate(name, COOP, now=now)
             scrubs = engine.integrity.counters.scrub_rounds
             pings = engine.stats.pings
+            repairs = engine.stats.repairs
             for action in engine.tick(now):
                 if action.kind == "ping":
                     engine.complete_action(action, Response(status=200), now)
             own = engine.glt.get(HOME)
             ran.append((now, int(own is not None and own.timestamp == now),
-                        int(name in engine.replication.groups),
+                        int(engine.stats.repairs > repairs),
                         engine.integrity.counters.scrub_rounds - scrubs,
-                        engine.stats.pings - pings))
+                        int(engine.stats.pings > pings)))
         assert ran == expected
         assert engine.membership.state(str(COOP)) == "alive"
 

@@ -598,7 +598,7 @@ def test_conditionals_on_documents_that_must_still_go_slow():
     # Migrated, then replicated: the name answers 301 whatever it carries.
     revalidate("/d.html", 4.0, everywhere(301))
     for engine in twins:
-        engine.policy.repair_replica("/d.html", COOP_2, 4.5)
+        engine.policy.add_holder("/d.html", COOP_2, 4.5, kind="repair")
     assert by_fast.graph.get("/d.html").replicas
     revalidate("/d.html", 5.0, everywhere(301))
     # Quarantined with nothing to regenerate from: 503 — its cache

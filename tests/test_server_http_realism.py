@@ -227,12 +227,23 @@ class TestRange:
 class TestTieredShedding:
     def test_dirty_regeneration_shed_under_overload(self):
         engine = make_engine()
-        engine.update_document("/d.html", BIG_PAGE)  # dirty again
+        # /index.html's link target moved: serving it needs a splice.
+        engine.policy.force_migrate("/d.html", COOP, now=0.5)
         engine.overloaded = True
-        response = get(engine, "/d.html")
+        response = get(engine, "/index.html")
         assert response.status == 503
         assert response.headers.get("Retry-After") == "1"
         assert engine.stats.regenerations_shed == 1
+
+    def test_a_save_whose_links_stay_home_is_served_under_overload(self):
+        engine = make_engine()
+        engine.update_document("/d.html", BIG_PAGE)  # dirty, nothing moved
+        engine.overloaded = True
+        response = get(engine, "/d.html")
+        assert response.status == 200
+        assert response.body == BIG_PAGE
+        assert engine.stats.regenerations_shed == 0
+        assert not engine.graph.get("/d.html").dirty
 
     def test_clean_document_served_under_overload(self):
         engine = make_engine()
