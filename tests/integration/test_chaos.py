@@ -140,22 +140,30 @@ def rejoin_diagnosis(home, victim, key: str) -> str:
     return "\n".join(lines)
 
 
-def group_diagnosis(home, name: str) -> str:
+def group_diagnosis(home, name: str, holder=None) -> str:
     """One replicated document as a timed-out wait found it at the
     home: its holder set, the group state derived from it, and the tail
-    of the home's event log."""
+    of the home's event log — and, given one *holder* server, that
+    holder's entry for the document and the tail of its log."""
     with home._lock:
         engine = home.engine
         record = engine.graph.get(name)
         holders = ", ".join(
-            f"{holder} ({engine.membership.state(str(holder))})"
-            for holder in sorted(record.locations(), key=str))
+            f"{location} ({engine.membership.state(str(location))})"
+            for location in sorted(record.locations(), key=str))
         lines = [f"home holders of {name}: {holders}",
                  f"home group state: {engine.replication.state(record)}"
                  f" (k={engine.config.replication_k})"]
-        tail = engine.log.tail(20)
-    lines.append(f"last {len(tail)} home events:")
-    lines.extend(f"  {event.render()}" for event in tail)
+        tails = [("home", engine.log.tail(20))]
+        key = f"/~migrate/{engine.location.host}/{engine.location.port}{name}"
+    if holder is not None:
+        with holder._lock:
+            lines.append(f"holder {holder.engine.location} hosted[{key}]: "
+                         f"{holder.engine.hosted.get(key)}")
+            tails.append(("holder", holder.engine.log.tail(20)))
+    for owner, tail in tails:
+        lines.append(f"last {len(tail)} {owner} events:")
+        lines.extend(f"  {event.render()}" for event in tail)
     return "\n".join(lines)
 
 
@@ -166,11 +174,15 @@ def test_a_group_diagnosis_names_holders_state_and_events():
     engine.initialize(0.0)
     engine.policy.force_migrate("/d.html", coop, now=0.0)
     engine.log.record(0.0, "migrate", name="/d.html")
-    home = ThreadedDCWSServer(engine)
-    text = group_diagnosis(home, "/d.html")
+    holder = ThreadedDCWSServer(DCWSEngine(coop, ServerConfig(),
+                                           MemoryStore(), peers=[home_loc]))
+    text = group_diagnosis(ThreadedDCWSServer(engine), "/d.html", holder)
     assert "home holders of /d.html: 127.0.0.1:2 (alive)" in text
     assert "home group state: degraded (k=2)" in text
     assert "last 1 home events:" in text and "migrate" in text
+    assert "holder 127.0.0.1:2 hosted[/~migrate/127.0.0.1/1/d.html]: " \
+        "None" in text
+    assert "last 0 holder events:" in text
 
 
 def test_a_timed_out_wait_reports_what_the_servers_were_doing():
@@ -781,7 +793,7 @@ class TestCorruptionQuarantine:
             with home._lock:
                 home.engine.policy.force_migrate("/d.html", coop_locs[0],
                                                  time.monotonic())
-            diagnose = lambda: group_diagnosis(home, "/d.html")
+            diagnose = lambda: group_diagnosis(home, "/d.html", victim)
             wait_until(
                 lambda: len(home.engine.graph.get("/d.html").replicas) == 1,
                 10.0, "corruption: the round never topped /d.html up to "
